@@ -72,9 +72,9 @@ def _fold_tail_bound(z_abs: float, m_max: int) -> float:
     Uses |J_m(w)| <= (|w|/2)^|m| / |m|! * exp(|w|^2/4).
     """
     half = z_abs / 2.0
-    front = 2.0 * math.exp(half * half)
     total = 0.0
     try:
+        front = 2.0 * math.exp(half * half)
         term = half ** (m_max + 1) / math.factorial(m_max + 1)
     except OverflowError:
         return math.inf

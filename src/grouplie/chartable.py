@@ -41,12 +41,6 @@ class CharacterTable:
     def context(self) -> cyclo.CycloContext:
         return cyclo.context(self.group.exponent)
 
-    def value(self, irrep: int, class_index: int) -> cyclo.CycloScalar:
-        return self.values[irrep][class_index]
-
-    def row_as_complex(self, irrep: int) -> list[complex]:
-        return [complex(v) for v in self.values[irrep]]
-
     def to_json_dict(self) -> dict:
         return {
             "group": self.group.name,

@@ -15,11 +15,9 @@ from .errors import GroupLieError, UsageError, VerificationFailed
 from .groups import (
     GroupTable,
     find_character,
-    identity_automorphism,
-    inversion_automorphism,
     linear_characters,
+    load_tau,
     parse_group_spec,
-    validate_automorphism,
 )
 from .indicators import indicator_report, render_factors
 from .verify import default_catalog, run_suite, verify_theorem
@@ -134,16 +132,6 @@ def _resolve_alpha(group: GroupTable, label: str):
         ) from None
 
 
-def _resolve_tau(group: GroupTable, spec: str):
-    if spec == "id":
-        return identity_automorphism(group)
-    if spec == "inv":
-        return inversion_automorphism(group)
-    path = spec[1:] if spec.startswith("@") else spec
-    mapping = json.loads(open(path).read())
-    return validate_automorphism(group, mapping, label=os.path.basename(path))
-
-
 def _emit(payload: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -159,7 +147,7 @@ def _dump(obj) -> str:
 def cmd_analyze(cfg: RunConfig) -> int:
     group = parse_group_spec(cfg.group)
     alpha = _resolve_alpha(group, cfg.alpha)
-    tau = _resolve_tau(group, cfg.tau)
+    tau = load_tau(group, cfg.tau)
     table = character_table(group, seed=cfg.seed)
     ind = indicator_report(group, table, alpha, tau)
     report = verify_theorem(group, alpha, tau, table=table, seed=cfg.seed,
@@ -193,7 +181,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         if not groups:
             raise UsageError("--tau from a file requires --group")
-        tau_policy = [_resolve_tau(groups[0], cfg.tau)]
+        tau_policy = [load_tau(groups[0], cfg.tau)]
     result = run_suite(
         groups,
         max_order=cfg.max_order,
@@ -201,6 +189,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         tau_policy=tau_policy,
         seed=cfg.seed,
     )
+    if not result.contexts:
+        raise UsageError(
+            f"no theorem context selected (alpha={cfg.alpha}, tau={cfg.tau}); a context "
+            "needs a character label of the group with alpha o tau = alpha"
+        )
     if cfg.fmt == "json":
         payload = {
             "contexts": result.contexts,

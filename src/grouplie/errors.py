@@ -89,8 +89,9 @@ class AlphaNotReal(GroupLieError):
     pass
 
 
-class CentralityFailed(GroupLieError):
-    pass
+class InvariantViolated(GroupLieError):
+    """An identity the construction guarantees failed; signals a bug here,
+    never bad input."""
 
 
 class VerificationFailed(GroupLieError):

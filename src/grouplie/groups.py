@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,9 @@ import numpy as np
 
 from . import cyclo
 from .errors import (
+    AlphaNotReal,
     BadParameters,
+    InvariantViolated,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -30,8 +31,6 @@ from .errors import (
 )
 
 ORDER_CAP = 1024
-EXHAUSTIVE_ASSOC_CAP = 256
-_ASSOC_SAMPLES = 20000
 
 
 @dataclass(frozen=True)
@@ -44,12 +43,6 @@ class GroupTable:
     inverse: tuple[int, ...]
     exponent: int
     identity: int = 0
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     def conjugate(self, h: int, g: int) -> int:
         """h g h^-1."""
@@ -95,9 +88,6 @@ class GroupTable:
             census[k] = census.get(k, 0) + 1
         return census
 
-    def cyclo_context(self) -> cyclo.CycloContext:
-        return cyclo.context(self.exponent)
-
     def __repr__(self):
         return f"GroupTable({self.name!r}, order={self.order})"
 
@@ -135,10 +125,12 @@ class LinearCharacter:
     def is_trivial(self) -> bool:
         return not any(self.exponents)
 
-    def is_real(self) -> bool:
-        """True when all values lie in {1, -1}."""
-        m = self.conductor
-        return all(2 * e % m == 0 for e in self.exponents)
+    def real_sign(self, g: int) -> int:
+        """alpha(g) as +1 or -1; AlphaNotReal where alpha(g) is not real."""
+        e = self.exponents[g]
+        if 2 * e % self.conductor:
+            raise AlphaNotReal(f"alpha({g}) = zeta_{self.conductor}^{e} is not real")
+        return -1 if e else 1
 
     def pointwise_product(self, other: "LinearCharacter") -> "LinearCharacter":
         m = self.conductor
@@ -156,9 +148,6 @@ class InvolutiveAutomorphism:
     mapping: tuple[int, ...]
     label: str
 
-    def __call__(self, g: int) -> int:
-        return self.mapping[g]
-
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.mapping))
 
@@ -167,7 +156,7 @@ class InvolutiveAutomorphism:
 # constructors
 
 
-def from_mult_table(table, name: str = "G", *, assoc_samples: int = _ASSOC_SAMPLES) -> GroupTable:
+def from_mult_table(table, name: str = "G") -> GroupTable:
     """Validate a multiplication table and normalize the identity to index 0."""
     n = len(table)
     if n == 0:
@@ -196,19 +185,12 @@ def from_mult_table(table, name: str = "G", *, assoc_samples: int = _ASSOC_SAMPL
         identity = 0
 
     arr = np.array(rows, dtype=np.int64)
-    if n <= EXHAUSTIVE_ASSOC_CAP:
-        for a in range(n):
-            left = arr[arr[a]]          # left[b, c] = (a*b)*c
-            right = arr[a][arr]         # right[b, c] = a*(b*c)
-            if not np.array_equal(left, right):
-                b, c = map(int, np.argwhere(left != right)[0])
-                raise NotAssociative((a, b, c))
-    else:
-        rng = random.Random(0xA550C)
-        for _ in range(assoc_samples):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                raise NotAssociative((a, b, c))
+    for a in _greedy_generators(rows):
+        left = arr[arr[:, a]]           # left[x, y] = (x*a)*y
+        right = arr[:, arr[a]]          # right[x, y] = x*(a*y)
+        if not np.array_equal(left, right):
+            x, y = map(int, np.argwhere(left != right)[0])
+            raise NotAssociative((x, a, y))
 
     inverse = []
     for g in range(n):
@@ -223,6 +205,33 @@ def from_mult_table(table, name: str = "G", *, assoc_samples: int = _ASSOC_SAMPL
     for g in range(n):
         exponent = math.lcm(exponent, group.element_order(g))
     return GroupTable(name, n, mult, tuple(inverse), exponent)
+
+
+def _greedy_generators(rows) -> list[int]:
+    """Elements whose left-normed products (((e*a1)*a2)*...) reach every element.
+
+    Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
+    1.2): the a with (x*a)*y == x*(a*y) for all x, y are closed under the
+    product, so checking a generating set decides associativity exactly.  Each
+    new generator lies outside the current closure, which in a group at least
+    doubles it, so a group of order n takes at most log2(n) of them.
+    """
+    n = len(rows)
+    gens: list[int] = []
+    reached = [True] + [False] * (n - 1)
+    frontier = [0]
+    while True:
+        while frontier:
+            x = frontier.pop()
+            for a in gens:
+                y = rows[x][a]
+                if not reached[y]:
+                    reached[y] = True
+                    frontier.append(y)
+        if all(reached):
+            return gens
+        gens.append(reached.index(False))
+        frontier = [x for x in range(n) if reached[x]]
 
 
 def from_permutation_generators(generators, name: str = "G", *, cap: int = ORDER_CAP) -> GroupTable:
@@ -251,12 +260,7 @@ def from_permutation_generators(generators, name: str = "G", *, cap: int = ORDER
                 index[q] = len(elems)
                 elems.append(q)
                 queue.append(q)
-    n = len(elems)
-    table = [
-        [index[tuple(p[q[i]] for i in range(k))] for q in elems]
-        for p in elems
-    ]
-    return from_mult_table(table, name)
+    return _permutation_group(elems, name)
 
 
 def _permutation_group(perms, name: str) -> GroupTable:
@@ -382,22 +386,30 @@ def semidirect_product(g: GroupTable, tau: InvolutiveAutomorphism,
     return from_mult_table(table, name or f"{g.name}:<{tau.label}>")
 
 
+# named families: those taking one integer parameter, then the parameterless ones
+_FAMILIES = {
+    "cyclic": cyclic_group,
+    "dihedral": dihedral_group,
+    "symmetric": symmetric_group,
+    "alternating": alternating_group,
+}
+_SINGLE = {"quaternion8": quaternion_group, "frobenius21": frobenius21_group}
+
+
 def catalog(name: str, *params) -> GroupTable:
     """Construct a named group: cyclic n, dihedral n, symmetric n, alternating n,
     quaternion8, frobenius21, direct_product(groups...), semidirect_product(G, tau)."""
     try:
-        if name == "cyclic":
-            return cyclic_group(int(params[0]))
-        if name == "dihedral":
-            return dihedral_group(int(params[0]))
-        if name == "symmetric":
-            return symmetric_group(int(params[0]))
-        if name == "alternating":
-            return alternating_group(int(params[0]))
-        if name == "quaternion8":
-            return quaternion_group()
-        if name == "frobenius21":
-            return frobenius21_group()
+        if name in _FAMILIES:
+            try:
+                n = int(params[0])
+            except ValueError:
+                raise BadParameters(f"bad parameter {params[0]!r} for {name}") from None
+            return _FAMILIES[name](n)
+        if name in _SINGLE:
+            if params:
+                raise BadParameters(f"{name} takes no parameter")
+            return _SINGLE[name]()
         if name == "direct_product":
             groups = list(params)
             if len(groups) < 2:
@@ -545,7 +557,8 @@ def _abelian_character_exponents(q_group: GroupTable, m: int) -> list[tuple[int,
         new_chars = []
         for chi in chars:
             t = chi[a_to_k]
-            assert t % k == 0 and m % k == 0
+            if t % k or m % k:
+                raise InvariantViolated(f"character value {t} at a^{k} has no {k}-th root mod {m}")
             base = t // k
             for j in range(k):
                 s = (base + j * (m // k)) % m
@@ -563,7 +576,8 @@ def _abelian_character_exponents(q_group: GroupTable, m: int) -> list[tuple[int,
                     in_h[y] = True
                     h_elems.append(y)
         chars = new_chars
-    assert len(chars) == n
+    if len(chars) != n:
+        raise InvariantViolated(f"{len(chars)} characters on an abelian group of order {n}")
     return [tuple(chi[g] for g in range(n)) for chi in chars]
 
 
@@ -598,6 +612,10 @@ def linear_characters(group: GroupTable) -> tuple[LinearCharacter, ...]:
     result = tuple(chars)
     object.__setattr__(group, "_linear_characters", result)
     return result
+
+
+def trivial_character(group: GroupTable) -> LinearCharacter:
+    return LinearCharacter(group.exponent, (0,) * group.order, "trivial")
 
 
 def find_character(group: GroupTable, label: str) -> LinearCharacter:
@@ -650,7 +668,16 @@ def alpha_tau_compatible(alpha: LinearCharacter, tau: InvolutiveAutomorphism) ->
 # parsing / IO
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise BadParameters(f"{path}: invalid JSON ({exc})") from None
+
+
 def group_from_json(data: dict) -> GroupTable:
+    if not isinstance(data, dict):
+        raise BadParameters("group JSON must be an object with a 'table' or 'generators' field")
     name = data.get("name", "G")
     if "table" in data:
         return from_mult_table(data["table"], name)
@@ -659,7 +686,9 @@ def group_from_json(data: dict) -> GroupTable:
     raise BadParameters("group JSON needs a 'table' or 'generators' field")
 
 
-def _load_tau(group: GroupTable, spec: str) -> InvolutiveAutomorphism:
+def load_tau(group: GroupTable, spec: str) -> InvolutiveAutomorphism:
+    """Resolve a tau spec: id, inv, or a JSON file (optionally prefixed with
+    @ or auto:) listing the image of every element, labelled by its stem."""
     if spec == "id":
         return identity_automorphism(group)
     if spec == "inv":
@@ -667,18 +696,13 @@ def _load_tau(group: GroupTable, spec: str) -> InvolutiveAutomorphism:
     path = spec[1:] if spec.startswith("@") else spec
     if spec.startswith("auto:"):
         path = spec[len("auto:"):].lstrip("@")
-    mapping = json.loads(Path(path).read_text())
-    return validate_automorphism(group, mapping, label=Path(path).stem)
+    return validate_automorphism(group, _read_json(path), label=Path(path).stem)
 
 
 def parse_group_spec(spec: str) -> GroupTable:
     """Resolve a CLI group spec: catalog names, product/semidirect syntax, or
     a JSON file (path ending in .json, optionally prefixed with @)."""
     spec = spec.strip()
-    if spec == "quaternion8":
-        return quaternion_group()
-    if spec == "frobenius21":
-        return frobenius21_group()
     if spec.startswith("product:"):
         parts = spec[len("product:"):].split(",")
         return catalog("direct_product", *[parse_group_spec(p) for p in parts])
@@ -688,16 +712,11 @@ def parse_group_spec(spec: str) -> GroupTable:
             raise BadParameters("semidirect spec needs '<group>,<tau>'")
         gspec, tspec = body.rsplit(",", 1)
         g = parse_group_spec(gspec)
-        return semidirect_product(g, _load_tau(g, tspec))
+        return semidirect_product(g, load_tau(g, tspec))
     if spec.startswith("@") or spec.endswith(".json"):
         path = spec[1:] if spec.startswith("@") else spec
-        return group_from_json(json.loads(Path(path).read_text()))
-    if ":" in spec:
-        name, _, arg = spec.partition(":")
-        if name in ("cyclic", "dihedral", "symmetric", "alternating"):
-            try:
-                n = int(arg)
-            except ValueError:
-                raise BadParameters(f"bad parameter {arg!r} for {name}") from None
-            return catalog(name, n)
+        return group_from_json(_read_json(path))
+    name, _, arg = spec.partition(":")
+    if name in _FAMILIES or name in _SINGLE:
+        return catalog(name, *([arg] if arg else []))
     raise UnknownName(f"unrecognized group spec {spec!r}")

@@ -18,14 +18,16 @@ from dataclasses import dataclass
 
 from . import cyclo
 from .chartable import CharacterTable
-from .errors import AlphaNotReal, IndicatorOutOfRange, PartnerNotFound
+from .errors import IndicatorOutOfRange, PartnerNotFound
 from .groups import (
     GroupTable,
     InvolutiveAutomorphism,
     LinearCharacter,
     conjugacy_data,
     identity_automorphism,
+    trivial_character,
 )
+from .liealg import census_dimension, make_context
 
 
 @dataclass(frozen=True)
@@ -58,35 +60,16 @@ class IndicatorReport:
     nu: tuple[int, ...]
     partner: tuple[int, ...]
     parity: tuple[str, ...]
-    factors: tuple[Factor, ...]
+    classes: tuple[PairingClass, ...]
+    factors: tuple[Factor, ...]  # one per pairing class, in the same order
     involutions_plus: int   # |{g : tau(g) = g^-1, alpha(g) = 1}|
     involutions_minus: int  # |{g : tau(g) = g^-1, alpha(g) = -1}|
     dim_m: int
     dim_l_formula: int
     center_dim: int
 
-    @property
-    def pairing_classes(self) -> tuple[PairingClass, ...]:
-        out = []
-        seen = set()
-        for i, p in enumerate(self.partner):
-            if i in seen:
-                continue
-            seen.add(i)
-            if p == i:
-                out.append(PairingClass((i,), "osp"))
-            else:
-                seen.add(p)
-                out.append(PairingClass((i, p), "gl"))
-        return tuple(out)
-
-    def factor_of(self, irrep: int) -> Factor:
-        for pc, fac in zip(self.pairing_classes, self.factors):
-            if irrep in pc.members:
-                return fac
-        raise PartnerNotFound(f"irrep {irrep} missing from the pairing")
-
     def to_json_dict(self) -> dict:
+        factor = {i: fac for pc, fac in zip(self.classes, self.factors) for i in pc.members}
         return {
             "group": self.group_name,
             "order": self.order,
@@ -100,8 +83,8 @@ class IndicatorReport:
                     "nu": self.nu[i],
                     "partner": self.partner[i],
                     "parity": self.parity[i],
-                    "factor": self.factor_of(i).render(),
-                    "factor_dim": self.factor_of(i).dim,
+                    "factor": factor[i].render(),
+                    "factor_dim": factor[i].dim,
                 }
                 for i in range(len(self.degrees))
             ],
@@ -123,50 +106,36 @@ def _as_indicator(scaled: cyclo.CycloScalar, n: int, what: str) -> int:
     raise IndicatorOutOfRange(f"{n} * {what} = {scaled!r} is outside {{-n, 0, n}}")
 
 
-def weighted_fs_indicator(table: CharacterTable, alpha: LinearCharacter) -> tuple[int, ...]:
-    """Weighted indicator per irrep: (1/#G) sum over classes of
-    |c| chi(square class of c) conj(alpha(c))."""
-    cd = table.class_data
-    n = table.group.order
-    weights = [
-        alpha.conj_value(cd.representatives[c]) * cd.sizes[c]
-        for c in range(cd.num_classes)
-    ]
-    out = []
-    for i in range(table.num_irreps):
-        acc = table.context().zero
-        for c in range(cd.num_classes):
-            acc = acc + weights[c] * table.values[i][cd.square_class[c]]
-        out.append(_as_indicator(acc, n, f"F_{alpha.label}(irrep {i})"))
-    return tuple(out)
+def twist_weights(group: GroupTable, alpha: LinearCharacter | None,
+                  tau: InvolutiveAutomorphism) -> list:
+    """Per-class sums of conj(alpha(g)) over g with g*tau(g) in the class.
 
-
-def _twist_weights(table: CharacterTable, alpha: LinearCharacter | None,
-                   tau: InvolutiveAutomorphism):
-    """Per-class sums of conj(alpha(g)) over g with g*tau(g) in the class."""
-    group = table.group
-    cd = table.class_data
-    ctx = table.context()
-    weights = [ctx.zero] * cd.num_classes
+    With alpha None the weights are the plain integer counts, which pair with
+    class functions over any conductor.
+    """
+    cd = conjugacy_data(group)
+    m = 1 if alpha is None else alpha.conductor
+    counts = [[0] * m for _ in range(cd.num_classes)]
     for g in group.elements():
-        c = cd.class_of[group.mult[g][tau.mapping[g]]]
-        w = ctx.one if alpha is None else alpha.conj_value(g)
-        weights[c] = weights[c] + w
-    return weights
+        e = 0 if alpha is None else -alpha.exponents[g] % m
+        counts[cd.class_of[group.mult[g][tau.mapping[g]]]][e] += 1
+    if alpha is None:
+        return [row[0] for row in counts]
+    ctx = cyclo.context(m)
+    return [ctx.from_powers(row) for row in counts]
 
 
-def kawanaka_indicator(table: CharacterTable, tau: InvolutiveAutomorphism) -> tuple[int, ...]:
-    """Twisted indicator per irrep: (1/#G) sum_g chi(g tau(g))."""
-    n = table.group.order
-    weights = _twist_weights(table, None, tau)
+def scaled_sums(weights, rows, zero: cyclo.CycloScalar) -> list[cyclo.CycloScalar]:
+    """sum_c weights[c] * row[c] for every class-function row: #G times the
+    indicator, kept integral."""
     out = []
-    for i in range(table.num_irreps):
-        acc = table.context().zero
-        for c, w in enumerate(weights):
+    for row in rows:
+        acc = zero
+        for w, v in zip(weights, row):
             if w:
-                acc = acc + w * table.values[i][c]
-        out.append(_as_indicator(acc, n, f"c_{tau.label}(irrep {i})"))
-    return tuple(out)
+                acc = acc + w * v
+        out.append(acc)
+    return out
 
 
 def joint_indicator(table: CharacterTable, alpha: LinearCharacter,
@@ -177,15 +146,22 @@ def joint_indicator(table: CharacterTable, alpha: LinearCharacter,
     at alpha = trivial.
     """
     n = table.group.order
-    weights = _twist_weights(table, alpha, tau)
-    out = []
-    for i in range(table.num_irreps):
-        acc = table.context().zero
-        for c, w in enumerate(weights):
-            if w:
-                acc = acc + w * table.values[i][c]
-        out.append(_as_indicator(acc, n, f"nu_({alpha.label},{tau.label})(irrep {i})"))
-    return tuple(out)
+    sums = scaled_sums(twist_weights(table.group, alpha, tau), table.values,
+                       table.context().zero)
+    return tuple(
+        _as_indicator(s, n, f"nu_({alpha.label},{tau.label})(irrep {i})")
+        for i, s in enumerate(sums)
+    )
+
+
+def weighted_fs_indicator(table: CharacterTable, alpha: LinearCharacter) -> tuple[int, ...]:
+    """Weighted indicator per irrep: (1/#G) sum_g chi(g^2) conj(alpha(g))."""
+    return joint_indicator(table, alpha, identity_automorphism(table.group))
+
+
+def kawanaka_indicator(table: CharacterTable, tau: InvolutiveAutomorphism) -> tuple[int, ...]:
+    """Twisted indicator per irrep: (1/#G) sum_g chi(g tau(g))."""
+    return joint_indicator(table, trivial_character(table.group), tau)
 
 
 def pairing(table: CharacterTable, alpha: LinearCharacter,
@@ -231,91 +207,70 @@ def pairing(table: CharacterTable, alpha: LinearCharacter,
 def involution_counts(group: GroupTable, alpha: LinearCharacter,
                       tau: InvolutiveAutomorphism) -> tuple[int, int]:
     """Counts of g with tau(g) = g^-1 split by alpha(g) = +1 / -1."""
-    m = alpha.conductor
-    plus = minus = 0
-    for g in group.elements():
-        if tau.mapping[g] == group.inverse[g]:
-            e = alpha.exponents[g]
-            if e == 0:
-                plus += 1
-            elif 2 * e % m == 0:
-                minus += 1
-            else:
-                raise AlphaNotReal(
-                    f"alpha({g}) has exponent {e} (mod {m}) on a twisted involution"
-                )
-    return plus, minus
+    signs = [alpha.real_sign(g) for g in group.elements() if tau.mapping[g] == group.inverse[g]]
+    return signs.count(1), signs.count(-1)
 
 
-def predicted_decomposition(table: CharacterTable, alpha: LinearCharacter,
-                            tau: InvolutiveAutomorphism):
-    """Factor list, predicted dimension and center dimension.
-
-    Self-paired irreps contribute an orthogonal block n(n-1)/2 when the joint
-    indicator is +1 and a symplectic block n(n+1)/2 when it is -1; swapped
-    pairs contribute a diagonally embedded gl block of dimension n^2.
+def _factor(pc: PairingClass, nu: tuple[int, ...], degrees: tuple[int, ...]) -> Factor:
+    """Self-paired irreps contribute an orthogonal block n(n-1)/2 when the
+    joint indicator is +1 and a symplectic block n(n+1)/2 when it is -1;
+    swapped pairs contribute a diagonally embedded gl block of dimension n^2.
     """
-    nu = joint_indicator(table, alpha, tau)
-    partner, classes = pairing(table, alpha, tau)
-    factors = []
-    dim_m = 0
-    for pc in classes:
-        i = pc.members[0]
-        n = table.degrees[i]
-        if pc.kind == "osp":
-            if nu[i] == 1:
-                fac = Factor("so", n, n * (n - 1) // 2)
-            elif nu[i] == -1:
-                fac = Factor("sp", n, n * (n + 1) // 2)
-            else:
-                raise IndicatorOutOfRange(
-                    f"self-paired irrep {i} has vanishing joint indicator"
-                )
-        else:
-            if any(nu[j] != 0 for j in pc.members):
-                raise IndicatorOutOfRange(
-                    f"swapped pair {pc.members} has nonvanishing joint indicator"
-                )
-            fac = Factor("gl", n, n * n)
-        factors.append(fac)
-        dim_m += fac.dim
-    center_dim = sum(1 for pc in classes if pc.kind == "gl")
-    return tuple(factors), dim_m, center_dim, nu, partner
+    i = pc.members[0]
+    n = degrees[i]
+    if pc.kind == "gl":
+        if any(nu[j] != 0 for j in pc.members):
+            raise IndicatorOutOfRange(
+                f"swapped pair {pc.members} has nonvanishing joint indicator"
+            )
+        return Factor("gl", n, n * n)
+    if nu[i] == 1:
+        return Factor("so", n, n * (n - 1) // 2)
+    if nu[i] == -1:
+        return Factor("sp", n, n * (n + 1) // 2)
+    raise IndicatorOutOfRange(f"self-paired irrep {i} has vanishing joint indicator")
 
 
 def indicator_report(group: GroupTable, table: CharacterTable,
                      alpha: LinearCharacter,
                      tau: InvolutiveAutomorphism | None = None) -> IndicatorReport:
-    tau = tau if tau is not None else identity_automorphism(group)
-    factors, dim_m, center_dim, nu, partner = predicted_decomposition(table, alpha, tau)
-    f_alpha = weighted_fs_indicator(table, alpha)
-    c_tau = kawanaka_indicator(table, tau)
+    """Indicators, pairing and the predicted decomposition of one context.
+
+    The context is validated first, so an incompatible (alpha, tau) raises
+    IncompatiblePair instead of failing inside the pairing.
+    """
+    ctx = make_context(group, alpha, tau)
+    tau = ctx.tau
+    nu = joint_indicator(table, alpha, tau)
+    partner, classes = pairing(table, alpha, tau)
+    factors = tuple(_factor(pc, nu, table.degrees) for pc in classes)
     plus, minus = involution_counts(group, alpha, tau)
-    sigma = tuple(group.inverse[t] for t in tau.mapping)
-    moved = sum(1 for g in group.elements() if sigma[g] != g)
-    fixed_nontrivial = sum(
-        1 for g in group.elements() if sigma[g] == g and alpha.exponents[g] != 0
-    )
-    dim_l_formula = moved // 2 + fixed_nontrivial
-    parity = tuple("even" if partner[i] == i else "odd" for i in range(len(partner)))
     return IndicatorReport(
         group_name=group.name,
         order=group.order,
         alpha_label=alpha.label,
         tau_label=tau.label,
         degrees=table.degrees,
-        f_alpha=f_alpha,
-        c_tau=c_tau,
+        f_alpha=weighted_fs_indicator(table, alpha),
+        c_tau=kawanaka_indicator(table, tau),
         nu=nu,
         partner=partner,
-        parity=parity,
+        parity=tuple("even" if j == i else "odd" for i, j in enumerate(partner)),
+        classes=classes,
         factors=factors,
         involutions_plus=plus,
         involutions_minus=minus,
-        dim_m=dim_m,
-        dim_l_formula=dim_l_formula,
-        center_dim=center_dim,
+        dim_m=sum(fac.dim for fac in factors),
+        dim_l_formula=census_dimension(ctx),
+        center_dim=sum(1 for pc in classes if pc.kind == "gl"),
     )
+
+
+def predicted_decomposition(table: CharacterTable, alpha: LinearCharacter,
+                            tau: InvolutiveAutomorphism):
+    """(factors, predicted dimension, center dimension, nu, partner)."""
+    r = indicator_report(table.group, table, alpha, tau)
+    return r.factors, r.dim_m, r.center_dim, r.nu, r.partner
 
 
 def render_factors(factors) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cyclo
-from .errors import CentralityFailed, GroupMismatch, IncompatiblePair
+from .errors import GroupMismatch, IncompatiblePair, InvariantViolated
 from .groups import (
     GroupTable,
     InvolutiveAutomorphism,
@@ -139,9 +139,6 @@ class LieContext:
         sigma = tuple(self.group.inverse[t] for t in self.tau.mapping)
         object.__setattr__(self, "sigma", sigma)
 
-    def label(self) -> str:
-        return f"alpha={self.alpha.label}, tau={self.tau.label}"
-
 
 def make_context(group: GroupTable, alpha: LinearCharacter,
                  tau: InvolutiveAutomorphism | None = None) -> LieContext:
@@ -182,7 +179,8 @@ def census_dimension(ctx: LieContext) -> int:
         1 for g in ctx.group.elements()
         if ctx.sigma[g] == g and ctx.alpha.exponents[g] != 0
     )
-    assert moved % 2 == 0
+    if moved % 2:
+        raise InvariantViolated(f"g -> tau(g)^-1 moves an odd number ({moved}) of elements")
     return moved // 2 + fixed_nontrivial
 
 
@@ -209,51 +207,34 @@ class LieBasis:
         return cached
 
 
-def lie_basis(ctx: LieContext) -> LieBasis:
+def _orbit_vectors(ctx: LieContext, sign: int):
+    """Yield (g, delta_g + sign * alpha(g) delta_sigma(g)), one per orbit of
+    sigma on which it is nonzero; the partner's vector is proportional."""
     group = ctx.group
     sigma = ctx.sigma
     seen = [False] * group.order
-    vectors = []
-    meta = []
     for g in group.elements():
         if seen[g]:
             continue
-        seen[g] = True
         s = sigma[g]
-        if s == g:
-            if ctx.alpha.exponents[g] == 0:
-                continue  # delta_g - delta_g = 0
-        else:
-            seen[s] = True  # partner vector is proportional
+        seen[g] = seen[s] = True
         v = GroupAlgebraElement.delta(group, g)
-        v.coeffs[s] = v.coeffs[s] - ctx.alpha.value(g)
-        vectors.append(v)
-        meta.append(g)
-    basis = LieBasis(ctx, tuple(vectors), tuple(meta), len(vectors))
-    assert basis.dim == census_dimension(ctx)
-    return basis
+        v.coeffs[s] = v.coeffs[s] + sign * ctx.alpha.value(g)
+        if v.coeffs[s]:  # zero only at a fixed point with alpha(g) = -sign
+            yield g, v
+
+
+def lie_basis(ctx: LieContext) -> LieBasis:
+    pairs = list(_orbit_vectors(ctx, -1))
+    census = census_dimension(ctx)
+    if len(pairs) != census:
+        raise InvariantViolated(f"{len(pairs)} spanning vectors but census dimension {census}")
+    return LieBasis(ctx, tuple(v for _, v in pairs), tuple(g for g, _ in pairs), len(pairs))
 
 
 def plus_fixed_basis(ctx: LieContext) -> list[GroupAlgebraElement]:
     """Basis of the +1 eigenspace of the star map."""
-    group = ctx.group
-    sigma = ctx.sigma
-    seen = [False] * group.order
-    out = []
-    for g in group.elements():
-        if seen[g]:
-            continue
-        seen[g] = True
-        s = sigma[g]
-        if s == g:
-            if ctx.alpha.exponents[g] != 0:
-                continue  # delta_g + alpha(g) delta_g = 0 forces alpha(g) = -1 here
-        else:
-            seen[s] = True
-        v = GroupAlgebraElement.delta(group, g)
-        v.coeffs[s] = v.coeffs[s] + ctx.alpha.value(g)
-        out.append(v)
-    return out
+    return [v for _, v in _orbit_vectors(ctx, 1)]
 
 
 def class_sum(group: GroupTable, class_elements) -> GroupAlgebraElement:
@@ -264,51 +245,38 @@ def class_sum(group: GroupTable, class_elements) -> GroupAlgebraElement:
     return out
 
 
-def tau_class_map(ctx: LieContext) -> tuple[int, ...]:
-    """Class-level map c -> class of tau(rep)."""
-    cd = conjugacy_data(ctx.group)
-    return tuple(cd.class_of[ctx.tau.mapping[r]] for r in cd.representatives)
-
-
 def sigma_class_map(ctx: LieContext) -> tuple[int, ...]:
     """Class-level involution c -> class of tau(rep)^-1."""
     cd = conjugacy_data(ctx.group)
     return tuple(cd.class_of[ctx.sigma[r]] for r in cd.representatives)
 
 
-def center_basis(ctx: LieContext, check: bool = True,
-                 basis: "LieBasis | None" = None) -> list[GroupAlgebraElement]:
-    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit.
+def center_candidates(ctx: LieContext):
+    """Yield (c, sigma(c), T_c - alpha(c) T_(sigma c)) for every class c where
+    the combination can be nonzero, i.e. unless c is sigma-fixed with alpha(c) = 1.
 
-    Each element is verified central against the full Lie basis.
+    A sigma-orbit {c, sigma(c)} yields proportional candidates.
     """
     group = ctx.group
     cd = conjugacy_data(group)
     sig = sigma_class_map(ctx)
-    out = []
-    seen = [False] * cd.num_classes
     for c in range(cd.num_classes):
-        if seen[c]:
-            continue
-        seen[c] = True
         sc = sig[c]
         alpha_c = ctx.alpha.value(cd.representatives[c])
-        if sc == c:
-            if alpha_c == 1:
-                continue
-        else:
-            seen[sc] = True
-        v = class_sum(group, cd.classes[c]) - class_sum(group, cd.classes[sc]).scaled(alpha_c)
-        out.append(v)
-    if check:
-        if basis is None:
-            basis = lie_basis(ctx)
-        for v in out:
-            for u in basis.vectors:
-                if not bracket(v, u).is_zero():
-                    raise CentralityFailed(
-                        f"center candidate is not central in context ({ctx.label()})"
-                    )
+        if sc == c and alpha_c == 1:
+            continue
+        yield c, sc, (class_sum(group, cd.classes[c])
+                      - class_sum(group, cd.classes[sc]).scaled(alpha_c))
+
+
+def center_basis(ctx: LieContext) -> list[GroupAlgebraElement]:
+    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit."""
+    seen = set()
+    out = []
+    for c, sc, v in center_candidates(ctx):
+        if c not in seen:
+            seen.update((c, sc))
+            out.append(v)
     return out
 
 

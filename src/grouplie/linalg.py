@@ -24,10 +24,6 @@ class CycloMatrix:
                 raise DimensionMismatch("empty matrix needs an explicit column count")
             self.cols = cols
 
-    @classmethod
-    def from_rows(cls, ctx: CycloContext, rows, cols: int | None = None) -> "CycloMatrix":
-        return cls(ctx, rows, cols)
-
     def transpose(self) -> "CycloMatrix":
         if not self.rows:
             return CycloMatrix(self.ctx, [[] for _ in range(self.cols)], cols=0)
@@ -104,9 +100,6 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._rows)
 
-    def basis_rows(self) -> list[list[CycloScalar]]:
-        return [self._rows[p][:] for p in sorted(self._rows)]
-
     def reduce(self, vec) -> list[CycloScalar]:
         v = list(vec)
         rows = self._rows
@@ -138,9 +131,6 @@ class RowSpace:
                         row[k] = row[k] - coef * v[k]
         self._rows[piv] = v
         return True
-
-    def to_matrix(self) -> CycloMatrix:
-        return CycloMatrix(self.ctx, self.basis_rows(), cols=self.ncols)
 
 
 def intersect(a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import cyclo
 from .chartable import CharacterTable, character_table
-from .errors import BadParameters, CentralityFailed, VerificationFailed
+from .errors import BadParameters, LiftInconsistent, VerificationFailed
 from .groups import (
     GroupTable,
     InvolutiveAutomorphism,
@@ -37,19 +37,22 @@ from .groups import (
     kernel_subgroup,
     linear_characters,
     semidirect_product,
+    trivial_character,
 )
 from .indicators import (
     Factor,
     IndicatorReport,
     indicator_report,
     kawanaka_indicator,
+    scaled_sums,
+    twist_weights,
     weighted_fs_indicator,
 )
 from .liealg import (
     LieContext,
     bracket,
     center_basis,
-    class_sum,
+    center_candidates,
     convolve,
     lie_basis,
     make_context,
@@ -57,6 +60,11 @@ from .liealg import (
     sigma_class_map,
 )
 from .linalg import CycloMatrix, intersect, row_spaces_equal
+
+
+# check names in reporting order; each is stored in the LieReport field <name>_ok
+CHECKS = ("dims", "closure", "centrality", "orthogonality", "bookkeeping",
+          "class_count", "clifford", "kawanaka")
 
 
 @dataclass(frozen=True)
@@ -83,23 +91,15 @@ class LieReport:
 
     @property
     def all_ok(self) -> bool:
-        required = [
-            self.dims_ok,
-            self.closure_ok,
-            self.centrality_ok,
-            self.orthogonality_ok,
-            self.bookkeeping_ok,
-            self.class_count_ok,
-        ]
-        optional = [x for x in (self.clifford_ok, self.kawanaka_ok) if x is not None]
-        return all(required) and all(optional)
+        return self.first_failure() is None
 
     def first_failure(self) -> str | None:
-        for name in ("dims_ok", "closure_ok", "centrality_ok", "orthogonality_ok",
-                     "bookkeeping_ok", "class_count_ok", "clifford_ok", "kawanaka_ok"):
-            value = getattr(self, name)
-            if value is False:
-                return name
+        """The first check that did not pass; only clifford and kawanaka may
+        be None (not run)."""
+        for c in CHECKS:
+            value = getattr(self, f"{c}_ok")
+            if not (value or (value is None and c in ("clifford", "kawanaka"))):
+                return f"{c}_ok"
         return None
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
@@ -113,16 +113,7 @@ class LieReport:
             "dim_M_predicted": self.dim_m_predicted,
             "center_dim_exact": self.center_dim_exact,
             "center_dim_predicted": self.center_dim_predicted,
-            "checks": {
-                "dims": self.dims_ok,
-                "closure": self.closure_ok,
-                "centrality": self.centrality_ok,
-                "orthogonality": self.orthogonality_ok,
-                "bookkeeping": self.bookkeeping_ok,
-                "class_count": self.class_count_ok,
-                "clifford": self.clifford_ok,
-                "kawanaka": self.kawanaka_ok,
-            },
+            "checks": {c: getattr(self, f"{c}_ok") for c in CHECKS},
             "factors": [[f.kind, f.n, f.dim] for f in self.factors],
             "all_ok": self.all_ok,
         }
@@ -132,7 +123,6 @@ class LieReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieReport":
-        checks = data["checks"]
         return cls(
             group_name=data["group"],
             order=data["order"],
@@ -143,16 +133,9 @@ class LieReport:
             dim_m_predicted=data["dim_M_predicted"],
             center_dim_exact=data["center_dim_exact"],
             center_dim_predicted=data["center_dim_predicted"],
-            closure_ok=checks["closure"],
-            centrality_ok=checks["centrality"],
-            orthogonality_ok=checks["orthogonality"],
-            dims_ok=checks["dims"],
-            bookkeeping_ok=checks["bookkeeping"],
-            class_count_ok=checks["class_count"],
-            clifford_ok=checks["clifford"],
-            kawanaka_ok=checks["kawanaka"],
             factors=tuple(Factor(k, n, d) for k, n, d in data["factors"]),
             seconds=0.0,
+            **{f"{c}_ok": data["checks"][c] for c in CHECKS},
         )
 
 
@@ -168,8 +151,9 @@ def _closure_ok(basis) -> bool:
 
 def _orthogonality_ok(ctx: LieContext, basis) -> bool:
     """Trace form t(u*s) vanishes between the -1 and +1 eigenspaces."""
+    plus = plus_fixed_basis(ctx)
     for u in basis.vectors:
-        for s in plus_fixed_basis(ctx):
+        for s in plus:
             if convolve(u, s).trace():
                 return False
     return True
@@ -180,38 +164,18 @@ def _center_data(ctx: LieContext, report: IndicatorReport, basis):
     group = ctx.group
     cd = conjugacy_data(group)
     sig = sigma_class_map(ctx)
-    try:
-        gens = center_basis(ctx, check=True, basis=basis)
-        central = True
-    except CentralityFailed:
-        gens = center_basis(ctx, check=False)
-        central = False
-    # independence of the full eligible generator set, both orbit orders
+    gens = center_basis(ctx)
+    central = all(bracket(v, u).is_zero() for v in gens for u in basis.vectors)
+    # independence of the full eligible candidate set, both orbit orders
+    rows = [v.coeffs for _, _, v in center_candidates(ctx)]
     ctx_f = cyclo.context(group.exponent)
-    rows = []
-    for c in range(cd.num_classes):
-        sc = sig[c]
-        alpha_c = ctx.alpha.value(cd.representatives[c])
-        if sc == c and alpha_c == 1:
-            continue
-        v = class_sum(group, cd.classes[c]) - class_sum(group, cd.classes[sc]).scaled(alpha_c)
-        rows.append(v.coeffs)
     exact = CycloMatrix(ctx_f, rows, cols=group.order).rank() if rows else 0
     if exact != len(gens):
         central = False
-    # fixed-class counts vs self-paired irreps
-    m = ctx.alpha.conductor
-    plus_classes = minus_classes = 0
-    for c in range(cd.num_classes):
-        if sig[c] == c:
-            e = ctx.alpha.exponents[cd.representatives[c]]
-            if e == 0:
-                plus_classes += 1
-            else:
-                assert 2 * e % m == 0
-                minus_classes += 1
+    # signed count of sigma-fixed classes vs self-paired irreps
+    fixed = sum(ctx.alpha.real_sign(r) for c, r in enumerate(cd.representatives) if sig[c] == c)
     self_paired = sum(1 for i, p in enumerate(report.partner) if p == i)
-    class_count_ok = (plus_classes - minus_classes) == self_paired
+    class_count_ok = fixed == self_paired
     return exact, central, class_count_ok
 
 
@@ -221,8 +185,8 @@ def verify_theorem(group: GroupTable, alpha: LinearCharacter,
                    seed: int = 0,
                    raise_on_failure: bool = True) -> LieReport:
     t0 = time.perf_counter()
-    tau = tau if tau is not None else identity_automorphism(group)
     ctx = make_context(group, alpha, tau)
+    tau = ctx.tau
     if table is None:
         table = character_table(group, seed=seed)
     report = indicator_report(group, table, alpha, tau)
@@ -283,7 +247,7 @@ def verify_clifford(group: GroupTable, alpha: LinearCharacter, *,
     if alpha.is_trivial():
         raise BadParameters("clifford check needs a nontrivial character")
     sub, embed = kernel_subgroup(group, alpha)
-    trivial = next(c for c in linear_characters(group) if c.is_trivial())
+    trivial = trivial_character(group)
 
     ctx_f = cyclo.context(group.exponent)
     basis_g = lie_basis(make_context(group, trivial))
@@ -292,9 +256,8 @@ def verify_clifford(group: GroupTable, alpha: LinearCharacter, *,
     mat_a = basis_a.matrix()
     inter = intersect(mat_g, mat_a)
 
-    sub_trivial = next(c for c in linear_characters(sub) if c.is_trivial())
     rows = []
-    for v in lie_basis(make_context(sub, sub_trivial)).vectors:
+    for v in lie_basis(make_context(sub, trivial_character(sub))).vectors:
         big = [ctx_f.zero] * group.order
         for h, coeff in enumerate(v.coeffs):
             if coeff:
@@ -355,30 +318,25 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
         table = character_table(group, seed=seed)
     cd = conjugacy_data(group)
     ctx_ext = table_ext.context()
+    ctau_g = kawanaka_indicator(table, tau)
+    f1_g = weighted_fs_indicator(table, trivial_character(group))
 
-    # per-class count of elements g with g*tau(g) in the class
-    twist_counts = [0] * cd.num_classes
-    for g in group.elements():
-        twist_counts[cd.class_of[group.mult[g][tau.mapping[g]]]] += 1
+    # restrictions to G of the extension's irreps, as class functions of G
+    res_rows = [
+        [row[cd_ext.class_of[r]] for r in cd.representatives] for row in table_ext.values
+    ]
+    # n * F_1 and n * c_tau of each restriction, kept integral; restrictions
+    # are reducible, so these are not read off as indicators
+    nf1 = scaled_sums(twist_weights(group, None, identity_automorphism(group)),
+                      res_rows, ctx_ext.zero)
+    nctau = scaled_sums(twist_weights(group, None, tau), res_rows, ctx_ext.zero)
     gconj_emb = [
         [v.conj().embed(ctx_ext) for v in row] for row in table.values
     ]
     rows = []
     ok = True
-    for i in range(table_ext.num_irreps):
-        res = [
-            table_ext.values[i][cd_ext.class_of[cd.representatives[c]]]
-            for c in range(cd.num_classes)
-        ]
-        # n * F_1 and n * c_tau of the restriction, kept integral
-        nf1 = ctx_ext.zero
-        for c in range(cd.num_classes):
-            nf1 = nf1 + cd.sizes[c] * res[cd.square_class[c]]
-        nctau = ctx_ext.zero
-        for c in range(cd.num_classes):
-            if twist_counts[c]:
-                nctau = nctau + twist_counts[c] * res[c]
-        identity_ok = ctx_ext.from_fraction(2 * f_eps[i] * n) == nf1 - nctau
+    for i, res in enumerate(res_rows):
+        identity_ok = ctx_ext.from_fraction(2 * f_eps[i] * n) == nf1[i] - nctau[i]
 
         # decompose the restriction into irreducibles of G
         mults = []
@@ -387,15 +345,14 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
             for c in range(cd.num_classes):
                 acc = acc + cd.sizes[c] * res[c] * gconj_emb[j][c]
             mults.append(acc.as_fraction() / n)
-        assert all(mu.denominator == 1 and mu >= 0 for mu in mults)
+        if not all(mu.denominator == 1 and mu >= 0 for mu in mults):
+            raise LiftInconsistent(
+                f"restriction of irrep {i} of {ext.name} has multiplicities {mults}"
+            )
         components = [j for j, mu in enumerate(mults) if mu]
         split_ok = True
         if len(components) == 2 and all(mults[j] == 1 for j in components):
             jp, jm = components
-            ctau_g = kawanaka_indicator(table, tau)
-            f1_g = weighted_fs_indicator(table, next(
-                c for c in linear_characters(group) if c.is_trivial()
-            ))
             split_ok = ctau_g[jp] == ctau_g[jm] and f1_g[jp] == f1_g[jm]
         row_ok = identity_ok and split_ok
         ok = ok and row_ok

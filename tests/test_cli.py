@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +190,75 @@ def test_tau_from_file(tmp_path, capsys):
                            "--tau", str(path))
     assert code == 0
     assert "dim 0" in out  # tau(g)^-1 = g, so every spanning vector vanishes
+    assert "L,tau(Z/5)" in out  # a tau file is labelled by its stem
+
+    code, out, _ = run_cli(capsys, "analyze", "--group", "cyclic:5",
+                           "--tau", f"@{path}", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["indicators"]["tau"] == doc["structure"]["tau"] == "tau"
+
+    code, out, _ = run_cli(capsys, "verify", "--group", "cyclic:5",
+                           "--tau", str(path), "--format", "json")
+    assert code == 0
+    assert {r["tau"] for r in json.loads(out)["reports"]} == {"tau"}
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "analyze_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_analyze_json_pinned(capsys, key):
+    group, alpha, tau = key.split()
+    code, out, _ = run_cli(capsys, "analyze", "--group", group, "--alpha", alpha,
+                           "--tau", tau, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(PINNED[key], sort_keys=True, indent=2) + "\n"
+
+
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("alpha, tau", [("lin1", "inv"), ("nosuch", "all")])
+def test_verify_without_contexts_is_a_usage_error(capsys, alpha, tau):
+    code, out, err = run_cli(capsys, "verify", "--group", "cyclic:4",
+                             "--alpha", alpha, "--tau", tau)
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "no theorem context selected" in err
+
+
+def test_analyze_incompatible_pair(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--group", "cyclic:4",
+                             "--alpha", "lin1", "--tau", "inv")
+    assert code == 1 and out == ""
+    assert _one_error_line(err)
+    assert "alpha(lin1) o tau(inv) != alpha" in err
+
+
+def test_group_json_holding_a_list(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([[0, 1], [1, 0]]))
+    code, _, err = run_cli(capsys, "analyze", "--group", str(path))
+    assert code == 1
+    assert _one_error_line(err) and "must be an object" in err
+
+
+@pytest.mark.parametrize("which", ["group", "tau"])
+def test_invalid_json_file(tmp_path, capsys, which):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    if which == "group":
+        argv = ("analyze", "--group", str(path))
+    else:
+        argv = ("analyze", "--group", "cyclic:5", "--tau", str(path))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert _one_error_line(err) and "invalid JSON" in err
+
+
+def test_bessel_huge_z_has_no_usable_bound(capsys):
+    code, out, err = run_cli(capsys, "bessel", "--n", "4", "--z", "100,0")
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "tail bound inf" in err

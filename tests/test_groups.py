@@ -5,6 +5,7 @@ import pytest
 
 from grouplie.errors import (
     BadParameters,
+    GroupLieError,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -69,6 +70,48 @@ def test_non_associative_table_names_triple():
     with pytest.raises(NotAssociative) as err:
         from_mult_table(table)
     assert len(err.value.triple) == 3
+
+
+def _corrupted_cyclic_512():
+    table = [[(a + b) % 512 for b in range(512)] for a in range(512)]
+    table[300][200] = 7  # should be 500; row 0 and column 0 stay intact
+    return table
+
+
+def test_associativity_exact_above_former_sampling_cap():
+    # A single wrong entry of an order-512 table lies in about 3 * 512^2 of the
+    # 512^3 triples; a sampled check of 20000 triples misses it.
+    with pytest.raises(NotAssociative) as err:
+        from_mult_table(_corrupted_cyclic_512())
+    x, a, y = err.value.triple
+    table = _corrupted_cyclic_512()
+    assert table[table[x][a]][y] != table[x][table[a][y]]
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "quaternion8", "dihedral:5",
+                                  "alternating:4", "product:cyclic:2,cyclic:4"])
+def test_associativity_agrees_with_exhaustive_check(spec):
+    g = parse_group_spec(spec)
+    n = g.order
+    rng = random.Random(spec)
+    for _ in range(20):
+        table = [list(row) for row in g.mult]
+        x, y = rng.randrange(1, n), rng.randrange(1, n)
+        table[x][y] = rng.randrange(n)
+        associative = all(
+            table[table[a][b]][c] == table[a][table[b][c]]
+            for a in range(n) for b in range(n) for c in range(n)
+        )
+        if associative:
+            try:
+                from_mult_table(table)
+            except NotAssociative:
+                pytest.fail("associative table rejected")
+            except GroupLieError:
+                pass
+        else:
+            with pytest.raises(NotAssociative):
+                from_mult_table(table)
 
 
 def test_monoid_without_inverses():
@@ -143,6 +186,12 @@ def test_catalog_errors():
         catalog("symmetric", 6)
     with pytest.raises(BadParameters):
         catalog("dihedral", 2)
+    with pytest.raises(BadParameters):
+        catalog("cyclic", "x")
+    with pytest.raises(BadParameters):
+        catalog("cyclic")
+    with pytest.raises(BadParameters):
+        catalog("quaternion8", 3)
 
 
 def test_conjugacy_s3_against_oracle():
@@ -300,6 +349,13 @@ def test_parse_group_specs():
     assert parse_group_spec("semidirect:cyclic:7,inv").order == 14
     with pytest.raises(UnknownName):
         parse_group_spec("whatever:3")
+    assert parse_group_spec("quaternion8").name == "Q8"
+    assert parse_group_spec("frobenius21").order == 21
+    assert parse_group_spec("alternating:4").order == 12
+    with pytest.raises(BadParameters):
+        parse_group_spec("dihedral:six")
+    with pytest.raises(BadParameters):
+        parse_group_spec("frobenius21:2")
 
 
 def test_parse_semidirect_with_tau_file(tmp_path):

@@ -234,3 +234,23 @@ def test_report_json_round_trip():
     assert d["dim_M"] == 4 and d["I"] == 1 and d["J"] == 3
     assert d["irreps"][2]["factor"] == "sp(2)"
     assert d["irreps"][2]["parity"] == "even"
+
+
+def test_report_keeps_the_pairing_classes():
+    for spec, label, tau_of in [("symmetric:3", "sign", identity_automorphism),
+                                ("cyclic:5", "trivial", identity_automorphism),
+                                ("cyclic:4", "trivial", inversion_automorphism)]:
+        g = parse_group_spec(spec)
+        t = character_table(g)
+        alpha, tau = find_character(g, label), tau_of(g)
+        r = indicator_report(g, t, alpha, tau)
+        partner, classes = pairing(t, alpha, tau)
+        assert r.partner == partner and r.classes == classes
+        assert len(r.factors) == len(classes)
+
+
+def test_report_rejects_incompatible_pair_before_pairing():
+    z4 = catalog("cyclic", 4)
+    lin1 = find_character(z4, "lin1")
+    with pytest.raises(IncompatiblePair):
+        indicator_report(z4, character_table(z4), lin1, inversion_automorphism(z4))

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from grouplie.cyclo import context
-from grouplie.errors import GroupMismatch, IncompatiblePair
+from grouplie.errors import GroupMismatch, IncompatiblePair, InvariantViolated
 from grouplie.groups import (
     catalog,
     conjugacy_data,
@@ -284,3 +284,13 @@ def test_element_json_round_trip():
     payload = json.dumps(a.to_json_dict())
     back = GroupAlgebraElement.from_json_dict(S3, json.loads(payload))
     assert back == a
+
+
+def test_lie_basis_checks_the_census_without_assert(monkeypatch):
+    # a typed error, so the check survives python -O
+    import grouplie.liealg as liealg_mod
+
+    ctx = make_context(S3, find_character(S3, "sign"))
+    monkeypatch.setattr(liealg_mod, "census_dimension", lambda c: 0)
+    with pytest.raises(InvariantViolated):
+        lie_basis(ctx)

@@ -8,7 +8,7 @@ Usage:
 import argparse
 import cmath
 
-from grouplie.bessel import deviation, exp_cyclic
+from grouplie.bessel import deviation, exp_cyclic, exp_matrix_oracle
 
 
 def main():
@@ -25,7 +25,7 @@ def main():
         for k in range(n):
             omega = cmath.exp(2j * cmath.pi * k / n)
             for z in zs:
-                dev = deviation(exp_cyclic(n, omega, z))
+                dev = deviation(exp_cyclic(n, omega, z), exp_matrix_oracle(n, omega, z))
                 row_worst = max(row_worst, dev)
                 if dev > worst[0]:
                     worst = (dev, (n, k, z))

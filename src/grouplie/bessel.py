@@ -66,18 +66,26 @@ def bessel_j_tail_bound(m: int, w: complex, terms: int) -> float:
     return t / (1.0 - ratio)
 
 
+def _exp_factor(z_abs: float) -> float:
+    """2 exp(|w|^2/4), the fold bound's factor no truncation changes; inf from |w| ~ 53.3."""
+    try:
+        return 2.0 * math.exp(z_abs * z_abs / 4.0)
+    except OverflowError:
+        return math.inf
+
+
 def _fold_tail_bound(z_abs: float, m_max: int) -> float:
     """Bound on sum over |m| > m_max of |J_m(w)|, |w| = z_abs.
 
     Uses |J_m(w)| <= (|w|/2)^|m| / |m|! * exp(|w|^2/4).
     """
+    front = _exp_factor(z_abs)
+    if front == math.inf:
+        return math.inf
     half = z_abs / 2.0
     total = 0.0
-    try:
-        front = 2.0 * math.exp(half * half)
-        term = half ** (m_max + 1) / math.factorial(m_max + 1)
-    except OverflowError:
-        return math.inf
+    # (|w|/2)^(m_max+1) / (m_max+1)!, built incrementally to dodge overflow
+    term = math.prod(half / k for k in range(1, m_max + 2))
     m = m_max + 1
     while True:
         total += term
@@ -144,9 +152,10 @@ def exp_cyclic(n: int, omega: complex, z: complex,
         coeffs[m % n] += bessel_j(m, w) * phi ** (-m)
     bound = _fold_tail_bound(abs(z), m_max)
     if tol is not None and bound > tol:
+        advice = (f"raise the truncation above {m_max}" if _exp_factor(abs(z)) < math.inf
+                  else f"no truncation gives a finite bound at |z| = {abs(z):.6g}")
         raise TruncationInsufficient(
-            f"tail bound {bound:.3e} exceeds requested tolerance {tol:.3e}; "
-            f"raise the truncation above {m_max}"
+            f"tail bound {bound:.3e} exceeds requested tolerance {tol:.3e}; {advice}"
         )
     return BesselExpansion(n, omega, phi, z, tuple(coeffs), m_max, bound)
 
@@ -167,7 +176,7 @@ def exp_matrix_oracle(n: int, omega: complex, z: complex) -> np.ndarray:
     return scipy.linalg.expm(a)[:, 0]
 
 
-def deviation(expansion: BesselExpansion) -> float:
-    """Max coefficient difference between the fold and the matrix oracle."""
-    oracle = exp_matrix_oracle(expansion.n, expansion.omega, expansion.z)
+def deviation(expansion: BesselExpansion, oracle: np.ndarray) -> float:
+    """Max coefficient difference between the fold and the matrix oracle
+    (from exp_matrix_oracle with the expansion's n, omega and z)."""
     return float(max(abs(c - o) for c, o in zip(expansion.coefficients, oracle)))

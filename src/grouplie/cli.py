@@ -7,7 +7,6 @@ import cmath
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .bessel import deviation, exp_cyclic, exp_matrix_oracle
 from .chartable import character_table
@@ -19,30 +18,12 @@ from .groups import (
     load_tau,
     parse_group_spec,
 )
-from .indicators import indicator_report, render_factors
+from .indicators import render_factors
 from .verify import default_catalog, run_suite, verify_theorem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    group: str | None = None
-    alpha: str = "trivial"
-    tau: str = "id"
-    max_order: int | None = None
-    fmt: str = "text"
-    seed: int = 0
-    tol: float = 1e-9
-    n: int = 0
-    omega_k: int = 0
-    z: complex = 0j
-    out: str | None = None
-    timings: bool = False
-    prime: int | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "product:cyclic:2,cyclic:4, semidirect:cyclic:7,inv) "
                             "or a JSON file path")
         p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=None)
+        # a string default goes through type=int, so a bad GROUPLIE_SEED is a usage error
+        p.add_argument("--seed", type=int, default=os.environ.get("GROUPLIE_SEED", "0"))
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("analyze", help="indicator + structure report for one context")
@@ -95,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -103,23 +85,13 @@ def parse_args(argv) -> RunConfig:
         if exc.code not in (0, None):
             raise UsageError("bad arguments") from None
         raise
-    seed = getattr(ns, "seed", None)
-    if seed is None:
-        seed = int(os.environ.get("GROUPLIE_SEED", "0"))
-    cfg = RunConfig(command=ns.command, seed=seed)
-    for field in ("group", "alpha", "tau", "max_order", "fmt", "tol", "out",
-                  "timings", "prime", "n", "omega_k"):
-        if hasattr(ns, field):
-            value = getattr(ns, field)
-            if value is not None or field in ("group", "max_order", "out", "prime"):
-                setattr(cfg, field, value)
     if ns.command == "bessel":
         try:
             re_s, im_s = (ns.z.split(",") + ["0"])[:2]
-            cfg.z = complex(float(re_s), float(im_s))
+            ns.z = complex(float(re_s), float(im_s))
         except ValueError:
             raise UsageError(f"cannot parse --z {ns.z!r}; expected re,im") from None
-    return cfg
+    return ns
 
 
 def _resolve_alpha(group: GroupTable, label: str):
@@ -144,18 +116,16 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: argparse.Namespace) -> int:
     group = parse_group_spec(cfg.group)
     alpha = _resolve_alpha(group, cfg.alpha)
     tau = load_tau(group, cfg.tau)
-    table = character_table(group, seed=cfg.seed)
-    ind = indicator_report(group, table, alpha, tau)
-    report = verify_theorem(group, alpha, tau, table=table, seed=cfg.seed,
-                            raise_on_failure=False)
+    report = verify_theorem(group, alpha, tau, seed=cfg.seed, raise_on_failure=False)
+    ind = report.indicators
     if cfg.fmt == "json":
         _emit(_dump({
             "indicators": ind.to_json_dict(),
-            "structure": report.to_json_dict(include_timing=cfg.timings),
+            "structure": report.to_json_dict(),
         }), cfg.out)
     else:
         sub = "" if alpha.is_trivial() else f"_{alpha.label}"
@@ -171,7 +141,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK if report.all_ok else EXIT_VERIFY
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     groups = None
     if cfg.group:
         groups = [parse_group_spec(cfg.group)]
@@ -249,7 +219,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if result.all_ok else EXIT_VERIFY
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(cfg: argparse.Namespace) -> int:
     group = parse_group_spec(cfg.group)
     table = character_table(group, seed=cfg.seed, prime=cfg.prime)
     if cfg.fmt == "json":
@@ -270,11 +240,11 @@ def cmd_table(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bessel(cfg: RunConfig) -> int:
+def cmd_bessel(cfg: argparse.Namespace) -> int:
     omega = cmath.exp(2j * cmath.pi * cfg.omega_k / cfg.n)
     expansion = exp_cyclic(cfg.n, omega, cfg.z, tol=cfg.tol)
     oracle = exp_matrix_oracle(cfg.n, omega, cfg.z)
-    dev = deviation(expansion)
+    dev = deviation(expansion, oracle)
     if cfg.fmt == "json":
         payload = expansion.to_json_dict()
         payload["oracle"] = [[c.real, c.imag] for c in oracle]
@@ -292,7 +262,7 @@ def cmd_bessel(cfg: RunConfig) -> int:
     return EXIT_OK if dev <= cfg.tol else EXIT_VERIFY
 
 
-def cmd_catalog_list(cfg: RunConfig) -> int:
+def cmd_catalog_list(cfg: argparse.Namespace) -> int:
     groups = default_catalog()
     if cfg.max_order:
         groups = [g for g in groups if g.order <= cfg.max_order]

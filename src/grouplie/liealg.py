@@ -194,17 +194,18 @@ class LieBasis:
     dim: int
 
     def matrix(self) -> CycloMatrix:
-        ctx = cyclo.context(self.context.group.exponent)
-        return CycloMatrix(
-            ctx, [v.coeffs for v in self.vectors], cols=self.context.group.order
-        )
+        """The spanning vectors as rows, built once so its reduction is shared."""
+        cached = self.__dict__.get("_matrix")
+        if cached is None:
+            ctx = cyclo.context(self.context.group.exponent)
+            cached = CycloMatrix(
+                ctx, [v.coeffs for v in self.vectors], cols=self.context.group.order
+            )
+            object.__setattr__(self, "_matrix", cached)
+        return cached
 
     def row_space(self) -> RowSpace:
-        cached = self.__dict__.get("_row_space")
-        if cached is None:
-            cached = self.matrix().row_space()
-            object.__setattr__(self, "_row_space", cached)
-        return cached
+        return self.matrix().row_space()
 
 
 def _orbit_vectors(ctx: LieContext, sign: int):

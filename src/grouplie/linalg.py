@@ -1,4 +1,9 @@
-"""Exact dense linear algebra over Q(zeta_m): rank and subspace intersection."""
+"""Exact dense linear algebra over Q(zeta_m): rank, membership, subspace
+equality and intersection.
+
+RowSpace, an incrementally reduced row echelon basis, is the only Gaussian
+elimination; a CycloMatrix reduces its rows into one RowSpace on first use.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +14,16 @@ from .errors import DimensionMismatch
 
 
 class CycloMatrix:
-    """Dense matrix over Q(zeta_m); rows span a subspace of Q(zeta_m)^cols."""
+    """Dense matrix over Q(zeta_m); rows span a subspace of Q(zeta_m)^cols.
+
+    The rows are stored as tuples, so the row space reduced on first use
+    stays valid and every rank or membership question reads that one
+    reduction.
+    """
 
     def __init__(self, ctx: CycloContext, entries, cols: int | None = None):
         self.ctx = ctx
-        self.entries = [list(row) for row in entries]
+        self.entries = tuple(tuple(row) for row in entries)
         self.rows = len(self.entries)
         if self.rows:
             self.cols = len(self.entries[0])
@@ -23,61 +33,24 @@ class CycloMatrix:
             if cols is None:
                 raise DimensionMismatch("empty matrix needs an explicit column count")
             self.cols = cols
+        self._row_space: RowSpace | None = None
 
     def transpose(self) -> "CycloMatrix":
         if not self.rows:
             return CycloMatrix(self.ctx, [[] for _ in range(self.cols)], cols=0)
         return CycloMatrix(self.ctx, [list(col) for col in zip(*self.entries)])
 
-    def stacked(self, other: "CycloMatrix") -> "CycloMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch(f"cannot stack {self.cols} and {other.cols} columns")
-        return CycloMatrix(self.ctx, self.entries + other.entries, cols=self.cols)
-
     def rank(self) -> int:
-        """Exact rank by fraction-free (Bareiss) elimination.
-
-        Pivot is the first nonzero entry in the current column; the division
-        by the previous pivot is exact, which keeps coefficient growth under
-        control on integral inputs.
-        """
-        m = [row[:] for row in self.entries]
-        nrows, ncols = self.rows, self.cols
-        ctx = self.ctx
-        zero = ctx.zero
-        prev_inv = ctx.one
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if m[i][c]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                m[piv], m[r] = m[r], m[piv]
-            pivot_row = m[r]
-            pivot = pivot_row[c]
-            for i in range(r + 1, nrows):
-                row = m[i]
-                fic = row[c]
-                if fic:
-                    for j in range(c + 1, ncols):
-                        num = pivot * row[j] - fic * pivot_row[j]
-                        row[j] = num * prev_inv if num else num
-                    row[c] = zero
-                else:
-                    for j in range(c + 1, ncols):
-                        if row[j]:
-                            row[j] = pivot * row[j] * prev_inv
-            prev_inv = pivot.inverse()
-            r += 1
-            if r == nrows:
-                break
-        return r
+        return self.row_space().rank
 
     def row_space(self) -> "RowSpace":
-        rs = RowSpace(self.ctx, self.cols)
-        for row in self.entries:
-            rs.add(row)
-        return rs
+        """The reduced row space, built on first use; callers must not add to it."""
+        if self._row_space is None:
+            rs = RowSpace(self.ctx, self.cols)
+            for row in self.entries:
+                rs.add(row)
+            self._row_space = rs
+        return self._row_space
 
     def to_complex_array(self) -> np.ndarray:
         return np.array(
@@ -144,7 +117,7 @@ def intersect(a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
     for row in a.entries:
         rs.add(row + row)
     for row in b.entries:
-        rs.add(row + [zero] * n)
+        rs.add(row + (zero,) * n)
     out = [row[n:] for piv, row in sorted(rs._rows.items()) if piv >= n]
     return CycloMatrix(ctx, out, cols=n)
 
@@ -152,6 +125,5 @@ def intersect(a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
 def row_spaces_equal(a: CycloMatrix, b: CycloMatrix) -> bool:
     if a.cols != b.cols:
         raise DimensionMismatch(f"ambient dimensions differ: {a.cols} vs {b.cols}")
-    ra = a.rank()
-    rb = b.rank()
-    return ra == rb == a.stacked(b).rank()
+    rs = a.row_space()
+    return rs.rank == b.rank() and all(rs.contains(row) for row in b.entries)

@@ -88,6 +88,8 @@ class LieReport:
     kawanaka_ok: bool | None
     factors: tuple[Factor, ...]
     seconds: float
+    # the prediction the checks were made against; not part of the JSON record
+    indicators: IndicatorReport | None = field(default=None, compare=False, repr=False)
 
     @property
     def all_ok(self) -> bool:
@@ -169,7 +171,7 @@ def _center_data(ctx: LieContext, report: IndicatorReport, basis):
     # independence of the full eligible candidate set, both orbit orders
     rows = [v.coeffs for _, _, v in center_candidates(ctx)]
     ctx_f = cyclo.context(group.exponent)
-    exact = CycloMatrix(ctx_f, rows, cols=group.order).rank() if rows else 0
+    exact = CycloMatrix(ctx_f, rows, cols=group.order).rank()
     if exact != len(gens):
         central = False
     # signed count of sigma-fixed classes vs self-paired irreps
@@ -222,6 +224,7 @@ def verify_theorem(group: GroupTable, alpha: LinearCharacter,
         kawanaka_ok=None,
         factors=report.factors,
         seconds=time.perf_counter() - t0,
+        indicators=report,
     )
     if raise_on_failure and not out.all_ok:
         raise VerificationFailed(
@@ -426,14 +429,12 @@ class SuiteResult:
 def run_suite(groups: list[GroupTable] | None = None, *,
               max_order: int | None = None,
               alpha_labels: str | list[str] = "all",
-              tau_policy: str | list[InvolutiveAutomorphism] = "default",
-              seed: int = 0,
-              with_clifford: bool = True,
-              with_kawanaka: bool = True) -> SuiteResult:
+              tau_policy: str | list[InvolutiveAutomorphism] = "all",
+              seed: int = 0) -> SuiteResult:
     """Verify every selected context; failures are collected, not raised.
 
-    tau_policy: "default"/"all" (identity plus inversion where valid), "id",
-    "inv", or an explicit list of automorphisms (sensible with one group).
+    tau_policy: "all" (identity plus inversion where valid), "id", "inv", or
+    an explicit list of automorphisms (sensible with one group).
     """
     if groups is None:
         groups = default_catalog()
@@ -444,7 +445,7 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         table = character_table(group, seed=seed)
         if isinstance(tau_policy, list):
             taus = tau_policy
-        elif tau_policy in ("default", "all"):
+        elif tau_policy == "all":
             taus = curated_taus(group)
         elif tau_policy == "inv":
             taus = [inversion_automorphism(group)]
@@ -461,17 +462,16 @@ def run_suite(groups: list[GroupTable] | None = None, *,
                     verify_theorem(group, alpha, tau, table=table,
                                    seed=seed, raise_on_failure=False)
                 )
-            if with_kawanaka and not tau.is_identity() and 2 * group.order <= 256:
+            if not tau.is_identity() and 2 * group.order <= 256:
                 result.kawanaka.append(
                     verify_kawanaka(group, tau, seed=seed, table=table,
                                     raise_on_failure=False)
                 )
-        if with_clifford:
-            for alpha in chars:
-                if not alpha.is_trivial():
-                    result.clifford.append(
-                        verify_clifford(group, alpha, raise_on_failure=False)
-                    )
+        for alpha in chars:
+            if not alpha.is_trivial():
+                result.clifford.append(
+                    verify_clifford(group, alpha, raise_on_failure=False)
+                )
     result.reports.sort(key=lambda r: (r.group_name, r.alpha_label, r.tau_label))
     result.clifford.sort(key=lambda r: (r.group_name, r.alpha_label))
     result.kawanaka.sort(key=lambda r: (r.group_name, r.tau_label))

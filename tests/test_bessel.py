@@ -68,7 +68,7 @@ def test_exp_cyclic_n2_omega1():
 
 def test_exp_cyclic_matches_oracle_n4():
     e = exp_cyclic(4, 1.0, 1.0)
-    assert deviation(e) < 1e-10
+    assert deviation(e, exp_matrix_oracle(4, 1.0, 1.0)) < 1e-10
 
 
 def test_oracle_identity_column():
@@ -88,13 +88,22 @@ def test_oracle_against_dft_diagonalization():
     assert max(abs(a - b) for a, b in zip(coeffs, oracle)) < 1e-12
 
 
+def test_tail_bound_is_finite_until_the_exp_factor_overflows():
+    # (|z|/2)^191 and 191! overflow a double, though their quotient is tiny
+    assert math.isfinite(exp_cyclic(4, 1.0, 40.0).error_bound)
+    with pytest.raises(TruncationInsufficient, match="raise the truncation above 190"):
+        exp_cyclic(4, 1.0, 40.0, tol=1e-9)
+    with pytest.raises(TruncationInsufficient, match="no truncation gives a finite bound"):
+        exp_cyclic(4, 1.0, 54.0, tol=1e-9)
+
+
 def test_grid_against_oracle():
     for n in range(2, 13):
         for k in range(n):
             omega = cmath.exp(2j * cmath.pi * k / n)
             for z in (0.0, 1.0, 0.7 + 0.3j, 2j):
                 e = exp_cyclic(n, omega, z)
-                assert deviation(e) < 1e-9
+                assert deviation(e, exp_matrix_oracle(n, omega, z)) < 1e-9
                 assert e.error_bound < 1e-9
 
 

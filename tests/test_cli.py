@@ -101,6 +101,12 @@ def test_seed_env_override(capsys, monkeypatch):
     assert cfg.seed == 5
 
 
+def test_bad_seed_env_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("GROUPLIE_SEED", "abc")
+    with pytest.raises(UsageError):
+        parse_args(["verify"])
+
+
 def test_table_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "table", "--group", "symmetric:3")
     assert code == 0
@@ -216,6 +222,27 @@ def test_analyze_json_pinned(capsys, key):
     assert out == json.dumps(PINNED[key], sort_keys=True, indent=2) + "\n"
 
 
+def test_analyze_builds_one_indicator_report(capsys, monkeypatch):
+    import grouplie
+
+    original = grouplie.indicators.indicator_report
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module that binds the name, so a call through any of them counts
+    for module in (grouplie.indicators, grouplie.verify, grouplie.cli):
+        if getattr(module, "indicator_report", None) is original:
+            monkeypatch.setattr(module, "indicator_report", counted)
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "analyze", "--group", "symmetric:3",
+                             "--alpha", "sign", "--format", fmt)
+        assert code == 0 and len(calls) == 1
+
+
 def _one_error_line(err):
     lines = err.splitlines()
     return len(lines) == 1 and lines[0].startswith("error: ")
@@ -262,3 +289,4 @@ def test_bessel_huge_z_has_no_usable_bound(capsys):
     code, out, err = run_cli(capsys, "bessel", "--n", "4", "--z", "100,0")
     assert code == 1 and out == ""
     assert _one_error_line(err) and "tail bound inf" in err
+    assert "raise the truncation" not in err

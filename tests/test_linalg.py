@@ -97,7 +97,10 @@ def test_intersect_dimension_formula_random():
         b = CycloMatrix(ctx, [[_random_entry(rng, ctx) for _ in range(6)]
                               for _ in range(rng.randrange(1, 4))])
         inter = intersect(a, b)
-        assert inter.rank() == a.rank() + b.rank() - a.stacked(b).rank()
+        both = RowSpace(ctx, 6)
+        for row in a.entries + b.entries:
+            both.add(row)
+        assert inter.rank() == a.rank() + b.rank() - both.rank
         # every intersection row lies in both row spaces
         rs_a, rs_b = a.row_space(), b.row_space()
         for row in inter.entries:
@@ -123,6 +126,23 @@ def test_row_space_membership():
     assert not rs.contains([ctx.zero, ctx.zero, ctx.zero, ctx.one])
 
 
-def test_stacked_shape_guard():
-    with pytest.raises(DimensionMismatch):
-        _matrix(4, [[1, 0]]).stacked(_matrix(4, [[1, 0, 0]]))
+def test_row_spaces_equal_rejects_a_different_space_of_equal_rank():
+    assert not row_spaces_equal(_matrix(4, [[1, 0]]), _matrix(4, [[0, 1]]))
+    assert row_spaces_equal(_matrix(4, [[1, 1], [1, -1]]), _matrix(4, [[0, 2], [3, 0]]))
+
+
+def test_each_row_is_reduced_once(monkeypatch):
+    added = []
+    original = RowSpace.add
+
+    def counted(self, vec):
+        added.append(tuple(vec))
+        return original(self, vec)
+
+    monkeypatch.setattr(RowSpace, "add", counted)
+    a = _matrix(4, [[1, 0, 2], [0, 1, 1], [1, 1, 3]])
+    b = _matrix(4, [[2, 1, 5], [1, -1, 1]])
+    assert a.rank() == a.rank() == 2
+    assert b.rank() == b.rank() == 2
+    assert row_spaces_equal(a, b)
+    assert added == list(a.entries + b.entries)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadParameters, TruncationInsufficient
 
@@ -169,6 +168,8 @@ def exp_matrix_oracle(n: int, omega: complex, z: complex) -> np.ndarray:
     """
     if n < 2:
         raise BadParameters(f"cyclic order must be >= 2, got {n}")
+    import scipy.linalg  # here, so that importing grouplie does not load scipy
+
     a = np.zeros((n, n), dtype=complex)
     for k in range(n):
         a[(k + 1) % n, k] += z / 2.0

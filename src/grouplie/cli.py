@@ -11,13 +11,7 @@ import sys
 from .bessel import deviation, exp_cyclic, exp_matrix_oracle
 from .chartable import character_table
 from .errors import GroupLieError, UsageError, VerificationFailed
-from .groups import (
-    GroupTable,
-    find_character,
-    linear_characters,
-    load_tau,
-    parse_group_spec,
-)
+from .groups import find_character, linear_characters, load_tau, parse_group_spec
 from .indicators import render_factors
 from .verify import default_catalog, run_suite, verify_theorem
 
@@ -94,16 +88,6 @@ def parse_args(argv) -> argparse.Namespace:
     return ns
 
 
-def _resolve_alpha(group: GroupTable, label: str):
-    try:
-        return find_character(group, label)
-    except GroupLieError:
-        available = ", ".join(c.label for c in linear_characters(group))
-        raise UsageError(
-            f"no character {label!r} on {group.name}; available: {available}"
-        ) from None
-
-
 def _emit(payload: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -118,7 +102,7 @@ def _dump(obj) -> str:
 
 def cmd_analyze(cfg: argparse.Namespace) -> int:
     group = parse_group_spec(cfg.group)
-    alpha = _resolve_alpha(group, cfg.alpha)
+    alpha = find_character(group, cfg.alpha)
     tau = load_tau(group, cfg.tau)
     report = verify_theorem(group, alpha, tau, seed=cfg.seed, raise_on_failure=False)
     ind = report.indicators

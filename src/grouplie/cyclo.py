@@ -5,6 +5,12 @@ z = exp(2*pi*i/m) and d = deg Phi_m = phi(m).  Every result is reduced
 through the m-th cyclotomic polynomial, so the stored form is canonical:
 equality and zero tests are plain tuple comparisons.
 
+Every map between powers of zeta is one Galois map,
+zeta_m -> zeta_M^(k*M/m), reduced through the target's power table:
+complex conjugation is k = -1 and the embedding into Q(zeta_M) is k = 1.
+Inversion uses the norm: x^-1 is the product of the other Galois conjugates
+of x divided by the rational N(x) = x * (that product).
+
 Coefficients are kept as native ints whenever they are integral (the
 overwhelmingly common case) and only promoted to Fraction when a division
 makes them genuinely rational; int and Fraction compare and hash equal, so
@@ -16,10 +22,9 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-import mpmath
-
-from .errors import ConductorMismatch, DivisionByZero
+from .errors import BadParameters, ConductorMismatch, DivisionByZero, InvariantViolated
 
 
 def _norm(q):
@@ -65,7 +70,8 @@ def context(m: int) -> "CycloContext":
 
 
 class CycloContext:
-    """Per-conductor data: Phi_m and the reduction table for powers of zeta."""
+    """Per-conductor data: Phi_m, the reduction table for powers of zeta and
+    the exponents k != 1 of the Galois automorphisms zeta -> zeta^k."""
 
     def __init__(self, m: int):
         self.m = m
@@ -85,6 +91,7 @@ class CycloContext:
                 nxt = [a + lead * b for a, b in zip(nxt, top)]
             cur = nxt
         self.power_table = tuple(table)
+        self.conjugate_exponents = tuple(k for k in range(2, m) if gcd(k, m) == 1)
         self._roots = tuple(cmath.exp(2j * cmath.pi * k / m) for k in range(m))
         self.zero = CycloScalar(self, (0,) * d)
         self._zeta_cache: dict[int, CycloScalar] = {}
@@ -226,40 +233,55 @@ class CycloScalar:
         return out
 
     def inverse(self) -> "CycloScalar":
-        if not self._nz:
-            raise DivisionByZero(f"cannot invert 0 in Q(zeta_{self.ctx.m})")
-        # Extended Euclid against Phi_m over Q[x]; the gcd is a nonzero
-        # constant because Phi_m is irreducible.
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.ctx.m)]
-        r1 = [Fraction(c) for c in self.coeffs]
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-            if not any(r1):
-                raise DivisionByZero("zero divisor in cyclotomic inversion")
-        c = r1[0]
-        inv = [_norm(ui / c) for ui in u1]
-        inv += [0] * (self.ctx.degree - len(inv))
-        return CycloScalar(self.ctx, tuple(inv[: self.ctx.degree]))
-
-    def conj(self) -> "CycloScalar":
-        """Ring conjugation zeta -> zeta^(m-1) (complex conjugation)."""
+        """zeta^-k / c for c*zeta^k; otherwise the product of the other
+        Galois conjugates divided by the norm."""
         ctx = self.ctx
+        terms = [(k, a) for k, a in enumerate(self.coeffs) if a]
+        if not terms:
+            raise DivisionByZero(f"cannot invert 0 in Q(zeta_{ctx.m})")
+        if len(terms) == 1:
+            k, a = terms[0]
+            inv_a = 1 / Fraction(a)
+            return CycloScalar(ctx, tuple(_norm(r * inv_a) for r in ctx.power_table[-k % ctx.m]))
+        others = ctx.one
+        for k in ctx.conjugate_exponents:
+            others = others * self.galois(k)
+        norm = self * others
+        if not (norm._nz and norm.is_rational()):
+            raise InvariantViolated(f"norm of {self!r} is {norm!r}, not a nonzero rational")
+        return others * (1 / Fraction(norm.coeffs[0]))
+
+    def galois(self, k: int, target: CycloContext | int | None = None) -> "CycloScalar":
+        """Image under zeta_m -> zeta_M^(k*M/m), M the target's conductor
+        (default m), for k a unit mod m.  It is a ring map; k = -1 is
+        complex conjugation and k = 1 the embedding into Q(zeta_M)."""
+        if gcd(k, self.ctx.m) != 1:
+            raise BadParameters(f"{k} is not a unit mod {self.ctx.m}")
+        if target is None:
+            ctx = self.ctx
+        else:
+            ctx = target if isinstance(target, CycloContext) else context(target)
+            if ctx.m % self.ctx.m:
+                raise ConductorMismatch(f"{self.ctx.m} does not divide {ctx.m}")
         if not self._nz:
-            return self
+            return ctx.zero
+        m, table = ctx.m, ctx.power_table
+        step = k * (m // self.ctx.m)
         out = [0] * ctx.degree
-        for k, a in enumerate(self.coeffs):
+        for j, a in enumerate(self.coeffs):
             if a:
-                for i, r in enumerate(ctx.power_table[(ctx.m - k) % ctx.m]):
+                for i, r in enumerate(table[j * step % m]):
                     if r:
                         out[i] += a * r
         return CycloScalar(ctx, tuple(_norm(x) for x in out))
+
+    def conj(self) -> "CycloScalar":
+        """Ring conjugation zeta -> zeta^(m-1) (complex conjugation)."""
+        return self.galois(-1)
+
+    def embed(self, target: CycloContext | int) -> "CycloScalar":
+        """Image under Q(zeta_m) -> Q(zeta_M), zeta_m -> zeta_M^(M/m)."""
+        return self.galois(1, target)
 
     # -- predicates and conversions ---------------------------------------
 
@@ -291,38 +313,6 @@ class CycloScalar:
         roots = self.ctx._roots
         return sum((float(a) * roots[k] for k, a in enumerate(self.coeffs) if a), 0j)
 
-    def to_complex(self, precision: int = 15) -> complex:
-        """Evaluate at zeta = exp(2*pi*i/m) with |error| < 10**-precision.
-
-        The sum is carried out in mpmath at a working precision that leaves
-        ample guard digits over the requested accuracy before rounding to a
-        double.
-        """
-        m = self.ctx.m
-        with mpmath.workdps(precision + 15):
-            total = mpmath.mpc(0)
-            for k, a in enumerate(self.coeffs):
-                if a:
-                    a = Fraction(a)
-                    angle = 2 * mpmath.pi * k / m
-                    val = mpmath.mpf(a.numerator) / a.denominator
-                    total += val * mpmath.mpc(mpmath.cos(angle), mpmath.sin(angle))
-            return complex(total)
-
-    def embed(self, target: CycloContext | int) -> "CycloScalar":
-        """Image under Q(zeta_m) -> Q(zeta_M), zeta_m -> zeta_M^(M/m)."""
-        ctx = target if isinstance(target, CycloContext) else context(target)
-        if ctx.m % self.ctx.m:
-            raise ConductorMismatch(f"{self.ctx.m} does not divide {ctx.m}")
-        step = ctx.m // self.ctx.m
-        out = [0] * ctx.degree
-        for k, a in enumerate(self.coeffs):
-            if a:
-                for i, r in enumerate(ctx.power_table[(k * step) % ctx.m]):
-                    if r:
-                        out[i] += a * r
-        return CycloScalar(ctx, tuple(_norm(x) for x in out))
-
     # -- serialization ------------------------------------------------------
 
     def padded_coeffs(self) -> list[Fraction]:
@@ -350,33 +340,3 @@ class CycloScalar:
                     terms.append(f"{a}*{z}^{k}" if k > 1 else f"{a}*{z}")
         return " + ".join(terms) if terms else "0"
 
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    for k in range(len(num) - dd - 1, -1, -1):
-        c = num[dd + k] / lead
-        if c:
-            q[k] = c
-            for i, di in enumerate(den):
-                num[i + k] -= c * di
-    return q, num[:dd] if dd else [Fraction(0)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

@@ -307,14 +307,9 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
     cd_ext = conjugacy_data(ext)
     n = group.order
 
-    eps = None
-    for cand in linear_characters(ext):
-        if cand.kernel_elements() == tuple(range(n)):
-            eps = cand
-            break
-    if eps is None:
-        raise VerificationFailed("kawanaka", "no order-2 character with kernel G")
-
+    # element g + i*n of the extension is (g, tau^i), so eps(g + i*n) = (-1)^i
+    half = ext.exponent // 2
+    eps = LinearCharacter(ext.exponent, (0,) * n + (half,) * n, "eps")
     f_eps = weighted_fs_indicator(table_ext, eps)
 
     if table is None:
@@ -333,9 +328,7 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
     nf1 = scaled_sums(twist_weights(group, None, identity_automorphism(group)),
                       res_rows, ctx_ext.zero)
     nctau = scaled_sums(twist_weights(group, None, tau), res_rows, ctx_ext.zero)
-    gconj_emb = [
-        [v.conj().embed(ctx_ext) for v in row] for row in table.values
-    ]
+    gconj_emb = [[v.galois(-1, ctx_ext) for v in row] for row in table.values]
     rows = []
     ok = True
     for i, res in enumerate(res_rows):

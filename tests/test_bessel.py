@@ -1,11 +1,15 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.special
 
+import grouplie
 from grouplie.bessel import (
     bessel_j,
     bessel_j_tail_bound,
@@ -147,3 +151,13 @@ def test_bad_parameters():
 def test_default_truncation():
     assert default_truncation(4, 0) == max(4, 30)
     assert default_truncation(12, 10.0) == max(12, 70)
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    probe = ("import sys, grouplie; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
+    src = os.path.dirname(os.path.dirname(grouplie.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

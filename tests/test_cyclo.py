@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouplie.cyclo import CycloScalar, context, cyclotomic_polynomial
-from grouplie.errors import ConductorMismatch, DivisionByZero
+from grouplie.errors import BadParameters, ConductorMismatch, DivisionByZero
 
 
 def euler_phi(m):
@@ -100,12 +100,56 @@ def test_conj_is_ring_map(a, b):
     assert a.conj().conj() == a
 
 
+UNITS_12 = [k for k in range(-12, 13) if math.gcd(k, 12) == 1]
+
+
+@settings(max_examples=100)
+@given(scalars(12), scalars(12), st.sampled_from(UNITS_12), st.sampled_from(UNITS_12))
+def test_galois_is_ring_map_and_composes(a, b, k, l):
+    assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+    assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+    assert a.galois(k).galois(l) == a.galois(k * l % 12)
+
+
+@settings(max_examples=50)
+@given(scalars(6), st.sampled_from([6, 12, 18, 24, 60]))
+def test_galois_one_is_the_embedding(a, big):
+    step = big // 6
+    powers = [0] * big
+    for j, c in enumerate(a.coeffs):
+        powers[j * step] = c
+    assert a.galois(1, big) == a.embed(big) == context(big).from_powers(powers)
+
+
+def test_galois_rejects_a_non_unit():
+    with pytest.raises(BadParameters):
+        context(12).zeta(1).galois(3)
+
+
+fraction = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@pytest.mark.parametrize("m", [21, 23, 60])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_inverse_single_term_and_norm(m, data):
+    ctx = context(m)
+    c = data.draw(fraction.filter(bool))
+    k = data.draw(st.integers(0, ctx.degree - 1))
+    single = CycloScalar(ctx, tuple(c if i == k else 0 for i in range(ctx.degree)))
+    assert single * single.inverse() == 1
+    dense = CycloScalar(ctx, tuple(data.draw(st.lists(fraction, min_size=ctx.degree,
+                                                       max_size=ctx.degree))))
+    if sum(1 for x in dense.coeffs if x) >= 2:
+        assert dense * dense.inverse() == 1
+
+
 def test_to_complex_values():
-    assert context(1).one.to_complex() == 1.0
-    i = context(4).zeta(1).to_complex(12)
+    assert complex(context(1).one) == 1.0
+    i = complex(context(4).zeta(1))
     assert abs(i - 1j) < 1e-12
     ctx = context(5)
-    golden = (ctx.zeta(1) + ctx.zeta(4)).to_complex(12)
+    golden = complex(ctx.zeta(1) + ctx.zeta(4))
     # 2 cos(2 pi / 5), frozen from (sqrt(5) - 1) / 2
     assert abs(golden - 0.6180339887498949) < 1e-12
 
@@ -118,7 +162,7 @@ def test_to_complex_precision_scaling():
     reference = Fraction(355, 113) * cmath.exp(2j * cmath.pi * 3 / 7) + cmath.exp(
         2j * cmath.pi * 5 / 7
     )
-    assert abs(v.to_complex(14) - reference) < 1e-13
+    assert abs(complex(v) - reference) < 1e-13
 
 
 def test_embed():

@@ -340,3 +340,11 @@ class CycloScalar:
                     terms.append(f"{a}*{z}^{k}" if k > 1 else f"{a}*{z}")
         return " + ".join(terms) if terms else "0"
 
+
+def nonzero_terms(values) -> list[tuple[int, CycloScalar]]:
+    """(index, value) of every nonzero scalar in a sequence of CycloScalars.
+
+    Sparse products and eliminations scan whole dense vectors through this,
+    so it reads each scalar's stored zero flag instead of calling __bool__.
+    """
+    return [(i, x) for i, x in enumerate(values) if x._nz]

@@ -5,6 +5,13 @@ the group algebra; its -1 eigenspace is a Lie subalgebra, spanned by the
 elements g - alpha(g) tau(g)^-1.  This module builds that basis exactly,
 together with the center generators, the class-averaging projection and
 the derived algebra.
+
+Elements are dense coefficient vectors, but the products iterate over the
+supports of their operands only, so they cost what the supports cost, not
+what |G| costs: a spanning vector has at most 2 nonzero coefficients and a
+bracket of two of them at most 8.  bracket forms each a_x b_y once, and
+trace_of_product reads only the identity coefficient of a product, which is
+all the trace-form orthogonality check needs.
 """
 
 from __future__ import annotations
@@ -101,22 +108,52 @@ class GroupAlgebraElement:
 
 
 def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
+    """The product a*b, summed over the nonzero a_x and b_y only."""
     a._check(b)
     out = GroupAlgebraElement.zero(a.group)
     mult = a.group.mult
     coeffs = out.coeffs
-    for x, ax in enumerate(a.coeffs):
-        if ax:
-            row = mult[x]
-            for y, by in enumerate(b.coeffs):
-                if by:
-                    z = row[y]
-                    coeffs[z] = coeffs[z] + ax * by
+    b_terms = cyclo.nonzero_terms(b.coeffs)
+    for x, ax in cyclo.nonzero_terms(a.coeffs):
+        row = mult[x]
+        for y, by in b_terms:
+            z = row[y]
+            coeffs[z] = coeffs[z] + ax * by
     return out
 
 
 def bracket(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    return convolve(a, b) - convolve(b, a)
+    """[a, b] = a*b - b*a in one pass: each a_x b_y is formed once, added at
+    xy and subtracted at yx; a commuting pair (xy == yx) contributes nothing."""
+    a._check(b)
+    out = GroupAlgebraElement.zero(a.group)
+    mult = a.group.mult
+    coeffs = out.coeffs
+    b_terms = cyclo.nonzero_terms(b.coeffs)
+    for x, ax in cyclo.nonzero_terms(a.coeffs):
+        row = mult[x]
+        for y, by in b_terms:
+            xy = row[y]
+            yx = mult[y][x]
+            if xy != yx:
+                p = ax * by
+                coeffs[xy] = coeffs[xy] + p
+                coeffs[yx] = coeffs[yx] - p
+    return out
+
+
+def trace_of_product(a: GroupAlgebraElement, b: GroupAlgebraElement) -> cyclo.CycloScalar:
+    """The identity coefficient of a*b, sum over x of a_x b_(x^-1), without
+    forming the product."""
+    a._check(b)
+    inverse = a.group.inverse
+    bc = b.coeffs
+    total = cyclo.context(a.group.exponent).zero
+    for x, ax in cyclo.nonzero_terms(a.coeffs):
+        by = bc[inverse[x]]
+        if by:
+            total = total + ax * by
+    return total
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
-"""Exact dense linear algebra over Q(zeta_m): rank, membership, subspace
-equality and intersection.
+"""Exact linear algebra over Q(zeta_m): rank, membership, subspace equality
+and intersection.
 
 RowSpace, an incrementally reduced row echelon basis, is the only Gaussian
 elimination; a CycloMatrix reduces its rows into one RowSpace on first use.
+RowSpace keeps its rows sparse, so an elimination step costs the nonzeros of
+the rows involved, not the number of columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cyclo import CycloContext, CycloScalar
+from .cyclo import CycloContext, CycloScalar, nonzero_terms
 from .errors import DimensionMismatch
 
 
@@ -62,46 +64,62 @@ class CycloMatrix:
 
 
 class RowSpace:
-    """Incrementally maintained reduced row echelon basis (monic pivots)."""
+    """Incrementally maintained reduced row echelon basis.
+
+    Each row is stored as a dict of its nonzero entries, keyed by its pivot:
+    the row's smallest nonzero column, where its entry is 1.  Every pivot
+    column is zero in every other row, so clearing one pivot from a vector
+    leaves the vector's entries at the other pivots unchanged.  The pivots
+    can therefore be cleared in any order, each once, and the reduced vector
+    is the same exact vector whichever order is used.
+    """
 
     def __init__(self, ctx: CycloContext, ncols: int):
         self.ctx = ctx
         self.ncols = ncols
-        self._rows: dict[int, list[CycloScalar]] = {}
+        self._rows: dict[int, dict[int, CycloScalar]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vec) -> list[CycloScalar]:
-        v = list(vec)
+    def reduce(self, vec) -> dict[int, CycloScalar]:
+        """The nonzero entries of vec reduced by every pivot row."""
+        v = dict(nonzero_terms(vec))
         rows = self._rows
-        for j in range(self.ncols):
-            if v[j] and j in rows:
-                coef = v[j]
-                row = rows[j]
-                for k in range(j, self.ncols):
-                    if row[k]:
-                        v[k] = v[k] - coef * row[k]
+        zero = self.ctx.zero
+        for p in [j for j in v if j in rows]:
+            coef = v.pop(p)
+            for k, r in rows[p].items():
+                if k != p:
+                    x = v.get(k, zero) - coef * r
+                    if x:
+                        v[k] = x
+                    else:
+                        del v[k]
         return v
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when it enlarges the span."""
         v = self.reduce(vec)
-        piv = next((j for j in range(self.ncols) if v[j]), None)
-        if piv is None:
+        if not v:
             return False
+        piv = min(v)
         inv = v[piv].inverse()
-        v = [x * inv if x else x for x in v]
+        v = {k: x * inv for k, x in v.items()}
+        zero = self.ctx.zero
         for row in self._rows.values():
-            if row[piv]:
-                coef = row[piv]
-                for k in range(piv, self.ncols):
-                    if v[k]:
-                        row[k] = row[k] - coef * v[k]
+            coef = row.get(piv)
+            if coef is not None:
+                for k, x in v.items():
+                    y = row.get(k, zero) - coef * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
         self._rows[piv] = v
         return True
 
@@ -118,7 +136,8 @@ def intersect(a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
         rs.add(row + row)
     for row in b.entries:
         rs.add(row + (zero,) * n)
-    out = [row[n:] for piv, row in sorted(rs._rows.items()) if piv >= n]
+    out = [[row.get(k, zero) for k in range(n, 2 * n)]
+           for piv, row in sorted(rs._rows.items()) if piv >= n]
     return CycloMatrix(ctx, out, cols=n)
 
 

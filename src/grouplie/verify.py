@@ -53,11 +53,11 @@ from .liealg import (
     bracket,
     center_basis,
     center_candidates,
-    convolve,
     lie_basis,
     make_context,
     plus_fixed_basis,
     sigma_class_map,
+    trace_of_product,
 )
 from .linalg import CycloMatrix, intersect, row_spaces_equal
 
@@ -156,7 +156,7 @@ def _orthogonality_ok(ctx: LieContext, basis) -> bool:
     plus = plus_fixed_basis(ctx)
     for u in basis.vectors:
         for s in plus:
-            if convolve(u, s).trace():
+            if trace_of_product(u, s):
                 return False
     return True
 

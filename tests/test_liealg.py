@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouplie.cyclo import context
 from grouplie.errors import GroupMismatch, IncompatiblePair, InvariantViolated
@@ -30,6 +32,7 @@ from grouplie.liealg import (
     skew_project,
     skew_projector_trace,
     star,
+    trace_of_product,
 )
 from grouplie.linalg import CycloMatrix
 
@@ -96,6 +99,59 @@ def test_bracket_transpositions():
         GroupAlgebraElement.delta(S3, S3.mult[5][2])
     assert br == expected
     assert sorted(br.support()) == [3, 4]
+
+
+def dense_convolve(a, b):
+    """Reference product: every pair (x, y) of group elements, zeros included."""
+    group = a.group
+    out = GroupAlgebraElement.zero(group)
+    for x in group.elements():
+        for y in group.elements():
+            z = group.mult[x][y]
+            out.coeffs[z] = out.coeffs[z] + a.coeffs[x] * b.coeffs[y]
+    return out
+
+
+PRODUCT_GROUPS = (S3, Q8, catalog("dihedral", 4), catalog("cyclic", 6))
+
+power_coeffs = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+
+
+@st.composite
+def algebra_elements(draw, group):
+    """Sparse (at most 3 nonzero coefficients) or dense elements, with
+    coefficients that are random sums of powers of zeta_exponent."""
+    m = group.exponent
+    ctx = context(m)
+    if draw(st.booleans()):
+        support = draw(st.sets(st.sampled_from(list(group.elements())), max_size=3))
+    else:
+        support = group.elements()
+    out = GroupAlgebraElement.zero(group)
+    for g in support:
+        out.coeffs[g] = ctx.from_powers(draw(st.lists(power_coeffs, min_size=m, max_size=m)))
+    return out
+
+
+@st.composite
+def element_pairs(draw):
+    group = draw(st.sampled_from(PRODUCT_GROUPS))
+    return draw(algebra_elements(group)), draw(algebra_elements(group))
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_pairs())
+def test_products_match_dense_definitions(pair):
+    a, b = pair
+    ab, ba = dense_convolve(a, b), dense_convolve(b, a)
+    assert convolve(a, b) == ab
+    assert bracket(a, b) == convolve(a, b) - convolve(b, a) == ab - ba
+    assert trace_of_product(a, b) == convolve(a, b).trace() == ab.trace()
+
+
+def test_trace_of_product_group_mismatch():
+    with pytest.raises(GroupMismatch):
+        trace_of_product(GroupAlgebraElement.delta(S3, 0), GroupAlgebraElement.delta(Q8, 0))
 
 
 def test_star_involution_and_antiautomorphism():

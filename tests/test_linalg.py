@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,3 +147,61 @@ def test_each_row_is_reduced_once(monkeypatch):
     assert b.rank() == b.rank() == 2
     assert row_spaces_equal(a, b)
     assert added == list(a.entries + b.entries)
+
+
+def _fraction_rank(rows):
+    """Reference rank over Q: plain Gaussian elimination on Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _row_space_entries(m):
+    ctx = context(m)
+    if m == 1:
+        nonzero = st.fractions(-3, 3, max_denominator=4).map(ctx.from_fraction)
+    else:
+        nonzero = st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=m, max_size=m).map(
+            ctx.from_powers)
+    # two zero branches of three, so most vectors are sparse
+    return st.one_of(st.just(ctx.zero), st.just(ctx.zero), nonzero)
+
+
+def _assert_reduced_echelon(rs):
+    rows = rs._rows
+    for piv, row in rows.items():
+        assert min(row) == piv and row[piv] == 1      # monic at its first nonzero column
+        assert all(x for x in row.values())           # only nonzero entries are stored
+        assert all(piv not in other for q, other in rows.items() if q != piv)
+
+
+@pytest.mark.parametrize("m", [1, 12])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_space_invariants_after_random_adds(m, data):
+    ctx = context(m)
+    ncols = data.draw(st.integers(1, 7))
+    vectors = data.draw(st.lists(
+        st.lists(_row_space_entries(m), min_size=ncols, max_size=ncols), max_size=9))
+    rs = RowSpace(ctx, ncols)
+    for vec in vectors:
+        rank = rs.rank
+        assert rs.add(vec) == (rs.rank == rank + 1)
+        _assert_reduced_echelon(rs)
+    # sums of added vectors lie in the span and do not enlarge it
+    for u, v in zip(vectors, vectors[1:]):
+        assert not rs.add([x + y for x, y in zip(u, v)])
+    _assert_reduced_echelon(rs)
+    assert all(rs.contains(vec) for vec in vectors)
+    if m == 1:
+        assert rs.rank == _fraction_rank([[x.as_fraction() for x in v] for v in vectors])

@@ -1,5 +1,6 @@
 import pytest
 
+from grouplie import verify
 from grouplie.chartable import character_table
 from grouplie.errors import BadParameters, VerificationFailed
 from grouplie.groups import (
@@ -13,7 +14,7 @@ from grouplie.groups import (
     subgroup_closure,
     subgroup_table,
 )
-from grouplie.liealg import bracket, lie_basis, make_context
+from grouplie.liealg import GroupAlgebraElement, bracket, lie_basis, make_context
 from grouplie.linalg import CycloMatrix
 from grouplie.verify import (
     LieReport,
@@ -62,6 +63,44 @@ def test_theorem_twisted_abelian():
         if all(2 * e % 8 == 0 for e in alpha.exponents):
             r = verify_theorem(z8, alpha, inv8)
             assert r.all_ok
+
+
+def _s3_report(label):
+    s3 = catalog("symmetric", 3)
+    return verify_theorem(s3, find_character(s3, label), raise_on_failure=False)
+
+
+def test_orthogonality_check_can_fail(monkeypatch):
+    # the skew vector u = t - t^2 (t a 3-cycle) in place of the +1 basis:
+    # t(u*u) = -2 != 0
+    monkeypatch.setattr(verify, "plus_fixed_basis", lambda ctx: list(lie_basis(ctx).vectors))
+    r = _s3_report("trivial")
+    assert not r.orthogonality_ok
+    assert r.first_failure() == "orthogonality_ok"
+
+
+def test_closure_check_can_fail(monkeypatch):
+    # S3 sign: dim L = 4, so closure has pairs to test (for S3 trivial,
+    # dim L = 1 and closure tests no pair); delta_e is not in L
+    s3 = catalog("symmetric", 3)
+    monkeypatch.setattr(verify, "bracket", lambda a, b: GroupAlgebraElement.delta(s3, s3.identity))
+    r = _s3_report("sign")
+    assert r.dim_l_rank == 4 and r.dims_ok
+    assert not r.closure_ok
+    assert r.first_failure() == "closure_ok"
+
+
+def test_centrality_check_can_fail(monkeypatch):
+    # S3 sign has one center generator, 2 T_(transpositions); replace it by a
+    # single transposition, so the generator count still matches the rank
+    # and only the brackets can find it non-central (S3 trivial has no
+    # center generator, so there the count alone would fail)
+    s3 = catalog("symmetric", 3)
+    monkeypatch.setattr(verify, "center_basis", lambda ctx: [GroupAlgebraElement.delta(s3, 2)])
+    r = _s3_report("sign")
+    assert r.center_dim_exact == r.center_dim_predicted == 1
+    assert not r.centrality_ok
+    assert r.first_failure() == "centrality_ok"
 
 
 def test_clifford_s3():

@@ -9,13 +9,23 @@ omega, and the exact cyclotomic value out of the multiplicities of each
 root of unity among the eigenvalues of a class representative (an inverse
 DFT over its power classes, evaluated mod p and lifted).  The finished
 table is certified by the exact orthogonality relations.
+
+The modular steps run on int64 arrays of residues: elimination, restriction
+to an eigenspace, the random combination of class matrices (one tensordot)
+and the lift (one DFT matmul per class, for every irrep at once).  A sum of
+t products of residues is bounded by t (p - 1)^2 before it is formed (t is 2,
+the number of classes or an element order) and raises IntegerBoundExceeded
+at 2^63.  The table keeps its values as CycloScalars
+and, derived from them, as an int64 coefficient array; the certification
+evaluates both orthogonality relations on that array with cyclo.class_sums.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import cyclo
 from .errors import LiftInconsistent, PrimeSearchFailed
@@ -33,6 +43,13 @@ class CharacterTable:
     degrees: tuple[int, ...]
     values: tuple[tuple[cyclo.CycloScalar, ...], ...]
     prime: int
+    # canonical coefficients of `values`, int64 (irrep, class, phi(m)); derived
+    # from `values` on construction, so a replaced table stays consistent
+    coeff_array: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeff_array",
+                           cyclo.coefficient_array(self.values, self.context()))
 
     @property
     def num_irreps(self) -> int:
@@ -57,22 +74,18 @@ class CharacterTable:
         }
 
 
-def class_constants(group: GroupTable, cd: ConjugacyData) -> tuple:
-    """a[i][j][k] = number of (x, y) in c_i x c_j with x*y = z_k (fixed rep).
+def class_constants(group: GroupTable, cd: ConjugacyData) -> np.ndarray:
+    """a[i, j, k] = number of (x, y) in c_i x c_j with x*y = z_k (fixed rep).
 
     Independent of the chosen representative z_k.
     """
     k = cd.num_classes
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    inv = group.inverse
-    mult = group.mult
-    class_of = cd.class_of
-    for kk, z in enumerate(cd.representatives):
-        for i, ci in enumerate(cd.classes):
-            row = a[i]
-            for x in ci:
-                row[class_of[mult[inv[x]][z]]][kk] += 1
-    return tuple(tuple(tuple(r) for r in m) for m in a)
+    class_of = np.array(cd.class_of)
+    mult = np.array(group.mult)
+    # y[x, r] = x^-1 * z_r lies in class_of[y]; x itself lies in class_of[x]
+    y = mult[np.array(group.inverse)][:, np.array(cd.representatives)]
+    flat = (class_of[:, None] * k + class_of[y]) * k + np.arange(k)
+    return np.bincount(flat.ravel(), minlength=k ** 3).reshape(k, k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -120,39 +133,50 @@ def _primitive_root(p: int) -> int:
     raise PrimeSearchFailed(f"no primitive root mod {p}")  # unreachable for prime p
 
 
-def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p; returns (rows, pivot_columns)."""
-    rows = [r[:] for r in rows]
-    ncols = len(rows[0]) if rows else 0
+def _check_mod_bound(terms: int, p: int) -> None:
+    """Sums of `terms` products of two residues mod p must stay exact in int64."""
+    cyclo.check_int64_bound(terms * (p - 1) ** 2, f"sum of {terms} products mod {p}")
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    _check_mod_bound(a.shape[-1], p)
+    return a @ b % p
+
+
+def _rref_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p; returns (nonzero rows, pivot_columns)."""
+    _check_mod_bound(2, p)
+    a = rows % p
+    nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        a[hit] = (a[hit] - np.outer(col[hit], a[r])) % p
         pivots.append(c)
         r += 1
-    return rows[:r], pivots
+    return a[:r], pivots
 
 
-def _nullspace_mod(mat: list[list[int]], p: int) -> list[list[int]]:
-    n = len(mat)
+def _nullspace_mod(mat: np.ndarray, p: int) -> np.ndarray:
+    """Basis of {v : mat v = 0} mod p, one vector per free column of the RREF."""
+    n = mat.shape[1]
     rows, pivots = _rref_mod(mat, p)
     free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rows[r][fc]) % p
-        basis.append(v)
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rows[:, free].T % p
     return basis
 
 
@@ -210,27 +234,61 @@ def _poly_roots_mod(poly: list[int], p: int) -> list[int]:
     return roots
 
 
-def _matvec_mod(mat, vec, p):
-    return [sum(m * v for m, v in zip(row, vec) if v) % p for row in mat]
+def _restrict_mod(mat: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Matrix of `mat` acting on span(basis); basis rows are in RREF.
+
+    A vector of the span is the combination of the basis rows with its own
+    entries at the pivot columns as coefficients, so the coordinates of the
+    images are read off there.
+    """
+    images = _matmul_mod(basis, mat.T, p)
+    coords = images[:, pivots]
+    if not np.array_equal(_matmul_mod(coords, basis, p), images):
+        raise LiftInconsistent("eigenspace is not invariant; table computation bug")
+    # row j holds the coordinates of the image of basis vector j: transpose
+    return coords.T
 
 
-def _restrict_mod(mat, basis, pivots, p):
-    """Matrix of `mat` acting on span(basis); basis rows are in RREF."""
-    dim = len(basis)
-    out = []
-    for b in basis:
-        img = _matvec_mod(mat, b, p)
-        coords = []
-        for r in range(dim):
-            c = img[pivots[r]] % p
-            coords.append(c)
-            if c:
-                img = [(x - c * y) % p for x, y in zip(img, basis[r])]
-        if any(img):
-            raise LiftInconsistent("eigenspace is not invariant; table computation bug")
-        out.append(coords)
-    # rows are coordinates of images of basis vectors: transpose to act on coords
-    return [[out[j][i] for j in range(dim)] for i in range(dim)]
+def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
+    """Common eigenspaces mod p of the class matrices consts[i], each as
+    (RREF basis, pivot columns): split with random linear combinations
+    until every space is a line."""
+    k = len(consts)
+    spaces = [_rref_mod(np.eye(k, dtype=np.int64), p)]  # checks p before any product
+    consts = consts % p
+    for _ in range(32):
+        if all(len(b) == 1 for b, _ in spaces):
+            return spaces
+        coeffs = np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
+        _check_mod_bound(k, p)
+        combo = np.tensordot(coeffs, consts, axes=1) % p
+        new_spaces = []
+        for basis, pivots in spaces:
+            if len(basis) == 1:
+                new_spaces.append((basis, pivots))
+                continue
+            mat_r = _restrict_mod(combo, basis, pivots, p)
+            ident = np.eye(len(basis), dtype=np.int64)
+            for lam in _poly_roots_mod(_charpoly_mod(mat_r.tolist(), p), p):
+                null = _nullspace_mod((mat_r - lam * ident) % p, p)
+                if len(null):
+                    new_spaces.append(_rref_mod(_matmul_mod(null, basis, p), p))
+        if sum(len(b) for b, _ in new_spaces) != k:
+            raise LiftInconsistent("eigenspace splitting lost dimensions")
+        spaces = new_spaces
+    raise LiftInconsistent("eigenspace splitting did not converge after 32 rounds")
+
+
+def _canonical_order(degrees: list[int], values: list) -> list[int]:
+    """Irrep order by degree, then the float embedding of the row, then the
+    exact coefficients: the same table whatever the seed or prime."""
+    order_key = []
+    for i, row in enumerate(values):
+        emb = tuple((complex(v).real, complex(v).imag) for v in row)
+        exact = tuple(v.coeffs for v in row)
+        order_key.append((degrees[i], emb, exact, i))
+    order_key.sort()
+    return [entry[3] for entry in order_key]
 
 
 # ---------------------------------------------------------------------------
@@ -246,66 +304,24 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
     if (p - 1) % m or p * p <= 4 * n:
         raise PrimeSearchFailed(f"prime {p} is not valid for exponent {m}, order {n}")
 
-    consts = class_constants(group, cd)
-    mats = [[[consts[i][j][l] for l in range(k)] for j in range(k)] for i in range(k)]
-
-    # split the common eigenspaces with random linear combinations
-    rng = random.Random((seed << 16) ^ p)
-    spaces: list[tuple[list[list[int]], list[int]]] = []
-    ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    spaces.append(_rref_mod(ident, p))
-    for _ in range(32):
-        if all(len(b) == 1 for b, _ in spaces):
-            break
-        coeffs = [rng.randrange(p) for _ in range(k)]
-        combo = [
-            [sum(coeffs[i] * mats[i][r][c] for i in range(k)) % p for c in range(k)]
-            for r in range(k)
-        ]
-        new_spaces = []
-        for basis, pivots in spaces:
-            if len(basis) == 1:
-                new_spaces.append((basis, pivots))
-                continue
-            mat_r = _restrict_mod(combo, basis, pivots, p)
-            dim = len(basis)
-            poly = _charpoly_mod(mat_r, p)
-            for lam in _poly_roots_mod(poly, p):
-                shifted = [[(mat_r[i][j] - (lam if i == j else 0)) % p for j in range(dim)]
-                           for i in range(dim)]
-                amb_rows = []
-                for coords in _nullspace_mod(shifted, p):
-                    amb = [0] * k
-                    for c, b in zip(coords, basis):
-                        if c:
-                            for idx in range(k):
-                                amb[idx] = (amb[idx] + c * b[idx]) % p
-                    amb_rows.append(amb)
-                if amb_rows:
-                    new_spaces.append(_rref_mod(amb_rows, p))
-        if sum(len(b) for b, _ in new_spaces) != k:
-            raise LiftInconsistent("eigenspace splitting lost dimensions")
-        spaces = [(b, piv) for b, piv in new_spaces]
-    else:
-        raise LiftInconsistent("eigenspace splitting did not converge after 32 rounds")
+    spaces = _split_eigenspaces(class_constants(group, cd), p,
+                                random.Random((seed << 16) ^ p))
 
     # every space is now a line; normalize at the identity class (omega_e = 1)
-    omegas = []
     e_class = cd.class_of[group.identity]
-    for basis, _ in spaces:
-        w = basis[0]
-        if w[e_class] % p == 0:
-            raise LiftInconsistent("eigenvector vanishes at the identity class")
-        scale = pow(w[e_class], p - 2, p)
-        omegas.append([(x * scale) % p for x in w])
+    omegas = np.array([basis[0] for basis, _ in spaces])
+    if not omegas[:, e_class].all():
+        raise LiftInconsistent("eigenvector vanishes at the identity class")
+    scale = [pow(int(w), p - 2, p) for w in omegas[:, e_class]]
+    omegas = omegas * np.array(scale)[:, None] % p
 
-    inv_sizes = [pow(s, p - 2, p) for s in cd.sizes]
+    inv_sizes = np.array([pow(s, p - 2, p) for s in cd.sizes])
     zroot = pow(_primitive_root(p), (p - 1) // m, p)
 
+    # omega_j * omega_(j^-1) / |c_j|, summed over classes: (#G / d^2) mod p
+    norms = _matmul_mod(omegas * omegas[:, list(cd.inverse_class)] % p, inv_sizes, p)
     degrees = []
-    rows_mod = []
-    for w in omegas:
-        s = sum(w[j] * w[cd.inverse_class[j]] * inv_sizes[j] for j in range(k)) % p
+    for s in norms.tolist():
         if s == 0:
             raise LiftInconsistent("degenerate norm for an eigenvector")
         dsq = (n * pow(s, p - 2, p)) % p
@@ -313,60 +329,40 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
         if d is None or n % d:
             raise LiftInconsistent(f"degree lift failed (d^2 = {dsq} mod {p})")
         degrees.append(d)
-        rows_mod.append([(d * w[j] * inv_sizes[j]) % p for j in range(k)])
 
     if sum(d * d for d in degrees) != n:
         raise LiftInconsistent("sum of squared degrees does not match the group order")
+    deg = np.array(degrees)
+    rows_mod = omegas * inv_sizes % p * deg[:, None] % p
 
-    # lift each value chi(c) = sum_t mu_t zeta^(t*m/n_c) from the power classes
+    # lift each value chi(c) = sum_t mu_t zeta^(t*m/n_c) from the power
+    # classes: one inverse DFT mod p per class, for every irrep at once
     ctx = cyclo.context(m)
-    power_classes: list[list[int]] = []
-    elt_orders = []
-    for rep in cd.representatives:
+    coeffs = np.zeros((k, k, ctx.degree), dtype=np.int64)
+    for j, rep in enumerate(cd.representatives):
         n_c = group.element_order(rep)
-        elt_orders.append(n_c)
-        pc = []
+        power_classes = []
         x = group.identity
         for _ in range(n_c):
-            pc.append(cd.class_of[x])
+            power_classes.append(cd.class_of[x])
             x = group.mult[x][rep]
-        power_classes.append(pc)
+        lam_inv = pow(zroot, -(m // n_c), p)
+        lam_pows = np.array([pow(lam_inv, e, p) for e in range(n_c)])
+        exps = np.arange(n_c)
+        dft = lam_pows[np.outer(exps, exps) % n_c] * pow(n_c, p - 2, p) % p
+        mus = _matmul_mod(rows_mod[:, power_classes], dft, p)
+        bad = (mus.sum(axis=1) != deg) | (mus > deg[:, None]).any(axis=1)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise LiftInconsistent(
+                f"root-of-unity multiplicities {mus[i].tolist()} do not sum to degree {degrees[i]}"
+            )
+        powers = ctx.power_array[exps * (m // n_c)]
+        cyclo.check_int64_bound(n_c * max(degrees) * cyclo.max_abs(powers), "lift")
+        coeffs[:, j] = mus @ powers
+    values = [tuple(cyclo.CycloScalar(ctx, tuple(v)) for v in row) for row in coeffs.tolist()]
 
-    values = []
-    for d, row in zip(degrees, rows_mod):
-        vals = []
-        for j in range(k):
-            n_c = elt_orders[j]
-            lam = pow(zroot, m // n_c, p)
-            lam_inv = pow(lam, p - 2, p)
-            inv_nc = pow(n_c, p - 2, p)
-            mus = []
-            for t in range(n_c):
-                acc = 0
-                lpow = 1
-                lstep = pow(lam_inv, t, p)
-                for s in range(n_c):
-                    acc = (acc + row[power_classes[j][s]] * lpow) % p
-                    lpow = (lpow * lstep) % p
-                mus.append((acc * inv_nc) % p)
-            if sum(mus) != d or any(mu > d for mu in mus):
-                raise LiftInconsistent(
-                    f"root-of-unity multiplicities {mus} do not sum to degree {d}"
-                )
-            coeffs = [0] * m
-            for t, mu in enumerate(mus):
-                if mu:
-                    coeffs[(t * (m // n_c)) % m] += mu
-            vals.append(ctx.from_powers(coeffs))
-        values.append(tuple(vals))
-
-    order_key = []
-    for i, row in enumerate(values):
-        emb = tuple((complex(v).real, complex(v).imag) for v in row)
-        exact = tuple(v.coeffs for v in row)
-        order_key.append((degrees[i], emb, exact, i))
-    order_key.sort()
-    perm = [entry[3] for entry in order_key]
+    perm = _canonical_order(degrees, values)
     degrees = tuple(degrees[i] for i in perm)
     values = tuple(values[i] for i in perm)
 
@@ -376,28 +372,42 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
 
 
 def _certify(table: CharacterTable) -> None:
-    """Exact orthogonality relations; failure means the modular path is buggy."""
+    """Exact orthogonality relations on the coefficient array; a failure
+    means the modular path is buggy.
+
+    Both relations are evaluated, and the error names the first failing
+    irrep pair of the row relation and class pair of the column relation.
+    """
     cd = table.class_data
     n = table.group.order
-    k = cd.num_classes
     ctx = table.context()
-    conj = [[v.conj() for v in row] for row in table.values]
-    for i in range(k):
-        for j in range(i, k):
-            acc = ctx.zero
-            for c in range(k):
-                acc = acc + cd.sizes[c] * table.values[i][c] * conj[j][c]
-            expected = n if i == j else 0
-            if acc != expected:
-                raise LiftInconsistent(f"row orthogonality fails at irreps ({i}, {j})")
-    for c in range(k):
-        for cp in range(c, k):
-            acc = ctx.zero
-            for i in range(k):
-                acc = acc + table.values[i][c] * conj[i][cp]
-            expected = Fraction(n, cd.sizes[c]) if c == cp else Fraction(0)
-            if acc != ctx.from_fraction(expected):
-                raise LiftInconsistent(f"column orthogonality fails at classes ({c}, {cp})")
+    x = table.coeff_array
+    xc = cyclo.galois_array(x, -1, ctx)
+    failures = [
+        f for f in (
+            _relation_failure(x, xc, cd.sizes, [n] * len(x), ctx,
+                              "row orthogonality fails at irreps"),
+            _relation_failure(x.swapaxes(0, 1), xc.swapaxes(0, 1), [1] * len(x),
+                              [n // s for s in cd.sizes], ctx,
+                              "column orthogonality fails at classes"),
+        ) if f
+    ]
+    if failures:
+        raise LiftInconsistent("; ".join(failures))
+
+
+def _relation_failure(a: np.ndarray, b: np.ndarray, weights, diagonal: list[int],
+                      ctx: cyclo.CycloContext, what: str) -> str | None:
+    """The first pair (i <= j) where sum_c weights[c] a[i, c] b[j, c] is not
+    diagonal[i] * delta_ij."""
+    sums = cyclo.class_sums(a, b, weights, ctx)
+    off = sums[:, :, 1:].any(axis=2) | (sums[:, :, 0] != np.diag(diagonal))
+    bad = np.argwhere(np.triu(off))
+    if not len(bad):
+        return None
+    i, j = map(int, bad[0])
+    got = cyclo.scalar_of(sums[i, j], ctx)
+    return f"{what} ({i}, {j}): expected {diagonal[i] if i == j else 0}, got {got!r}"
 
 
 def regular_character(table: CharacterTable) -> tuple[cyclo.CycloScalar, ...]:

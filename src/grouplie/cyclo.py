@@ -15,6 +15,15 @@ Coefficients are kept as native ints whenever they are integral (the
 overwhelmingly common case) and only promoted to Fraction when a division
 makes them genuinely rational; int and Fraction compare and hash equal, so
 canonicity is unaffected.
+
+Class functions with algebraic-integer values (character tables, indicator
+weights) are also held as int64 arrays of canonical coefficients, shape
+(rows, classes, phi(m)); the power basis is an integral basis of Z[zeta_m],
+so these arrays are exact.  `class_sums` is the one kernel on them, and a
+Galois map acts on them as an integer phi(m) x phi(M) matrix whose rows are
+power-table rows (`galois_array`).  Every array product is bounded first
+from the operands' actual max-abs values and raises IntegerBoundExceeded if
+the bound reaches 2^63; nothing wraps silently.
 """
 
 from __future__ import annotations
@@ -22,9 +31,20 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle
 from math import gcd
 
-from .errors import BadParameters, ConductorMismatch, DivisionByZero, InvariantViolated
+import numpy as np
+
+from .errors import (
+    BadParameters,
+    ConductorMismatch,
+    DivisionByZero,
+    IntegerBoundExceeded,
+    InvariantViolated,
+)
+
+INT64_LIMIT = 2**63
 
 
 def _norm(q):
@@ -91,6 +111,12 @@ class CycloContext:
                 nxt = [a + lead * b for a, b in zip(nxt, top)]
             cur = nxt
         self.power_table = tuple(table)
+        # nonzero (index, coefficient) pairs of each row, for the scatter-reduce
+        self._sparse_powers = tuple(
+            tuple([(i, r) for i, r in enumerate(row) if r]) for row in table
+        )
+        self.power_array = np.array(table, dtype=np.int64)
+        self._galois_powers: dict[tuple[int, int], tuple[int, ...]] = {}
         self.conjugate_exponents = tuple(k for k in range(2, m) if gcd(k, m) == 1)
         self._roots = tuple(cmath.exp(2j * cmath.pi * k / m) for k in range(m))
         self.zero = CycloScalar(self, (0,) * d)
@@ -112,14 +138,32 @@ class CycloContext:
 
     def from_powers(self, coeffs) -> "CycloScalar":
         """Sum of a_k * zeta^k over an arbitrary power-indexed sequence."""
-        out = [0] * self.degree
-        for k, a in enumerate(coeffs):
+        return self._scatter([0] * self.degree, cycle(range(self.m)), coeffs)
+
+    def _scatter(self, out: list, powers, coeffs) -> "CycloScalar":
+        """Add a * zeta^k into the coefficient list `out` for every pair (k, a)
+        of `powers` (indices into power_table) and `coeffs`, and return the
+        canonical scalar.
+
+        The one reduction of powers of zeta: from_powers, galois and the
+        high-degree fold of __mul__ all go through it.
+        """
+        rows = self._sparse_powers
+        for k, a in zip(powers, coeffs):
             if a:
-                a = _norm(a)
-                for i, r in enumerate(self.power_table[k % self.m]):
-                    if r:
-                        out[i] += a * r
-        return CycloScalar(self, tuple(_norm(x) for x in out))
+                for i, r in rows[k]:
+                    out[i] += a * r
+        return CycloScalar(self, tuple([x if type(x) is int else _norm(x) for x in out]))
+
+    def galois_powers(self, k: int, target: "CycloContext") -> tuple[int, ...]:
+        """The power of zeta_M that zeta_m^j maps to under zeta_m -> zeta_M^(k*M/m),
+        for j < phi(m); `target` has conductor M, a multiple of m."""
+        key = (k % self.m, target.m)
+        out = self._galois_powers.get(key)
+        if out is None:
+            step = k * (target.m // self.m)
+            out = self._galois_powers[key] = tuple(j * step % target.m for j in range(self.degree))
+        return out
 
     def __repr__(self):
         return f"CycloContext(m={self.m})"
@@ -197,14 +241,7 @@ class CycloScalar:
                 for j, bj in enumerate(o.coeffs):
                     if bj:
                         acc[i + j] += ai * bj
-        out = acc[:d]
-        for k in range(d, 2 * d - 1):
-            ck = acc[k]
-            if ck:
-                for i, r in enumerate(ctx.power_table[k]):
-                    if r:
-                        out[i] += ck * r
-        return CycloScalar(ctx, tuple([_norm(x) for x in out]))
+        return ctx._scatter(acc[:d], range(d, 2 * d - 1), acc[d:])
 
     __rmul__ = __mul__
 
@@ -255,25 +292,10 @@ class CycloScalar:
         """Image under zeta_m -> zeta_M^(k*M/m), M the target's conductor
         (default m), for k a unit mod m.  It is a ring map; k = -1 is
         complex conjugation and k = 1 the embedding into Q(zeta_M)."""
-        if gcd(k, self.ctx.m) != 1:
-            raise BadParameters(f"{k} is not a unit mod {self.ctx.m}")
-        if target is None:
-            ctx = self.ctx
-        else:
-            ctx = target if isinstance(target, CycloContext) else context(target)
-            if ctx.m % self.ctx.m:
-                raise ConductorMismatch(f"{self.ctx.m} does not divide {ctx.m}")
+        ctx = _galois_target(self.ctx, k, target)
         if not self._nz:
             return ctx.zero
-        m, table = ctx.m, ctx.power_table
-        step = k * (m // self.ctx.m)
-        out = [0] * ctx.degree
-        for j, a in enumerate(self.coeffs):
-            if a:
-                for i, r in enumerate(table[j * step % m]):
-                    if r:
-                        out[i] += a * r
-        return CycloScalar(ctx, tuple(_norm(x) for x in out))
+        return ctx._scatter([0] * ctx.degree, self.ctx.galois_powers(k, ctx), self.coeffs)
 
     def conj(self) -> "CycloScalar":
         """Ring conjugation zeta -> zeta^(m-1) (complex conjugation)."""
@@ -341,6 +363,20 @@ class CycloScalar:
         return " + ".join(terms) if terms else "0"
 
 
+def _galois_target(source: CycloContext, k: int,
+                   target: CycloContext | int | None) -> CycloContext:
+    """The target context of zeta_m -> zeta_M^(k*M/m), after checking that k
+    is a unit mod m and that m divides M."""
+    if gcd(k, source.m) != 1:
+        raise BadParameters(f"{k} is not a unit mod {source.m}")
+    if target is None:
+        return source
+    ctx = target if isinstance(target, CycloContext) else context(target)
+    if ctx.m % source.m:
+        raise ConductorMismatch(f"{source.m} does not divide {ctx.m}")
+    return ctx
+
+
 def nonzero_terms(values) -> list[tuple[int, CycloScalar]]:
     """(index, value) of every nonzero scalar in a sequence of CycloScalars.
 
@@ -348,3 +384,84 @@ def nonzero_terms(values) -> list[tuple[int, CycloScalar]]:
     so it reads each scalar's stored zero flag instead of calling __bool__.
     """
     return [(i, x) for i, x in enumerate(values) if x._nz]
+
+
+# ---------------------------------------------------------------------------
+# int64 coefficient arrays
+
+
+def check_int64_bound(bound: int, what: str) -> None:
+    """Raise IntegerBoundExceeded unless every int64 value of a product whose
+    absolute values are at most `bound` is exact."""
+    if bound >= INT64_LIMIT:
+        raise IntegerBoundExceeded(f"{what}: |entries| could reach {bound} >= 2^63")
+
+
+def max_abs(x: np.ndarray) -> int:
+    """The largest |entry| of an int64 array, as a Python int (0 if empty)."""
+    return max(int(x.max()), -int(x.min())) if x.size else 0
+
+
+def coefficient_array(rows, ctx: CycloContext) -> np.ndarray:
+    """int64 array (rows, columns, phi(m)) of the canonical coefficients of a
+    table of CycloScalars in `ctx`; every value must be an algebraic integer."""
+    flat = []
+    for i, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if v.ctx.m != ctx.m:
+                raise ConductorMismatch(f"mixed conductors {ctx.m} and {v.ctx.m}")
+            if any(type(a) is not int for a in v.coeffs):
+                raise InvariantViolated(f"value {v!r} at ({i}, {c}) is not an algebraic integer")
+            flat.extend(v.coeffs)
+    check_int64_bound(max(map(abs, flat), default=0), "coefficient array")
+    shape = (len(rows), len(rows[0]) if rows else 0, ctx.degree)
+    return np.array(flat, dtype=np.int64).reshape(shape)
+
+
+def scalar_of(coeffs: np.ndarray, ctx: CycloContext) -> CycloScalar:
+    """The CycloScalar with the canonical coefficient vector `coeffs`."""
+    return CycloScalar(ctx, tuple(coeffs.tolist()))
+
+
+def galois_array(x: np.ndarray, k: int, source: CycloContext,
+                 target: CycloContext | int | None = None) -> np.ndarray:
+    """CycloScalar.galois applied to every coefficient vector of `x`."""
+    ctx = _galois_target(source, k, target)
+    # row j is the canonical form of the image of zeta_m^j
+    mat = ctx.power_array[list(source.galois_powers(k, ctx))]
+    check_int64_bound(source.degree * max_abs(x) * max_abs(mat), "Galois map")
+    return x @ mat
+
+
+def times_roots(x: np.ndarray, exponents, ctx: CycloContext) -> np.ndarray:
+    """x[..., c, :] times zeta^exponents[c] for every column c of a coefficient
+    array: coefficient j moves to the canonical form of zeta^(e_c + j)."""
+    powers = (np.array(exponents)[:, None] + np.arange(ctx.degree)) % ctx.m
+    mats = ctx.power_array[powers]
+    check_int64_bound(ctx.degree * max_abs(x) * max_abs(mats), "root-of-unity product")
+    return np.einsum("...cj,cjl->...cl", x, mats)
+
+
+def class_sums(a: np.ndarray, b: np.ndarray, w, ctx: CycloContext) -> np.ndarray:
+    """S[i, j] = sum_c w[c] * a[i, c] * b[j, c] in Q(zeta_m), exactly.
+
+    `a` (ra, k, d) and `b` (rb, k, d) are canonical coefficient arrays in
+    `ctx` and `w` holds k integer weights.  Each coefficient plane of `a`
+    takes one matmul against the weighted `b`; the planes land in a product
+    of length 2d - 1, which one matmul with the power table reduces to
+    (ra, rb, d).
+    """
+    d = ctx.degree
+    w = [int(v) for v in w]
+    max_b = max_abs(b)
+    prod_bound = sum(map(abs, w)) * d * max_abs(a) * max_b
+    check_int64_bound(max(prod_bound, max(map(abs, w), default=0) * max_b), "class sum")
+    fold = ctx.power_array[: 2 * d - 1]
+    check_int64_bound(prod_bound * int(np.abs(fold).sum(axis=0).max()), "class sum reduction")
+    ra, k, rb = a.shape[0], a.shape[1], b.shape[0]
+    # (k, rb * d): row c holds w[c] * b[j, c, :] for every j
+    bw = (b * np.array(w, dtype=np.int64)[None, :, None]).transpose(1, 0, 2).reshape(k, rb * d)
+    acc = np.zeros((ra, rb, 2 * d - 1), dtype=np.int64)
+    for t in range(d):
+        acc[:, :, t:t + d] += (a[:, :, t] @ bw).reshape(ra, rb, d)
+    return acc @ fold

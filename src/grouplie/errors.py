@@ -94,6 +94,11 @@ class InvariantViolated(GroupLieError):
     never bad input."""
 
 
+class IntegerBoundExceeded(GroupLieError):
+    """An int64 array product could leave the exact range; raised before the
+    product is formed, never after a silent wrap."""
+
+
 class VerificationFailed(GroupLieError):
     def __init__(self, check: str, detail: str = ""):
         self.check = check

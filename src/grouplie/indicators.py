@@ -10,15 +10,21 @@ The joint form specializes to the other two and its sign picks the
 orthogonal / symplectic factor type on self-paired irreps.  For irreducible
 characters each value is asserted to land in {-1, 0, 1}; anything else
 raises IndicatorOutOfRange rather than guessing.
+
+The sums run on the table's int64 coefficient array: the per-class weights
+become a coefficient array too, and cyclo.class_sums forms #G times every
+irrep's indicator at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import cyclo
 from .chartable import CharacterTable
-from .errors import IndicatorOutOfRange, PartnerNotFound
+from .errors import ConductorMismatch, IndicatorOutOfRange, PartnerNotFound
 from .groups import (
     GroupTable,
     InvolutiveAutomorphism,
@@ -96,46 +102,47 @@ class IndicatorReport:
         }
 
 
-def _as_indicator(scaled: cyclo.CycloScalar, n: int, what: str) -> int:
-    """Read off v from n*v with v in {-1, 0, 1}; sums stay integral this way."""
-    if not scaled:
+def _as_indicator(scaled: np.ndarray, n: int, ctx: cyclo.CycloContext, what: str) -> int:
+    """Read off v from the coefficients of n*v with v in {-1, 0, 1}; sums
+    stay integral this way."""
+    if not scaled.any():
         return 0
-    for target in (-n, n):
-        if scaled == target:
-            return target // n
-    raise IndicatorOutOfRange(f"{n} * {what} = {scaled!r} is outside {{-n, 0, n}}")
+    if not scaled[1:].any() and scaled[0] in (-n, n):
+        return int(scaled[0]) // n
+    raise IndicatorOutOfRange(
+        f"{n} * {what} = {cyclo.scalar_of(scaled, ctx)!r} is outside {{-n, 0, n}}"
+    )
+
+
+def _check_conductor(alpha: LinearCharacter, ctx: cyclo.CycloContext) -> None:
+    if alpha.conductor != ctx.m:
+        raise ConductorMismatch(f"mixed conductors {alpha.conductor} and {ctx.m}")
 
 
 def twist_weights(group: GroupTable, alpha: LinearCharacter | None,
-                  tau: InvolutiveAutomorphism) -> list:
-    """Per-class sums of conj(alpha(g)) over g with g*tau(g) in the class.
+                  tau: InvolutiveAutomorphism, ctx: cyclo.CycloContext) -> np.ndarray:
+    """Per-class sums of conj(alpha(g)) over g with g*tau(g) in the class, as
+    canonical coefficients (classes, phi(m)) in `ctx`.
 
-    With alpha None the weights are the plain integer counts, which pair with
-    class functions over any conductor.
+    With alpha None the weights are the integer counts, stored in coefficient
+    0 of an array in `ctx`.
     """
+    if alpha is not None:
+        _check_conductor(alpha, ctx)
     cd = conjugacy_data(group)
-    m = 1 if alpha is None else alpha.conductor
-    counts = [[0] * m for _ in range(cd.num_classes)]
+    counts = np.zeros((cd.num_classes, ctx.m), dtype=np.int64)
     for g in group.elements():
-        e = 0 if alpha is None else -alpha.exponents[g] % m
-        counts[cd.class_of[group.mult[g][tau.mapping[g]]]][e] += 1
-    if alpha is None:
-        return [row[0] for row in counts]
-    ctx = cyclo.context(m)
-    return [ctx.from_powers(row) for row in counts]
+        e = 0 if alpha is None else -alpha.exponents[g] % ctx.m
+        counts[cd.class_of[group.mult[g][tau.mapping[g]]], e] += 1
+    return counts @ ctx.power_array[:ctx.m]
 
 
-def scaled_sums(weights, rows, zero: cyclo.CycloScalar) -> list[cyclo.CycloScalar]:
-    """sum_c weights[c] * row[c] for every class-function row: #G times the
-    indicator, kept integral."""
-    out = []
-    for row in rows:
-        acc = zero
-        for w, v in zip(weights, row):
-            if w:
-                acc = acc + w * v
-        out.append(acc)
-    return out
+def scaled_sums(weights: np.ndarray, rows: np.ndarray, ctx: cyclo.CycloContext) -> np.ndarray:
+    """sum_c weights[c] * rows[r, c] for every class-function row r, as
+    canonical coefficients (rows, phi(m)): #G times the indicator, kept
+    integral."""
+    unit = np.ones(weights.shape[0], dtype=np.int64)
+    return cyclo.class_sums(rows, weights[None], unit, ctx)[:, 0]
 
 
 def joint_indicator(table: CharacterTable, alpha: LinearCharacter,
@@ -146,10 +153,10 @@ def joint_indicator(table: CharacterTable, alpha: LinearCharacter,
     at alpha = trivial.
     """
     n = table.group.order
-    sums = scaled_sums(twist_weights(table.group, alpha, tau), table.values,
-                       table.context().zero)
+    ctx = table.context()
+    sums = scaled_sums(twist_weights(table.group, alpha, tau, ctx), table.coeff_array, ctx)
     return tuple(
-        _as_indicator(s, n, f"nu_({alpha.label},{tau.label})(irrep {i})")
+        _as_indicator(s, n, ctx, f"nu_({alpha.label},{tau.label})(irrep {i})")
         for i, s in enumerate(sums)
     )
 
@@ -170,18 +177,17 @@ def pairing(table: CharacterTable, alpha: LinearCharacter,
 
     Returns (partner, classes); partner is an involution on irrep indices.
     """
-    group = table.group
     cd = table.class_data
-    tau_class = tuple(cd.class_of[tau.mapping[r]] for r in cd.representatives)
-    alpha_vals = [alpha.value(cd.representatives[c]) for c in range(cd.num_classes)]
-    rows = {tuple(v.coeffs for v in row): i for i, row in enumerate(table.values)}
+    ctx = table.context()
+    _check_conductor(alpha, ctx)
+    x = table.coeff_array
+    # conj(chi(y)) = chi(y^-1), so conj(chi) o tau is read at the inverse class
+    conj_tau = x[:, [cd.inverse_class[cd.class_of[tau.mapping[r]]] for r in cd.representatives]]
+    targets = cyclo.times_roots(conj_tau, [alpha.exponents[r] for r in cd.representatives], ctx)
+    rows = {row.tobytes(): i for i, row in enumerate(x)}
     partner = []
-    for i in range(table.num_irreps):
-        target = tuple(
-            (alpha_vals[c] * table.values[i][tau_class[c]].conj()).coeffs
-            for c in range(cd.num_classes)
-        )
-        j = rows.get(target)
+    for i, target in enumerate(targets):
+        j = rows.get(target.tobytes())
         if j is None:
             raise PartnerNotFound(
                 f"no irrep matches alpha * conj(chi_{i}) o tau; table inconsistency"
@@ -242,6 +248,9 @@ def indicator_report(group: GroupTable, table: CharacterTable,
     ctx = make_context(group, alpha, tau)
     tau = ctx.tau
     nu = joint_indicator(table, alpha, tau)
+    # nu is f_alpha at tau = id and c_tau at trivial alpha
+    f_alpha = nu if tau.is_identity() else weighted_fs_indicator(table, alpha)
+    c_tau = nu if alpha.is_trivial() else kawanaka_indicator(table, tau)
     partner, classes = pairing(table, alpha, tau)
     factors = tuple(_factor(pc, nu, table.degrees) for pc in classes)
     plus, minus = involution_counts(group, alpha, tau)
@@ -251,8 +260,8 @@ def indicator_report(group: GroupTable, table: CharacterTable,
         alpha_label=alpha.label,
         tau_label=tau.label,
         degrees=table.degrees,
-        f_alpha=weighted_fs_indicator(table, alpha),
-        c_tau=kawanaka_indicator(table, tau),
+        f_alpha=f_alpha,
+        c_tau=c_tau,
         nu=nu,
         partner=partner,
         parity=tuple("even" if j == i else "odd" for i, j in enumerate(partner)),

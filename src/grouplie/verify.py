@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+import numpy as np
 
 from . import cyclo
 from .chartable import CharacterTable, character_table
@@ -316,35 +319,41 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
         table = character_table(group, seed=seed)
     cd = conjugacy_data(group)
     ctx_ext = table_ext.context()
-    ctau_g = kawanaka_indicator(table, tau)
-    f1_g = weighted_fs_indicator(table, trivial_character(group))
 
     # restrictions to G of the extension's irreps, as class functions of G
-    res_rows = [
-        [row[cd_ext.class_of[r]] for r in cd.representatives] for row in table_ext.values
-    ]
+    res = table_ext.coeff_array[:, [cd_ext.class_of[r] for r in cd.representatives]]
     # n * F_1 and n * c_tau of each restriction, kept integral; restrictions
     # are reducible, so these are not read off as indicators
-    nf1 = scaled_sums(twist_weights(group, None, identity_automorphism(group)),
-                      res_rows, ctx_ext.zero)
-    nctau = scaled_sums(twist_weights(group, None, tau), res_rows, ctx_ext.zero)
-    gconj_emb = [[v.galois(-1, ctx_ext) for v in row] for row in table.values]
-    rows = []
-    ok = True
-    for i, res in enumerate(res_rows):
-        identity_ok = ctx_ext.from_fraction(2 * f_eps[i] * n) == nf1[i] - nctau[i]
+    nf1 = scaled_sums(twist_weights(group, None, identity_automorphism(group), ctx_ext),
+                      res, ctx_ext)
+    nctau = scaled_sums(twist_weights(group, None, tau, ctx_ext), res, ctx_ext)
 
-        # decompose the restriction into irreducibles of G
-        mults = []
-        for j in range(table.num_irreps):
-            acc = ctx_ext.zero
-            for c in range(cd.num_classes):
-                acc = acc + cd.sizes[c] * res[c] * gconj_emb[j][c]
-            mults.append(acc.as_fraction() / n)
-        if not all(mu.denominator == 1 and mu >= 0 for mu in mults):
+    # decompose every restriction into irreducibles of G: n * <Res chi_i, chi_j>
+    gconj_emb = cyclo.galois_array(table.coeff_array, -1, table.context(), ctx_ext)
+    inner = cyclo.class_sums(res, gconj_emb, cd.sizes, ctx_ext)
+    for i in range(len(res)):
+        irrational = np.flatnonzero(inner[i, :, 1:].any(axis=1))
+        if irrational.size:
+            j = int(irrational[0])
+            raise LiftInconsistent(
+                f"restriction of irrep {i} of {ext.name} has a non-rational inner product "
+                f"{cyclo.scalar_of(inner[i, j], ctx_ext)!r} with irrep {j} of {group.name}"
+            )
+        if (inner[i, :, 0] % n).any() or (inner[i, :, 0] < 0).any():
+            mults = [Fraction(int(v), n) for v in inner[i, :, 0]]
             raise LiftInconsistent(
                 f"restriction of irrep {i} of {ext.name} has multiplicities {mults}"
             )
+    multiplicities = (inner[:, :, 0] // n).tolist()
+
+    ctau_g = kawanaka_indicator(table, tau)
+    f1_g = weighted_fs_indicator(table, trivial_character(group))
+    rows = []
+    ok = True
+    identity_gap = nf1 - nctau
+    for i, mults in enumerate(multiplicities):
+        identity_ok = bool(identity_gap[i, 0] == 2 * f_eps[i] * n
+                           and not identity_gap[i, 1:].any())
         components = [j for j, mu in enumerate(mults) if mu]
         split_ok = True
         if len(components) == 2 and all(mults[j] == 1 for j in components):

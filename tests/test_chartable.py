@@ -1,16 +1,18 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from grouplie.chartable import (
     CharacterTable,
+    _certify,
     _find_prime,
     character_table,
     class_constants,
     regular_character,
 )
 from grouplie.cyclo import context
-from grouplie.errors import PrimeSearchFailed
+from grouplie.errors import IntegerBoundExceeded, LiftInconsistent, PrimeSearchFailed
 from grouplie.groups import catalog, conjugacy_data, parse_group_spec
 
 
@@ -233,3 +235,34 @@ def test_charpoly_mod_against_determinant_scan():
                 for c in reversed(poly):
                     val = (val * lam + c) % p
                 assert val == det_mod(shifted, p)
+
+
+@pytest.mark.parametrize("spec, irrep, cls, zeta_power", [
+    ("symmetric:4", 2, 3, 0),
+    ("cyclic:6", 4, 1, 1),
+    ("frobenius21", 3, 2, 7),
+])
+def test_certify_names_row_and_column_pair(spec, irrep, cls, zeta_power):
+    # one corrupted entry breaks both relations; the error names the first
+    # failing irrep pair (the trivial row against the corrupted one) and the
+    # first failing class pair (the identity class against the corrupted one)
+    t = character_table(parse_group_spec(spec))
+    ctx = t.context()
+    rows = [list(r) for r in t.values]
+    rows[irrep][cls] = rows[irrep][cls] + ctx.zeta(zeta_power)
+    bad = dataclasses.replace(t, values=tuple(tuple(r) for r in rows))
+    assert bad.coeff_array[irrep, cls].tolist() == list(rows[irrep][cls].coeffs)
+    with pytest.raises(LiftInconsistent) as exc:
+        _certify(bad)
+    msg = str(exc.value)
+    assert f"row orthogonality fails at irreps (0, {irrep})" in msg
+    assert f"column orthogonality fails at classes (0, {cls})" in msg
+    _certify(t)
+
+
+@pytest.mark.parametrize("prime", [2**62 + 1, 2**70 + 1])
+def test_modular_bound_guard(prime):
+    # p = 1 (mod 4) passes the prime checks, but a product of two residues
+    # mod p leaves int64: the guard raises before any array is formed
+    with pytest.raises(IntegerBoundExceeded):
+        character_table(catalog("cyclic", 4), prime=prime)

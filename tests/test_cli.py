@@ -290,3 +290,20 @@ def test_bessel_huge_z_has_no_usable_bound(capsys):
     assert code == 1 and out == ""
     assert _one_error_line(err) and "tail bound inf" in err
     assert "raise the truncation" not in err
+
+
+TABLE_PINS = {
+    "cyclic:12": "table_cyclic_12.json",
+    "dihedral:6": "table_dihedral_6.json",
+    "symmetric:4": "table_symmetric_4.json",
+    "product:quaternion8,cyclic:6": "table_product_quaternion8_cyclic_6.json",
+    "frobenius21": "table_frobenius21.json",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE_PINS))
+def test_table_json_pinned(capsys, spec):
+    # recorded from the scalar (CycloScalar) table and certification path
+    code, out, _ = run_cli(capsys, "table", "--group", spec, "--format", "json")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / TABLE_PINS[spec]).read_text()

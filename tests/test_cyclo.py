@@ -5,8 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouplie.cyclo import CycloScalar, context, cyclotomic_polynomial
-from grouplie.errors import BadParameters, ConductorMismatch, DivisionByZero
+import numpy as np
+
+from grouplie.cyclo import (
+    CycloScalar,
+    class_sums,
+    coefficient_array,
+    context,
+    cyclotomic_polynomial,
+    galois_array,
+    scalar_of,
+)
+from grouplie.errors import (
+    BadParameters,
+    ConductorMismatch,
+    DivisionByZero,
+    IntegerBoundExceeded,
+    InvariantViolated,
+)
 
 
 def euler_phi(m):
@@ -200,3 +216,84 @@ def test_rational_detection():
     # 1 + z + z^2 + z^3 + z^4 = 0 makes z^4 rational minus the rest
     total = sum((ctx.zeta(k) for k in range(1, 5)), ctx.zero)
     assert total == -1
+
+
+# -- int64 coefficient arrays ------------------------------------------------
+
+DIVISORS = {1: [1], 4: [1, 2, 4], 12: [1, 3, 4, 6, 12], 60: [1, 5, 12, 15, 20, 60]}
+
+
+def _scalars(arr, ctx):
+    return [[scalar_of(v, ctx) for v in row] for row in arr]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_class_sums_equals_scalar_sums(data):
+    # the kernel against sum_c w_c * a[i][c] * conj(b[j][c]) in CycloScalars,
+    # with b drawn at a conductor dividing m and mapped in by galois(-1, m)
+    m = data.draw(st.sampled_from(sorted(DIVISORS)))
+    m_b = data.draw(st.sampled_from(DIVISORS[m]))
+    ctx, ctx_b = context(m), context(m_b)
+    ra, rb, k = (data.draw(st.integers(1, 3)) for _ in range(3))
+
+    def ints(shape, bound):
+        flat = data.draw(st.lists(st.integers(-bound, bound), min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    a = ints((ra, k, ctx.degree), 40)
+    b = ints((rb, k, ctx_b.degree), 40)
+    w = ints((k,), 6)
+    got = class_sums(a, galois_array(b, -1, ctx_b, ctx), w, ctx)
+    assert got.shape == (ra, rb, ctx.degree)
+
+    sa = _scalars(a, ctx)
+    sb = [[v.galois(-1, ctx) for v in row] for row in _scalars(b, ctx_b)]
+    for i in range(ra):
+        for j in range(rb):
+            expected = ctx.zero
+            for c in range(k):
+                expected = expected + int(w[c]) * sa[i][c] * sb[j][c]
+            assert scalar_of(got[i, j], ctx) == expected
+
+
+def test_galois_array_matches_scalar_galois():
+    ctx = context(12)
+    values = [[ctx.zeta(1) + 3, ctx.zeta(5) * 2 - ctx.zeta(2)], [ctx.one, ctx.zero]]
+    arr = coefficient_array(values, ctx)
+    for k, target in ((-1, None), (5, None), (1, 24), (7, 60)):
+        mapped = galois_array(arr, k, ctx, target)
+        out_ctx = ctx if target is None else context(target)
+        assert _scalars(mapped, out_ctx) == [[v.galois(k, target) for v in row]
+                                            for row in values]
+    with pytest.raises(BadParameters):
+        galois_array(arr, 2, ctx)
+    with pytest.raises(ConductorMismatch):
+        galois_array(arr, 1, ctx, 18)
+
+
+def test_class_sums_bound_guard():
+    ctx = context(12)
+    big = np.full((1, 2, ctx.degree), 2**29, dtype=np.int64)
+    # 2 classes * phi(12) * (2^29)^2 = 2^61, and the reduction through
+    # Phi_12 = x^4 - x^2 + 1 adds at most 3 such sums: below 2^63 ...
+    class_sums(big, big, [1, 1], ctx)
+    # ... and twice that is not: the guard raises before any product
+    with pytest.raises(IntegerBoundExceeded):
+        class_sums(big * 2, big, [1, 1], ctx)
+    with pytest.raises(IntegerBoundExceeded):
+        class_sums(big, big, [2**40, 0], ctx)
+    with pytest.raises(IntegerBoundExceeded):
+        galois_array(np.full((1, 1, ctx.degree), 2**62, dtype=np.int64), -1, ctx)
+
+
+def test_coefficient_array_rejects_non_integers():
+    ctx = context(6)
+    assert coefficient_array([[ctx.zeta(1) * 2, ctx.one]], ctx).tolist() == [[[0, 2], [1, 0]]]
+    with pytest.raises(InvariantViolated):
+        coefficient_array([[ctx.zeta(1) * Fraction(1, 2)]], ctx)
+    with pytest.raises(ConductorMismatch):
+        coefficient_array([[context(3).zeta(1)]], ctx)
+    with pytest.raises(IntegerBoundExceeded):
+        coefficient_array([[ctx.from_fraction(2**63)]], ctx)

@@ -3,6 +3,7 @@ import pytest
 from grouplie.chartable import character_table
 from grouplie.errors import AlphaNotReal, IncompatiblePair
 from grouplie.groups import (
+    alpha_tau_compatible,
     catalog,
     conjugacy_data,
     find_character,
@@ -254,3 +255,56 @@ def test_report_rejects_incompatible_pair_before_pairing():
     lin1 = find_character(z4, "lin1")
     with pytest.raises(IncompatiblePair):
         indicator_report(z4, character_table(z4), lin1, inversion_automorphism(z4))
+
+
+@pytest.mark.parametrize("spec, alpha_label, tau_name, calls", [
+    ("symmetric:3", "trivial", "id", 1),   # nu is f_alpha and c_tau
+    ("symmetric:3", "sign", "id", 2),      # nu is f_alpha
+    ("cyclic:4", "trivial", "inv", 2),     # nu is c_tau
+    ("cyclic:4", "sign", "inv", 3),
+])
+def test_indicator_report_reuses_nu(monkeypatch, spec, alpha_label, tau_name, calls):
+    from grouplie import indicators
+
+    g = parse_group_spec(spec)
+    t = character_table(g)
+    alpha = find_character(g, alpha_label)
+    tau = identity_automorphism(g) if tau_name == "id" else inversion_automorphism(g)
+    expected = (weighted_fs_indicator(t, alpha), kawanaka_indicator(t, tau),
+                joint_indicator(t, alpha, tau))
+    original = indicators.joint_indicator
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(indicators, "joint_indicator", counted)
+    r = indicator_report(g, t, alpha, tau)
+    assert len(seen) == calls
+    assert (r.f_alpha, r.c_tau, r.nu) == expected
+
+
+def test_pairing_reads_conjugates_without_conj(monkeypatch):
+    from grouplie.cyclo import CycloScalar
+
+    g = parse_group_spec("product:cyclic:3,cyclic:4")
+    t = character_table(g)
+    contexts = [(a, tau) for tau in (identity_automorphism(g), inversion_automorphism(g))
+                for a in linear_characters(g) if alpha_tau_compatible(a, tau)]
+    assert len(contexts) == 14
+    expected = [pairing(t, a, tau) for a, tau in contexts]
+
+    def no_conj(self):
+        raise AssertionError("pairing called conj()")
+
+    monkeypatch.setattr(CycloScalar, "conj", no_conj)
+    assert [pairing(t, a, tau) for a, tau in contexts] == expected
+    monkeypatch.undo()
+    # the partner of chi is the irrep with character alpha * conj(chi) o tau
+    cd = t.class_data
+    for (alpha, tau), (partner, _) in zip(contexts, expected):
+        for i, j in enumerate(partner):
+            for c, r in enumerate(cd.representatives):
+                conj_value = t.values[i][cd.class_of[tau.mapping[r]]].conj()
+                assert t.values[j][c] == alpha.value(r) * conj_value

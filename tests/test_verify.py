@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from grouplie import verify
 from grouplie.chartable import character_table
-from grouplie.errors import BadParameters, VerificationFailed
+from grouplie.errors import BadParameters, LiftInconsistent, VerificationFailed
 from grouplie.groups import (
     catalog,
     find_character,
@@ -234,3 +236,15 @@ def test_default_catalog_contents():
             "Z/2xZ/4", "Z/2xZ/2xZ/2", "Z/3xZ/3", "Z/7:Z/3", "A5", "S5"} <= names
     orders = [g.order for g in default_catalog()]
     assert max(orders) == 120
+
+
+def test_kawanaka_irrational_inner_product_is_typed():
+    # a G table whose entry is multiplied by zeta makes <Res chi, chi_j>
+    # non-rational; the error names the extension irrep, not a bare ValueError
+    g = catalog("cyclic", 4)
+    t = character_table(g)
+    rows = [list(r) for r in t.values]
+    rows[1][1] = rows[1][1] * t.context().zeta(1)
+    bad = dataclasses.replace(t, values=tuple(tuple(r) for r in rows))
+    with pytest.raises(LiftInconsistent, match=r"restriction of irrep \d+ of .* non-rational"):
+        verify_kawanaka(g, inversion_automorphism(g), table=bad)

@@ -4,7 +4,8 @@ and intersection.
 RowSpace, an incrementally reduced row echelon basis, is the only Gaussian
 elimination; a CycloMatrix reduces its rows into one RowSpace on first use.
 RowSpace keeps its rows sparse, so an elimination step costs the nonzeros of
-the rows involved, not the number of columns.
+the rows involved, not the number of columns.  A RowSpace can be copied, so a
+sum of subspaces extends one finished reduction instead of redoing it.
 """
 
 from __future__ import annotations
@@ -102,14 +103,30 @@ class RowSpace:
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
+    def copy(self) -> "RowSpace":
+        """An independent RowSpace with the same rows; adding to either
+        leaves the other unchanged."""
+        out = RowSpace(self.ctx, self.ncols)
+        out._rows = {piv: dict(row) for piv, row in self._rows.items()}
+        return out
+
     def add(self, vec) -> bool:
-        """Insert a vector; returns True when it enlarges the span."""
+        """Insert a vector; returns True when it enlarges the span.
+
+        The new row is the reduced vector scaled to 1 at its pivot.  A
+        single-entry vector becomes {piv: 1} and a vector already 1 at its
+        pivot is kept as it is, so neither pays for an inverse.
+        """
         v = self.reduce(vec)
         if not v:
             return False
         piv = min(v)
-        inv = v[piv].inverse()
-        v = {k: x * inv for k, x in v.items()}
+        one = self.ctx.one
+        if len(v) == 1:
+            v = {piv: one}
+        elif v[piv] != one:
+            inv = v[piv].inverse()
+            v = {k: x * inv for k, x in v.items()}
         zero = self.ctx.zero
         for row in self._rows.values():
             coef = row.get(piv)

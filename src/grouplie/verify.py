@@ -13,6 +13,14 @@ subalgebra is compared against the character-theoretic prediction:
      |{c : alpha(c) = 1, c* = c}| - |{c : alpha(c) = -1, c* = c}|
        = |{V : V = partner(V)}|.
 
+For each nontrivial linear character alpha of a group (tau = id) the
+Clifford identity L(Ker alpha) = L(G) & L_alpha(G) is checked as well.  With
+H = L(Ker alpha), A = L(G, trivial) and B = L(G, alpha), H = A & B exactly
+when every row of H lies in A and in B and rank H = dim A + dim B - dim(A + B)
+(Grassmann's formula).  A + B starts from a copy of A's reduced row space,
+and run_suite builds each tau = id basis once per group and shares it with
+the theorem checks.
+
 A failing check is reported as an implementation bug: the underlying
 identities are theorems.
 """
@@ -52,6 +60,7 @@ from .indicators import (
     weighted_fs_indicator,
 )
 from .liealg import (
+    LieBasis,
     LieContext,
     bracket,
     center_basis,
@@ -62,7 +71,7 @@ from .liealg import (
     sigma_class_map,
     trace_of_product,
 )
-from .linalg import CycloMatrix, intersect, row_spaces_equal
+from .linalg import CycloMatrix
 
 
 # check names in reporting order; each is stored in the LieReport field <name>_ok
@@ -187,8 +196,11 @@ def _center_data(ctx: LieContext, report: IndicatorReport, basis):
 def verify_theorem(group: GroupTable, alpha: LinearCharacter,
                    tau: InvolutiveAutomorphism | None = None, *,
                    table: CharacterTable | None = None,
+                   basis: LieBasis | None = None,
                    seed: int = 0,
                    raise_on_failure: bool = True) -> LieReport:
+    """Check one (group, alpha, tau) context; `table` and `basis` (the
+    context's lie_basis) are built here unless the caller already has them."""
     t0 = time.perf_counter()
     ctx = make_context(group, alpha, tau)
     tau = ctx.tau
@@ -196,7 +208,8 @@ def verify_theorem(group: GroupTable, alpha: LinearCharacter,
         table = character_table(group, seed=seed)
     report = indicator_report(group, table, alpha, tau)
 
-    basis = lie_basis(ctx)
+    if basis is None:
+        basis = lie_basis(ctx)
     dim_rank = basis.matrix().rank()
     dims_ok = dim_rank == report.dim_l_formula == report.dim_m
     closure = _closure_ok(basis)
@@ -247,21 +260,10 @@ class CliffordResult:
     ok: bool
 
 
-def verify_clifford(group: GroupTable, alpha: LinearCharacter, *,
-                    raise_on_failure: bool = True) -> CliffordResult:
-    """Exact subspace equality of L(Ker alpha) and L(G) & L_alpha(G)."""
-    if alpha.is_trivial():
-        raise BadParameters("clifford check needs a nontrivial character")
+def _kernel_rows(group: GroupTable, alpha: LinearCharacter):
+    """(|Ker alpha|, the Lie basis of (Ker alpha, trivial) as rows of length |G|)."""
     sub, embed = kernel_subgroup(group, alpha)
-    trivial = trivial_character(group)
-
     ctx_f = cyclo.context(group.exponent)
-    basis_g = lie_basis(make_context(group, trivial))
-    basis_a = lie_basis(make_context(group, alpha))
-    mat_g = basis_g.matrix()
-    mat_a = basis_a.matrix()
-    inter = intersect(mat_g, mat_a)
-
     rows = []
     for v in lie_basis(make_context(sub, trivial_character(sub))).vectors:
         big = [ctx_f.zero] * group.order
@@ -269,15 +271,46 @@ def verify_clifford(group: GroupTable, alpha: LinearCharacter, *,
             if coeff:
                 big[embed[h]] = coeff.embed(ctx_f)
         rows.append(big)
-    mat_h = CycloMatrix(ctx_f, rows, cols=group.order)
+    return sub.order, rows
 
-    ok = row_spaces_equal(mat_h, inter)
+
+def verify_clifford(group: GroupTable, alpha: LinearCharacter, *,
+                    trivial_basis: LieBasis | None = None,
+                    alpha_basis: LieBasis | None = None,
+                    raise_on_failure: bool = True) -> CliffordResult:
+    """Exact subspace equality of H = L(Ker alpha) and A & B, where
+    A = L(G, trivial) and B = L(G, alpha), both with tau = id.
+
+    H = A & B exactly when every row of H lies in A and in B and
+    rank H = dim A + dim B - dim(A + B), by Grassmann's formula; A + B is a
+    copy of A's reduced row space with B's vectors added.  `trivial_basis`
+    and `alpha_basis` are the lie_basis of A and B, built here unless the
+    caller already has them; their row spaces are reduced once and reused.
+    """
+    if alpha.is_trivial():
+        raise BadParameters("clifford check needs a nontrivial character")
+    if trivial_basis is None:
+        trivial_basis = lie_basis(make_context(group, trivial_character(group)))
+    if alpha_basis is None:
+        alpha_basis = lie_basis(make_context(group, alpha))
+    space_a = trivial_basis.row_space()
+    space_b = alpha_basis.row_space()
+    space_sum = space_a.copy()
+    for v in alpha_basis.vectors:
+        space_sum.add(v.coeffs)
+    dim_intersection = space_a.rank + space_b.rank - space_sum.rank
+
+    kernel_order, rows = _kernel_rows(group, alpha)
+    dim_kernel = CycloMatrix(cyclo.context(group.exponent), rows, cols=group.order).rank()
+    ok = dim_kernel == dim_intersection and all(
+        space_a.contains(row) and space_b.contains(row) for row in rows
+    )
     result = CliffordResult(
         group_name=group.name,
         alpha_label=alpha.label,
-        kernel_order=sub.order,
-        dim_kernel=mat_h.rank(),
-        dim_intersection=inter.rank(),
+        kernel_order=kernel_order,
+        dim_kernel=dim_kernel,
+        dim_intersection=dim_intersection,
         ok=ok,
     )
     if raise_on_failure and not ok:
@@ -453,6 +486,11 @@ def run_suite(groups: list[GroupTable] | None = None, *,
             taus = [inversion_automorphism(group)]
         else:
             taus = [identity_automorphism(group)]
+        # the tau = id basis of every linear character, shared by the
+        # theorem checks with tau = id and the Clifford checks of this group
+        bases = {c.exponents: lie_basis(make_context(group, c))
+                 for c in linear_characters(group)}
+        trivial_basis = bases[trivial_character(group).exponents]
         chars = linear_characters(group)
         if alpha_labels != "all":
             chars = [c for c in chars if c.label in alpha_labels]
@@ -462,6 +500,7 @@ def run_suite(groups: list[GroupTable] | None = None, *,
                     continue
                 result.reports.append(
                     verify_theorem(group, alpha, tau, table=table,
+                                   basis=bases[alpha.exponents] if tau.is_identity() else None,
                                    seed=seed, raise_on_failure=False)
                 )
             if not tau.is_identity() and 2 * group.order <= 256:
@@ -472,7 +511,10 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         for alpha in chars:
             if not alpha.is_trivial():
                 result.clifford.append(
-                    verify_clifford(group, alpha, raise_on_failure=False)
+                    verify_clifford(group, alpha,
+                                    trivial_basis=trivial_basis,
+                                    alpha_basis=bases[alpha.exponents],
+                                    raise_on_failure=False)
                 )
     result.reports.sort(key=lambda r: (r.group_name, r.alpha_label, r.tau_label))
     result.clifford.sort(key=lambda r: (r.group_name, r.alpha_label))

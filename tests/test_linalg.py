@@ -205,3 +205,115 @@ def test_row_space_invariants_after_random_adds(m, data):
     assert all(rs.contains(vec) for vec in vectors)
     if m == 1:
         assert rs.rank == _fraction_rank([[x.as_fraction() for x in v] for v in vectors])
+
+
+class _AlwaysInverse(RowSpace):
+    """Reference: every new row is scaled by the inverse of its pivot entry."""
+
+    def add(self, vec) -> bool:
+        v = self.reduce(vec)
+        if not v:
+            return False
+        piv = min(v)
+        inv = v[piv].inverse()
+        v = {k: x * inv for k, x in v.items()}
+        for row in self._rows.values():
+            coef = row.get(piv)
+            if coef is not None:
+                for k, x in v.items():
+                    y = row.get(k, self.ctx.zero) - coef * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+        self._rows[piv] = v
+        return True
+
+
+def _pivot_biased_vectors(ncols):
+    """Vectors over Q(zeta_12) that are mostly a single entry or 1 at their
+    first nonzero column, the two cases add stores without an inverse."""
+    ctx = context(12)
+    scalar = st.one_of(
+        st.integers(0, 11).map(ctx.zeta),
+        st.integers(0, 11).map(lambda k: -ctx.zeta(k)),
+        st.sampled_from([2, -3, Fraction(1, 2)]).map(ctx.from_fraction),
+        st.lists(st.sampled_from([0, 1, -1, 2]), min_size=12, max_size=12).map(ctx.from_powers),
+    )
+
+    def single(args):
+        col, x = args
+        vec = [ctx.zero] * ncols
+        vec[col] = x
+        return vec
+
+    def unit_pivot(args):
+        col, rest = args
+        return [ctx.zero] * col + [ctx.one] + rest[col + 1:]
+
+    entry = st.one_of(st.just(ctx.zero), st.just(ctx.zero), scalar)
+    full = st.lists(entry, min_size=ncols, max_size=ncols)
+    return st.one_of(
+        st.tuples(st.integers(0, ncols - 1), scalar).map(single),
+        st.tuples(st.integers(0, ncols - 1), full).map(unit_pivot),
+        full,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unit_and_single_entry_pivots_store_the_normalised_row(data):
+    ncols = data.draw(st.integers(1, 6))
+    vectors = data.draw(st.lists(_pivot_biased_vectors(ncols), max_size=8))
+    ctx = context(12)
+    rs, ref = RowSpace(ctx, ncols), _AlwaysInverse(ctx, ncols)
+    for vec in vectors:
+        assert rs.add(vec) == ref.add(vec)
+        assert rs._rows == ref._rows
+    _assert_reduced_echelon(rs)
+
+
+def test_unit_and_single_entry_pivots_take_no_inverse(monkeypatch):
+    ctx = context(12)
+    inverses = []
+    original = type(ctx.one).inverse
+    monkeypatch.setattr(type(ctx.one), "inverse",
+                        lambda self: inverses.append(self) or original(self))
+    z, one, w = ctx.zero, ctx.one, ctx.zeta(5) + ctx.from_fraction(3)
+    rs = RowSpace(ctx, 4)
+    assert rs.add([z, w, z, z])                # a single entry
+    assert rs.add([one, w, w, z])              # 1 at its pivot
+    assert rs.add([z, w, z, w])                # reduces to the single entry w at 3
+    assert rs.add([w, z, w, z])                # reduces to a single entry at 2
+    assert not rs.add([one, one, one, one]) and not inverses
+    assert rs.rank == 4
+    rs = RowSpace(ctx, 2)
+    assert rs.add([w, one])                    # w at the pivot: the only inverse
+    assert inverses == [w]
+
+
+def test_copy_is_independent():
+    ctx = context(4)
+    rs = RowSpace(ctx, 3)
+    rs.add([ctx.one, ctx.zeta(1), ctx.zero])
+    rows = {p: dict(r) for p, r in rs._rows.items()}
+    dup = rs.copy()
+    assert dup._rows == rows and dup.rank == 1
+    assert dup.add([ctx.zeta(1), ctx.zero, ctx.one])
+    assert dup.add([ctx.zero, ctx.zero, ctx.one])
+    assert dup.rank == 3
+    assert rs.rank == 1 and rs._rows == rows
+    assert not rs.contains([ctx.zero, ctx.zero, ctx.one])
+
+
+def test_grassmann_dimension_equals_rank_of_intersect():
+    rng = random.Random(17)
+    ctx = context(4)
+    for _ in range(40):
+        a, b = (CycloMatrix(ctx, [[_random_entry(rng, ctx) for _ in range(6)]
+                                  for _ in range(rng.randrange(0, 5))], cols=6)
+                for _ in range(2))
+        total = a.row_space().copy()
+        for row in b.entries:
+            total.add(row)
+        assert a.rank() + b.rank() - total.rank == intersect(a, b).rank()

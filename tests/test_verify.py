@@ -132,6 +132,111 @@ def test_clifford_requires_nontrivial():
         verify_clifford(s3, find_character(s3, "trivial"))
 
 
+def _signed_pair(group, g):
+    """The row delta_g - delta_(g^-1) of the group algebra of `group`."""
+    ctx = context(group.exponent)
+    row = [ctx.zero] * group.order
+    row[g] = ctx.one
+    row[group.inverse[g]] = ctx.minus_one
+    return row
+
+
+def _outside_pair(group, alpha):
+    """delta_g - delta_(g^-1) for some g outside Ker alpha with g != g^-1:
+    a vector of L(G, trivial) that is not in L(G, alpha)."""
+    kernel = set(alpha.kernel_elements())
+    g = next(g for g in group.elements() if g not in kernel and group.inverse[g] != g)
+    row = _signed_pair(group, g)
+    assert lie_basis(make_context(group, find_character(group, "trivial"))).row_space().contains(row)
+    assert not lie_basis(make_context(group, alpha)).row_space().contains(row)
+    return row
+
+
+def test_clifford_fails_when_the_kernel_basis_loses_its_last_vector(monkeypatch):
+    for spec, label in (("symmetric:3", "sign"), ("cyclic:6", "sign"), ("dihedral:4", "lin1")):
+        group = parse_group_spec(spec)
+        original = verify.lie_basis
+
+        def truncated(ctx, group=group, original=original):
+            basis = original(ctx)
+            if ctx.group.order < group.order:  # the basis of L(Ker alpha)
+                return dataclasses.replace(basis, vectors=basis.vectors[:-1],
+                                           generators_meta=basis.generators_meta[:-1],
+                                           dim=basis.dim - 1)
+            return basis
+
+        alpha = find_character(group, label)
+        assert verify_clifford(group, alpha).dim_kernel == 1
+        monkeypatch.setattr(verify, "lie_basis", truncated)
+        res = verify_clifford(group, alpha, raise_on_failure=False)
+        assert not res.ok and (res.dim_kernel, res.dim_intersection) == (0, 1)
+        with pytest.raises(VerificationFailed):
+            verify_clifford(group, alpha)
+        monkeypatch.undo()
+
+
+def test_clifford_fails_when_b_is_built_from_another_character():
+    # alpha has the rotations of D4 as kernel, so L(Ker alpha) is nonzero;
+    # the other two nontrivial characters have Klein four-groups as kernels
+    d4 = catalog("dihedral", 4)
+    alpha = next(c for c in linear_characters(d4)
+                 if not c.is_trivial() and any(d4.inverse[g] != g for g in c.kernel_elements()))
+    others = [c for c in linear_characters(d4) if not c.is_trivial() and c != alpha]
+    assert len(others) == 2
+    for beta in others:
+        wrong_b = lie_basis(make_context(d4, beta))
+        assert not verify_clifford(d4, alpha, alpha_basis=wrong_b, raise_on_failure=False).ok
+    assert verify_clifford(d4, alpha, alpha_basis=lie_basis(make_context(d4, alpha))).ok
+
+
+def test_clifford_fails_when_h_gains_a_vector_of_a_outside_b(monkeypatch):
+    z6 = catalog("cyclic", 6)
+    sign = find_character(z6, "sign")
+    extra = _outside_pair(z6, sign)
+    original = verify._kernel_rows
+    monkeypatch.setattr(verify, "_kernel_rows",
+                        lambda g, a: (original(g, a)[0], original(g, a)[1] + [extra]))
+    res = verify_clifford(z6, sign, raise_on_failure=False)
+    assert not res.ok and (res.dim_kernel, res.dim_intersection) == (2, 1)
+
+
+def test_clifford_checks_membership_as_well_as_dimension(monkeypatch):
+    # H's one vector swapped for a vector of A outside B: the ranks still
+    # agree, so only the membership test in B can catch it
+    z6 = catalog("cyclic", 6)
+    sign = find_character(z6, "sign")
+    extra = _outside_pair(z6, sign)
+    original = verify._kernel_rows
+    monkeypatch.setattr(verify, "_kernel_rows",
+                        lambda g, a: (original(g, a)[0], original(g, a)[1][:-1] + [extra]))
+    res = verify_clifford(z6, sign, raise_on_failure=False)
+    assert (res.dim_kernel, res.dim_intersection) == (1, 1)
+    assert not res.ok
+
+
+def test_suite_clifford_with_shared_bases_equals_standalone_checks():
+    groups = [g for g in default_catalog() if g.order <= 24]
+    result = run_suite(groups, tau_policy="id")
+    assert len(result.clifford) == 327 and all(c.ok for c in result.clifford)
+    by_name = {g.name: g for g in groups}
+    assert len(by_name) == len(groups)
+    for shared in result.clifford:
+        group = by_name[shared.group_name]
+        alpha = find_character(group, shared.alpha_label)
+        assert verify_clifford(group, alpha, raise_on_failure=False) == shared
+
+
+def test_run_suite_builds_each_tau_id_basis_once_per_group(monkeypatch):
+    # D4: 4 linear characters, tau = id only, 3 Clifford checks
+    built = []
+    original = verify.lie_basis
+    monkeypatch.setattr(verify, "lie_basis", lambda ctx: built.append(ctx) or original(ctx))
+    result = run_suite([catalog("dihedral", 4)])
+    assert result.all_ok and result.contexts == 4 and len(result.clifford) == 3
+    assert len(built) == 4 + 3
+    assert sum(ctx.group.order == 8 for ctx in built) == 4
+
+
 def test_kawanaka_cyclic_inversions():
     for n in (3, 5):
         g = catalog("cyclic", n)

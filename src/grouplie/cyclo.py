@@ -377,15 +377,6 @@ def _galois_target(source: CycloContext, k: int,
     return ctx
 
 
-def nonzero_terms(values) -> list[tuple[int, CycloScalar]]:
-    """(index, value) of every nonzero scalar in a sequence of CycloScalars.
-
-    Sparse products and eliminations scan whole dense vectors through this,
-    so it reads each scalar's stored zero flag instead of calling __bool__.
-    """
-    return [(i, x) for i, x in enumerate(values) if x._nz]
-
-
 # ---------------------------------------------------------------------------
 # int64 coefficient arrays
 

@@ -6,10 +6,11 @@ elements g - alpha(g) tau(g)^-1.  This module builds that basis exactly,
 together with the center generators, the class-averaging projection and
 the derived algebra.
 
-Elements are dense coefficient vectors, but the products iterate over the
-supports of their operands only, so they cost what the supports cost, not
-what |G| costs: a spanning vector has at most 2 nonzero coefficients and a
-bracket of two of them at most 8.  bracket forms each a_x b_y once, and
+An element is the dict {g: coefficient} of its nonzero coefficients, the
+same sparse format as a RowSpace row, so a spanning vector (at most 2 terms)
+or a bracket of two of them (at most 8) goes into an elimination as it is.
+The products iterate over these terms only, so they cost what the supports
+cost, not what |G| costs.  bracket forms each a_x b_y once, and
 trace_of_product reads only the identity coefficient of a product, which is
 all the trace-form orthogonality check needs.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cyclo
-from .errors import GroupMismatch, IncompatiblePair, InvariantViolated
+from .errors import BadParameters, GroupMismatch, IncompatiblePair, InvariantViolated
 from .groups import (
     GroupTable,
     InvolutiveAutomorphism,
@@ -33,113 +34,112 @@ from .linalg import CycloMatrix, RowSpace
 
 
 class GroupAlgebraElement:
-    """Dense coefficient vector over the delta basis of the group algebra."""
+    """Element of the group algebra as {g: coefficient}; a missing key is
+    zero, and the constructor drops zero values, so equal elements have
+    equal dicts."""
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "terms")
 
-    def __init__(self, group: GroupTable, coeffs):
+    def __init__(self, group: GroupTable, terms: dict):
         self.group = group
-        self.coeffs = list(coeffs)
+        self.terms = {g: c for g, c in terms.items() if c}
 
     @classmethod
     def zero(cls, group: GroupTable) -> "GroupAlgebraElement":
-        z = cyclo.context(group.exponent).zero
-        return cls(group, [z] * group.order)
+        return cls(group, {})
 
     @classmethod
     def delta(cls, group: GroupTable, g: int) -> "GroupAlgebraElement":
-        out = cls.zero(group)
-        out.coeffs[g] = cyclo.context(group.exponent).one
-        return out
+        return cls(group, {g: cyclo.context(group.exponent).one})
 
     def _check(self, other: "GroupAlgebraElement"):
         if self.group is not other.group and self.group != other.group:
             raise GroupMismatch("elements live over different groups")
 
     def support(self):
-        return [g for g, c in enumerate(self.coeffs) if c]
+        return sorted(self.terms)
 
     def __add__(self, other):
         self._check(other)
-        return GroupAlgebraElement(
-            self.group, [a + b if b else a for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        out = dict(self.terms)
+        for g, b in other.terms.items():
+            a = out.get(g)
+            out[g] = b if a is None else a + b
+        return GroupAlgebraElement(self.group, out)
 
     def __sub__(self, other):
-        self._check(other)
-        return GroupAlgebraElement(
-            self.group, [a - b if b else a for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self + -other
 
     def __neg__(self):
-        return GroupAlgebraElement(self.group, [-a for a in self.coeffs])
+        return GroupAlgebraElement(self.group, {g: -c for g, c in self.terms.items()})
 
     def scaled(self, s) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.group, [a * s if a else a for a in self.coeffs])
+        return GroupAlgebraElement(self.group, {g: c * s for g, c in self.terms.items()})
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupAlgebraElement)
             and self.group == other.group
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.terms
 
     def trace(self) -> cyclo.CycloScalar:
         """Coefficient of the identity."""
-        return self.coeffs[self.group.identity]
+        return self.terms.get(self.group.identity, cyclo.context(self.group.exponent).zero)
 
     def to_json_dict(self) -> dict:
-        return {str(g): self.coeffs[g].to_json() for g in self.support()}
+        return {str(g): self.terms[g].to_json() for g in self.support()}
 
     @classmethod
     def from_json_dict(cls, group: GroupTable, data: dict) -> "GroupAlgebraElement":
-        out = cls.zero(group)
         m = group.exponent
-        for key, coeffs in data.items():
-            out.coeffs[int(key)] = cyclo.CycloScalar.from_json(m, coeffs)
-        return out
+        terms = {int(key): cyclo.CycloScalar.from_json(m, coeffs) for key, coeffs in data.items()}
+        outside = sorted(g for g in terms if not 0 <= g < group.order)
+        if outside:
+            raise BadParameters(f"element indices {outside} outside 0..{group.order - 1}")
+        return cls(group, terms)
 
     def __repr__(self):
-        terms = [f"({self.coeffs[g]})*d{g}" for g in self.support()]
+        terms = [f"({self.terms[g]})*d{g}" for g in self.support()]
         return " + ".join(terms) if terms else "0"
 
 
 def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """The product a*b, summed over the nonzero a_x and b_y only."""
+    """The product a*b, summed over the terms a_x and b_y only."""
     a._check(b)
-    out = GroupAlgebraElement.zero(a.group)
     mult = a.group.mult
-    coeffs = out.coeffs
-    b_terms = cyclo.nonzero_terms(b.coeffs)
-    for x, ax in cyclo.nonzero_terms(a.coeffs):
+    zero = cyclo.context(a.group.exponent).zero
+    out = {}
+    b_terms = b.terms.items()
+    for x, ax in a.terms.items():
         row = mult[x]
         for y, by in b_terms:
             z = row[y]
-            coeffs[z] = coeffs[z] + ax * by
-    return out
+            out[z] = out.get(z, zero) + ax * by
+    return GroupAlgebraElement(a.group, out)
 
 
 def bracket(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
     """[a, b] = a*b - b*a in one pass: each a_x b_y is formed once, added at
     xy and subtracted at yx; a commuting pair (xy == yx) contributes nothing."""
     a._check(b)
-    out = GroupAlgebraElement.zero(a.group)
     mult = a.group.mult
-    coeffs = out.coeffs
-    b_terms = cyclo.nonzero_terms(b.coeffs)
-    for x, ax in cyclo.nonzero_terms(a.coeffs):
+    zero = cyclo.context(a.group.exponent).zero
+    out = {}
+    b_terms = b.terms.items()
+    for x, ax in a.terms.items():
         row = mult[x]
         for y, by in b_terms:
             xy = row[y]
             yx = mult[y][x]
             if xy != yx:
                 p = ax * by
-                coeffs[xy] = coeffs[xy] + p
-                coeffs[yx] = coeffs[yx] - p
-    return out
+                out[xy] = out.get(xy, zero) + p
+                out[yx] = out.get(yx, zero) - p
+    return GroupAlgebraElement(a.group, out)
 
 
 def trace_of_product(a: GroupAlgebraElement, b: GroupAlgebraElement) -> cyclo.CycloScalar:
@@ -147,11 +147,11 @@ def trace_of_product(a: GroupAlgebraElement, b: GroupAlgebraElement) -> cyclo.Cy
     forming the product."""
     a._check(b)
     inverse = a.group.inverse
-    bc = b.coeffs
+    b_terms = b.terms
     total = cyclo.context(a.group.exponent).zero
-    for x, ax in cyclo.nonzero_terms(a.coeffs):
-        by = bc[inverse[x]]
-        if by:
+    for x, ax in a.terms.items():
+        by = b_terms.get(inverse[x])
+        if by is not None:
             total = total + ax * by
     return total
 
@@ -184,12 +184,9 @@ def make_context(group: GroupTable, alpha: LinearCharacter,
 
 def star(ctx: LieContext, a: GroupAlgebraElement) -> GroupAlgebraElement:
     """The involutive antiautomorphism delta_g -> alpha(g) delta_(tau(g)^-1)."""
-    out = GroupAlgebraElement.zero(ctx.group)
     sigma = ctx.sigma
-    for g, c in enumerate(a.coeffs):
-        if c:
-            out.coeffs[sigma[g]] = out.coeffs[sigma[g]] + ctx.alpha.value(g) * c
-    return out
+    value = ctx.alpha.value
+    return GroupAlgebraElement(ctx.group, {sigma[g]: value(g) * c for g, c in a.terms.items()})
 
 
 def skew_project(ctx: LieContext, a: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -200,9 +197,11 @@ def skew_project(ctx: LieContext, a: GroupAlgebraElement) -> GroupAlgebraElement
 
 def skew_projector_trace(ctx: LieContext) -> Fraction:
     """Trace of the projection as a linear map on the group algebra."""
-    total = cyclo.context(ctx.group.exponent).zero
+    zero = cyclo.context(ctx.group.exponent).zero
+    total = zero
     for g in ctx.group.elements():
-        total = total + skew_project(ctx, GroupAlgebraElement.delta(ctx.group, g)).coeffs[g]
+        image = skew_project(ctx, GroupAlgebraElement.delta(ctx.group, g))
+        total = total + image.terms.get(g, zero)
     return total.as_fraction()
 
 
@@ -230,19 +229,16 @@ class LieBasis:
     generators_meta: tuple[int, ...]
     dim: int
 
-    def matrix(self) -> CycloMatrix:
-        """The spanning vectors as rows, built once so its reduction is shared."""
-        cached = self.__dict__.get("_matrix")
-        if cached is None:
-            ctx = cyclo.context(self.context.group.exponent)
-            cached = CycloMatrix(
-                ctx, [v.coeffs for v in self.vectors], cols=self.context.group.order
-            )
-            object.__setattr__(self, "_matrix", cached)
-        return cached
-
     def row_space(self) -> RowSpace:
-        return self.matrix().row_space()
+        """The reduced span of the vectors, built on first use and shared;
+        callers must not add to it."""
+        cached = self.__dict__.get("_row_space")
+        if cached is None:
+            group = self.context.group
+            cached = RowSpace(cyclo.context(group.exponent), group.order,
+                              [v.terms for v in self.vectors])
+            object.__setattr__(self, "_row_space", cached)
+        return cached
 
 
 def _orbit_vectors(ctx: LieContext, sign: int):
@@ -250,15 +246,16 @@ def _orbit_vectors(ctx: LieContext, sign: int):
     sigma on which it is nonzero; the partner's vector is proportional."""
     group = ctx.group
     sigma = ctx.sigma
-    seen = [False] * group.order
+    one = cyclo.context(group.exponent).one
+    seen = set()
     for g in group.elements():
-        if seen[g]:
+        if g in seen:
             continue
         s = sigma[g]
-        seen[g] = seen[s] = True
-        v = GroupAlgebraElement.delta(group, g)
-        v.coeffs[s] = v.coeffs[s] + sign * ctx.alpha.value(g)
-        if v.coeffs[s]:  # zero only at a fixed point with alpha(g) = -sign
+        seen.update((g, s))
+        c = sign * ctx.alpha.value(g)
+        v = GroupAlgebraElement(group, {g: one + c} if s == g else {g: one, s: c})
+        if v.terms:  # empty only at a fixed point with alpha(g) = -sign
             yield g, v
 
 
@@ -276,11 +273,8 @@ def plus_fixed_basis(ctx: LieContext) -> list[GroupAlgebraElement]:
 
 
 def class_sum(group: GroupTable, class_elements) -> GroupAlgebraElement:
-    out = GroupAlgebraElement.zero(group)
-    one = cyclo.context(group.exponent).one
-    for g in class_elements:
-        out.coeffs[g] = one
-    return out
+    return GroupAlgebraElement(group, dict.fromkeys(class_elements,
+                                                    cyclo.context(group.exponent).one))
 
 
 def sigma_class_map(ctx: LieContext) -> tuple[int, ...]:
@@ -307,11 +301,15 @@ def center_candidates(ctx: LieContext):
                       - class_sum(group, cd.classes[sc]).scaled(alpha_c))
 
 
-def center_basis(ctx: LieContext) -> list[GroupAlgebraElement]:
-    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit."""
+def center_basis(ctx: LieContext, *, candidates=None) -> list[GroupAlgebraElement]:
+    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit;
+    `candidates` (the list of center_candidates(ctx)) is built here unless
+    the caller already has it."""
+    if candidates is None:
+        candidates = center_candidates(ctx)
     seen = set()
     out = []
-    for c, sc, v in center_candidates(ctx):
+    for c, sc, v in candidates:
         if c not in seen:
             seen.update((c, sc))
             out.append(v)
@@ -322,17 +320,16 @@ def class_projection(a: GroupAlgebraElement) -> GroupAlgebraElement:
     """Class-averaging projection onto the center of the group algebra."""
     group = a.group
     cd = conjugacy_data(group)
-    out = GroupAlgebraElement.zero(group)
-    for c, elems in enumerate(cd.classes):
-        acc = cyclo.context(group.exponent).zero
-        for g in elems:
-            if a.coeffs[g]:
-                acc = acc + a.coeffs[g]
-        if acc:
-            avg = acc * Fraction(1, len(elems))
-            for g in elems:
-                out.coeffs[g] = avg
-    return out
+    zero = cyclo.context(group.exponent).zero
+    sums = {}
+    for g, x in a.terms.items():
+        c = cd.class_of[g]
+        sums[c] = sums.get(c, zero) + x
+    out = {}
+    for c, total in sums.items():
+        if total:
+            out.update(dict.fromkeys(cd.classes[c], total * Fraction(1, cd.sizes[c])))
+    return GroupAlgebraElement(group, out)
 
 
 def derived_algebra_dim(group: GroupTable) -> int:
@@ -340,7 +337,7 @@ def derived_algebra_dim(group: GroupTable) -> int:
     ctx = cyclo.context(group.exponent)
     rs = RowSpace(ctx, group.order)
     one = ctx.one
-    zero = ctx.zero
+    minus_one = ctx.minus_one
     seen_pairs = set()
     for g in group.elements():
         for h in group.elements():
@@ -350,10 +347,7 @@ def derived_algebra_dim(group: GroupTable) -> int:
                 continue
             seen_pairs.add((gh, hg))
             seen_pairs.add((hg, gh))
-            vec = [zero] * group.order
-            vec[gh] = one
-            vec[hg] = -one
-            rs.add(vec)
+            rs.add({gh: one, hg: minus_one})
     return rs.rank
 
 
@@ -361,9 +355,6 @@ def left_multiplication_matrix(a: GroupAlgebraElement) -> CycloMatrix:
     """Matrix of x -> a * x in the delta basis (column g is a * delta_g)."""
     group = a.group
     ctx = cyclo.context(group.exponent)
-    n = group.order
-    cols = []
-    for g in group.elements():
-        cols.append(convolve(a, GroupAlgebraElement.delta(group, g)).coeffs)
-    entries = [[cols[g][h] for g in range(n)] for h in range(n)]
+    cols = [convolve(a, GroupAlgebraElement.delta(group, g)).terms for g in group.elements()]
+    entries = [[col.get(h, ctx.zero) for col in cols] for h in group.elements()]
     return CycloMatrix(ctx, entries)

@@ -2,17 +2,20 @@
 and intersection.
 
 RowSpace, an incrementally reduced row echelon basis, is the only Gaussian
-elimination; a CycloMatrix reduces its rows into one RowSpace on first use.
-RowSpace keeps its rows sparse, so an elimination step costs the nonzeros of
-the rows involved, not the number of columns.  A RowSpace can be copied, so a
-sum of subspaces extends one finished reduction instead of redoing it.
+elimination.  It takes and keeps sparse rows, dicts {column: value} of the
+nonzero entries (the format of a group-algebra element's terms), so an
+elimination step costs the nonzeros of the rows involved, not the number of
+columns.  A CycloMatrix is the dense front end: it is the one place that
+turns dense rows into sparse ones, and it reduces them into one RowSpace on
+first use.  A RowSpace can be copied, so a sum of subspaces extends one
+finished reduction instead of redoing it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cyclo import CycloContext, CycloScalar, nonzero_terms
+from .cyclo import CycloContext, CycloScalar
 from .errors import DimensionMismatch
 
 
@@ -49,10 +52,8 @@ class CycloMatrix:
     def row_space(self) -> "RowSpace":
         """The reduced row space, built on first use; callers must not add to it."""
         if self._row_space is None:
-            rs = RowSpace(self.ctx, self.cols)
-            for row in self.entries:
-                rs.add(row)
-            self._row_space = rs
+            self._row_space = RowSpace(self.ctx, self.cols,
+                                       [dict(enumerate(row)) for row in self.entries])
         return self._row_space
 
     def to_complex_array(self) -> np.ndarray:
@@ -65,7 +66,8 @@ class CycloMatrix:
 
 
 class RowSpace:
-    """Incrementally maintained reduced row echelon basis.
+    """Incrementally maintained reduced row echelon basis of sparse rows
+    {column: value}, starting from the span of `vectors`.
 
     Each row is stored as a dict of its nonzero entries, keyed by its pivot:
     the row's smallest nonzero column, where its entry is 1.  Every pivot
@@ -75,18 +77,21 @@ class RowSpace:
     is the same exact vector whichever order is used.
     """
 
-    def __init__(self, ctx: CycloContext, ncols: int):
+    def __init__(self, ctx: CycloContext, ncols: int, vectors=()):
         self.ctx = ctx
         self.ncols = ncols
         self._rows: dict[int, dict[int, CycloScalar]] = {}
+        for vec in vectors:
+            self.add(vec)
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def reduce(self, vec) -> dict[int, CycloScalar]:
-        """The nonzero entries of vec reduced by every pivot row."""
-        v = dict(nonzero_terms(vec))
+        """The nonzero entries of vec (a dict; zero values are dropped)
+        reduced by every pivot row."""
+        v = {j: x for j, x in vec.items() if x}
         rows = self._rows
         zero = self.ctx.zero
         for p in [j for j in v if j in rows]:
@@ -150,9 +155,9 @@ def intersect(a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
     zero = ctx.zero
     rs = RowSpace(ctx, 2 * n)
     for row in a.entries:
-        rs.add(row + row)
+        rs.add(dict(enumerate(row + row)))
     for row in b.entries:
-        rs.add(row + (zero,) * n)
+        rs.add(dict(enumerate(row)))
     out = [[row.get(k, zero) for k in range(n, 2 * n)]
            for piv, row in sorted(rs._rows.items()) if piv >= n]
     return CycloMatrix(ctx, out, cols=n)
@@ -162,4 +167,4 @@ def row_spaces_equal(a: CycloMatrix, b: CycloMatrix) -> bool:
     if a.cols != b.cols:
         raise DimensionMismatch(f"ambient dimensions differ: {a.cols} vs {b.cols}")
     rs = a.row_space()
-    return rs.rank == b.rank() and all(rs.contains(row) for row in b.entries)
+    return rs.rank == b.rank() and all(rs.contains(dict(enumerate(row))) for row in b.entries)

@@ -71,7 +71,7 @@ from .liealg import (
     sigma_class_map,
     trace_of_product,
 )
-from .linalg import CycloMatrix
+from .linalg import RowSpace
 
 
 # check names in reporting order; each is stored in the LieReport field <name>_ok
@@ -158,7 +158,7 @@ def _closure_ok(basis) -> bool:
     vecs = basis.vectors
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            if not rs.contains(bracket(vecs[i], vecs[j]).coeffs):
+            if not rs.contains(bracket(vecs[i], vecs[j]).terms):
                 return False
     return True
 
@@ -178,12 +178,12 @@ def _center_data(ctx: LieContext, report: IndicatorReport, basis):
     group = ctx.group
     cd = conjugacy_data(group)
     sig = sigma_class_map(ctx)
-    gens = center_basis(ctx)
+    candidates = list(center_candidates(ctx))
+    gens = center_basis(ctx, candidates=candidates)
     central = all(bracket(v, u).is_zero() for v in gens for u in basis.vectors)
     # independence of the full eligible candidate set, both orbit orders
-    rows = [v.coeffs for _, _, v in center_candidates(ctx)]
-    ctx_f = cyclo.context(group.exponent)
-    exact = CycloMatrix(ctx_f, rows, cols=group.order).rank()
+    exact = RowSpace(cyclo.context(group.exponent), group.order,
+                     [v.terms for _, _, v in candidates]).rank
     if exact != len(gens):
         central = False
     # signed count of sigma-fixed classes vs self-paired irreps
@@ -210,7 +210,7 @@ def verify_theorem(group: GroupTable, alpha: LinearCharacter,
 
     if basis is None:
         basis = lie_basis(ctx)
-    dim_rank = basis.matrix().rank()
+    dim_rank = basis.row_space().rank
     dims_ok = dim_rank == report.dim_l_formula == report.dim_m
     closure = _closure_ok(basis)
     orth = _orthogonality_ok(ctx, basis)
@@ -261,16 +261,12 @@ class CliffordResult:
 
 
 def _kernel_rows(group: GroupTable, alpha: LinearCharacter):
-    """(|Ker alpha|, the Lie basis of (Ker alpha, trivial) as rows of length |G|)."""
+    """(|Ker alpha|, the Lie basis of (Ker alpha, trivial) as sparse rows
+    over the elements of G)."""
     sub, embed = kernel_subgroup(group, alpha)
     ctx_f = cyclo.context(group.exponent)
-    rows = []
-    for v in lie_basis(make_context(sub, trivial_character(sub))).vectors:
-        big = [ctx_f.zero] * group.order
-        for h, coeff in enumerate(v.coeffs):
-            if coeff:
-                big[embed[h]] = coeff.embed(ctx_f)
-        rows.append(big)
+    rows = [{embed[h]: c.embed(ctx_f) for h, c in v.terms.items()}
+            for v in lie_basis(make_context(sub, trivial_character(sub))).vectors]
     return sub.order, rows
 
 
@@ -297,11 +293,11 @@ def verify_clifford(group: GroupTable, alpha: LinearCharacter, *,
     space_b = alpha_basis.row_space()
     space_sum = space_a.copy()
     for v in alpha_basis.vectors:
-        space_sum.add(v.coeffs)
+        space_sum.add(v.terms)
     dim_intersection = space_a.rank + space_b.rank - space_sum.rank
 
     kernel_order, rows = _kernel_rows(group, alpha)
-    dim_kernel = CycloMatrix(cyclo.context(group.exponent), rows, cols=group.order).rank()
+    dim_kernel = RowSpace(cyclo.context(group.exponent), group.order, rows).rank
     ok = dim_kernel == dim_intersection and all(
         space_a.contains(row) and space_b.contains(row) for row in rows
     )

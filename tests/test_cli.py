@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -78,6 +79,22 @@ def test_verify_json(capsys):
     assert doc["contexts"] >= 10
     keys = [(r["group"], r["alpha"], r["tau"]) for r in doc["reports"]]
     assert keys == sorted(keys)
+
+
+# SHA-256 of the stdout of `verify --format json` over the full default
+# catalog (orders 1-120): every rank, dimension, verdict and label of 409
+# theorem contexts, 328 Clifford and 24 Kawanaka checks.  A change to this
+# output must be deliberate.
+FULL_CATALOG_VERIFY_SHA256 = "6f04aacec62237351ca6ca67a0c6d1989408e5248ee3bc98e02ec160dd800911"
+
+
+def test_full_catalog_verify_json_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "verify", "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["all_ok"] is True
+    assert (doc["contexts"], len(doc["clifford"]), len(doc["kawanaka"])) == (409, 328, 24)
+    assert hashlib.sha256(out.encode()).hexdigest() == FULL_CATALOG_VERIFY_SHA256
 
 
 def test_verify_single_group_text(capsys):

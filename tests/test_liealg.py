@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouplie.cyclo import context
-from grouplie.errors import GroupMismatch, IncompatiblePair, InvariantViolated
+from grouplie.errors import BadParameters, GroupMismatch, IncompatiblePair, InvariantViolated
 from grouplie.groups import (
     catalog,
     conjugacy_data,
@@ -43,11 +43,10 @@ Q8 = catalog("quaternion8")
 
 def random_element(group, rng):
     ctx = context(group.exponent)
-    out = GroupAlgebraElement.zero(group)
-    for g in group.elements():
-        if rng.random() < 0.6:
-            out.coeffs[g] = ctx.zeta(rng.randrange(group.exponent)) * rng.randrange(-3, 4)
-    return out
+    return GroupAlgebraElement(group, {
+        g: ctx.zeta(rng.randrange(group.exponent)) * rng.randrange(-3, 4)
+        for g in group.elements() if rng.random() < 0.6
+    })
 
 
 def test_convolve_unit_and_deltas():
@@ -69,11 +68,8 @@ def test_convolve_three_cycle_difference_squared():
     t2 = S3.mult[t][t]
     u = GroupAlgebraElement.delta(S3, t) - GroupAlgebraElement.delta(S3, t2)
     sq = convolve(u, u)
-    expected = GroupAlgebraElement.zero(S3)
     ctx = context(S3.exponent)
-    expected.coeffs[t2] = ctx.one
-    expected.coeffs[0] = ctx.from_fraction(-2)
-    expected.coeffs[t] = ctx.one
+    expected = GroupAlgebraElement(S3, {t2: ctx.one, 0: ctx.from_fraction(-2), t: ctx.one})
     assert sq == expected
 
 
@@ -104,12 +100,13 @@ def test_bracket_transpositions():
 def dense_convolve(a, b):
     """Reference product: every pair (x, y) of group elements, zeros included."""
     group = a.group
-    out = GroupAlgebraElement.zero(group)
+    zero = context(group.exponent).zero
+    out = [zero] * group.order
     for x in group.elements():
         for y in group.elements():
             z = group.mult[x][y]
-            out.coeffs[z] = out.coeffs[z] + a.coeffs[x] * b.coeffs[y]
-    return out
+            out[z] = out[z] + a.terms.get(x, zero) * b.terms.get(y, zero)
+    return GroupAlgebraElement(group, dict(enumerate(out)))
 
 
 PRODUCT_GROUPS = (S3, Q8, catalog("dihedral", 4), catalog("cyclic", 6))
@@ -127,10 +124,10 @@ def algebra_elements(draw, group):
         support = draw(st.sets(st.sampled_from(list(group.elements())), max_size=3))
     else:
         support = group.elements()
-    out = GroupAlgebraElement.zero(group)
-    for g in support:
-        out.coeffs[g] = ctx.from_powers(draw(st.lists(power_coeffs, min_size=m, max_size=m)))
-    return out
+    return GroupAlgebraElement(group, {
+        g: ctx.from_powers(draw(st.lists(power_coeffs, min_size=m, max_size=m)))
+        for g in support
+    })
 
 
 @st.composite
@@ -147,6 +144,39 @@ def test_products_match_dense_definitions(pair):
     assert convolve(a, b) == ab
     assert bracket(a, b) == convolve(a, b) - convolve(b, a) == ab - ba
     assert trace_of_product(a, b) == convolve(a, b).trace() == ab.trace()
+
+
+def _stores_no_zero(a):
+    return all(c for c in a.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_no_zero_coefficient_is_stored(data):
+    group = data.draw(st.sampled_from(PRODUCT_GROUPS))
+    a = data.draw(algebra_elements(group))
+    ctx = make_context(group, data.draw(st.sampled_from(linear_characters(group))))
+    cd = conjugacy_data(group)
+    central = class_sum(group, cd.classes[data.draw(st.integers(0, cd.num_classes - 1))])
+    h = data.draw(st.sampled_from(list(group.elements())))
+    conjugated = GroupAlgebraElement(group, {group.conjugate(h, g): c for g, c in a.terms.items()})
+    cancelling = [a - a, bracket(a, a), bracket(a, central),
+                  skew_project(ctx, a + star(ctx, a)), class_projection(a - conjugated)]
+    for x in cancelling:
+        assert x.terms == {} and x.is_zero()
+    for x in cancelling + [star(ctx, a), skew_project(ctx, a), a + a, a.scaled(0)]:
+        assert _stores_no_zero(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_equality_ignores_insertion_order_and_json_keys_ascend(data):
+    group = data.draw(st.sampled_from(PRODUCT_GROUPS))
+    a = data.draw(algebra_elements(group))
+    reordered = GroupAlgebraElement(group, dict(reversed(list(a.terms.items()))))
+    assert reordered == a
+    assert list(a.to_json_dict()) == list(reordered.to_json_dict()) == \
+        [str(g) for g in sorted(a.terms)]
 
 
 def test_trace_of_product_group_mismatch():
@@ -226,7 +256,7 @@ def test_lie_basis_dimensions():
         g = parse_group_spec(spec)
         basis = lie_basis(make_context(g, find_character(g, label)))
         assert basis.dim == expected
-        assert basis.matrix().rank() == expected
+        assert basis.row_space().rank == expected
         assert len(basis.generators_meta) == expected
 
 
@@ -340,6 +370,13 @@ def test_element_json_round_trip():
     payload = json.dumps(a.to_json_dict())
     back = GroupAlgebraElement.from_json_dict(S3, json.loads(payload))
     assert back == a
+
+
+def test_element_json_rejects_indices_outside_the_group():
+    one = ["1", "0", "0", "0", "0", "0"]
+    for key in ("6", "-1"):
+        with pytest.raises(BadParameters, match="outside 0..5"):
+            GroupAlgebraElement.from_json_dict(S3, {"0": one, key: one})
 
 
 def test_lie_basis_checks_the_census_without_assert(monkeypatch):

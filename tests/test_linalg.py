@@ -12,6 +12,11 @@ from grouplie.groups import catalog
 from grouplie.linalg import CycloMatrix, RowSpace, intersect, row_spaces_equal
 
 
+def _row(vec):
+    """A dense vector as the sparse {column: value} row RowSpace takes."""
+    return dict(enumerate(vec))
+
+
 def _matrix(m, rows):
     ctx = context(m)
     return CycloMatrix(
@@ -100,12 +105,12 @@ def test_intersect_dimension_formula_random():
         inter = intersect(a, b)
         both = RowSpace(ctx, 6)
         for row in a.entries + b.entries:
-            both.add(row)
+            both.add(_row(row))
         assert inter.rank() == a.rank() + b.rank() - both.rank
         # every intersection row lies in both row spaces
         rs_a, rs_b = a.row_space(), b.row_space()
         for row in inter.entries:
-            assert rs_a.contains(row) and rs_b.contains(row)
+            assert rs_a.contains(_row(row)) and rs_b.contains(_row(row))
 
 
 def test_intersect_dimension_mismatch():
@@ -118,13 +123,13 @@ def test_row_space_membership():
     rs = RowSpace(ctx, 4)
     vec1 = [ctx.one, ctx.zero, ctx.zeta(1), ctx.zero]
     vec2 = [ctx.zero, ctx.one, ctx.one, ctx.zero]
-    assert rs.add(vec1)
-    assert rs.add(vec2)
-    assert not rs.add([a + b for a, b in zip(vec1, vec2)])
+    assert rs.add(_row(vec1))
+    assert rs.add(_row(vec2))
+    assert not rs.add(_row([a + b for a, b in zip(vec1, vec2)]))
     assert rs.rank == 2
     combo = [a + b + b for a, b in zip(vec1, vec2)]
-    assert rs.contains(combo)
-    assert not rs.contains([ctx.zero, ctx.zero, ctx.zero, ctx.one])
+    assert rs.contains(_row(combo))
+    assert not rs.contains(_row([ctx.zero, ctx.zero, ctx.zero, ctx.one]))
 
 
 def test_row_spaces_equal_rejects_a_different_space_of_equal_rank():
@@ -137,7 +142,7 @@ def test_each_row_is_reduced_once(monkeypatch):
     original = RowSpace.add
 
     def counted(self, vec):
-        added.append(tuple(vec))
+        added.append(tuple(vec.get(j, self.ctx.zero) for j in range(self.ncols)))
         return original(self, vec)
 
     monkeypatch.setattr(RowSpace, "add", counted)
@@ -196,13 +201,13 @@ def test_row_space_invariants_after_random_adds(m, data):
     rs = RowSpace(ctx, ncols)
     for vec in vectors:
         rank = rs.rank
-        assert rs.add(vec) == (rs.rank == rank + 1)
+        assert rs.add(_row(vec)) == (rs.rank == rank + 1)
         _assert_reduced_echelon(rs)
     # sums of added vectors lie in the span and do not enlarge it
     for u, v in zip(vectors, vectors[1:]):
-        assert not rs.add([x + y for x, y in zip(u, v)])
+        assert not rs.add(_row([x + y for x, y in zip(u, v)]))
     _assert_reduced_echelon(rs)
-    assert all(rs.contains(vec) for vec in vectors)
+    assert all(rs.contains(_row(vec)) for vec in vectors)
     if m == 1:
         assert rs.rank == _fraction_rank([[x.as_fraction() for x in v] for v in vectors])
 
@@ -268,7 +273,7 @@ def test_unit_and_single_entry_pivots_store_the_normalised_row(data):
     ctx = context(12)
     rs, ref = RowSpace(ctx, ncols), _AlwaysInverse(ctx, ncols)
     for vec in vectors:
-        assert rs.add(vec) == ref.add(vec)
+        assert rs.add(_row(vec)) == ref.add(_row(vec))
         assert rs._rows == ref._rows
     _assert_reduced_echelon(rs)
 
@@ -281,29 +286,29 @@ def test_unit_and_single_entry_pivots_take_no_inverse(monkeypatch):
                         lambda self: inverses.append(self) or original(self))
     z, one, w = ctx.zero, ctx.one, ctx.zeta(5) + ctx.from_fraction(3)
     rs = RowSpace(ctx, 4)
-    assert rs.add([z, w, z, z])                # a single entry
-    assert rs.add([one, w, w, z])              # 1 at its pivot
-    assert rs.add([z, w, z, w])                # reduces to the single entry w at 3
-    assert rs.add([w, z, w, z])                # reduces to a single entry at 2
-    assert not rs.add([one, one, one, one]) and not inverses
+    assert rs.add(_row([z, w, z, z]))          # a single entry
+    assert rs.add(_row([one, w, w, z]))        # 1 at its pivot
+    assert rs.add(_row([z, w, z, w]))          # reduces to the single entry w at 3
+    assert rs.add(_row([w, z, w, z]))          # reduces to a single entry at 2
+    assert not rs.add(_row([one, one, one, one])) and not inverses
     assert rs.rank == 4
     rs = RowSpace(ctx, 2)
-    assert rs.add([w, one])                    # w at the pivot: the only inverse
+    assert rs.add(_row([w, one]))              # w at the pivot: the only inverse
     assert inverses == [w]
 
 
 def test_copy_is_independent():
     ctx = context(4)
     rs = RowSpace(ctx, 3)
-    rs.add([ctx.one, ctx.zeta(1), ctx.zero])
+    rs.add(_row([ctx.one, ctx.zeta(1), ctx.zero]))
     rows = {p: dict(r) for p, r in rs._rows.items()}
     dup = rs.copy()
     assert dup._rows == rows and dup.rank == 1
-    assert dup.add([ctx.zeta(1), ctx.zero, ctx.one])
-    assert dup.add([ctx.zero, ctx.zero, ctx.one])
+    assert dup.add(_row([ctx.zeta(1), ctx.zero, ctx.one]))
+    assert dup.add(_row([ctx.zero, ctx.zero, ctx.one]))
     assert dup.rank == 3
     assert rs.rank == 1 and rs._rows == rows
-    assert not rs.contains([ctx.zero, ctx.zero, ctx.one])
+    assert not rs.contains(_row([ctx.zero, ctx.zero, ctx.one]))
 
 
 def test_grassmann_dimension_equals_rank_of_intersect():
@@ -315,5 +320,26 @@ def test_grassmann_dimension_equals_rank_of_intersect():
                 for _ in range(2))
         total = a.row_space().copy()
         for row in b.entries:
-            total.add(row)
+            total.add(_row(row))
         assert a.rank() + b.rank() - total.rank == intersect(a, b).rank()
+
+
+def test_zero_values_in_an_input_row_are_dropped():
+    ctx = context(6)
+    rs = RowSpace(ctx, 3)
+    assert rs.contains({1: ctx.zero})
+    assert not rs.add({1: ctx.zero}) and rs.rank == 0
+    assert rs.add({0: ctx.zeta(1), 2: ctx.zero})
+    assert rs._rows == {0: {0: ctx.one}}
+    assert rs.contains({0: ctx.zeta(2), 1: ctx.zero})
+
+
+def test_row_space_starts_from_the_span_of_its_vectors():
+    ctx = context(4)
+    rows = [[ctx.one, ctx.zeta(1), ctx.zero], [ctx.zero, ctx.one, ctx.one],
+            [ctx.one, ctx.zeta(1) + ctx.one, ctx.one]]
+    rs = RowSpace(ctx, 3, [_row(r) for r in rows])
+    one_by_one = RowSpace(ctx, 3)
+    for r in rows:
+        one_by_one.add(_row(r))
+    assert rs.rank == 2 and rs._rows == one_by_one._rows

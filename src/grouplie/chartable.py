@@ -81,7 +81,7 @@ def class_constants(group: GroupTable, cd: ConjugacyData) -> np.ndarray:
     """
     k = cd.num_classes
     class_of = np.array(cd.class_of)
-    mult = np.array(group.mult)
+    mult = group.mult_array()
     # y[x, r] = x^-1 * z_r lies in class_of[y]; x itself lies in class_of[x]
     y = mult[np.array(group.inverse)][:, np.array(cd.representatives)]
     flat = (class_of[:, None] * k + class_of[y]) * k + np.arange(k)

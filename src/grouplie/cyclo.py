@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import cycle
 from math import gcd
 
@@ -123,6 +123,16 @@ class CycloContext:
         self._zeta_cache: dict[int, CycloScalar] = {}
         self.one = self.zeta(0)
         self.minus_one = self.from_fraction(-1)
+
+    @cached_property
+    def signed_roots(self) -> dict[tuple, tuple[int, int]]:
+        """(sign, k) of each of the 2m values sign * zeta^k, keyed by its
+        canonical coefficients; where -zeta^k is itself a power of zeta,
+        sign is 1.  Built on first use."""
+        rows = self.power_table[:self.m]
+        out = {tuple(-c for c in row): (-1, k) for k, row in enumerate(rows)}
+        out.update((row, (1, k)) for k, row in enumerate(rows))
+        return out
 
     def from_fraction(self, q) -> "CycloScalar":
         q = _norm(Fraction(q))

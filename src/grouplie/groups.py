@@ -81,6 +81,16 @@ class GroupTable:
             object.__setattr__(self, "_abelian", cached)
         return cached
 
+    def mult_array(self) -> np.ndarray:
+        """The multiplication table as one read-only int64 array, built on
+        first use and shared."""
+        cached = self.__dict__.get("_mult_array")
+        if cached is None:
+            cached = np.array(self.mult, dtype=np.int64).reshape(self.order, self.order)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_mult_array", cached)
+        return cached
+
     def order_census(self) -> dict[int, int]:
         census: dict[int, int] = {}
         for g in self.elements():

@@ -130,10 +130,11 @@ def twist_weights(group: GroupTable, alpha: LinearCharacter | None,
     if alpha is not None:
         _check_conductor(alpha, ctx)
     cd = conjugacy_data(group)
+    # the class of g*tau(g) and the exponent of conj(alpha(g)), for every g
+    classes = np.array(cd.class_of)[group.mult_array()[group.elements(), tau.mapping]]
+    e = 0 if alpha is None else -np.array(alpha.exponents) % ctx.m
     counts = np.zeros((cd.num_classes, ctx.m), dtype=np.int64)
-    for g in group.elements():
-        e = 0 if alpha is None else -alpha.exponents[g] % ctx.m
-        counts[cd.class_of[group.mult[g][tau.mapping[g]]], e] += 1
+    np.add.at(counts, (classes, e), 1)
     return counts @ ctx.power_array[:ctx.m]
 
 

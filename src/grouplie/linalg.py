@@ -13,6 +13,9 @@ finished reduction instead of redoing it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 import numpy as np
 
 from .cyclo import CycloContext, CycloScalar
@@ -87,6 +90,12 @@ class RowSpace:
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @property
+    def rows(self) -> Mapping[int, dict[int, CycloScalar]]:
+        """The reduced rows keyed by pivot, read-only; callers must not
+        modify a row."""
+        return MappingProxyType(self._rows)
 
     def reduce(self, vec) -> dict[int, CycloScalar]:
         """The nonzero entries of vec (a dict; zero values are dropped)

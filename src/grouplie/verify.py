@@ -5,13 +5,20 @@ subalgebra is compared against the character-theoretic prediction:
 
   1. dimension by exact rank = dimension by element census = predicted sum
      of factor dimensions;
-  2. Lie closure of the constructed basis;
-  3. the skew class-sum generators are central, independent, and count
-     exactly the predicted center dimension;
+  2. Lie closure of the constructed basis: every bracket of two basis
+     vectors lies in the basis's reduced row space;
+  3. the skew class-sum generators are central (their bracket with every
+     basis vector is 0), independent, and count exactly the predicted
+     center dimension;
   4. #G - 2 dim = I - J (the signed count of twisted involutions);
   5. the class-side and irrep-side fixed-point counts of the star map agree:
      |{c : alpha(c) = 1, c* = c}| - |{c : alpha(c) = -1, c* = c}|
        = |{V : V = partner(V)}|.
+
+The brackets of checks 2 and 3, and the trace-form orthogonality of the basis
+to the +1 eigenspace, are one call of liealg.skew_checks per context: an exact
+int64 kernel on the monomials c*zeta^k of the coefficients, every sum bounded
+below 2^63 before it is formed.
 
 For each nontrivial linear character alpha of a group (tau = id) the
 Clifford identity L(Ker alpha) = L(G) & L_alpha(G) is checked as well.  With
@@ -62,14 +69,13 @@ from .indicators import (
 from .liealg import (
     LieBasis,
     LieContext,
-    bracket,
     center_basis,
     center_candidates,
     lie_basis,
     make_context,
     plus_fixed_basis,
     sigma_class_map,
-    trace_of_product,
+    skew_checks,
 )
 from .linalg import RowSpace
 
@@ -153,44 +159,21 @@ class LieReport:
         )
 
 
-def _closure_ok(basis) -> bool:
-    rs = basis.row_space()
-    vecs = basis.vectors
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if not rs.contains(bracket(vecs[i], vecs[j]).terms):
-                return False
-    return True
-
-
-def _orthogonality_ok(ctx: LieContext, basis) -> bool:
-    """Trace form t(u*s) vanishes between the -1 and +1 eigenspaces."""
-    plus = plus_fixed_basis(ctx)
-    for u in basis.vectors:
-        for s in plus:
-            if trace_of_product(u, s):
-                return False
-    return True
-
-
-def _center_data(ctx: LieContext, report: IndicatorReport, basis):
-    """(exact count, centrality flag, class-count identity flag)."""
+def _center_data(ctx: LieContext, report: IndicatorReport):
+    """(exact count, center generators, class-count identity flag)."""
     group = ctx.group
     cd = conjugacy_data(group)
     sig = sigma_class_map(ctx)
     candidates = list(center_candidates(ctx))
     gens = center_basis(ctx, candidates=candidates)
-    central = all(bracket(v, u).is_zero() for v in gens for u in basis.vectors)
     # independence of the full eligible candidate set, both orbit orders
     exact = RowSpace(cyclo.context(group.exponent), group.order,
                      [v.terms for _, _, v in candidates]).rank
-    if exact != len(gens):
-        central = False
     # signed count of sigma-fixed classes vs self-paired irreps
     fixed = sum(ctx.alpha.real_sign(r) for c, r in enumerate(cd.representatives) if sig[c] == c)
     self_paired = sum(1 for i, p in enumerate(report.partner) if p == i)
     class_count_ok = fixed == self_paired
-    return exact, central, class_count_ok
+    return exact, gens, class_count_ok
 
 
 def verify_theorem(group: GroupTable, alpha: LinearCharacter,
@@ -212,10 +195,9 @@ def verify_theorem(group: GroupTable, alpha: LinearCharacter,
         basis = lie_basis(ctx)
     dim_rank = basis.row_space().rank
     dims_ok = dim_rank == report.dim_l_formula == report.dim_m
-    closure = _closure_ok(basis)
-    orth = _orthogonality_ok(ctx, basis)
-    center_exact, central, class_count_ok = _center_data(ctx, report, basis)
-    center_ok = central and center_exact == report.center_dim
+    center_exact, gens, class_count_ok = _center_data(ctx, report)
+    checks = skew_checks(basis, gens, plus_fixed_basis(ctx))
+    center_ok = checks.centrality and center_exact == len(gens) == report.center_dim
     bookkeeping = (group.order - 2 * dim_rank) == (
         report.involutions_plus - report.involutions_minus
     )
@@ -230,9 +212,9 @@ def verify_theorem(group: GroupTable, alpha: LinearCharacter,
         dim_m_predicted=report.dim_m,
         center_dim_exact=center_exact,
         center_dim_predicted=report.center_dim,
-        closure_ok=closure,
+        closure_ok=checks.closure,
         centrality_ok=center_ok,
-        orthogonality_ok=orth,
+        orthogonality_ok=checks.orthogonality,
         dims_ok=dims_ok,
         bookkeeping_ok=bookkeeping,
         class_count_ok=class_count_ok,

@@ -22,6 +22,7 @@ from grouplie.indicators import (
     pairing,
     predicted_decomposition,
     render_factors,
+    twist_weights,
     weighted_fs_indicator,
 )
 
@@ -308,3 +309,24 @@ def test_pairing_reads_conjugates_without_conj(monkeypatch):
             for c, r in enumerate(cd.representatives):
                 conj_value = t.values[i][cd.class_of[tau.mapping[r]]].conj()
                 assert t.values[j][c] == alpha.value(r) * conj_value
+
+
+def test_twist_weights_equal_the_elementwise_sums():
+    # oracle: conj(alpha(g)) added at the class of g * tau(g), one g at a time
+    for spec in ("symmetric:3", "quaternion8", "cyclic:8", "product:cyclic:2,cyclic:4"):
+        group = parse_group_spec(spec)
+        cd = conjugacy_data(group)
+        ctx = character_table(group).context()
+        taus = [identity_automorphism(group)]
+        if group.is_abelian():
+            taus.append(inversion_automorphism(group))
+        for tau in taus:
+            for alpha in [None] + list(linear_characters(group)):
+                if alpha is not None and not alpha_tau_compatible(alpha, tau):
+                    continue
+                expected = [ctx.zero] * cd.num_classes
+                for g in group.elements():
+                    c = cd.class_of[group.mult[g][tau.mapping[g]]]
+                    expected[c] = expected[c] + (ctx.one if alpha is None else alpha.conj_value(g))
+                got = twist_weights(group, alpha, tau, ctx)
+                assert [tuple(row) for row in got.tolist()] == [v.coeffs for v in expected]

@@ -83,13 +83,82 @@ def test_orthogonality_check_can_fail(monkeypatch):
 
 def test_closure_check_can_fail(monkeypatch):
     # S3 sign: dim L = 4, so closure has pairs to test (for S3 trivial,
-    # dim L = 1 and closure tests no pair); delta_e is not in L
+    # dim L = 1 and closure tests no pair).  The kernel is handed L with its
+    # one two-term vector c - c^-1 (c a 3-cycle) replaced by delta_c: the
+    # rank stays 4, but the bracket of two transposition vectors,
+    # +-4 (c - c^-1), lies outside that span
     s3 = catalog("symmetric", 3)
-    monkeypatch.setattr(verify, "bracket", lambda a, b: GroupAlgebraElement.delta(s3, s3.identity))
+    original = verify.skew_checks
+
+    def outside_l(basis, center, plus):
+        vectors = tuple(GroupAlgebraElement.delta(s3, min(v.terms)) if len(v.terms) == 2 else v
+                        for v in basis.vectors)
+        return original(dataclasses.replace(basis, vectors=vectors), center, plus)
+
+    monkeypatch.setattr(verify, "skew_checks", outside_l)
     r = _s3_report("sign")
     assert r.dim_l_rank == 4 and r.dims_ok
     assert not r.closure_ok
     assert r.first_failure() == "closure_ok"
+
+
+def _times_zeta(vectors, index):
+    """`vectors` with the coefficient at the largest group element of
+    vectors[index] multiplied by zeta."""
+    v = vectors[index]
+    g = max(v.terms)
+    terms = dict(v.terms)
+    terms[g] = terms[g] * context(v.group.exponent).zeta(1)
+    return [*vectors[:index], GroupAlgebraElement(v.group, terms), *vectors[index + 1:]]
+
+
+# nonabelian contexts with a two-term basis vector, a center generator and a
+# two-term +1 eigenvector
+CORRUPTED_CONTEXTS = (("symmetric:3", "sign"), ("symmetric:4", "sign"),
+                      ("quaternion8", "lin1"), ("dihedral:4", "lin1"))
+
+
+@pytest.mark.parametrize("spec, label", CORRUPTED_CONTEXTS)
+def test_closure_fails_on_one_corrupted_basis_monomial(monkeypatch, spec, label):
+    group = parse_group_spec(spec)
+    original = verify.lie_basis
+
+    def corrupted(ctx):
+        basis = original(ctx)
+        index = max(i for i, v in enumerate(basis.vectors) if len(v.terms) == 2)
+        return dataclasses.replace(basis, vectors=tuple(_times_zeta(basis.vectors, index)))
+
+    monkeypatch.setattr(verify, "lie_basis", corrupted)
+    r = verify_theorem(group, find_character(group, label), raise_on_failure=False)
+    assert r.dims_ok and not r.closure_ok
+    assert r.first_failure() == "closure_ok"
+
+
+@pytest.mark.parametrize("spec, label", CORRUPTED_CONTEXTS)
+def test_centrality_fails_on_one_corrupted_generator_monomial(monkeypatch, spec, label):
+    group = parse_group_spec(spec)
+    original = verify.center_basis
+    monkeypatch.setattr(verify, "center_basis",
+                        lambda ctx, candidates=None: _times_zeta(original(ctx, candidates=candidates), 0))
+    r = verify_theorem(group, find_character(group, label), raise_on_failure=False)
+    assert r.center_dim_exact == r.center_dim_predicted
+    assert not r.centrality_ok
+    assert r.first_failure() == "centrality_ok"
+
+
+@pytest.mark.parametrize("spec, label", CORRUPTED_CONTEXTS)
+def test_orthogonality_fails_on_one_corrupted_plus_monomial(monkeypatch, spec, label):
+    group = parse_group_spec(spec)
+    original = verify.plus_fixed_basis
+
+    def corrupted(ctx):
+        plus = original(ctx)
+        return _times_zeta(plus, next(i for i, v in enumerate(plus) if len(v.terms) == 2))
+
+    monkeypatch.setattr(verify, "plus_fixed_basis", corrupted)
+    r = verify_theorem(group, find_character(group, label), raise_on_failure=False)
+    assert not r.orthogonality_ok
+    assert r.first_failure() == "orthogonality_ok"
 
 
 def test_centrality_check_can_fail(monkeypatch):

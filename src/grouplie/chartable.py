@@ -10,14 +10,27 @@ root of unity among the eigenvalues of a class representative (an inverse
 DFT over its power classes, evaluated mod p and lifted).  The finished
 table is certified by the exact orthogonality relations.
 
+The common eigenspaces are split by random linear combinations of the class
+matrices.  On each space, the combination's eigenvalues l_1..l_r are the
+roots of its characteristic polynomial, and the l_i eigenspace is the image
+of the Lagrange projector q_i = prod_(j != i) (x - l_j): all q_i come from
+one synthetic division of mu = prod_j (x - l_j), and each projector from the
+stack of matrix powers with one tensordot.  This is exact because p = 1
+(mod m) exceeds every prime divisor of #G, so the class algebra over F_p is
+semisimple and every combination is diagonalizable on every common
+eigenspace.  If that ever fails, the projector images gain dimensions (or
+lose them, when the roots do not split the characteristic polynomial) and
+the split raises LiftInconsistent.
+
 The modular steps run on int64 arrays of residues: elimination, restriction
-to an eigenspace, the random combination of class matrices (one tensordot)
+to an eigenspace, the projectors, the random combination of class matrices
 and the lift (one DFT matmul per class, for every irrep at once).  A sum of
-t products of residues is bounded by t (p - 1)^2 before it is formed (t is 2,
-the number of classes or an element order) and raises IntegerBoundExceeded
-at 2^63.  The table keeps its values as CycloScalars
-and, derived from them, as an int64 coefficient array; the certification
-evaluates both orthogonality relations on that array with cyclo.class_sums.
+t products of residues is bounded by t (p - 1)^2 before it is formed (t is
+2, the number of classes, an eigenspace dimension, the number of eigenvalues
+or an element order) and raises IntegerBoundExceeded at 2^63.  The table
+keeps its values as CycloScalars and, derived from them, as an int64
+coefficient array; the certification evaluates both orthogonality relations
+on that array with cyclo.class_sums.
 """
 
 from __future__ import annotations
@@ -69,7 +82,7 @@ class CharacterTable:
             "degrees": list(self.degrees),
             "values": [[v.to_json() for v in row] for row in self.values],
             "values_float": [
-                [[complex(v).real, complex(v).imag] for v in row] for row in self.values
+                [[z.real, z.imag] for z in map(complex, row)] for row in self.values
             ],
         }
 
@@ -144,19 +157,21 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _rref_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (nonzero rows, pivot_columns)."""
+    """Reduced row echelon form mod p; returns (nonzero rows, pivot_columns).
+
+    Each step jumps to the next column with a nonzero entry below the last
+    pivot, so elimination stops as soon as the remaining rows are zero.
+    """
     _check_mod_bound(2, p)
     a = rows % p
-    nrows, ncols = a.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    r = c = 0
+    while r < len(a):
+        live = np.flatnonzero(a[r:, c:].any(axis=0))
+        if not live.size:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if not nz.size:
-            continue
-        piv = r + int(nz[0])
+        c += int(live[0])
+        piv = r + int(np.flatnonzero(a[r:, c])[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
@@ -166,72 +181,54 @@ def _rref_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         a[hit] = (a[hit] - np.outer(col[hit], a[r])) % p
         pivots.append(c)
         r += 1
+        c += 1
     return a[:r], pivots
 
 
-def _nullspace_mod(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis of {v : mat v = 0} mod p, one vector per free column of the RREF."""
-    n = mat.shape[1]
-    rows, pivots = _rref_mod(mat, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -rows[:, free].T % p
-    return basis
-
-
-def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
+def _charpoly_mod(a, p: int) -> list[int]:
     """Characteristic polynomial mod p (low degree first), via Hessenberg form."""
-    n = len(a)
-    h = [row[:] for row in a]
+    h = np.array(a, dtype=np.int64) % p
+    n = len(h)
+    _check_mod_bound(n + 1, p)
     for c in range(n - 2):
-        piv = next((i for i in range(c + 1, n) if h[i][c] % p), None)
-        if piv is None:
+        nz = np.flatnonzero(h[c + 1:, c])
+        if not nz.size:
             continue
+        piv = c + 1 + int(nz[0])
         if piv != c + 1:
-            h[piv], h[c + 1] = h[c + 1], h[piv]
-            for row in h:
-                row[piv], row[c + 1] = row[c + 1], row[piv]
-        inv = pow(h[c + 1][c], p - 2, p)
-        for i in range(c + 2, n):
-            f = (h[i][c] * inv) % p
-            if f:
-                hi, hc1 = h[i], h[c + 1]
-                for j in range(c, n):
-                    hi[j] = (hi[j] - f * hc1[j]) % p
-                for row in h:
-                    row[c + 1] = (row[c + 1] + f * row[i]) % p
-    # charpoly recurrence on the Hessenberg form
-    polys = [[1]]
+            h[[piv, c + 1]] = h[[c + 1, piv]]
+            h[:, [piv, c + 1]] = h[:, [c + 1, piv]]
+        # one similarity: rows c+2.. lose f times row c+1, which clears column
+        # c below the subdiagonal, and column c+1 gains f times columns c+2..
+        f = h[c + 2:, c] * pow(int(h[c + 1, c]), p - 2, p) % p
+        h[c + 2:, c:] = (h[c + 2:, c:] - np.outer(f, h[c + 1, c:])) % p
+        h[:, c + 1] = (h[:, c + 1] + h[:, c + 2:] @ f) % p
+    # charpoly recurrence on the Hessenberg form: p_k = (x - h[k-1, k-1]) p_(k-1)
+    # - sum_i h[k-1-i, k-1] * (product of i subdiagonal entries) * p_(k-1-i)
+    hl = h.tolist()
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = [0] + prev  # x * p_{k-1}
-        diag = h[k - 1][k - 1] % p
-        for idx in range(len(prev)):
-            cur[idx] = (cur[idx] - diag * prev[idx]) % p
+        coefs = [hl[k - 1][k - 1]]
         sub = 1
         for i in range(1, k):
-            sub = (sub * h[k - i][k - i - 1]) % p
-            if sub == 0:
+            sub = sub * hl[k - i][k - i - 1] % p
+            if not sub:
                 break
-            coef = (h[k - 1 - i][k - 1] * sub) % p
-            if coef:
-                pki = polys[k - 1 - i]
-                for idx in range(len(pki)):
-                    cur[idx] = (cur[idx] - coef * pki[idx]) % p
-        polys.append(cur)
-    return polys[n]
+            coefs.append(hl[k - 1 - i][k - 1] * sub % p)
+        polys[k, 1:] = polys[k - 1, :-1]
+        polys[k] = (polys[k] - np.array(coefs) @ polys[k - 1 - np.arange(len(coefs))]) % p
+    return polys[n].tolist()
 
 
 def _poly_roots_mod(poly: list[int], p: int) -> list[int]:
-    roots = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-    return roots
+    """Every root in F_p, in increasing order: Horner's rule at all residues."""
+    _check_mod_bound(2, p)
+    x = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(poly):
+        acc = (acc * x + c) % p
+    return np.flatnonzero(acc == 0).tolist()
 
 
 def _restrict_mod(mat: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
@@ -247,6 +244,43 @@ def _restrict_mod(mat: np.ndarray, basis: np.ndarray, pivots: list[int], p: int)
         raise LiftInconsistent("eigenspace is not invariant; table computation bug")
     # row j holds the coordinates of the image of basis vector j: transpose
     return coords.T
+
+
+def _eigenspaces(mat: np.ndarray, basis: np.ndarray, p: int) -> list:
+    """The eigenspaces of `mat` (acting on coordinate columns over the rows
+    of `basis`), one per root of its characteristic polynomial in increasing
+    order, each as (RREF basis, pivot columns) of the full space.
+
+    With distinct roots l_1..l_r and mu = prod_j (x - l_j), the l_i
+    eigenspace is the image of the Lagrange projector q_i(mat) with
+    q_i = mu / (x - l_i), provided `mat` is diagonalizable; the columns of
+    q_i(mat) are the rows of q_i(mat^T).  Otherwise the images gain
+    dimensions, or lose them if the roots do not account for the whole
+    characteristic polynomial, and the caller's dimension count fails.
+    """
+    lams = np.array(_poly_roots_mod(_charpoly_mod(mat, p), p), dtype=np.int64)
+    r, d = len(lams), len(mat)
+    if not r:
+        return []
+    # mu, high degree first, then every q_i by one synthetic division
+    mu = np.zeros(r + 1, dtype=np.int64)
+    mu[0] = 1
+    for lam in lams.tolist():
+        mu[1:] = (mu[1:] - lam * mu[:-1]) % p
+    q = np.ones((r, r), dtype=np.int64)
+    for t in range(1, r):
+        q[:, t] = (mu[t] + lams * q[:, t - 1]) % p
+    # powers of mat^T, then q_i(mat^T) = sum_t q[i, r-1-t] (mat^T)^t for each i
+    powers = np.empty((r, d, d), dtype=np.int64)
+    powers[0] = np.eye(d, dtype=np.int64)
+    for t in range(1, r):
+        powers[t] = _matmul_mod(powers[t - 1], mat.T, p)
+    _check_mod_bound(r, p)
+    spaces = []
+    for qi in q[:, ::-1]:
+        coords, _ = _rref_mod(np.tensordot(qi, powers, axes=1) % p, p)
+        spaces.append(_rref_mod(_matmul_mod(coords, basis, p), p))
+    return spaces
 
 
 def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
@@ -266,15 +300,10 @@ def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
         for basis, pivots in spaces:
             if len(basis) == 1:
                 new_spaces.append((basis, pivots))
-                continue
-            mat_r = _restrict_mod(combo, basis, pivots, p)
-            ident = np.eye(len(basis), dtype=np.int64)
-            for lam in _poly_roots_mod(_charpoly_mod(mat_r.tolist(), p), p):
-                null = _nullspace_mod((mat_r - lam * ident) % p, p)
-                if len(null):
-                    new_spaces.append(_rref_mod(_matmul_mod(null, basis, p), p))
+            else:
+                new_spaces += _eigenspaces(_restrict_mod(combo, basis, pivots, p), basis, p)
         if sum(len(b) for b, _ in new_spaces) != k:
-            raise LiftInconsistent("eigenspace splitting lost dimensions")
+            raise LiftInconsistent("eigenspace splitting lost or gained dimensions")
         spaces = new_spaces
     raise LiftInconsistent("eigenspace splitting did not converge after 32 rounds")
 
@@ -284,7 +313,7 @@ def _canonical_order(degrees: list[int], values: list) -> list[int]:
     exact coefficients: the same table whatever the seed or prime."""
     order_key = []
     for i, row in enumerate(values):
-        emb = tuple((complex(v).real, complex(v).imag) for v in row)
+        emb = tuple((z.real, z.imag) for z in map(complex, row))
         exact = tuple(v.coeffs for v in row)
         order_key.append((degrees[i], emb, exact, i))
     order_key.sort()
@@ -303,6 +332,11 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
     p = prime if prime is not None else _find_prime(m, n)
     if (p - 1) % m or p * p <= 4 * n:
         raise PrimeSearchFailed(f"prime {p} is not valid for exponent {m}, order {n}")
+    _check_mod_bound(2, p)  # before the size check, so a prime past int64 reports that
+    if p >= _PRIME_BOUND:
+        # _poly_roots_mod evaluates a characteristic polynomial at every residue
+        raise PrimeSearchFailed(
+            f"prime {p} is too large: the eigenvalue search needs p < {_PRIME_BOUND}")
 
     spaces = _split_eigenspaces(class_constants(group, cd), p,
                                 random.Random((seed << 16) ^ p))

@@ -23,7 +23,10 @@ so these arrays are exact.  `class_sums` is the one kernel on them, and a
 Galois map acts on them as an integer phi(m) x phi(M) matrix whose rows are
 power-table rows (`galois_array`).  Every array product is bounded first
 from the operands' actual max-abs values and raises IntegerBoundExceeded if
-the bound reaches 2^63; nothing wraps silently.
+the bound reaches 2^63; nothing wraps silently.  `class_sums` runs its
+products in float64 (BLAS) when that bound is below 2^53, where every
+product and partial sum is an exactly representable integer, and in int64
+from 2^53 on.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from .errors import (
 )
 
 INT64_LIMIT = 2**63
+FLOAT64_EXACT_LIMIT = 2**53  # every integer of smaller absolute value is a float64
+_SUMS_BLOCK = 1 << 16  # plane products formed at once by class_sums
 
 
 def _norm(q):
@@ -447,22 +452,36 @@ def class_sums(a: np.ndarray, b: np.ndarray, w, ctx: CycloContext) -> np.ndarray
     """S[i, j] = sum_c w[c] * a[i, c] * b[j, c] in Q(zeta_m), exactly.
 
     `a` (ra, k, d) and `b` (rb, k, d) are canonical coefficient arrays in
-    `ctx` and `w` holds k integer weights.  Each coefficient plane of `a`
-    takes one matmul against the weighted `b`; the planes land in a product
-    of length 2d - 1, which one matmul with the power table reduces to
-    (ra, rb, d).
+    `ctx` and `w` holds k integer weights.  One matmul against the weighted
+    `b` forms the product of every coefficient plane t of `a` with every
+    plane s of `b`, and one matmul with the power-table rows of zeta^(t+s)
+    reduces them to (ra, rb, d); rows of `a` go through in blocks of at most
+    _SUMS_BLOCK plane products.  The products run in float64 (BLAS) when the
+    proven bound on every absolute sum is below 2^53, where every product and
+    partial sum is an exactly representable integer, and in int64 otherwise.
     """
     d = ctx.degree
     w = [int(v) for v in w]
     max_b = max_abs(b)
     prod_bound = sum(map(abs, w)) * d * max_abs(a) * max_b
-    check_int64_bound(max(prod_bound, max(map(abs, w), default=0) * max_b), "class sum")
+    weighted_bound = max(map(abs, w), default=0) * max_b
+    check_int64_bound(max(prod_bound, weighted_bound), "class sum")
     fold = ctx.power_array[: 2 * d - 1]
-    check_int64_bound(prod_bound * int(np.abs(fold).sum(axis=0).max()), "class sum reduction")
+    fold_bound = prod_bound * int(np.abs(fold).sum(axis=0).max())
+    check_int64_bound(fold_bound, "class sum reduction")
+    dtype = np.float64 if max(fold_bound, weighted_bound) < FLOAT64_EXACT_LIMIT else np.int64
     ra, k, rb = a.shape[0], a.shape[1], b.shape[0]
     # (k, rb * d): row c holds w[c] * b[j, c, :] for every j
-    bw = (b * np.array(w, dtype=np.int64)[None, :, None]).transpose(1, 0, 2).reshape(k, rb * d)
-    acc = np.zeros((ra, rb, 2 * d - 1), dtype=np.int64)
-    for t in range(d):
-        acc[:, :, t:t + d] += (a[:, :, t] @ bw).reshape(ra, rb, d)
-    return acc @ fold
+    bw = (b * np.array(w, dtype=dtype)[None, :, None]).transpose(1, 0, 2).reshape(k, rb * d)
+    # row t * d + s: the canonical form of zeta^(t + s)
+    shift = fold[np.add.outer(np.arange(d), np.arange(d)).ravel()].astype(dtype)
+    out = np.empty((ra, rb, d), dtype=np.int64)
+    step = max(1, _SUMS_BLOCK // max(1, rb * d * d))
+    for i in range(0, ra, step):
+        rows = a[i:i + step]
+        n = len(rows)
+        planes = rows.transpose(0, 2, 1).astype(dtype).reshape(n * d, k)
+        # products[(i, j), t * d + s] = sum_c a[i, c, t] * w[c] * b[j, c, s]
+        products = (planes @ bw).reshape(n, d, rb, d).transpose(0, 2, 1, 3)
+        out[i:i + step] = (products.reshape(n * rb, d * d) @ shift).reshape(n, rb, d)
+    return out

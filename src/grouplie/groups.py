@@ -274,13 +274,33 @@ def from_permutation_generators(generators, name: str = "G", *, cap: int = ORDER
 
 
 def _permutation_group(perms, name: str) -> GroupTable:
-    index = {p: i for i, p in enumerate(perms)}
-    k = len(perms[0])
-    table = [
-        [index[tuple(p[q[i]] for i in range(k))] for q in perms]
-        for p in perms
-    ]
-    return from_mult_table(table, name)
+    """Composition table (p * q)(x) = p(q(x)) of a list of distinct
+    permutations that is closed under composition."""
+    p = np.array(perms, dtype=np.int64)
+    n, k = p.shape
+    # integer codes, one digit per point: of every listed permutation, and at
+    # (a, b) of perms[a] o perms[b]; renumbered densely before a digit could
+    # leave int64
+    codes = np.zeros(n, dtype=np.int64)
+    composite = np.zeros((n, n), dtype=np.int64)
+    top = 1  # every code is below top
+    for i in range(k):
+        if top * k >= 2**62:
+            _, dense = np.unique(np.append(codes, composite), return_inverse=True)
+            codes, composite = dense[:n], dense[n:].reshape(n, n)
+            top = n * (n + 1)
+        codes = codes * k + p[:, i]
+        composite = composite * k + p[:, p[:, i]]
+        top *= k
+    order = np.argsort(codes)
+    known = codes[order]
+    pos = np.minimum(np.searchsorted(known, composite), n - 1)
+    outside = np.argwhere(known[pos] != composite)
+    if len(outside):
+        a, b = map(int, outside[0])
+        raise BadParameters(f"permutations are not closed under composition: "
+                            f"{tuple(perms[a])} o {tuple(perms[b])} is not in the list")
+    return from_mult_table(order[pos].tolist(), name)
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -475,12 +495,12 @@ def conjugacy_data(group: GroupTable) -> ConjugacyData:
 
 
 def _commutator_subgroup(group: GroupTable) -> tuple[int, ...]:
-    n = group.order
+    mult = group.mult_array()
+    inv = np.array(group.inverse)
     gens = set()
-    for g in range(n):
-        for h in range(n):
-            c = group.mult[group.mult[group.inverse[g]][group.inverse[h]]][group.mult[g][h]]
-            gens.add(c)
+    for g in range(group.order):
+        # g^-1 h^-1 g h for every h
+        gens.update(mult[mult[inv[g], inv], mult[g]].tolist())
     return subgroup_closure(group, gens)
 
 

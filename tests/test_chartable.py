@@ -1,12 +1,15 @@
 import dataclasses
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from grouplie.chartable import (
     CharacterTable,
     _certify,
     _find_prime,
+    _split_eigenspaces,
     character_table,
     class_constants,
     regular_character,
@@ -14,6 +17,7 @@ from grouplie.chartable import (
 from grouplie.cyclo import context
 from grouplie.errors import IntegerBoundExceeded, LiftInconsistent, PrimeSearchFailed
 from grouplie.groups import catalog, conjugacy_data, parse_group_spec
+from grouplie.verify import default_catalog
 
 
 def brute_force_constant(group, cd, i, j, k):
@@ -237,6 +241,20 @@ def test_charpoly_mod_against_determinant_scan():
                 assert val == det_mod(shifted, p)
 
 
+def test_poly_roots_mod_against_a_scan():
+    from grouplie.chartable import _poly_roots_mod
+
+    rng = random.Random(3)
+    p = 101
+    # monic, low degree first; the last is (x - 2)(x - 50)(x - 100)
+    polys = [[rng.randrange(p) for _ in range(d)] + [1] for d in (1, 3, 6) for _ in range(3)]
+    polys.append([-2 * 50 * 100 % p, (2 * 50 + 2 * 100 + 50 * 100) % p, -152 % p, 1])
+    for poly in polys:
+        expected = [x for x in range(p) if sum(c * x**i for i, c in enumerate(poly)) % p == 0]
+        assert _poly_roots_mod(poly, p) == expected
+    assert _poly_roots_mod(polys[-1], p) == [2, 50, 100]
+
+
 @pytest.mark.parametrize("spec, irrep, cls, zeta_power", [
     ("symmetric:4", 2, 3, 0),
     ("cyclic:6", 4, 1, 1),
@@ -266,3 +284,45 @@ def test_modular_bound_guard(prime):
     # mod p leaves int64: the guard raises before any array is formed
     with pytest.raises(IntegerBoundExceeded):
         character_table(catalog("cyclic", 4), prime=prime)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_split_lines_are_common_eigenvectors(seed):
+    # every line v of the split satisfies a_i v = lambda_i v mod p for every
+    # class matrix a_i, and the k lines have pairwise distinct eigenvalue
+    # vectors, so they are independent and span F_p^k
+    for group in default_catalog():
+        cd = conjugacy_data(group)
+        consts = class_constants(group, cd)
+        k = cd.num_classes
+        p = _find_prime(group.exponent, group.order)
+        spaces = _split_eigenspaces(consts, p, random.Random(seed))
+        assert [len(basis) for basis, _ in spaces] == [1] * k
+        signatures = set()
+        for basis, pivots in spaces:
+            v = basis[0]
+            assert v[pivots[0]] == 1
+            images = consts @ v % p  # images[i] = a_i v
+            lams = images[:, pivots[0]]
+            assert np.array_equal(images, np.outer(lams, v) % p), group.name
+            signatures.add(tuple(lams.tolist()))
+        assert len(signatures) == k, group.name
+
+
+@pytest.mark.parametrize("block, message", [
+    # x (x - 1) splits, but the x eigenspace is a Jordan block: the projector
+    # images gain dimensions
+    ([[0, 1, 0], [0, 0, 0], [0, 0, 1]], "lost or gained dimensions"),
+    # one eigenvalue, one Jordan block: no combination ever splits it
+    ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], "did not converge"),
+    # x^2 + 1 has no root mod 7: the roots miss dimensions
+    ([[0, 6], [1, 0]], "lost or gained dimensions"),
+])
+def test_split_rejects_matrices_that_are_not_diagonalizable(block, message):
+    # k matrices of size k, as class constants come: the identity, the block
+    # and copies of the identity
+    n = np.array(block, dtype=np.int64)
+    ident = np.eye(len(n), dtype=np.int64)
+    consts = np.stack([ident, n] + [ident] * (len(n) - 2))
+    with pytest.raises(LiftInconsistent, match=message):
+        _split_eigenspaces(consts, 7, random.Random(1))

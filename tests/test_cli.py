@@ -324,3 +324,28 @@ def test_table_json_pinned(capsys, spec):
     code, out, _ = run_cli(capsys, "table", "--group", spec, "--format", "json")
     assert code == 0
     assert out == (Path(__file__).parent / "data" / TABLE_PINS[spec]).read_text()
+
+
+# SHA-256 of `table --format json` for the two tables whose eigenspace split
+# takes several rounds with repeated eigenvalues (60 classes each); the JSON
+# itself is 4 MB, so only its digest is kept
+TABLE_DIGESTS = json.loads((Path(__file__).parent / "data" / "table_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE_DIGESTS))
+def test_large_table_json_pinned(capsys, spec):
+    code, out, err = run_cli(capsys, "table", "--group", spec, "--format", "json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[spec]
+
+
+def test_table_prime_beyond_the_root_search(capsys):
+    # a valid prime p = 1 (mod 4) that the eigenvalue search, which scans
+    # every residue, does not accept: one error line and exit 1, at once
+    code, out, err = run_cli(capsys, "table", "--group", "cyclic:4", "--prime", "1000000009")
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "1000000009" in err
+    # the largest valid prime below the bound still works
+    code, out, _ = run_cli(capsys, "table", "--group", "cyclic:4",
+                           "--format", "json", "--prime", "999961")
+    assert code == 0 and json.loads(out)["prime"] == 999961

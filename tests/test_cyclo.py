@@ -288,6 +288,42 @@ def test_class_sums_bound_guard():
         galois_array(np.full((1, 1, ctx.degree), 2**62, dtype=np.int64), -1, ctx)
 
 
+def test_class_sums_exact_across_the_float64_limit():
+    # below 2^53 the kernel runs in float64, from 2^53 on in int64; both
+    # sides give the exact product (at 2^27 + 1 a float64 square would lose
+    # its low bit)
+    ctx = context(1)
+    for v in (2**26, 2**26 + 1, 2**26 + 2**25, 2**27 + 1, 2**31 - 1):
+        for sign in (1, -1):
+            a = np.array([[[v]]], dtype=np.int64)
+            got = class_sums(a, sign * a, [1], ctx)
+            assert got.dtype == np.int64 and int(got[0, 0, 0]) == sign * v * v
+    # a sum over classes and conductor 12 on both sides of the limit
+    ctx = context(12)
+    for v in (2**24, 2**25 + 3):
+        a = np.full((1, 2, ctx.degree), v, dtype=np.int64)
+        a[0, 1, 1] = -v
+        expected = ctx.zero
+        for c in range(2):
+            s = scalar_of(a[0, c], ctx)
+            expected = expected + 3 * s * s
+        assert scalar_of(class_sums(a, a, [3, 3], ctx)[0, 0], ctx) == expected
+
+
+def test_class_sums_blocks_match_row_by_row():
+    # 70 x 40 pairs at phi(60) = 16 take several blocks of plane products;
+    # each row of `a` alone takes one
+    ctx = context(60)
+    rng = np.random.default_rng(7)
+    a = rng.integers(-5, 6, (70, 3, ctx.degree))
+    b = rng.integers(-5, 6, (40, 3, ctx.degree))
+    w = [2, -1, 3]
+    whole = class_sums(a, b, w, ctx)
+    for i in range(len(a)):
+        assert np.array_equal(whole[i], class_sums(a[i:i + 1], b, w, ctx)[0])
+    assert class_sums(a, b[:0], w, ctx).shape == (70, 0, ctx.degree)
+
+
 def test_coefficient_array_rejects_non_integers():
     ctx = context(6)
     assert coefficient_array([[ctx.zeta(1) * 2, ctx.one]], ctx).tolist() == [[[0, 2], [1, 0]]]

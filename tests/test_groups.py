@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -15,6 +16,8 @@ from grouplie.errors import (
     UnknownName,
 )
 from grouplie.groups import (
+    _commutator_subgroup,
+    _permutation_group,
     alpha_tau_compatible,
     catalog,
     conjugacy_data,
@@ -145,6 +148,35 @@ def test_permutation_generators_s3():
 def test_permutation_generators_s5():
     g = from_permutation_generators([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], "S5")
     assert g.order == 120  # 5!
+
+
+@pytest.mark.parametrize("perms", [
+    sorted(itertools.permutations(range(4))),
+    # the dihedral group of order 40 on 20 points: its codes need renumbering
+    [tuple((i + x) % 20 for x in range(20)) for i in range(20)]
+    + [tuple((i - x) % 20 for x in range(20)) for i in range(20)],
+])
+def test_permutation_group_composes_pointwise(perms):
+    g = _permutation_group(perms, "G")
+    index = {p: i for i, p in enumerate(perms)}
+    for a, p in enumerate(perms):
+        for b, q in enumerate(perms):
+            assert g.mult[a][b] == index[tuple(p[x] for x in q)]
+
+
+def test_permutation_group_rejects_a_list_that_is_not_closed():
+    with pytest.raises(BadParameters, match=r"\(1, 2, 0\) o \(1, 2, 0\)"):
+        _permutation_group([(0, 1, 2), (1, 2, 0)], "G")
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "alternating:5", "dihedral:6",
+                                  "quaternion8", "frobenius21", "cyclic:12"])
+def test_commutator_subgroup_matches_pairwise_commutators(spec):
+    g = parse_group_spec(spec)
+    inv, mult = g.inverse, g.mult
+    commutators = {mult[mult[inv[x]][inv[y]]][mult[x][y]]
+                   for x in range(g.order) for y in range(g.order)}
+    assert _commutator_subgroup(g) == subgroup_closure(g, commutators)
 
 
 def test_order_cap():

@@ -139,6 +139,19 @@ class CycloContext:
         out.update((row, (1, k)) for k, row in enumerate(rows))
         return out
 
+    @cached_property
+    def root_values(self) -> dict[tuple[int, int], tuple["CycloScalar", ...]]:
+        """(a, sign) -> the m scalars a + sign * zeta^k, k < m, for a in
+        {0, 1} and sign in {1, -1}: every coefficient of a star-map orbit
+        vector or a skew class-sum combination.  Built on first use."""
+        roots = [self.zeta(k) for k in range(self.m)]
+        out = {}
+        for sign in (1, -1):
+            moved = tuple(r if sign == 1 else -r for r in roots)
+            out[0, sign] = moved
+            out[1, sign] = tuple(self.one + r for r in moved)
+        return out
+
     def from_fraction(self, q) -> "CycloScalar":
         q = _norm(Fraction(q))
         return CycloScalar(self, (q,) + (0,) * (self.degree - 1))
@@ -439,13 +452,15 @@ def galois_array(x: np.ndarray, k: int, source: CycloContext,
     return x @ mat
 
 
-def times_roots(x: np.ndarray, exponents, ctx: CycloContext) -> np.ndarray:
-    """x[..., c, :] times zeta^exponents[c] for every column c of a coefficient
-    array: coefficient j moves to the canonical form of zeta^(e_c + j)."""
-    powers = (np.array(exponents)[:, None] + np.arange(ctx.degree)) % ctx.m
+def times_roots(x: np.ndarray, exponents: np.ndarray, ctx: CycloContext) -> np.ndarray:
+    """x[..., c, :] times zeta^exponents[a, c] for every row a of the (A, k)
+    `exponents` and every column c of a coefficient array, as one array
+    (A, ..., k, phi(m)): coefficient j moves to the canonical form of
+    zeta^(e_ac + j)."""
+    powers = (np.asarray(exponents)[:, :, None] + np.arange(ctx.degree)) % ctx.m
     mats = ctx.power_array[powers]
     check_int64_bound(ctx.degree * max_abs(x) * max_abs(mats), "root-of-unity product")
-    return np.einsum("...cj,cjl->...cl", x, mats)
+    return np.einsum("...cj,acjl->a...cl", x, mats)
 
 
 def class_sums(a: np.ndarray, b: np.ndarray, w, ctx: CycloContext) -> np.ndarray:

@@ -14,6 +14,14 @@ raises IndicatorOutOfRange rather than guessing.
 The sums run on the table's int64 coefficient array: the per-class weights
 become a coefficient array too, and cyclo.class_sums forms #G times every
 irrep's indicator at once.
+
+A group's contexts share this work.  indicator_reports takes a list of
+(alpha, tau): one class_sums call forms every distinct joint, weighted and
+twisted sum of those contexts from one stacked weight array (keys, classes,
+phi(m)), and one times_roots einsum per tau, in blocks of alphas, forms
+every partner target.  indicator_report, joint_indicator, pairing,
+weighted_fs_indicator and kawanaka_indicator are one-context calls into the
+same kernels.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .groups import (
     identity_automorphism,
     trivial_character,
 )
-from .liealg import census_dimension, make_context
+from .liealg import LieContext, census_dimension, make_context
 
 
 @dataclass(frozen=True)
@@ -102,21 +110,41 @@ class IndicatorReport:
         }
 
 
-def _as_indicator(scaled: np.ndarray, n: int, ctx: cyclo.CycloContext, what: str) -> int:
-    """Read off v from the coefficients of n*v with v in {-1, 0, 1}; sums
-    stay integral this way."""
-    if not scaled.any():
-        return 0
-    if not scaled[1:].any() and scaled[0] in (-n, n):
-        return int(scaled[0]) // n
-    raise IndicatorOutOfRange(
-        f"{n} * {what} = {cyclo.scalar_of(scaled, ctx)!r} is outside {{-n, 0, n}}"
-    )
+def _as_indicators(scaled: np.ndarray, n: int, ctx: cyclo.CycloContext, labels) -> np.ndarray:
+    """Read off v from the coefficients (irreps, keys, phi(m)) of n*v with v
+    in {-1, 0, 1}; sums stay integral this way.  The int array (irreps,
+    keys) of the v; the first entry outside, in key order, raises
+    IndicatorOutOfRange, named after `labels[key]`."""
+    ok = ~scaled[:, :, 1:].any(axis=2) & np.isin(scaled[:, :, 0], (-n, 0, n))
+    if not ok.all():
+        key, i = np.argwhere(~ok.T)[0].tolist()
+        raise IndicatorOutOfRange(
+            f"{n} * {labels[key]}(irrep {i}) = {cyclo.scalar_of(scaled[i, key], ctx)!r} "
+            "is outside {-n, 0, n}"
+        )
+    return scaled[:, :, 0] // n
 
 
 def _check_conductor(alpha: LinearCharacter, ctx: cyclo.CycloContext) -> None:
     if alpha.conductor != ctx.m:
         raise ConductorMismatch(f"mixed conductors {alpha.conductor} and {ctx.m}")
+
+
+def stacked_weights(group: GroupTable, keys, ctx: cyclo.CycloContext) -> np.ndarray:
+    """twist_weights of every (alpha, tau) of `keys`, stacked into one array
+    (keys, classes, phi(m)) with one matmul."""
+    cd = conjugacy_data(group)
+    class_of = np.array(cd.class_of)
+    mult = group.mult_array()
+    counts = np.zeros((len(keys), cd.num_classes, ctx.m), dtype=np.int64)
+    for w, (alpha, tau) in enumerate(keys):
+        if alpha is not None:
+            _check_conductor(alpha, ctx)
+        # the class of g*tau(g) and the exponent of conj(alpha(g)), for every g
+        classes = class_of[mult[group.elements(), tau.mapping]]
+        e = 0 if alpha is None else -np.array(alpha.exponents) % ctx.m
+        np.add.at(counts[w], (classes, e), 1)
+    return counts @ ctx.power_array[:ctx.m]
 
 
 def twist_weights(group: GroupTable, alpha: LinearCharacter | None,
@@ -127,23 +155,24 @@ def twist_weights(group: GroupTable, alpha: LinearCharacter | None,
     With alpha None the weights are the integer counts, stored in coefficient
     0 of an array in `ctx`.
     """
-    if alpha is not None:
-        _check_conductor(alpha, ctx)
-    cd = conjugacy_data(group)
-    # the class of g*tau(g) and the exponent of conj(alpha(g)), for every g
-    classes = np.array(cd.class_of)[group.mult_array()[group.elements(), tau.mapping]]
-    e = 0 if alpha is None else -np.array(alpha.exponents) % ctx.m
-    counts = np.zeros((cd.num_classes, ctx.m), dtype=np.int64)
-    np.add.at(counts, (classes, e), 1)
-    return counts @ ctx.power_array[:ctx.m]
+    return stacked_weights(group, [(alpha, tau)], ctx)[0]
 
 
 def scaled_sums(weights: np.ndarray, rows: np.ndarray, ctx: cyclo.CycloContext) -> np.ndarray:
-    """sum_c weights[c] * rows[r, c] for every class-function row r, as
-    canonical coefficients (rows, phi(m)): #G times the indicator, kept
-    integral."""
-    unit = np.ones(weights.shape[0], dtype=np.int64)
-    return cyclo.class_sums(rows, weights[None], unit, ctx)[:, 0]
+    """sum_c weights[w, c] * rows[r, c] for every class-function row r and
+    every stacked weight w, as canonical coefficients (rows, weights,
+    phi(m)): #G times the indicators, kept integral, from one class_sums
+    call."""
+    unit = np.ones(weights.shape[1], dtype=np.int64)
+    return cyclo.class_sums(rows, weights, unit, ctx)
+
+
+def _joint_indicators(table: CharacterTable, keys) -> np.ndarray:
+    """The joint indicators (irreps, keys) of every (alpha, tau) of `keys`."""
+    ctx = table.context()
+    sums = scaled_sums(stacked_weights(table.group, keys, ctx), table.coeff_array, ctx)
+    labels = [f"nu_({alpha.label},{tau.label})" for alpha, tau in keys]
+    return _as_indicators(sums, table.group.order, ctx, labels)
 
 
 def joint_indicator(table: CharacterTable, alpha: LinearCharacter,
@@ -153,13 +182,7 @@ def joint_indicator(table: CharacterTable, alpha: LinearCharacter,
     Specializes to the weighted indicator at tau = id and to the twisted one
     at alpha = trivial.
     """
-    n = table.group.order
-    ctx = table.context()
-    sums = scaled_sums(twist_weights(table.group, alpha, tau, ctx), table.coeff_array, ctx)
-    return tuple(
-        _as_indicator(s, n, ctx, f"nu_({alpha.label},{tau.label})(irrep {i})")
-        for i, s in enumerate(sums)
-    )
+    return tuple(_joint_indicators(table, [(alpha, tau)])[:, 0].tolist())
 
 
 def weighted_fs_indicator(table: CharacterTable, alpha: LinearCharacter) -> tuple[int, ...]:
@@ -172,31 +195,50 @@ def kawanaka_indicator(table: CharacterTable, tau: InvolutiveAutomorphism) -> tu
     return joint_indicator(table, trivial_character(table.group), tau)
 
 
-def pairing(table: CharacterTable, alpha: LinearCharacter,
-            tau: InvolutiveAutomorphism) -> tuple[tuple[int, ...], tuple[PairingClass, ...]]:
-    """Partner map V -> unique irrep with character alpha * conj(chi) o tau.
+def _alphas_per_block(per_alpha: int) -> int:
+    """How many alphas one partner einsum takes, for block arrays of
+    `per_alpha` entries per alpha."""
+    return max(1, cyclo._SUMS_BLOCK // per_alpha)
 
-    Returns (partner, classes); partner is an involution on irrep indices.
+
+def _partner_maps(table: CharacterTable, tau: InvolutiveAutomorphism,
+                  alphas) -> list[tuple[int, ...]]:
+    """The partner map of (alpha, tau) for every alpha of `alphas`.
+
+    The targets alpha * conj(chi) o tau of all alphas come from one
+    times_roots einsum per block of alphas; no block array exceeds
+    cyclo._SUMS_BLOCK entries unless one alpha alone does.
     """
     cd = table.class_data
     ctx = table.context()
-    _check_conductor(alpha, ctx)
+    for alpha in alphas:
+        _check_conductor(alpha, ctx)
     x = table.coeff_array
     # conj(chi(y)) = chi(y^-1), so conj(chi) o tau is read at the inverse class
     conj_tau = x[:, [cd.inverse_class[cd.class_of[tau.mapping[r]]] for r in cd.representatives]]
-    targets = cyclo.times_roots(conj_tau, [alpha.exponents[r] for r in cd.representatives], ctx)
+    exponents = np.array([[alpha.exponents[r] for r in cd.representatives] for alpha in alphas])
     rows = {row.tobytes(): i for i, row in enumerate(x)}
-    partner = []
-    for i, target in enumerate(targets):
-        j = rows.get(target.tobytes())
-        if j is None:
-            raise PartnerNotFound(
-                f"no irrep matches alpha * conj(chi_{i}) o tau; table inconsistency"
-            )
-        partner.append(j)
-    for i, j in enumerate(partner):
-        if partner[j] != i:
-            raise PartnerNotFound("partner map is not an involution")
+    d = ctx.degree
+    step = _alphas_per_block(x.shape[1] * d * max(x.shape[0], d))
+    out = []
+    for lo in range(0, len(alphas), step):
+        for targets in cyclo.times_roots(conj_tau, exponents[lo:lo + step], ctx):
+            partner = []
+            for i, target in enumerate(targets):
+                j = rows.get(target.tobytes())
+                if j is None:
+                    raise PartnerNotFound(
+                        f"no irrep matches alpha * conj(chi_{i}) o tau; table inconsistency"
+                    )
+                partner.append(j)
+            for i, j in enumerate(partner):
+                if partner[j] != i:
+                    raise PartnerNotFound("partner map is not an involution")
+            out.append(tuple(partner))
+    return out
+
+
+def _pairing_classes(partner: tuple[int, ...]) -> tuple[PairingClass, ...]:
     classes = []
     seen = set()
     for i, j in enumerate(partner):
@@ -208,7 +250,17 @@ def pairing(table: CharacterTable, alpha: LinearCharacter,
         else:
             seen.add(j)
             classes.append(PairingClass((i, j), "gl"))
-    return tuple(partner), tuple(classes)
+    return tuple(classes)
+
+
+def pairing(table: CharacterTable, alpha: LinearCharacter,
+            tau: InvolutiveAutomorphism) -> tuple[tuple[int, ...], tuple[PairingClass, ...]]:
+    """Partner map V -> unique irrep with character alpha * conj(chi) o tau.
+
+    Returns (partner, classes); partner is an involution on irrep indices.
+    """
+    partner = _partner_maps(table, tau, [alpha])[0]
+    return partner, _pairing_classes(partner)
 
 
 def involution_counts(group: GroupTable, alpha: LinearCharacter,
@@ -238,21 +290,11 @@ def _factor(pc: PairingClass, nu: tuple[int, ...], degrees: tuple[int, ...]) -> 
     raise IndicatorOutOfRange(f"self-paired irrep {i} has vanishing joint indicator")
 
 
-def indicator_report(group: GroupTable, table: CharacterTable,
-                     alpha: LinearCharacter,
-                     tau: InvolutiveAutomorphism | None = None) -> IndicatorReport:
-    """Indicators, pairing and the predicted decomposition of one context.
-
-    The context is validated first, so an incompatible (alpha, tau) raises
-    IncompatiblePair instead of failing inside the pairing.
-    """
-    ctx = make_context(group, alpha, tau)
-    tau = ctx.tau
-    nu = joint_indicator(table, alpha, tau)
-    # nu is f_alpha at tau = id and c_tau at trivial alpha
-    f_alpha = nu if tau.is_identity() else weighted_fs_indicator(table, alpha)
-    c_tau = nu if alpha.is_trivial() else kawanaka_indicator(table, tau)
-    partner, classes = pairing(table, alpha, tau)
+def _report(ctx: LieContext, table: CharacterTable, nu: tuple[int, ...],
+            f_alpha: tuple[int, ...], c_tau: tuple[int, ...],
+            partner: tuple[int, ...], classes: tuple[PairingClass, ...]) -> IndicatorReport:
+    """The report of one context from its indicators and partner map."""
+    group, alpha, tau = ctx.group, ctx.alpha, ctx.tau
     factors = tuple(_factor(pc, nu, table.degrees) for pc in classes)
     plus, minus = involution_counts(group, alpha, tau)
     return IndicatorReport(
@@ -274,6 +316,61 @@ def indicator_report(group: GroupTable, table: CharacterTable,
         dim_l_formula=census_dimension(ctx),
         center_dim=sum(1 for pc in classes if pc.kind == "gl"),
     )
+
+
+def indicator_report(group: GroupTable, table: CharacterTable,
+                     alpha: LinearCharacter,
+                     tau: InvolutiveAutomorphism | None = None) -> IndicatorReport:
+    """Indicators, pairing and the predicted decomposition of one context.
+
+    The context is validated first, so an incompatible (alpha, tau) raises
+    IncompatiblePair instead of failing inside the pairing.
+    """
+    ctx = make_context(group, alpha, tau)
+    tau = ctx.tau
+    nu = joint_indicator(table, alpha, tau)
+    # nu is f_alpha at tau = id and c_tau at trivial alpha
+    f_alpha = nu if tau.is_identity() else weighted_fs_indicator(table, alpha)
+    c_tau = nu if alpha.is_trivial() else kawanaka_indicator(table, tau)
+    partner, classes = pairing(table, alpha, tau)
+    return _report(ctx, table, nu, f_alpha, c_tau, partner, classes)
+
+
+def indicator_reports(group: GroupTable, table: CharacterTable, pairs) -> list[IndicatorReport]:
+    """indicator_report of every (alpha, tau) of `pairs`, in order, with the
+    work shared across them.
+
+    Every context is validated first.  One class_sums call gives every
+    distinct joint, weighted and twisted indicator of the contexts, and one
+    partner einsum per tau (in blocks of alphas) every partner map.
+    """
+    contexts = [make_context(group, alpha, tau) for alpha, tau in pairs]
+    identity = identity_automorphism(group)
+    trivial = trivial_character(group)
+    keys = {}  # (alpha.exponents, tau.mapping) -> (alpha, tau), in first-use order
+    for ctx in contexts:
+        for alpha, tau in ((ctx.alpha, ctx.tau), (ctx.alpha, identity), (trivial, ctx.tau)):
+            keys.setdefault((alpha.exponents, tau.mapping), (alpha, tau))
+    columns = _joint_indicators(table, list(keys.values())).T.tolist()
+    indicator = {key: tuple(col) for key, col in zip(keys, columns)}
+
+    same_tau = {}  # tau.mapping -> the indices of its contexts
+    for i, ctx in enumerate(contexts):
+        same_tau.setdefault(ctx.tau.mapping, []).append(i)
+    partners = [None] * len(contexts)
+    for at in same_tau.values():
+        maps = _partner_maps(table, contexts[at[0]].tau, [contexts[i].alpha for i in at])
+        for i, partner in zip(at, maps):
+            partners[i] = partner
+
+    return [
+        _report(ctx, table,
+                indicator[ctx.alpha.exponents, ctx.tau.mapping],
+                indicator[ctx.alpha.exponents, identity.mapping],
+                indicator[trivial.exponents, ctx.tau.mapping],
+                partner, _pairing_classes(partner))
+        for ctx, partner in zip(contexts, partners)
+    ]
 
 
 def predicted_decomposition(table: CharacterTable, alpha: LinearCharacter,

@@ -13,6 +13,11 @@ The products iterate over these terms only, so they cost what the supports
 cost, not what |G| costs.  bracket forms each a_x b_y once, and
 trace_of_product reads only the identity coefficient of a product.
 
+Every coefficient of a spanning vector, a +1 eigenvector or a skew class-sum
+combination is 1, +-zeta^e or 1 +- zeta^e, so these vectors are written
+directly with values read from the per-conductor tuples
+CycloContext.root_values, with no scalar arithmetic.
+
 The verifier's pair checks (closure, centrality, trace-form orthogonality)
 run as one exact integer kernel, skew_checks, with bracket,
 trace_of_product and RowSpace.contains as its oracles.  Each coefficient
@@ -188,6 +193,11 @@ class LieContext:
     def __post_init__(self):
         if len(self.tau.mapping) != self.group.order:
             raise IncompatiblePair("tau does not match the group order")
+        if self.alpha.conductor != self.group.exponent:
+            raise ConductorMismatch(
+                f"alpha has conductor {self.alpha.conductor}, the group exponent "
+                f"{self.group.exponent}"
+            )
         if not alpha_tau_compatible(self.alpha, self.tau):
             raise IncompatiblePair(
                 f"alpha({self.alpha.label}) o tau({self.tau.label}) != alpha; "
@@ -274,18 +284,23 @@ class LieBasis:
 
 def _orbit_vectors(ctx: LieContext, sign: int):
     """Yield (g, delta_g + sign * alpha(g) delta_sigma(g)), one per orbit of
-    sigma on which it is nonzero; the partner's vector is proportional."""
+    sigma on which it is nonzero; the partner's vector is proportional.
+
+    Every coefficient is 1, sign * zeta^e or, at a fixed point,
+    1 + sign * zeta^e, read from CycloContext.root_values."""
     group = ctx.group
     sigma = ctx.sigma
-    one = cyclo.context(group.exponent).one
+    exponents = ctx.alpha.exponents
+    values = cyclo.context(group.exponent)
+    one, moved, fixed = values.one, values.root_values[0, sign], values.root_values[1, sign]
     seen = set()
     for g in group.elements():
         if g in seen:
             continue
         s = sigma[g]
         seen.update((g, s))
-        c = sign * ctx.alpha.value(g)
-        v = GroupAlgebraElement(group, {g: one + c} if s == g else {g: one, s: c})
+        e = exponents[g]
+        v = GroupAlgebraElement(group, {g: fixed[e]} if s == g else {g: one, s: moved[e]})
         if v.terms:  # empty only at a fixed point with alpha(g) = -sign
             yield g, v
 
@@ -318,18 +333,26 @@ def center_candidates(ctx: LieContext):
     """Yield (c, sigma(c), T_c - alpha(c) T_(sigma c)) for every class c where
     the combination can be nonzero, i.e. unless c is sigma-fixed with alpha(c) = 1.
 
-    A sigma-orbit {c, sigma(c)} yields proportional candidates.
+    A sigma-orbit {c, sigma(c)} yields proportional candidates.  The terms
+    are written directly: 1 on c and -alpha(c) on sigma(c), or 1 - alpha(c)
+    on a sigma-fixed c, read from CycloContext.root_values.
     """
     group = ctx.group
     cd = conjugacy_data(group)
     sig = sigma_class_map(ctx)
+    values = cyclo.context(group.exponent)
+    one, moved, fixed = values.one, values.root_values[0, -1], values.root_values[1, -1]
     for c in range(cd.num_classes):
         sc = sig[c]
-        alpha_c = ctx.alpha.value(cd.representatives[c])
-        if sc == c and alpha_c == 1:
-            continue
-        yield c, sc, (class_sum(group, cd.classes[c])
-                      - class_sum(group, cd.classes[sc]).scaled(alpha_c))
+        e = ctx.alpha.exponents[cd.representatives[c]]
+        if sc == c:
+            if e == 0:
+                continue
+            terms = dict.fromkeys(cd.classes[c], fixed[e])
+        else:
+            terms = dict.fromkeys(cd.classes[c], one)
+            terms.update(dict.fromkeys(cd.classes[sc], moved[e]))
+        yield c, sc, GroupAlgebraElement(group, terms)
 
 
 def center_basis(ctx: LieContext, *, candidates=None) -> list[GroupAlgebraElement]:

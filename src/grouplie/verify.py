@@ -24,9 +24,13 @@ For each nontrivial linear character alpha of a group (tau = id) the
 Clifford identity L(Ker alpha) = L(G) & L_alpha(G) is checked as well.  With
 H = L(Ker alpha), A = L(G, trivial) and B = L(G, alpha), H = A & B exactly
 when every row of H lies in A and in B and rank H = dim A + dim B - dim(A + B)
-(Grassmann's formula).  A + B starts from a copy of A's reduced row space,
-and run_suite builds each tau = id basis once per group and shares it with
-the theorem checks.
+(Grassmann's formula).  A + B starts from a copy of A's reduced row space.
+
+run_suite shares per-group work between its checks: it builds each tau = id
+basis once and hands it to the theorem and Clifford checks, and it builds
+the indicator reports of all the group's contexts as one indicator_reports
+batch, handing each to verify_theorem and the (trivial, tau) report to
+verify_kawanaka, which reads c_tau and F_1 of G from it.
 
 A failing check is reported as an implementation bug: the underlying
 identities are theorems.
@@ -61,9 +65,9 @@ from .indicators import (
     Factor,
     IndicatorReport,
     indicator_report,
-    kawanaka_indicator,
+    indicator_reports,
     scaled_sums,
-    twist_weights,
+    stacked_weights,
     weighted_fs_indicator,
 )
 from .liealg import (
@@ -176,20 +180,36 @@ def _center_data(ctx: LieContext, report: IndicatorReport):
     return exact, gens, class_count_ok
 
 
+def _check_report(report: IndicatorReport, group: GroupTable, alpha: LinearCharacter,
+                  tau: InvolutiveAutomorphism) -> None:
+    """Raise BadParameters unless a caller's `report` names this context."""
+    named = (report.group_name, report.alpha_label, report.tau_label)
+    if named != (group.name, alpha.label, tau.label):
+        raise BadParameters(
+            f"indicator report of {named} handed to context "
+            f"({group.name}, {alpha.label}, {tau.label})"
+        )
+
+
 def verify_theorem(group: GroupTable, alpha: LinearCharacter,
                    tau: InvolutiveAutomorphism | None = None, *,
                    table: CharacterTable | None = None,
                    basis: LieBasis | None = None,
+                   report: IndicatorReport | None = None,
                    seed: int = 0,
                    raise_on_failure: bool = True) -> LieReport:
-    """Check one (group, alpha, tau) context; `table` and `basis` (the
-    context's lie_basis) are built here unless the caller already has them."""
+    """Check one (group, alpha, tau) context; `table`, `basis` (the
+    context's lie_basis) and `report` (its indicator_report) are built here
+    unless the caller already has them."""
     t0 = time.perf_counter()
     ctx = make_context(group, alpha, tau)
     tau = ctx.tau
-    if table is None:
-        table = character_table(group, seed=seed)
-    report = indicator_report(group, table, alpha, tau)
+    if report is None:
+        if table is None:
+            table = character_table(group, seed=seed)
+        report = indicator_report(group, table, alpha, tau)
+    else:
+        _check_report(report, group, alpha, tau)
 
     if basis is None:
         basis = lie_basis(ctx)
@@ -308,13 +328,16 @@ class KawanakaResult:
 def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
                     seed: int = 0,
                     table: CharacterTable | None = None,
+                    report: IndicatorReport | None = None,
                     raise_on_failure: bool = True) -> KawanakaResult:
     """Check 2 F_eps(chi) = F_1(Res chi) - c_tau(Res chi) on the tau-extension.
 
     The extension is G extended by the order-2 group acting through tau; eps
     is its order-2 character with kernel the embedded copy of G.  Split
     restrictions additionally satisfy c_tau(chi+) = c_tau(chi-) and
-    F(chi+) = F(chi-).
+    F(chi+) = F(chi-), with c_tau and F = F_1 of G read from `report`, the
+    indicator_report of (G, trivial, tau), built here unless the caller
+    already has it.
     """
     ext = semidirect_product(group, tau)
     table_ext = character_table(ext, seed=seed)
@@ -335,9 +358,9 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
     res = table_ext.coeff_array[:, [cd_ext.class_of[r] for r in cd.representatives]]
     # n * F_1 and n * c_tau of each restriction, kept integral; restrictions
     # are reducible, so these are not read off as indicators
-    nf1 = scaled_sums(twist_weights(group, None, identity_automorphism(group), ctx_ext),
-                      res, ctx_ext)
-    nctau = scaled_sums(twist_weights(group, None, tau, ctx_ext), res, ctx_ext)
+    weights = stacked_weights(group, [(None, identity_automorphism(group)), (None, tau)], ctx_ext)
+    sums = scaled_sums(weights, res, ctx_ext)
+    nf1, nctau = sums[:, 0], sums[:, 1]
 
     # decompose every restriction into irreducibles of G: n * <Res chi_i, chi_j>
     gconj_emb = cyclo.galois_array(table.coeff_array, -1, table.context(), ctx_ext)
@@ -357,8 +380,12 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
             )
     multiplicities = (inner[:, :, 0] // n).tolist()
 
-    ctau_g = kawanaka_indicator(table, tau)
-    f1_g = weighted_fs_indicator(table, trivial_character(group))
+    trivial = trivial_character(group)
+    if report is None:
+        report = indicator_report(group, table, trivial, tau)
+    else:
+        _check_report(report, group, trivial, tau)
+    ctau_g, f1_g = report.c_tau, report.f_alpha
     rows = []
     ok = True
     identity_gap = nf1 - nctau
@@ -472,18 +499,23 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         chars = linear_characters(group)
         if alpha_labels != "all":
             chars = [c for c in chars if c.label in alpha_labels]
+        pairs = [(alpha, tau) for tau in taus for alpha in chars
+                 if alpha_tau_compatible(alpha, tau)]
+        # the indicator reports of all the group's contexts, as one batch
+        reports = indicator_reports(group, table, pairs)
+        for (alpha, tau), report in zip(pairs, reports):
+            result.reports.append(
+                verify_theorem(group, alpha, tau, table=table,
+                               basis=bases[alpha.exponents] if tau.is_identity() else None,
+                               report=report, seed=seed, raise_on_failure=False)
+            )
         for tau in taus:
-            for alpha in chars:
-                if not alpha_tau_compatible(alpha, tau):
-                    continue
-                result.reports.append(
-                    verify_theorem(group, alpha, tau, table=table,
-                                   basis=bases[alpha.exponents] if tau.is_identity() else None,
-                                   seed=seed, raise_on_failure=False)
-                )
             if not tau.is_identity() and 2 * group.order <= 256:
+                # the (trivial, tau) report, unless the selection left trivial out
+                report = next((r for (a, t), r in zip(pairs, reports)
+                               if t is tau and a.is_trivial()), None)
                 result.kawanaka.append(
-                    verify_kawanaka(group, tau, seed=seed, table=table,
+                    verify_kawanaka(group, tau, seed=seed, table=table, report=report,
                                     raise_on_failure=False)
                 )
         for alpha in chars:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from grouplie import cyclo
 from grouplie.chartable import character_table
 from grouplie.errors import AlphaNotReal, IncompatiblePair
 from grouplie.groups import (
@@ -11,11 +13,14 @@ from grouplie.groups import (
     inversion_automorphism,
     linear_characters,
     parse_group_spec,
+    trivial_character,
     validate_automorphism,
     conjugation_map,
 )
 from grouplie.indicators import (
+    PairingClass,
     indicator_report,
+    indicator_reports,
     involution_counts,
     joint_indicator,
     kawanaka_indicator,
@@ -25,6 +30,7 @@ from grouplie.indicators import (
     twist_weights,
     weighted_fs_indicator,
 )
+from grouplie.verify import curated_taus, default_catalog
 
 
 def elementwise_weighted_fs(group, table, alpha, irrep):
@@ -330,3 +336,127 @@ def test_twist_weights_equal_the_elementwise_sums():
                     expected[c] = expected[c] + (ctx.one if alpha is None else alpha.conj_value(g))
                 got = twist_weights(group, alpha, tau, ctx)
                 assert [tuple(row) for row in got.tolist()] == [v.coeffs for v in expected]
+
+
+# ---------------------------------------------------------------------------
+# indicator_reports against the per-context sums it batches
+
+
+def oracle_joint(table, alpha, tau):
+    """Reference: one context's joint indicator from its own weights and one
+    class_sums call, read off one irrep at a time."""
+    group = table.group
+    n = group.order
+    ctx = table.context()
+    cd = conjugacy_data(group)
+    classes = np.array(cd.class_of)[group.mult_array()[group.elements(), tau.mapping]]
+    counts = np.zeros((cd.num_classes, ctx.m), dtype=np.int64)
+    np.add.at(counts, (classes, -np.array(alpha.exponents) % ctx.m), 1)
+    weights = counts @ ctx.power_array[:ctx.m]
+    unit = np.ones(cd.num_classes, dtype=np.int64)
+    out = []
+    for s in cyclo.class_sums(table.coeff_array, weights[None], unit, ctx)[:, 0]:
+        assert not s[1:].any() and s[0] in (-n, 0, n)
+        out.append(int(s[0]) // n)
+    return tuple(out)
+
+
+def oracle_pairing(table, alpha, tau):
+    """Reference: one context's partner map from its own einsum, and its
+    pairing classes."""
+    cd = table.class_data
+    ctx = table.context()
+    x = table.coeff_array
+    conj_tau = x[:, [cd.inverse_class[cd.class_of[tau.mapping[r]]] for r in cd.representatives]]
+    powers = (np.array([alpha.exponents[r] for r in cd.representatives])[:, None]
+              + np.arange(ctx.degree)) % ctx.m
+    targets = np.einsum("icj,cjl->icl", conj_tau, ctx.power_array[powers])
+    rows = {row.tobytes(): i for i, row in enumerate(x)}
+    partner = tuple(rows[t.tobytes()] for t in targets)
+    classes = []
+    for i, j in enumerate(partner):
+        if i <= j:
+            classes.append(PairingClass((i,), "osp") if i == j else PairingClass((i, j), "gl"))
+    return partner, tuple(classes)
+
+
+def suite_pairs(group):
+    return [(alpha, tau) for tau in curated_taus(group) for alpha in linear_characters(group)
+            if alpha_tau_compatible(alpha, tau)]
+
+
+def test_indicator_reports_equal_the_per_context_oracle():
+    groups = [g for g in default_catalog() if g.order <= 24] + [catalog("alternating", 5)]
+    assert any(g.name == catalog("symmetric", 4).name for g in groups)
+    contexts = 0
+    for group in groups:
+        table = character_table(group)
+        pairs = suite_pairs(group)
+        reports = indicator_reports(group, table, pairs)
+        assert len(reports) == len(pairs)
+        trivial, identity = trivial_character(group), identity_automorphism(group)
+        for (alpha, tau), r in zip(pairs, reports):
+            if group.order <= 24:
+                contexts += 1
+            assert (r.alpha_label, r.tau_label) == (alpha.label, tau.label)
+            assert r.nu == oracle_joint(table, alpha, tau)
+            assert r.f_alpha == oracle_joint(table, alpha, identity)
+            assert r.c_tau == oracle_joint(table, trivial, tau)
+            assert (r.partner, r.classes) == oracle_pairing(table, alpha, tau)
+            assert r == indicator_report(group, table, alpha, tau)
+    assert contexts == 406
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "product:cyclic:3,cyclic:4",
+                                  "dihedral:4", "alternating:4"])
+def test_partner_blocks_do_not_change_the_reports(monkeypatch, spec):
+    from grouplie import indicators
+
+    group = parse_group_spec(spec)
+    table = character_table(group)
+    for tau in curated_taus(group):
+        pairs = [p for p in suite_pairs(group) if p[1] is tau]
+        expected = indicator_reports(group, table, pairs)
+        n = len(pairs)
+        for block in (1, max(1, n - 1)):
+            calls = []
+            original = cyclo.times_roots
+
+            def counted(x, exponents, ctx):
+                calls.append(len(exponents))
+                return original(x, exponents, ctx)
+
+            monkeypatch.setattr(indicators, "_alphas_per_block", lambda per_alpha: block)
+            monkeypatch.setattr(cyclo, "times_roots", counted)
+            assert indicator_reports(group, table, pairs) == expected
+            assert calls == [min(block, n - lo) for lo in range(0, n, block)]
+            monkeypatch.undo()
+
+
+def test_partner_blocks_stay_within_the_sums_block(monkeypatch):
+    # cyclic:24 has 24 alphas of 24 * 8 * 24 entries each: two blocks at tau = id
+    group = catalog("cyclic", 24)
+    table = character_table(group)
+    pairs = [(alpha, identity_automorphism(group)) for alpha in linear_characters(group)]
+    sizes = []
+    original = cyclo.times_roots
+
+    def measured(x, exponents, ctx):
+        out = original(x, exponents, ctx)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(cyclo, "times_roots", measured)
+    reports = indicator_reports(group, table, pairs)
+    assert len(sizes) == 2 and max(sizes) <= cyclo._SUMS_BLOCK
+    assert [r.partner for r in reports] == [oracle_pairing(table, a, t)[0] for a, t in pairs]
+
+
+def test_indicator_reports_validate_every_context_first():
+    z4 = catalog("cyclic", 4)
+    table = character_table(z4)
+    inv = inversion_automorphism(z4)
+    pairs = [(find_character(z4, "trivial"), inv), (find_character(z4, "lin1"), inv)]
+    with pytest.raises(IncompatiblePair):
+        indicator_reports(z4, table, pairs)
+    assert indicator_reports(z4, table, []) == []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from grouplie.cyclo import context
 from grouplie.errors import BadParameters, GroupMismatch, IncompatiblePair, InvariantViolated
 from grouplie.groups import (
+    alpha_tau_compatible,
     catalog,
     conjugacy_data,
     find_character,
@@ -20,6 +21,7 @@ from grouplie.liealg import (
     GroupAlgebraElement,
     bracket,
     center_basis,
+    center_candidates,
     census_dimension,
     class_projection,
     class_sum,
@@ -29,12 +31,14 @@ from grouplie.liealg import (
     lie_basis,
     make_context,
     plus_fixed_basis,
+    sigma_class_map,
     skew_project,
     skew_projector_trace,
     star,
     trace_of_product,
 )
 from grouplie.linalg import CycloMatrix
+from grouplie.verify import curated_taus, default_catalog
 
 
 S3 = catalog("symmetric", 3)
@@ -387,3 +391,98 @@ def test_lie_basis_checks_the_census_without_assert(monkeypatch):
     monkeypatch.setattr(liealg_mod, "census_dimension", lambda c: 0)
     with pytest.raises(InvariantViolated):
         lie_basis(ctx)
+
+
+# ---------------------------------------------------------------------------
+# vectors written by lookup against the arithmetic construction
+
+
+def oracle_orbit_vectors(ctx, sign):
+    """Reference: (g, delta_g + sign * alpha(g) delta_sigma(g)) by group
+    algebra arithmetic, one per sigma-orbit where it is nonzero."""
+    group, seen, out = ctx.group, set(), []
+    for g in group.elements():
+        if g in seen:
+            continue
+        s = ctx.sigma[g]
+        seen.update((g, s))
+        v = (GroupAlgebraElement.delta(group, g)
+             + GroupAlgebraElement.delta(group, s).scaled(sign * ctx.alpha.value(g)))
+        if not v.is_zero():
+            out.append((g, v))
+    return out
+
+
+def oracle_center_candidates(ctx):
+    """Reference: (c, sigma(c), T_c - alpha(c) T_sigma(c)) by class-sum
+    arithmetic, skipping sigma-fixed classes with alpha(c) = 1."""
+    group = ctx.group
+    cd = conjugacy_data(group)
+    sig = sigma_class_map(ctx)
+    out = []
+    for c in range(cd.num_classes):
+        alpha_c = ctx.alpha.value(cd.representatives[c])
+        if sig[c] == c and alpha_c == 1:
+            continue
+        out.append((c, sig[c], class_sum(group, cd.classes[c])
+                    - class_sum(group, cd.classes[sig[c]]).scaled(alpha_c)))
+    return out
+
+
+def test_lookup_vectors_equal_the_arithmetic_construction():
+    contexts = 0
+    for group in (g for g in default_catalog() if g.order <= 24):
+        for tau in curated_taus(group):
+            for alpha in linear_characters(group):
+                if not alpha_tau_compatible(alpha, tau):
+                    continue
+                contexts += 1
+                ctx = make_context(group, alpha, tau)
+                minus = oracle_orbit_vectors(ctx, -1)
+                basis = lie_basis(ctx)
+                assert basis.vectors == tuple(v for _, v in minus)
+                assert basis.generators_meta == tuple(g for g, _ in minus)
+                assert plus_fixed_basis(ctx) == [v for _, v in oracle_orbit_vectors(ctx, 1)]
+                assert list(center_candidates(ctx)) == oracle_center_candidates(ctx)
+    assert contexts == 406
+
+
+def test_lookup_vectors_at_fixed_points_and_fixed_classes():
+    z4 = catalog("cyclic", 4)
+    one, two = context(4).one, context(4).from_fraction(2)
+    # tau = inv fixes every g under sigma(g) = tau(g)^-1: one vector 1 -+ alpha(g) per g
+    ctx = make_context(z4, find_character(z4, "sign"), inversion_automorphism(z4))
+    minus_one = [g for g in z4.elements() if ctx.alpha.exponents[g]]
+    # 1 - alpha(g) is 2 where alpha(g) = -1 and 0 (skipped) where alpha(g) = 1
+    assert lie_basis(ctx).vectors == tuple(GroupAlgebraElement(z4, {g: two})
+                                           for g in minus_one)
+    # 1 + alpha(g) is 2 where alpha(g) = 1 and 0 (skipped) where alpha(g) = -1
+    assert plus_fixed_basis(ctx) == [GroupAlgebraElement(z4, {g: two})
+                                     for g in z4.elements() if g not in minus_one]
+    # every class is sigma-fixed: alpha(c) = 1 is skipped, alpha(c) = -1 gives 2 T_c
+    cd = conjugacy_data(z4)
+    assert [(c, sc, v.terms) for c, sc, v in center_candidates(ctx)] == [
+        (c, c, dict.fromkeys(cd.classes[c], two)) for c in range(cd.num_classes)
+        if cd.representatives[c] in minus_one]
+
+    # a moved pair (g, g^-1) under tau = id: delta_g - alpha(g) delta_(g^-1)
+    lin1 = find_character(z4, "lin1")
+    ctx = make_context(z4, lin1)
+    g = next(g for g in z4.elements() if z4.inverse[g] != g)
+    vec = dict(zip(lie_basis(ctx).generators_meta, lie_basis(ctx).vectors))[g]
+    assert vec.terms == {g: one, z4.inverse[g]: -lin1.value(g)}
+    # a sigma-fixed class with alpha(c) != 1: (1 - alpha(c)) T_c
+    c, _, v = next(cand for cand in center_candidates(ctx) if cand[0] == cand[1])
+    alpha_c = lin1.value(cd.representatives[c])
+    assert alpha_c != 1
+    assert v.terms == dict.fromkeys(cd.classes[c], one - alpha_c)
+
+
+def test_context_refuses_an_alpha_of_another_conductor():
+    from grouplie.errors import ConductorMismatch
+    from grouplie.groups import LinearCharacter
+
+    z4 = catalog("cyclic", 4)
+    doubled = LinearCharacter(8, tuple(2 * e for e in find_character(z4, "lin1").exponents), "x")
+    with pytest.raises(ConductorMismatch, match="conductor 8"):
+        make_context(z4, doubled)

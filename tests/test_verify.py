@@ -415,3 +415,68 @@ def test_kawanaka_irrational_inner_product_is_typed():
     bad = dataclasses.replace(t, values=tuple(tuple(r) for r in rows))
     with pytest.raises(LiftInconsistent, match=r"restriction of irrep \d+ of .* non-rational"):
         verify_kawanaka(g, inversion_automorphism(g), table=bad)
+
+
+def test_run_suite_builds_one_indicator_batch_per_group(monkeypatch):
+    # the theorem and Kawanaka checks read the batch; no per-context report
+    # and no G-side joint indicator is computed again
+    from grouplie import indicators
+
+    batches, joints = [], []
+    original_reports, original_joint = verify.indicator_reports, indicators.joint_indicator
+
+    def counted_reports(group, table, pairs):
+        batches.append(len(pairs))
+        return original_reports(group, table, pairs)
+
+    def counted_joint(table, alpha, tau):
+        joints.append(table.group.name)
+        return original_joint(table, alpha, tau)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("indicator_report called inside run_suite")
+
+    monkeypatch.setattr(verify, "indicator_reports", counted_reports)
+    monkeypatch.setattr(indicators, "joint_indicator", counted_joint)
+    monkeypatch.setattr(verify, "indicator_report", refused)
+    groups = [catalog("cyclic", 6), catalog("symmetric", 3)]
+    res = run_suite(groups)
+    assert res.all_ok and res.contexts == 10 and len(res.kawanaka) == 1
+    assert batches == [8, 2]
+    # the one joint indicator left is F_eps on the extension of Z/6 by inv
+    assert len(joints) == 1 and joints[0] != groups[0].name
+
+
+def test_kawanaka_reads_the_trivial_tau_report():
+    g = catalog("cyclic", 5)
+    t = character_table(g)
+    inv = inversion_automorphism(g)
+    report = verify.indicator_report(g, t, find_character(g, "trivial"), inv)
+    res = verify_kawanaka(g, inv, table=t, report=report)
+    assert res.ok and res == verify_kawanaka(g, inv, table=t)
+    # the 2-dimensional irreps of D5 restrict to chi + conj(chi); c_tau of
+    # one of the two components changed in the report fails its split check
+    row = next(r for r in res.rows if len(r["split_components"]) == 2)
+    c_tau = list(report.c_tau)
+    c_tau[row["split_components"][0]] = 0
+    broken = dataclasses.replace(report, c_tau=tuple(c_tau))
+    bad = verify_kawanaka(g, inv, table=t, report=broken, raise_on_failure=False)
+    assert not bad.ok and not bad.rows[row["irrep"]]["split_ok"]
+
+
+@pytest.mark.parametrize("which", ["alpha", "tau", "group"])
+def test_a_report_of_another_context_is_refused(which):
+    z4 = catalog("cyclic", 4)
+    t = character_table(z4)
+    triv, sign = find_character(z4, "trivial"), find_character(z4, "sign")
+    tid, inv = identity_automorphism(z4), inversion_automorphism(z4)
+    report = verify.indicator_report(z4, t, triv, tid)
+    if which == "alpha":
+        call = lambda: verify_theorem(z4, sign, tid, report=report)  # noqa: E731
+    elif which == "tau":
+        call = lambda: verify_theorem(z4, triv, inv, report=report)  # noqa: E731
+    else:
+        z5 = catalog("cyclic", 5)
+        call = lambda: verify_kawanaka(z5, inversion_automorphism(z5), report=report)  # noqa: E731
+    with pytest.raises(BadParameters, match="indicator report of"):
+        call()

@@ -38,7 +38,6 @@ from .indicators import (
     joint_indicator,
     kawanaka_indicator,
     pairing,
-    predicted_decomposition,
     weighted_fs_indicator,
 )
 from .liealg import (
@@ -113,7 +112,6 @@ __all__ = [
     "make_context",
     "pairing",
     "parse_group_spec",
-    "predicted_decomposition",
     "regular_character",
     "run_suite",
     "skew_project",

@@ -140,22 +140,28 @@ def exp_cyclic(n: int, omega: complex, z: complex,
         raise BadParameters(f"cyclic order must be >= 2, got {n}")
     if abs(abs(omega) - 1.0) > 1e-9:
         raise BadParameters(f"omega must have modulus 1, got |omega| = {abs(omega)}")
+    if truncation is not None and truncation < n:
+        raise BadParameters(f"truncation {truncation} below the cyclic order {n}")
+    # the tail bound is checked before the fold sums its ~8|z| Bessel series,
+    # and an infinite one before 4|z| is turned into a truncation
+    if tol is not None and _exp_factor(abs(z)) == math.inf:
+        raise TruncationInsufficient(
+            f"tail bound inf exceeds requested tolerance {tol:.3e}; "
+            f"no truncation gives a finite bound at |z| = {abs(z):.6g}"
+        )
     m_max = truncation if truncation is not None else default_truncation(n, z)
-    if m_max < n:
-        raise BadParameters(f"truncation {m_max} below the cyclic order {n}")
+    bound = _fold_tail_bound(abs(z), m_max)
+    if tol is not None and bound > tol:
+        raise TruncationInsufficient(
+            f"tail bound {bound:.3e} exceeds requested tolerance {tol:.3e}; "
+            f"raise the truncation above {m_max}"
+        )
     if phi is None:
         phi = cmath.sqrt(omega)
     w = z * phi
     coeffs = [0j] * n
     for m in range(-m_max, m_max + 1):
         coeffs[m % n] += bessel_j(m, w) * phi ** (-m)
-    bound = _fold_tail_bound(abs(z), m_max)
-    if tol is not None and bound > tol:
-        advice = (f"raise the truncation above {m_max}" if _exp_factor(abs(z)) < math.inf
-                  else f"no truncation gives a finite bound at |z| = {abs(z):.6g}")
-        raise TruncationInsufficient(
-            f"tail bound {bound:.3e} exceeds requested tolerance {tol:.3e}; {advice}"
-        )
     return BesselExpansion(n, omega, phi, z, tuple(coeffs), m_max, bound)
 
 

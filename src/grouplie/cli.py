@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 
@@ -80,11 +81,18 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError("bad arguments") from None
         raise
     if ns.command == "bessel":
+        # checked here, before cmd_bessel forms omega = exp(2 pi i k / n)
+        if ns.n < 2:
+            raise UsageError(f"--n must be at least 2, got {ns.n}")
         try:
             re_s, im_s = (ns.z.split(",") + ["0"])[:2]
             ns.z = complex(float(re_s), float(im_s))
         except ValueError:
             raise UsageError(f"cannot parse --z {ns.z!r}; expected re,im") from None
+        if not cmath.isfinite(ns.z):
+            raise UsageError(f"--z must be finite, got {ns.z}")
+        if not (math.isfinite(ns.tol) and ns.tol > 0):
+            raise UsageError(f"--tol must be finite and positive, got {ns.tol}")
     return ns
 
 

@@ -166,20 +166,40 @@ class InvolutiveAutomorphism:
 # constructors
 
 
+def _index_list(data, n: int, what: str, *, permutation: bool = False) -> list[int]:
+    """`data`, index data that may come from a JSON file, as a list of n
+    integers in [0, n), and with `permutation` a permutation of 0..n-1.
+
+    Anything else raises BadParameters naming `what`: a non-list, a wrong
+    length, an entry that is not an int (JSON booleans and floats included)
+    or one out of range.
+    """
+    if not isinstance(data, (list, tuple)):
+        raise BadParameters(f"{what} must be a list of integers, not {type(data).__name__}")
+    if len(data) != n:
+        raise BadParameters(f"{what} has {len(data)} entries, expected {n}")
+    if not set(map(type, data)) <= {int}:  # type(True) is bool, so booleans are refused
+        bad = next(x for x in data if type(x) is not int)
+        raise BadParameters(f"{what} holds {bad!r}, which is not an integer")
+    if data and not 0 <= min(data) <= max(data) < n:
+        bad = next(x for x in data if not 0 <= x < n)
+        raise BadParameters(f"{what} holds {bad}, out of range [0, {n})")
+    if permutation and len(set(data)) != n:
+        raise BadParameters(f"{what} is not a permutation of 0..{n - 1}")
+    return list(data)
+
+
 def from_mult_table(table, name: str = "G") -> GroupTable:
     """Validate a multiplication table and normalize the identity to index 0."""
+    if not isinstance(table, (list, tuple)):
+        raise BadParameters(f"multiplication table must be a list of rows, "
+                            f"not {type(table).__name__}")
     n = len(table)
     if n == 0:
         raise BadParameters("empty multiplication table")
     if n > ORDER_CAP:
         raise OrderCapExceeded(f"order {n} exceeds cap {ORDER_CAP}")
-    rows = [list(r) for r in table]
-    for r in rows:
-        if len(r) != n:
-            raise BadParameters("multiplication table is not square")
-        for x in r:
-            if not (0 <= x < n):
-                raise BadParameters(f"table entry {x} out of range [0, {n})")
+    rows = [_index_list(r, n, f"multiplication table row {a}") for a, r in enumerate(table)]
 
     identity = None
     for e in range(n):
@@ -249,13 +269,11 @@ def from_permutation_generators(generators, name: str = "G", *, cap: int = ORDER
 
     Composition is (p * q)(x) = p(q(x)).
     """
-    gens = [tuple(g) for g in generators]
-    if not gens:
-        raise BadParameters("at least one generator required")
-    k = len(gens[0])
-    for g in gens:
-        if sorted(g) != list(range(k)):
-            raise BadParameters(f"generator {g} is not a permutation of 0..{k - 1}")
+    if not isinstance(generators, (list, tuple)) or not generators:
+        raise BadParameters("at least one generator required, as a list of permutations")
+    k = len(generators[0]) if isinstance(generators[0], (list, tuple)) else 0
+    gens = [tuple(_index_list(g, k, f"generator {i}", permutation=True))
+            for i, g in enumerate(generators)]
     ident = tuple(range(k))
     index = {ident: 0}
     elems = [ident]
@@ -663,9 +681,7 @@ def find_character(group: GroupTable, label: str) -> LinearCharacter:
 
 def validate_automorphism(group: GroupTable, mapping, label: str = "tau") -> InvolutiveAutomorphism:
     n = group.order
-    mapping = tuple(mapping)
-    if len(mapping) != n or sorted(mapping) != list(range(n)):
-        raise BadParameters(f"{label} is not a permutation of 0..{n - 1}")
+    mapping = tuple(_index_list(mapping, n, label, permutation=True))
     for g in range(n):
         for h in range(n):
             if mapping[group.mult[g][h]] != group.mult[mapping[g]][mapping[h]]:

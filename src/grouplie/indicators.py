@@ -15,13 +15,13 @@ The sums run on the table's int64 coefficient array: the per-class weights
 become a coefficient array too, and cyclo.class_sums forms #G times every
 irrep's indicator at once.
 
-A group's contexts share this work.  indicator_reports takes a list of
+Every report comes from indicator_reports, which takes a list of
 (alpha, tau): one class_sums call forms every distinct joint, weighted and
 twisted sum of those contexts from one stacked weight array (keys, classes,
 phi(m)), and one times_roots einsum per tau, in blocks of alphas, forms
-every partner target.  indicator_report, joint_indicator, pairing,
-weighted_fs_indicator and kawanaka_indicator are one-context calls into the
-same kernels.
+every partner target.  indicator_report is the batch of one context;
+joint_indicator, pairing, weighted_fs_indicator and kawanaka_indicator are
+one-context calls into the same kernels.
 """
 
 from __future__ import annotations
@@ -131,8 +131,10 @@ def _check_conductor(alpha: LinearCharacter, ctx: cyclo.CycloContext) -> None:
 
 
 def stacked_weights(group: GroupTable, keys, ctx: cyclo.CycloContext) -> np.ndarray:
-    """twist_weights of every (alpha, tau) of `keys`, stacked into one array
-    (keys, classes, phi(m)) with one matmul."""
+    """Per-class sums of conj(alpha(g)) over g with g*tau(g) in the class
+    (the integer counts when alpha is None), for every (alpha, tau) of
+    `keys`, as canonical coefficients (keys, classes, phi(m)) from one
+    matmul."""
     cd = conjugacy_data(group)
     class_of = np.array(cd.class_of)
     mult = group.mult_array()
@@ -145,17 +147,6 @@ def stacked_weights(group: GroupTable, keys, ctx: cyclo.CycloContext) -> np.ndar
         e = 0 if alpha is None else -np.array(alpha.exponents) % ctx.m
         np.add.at(counts[w], (classes, e), 1)
     return counts @ ctx.power_array[:ctx.m]
-
-
-def twist_weights(group: GroupTable, alpha: LinearCharacter | None,
-                  tau: InvolutiveAutomorphism, ctx: cyclo.CycloContext) -> np.ndarray:
-    """Per-class sums of conj(alpha(g)) over g with g*tau(g) in the class, as
-    canonical coefficients (classes, phi(m)) in `ctx`.
-
-    With alpha None the weights are the integer counts, stored in coefficient
-    0 of an array in `ctx`.
-    """
-    return stacked_weights(group, [(alpha, tau)], ctx)[0]
 
 
 def scaled_sums(weights: np.ndarray, rows: np.ndarray, ctx: cyclo.CycloContext) -> np.ndarray:
@@ -321,24 +312,15 @@ def _report(ctx: LieContext, table: CharacterTable, nu: tuple[int, ...],
 def indicator_report(group: GroupTable, table: CharacterTable,
                      alpha: LinearCharacter,
                      tau: InvolutiveAutomorphism | None = None) -> IndicatorReport:
-    """Indicators, pairing and the predicted decomposition of one context.
-
-    The context is validated first, so an incompatible (alpha, tau) raises
-    IncompatiblePair instead of failing inside the pairing.
-    """
-    ctx = make_context(group, alpha, tau)
-    tau = ctx.tau
-    nu = joint_indicator(table, alpha, tau)
-    # nu is f_alpha at tau = id and c_tau at trivial alpha
-    f_alpha = nu if tau.is_identity() else weighted_fs_indicator(table, alpha)
-    c_tau = nu if alpha.is_trivial() else kawanaka_indicator(table, tau)
-    partner, classes = pairing(table, alpha, tau)
-    return _report(ctx, table, nu, f_alpha, c_tau, partner, classes)
+    """Indicators, pairing and the predicted decomposition of one context:
+    the batch of one, so an incompatible (alpha, tau) raises IncompatiblePair
+    before any sum is formed."""
+    return indicator_reports(group, table, [(alpha, tau)])[0]
 
 
 def indicator_reports(group: GroupTable, table: CharacterTable, pairs) -> list[IndicatorReport]:
-    """indicator_report of every (alpha, tau) of `pairs`, in order, with the
-    work shared across them.
+    """The IndicatorReport of every (alpha, tau) of `pairs`, in order, with
+    the work shared across them; tau None stands for the identity.
 
     Every context is validated first.  One class_sums call gives every
     distinct joint, weighted and twisted indicator of the contexts, and one
@@ -371,13 +353,6 @@ def indicator_reports(group: GroupTable, table: CharacterTable, pairs) -> list[I
                 partner, _pairing_classes(partner))
         for ctx, partner in zip(contexts, partners)
     ]
-
-
-def predicted_decomposition(table: CharacterTable, alpha: LinearCharacter,
-                            tau: InvolutiveAutomorphism):
-    """(factors, predicted dimension, center dimension, nu, partner)."""
-    r = indicator_report(table.group, table, alpha, tau)
-    return r.factors, r.dim_m, r.center_dim, r.nu, r.partner
 
 
 def render_factors(factors) -> str:

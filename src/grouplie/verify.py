@@ -505,9 +505,9 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         reports = indicator_reports(group, table, pairs)
         for (alpha, tau), report in zip(pairs, reports):
             result.reports.append(
-                verify_theorem(group, alpha, tau, table=table,
+                verify_theorem(group, alpha, tau,
                                basis=bases[alpha.exponents] if tau.is_identity() else None,
-                               report=report, seed=seed, raise_on_failure=False)
+                               report=report, raise_on_failure=False)
             )
         for tau in taus:
             if not tau.is_identity() and 2 * group.order <= 256:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,49 @@ def test_bessel_huge_z_has_no_usable_bound(capsys):
     assert code == 1 and out == ""
     assert _one_error_line(err) and "tail bound inf" in err
     assert "raise the truncation" not in err
+
+
+@pytest.mark.parametrize("which, content", [
+    ("group", {"table": [[0, 1], [1, "a"]]}),
+    ("group", {"table": [[0, 1], [1, 0.0]]}),
+    ("group", {"table": 5}),
+    ("group", {"generators": [[1, 0, "x"]]}),
+    ("group", {"table": [[0, 1], [1, False]]}),  # a JSON boolean is not an index
+    ("tau", ["a", 0]),
+    ("tau", 5),
+    ("tau", [1.0, 0.0]),
+], ids=["table-string", "table-float", "table-number", "generator-string",
+        "table-boolean", "tau-string", "tau-number", "tau-floats"])
+def test_bad_index_data_is_a_usage_error(tmp_path, capsys, which, content):
+    path = tmp_path / f"{which}.json"
+    path.write_text(json.dumps(content))
+    if which == "group":
+        argv = ("analyze", "--group", str(path))
+    else:
+        argv = ("analyze", "--group", "cyclic:2", "--tau", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "0"),
+    ("--n", "3", "--z", "nan,0"),
+    ("--n", "3", "--z", "1,nan"),
+    ("--n", "3", "--z", "inf,0"),
+    ("--n", "3", "--z", "1e308,0"),
+    ("--n", "3", "--tol", "nan"),
+    ("--n", "3", "--tol", "inf"),
+    ("--n", "3", "--tol", "0"),
+    ("--n", "3", "--z", "100000,0"),  # refused before any Bessel series is summed
+], ids=["n-0", "z-nan-re", "z-nan-im", "z-inf", "z-1e308", "tol-nan", "tol-inf",
+        "tol-0", "z-1e5"])
+def test_bessel_bad_input_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bessel", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "Traceback" not in err
 
 
 TABLE_PINS = {

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from grouplie import cyclo
 from grouplie.chartable import character_table
-from grouplie.errors import AlphaNotReal, IncompatiblePair
+from grouplie.errors import AlphaNotReal, IncompatiblePair, IndicatorOutOfRange
 from grouplie.groups import (
     alpha_tau_compatible,
     catalog,
@@ -25,9 +27,8 @@ from grouplie.indicators import (
     joint_indicator,
     kawanaka_indicator,
     pairing,
-    predicted_decomposition,
     render_factors,
-    twist_weights,
+    stacked_weights,
     weighted_fs_indicator,
 )
 from grouplie.verify import curated_taus, default_catalog
@@ -214,10 +215,10 @@ def test_prop_identities_all_characters(spec):
         # vanishing indicator exactly on swapped pairs
         for i, fi in enumerate(f):
             assert (fi == 0) == (partner[i] != i)
-        factors, dim_m, center, nu, _ = predicted_decomposition(t, alpha, tid)
-        assert nu == f
+        r = indicator_report(group, t, alpha, tid)
+        assert r.nu == f
         # block bookkeeping: #G - 2 dim_M = signed dimension sum
-        assert group.order - 2 * dim_m == sum(fi * d for fi, d in zip(f, t.degrees))
+        assert group.order - 2 * r.dim_m == sum(fi * d for fi, d in zip(f, t.degrees))
         if alpha.is_trivial():
             assert plus - minus == involutions
         # corrected fixed-class count identity (both sides of the star map)
@@ -264,32 +265,57 @@ def test_report_rejects_incompatible_pair_before_pairing():
         indicator_report(z4, character_table(z4), lin1, inversion_automorphism(z4))
 
 
-@pytest.mark.parametrize("spec, alpha_label, tau_name, calls", [
+@pytest.mark.parametrize("spec, alpha_label, tau_name, keys", [
     ("symmetric:3", "trivial", "id", 1),   # nu is f_alpha and c_tau
     ("symmetric:3", "sign", "id", 2),      # nu is f_alpha
     ("cyclic:4", "trivial", "inv", 2),     # nu is c_tau
     ("cyclic:4", "sign", "inv", 3),
 ])
-def test_indicator_report_reuses_nu(monkeypatch, spec, alpha_label, tau_name, calls):
-    from grouplie import indicators
-
+def test_indicator_report_reuses_nu(monkeypatch, spec, alpha_label, tau_name, keys):
     g = parse_group_spec(spec)
     t = character_table(g)
     alpha = find_character(g, alpha_label)
     tau = identity_automorphism(g) if tau_name == "id" else inversion_automorphism(g)
     expected = (weighted_fs_indicator(t, alpha), kawanaka_indicator(t, tau),
                 joint_indicator(t, alpha, tau))
-    original = indicators.joint_indicator
-    seen = []
+    original = cyclo.class_sums
+    stacks = []
 
-    def counted(*args):
-        seen.append(args)
-        return original(*args)
+    def counted(a, b, w, ctx):
+        stacks.append(len(b))
+        return original(a, b, w, ctx)
 
-    monkeypatch.setattr(indicators, "joint_indicator", counted)
+    monkeypatch.setattr(cyclo, "class_sums", counted)
     r = indicator_report(g, t, alpha, tau)
-    assert len(seen) == calls
+    # one class_sums call, over the distinct (alpha, tau) keys of nu, f_alpha, c_tau
+    assert stacks == [keys]
     assert (r.f_alpha, r.c_tau, r.nu) == expected
+
+
+def _times_zeta(table, irrep, cls):
+    """`table` with the one entry (irrep, cls) multiplied by zeta."""
+    values = [list(row) for row in table.values]
+    values[irrep][cls] = values[irrep][cls] * table.context().zeta(1)
+    return dataclasses.replace(table, values=tuple(map(tuple, values)))
+
+
+@pytest.mark.parametrize("alpha_label, corrupt, error, message", [
+    ("lin1", False, IncompatiblePair, "alpha(lin1) o tau(inv) != alpha"),
+    # f_alpha and c_tau both leave {-1, 0, 1}; f_alpha is reported, as nu would be first
+    ("sign", True, IndicatorOutOfRange, "4 * nu_(sign,id)(irrep 0) = -2 + 2*z4 is outside"),
+])
+def test_report_and_batch_raise_the_same_error(alpha_label, corrupt, error, message):
+    z4 = catalog("cyclic", 4)
+    table = character_table(z4)
+    if corrupt:
+        table = _times_zeta(table, 0, 0)
+    alpha, inv = find_character(z4, alpha_label), inversion_automorphism(z4)
+    with pytest.raises(error) as one:
+        indicator_report(z4, table, alpha, inv)
+    with pytest.raises(error) as batch:
+        indicator_reports(z4, table, [(alpha, inv)])
+    assert str(one.value) == str(batch.value)
+    assert str(one.value).startswith(message)
 
 
 def test_pairing_reads_conjugates_without_conj(monkeypatch):
@@ -334,7 +360,7 @@ def test_twist_weights_equal_the_elementwise_sums():
                 for g in group.elements():
                     c = cd.class_of[group.mult[g][tau.mapping[g]]]
                     expected[c] = expected[c] + (ctx.one if alpha is None else alpha.conj_value(g))
-                got = twist_weights(group, alpha, tau, ctx)
+                got = stacked_weights(group, [(alpha, tau)], ctx)[0]
                 assert [tuple(row) for row in got.tolist()] == [v.coeffs for v in expected]
 
 

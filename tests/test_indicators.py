@@ -292,13 +292,6 @@ def test_indicator_report_reuses_nu(monkeypatch, spec, alpha_label, tau_name, ke
     assert (r.f_alpha, r.c_tau, r.nu) == expected
 
 
-def _times_zeta(table, irrep, cls):
-    """`table` with the one entry (irrep, cls) multiplied by zeta."""
-    values = [list(row) for row in table.values]
-    values[irrep][cls] = values[irrep][cls] * table.context().zeta(1)
-    return dataclasses.replace(table, values=tuple(map(tuple, values)))
-
-
 @pytest.mark.parametrize("alpha_label, corrupt, error, message", [
     ("lin1", False, IncompatiblePair, "alpha(lin1) o tau(inv) != alpha"),
     # f_alpha and c_tau both leave {-1, 0, 1}; f_alpha is reported, as nu would be first
@@ -307,8 +300,10 @@ def _times_zeta(table, irrep, cls):
 def test_report_and_batch_raise_the_same_error(alpha_label, corrupt, error, message):
     z4 = catalog("cyclic", 4)
     table = character_table(z4)
-    if corrupt:
-        table = _times_zeta(table, 0, 0)
+    if corrupt:  # entry (irrep 0, class 0) times zeta
+        values = [list(row) for row in table.values]
+        values[0][0] = values[0][0] * table.context().zeta(1)
+        table = dataclasses.replace(table, values=tuple(map(tuple, values)))
     alpha, inv = find_character(z4, alpha_label), inversion_automorphism(z4)
     with pytest.raises(error) as one:
         indicator_report(z4, table, alpha, inv)

@@ -7,12 +7,7 @@ catalog of finite groups.
 """
 
 from .bessel import BesselExpansion, bessel_j, exp_cyclic, exp_matrix_oracle
-from .chartable import (
-    CharacterTable,
-    character_table,
-    class_constants,
-    regular_character,
-)
+from .chartable import CharacterTable, character_table, class_constants
 from .cyclo import CycloContext, CycloScalar, context, cyclotomic_polynomial
 from .errors import GroupLieError, VerificationFailed
 from .groups import (
@@ -46,12 +41,9 @@ from .liealg import (
     LieContext,
     bracket,
     center_basis,
-    class_projection,
     convolve,
-    derived_algebra_dim,
     lie_basis,
     make_context,
-    skew_project,
     star,
 )
 from .linalg import CycloMatrix, RowSpace, intersect
@@ -89,13 +81,11 @@ __all__ = [
     "center_basis",
     "character_table",
     "class_constants",
-    "class_projection",
     "conjugacy_data",
     "context",
     "convolve",
     "cyclotomic_polynomial",
     "default_catalog",
-    "derived_algebra_dim",
     "exp_cyclic",
     "exp_matrix_oracle",
     "from_mult_table",
@@ -112,9 +102,7 @@ __all__ = [
     "make_context",
     "pairing",
     "parse_group_spec",
-    "regular_character",
     "run_suite",
-    "skew_project",
     "star",
     "verify_clifford",
     "verify_kawanaka",

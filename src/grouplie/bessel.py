@@ -25,10 +25,10 @@ from .errors import BadParameters, TruncationInsufficient
 _MAX_TERMS = 400
 
 
-def bessel_j(m: int, w: complex, terms: int | None = None) -> complex:
+def bessel_j(m: int, w: complex) -> complex:
     """J_m(w) by its power series; J_(-m)(w) = (-1)^m J_m(w)."""
     if m < 0:
-        return (-1) ** m * bessel_j(-m, w, terms)
+        return (-1) ** m * bessel_j(-m, w)
     half = w / 2.0
     term = 1.0 + 0j  # (w/2)^m / m!, built incrementally to dodge overflow
     for k in range(1, m + 1):
@@ -40,29 +40,9 @@ def bessel_j(m: int, w: complex, terms: int | None = None) -> complex:
         term = term * sq / (k * (k + m))
         total += term
         k += 1
-        if terms is not None:
-            if k >= terms:
-                break
-        elif abs(term) < 1e-20 * max(1.0, abs(total)) or k > _MAX_TERMS:
+        if abs(term) < 1e-20 * max(1.0, abs(total)) or k > _MAX_TERMS:
             break
     return total
-
-
-def bessel_j_tail_bound(m: int, w: complex, terms: int) -> float:
-    """Bound on the dropped tail after `terms` series terms (ratio test)."""
-    m = abs(m)
-    half = abs(w) / 2.0
-    # magnitude of term k = terms
-    try:
-        t = half ** (2 * terms + m) / (
-            math.factorial(terms) * math.factorial(terms + m)
-        )
-    except OverflowError:
-        return math.inf
-    ratio = half * half / ((terms + 1) * (terms + m + 1))
-    if ratio >= 1.0:
-        return math.inf
-    return t / (1.0 - ratio)
 
 
 def _exp_factor(z_abs: float) -> float:

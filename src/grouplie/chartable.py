@@ -443,20 +443,3 @@ def _relation_failure(a: np.ndarray, b: np.ndarray, weights, diagonal: list[int]
     got = cyclo.scalar_of(sums[i, j], ctx)
     return f"{what} ({i}, {j}): expected {diagonal[i] if i == j else 0}, got {got!r}"
 
-
-def regular_character(table: CharacterTable) -> tuple[cyclo.CycloScalar, ...]:
-    """Class function of the regular representation: #G at e, 0 elsewhere."""
-    ctx = table.context()
-    k = table.class_data.num_classes
-    vals = []
-    for c in range(k):
-        acc = ctx.zero
-        for i in range(table.num_irreps):
-            acc = acc + table.degrees[i] * table.values[i][c]
-        vals.append(acc)
-    e_class = table.class_data.class_of[table.group.identity]
-    for c, v in enumerate(vals):
-        expected = table.group.order if c == e_class else 0
-        if v != expected:
-            raise LiftInconsistent("regular character does not match its closed form")
-    return tuple(vals)

@@ -85,8 +85,12 @@ def parse_args(argv) -> argparse.Namespace:
         if ns.n < 2:
             raise UsageError(f"--n must be at least 2, got {ns.n}")
         try:
-            re_s, im_s = (ns.z.split(",") + ["0"])[:2]
-            ns.z = complex(float(re_s), float(im_s))
+            float(ns.omega_k)
+        except OverflowError:
+            raise UsageError("--omega-k is too large to convert to a float") from None
+        try:
+            re_s, sep, im_s = ns.z.partition(",")
+            ns.z = complex(float(re_s), float(im_s if sep else "0"))
         except ValueError:
             raise UsageError(f"cannot parse --z {ns.z!r}; expected re,im") from None
         if not cmath.isfinite(ns.z):

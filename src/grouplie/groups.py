@@ -51,18 +51,6 @@ class GroupTable:
     def elements(self) -> range:
         return range(self.order)
 
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inverse[g], -k
-        out = self.identity
-        row = g
-        while k:
-            if k & 1:
-                out = self.mult[out][row]
-            row = self.mult[row][row]
-            k >>= 1
-        return out
-
     def element_order(self, g: int) -> int:
         k, x = 1, g
         while x != self.identity:
@@ -90,13 +78,6 @@ class GroupTable:
             cached.setflags(write=False)
             object.__setattr__(self, "_mult_array", cached)
         return cached
-
-    def order_census(self) -> dict[int, int]:
-        census: dict[int, int] = {}
-        for g in self.elements():
-            k = self.element_order(g)
-            census[k] = census.get(k, 0) + 1
-        return census
 
     def __repr__(self):
         return f"GroupTable({self.name!r}, order={self.order})"
@@ -129,9 +110,6 @@ class LinearCharacter:
     def value(self, g: int) -> cyclo.CycloScalar:
         return cyclo.context(self.conductor).zeta(self.exponents[g])
 
-    def conj_value(self, g: int) -> cyclo.CycloScalar:
-        return cyclo.context(self.conductor).zeta(-self.exponents[g] % self.conductor)
-
     def is_trivial(self) -> bool:
         return not any(self.exponents)
 
@@ -141,11 +119,6 @@ class LinearCharacter:
         if 2 * e % self.conductor:
             raise AlphaNotReal(f"alpha({g}) = zeta_{self.conductor}^{e} is not real")
         return -1 if e else 1
-
-    def pointwise_product(self, other: "LinearCharacter") -> "LinearCharacter":
-        m = self.conductor
-        exps = tuple((a + b) % m for a, b in zip(self.exponents, other.exponents))
-        return LinearCharacter(m, exps, f"{self.label}*{other.label}")
 
     def kernel_elements(self) -> tuple[int, ...]:
         return tuple(g for g, e in enumerate(self.exponents) if e == 0)
@@ -725,6 +698,8 @@ def group_from_json(data: dict) -> GroupTable:
     if not isinstance(data, dict):
         raise BadParameters("group JSON must be an object with a 'table' or 'generators' field")
     name = data.get("name", "G")
+    if not isinstance(name, str):
+        raise BadParameters(f"group JSON 'name' must be a string, got {type(name).__name__}")
     if "table" in data:
         return from_mult_table(data["table"], name)
     if "generators" in data:

@@ -3,8 +3,7 @@
 The involutive antiautomorphism g -> alpha(g) tau(g)^-1 extends linearly to
 the group algebra; its -1 eigenspace is a Lie subalgebra, spanned by the
 elements g - alpha(g) tau(g)^-1.  This module builds that basis exactly,
-together with the center generators, the class-averaging projection and
-the derived algebra.
+together with the +1 eigenspace and the center generators.
 
 An element is the dict {g: coefficient} of its nonzero coefficients, the
 same sparse format as a RowSpace row, so a spanning vector (at most 2 terms)
@@ -34,7 +33,6 @@ before it is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
@@ -42,7 +40,6 @@ import numpy as np
 
 from . import cyclo
 from .errors import (
-    BadParameters,
     ConductorMismatch,
     GroupMismatch,
     IncompatiblePair,
@@ -56,7 +53,7 @@ from .groups import (
     conjugacy_data,
     identity_automorphism,
 )
-from .linalg import CycloMatrix, RowSpace
+from .linalg import RowSpace
 
 
 class GroupAlgebraElement:
@@ -69,10 +66,6 @@ class GroupAlgebraElement:
     def __init__(self, group: GroupTable, terms: dict):
         self.group = group
         self.terms = {g: c for g, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls, group: GroupTable) -> "GroupAlgebraElement":
-        return cls(group, {})
 
     @classmethod
     def delta(cls, group: GroupTable, g: int) -> "GroupAlgebraElement":
@@ -115,18 +108,6 @@ class GroupAlgebraElement:
     def trace(self) -> cyclo.CycloScalar:
         """Coefficient of the identity."""
         return self.terms.get(self.group.identity, cyclo.context(self.group.exponent).zero)
-
-    def to_json_dict(self) -> dict:
-        return {str(g): self.terms[g].to_json() for g in self.support()}
-
-    @classmethod
-    def from_json_dict(cls, group: GroupTable, data: dict) -> "GroupAlgebraElement":
-        m = group.exponent
-        terms = {int(key): cyclo.CycloScalar.from_json(m, coeffs) for key, coeffs in data.items()}
-        outside = sorted(g for g in terms if not 0 <= g < group.order)
-        if outside:
-            raise BadParameters(f"element indices {outside} outside 0..{group.order - 1}")
-        return cls(group, terms)
 
     def __repr__(self):
         terms = [f"({self.terms[g]})*d{g}" for g in self.support()]
@@ -220,22 +201,6 @@ def star(ctx: LieContext, a: GroupAlgebraElement) -> GroupAlgebraElement:
     return GroupAlgebraElement(ctx.group, {sigma[g]: value(g) * c for g, c in a.terms.items()})
 
 
-def skew_project(ctx: LieContext, a: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Projection (a - star(a)) / 2 onto the -1 eigenspace."""
-    half = Fraction(1, 2)
-    return (a - star(ctx, a)).scaled(half)
-
-
-def skew_projector_trace(ctx: LieContext) -> Fraction:
-    """Trace of the projection as a linear map on the group algebra."""
-    zero = cyclo.context(ctx.group.exponent).zero
-    total = zero
-    for g in ctx.group.elements():
-        image = skew_project(ctx, GroupAlgebraElement.delta(ctx.group, g))
-        total = total + image.terms.get(g, zero)
-    return total.as_fraction()
-
-
 def census_dimension(ctx: LieContext) -> int:
     """Dimension of the skew subalgebra by counting orbits of g -> tau(g)^-1:
 
@@ -318,11 +283,6 @@ def plus_fixed_basis(ctx: LieContext) -> list[GroupAlgebraElement]:
     return [v for _, v in _orbit_vectors(ctx, 1)]
 
 
-def class_sum(group: GroupTable, class_elements) -> GroupAlgebraElement:
-    return GroupAlgebraElement(group, dict.fromkeys(class_elements,
-                                                    cyclo.context(group.exponent).one))
-
-
 def sigma_class_map(ctx: LieContext) -> tuple[int, ...]:
     """Class-level involution c -> class of tau(rep)^-1."""
     cd = conjugacy_data(ctx.group)
@@ -368,50 +328,6 @@ def center_basis(ctx: LieContext, *, candidates=None) -> list[GroupAlgebraElemen
             seen.update((c, sc))
             out.append(v)
     return out
-
-
-def class_projection(a: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Class-averaging projection onto the center of the group algebra."""
-    group = a.group
-    cd = conjugacy_data(group)
-    zero = cyclo.context(group.exponent).zero
-    sums = {}
-    for g, x in a.terms.items():
-        c = cd.class_of[g]
-        sums[c] = sums.get(c, zero) + x
-    out = {}
-    for c, total in sums.items():
-        if total:
-            out.update(dict.fromkeys(cd.classes[c], total * Fraction(1, cd.sizes[c])))
-    return GroupAlgebraElement(group, out)
-
-
-def derived_algebra_dim(group: GroupTable) -> int:
-    """Exact rank of the span of all delta-basis brackets: #G - #classes."""
-    ctx = cyclo.context(group.exponent)
-    rs = RowSpace(ctx, group.order)
-    one = ctx.one
-    minus_one = ctx.minus_one
-    seen_pairs = set()
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mult[g][h]
-            hg = group.mult[h][g]
-            if gh == hg or (gh, hg) in seen_pairs:
-                continue
-            seen_pairs.add((gh, hg))
-            seen_pairs.add((hg, gh))
-            rs.add({gh: one, hg: minus_one})
-    return rs.rank
-
-
-def left_multiplication_matrix(a: GroupAlgebraElement) -> CycloMatrix:
-    """Matrix of x -> a * x in the delta basis (column g is a * delta_g)."""
-    group = a.group
-    ctx = cyclo.context(group.exponent)
-    cols = [convolve(a, GroupAlgebraElement.delta(group, g)).terms for g in group.elements()]
-    entries = [[col.get(h, ctx.zero) for col in cols] for h in group.elements()]
-    return CycloMatrix(ctx, entries)
 
 
 # ---------------------------------------------------------------------------

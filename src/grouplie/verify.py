@@ -145,22 +145,6 @@ class LieReport:
             out["seconds"] = round(self.seconds, 6)
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LieReport":
-        return cls(
-            group_name=data["group"],
-            order=data["order"],
-            alpha_label=data["alpha"],
-            tau_label=data["tau"],
-            dim_l_rank=data["dim_L_rank"],
-            dim_l_formula=data["dim_L_formula"],
-            dim_m_predicted=data["dim_M_predicted"],
-            center_dim_exact=data["center_dim_exact"],
-            center_dim_predicted=data["center_dim_predicted"],
-            factors=tuple(Factor(k, n, d) for k, n, d in data["factors"]),
-            seconds=0.0,
-            **{f"{c}_ok": data["checks"][c] for c in CHECKS},
-        )
 
 
 def _center_data(ctx: LieContext, report: IndicatorReport):

@@ -12,7 +12,6 @@ import scipy.special
 import grouplie
 from grouplie.bessel import (
     bessel_j,
-    bessel_j_tail_bound,
     default_truncation,
     deviation,
     exp_cyclic,
@@ -46,15 +45,6 @@ def test_normalization_sum():
         bessel_j(m, 1.0) ** 2 for m in range(1, 41)
     )
     assert abs(total - 1.0) < 1e-12
-
-
-def test_tail_bound_is_a_bound():
-    for w in (1.5, 1.5 + 0.5j):
-        for m in (0, 2):
-            for terms in (5, 10):
-                partial = bessel_j(m, w, terms=terms)
-                full = bessel_j(m, w)
-                assert abs(full - partial) <= bessel_j_tail_bound(m, w, terms) + 1e-15
 
 
 def test_exp_cyclic_z_zero():

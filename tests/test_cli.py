@@ -7,7 +7,8 @@ import pytest
 
 from grouplie.cli import main, parse_args
 from grouplie.errors import UsageError
-from grouplie.verify import LieReport
+from grouplie.groups import catalog, find_character
+from grouplie.verify import verify_theorem
 
 
 def run_cli(capsys, *argv):
@@ -31,8 +32,17 @@ def test_parse_args_verify():
 def test_parse_args_bessel_z():
     cfg = parse_args(["bessel", "--n", "6", "--z", "0.7,0.3"])
     assert cfg.z == complex(0.7, 0.3)
-    with pytest.raises(UsageError):
-        parse_args(["bessel", "--n", "6", "--z", "zzz"])
+    assert parse_args(["bessel", "--n", "6", "--z", "5"]).z == complex(5, 0)
+    for bad in ("zzz", "1,", "1,2,3"):
+        with pytest.raises(UsageError, match="--z"):
+            parse_args(["bessel", "--n", "6", "--z", bad])
+
+
+def test_parse_args_bessel_omega_k_must_fit_a_float():
+    assert parse_args(["bessel", "--n", "6", "--omega-k", str(10 ** 300)]).omega_k == 10 ** 300
+    for bad in (10 ** 400, -10 ** 400):
+        with pytest.raises(UsageError, match="--omega-k"):
+            parse_args(["bessel", "--n", "6", "--omega-k", str(bad)])
 
 
 def test_analyze_s3_sign_text(capsys):
@@ -66,8 +76,8 @@ def test_analyze_json_round_trip(capsys):
                            "--alpha", "sign", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    report = LieReport.from_json_dict(doc["structure"])
-    assert report.to_json_dict() == doc["structure"]
+    s3 = catalog("symmetric", 3)
+    assert doc["structure"] == verify_theorem(s3, find_character(s3, "sign")).to_json_dict()
     assert doc["indicators"]["dim_M"] == 4
 
 
@@ -290,6 +300,15 @@ def test_group_json_holding_a_list(tmp_path, capsys):
     assert _one_error_line(err) and "must be an object" in err
 
 
+@pytest.mark.parametrize("name", [[1], 7], ids=["list", "number"])
+def test_group_name_must_be_a_string(tmp_path, capsys, name):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"name": name, "table": [[0, 1], [1, 0]]}))
+    code, out, err = run_cli(capsys, "verify", "--group", str(path))
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "'name' must be a string" in err
+
+
 @pytest.mark.parametrize("which", ["group", "tau"])
 def test_invalid_json_file(tmp_path, capsys, which):
     path = tmp_path / "broken.json"
@@ -343,8 +362,10 @@ def test_bad_index_data_is_a_usage_error(tmp_path, capsys, which, content):
     ("--n", "3", "--tol", "inf"),
     ("--n", "3", "--tol", "0"),
     ("--n", "3", "--z", "100000,0"),  # refused before any Bessel series is summed
+    ("--n", "3", "--z", "1,2,3"),
+    ("--n", "3", "--omega-k", "1" + "0" * 400),
 ], ids=["n-0", "z-nan-re", "z-nan-im", "z-inf", "z-1e308", "tol-nan", "tol-inf",
-        "tol-0", "z-1e5"])
+        "tol-0", "z-1e5", "z-three-parts", "omega-k-401-digits"])
 def test_bessel_bad_input_is_a_usage_error(capsys, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "bessel", *argv)

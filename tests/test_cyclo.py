@@ -48,7 +48,10 @@ def test_root_of_unity_identities(m):
     ctx = context(m)
     z = ctx.zeta(1)
     assert z * ctx.zeta(m - 1) == 1
-    assert z**m == 1
+    power = ctx.one
+    for _ in range(m):
+        power = power * z
+    assert power == 1
     for k in range(m):
         assert ctx.zeta(k).conj() == ctx.zeta((m - k) % m)
 
@@ -77,7 +80,7 @@ def test_inverse_simple():
     ctx = context(5)
     a = ctx.one + ctx.zeta(1)
     assert a * a.inverse() == 1
-    assert (ctx.zeta(2) / ctx.zeta(2)) == 1
+    assert ctx.zeta(2) * ctx.zeta(2).inverse() == 1
 
 
 coeff = st.integers(min_value=-6, max_value=6)

@@ -40,7 +40,7 @@ def elementwise_weighted_fs(group, table, alpha, irrep):
     acc = table.context().zero
     for g in group.elements():
         sq = cd.class_of[group.mult[g][g]]
-        acc = acc + table.values[irrep][sq] * alpha.conj_value(g)
+        acc = acc + table.values[irrep][sq] * alpha.value(g).conj()
     acc = acc.as_fraction() if acc.is_rational() else None
     assert acc is not None and acc.denominator == 1 or acc == 0
     from fractions import Fraction
@@ -354,7 +354,8 @@ def test_twist_weights_equal_the_elementwise_sums():
                 expected = [ctx.zero] * cd.num_classes
                 for g in group.elements():
                     c = cd.class_of[group.mult[g][tau.mapping[g]]]
-                    expected[c] = expected[c] + (ctx.one if alpha is None else alpha.conj_value(g))
+                    weight = ctx.one if alpha is None else alpha.value(g).conj()
+                    expected[c] = expected[c] + weight
                 got = stacked_weights(group, [(alpha, tau)], ctx)[0]
                 assert [tuple(row) for row in got.tolist()] == [v.coeffs for v in expected]
 

@@ -8,7 +8,8 @@ come out of the orthogonality relation, character values mod p out of
 omega, and the exact cyclotomic value out of the multiplicities of each
 root of unity among the eigenvalues of a class representative (an inverse
 DFT over its power classes, evaluated mod p and lifted).  The finished
-table is certified by the exact orthogonality relations.
+table is certified exactly by its shape, its degree column and the row
+orthogonality relation, which for a square table implies the column one.
 
 The common eigenspaces are split by random linear combinations of the class
 matrices.  On each space, the combination's eigenvalues l_1..l_r are the
@@ -29,8 +30,8 @@ t products of residues is bounded by t (p - 1)^2 before it is formed (t is
 2, the number of classes, an eigenspace dimension, the number of eigenvalues
 or an element order) and raises IntegerBoundExceeded at 2^63.  The table
 keeps its values as CycloScalars and, derived from them, as an int64
-coefficient array; the certification evaluates both orthogonality relations
-on that array with cyclo.class_sums.
+coefficient array; the certification evaluates the row relation on that
+array with one cyclo.class_sums call.
 """
 
 from __future__ import annotations
@@ -406,40 +407,29 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
 
 
 def _certify(table: CharacterTable) -> None:
-    """Exact orthogonality relations on the coefficient array; a failure
-    means the modular path is buggy.
-
-    Both relations are evaluated, and the error names the first failing
-    irrep pair of the row relation and class pair of the column relation.
-    """
+    """One row per class, the degree at the identity class and the row
+    relation X D X^H = n I (D the class sizes), exactly on the coefficient
+    array; for a square X the latter gives X^H X = n D^-1, the column
+    relation.  A failure means the modular path is buggy, and the error
+    names the first failing irrep or irrep pair."""
     cd = table.class_data
+    k = cd.num_classes
     n = table.group.order
     ctx = table.context()
     x = table.coeff_array
-    xc = cyclo.galois_array(x, -1, ctx)
-    failures = [
-        f for f in (
-            _relation_failure(x, xc, cd.sizes, [n] * len(x), ctx,
-                              "row orthogonality fails at irreps"),
-            _relation_failure(x.swapaxes(0, 1), xc.swapaxes(0, 1), [1] * len(x),
-                              [n // s for s in cd.sizes], ctx,
-                              "column orthogonality fails at classes"),
-        ) if f
-    ]
-    if failures:
-        raise LiftInconsistent("; ".join(failures))
-
-
-def _relation_failure(a: np.ndarray, b: np.ndarray, weights, diagonal: list[int],
-                      ctx: cyclo.CycloContext, what: str) -> str | None:
-    """The first pair (i <= j) where sum_c weights[c] a[i, c] b[j, c] is not
-    diagonal[i] * delta_ij."""
-    sums = cyclo.class_sums(a, b, weights, ctx)
-    off = sums[:, :, 1:].any(axis=2) | (sums[:, :, 0] != np.diag(diagonal))
+    if x.shape[:2] != (k, k) or len(table.degrees) != k:
+        raise LiftInconsistent(f"{len(table.degrees)} degrees and values of shape "
+                               f"{x.shape[:2]} for {k} classes")
+    e = cd.class_of[table.group.identity]
+    for i, d in enumerate(table.degrees):
+        if x[i, e, 0] != d or x[i, e, 1:].any():
+            raise LiftInconsistent(f"irrep {i} takes {cyclo.scalar_of(x[i, e], ctx)!r} "
+                                   f"at the identity class, not its degree {d}")
+    sums = cyclo.class_sums(x, cyclo.galois_array(x, -1, ctx), cd.sizes, ctx)
+    off = sums[:, :, 1:].any(axis=2) | (sums[:, :, 0] != n * np.eye(k, dtype=np.int64))
     bad = np.argwhere(np.triu(off))
-    if not len(bad):
-        return None
-    i, j = map(int, bad[0])
-    got = cyclo.scalar_of(sums[i, j], ctx)
-    return f"{what} ({i}, {j}): expected {diagonal[i] if i == j else 0}, got {got!r}"
-
+    if len(bad):
+        i, j = map(int, bad[0])
+        raise LiftInconsistent(
+            f"row orthogonality fails at irreps ({i}, {j}): expected {n if i == j else 0}, "
+            f"got {cyclo.scalar_of(sums[i, j], ctx)!r}")

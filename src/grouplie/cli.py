@@ -81,13 +81,15 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError("bad arguments") from None
         raise
     if ns.command == "bessel":
-        # checked here, before cmd_bessel forms omega = exp(2 pi i k / n)
         if ns.n < 2:
             raise UsageError(f"--n must be at least 2, got {ns.n}")
+        # omega = exp(2 pi i k / n) from k as given, not reduced mod n
         try:
-            float(ns.omega_k)
+            ns.omega = cmath.exp(2j * cmath.pi * ns.omega_k / ns.n)
         except OverflowError:
-            raise UsageError("--omega-k is too large to convert to a float") from None
+            ns.omega = cmath.nan
+        if not cmath.isfinite(ns.omega):
+            raise UsageError(f"--omega-k is too large: exp(2 pi i k / {ns.n}) is not finite")
         try:
             re_s, sep, im_s = ns.z.partition(",")
             ns.z = complex(float(re_s), float(im_s if sep else "0"))
@@ -237,9 +239,8 @@ def cmd_table(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bessel(cfg: argparse.Namespace) -> int:
-    omega = cmath.exp(2j * cmath.pi * cfg.omega_k / cfg.n)
-    expansion = exp_cyclic(cfg.n, omega, cfg.z, tol=cfg.tol)
-    oracle = exp_matrix_oracle(cfg.n, omega, cfg.z)
+    expansion = exp_cyclic(cfg.n, cfg.omega, cfg.z, tol=cfg.tol)
+    oracle = exp_matrix_oracle(cfg.n, cfg.omega, cfg.z)
     dev = deviation(expansion, oracle)
     if cfg.fmt == "json":
         payload = expansion.to_json_dict()

@@ -127,7 +127,6 @@ class CycloContext:
         self.zero = CycloScalar(self, (0,) * d)
         self._zeta_cache: dict[int, CycloScalar] = {}
         self.one = self.zeta(0)
-        self.minus_one = self.from_fraction(-1)
 
     @cached_property
     def signed_roots(self) -> dict[tuple, tuple[int, int]]:

@@ -85,12 +85,11 @@ class GroupTable:
 
 @dataclass(frozen=True)
 class ConjugacyData:
-    """Conjugacy classes with inverse- and square-class maps."""
+    """Conjugacy classes with the inverse-class map."""
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     inverse_class: tuple[int, ...]
-    square_class: tuple[int, ...]
     sizes: tuple[int, ...]
     representatives: tuple[int, ...]
 
@@ -237,7 +236,7 @@ def _greedy_generators(rows) -> list[int]:
         frontier = [x for x in range(n) if reached[x]]
 
 
-def from_permutation_generators(generators, name: str = "G", *, cap: int = ORDER_CAP) -> GroupTable:
+def from_permutation_generators(generators, name: str = "G") -> GroupTable:
     """Breadth-first closure of permutations of {0..k-1} under composition.
 
     Composition is (p * q)(x) = p(q(x)).
@@ -256,8 +255,8 @@ def from_permutation_generators(generators, name: str = "G", *, cap: int = ORDER
         for g in gens:
             q = tuple(p[g[i]] for i in range(k))  # p o g
             if q not in index:
-                if len(elems) >= cap:
-                    raise OrderCapExceeded(f"closure exceeds cap {cap}")
+                if len(elems) >= ORDER_CAP:
+                    raise OrderCapExceeded(f"closure exceeds cap {ORDER_CAP}")
                 index[q] = len(elems)
                 elems.append(q)
                 queue.append(q)
@@ -375,7 +374,7 @@ def frobenius21_group() -> GroupTable:
     return from_mult_table(table, "Z/7:Z/3")
 
 
-def direct_product(g1: GroupTable, g2: GroupTable, name: str | None = None) -> GroupTable:
+def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     n1, n2 = g1.order, g2.order
     if n1 * n2 > ORDER_CAP:
         raise OrderCapExceeded(f"product order {n1 * n2} exceeds cap {ORDER_CAP}")
@@ -384,11 +383,10 @@ def direct_product(g1: GroupTable, g2: GroupTable, name: str | None = None) -> G
          for b1 in range(n1) for b2 in range(n2)]
         for a1 in range(n1) for a2 in range(n2)
     ]
-    return from_mult_table(table, name or f"{g1.name}x{g2.name}")
+    return from_mult_table(table, f"{g1.name}x{g2.name}")
 
 
-def semidirect_product(g: GroupTable, tau: InvolutiveAutomorphism,
-                       name: str | None = None) -> GroupTable:
+def semidirect_product(g: GroupTable, tau: InvolutiveAutomorphism) -> GroupTable:
     """Extension of g by the order-2 group acting through tau; order 2*#g.
 
     Element g + i*#g is the pair (g, tau^i); (g, i)(h, j) = (g*tau^i(h), i+j).
@@ -404,7 +402,7 @@ def semidirect_product(g: GroupTable, tau: InvolutiveAutomorphism,
         return g.mult[a][bb] + n * ((i + j) % 2)
 
     table = [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
-    return from_mult_table(table, name or f"{g.name}:<{tau.label}>")
+    return from_mult_table(table, f"{g.name}:<{tau.label}>")
 
 
 # named families: those taking one integer parameter, then the parameterless ones
@@ -467,13 +465,11 @@ def conjugacy_data(group: GroupTable) -> ConjugacyData:
         classes.append(tuple(orbit))
     reps = tuple(c[0] for c in classes)
     inverse_class = tuple(class_of[group.inverse[r]] for r in reps)
-    square_class = tuple(class_of[group.mult[r][r]] for r in reps)
     sizes = tuple(len(c) for c in classes)
     data = ConjugacyData(
         classes=tuple(classes),
         class_of=tuple(class_of),
         inverse_class=inverse_class,
-        square_class=square_class,
         sizes=sizes,
         representatives=reps,
     )

@@ -222,8 +222,6 @@ class LieBasis:
 
     context: LieContext
     vectors: tuple[GroupAlgebraElement, ...]
-    generators_meta: tuple[int, ...]
-    dim: int
 
     def row_space(self) -> RowSpace:
         """The reduced span of the vectors, built on first use and shared;
@@ -248,8 +246,9 @@ class LieBasis:
 
 
 def _orbit_vectors(ctx: LieContext, sign: int):
-    """Yield (g, delta_g + sign * alpha(g) delta_sigma(g)), one per orbit of
-    sigma on which it is nonzero; the partner's vector is proportional.
+    """Yield delta_g + sign * alpha(g) delta_sigma(g), one per orbit of sigma
+    on which it is nonzero, with g the orbit's least element; the partner's
+    vector is proportional.
 
     Every coefficient is 1, sign * zeta^e or, at a fixed point,
     1 + sign * zeta^e, read from CycloContext.root_values."""
@@ -267,20 +266,20 @@ def _orbit_vectors(ctx: LieContext, sign: int):
         e = exponents[g]
         v = GroupAlgebraElement(group, {g: fixed[e]} if s == g else {g: one, s: moved[e]})
         if v.terms:  # empty only at a fixed point with alpha(g) = -sign
-            yield g, v
+            yield v
 
 
 def lie_basis(ctx: LieContext) -> LieBasis:
-    pairs = list(_orbit_vectors(ctx, -1))
+    vectors = tuple(_orbit_vectors(ctx, -1))
     census = census_dimension(ctx)
-    if len(pairs) != census:
-        raise InvariantViolated(f"{len(pairs)} spanning vectors but census dimension {census}")
-    return LieBasis(ctx, tuple(v for _, v in pairs), tuple(g for g, _ in pairs), len(pairs))
+    if len(vectors) != census:
+        raise InvariantViolated(f"{len(vectors)} spanning vectors but census dimension {census}")
+    return LieBasis(ctx, vectors)
 
 
 def plus_fixed_basis(ctx: LieContext) -> list[GroupAlgebraElement]:
     """Basis of the +1 eigenspace of the star map."""
-    return [v for _, v in _orbit_vectors(ctx, 1)]
+    return list(_orbit_vectors(ctx, 1))
 
 
 def sigma_class_map(ctx: LieContext) -> tuple[int, ...]:

@@ -86,7 +86,7 @@ from .linalg import RowSpace
 
 # check names in reporting order; each is stored in the LieReport field <name>_ok
 CHECKS = ("dims", "closure", "centrality", "orthogonality", "bookkeeping",
-          "class_count", "clifford", "kawanaka")
+          "class_count")
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,6 @@ class LieReport:
     dims_ok: bool
     bookkeeping_ok: bool
     class_count_ok: bool
-    clifford_ok: bool | None
-    kawanaka_ok: bool | None
     factors: tuple[Factor, ...]
     seconds: float
     # the prediction the checks were made against; not part of the JSON record
@@ -118,13 +116,8 @@ class LieReport:
         return self.first_failure() is None
 
     def first_failure(self) -> str | None:
-        """The first check that did not pass; only clifford and kawanaka may
-        be None (not run)."""
-        for c in CHECKS:
-            value = getattr(self, f"{c}_ok")
-            if not (value or (value is None and c in ("clifford", "kawanaka"))):
-                return f"{c}_ok"
-        return None
+        """The first check that did not pass."""
+        return next((f"{c}_ok" for c in CHECKS if not getattr(self, f"{c}_ok")), None)
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -137,7 +130,9 @@ class LieReport:
             "dim_M_predicted": self.dim_m_predicted,
             "center_dim_exact": self.center_dim_exact,
             "center_dim_predicted": self.center_dim_predicted,
-            "checks": {c: getattr(self, f"{c}_ok") for c in CHECKS},
+            # the Clifford and Kawanaka verdicts live in SuiteResult
+            "checks": {**{c: getattr(self, f"{c}_ok") for c in CHECKS},
+                       "clifford": None, "kawanaka": None},
             "factors": [[f.kind, f.n, f.dim] for f in self.factors],
             "all_ok": self.all_ok,
         }
@@ -177,21 +172,18 @@ def _check_report(report: IndicatorReport, group: GroupTable, alpha: LinearChara
 
 def verify_theorem(group: GroupTable, alpha: LinearCharacter,
                    tau: InvolutiveAutomorphism | None = None, *,
-                   table: CharacterTable | None = None,
                    basis: LieBasis | None = None,
                    report: IndicatorReport | None = None,
                    seed: int = 0,
                    raise_on_failure: bool = True) -> LieReport:
-    """Check one (group, alpha, tau) context; `table`, `basis` (the
-    context's lie_basis) and `report` (its indicator_report) are built here
-    unless the caller already has them."""
+    """Check one (group, alpha, tau) context; `basis` (the context's
+    lie_basis) and `report` (its indicator_report) are built here unless the
+    caller already has them."""
     t0 = time.perf_counter()
     ctx = make_context(group, alpha, tau)
     tau = ctx.tau
     if report is None:
-        if table is None:
-            table = character_table(group, seed=seed)
-        report = indicator_report(group, table, alpha, tau)
+        report = indicator_report(group, character_table(group, seed=seed), alpha, tau)
     else:
         _check_report(report, group, alpha, tau)
 
@@ -222,8 +214,6 @@ def verify_theorem(group: GroupTable, alpha: LinearCharacter,
         dims_ok=dims_ok,
         bookkeeping_ok=bookkeeping,
         class_count_ok=class_count_ok,
-        clifford_ok=None,
-        kawanaka_ok=None,
         factors=report.factors,
         seconds=time.perf_counter() - t0,
         indicators=report,

@@ -57,7 +57,8 @@ def theorem_contexts(catalog24):
     for group in catalog24:
         table = character_table(group)
         for alpha in linear_characters(group):
-            report = verify_theorem(group, alpha, table=table,
+            report = verify_theorem(group, alpha,
+                                    report=indicator_report(group, table, alpha),
                                     raise_on_failure=False)
             out.append((group, table, alpha, report))
     return out
@@ -88,7 +89,8 @@ def test_criterion_2_twisted_suite(catalog24):
         for alpha in linear_characters(group):
             if any(2 * e % group.exponent for e in alpha.exponents):
                 continue  # alpha does not absorb the inversion
-            r = verify_theorem(group, alpha, inv, table=table,
+            r = verify_theorem(group, alpha, inv,
+                               report=indicator_report(group, table, alpha, inv),
                                raise_on_failure=False)
             ok = ok and r.dims_ok and r.all_ok
             checked += 1
@@ -113,7 +115,7 @@ def test_criterion_3_spot_values():
         for _ in range(r - 1):
             g = catalog("direct_product", g, catalog("cyclic", 2))
         triv = next(c for c in linear_characters(g) if c.is_trivial())
-        dims_2r.append(lie_basis(make_context(g, triv)).dim)
+        dims_2r.append(len(lie_basis(make_context(g, triv)).vectors))
     ok = ok and dims_2r == [0, 0, 0]
     _line(3, ok,
           "dim L(S3)=1, L_sign(S3)=gl(1)+sp(2) dim 4, L(Q8)=sp(2) dim 3, "

@@ -143,6 +143,17 @@ def test_default_truncation():
     assert default_truncation(12, 10.0) == max(12, 70)
 
 
+def test_bessel_grid_script_runs():
+    # scripts/bessel_grid.py sweeps the fold against the oracle for N <= 4
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(grouplie.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, os.path.join(root, "scripts", "bessel_grid.py"),
+                          "--max-n", "4"], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert any(line.startswith("overall worst ") for line in out.stdout.splitlines())
+
+
 def test_import_loads_neither_scipy_nor_mpmath():
     probe = ("import sys, grouplie; "
              "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")

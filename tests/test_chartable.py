@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -255,6 +257,23 @@ def test_poly_roots_mod_against_a_scan():
     assert _poly_roots_mod(polys[-1], p) == [2, 50, 100]
 
 
+def column_relation_failure(table):
+    """The first class pair (c, d), c <= d, at which the column relation
+    sum_i chi_i(c) conj(chi_i(d)) = (#G / |c|) delta_cd fails, or None;
+    evaluated on the CycloScalar values, apart from _certify's array path."""
+    ctx, rows = table.context(), table.values
+    sizes = table.class_data.sizes
+    for c, d in itertools.combinations_with_replacement(range(len(sizes)), 2):
+        got = sum((row[c] * row[d].galois(-1) for row in rows), ctx.zero)
+        if got != ctx.from_fraction(table.group.order // sizes[c] if c == d else 0):
+            return c, d
+    return None
+
+
+def replace_values(table, rows):
+    return dataclasses.replace(table, values=tuple(tuple(r) for r in rows))
+
+
 @pytest.mark.parametrize("spec, irrep, cls, zeta_power", [
     ("symmetric:4", 2, 3, 0),
     ("cyclic:6", 4, 1, 1),
@@ -262,20 +281,91 @@ def test_poly_roots_mod_against_a_scan():
 ])
 def test_certify_names_row_and_column_pair(spec, irrep, cls, zeta_power):
     # one corrupted entry breaks both relations; the error names the first
-    # failing irrep pair (the trivial row against the corrupted one) and the
-    # first failing class pair (the identity class against the corrupted one)
+    # failing irrep pair (the trivial row against the corrupted one), and the
+    # column relation, which _certify no longer evaluates, fails at the
+    # identity class against the corrupted one
     t = character_table(parse_group_spec(spec))
     ctx = t.context()
     rows = [list(r) for r in t.values]
     rows[irrep][cls] = rows[irrep][cls] + ctx.zeta(zeta_power)
-    bad = dataclasses.replace(t, values=tuple(tuple(r) for r in rows))
+    bad = replace_values(t, rows)
     assert bad.coeff_array[irrep, cls].tolist() == list(rows[irrep][cls].coeffs)
-    with pytest.raises(LiftInconsistent) as exc:
+    with pytest.raises(LiftInconsistent, match=rf"row orthogonality fails at irreps \(0, {irrep}\)"):
         _certify(bad)
-    msg = str(exc.value)
-    assert f"row orthogonality fails at irreps (0, {irrep})" in msg
-    assert f"column orthogonality fails at classes (0, {cls})" in msg
+    assert column_relation_failure(bad) == (0, cls)
+    assert column_relation_failure(t) is None
     _certify(t)
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:5"])
+def test_certify_refuses_a_row_times_zeta(spec):
+    # zeta times a row keeps both orthogonality relations; its value at the
+    # identity class is no longer the degree
+    t = character_table(parse_group_spec(spec))
+    zeta = t.context().zeta(1)
+    bad = replace_values(t, t.values[:-1] + (tuple(v * zeta for v in t.values[-1]),))
+    assert column_relation_failure(bad) is None
+    last = t.num_irreps - 1
+    with pytest.raises(LiftInconsistent, match=rf"irrep {last} takes {re.escape(repr(zeta * t.degrees[-1]))} "
+                                               rf"at the identity class, not its degree {t.degrees[-1]}"):
+        _certify(bad)
+
+
+def test_certify_refuses_a_swapped_identity_column():
+    # Z/6 has six classes of size 1: swapping the identity column with
+    # another permutes the columns and keeps both orthogonality relations
+    t = character_table(catalog("cyclic", 6))
+    assert t.class_data.class_of[t.group.identity] == 0 and t.class_data.sizes[1] == 1
+    bad = replace_values(t, [(r[1], r[0]) + r[2:] for r in t.values])
+    assert column_relation_failure(bad) is None
+    i = next(i for i, r in enumerate(t.values) if r[1] != 1)
+    with pytest.raises(LiftInconsistent, match=rf"irrep {i} takes {re.escape(repr(t.values[i][1]))} "
+                                               r"at the identity class, not its degree 1"):
+        _certify(bad)
+
+
+def test_certify_refuses_a_dropped_row():
+    t = character_table(catalog("symmetric", 4))
+    bad = dataclasses.replace(t, degrees=t.degrees[:-1], values=t.values[:-1])
+    with pytest.raises(LiftInconsistent, match=r"4 degrees and values of shape \(4, 5\) for 5 classes"):
+        _certify(bad)
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "cyclic:6", "frobenius21", "quaternion8"])
+def test_certify_fails_exactly_when_the_column_relation_fails(spec):
+    # for a square table the row relation implies the column relation, and
+    # back: _certify refuses every seeded corruption that breaks the column
+    # relation, and of those that keep it only ones whose degree column is
+    # wrong (as when Q8's 2 and -2 of one row trade places)
+    t = character_table(parse_group_spec(spec))
+    ctx, k = t.context(), t.num_irreps
+    rng = random.Random(spec)
+    outcomes = set()
+    for trial in range(60):
+        rows = [list(r) for r in t.values]
+        kind = trial % 3
+        if kind == 0:  # one entry plus zeta^e
+            i, c = rng.randrange(k), rng.randrange(k)
+            rows[i][c] = rows[i][c] + ctx.zeta(rng.randrange(ctx.m))
+        elif kind == 1:  # two entries swapped
+            (i, c), (j, d) = rng.sample([(i, c) for i in range(k) for c in range(k)], 2)
+            rows[i][c], rows[j][d] = rows[j][d], rows[i][c]
+        else:  # one row copied over another
+            i, j = rng.sample(range(k), 2)
+            rows[j] = list(rows[i])
+        bad = replace_values(t, rows)
+        column = column_relation_failure(bad)
+        try:
+            _certify(bad)
+            refused = None
+        except LiftInconsistent as exc:
+            refused = str(exc)
+        if column is not None:
+            assert refused is not None
+        else:
+            assert refused is None or "at the identity class" in refused
+        outcomes.add((column is None, refused is None))
+    assert (False, False) in outcomes and (True, True) in outcomes
 
 
 @pytest.mark.parametrize("prime", [2**62 + 1, 2**70 + 1])

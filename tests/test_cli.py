@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import time
@@ -42,6 +43,17 @@ def test_parse_args_bessel_omega_k_must_fit_a_float():
     assert parse_args(["bessel", "--n", "6", "--omega-k", str(10 ** 300)]).omega_k == 10 ** 300
     for bad in (10 ** 400, -10 ** 400):
         with pytest.raises(UsageError, match="--omega-k"):
+            parse_args(["bessel", "--n", "6", "--omega-k", str(bad)])
+
+
+def test_parse_args_bessel_omega_must_be_finite():
+    # k is taken as given, not reduced mod n: 10^308 is a float, but
+    # 2 pi i k / n is not finite, and neither is omega
+    ns = parse_args(["bessel", "--n", "6", "--omega-k", "7"])
+    assert ns.omega == cmath.exp(2j * cmath.pi * 7 / 6)
+    for bad in (10 ** 308, -10 ** 308):
+        assert float(bad)
+        with pytest.raises(UsageError, match=r"--omega-k is too large: exp\(2 pi i k / 6\) is not finite"):
             parse_args(["bessel", "--n", "6", "--omega-k", str(bad)])
 
 
@@ -364,8 +376,11 @@ def test_bad_index_data_is_a_usage_error(tmp_path, capsys, which, content):
     ("--n", "3", "--z", "100000,0"),  # refused before any Bessel series is summed
     ("--n", "3", "--z", "1,2,3"),
     ("--n", "3", "--omega-k", "1" + "0" * 400),
+    ("--n", "3", "--omega-k", "1" + "0" * 308),  # a float, but omega is nan
+    ("--n", "3", "--omega-k", "-1" + "0" * 308),
 ], ids=["n-0", "z-nan-re", "z-nan-im", "z-inf", "z-1e308", "tol-nan", "tol-inf",
-        "tol-0", "z-1e5", "z-three-parts", "omega-k-401-digits"])
+        "tol-0", "z-1e5", "z-three-parts", "omega-k-401-digits", "omega-k-1e308",
+        "omega-k-minus-1e308"])
 def test_bessel_bad_input_is_a_usage_error(capsys, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "bessel", *argv)

@@ -59,7 +59,7 @@ def test_skew_difference_matrix_of_s3_has_rank_one():
 
 def _random_entry(rng, ctx):
     return rng.choice(
-        [ctx.zero, ctx.one, ctx.minus_one, ctx.zeta(1), -ctx.zeta(1)]
+        [ctx.zero, ctx.one, -ctx.one, ctx.zeta(1), -ctx.zeta(1)]
     )
 
 

@@ -87,7 +87,7 @@ def test_kernel_verdicts_equal_the_scalar_products(data):
     vectors = data.draw(vector_lists(group, lie.vectors))
     center = data.draw(vector_lists(group, center_basis(ctx)))
     plus = data.draw(vector_lists(group, plus_fixed_basis(ctx)))
-    basis = LieBasis(ctx, tuple(vectors), tuple(range(len(vectors))), len(vectors))
+    basis = LieBasis(ctx, tuple(vectors))
     got = skew_checks(basis, center, plus)
     assert tuple(got) == scalar_checks(vectors, center, plus, basis.row_space())
 
@@ -129,14 +129,13 @@ def test_roots_of_unity_are_looked_up_not_expanded():
     ctx = context(23)
     assert sum(1 for a in ctx.zeta(22).coeffs if a) == 22
     basis = LieBasis(make_context(z23, linear_characters(z23)[0]),
-                     (GroupAlgebraElement(z23, {1: ctx.one, 22: -ctx.zeta(22)}),), (1,), 1)
+                     (GroupAlgebraElement(z23, {1: ctx.one, 22: -ctx.zeta(22)}),))
     assert basis.monomials().tolist() == [[0, 0], [1, 22], [1, -1], [0, 22]]
 
 
 def _s3_basis(*vectors):
     s3 = catalog("symmetric", 3)
-    return LieBasis(make_context(s3, linear_characters(s3)[0]), tuple(vectors),
-                    tuple(range(len(vectors))), len(vectors))
+    return LieBasis(make_context(s3, linear_characters(s3)[0]), tuple(vectors))
 
 
 def test_a_fraction_coefficient_raises_invariant_violated():
@@ -180,7 +179,7 @@ def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
     broken[index] = GroupAlgebraElement(group, terms)
     monkeypatch.setattr(liealg, "BATCH_SIZE", 8)
     assert tuple(skew_checks(basis, center, plus)) == (True, True, True)
-    wrong = LieBasis(ctx, tuple(broken), basis.generators_meta, basis.dim)
+    wrong = LieBasis(ctx, tuple(broken))
     verdicts = tuple(skew_checks(wrong, center, plus))
     assert verdicts == scalar_checks(broken, center, plus, wrong.row_space())
     assert not verdicts[0]

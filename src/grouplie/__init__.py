@@ -9,7 +9,7 @@ catalog of finite groups.
 from .bessel import BesselExpansion, bessel_j, exp_cyclic, exp_matrix_oracle
 from .chartable import CharacterTable, character_table, class_constants
 from .cyclo import CycloContext, CycloScalar, context, cyclotomic_polynomial
-from .errors import GroupLieError, VerificationFailed
+from .errors import GroupLieError
 from .groups import (
     ConjugacyData,
     GroupTable,
@@ -74,7 +74,6 @@ __all__ = [
     "LinearCharacter",
     "PairingClass",
     "RowSpace",
-    "VerificationFailed",
     "bessel_j",
     "bracket",
     "catalog",
@@ -104,6 +103,7 @@ __all__ = [
     "parse_group_spec",
     "run_suite",
     "star",
+    "validate_automorphism",
     "verify_clifford",
     "verify_kawanaka",
     "verify_theorem",

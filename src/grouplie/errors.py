@@ -99,15 +99,6 @@ class IntegerBoundExceeded(GroupLieError):
     product is formed, never after a silent wrap."""
 
 
-class VerificationFailed(GroupLieError):
-    def __init__(self, check: str, detail: str = ""):
-        self.check = check
-        msg = f"verification failed at check '{check}'"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
 class TruncationInsufficient(GroupLieError):
     pass
 

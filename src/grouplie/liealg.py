@@ -314,12 +314,9 @@ def center_candidates(ctx: LieContext):
         yield c, sc, GroupAlgebraElement(group, terms)
 
 
-def center_basis(ctx: LieContext, *, candidates=None) -> list[GroupAlgebraElement]:
-    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit;
-    `candidates` (the list of center_candidates(ctx)) is built here unless
-    the caller already has it."""
-    if candidates is None:
-        candidates = center_candidates(ctx)
+def center_basis(candidates) -> list[GroupAlgebraElement]:
+    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit,
+    from the center_candidates of a context."""
     seen = set()
     out = []
     for c, sc, v in candidates:

@@ -26,11 +26,13 @@ H = L(Ker alpha), A = L(G, trivial) and B = L(G, alpha), H = A & B exactly
 when every row of H lies in A and in B and rank H = dim A + dim B - dim(A + B)
 (Grassmann's formula).  A + B starts from a copy of A's reduced row space.
 
-run_suite shares per-group work between its checks: it builds each tau = id
-basis once and hands it to the theorem and Clifford checks, and it builds
-the indicator reports of all the group's contexts as one indicator_reports
-batch, handing each to verify_theorem and the (trivial, tau) report to
-verify_kawanaka, which reads c_tau and F_1 of G from it.
+The checks take their inputs and return their verdicts; run_suite builds
+the inputs of a suite and shares per-group work between the checks.  It
+builds the tau = id basis of trivial and of each selected character once and
+hands it to the theorem and Clifford checks, builds H = L(Ker alpha) once per
+distinct kernel, and builds the indicator reports of all the group's
+contexts, and the (trivial, tau) report of each Kawanaka check, as one
+indicator_reports batch.
 
 A failing check is reported as an implementation bug: the underlying
 identities are theorems.
@@ -41,12 +43,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import cyclo
 from .chartable import CharacterTable, character_table
-from .errors import BadParameters, LiftInconsistent, VerificationFailed
+from .errors import BadParameters, LiftInconsistent
 from .groups import (
     GroupTable,
     InvolutiveAutomorphism,
@@ -64,7 +67,6 @@ from .groups import (
 from .indicators import (
     Factor,
     IndicatorReport,
-    indicator_report,
     indicator_reports,
     scaled_sums,
     stacked_weights,
@@ -108,8 +110,6 @@ class LieReport:
     class_count_ok: bool
     factors: tuple[Factor, ...]
     seconds: float
-    # the prediction the checks were made against; not part of the JSON record
-    indicators: IndicatorReport | None = field(default=None, compare=False, repr=False)
 
     @property
     def all_ok(self) -> bool:
@@ -141,14 +141,13 @@ class LieReport:
         return out
 
 
-
 def _center_data(ctx: LieContext, report: IndicatorReport):
     """(exact count, center generators, class-count identity flag)."""
     group = ctx.group
     cd = conjugacy_data(group)
     sig = sigma_class_map(ctx)
     candidates = list(center_candidates(ctx))
-    gens = center_basis(ctx, candidates=candidates)
+    gens = center_basis(candidates)
     # independence of the full eligible candidate set, both orbit orders
     exact = RowSpace(cyclo.context(group.exponent), group.order,
                      [v.terms for _, _, v in candidates]).rank
@@ -170,25 +169,14 @@ def _check_report(report: IndicatorReport, group: GroupTable, alpha: LinearChara
         )
 
 
-def verify_theorem(group: GroupTable, alpha: LinearCharacter,
-                   tau: InvolutiveAutomorphism | None = None, *,
-                   basis: LieBasis | None = None,
-                   report: IndicatorReport | None = None,
-                   seed: int = 0,
-                   raise_on_failure: bool = True) -> LieReport:
-    """Check one (group, alpha, tau) context; `basis` (the context's
-    lie_basis) and `report` (its indicator_report) are built here unless the
-    caller already has them."""
+def verify_theorem(basis: LieBasis, report: IndicatorReport) -> LieReport:
+    """Check the context of `basis`, its lie_basis, against `report`, its
+    indicator_report."""
     t0 = time.perf_counter()
-    ctx = make_context(group, alpha, tau)
-    tau = ctx.tau
-    if report is None:
-        report = indicator_report(group, character_table(group, seed=seed), alpha, tau)
-    else:
-        _check_report(report, group, alpha, tau)
+    ctx = basis.context
+    group, alpha, tau = ctx.group, ctx.alpha, ctx.tau
+    _check_report(report, group, alpha, tau)
 
-    if basis is None:
-        basis = lie_basis(ctx)
     dim_rank = basis.row_space().rank
     dims_ok = dim_rank == report.dim_l_formula == report.dim_m
     center_exact, gens, class_count_ok = _center_data(ctx, report)
@@ -198,7 +186,7 @@ def verify_theorem(group: GroupTable, alpha: LinearCharacter,
         report.involutions_plus - report.involutions_minus
     )
 
-    out = LieReport(
+    return LieReport(
         group_name=group.name,
         order=group.order,
         alpha_label=alpha.label,
@@ -216,14 +204,7 @@ def verify_theorem(group: GroupTable, alpha: LinearCharacter,
         class_count_ok=class_count_ok,
         factors=report.factors,
         seconds=time.perf_counter() - t0,
-        indicators=report,
     )
-    if raise_on_failure and not out.all_ok:
-        raise VerificationFailed(
-            out.first_failure() or "unknown",
-            f"context ({group.name}, {alpha.label}, {tau.label})",
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -236,35 +217,37 @@ class CliffordResult:
     ok: bool
 
 
-def _kernel_rows(group: GroupTable, alpha: LinearCharacter):
-    """(|Ker alpha|, the Lie basis of (Ker alpha, trivial) as sparse rows
-    over the elements of G)."""
+class KernelSpace(NamedTuple):
+    """H = L(Ker alpha, trivial), embedded in the group algebra of G."""
+
+    order: int  # |Ker alpha|
+    rows: list[dict]  # the Lie basis of H as sparse rows over the elements of G
+    rank: int
+
+
+def kernel_space(group: GroupTable, alpha: LinearCharacter) -> KernelSpace:
+    """The KernelSpace of Ker alpha; it depends on alpha only through its kernel."""
     sub, embed = kernel_subgroup(group, alpha)
     ctx_f = cyclo.context(group.exponent)
     rows = [{embed[h]: c.embed(ctx_f) for h, c in v.terms.items()}
             for v in lie_basis(make_context(sub, trivial_character(sub))).vectors]
-    return sub.order, rows
+    return KernelSpace(sub.order, rows, RowSpace(ctx_f, group.order, rows).rank)
 
 
-def verify_clifford(group: GroupTable, alpha: LinearCharacter, *,
-                    trivial_basis: LieBasis | None = None,
-                    alpha_basis: LieBasis | None = None,
-                    raise_on_failure: bool = True) -> CliffordResult:
+def verify_clifford(trivial_basis: LieBasis, alpha_basis: LieBasis,
+                    kernel: KernelSpace) -> CliffordResult:
     """Exact subspace equality of H = L(Ker alpha) and A & B, where
     A = L(G, trivial) and B = L(G, alpha), both with tau = id.
 
     H = A & B exactly when every row of H lies in A and in B and
     rank H = dim A + dim B - dim(A + B), by Grassmann's formula; A + B is a
     copy of A's reduced row space with B's vectors added.  `trivial_basis`
-    and `alpha_basis` are the lie_basis of A and B, built here unless the
-    caller already has them; their row spaces are reduced once and reused.
+    and `alpha_basis` are the lie_basis of A and B, whose row spaces are
+    reduced once and reused, and `kernel` is the kernel_space of alpha.
     """
+    group, alpha = alpha_basis.context.group, alpha_basis.context.alpha
     if alpha.is_trivial():
         raise BadParameters("clifford check needs a nontrivial character")
-    if trivial_basis is None:
-        trivial_basis = lie_basis(make_context(group, trivial_character(group)))
-    if alpha_basis is None:
-        alpha_basis = lie_basis(make_context(group, alpha))
     space_a = trivial_basis.row_space()
     space_b = alpha_basis.row_space()
     space_sum = space_a.copy()
@@ -272,22 +255,17 @@ def verify_clifford(group: GroupTable, alpha: LinearCharacter, *,
         space_sum.add(v.terms)
     dim_intersection = space_a.rank + space_b.rank - space_sum.rank
 
-    kernel_order, rows = _kernel_rows(group, alpha)
-    dim_kernel = RowSpace(cyclo.context(group.exponent), group.order, rows).rank
-    ok = dim_kernel == dim_intersection and all(
-        space_a.contains(row) and space_b.contains(row) for row in rows
+    ok = kernel.rank == dim_intersection and all(
+        space_a.contains(row) and space_b.contains(row) for row in kernel.rows
     )
-    result = CliffordResult(
+    return CliffordResult(
         group_name=group.name,
         alpha_label=alpha.label,
-        kernel_order=kernel_order,
-        dim_kernel=dim_kernel,
+        kernel_order=kernel.order,
+        dim_kernel=kernel.rank,
         dim_intersection=dim_intersection,
         ok=ok,
     )
-    if raise_on_failure and not ok:
-        raise VerificationFailed("clifford", f"({group.name}, {alpha.label})")
-    return result
 
 
 @dataclass(frozen=True)
@@ -300,19 +278,18 @@ class KawanakaResult:
 
 
 def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
-                    seed: int = 0,
-                    table: CharacterTable | None = None,
-                    report: IndicatorReport | None = None,
-                    raise_on_failure: bool = True) -> KawanakaResult:
+                    seed: int, table: CharacterTable,
+                    report: IndicatorReport) -> KawanakaResult:
     """Check 2 F_eps(chi) = F_1(Res chi) - c_tau(Res chi) on the tau-extension.
 
     The extension is G extended by the order-2 group acting through tau; eps
     is its order-2 character with kernel the embedded copy of G.  Split
     restrictions additionally satisfy c_tau(chi+) = c_tau(chi-) and
     F(chi+) = F(chi-), with c_tau and F = F_1 of G read from `report`, the
-    indicator_report of (G, trivial, tau), built here unless the caller
-    already has it.
+    indicator_report of (G, trivial, tau).  `table` is the character table of
+    G; `seed` drives the eigenspace split of the extension's table.
     """
+    _check_report(report, group, trivial_character(group), tau)
     ext = semidirect_product(group, tau)
     table_ext = character_table(ext, seed=seed)
     cd_ext = conjugacy_data(ext)
@@ -323,8 +300,6 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
     eps = LinearCharacter(ext.exponent, (0,) * n + (half,) * n, "eps")
     f_eps = weighted_fs_indicator(table_ext, eps)
 
-    if table is None:
-        table = character_table(group, seed=seed)
     cd = conjugacy_data(group)
     ctx_ext = table_ext.context()
 
@@ -354,11 +329,6 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
             )
     multiplicities = (inner[:, :, 0] // n).tolist()
 
-    trivial = trivial_character(group)
-    if report is None:
-        report = indicator_report(group, table, trivial, tau)
-    else:
-        _check_report(report, group, trivial, tau)
     ctau_g, f1_g = report.c_tau, report.f_alpha
     rows = []
     ok = True
@@ -382,10 +352,7 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
             "split_ok": split_ok,
         })
 
-    result = KawanakaResult(group.name, tau.label, ext.name, tuple(rows), ok)
-    if raise_on_failure and not ok:
-        raise VerificationFailed("kawanaka", f"({group.name}, tau={tau.label})")
-    return result
+    return KawanakaResult(group.name, tau.label, ext.name, tuple(rows), ok)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +388,14 @@ def curated_taus(group: GroupTable) -> list[InvolutiveAutomorphism]:
     return taus
 
 
+# the named tau policies of run_suite
+TAU_POLICIES = {
+    "all": curated_taus,
+    "id": lambda group: [identity_automorphism(group)],
+    "inv": lambda group: [inversion_automorphism(group)],
+}
+
+
 @dataclass
 class SuiteResult:
     reports: list[LieReport] = field(default_factory=list)
@@ -447,9 +422,15 @@ def run_suite(groups: list[GroupTable] | None = None, *,
               seed: int = 0) -> SuiteResult:
     """Verify every selected context; failures are collected, not raised.
 
-    tau_policy: "all" (identity plus inversion where valid), "id", "inv", or
-    an explicit list of automorphisms (sensible with one group).
+    alpha_labels: "all" or a list of character labels.  tau_policy: "all"
+    (identity plus inversion where valid), "id", "inv", or an explicit list
+    of automorphisms (sensible with one group).
     """
+    if isinstance(alpha_labels, str) and alpha_labels != "all":
+        raise BadParameters(f"alpha_labels must be 'all' or a list, got {alpha_labels!r}")
+    if not isinstance(tau_policy, list) and tau_policy not in TAU_POLICIES:
+        raise BadParameters(f"tau_policy must be one of {sorted(TAU_POLICIES)} or a list of "
+                            f"automorphisms, got {tau_policy!r}")
     if groups is None:
         groups = default_catalog()
     if max_order is not None:
@@ -457,49 +438,39 @@ def run_suite(groups: list[GroupTable] | None = None, *,
     result = SuiteResult()
     for group in groups:
         table = character_table(group, seed=seed)
-        if isinstance(tau_policy, list):
-            taus = tau_policy
-        elif tau_policy == "all":
-            taus = curated_taus(group)
-        elif tau_policy == "inv":
-            taus = [inversion_automorphism(group)]
-        else:
-            taus = [identity_automorphism(group)]
-        # the tau = id basis of every linear character, shared by the
-        # theorem checks with tau = id and the Clifford checks of this group
+        taus = tau_policy if isinstance(tau_policy, list) else TAU_POLICIES[tau_policy](group)
+        trivial = trivial_character(group)
+        chars = [c for c in linear_characters(group)
+                 if alpha_labels == "all" or c.label in alpha_labels]
+        # the tau = id basis of trivial and of every selected character,
+        # shared by the theorem checks with tau = id and the Clifford checks
         bases = {c.exponents: lie_basis(make_context(group, c))
-                 for c in linear_characters(group)}
-        trivial_basis = bases[trivial_character(group).exponents]
-        chars = linear_characters(group)
-        if alpha_labels != "all":
-            chars = [c for c in chars if c.label in alpha_labels]
+                 for c in linear_characters(group) if c.is_trivial() or c in chars}
         pairs = [(alpha, tau) for tau in taus for alpha in chars
                  if alpha_tau_compatible(alpha, tau)]
-        # the indicator reports of all the group's contexts, as one batch
-        reports = indicator_reports(group, table, pairs)
+        kawanaka_taus = [tau for tau in taus
+                         if not tau.is_identity() and 2 * group.order <= 256]
+        # the indicator reports of all the group's contexts and the
+        # (trivial, tau) report of each Kawanaka check, as one batch
+        reports = indicator_reports(group, table,
+                                    pairs + [(trivial, tau) for tau in kawanaka_taus])
         for (alpha, tau), report in zip(pairs, reports):
-            result.reports.append(
-                verify_theorem(group, alpha, tau,
-                               basis=bases[alpha.exponents] if tau.is_identity() else None,
-                               report=report, raise_on_failure=False)
-            )
-        for tau in taus:
-            if not tau.is_identity() and 2 * group.order <= 256:
-                # the (trivial, tau) report, unless the selection left trivial out
-                report = next((r for (a, t), r in zip(pairs, reports)
-                               if t is tau and a.is_trivial()), None)
-                result.kawanaka.append(
-                    verify_kawanaka(group, tau, seed=seed, table=table, report=report,
-                                    raise_on_failure=False)
-                )
+            basis = (bases[alpha.exponents] if tau.is_identity()
+                     else lie_basis(make_context(group, alpha, tau)))
+            result.reports.append(verify_theorem(basis, report))
+        for tau, report in zip(kawanaka_taus, reports[len(pairs):]):
+            result.kawanaka.append(
+                verify_kawanaka(group, tau, seed=seed, table=table, report=report))
+        # H = L(Ker alpha) depends on alpha only through its kernel
+        kernels = {}
         for alpha in chars:
             if not alpha.is_trivial():
+                key = alpha.kernel_elements()
+                if key not in kernels:
+                    kernels[key] = kernel_space(group, alpha)
                 result.clifford.append(
-                    verify_clifford(group, alpha,
-                                    trivial_basis=trivial_basis,
-                                    alpha_basis=bases[alpha.exponents],
-                                    raise_on_failure=False)
-                )
+                    verify_clifford(bases[trivial.exponents], bases[alpha.exponents],
+                                    kernels[key]))
     result.reports.sort(key=lambda r: (r.group_name, r.alpha_label, r.tau_label))
     result.clifford.sort(key=lambda r: (r.group_name, r.alpha_label))
     result.kawanaka.sort(key=lambda r: (r.group_name, r.tau_label))

@@ -32,6 +32,7 @@ from grouplie.indicators import (
 from grouplie.liealg import lie_basis, make_context
 from grouplie.verify import (
     default_catalog,
+    kernel_space,
     run_suite,
     verify_clifford,
     verify_kawanaka,
@@ -43,6 +44,14 @@ def _line(num: int, ok: bool, detail: str):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num:2d}] {status} - {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+def _theorem(group, alpha, tau=None, table=None):
+    """verify_theorem of one context, its basis and report built as
+    `grouplie analyze` builds them."""
+    ctx = make_context(group, alpha, tau)
+    report = indicator_report(group, table or character_table(group), alpha, ctx.tau)
+    return verify_theorem(lie_basis(ctx), report)
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +66,7 @@ def theorem_contexts(catalog24):
     for group in catalog24:
         table = character_table(group)
         for alpha in linear_characters(group):
-            report = verify_theorem(group, alpha,
-                                    report=indicator_report(group, table, alpha),
-                                    raise_on_failure=False)
+            report = _theorem(group, alpha, table=table)
             out.append((group, table, alpha, report))
     return out
 
@@ -89,9 +96,7 @@ def test_criterion_2_twisted_suite(catalog24):
         for alpha in linear_characters(group):
             if any(2 * e % group.exponent for e in alpha.exponents):
                 continue  # alpha does not absorb the inversion
-            r = verify_theorem(group, alpha, inv,
-                               report=indicator_report(group, table, alpha, inv),
-                               raise_on_failure=False)
+            r = _theorem(group, alpha, inv, table=table)
             ok = ok and r.dims_ok and r.all_ok
             checked += 1
     _line(2, ok and checked >= 20,
@@ -100,10 +105,10 @@ def test_criterion_2_twisted_suite(catalog24):
 
 def test_criterion_3_spot_values():
     s3 = catalog("symmetric", 3)
-    r1 = verify_theorem(s3, find_character(s3, "trivial"), raise_on_failure=False)
-    r2 = verify_theorem(s3, find_character(s3, "sign"), raise_on_failure=False)
+    r1 = _theorem(s3, find_character(s3, "trivial"))
+    r2 = _theorem(s3, find_character(s3, "sign"))
     q8 = catalog("quaternion8")
-    r3 = verify_theorem(q8, find_character(q8, "trivial"), raise_on_failure=False)
+    r3 = _theorem(q8, find_character(q8, "trivial"))
     ok = r1.dim_l_rank == 1
     ok = ok and r2.dim_l_rank == 4 and render_factors(r2.factors) == "gl(1) ⊕ sp(2)"
     nonzero_q8 = [f for f in r3.factors if f.dim > 0]
@@ -163,10 +168,12 @@ def test_criterion_6_clifford(catalog24):
     checked = 0
     ok = True
     for group in catalog24:
+        trivial = lie_basis(make_context(group, find_character(group, "trivial")))
         for alpha in linear_characters(group):
             if alpha.is_trivial():
                 continue
-            res = verify_clifford(group, alpha, raise_on_failure=False)
+            res = verify_clifford(trivial, lie_basis(make_context(group, alpha)),
+                                  kernel_space(group, alpha))
             ok = ok and res.ok
             checked += 1
     _line(6, ok and checked >= 50,
@@ -179,8 +186,10 @@ def test_criterion_7_kawanaka():
     rows = 0
     for spec in specs:
         group = parse_group_spec(spec)
-        res = verify_kawanaka(group, inversion_automorphism(group),
-                              raise_on_failure=False)
+        inv, table = inversion_automorphism(group), character_table(group)
+        res = verify_kawanaka(group, inv, seed=0, table=table,
+                              report=indicator_report(group, table,
+                                                      find_character(group, "trivial"), inv))
         ok = ok and res.ok and all(row["identity_ok"] for row in res.rows)
         rows += len(res.rows)
     _line(7, ok, f"2F_eps = F_1(Res) - c_tau(Res) exactly on {rows} irreps "

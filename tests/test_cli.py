@@ -8,7 +8,11 @@ import pytest
 
 from grouplie.cli import main, parse_args
 from grouplie.errors import UsageError
+from grouplie import verify
+from grouplie.chartable import character_table
 from grouplie.groups import catalog, find_character
+from grouplie.indicators import indicator_report
+from grouplie.liealg import lie_basis, make_context
 from grouplie.verify import verify_theorem
 
 
@@ -89,7 +93,9 @@ def test_analyze_json_round_trip(capsys):
     assert code == 0
     doc = json.loads(out)
     s3 = catalog("symmetric", 3)
-    assert doc["structure"] == verify_theorem(s3, find_character(s3, "sign")).to_json_dict()
+    sign = find_character(s3, "sign")
+    report = indicator_report(s3, character_table(s3), sign)
+    assert doc["structure"] == verify_theorem(lie_basis(make_context(s3, sign)), report).to_json_dict()
     assert doc["indicators"]["dim_M"] == 4
 
 
@@ -281,6 +287,15 @@ def test_analyze_builds_one_indicator_report(capsys, monkeypatch):
         code, _, _ = run_cli(capsys, "analyze", "--group", "symmetric:3",
                              "--alpha", "sign", "--format", fmt)
         assert code == 0 and len(calls) == 1
+
+
+def test_analyze_reports_a_failed_check(capsys, monkeypatch):
+    # the skew vectors of L in place of the +1 basis, as in
+    # test_orthogonality_check_can_fail
+    monkeypatch.setattr(verify, "plus_fixed_basis", lambda ctx: list(lie_basis(ctx).vectors))
+    code, out, _ = run_cli(capsys, "analyze", "--group", "symmetric:3")
+    assert code == 2
+    assert "checks: FAILED orthogonality_ok" in out
 
 
 def _one_error_line(err):

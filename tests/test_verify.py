@@ -5,7 +5,7 @@ import pytest
 
 from grouplie import verify
 from grouplie.chartable import character_table
-from grouplie.errors import BadParameters, LiftInconsistent, VerificationFailed
+from grouplie.errors import BadParameters, LiftInconsistent
 from grouplie.groups import (
     catalog,
     find_character,
@@ -17,6 +17,7 @@ from grouplie.groups import (
     subgroup_closure,
     subgroup_table,
 )
+from grouplie.indicators import indicator_report
 from grouplie.liealg import GroupAlgebraElement, bracket, lie_basis, make_context
 from grouplie.linalg import RowSpace
 from grouplie.verify import (
@@ -29,9 +30,39 @@ from grouplie.verify import (
 from grouplie.cyclo import context
 
 
+def _theorem(group, alpha, tau=None):
+    """verify_theorem of one context, its basis and report built as
+    `grouplie analyze` builds them; the basis goes through verify.lie_basis,
+    so a patch of that name reaches it."""
+    ctx = make_context(group, alpha, tau)
+    report = indicator_report(group, character_table(group), alpha, ctx.tau)
+    return verify_theorem(verify.lie_basis(ctx), report)
+
+
+def _clifford(group, alpha, alpha_basis=None):
+    """verify_clifford of (group, alpha) with its tau = id bases and kernel
+    space built here; `alpha_basis` replaces B."""
+    trivial = lie_basis(make_context(group, find_character(group, "trivial")))
+    if alpha_basis is None:
+        alpha_basis = lie_basis(make_context(group, alpha))
+    return verify_clifford(trivial, alpha_basis, verify.kernel_space(group, alpha))
+
+
+def _with_rows(group, kernel, rows):
+    """`kernel` with its rows replaced by `rows`, and its rank recomputed."""
+    return kernel._replace(rows=rows, rank=RowSpace(context(group.exponent), group.order, rows).rank)
+
+
+def _kawanaka(group, tau, table=None):
+    """verify_kawanaka with G's table and (trivial, tau) report built here."""
+    table = table or character_table(group)
+    report = indicator_report(group, table, find_character(group, "trivial"), tau)
+    return verify_kawanaka(group, tau, seed=0, table=table, report=report)
+
+
 def test_theorem_s3_sign():
     s3 = catalog("symmetric", 3)
-    r = verify_theorem(s3, find_character(s3, "sign"))
+    r = _theorem(s3, find_character(s3, "sign"))
     assert (r.dim_l_rank, r.dim_l_formula, r.dim_m_predicted) == (4, 4, 4)
     assert r.center_dim_exact == r.center_dim_predicted == 1
     assert r.all_ok
@@ -39,14 +70,14 @@ def test_theorem_s3_sign():
 
 def test_theorem_q8():
     q8 = catalog("quaternion8")
-    r = verify_theorem(q8, find_character(q8, "trivial"))
+    r = _theorem(q8, find_character(q8, "trivial"))
     assert r.dim_l_rank == 3 and r.center_dim_exact == 0
     assert r.all_ok
 
 
 def test_theorem_klein_four():
     v4 = catalog("direct_product", catalog("cyclic", 2), catalog("cyclic", 2))
-    r = verify_theorem(v4, find_character(v4, "trivial"))
+    r = _theorem(v4, find_character(v4, "trivial"))
     assert r.dim_l_rank == 0
     assert [f for f in r.factors if f.dim > 0] == []
     assert r.all_ok
@@ -56,20 +87,20 @@ def test_theorem_twisted_abelian():
     z5 = catalog("cyclic", 5)
     inv = inversion_automorphism(z5)
     triv = find_character(z5, "trivial")
-    r = verify_theorem(z5, triv, inv)
+    r = _theorem(z5, triv, inv)
     assert r.dim_l_rank == 0 and r.all_ok
 
     z8 = catalog("cyclic", 8)
     inv8 = inversion_automorphism(z8)
     for alpha in linear_characters(z8):
         if all(2 * e % 8 == 0 for e in alpha.exponents):
-            r = verify_theorem(z8, alpha, inv8)
+            r = _theorem(z8, alpha, inv8)
             assert r.all_ok
 
 
 def _s3_report(label):
     s3 = catalog("symmetric", 3)
-    return verify_theorem(s3, find_character(s3, label), raise_on_failure=False)
+    return _theorem(s3, find_character(s3, label))
 
 
 def test_orthogonality_check_can_fail(monkeypatch):
@@ -129,7 +160,7 @@ def test_closure_fails_on_one_corrupted_basis_monomial(monkeypatch, spec, label)
         return dataclasses.replace(basis, vectors=tuple(_times_zeta(basis.vectors, index)))
 
     monkeypatch.setattr(verify, "lie_basis", corrupted)
-    r = verify_theorem(group, find_character(group, label), raise_on_failure=False)
+    r = _theorem(group, find_character(group, label))
     assert r.dims_ok and not r.closure_ok
     assert r.first_failure() == "closure_ok"
 
@@ -139,8 +170,8 @@ def test_centrality_fails_on_one_corrupted_generator_monomial(monkeypatch, spec,
     group = parse_group_spec(spec)
     original = verify.center_basis
     monkeypatch.setattr(verify, "center_basis",
-                        lambda ctx, candidates=None: _times_zeta(original(ctx, candidates=candidates), 0))
-    r = verify_theorem(group, find_character(group, label), raise_on_failure=False)
+                        lambda candidates: _times_zeta(original(candidates), 0))
+    r = _theorem(group, find_character(group, label))
     assert r.center_dim_exact == r.center_dim_predicted
     assert not r.centrality_ok
     assert r.first_failure() == "centrality_ok"
@@ -156,7 +187,7 @@ def test_orthogonality_fails_on_one_corrupted_plus_monomial(monkeypatch, spec, l
         return _times_zeta(plus, next(i for i, v in enumerate(plus) if len(v.terms) == 2))
 
     monkeypatch.setattr(verify, "plus_fixed_basis", corrupted)
-    r = verify_theorem(group, find_character(group, label), raise_on_failure=False)
+    r = _theorem(group, find_character(group, label))
     assert not r.orthogonality_ok
     assert r.first_failure() == "orthogonality_ok"
 
@@ -168,7 +199,7 @@ def test_centrality_check_can_fail(monkeypatch):
     # center generator, so there the count alone would fail)
     s3 = catalog("symmetric", 3)
     monkeypatch.setattr(verify, "center_basis",
-                        lambda ctx, candidates=None: [GroupAlgebraElement.delta(s3, 2)])
+                        lambda candidates: [GroupAlgebraElement.delta(s3, 2)])
     r = _s3_report("sign")
     assert r.center_dim_exact == r.center_dim_predicted == 1
     assert not r.centrality_ok
@@ -177,7 +208,7 @@ def test_centrality_check_can_fail(monkeypatch):
 
 def test_clifford_s3():
     s3 = catalog("symmetric", 3)
-    c = verify_clifford(s3, find_character(s3, "sign"))
+    c = _clifford(s3, find_character(s3, "sign"))
     assert c.ok and c.dim_kernel == 1 and c.dim_intersection == 1
     assert c.kernel_order == 3
 
@@ -185,7 +216,7 @@ def test_clifford_s3():
 def test_clifford_z4():
     z4 = catalog("cyclic", 4)
     sign = find_character(z4, "sign")
-    c = verify_clifford(z4, sign)
+    c = _clifford(z4, sign)
     assert c.ok and c.dim_kernel == 0 and c.dim_intersection == 0
 
 
@@ -193,13 +224,13 @@ def test_clifford_z2xz4_all_nontrivial():
     g = parse_group_spec("product:cyclic:2,cyclic:4")
     for alpha in linear_characters(g):
         if not alpha.is_trivial():
-            assert verify_clifford(g, alpha).ok
+            assert _clifford(g, alpha).ok
 
 
 def test_clifford_requires_nontrivial():
     s3 = catalog("symmetric", 3)
     with pytest.raises(BadParameters):
-        verify_clifford(s3, find_character(s3, "trivial"))
+        _clifford(s3, find_character(s3, "trivial"))
 
 
 def _signed_pair(group, g):
@@ -231,12 +262,10 @@ def test_clifford_fails_when_the_kernel_basis_loses_its_last_vector(monkeypatch)
             return basis
 
         alpha = find_character(group, label)
-        assert verify_clifford(group, alpha).dim_kernel == 1
+        assert _clifford(group, alpha).dim_kernel == 1
         monkeypatch.setattr(verify, "lie_basis", truncated)
-        res = verify_clifford(group, alpha, raise_on_failure=False)
+        res = _clifford(group, alpha)
         assert not res.ok and (res.dim_kernel, res.dim_intersection) == (0, 1)
-        with pytest.raises(VerificationFailed):
-            verify_clifford(group, alpha)
         monkeypatch.undo()
 
 
@@ -250,18 +279,18 @@ def test_clifford_fails_when_b_is_built_from_another_character():
     assert len(others) == 2
     for beta in others:
         wrong_b = lie_basis(make_context(d4, beta))
-        assert not verify_clifford(d4, alpha, alpha_basis=wrong_b, raise_on_failure=False).ok
-    assert verify_clifford(d4, alpha, alpha_basis=lie_basis(make_context(d4, alpha))).ok
+        assert not _clifford(d4, alpha, alpha_basis=wrong_b).ok
+    assert _clifford(d4, alpha, alpha_basis=lie_basis(make_context(d4, alpha))).ok
 
 
 def test_clifford_fails_when_h_gains_a_vector_of_a_outside_b(monkeypatch):
     z6 = catalog("cyclic", 6)
     sign = find_character(z6, "sign")
     extra = _outside_pair(z6, sign)
-    original = verify._kernel_rows
-    monkeypatch.setattr(verify, "_kernel_rows",
-                        lambda g, a: (original(g, a)[0], original(g, a)[1] + [extra]))
-    res = verify_clifford(z6, sign, raise_on_failure=False)
+    original = verify.kernel_space
+    monkeypatch.setattr(verify, "kernel_space",
+                        lambda g, a: _with_rows(g, original(g, a), original(g, a).rows + [extra]))
+    res = _clifford(z6, sign)
     assert not res.ok and (res.dim_kernel, res.dim_intersection) == (2, 1)
 
 
@@ -271,10 +300,10 @@ def test_clifford_checks_membership_as_well_as_dimension(monkeypatch):
     z6 = catalog("cyclic", 6)
     sign = find_character(z6, "sign")
     extra = _outside_pair(z6, sign)
-    original = verify._kernel_rows
-    monkeypatch.setattr(verify, "_kernel_rows",
-                        lambda g, a: (original(g, a)[0], original(g, a)[1][:-1] + [extra]))
-    res = verify_clifford(z6, sign, raise_on_failure=False)
+    original = verify.kernel_space
+    monkeypatch.setattr(verify, "kernel_space",
+                        lambda g, a: _with_rows(g, original(g, a), original(g, a).rows[:-1] + [extra]))
+    res = _clifford(z6, sign)
     assert (res.dim_kernel, res.dim_intersection) == (1, 1)
     assert not res.ok
 
@@ -288,7 +317,7 @@ def test_suite_clifford_with_shared_bases_equals_standalone_checks():
     for shared in result.clifford:
         group = by_name[shared.group_name]
         alpha = find_character(group, shared.alpha_label)
-        assert verify_clifford(group, alpha, raise_on_failure=False) == shared
+        assert _clifford(group, alpha) == shared
 
 
 def test_run_suite_builds_each_tau_id_basis_once_per_group(monkeypatch):
@@ -302,10 +331,44 @@ def test_run_suite_builds_each_tau_id_basis_once_per_group(monkeypatch):
     assert sum(ctx.group.order == 8 for ctx in built) == 4
 
 
+def test_run_suite_builds_each_kernel_space_once(monkeypatch):
+    # Z/12 has 11 nontrivial characters, whose kernels are the 5 proper
+    # subgroups of Z/12 (one per character order 2, 3, 4, 6, 12)
+    built = []
+    original = verify.kernel_subgroup
+    monkeypatch.setattr(verify, "kernel_subgroup",
+                        lambda group, alpha: built.append(alpha) or original(group, alpha))
+    result = run_suite([parse_group_spec("cyclic:12")])
+    assert result.all_ok and len(result.clifford) == 11
+    assert len(built) == 5
+
+
+def test_run_suite_builds_only_the_selected_tau_id_bases(monkeypatch):
+    # the tau = id bases of Z/24 are those of trivial (for Clifford) and sign;
+    # the other lie_basis calls are (sign, inv) and the kernel's basis
+    z24 = parse_group_spec("cyclic:24")
+    built = []
+    original = verify.lie_basis
+    monkeypatch.setattr(verify, "lie_basis", lambda ctx: built.append(ctx) or original(ctx))
+    result = run_suite([z24], alpha_labels=["sign"])
+    assert result.all_ok and result.contexts == 2 and len(result.clifford) == 1
+    id_bases = [ctx.alpha.label for ctx in built if ctx.group is z24 and ctx.tau.is_identity()]
+    assert sorted(id_bases) == ["sign", "trivial"]
+    assert len(built) == 4
+
+
+@pytest.mark.parametrize("options", [{"alpha_labels": "lin12"}, {"tau_policy": "bogus"}])
+def test_run_suite_refuses_a_malformed_selection(options):
+    # a bare label string would select every label it contains ("lin1" in
+    # "lin12"), and an unknown policy would run tau = id
+    with pytest.raises(BadParameters):
+        run_suite([parse_group_spec("cyclic:24")], **options)
+
+
 def test_kawanaka_cyclic_inversions():
     for n in (3, 5):
         g = catalog("cyclic", n)
-        res = verify_kawanaka(g, inversion_automorphism(g))
+        res = _kawanaka(g, inversion_automorphism(g))
         assert res.ok
         assert res.extension_name.startswith(f"Z/{n}")
         assert all(row["identity_ok"] for row in res.rows)
@@ -313,13 +376,13 @@ def test_kawanaka_cyclic_inversions():
 
 def test_kawanaka_identity_twist():
     z4 = catalog("cyclic", 4)
-    res = verify_kawanaka(z4, identity_automorphism(z4))
+    res = _kawanaka(z4, identity_automorphism(z4))
     assert res.ok  # extension is Z/4 x Z/2; the relation degenerates to 0 = 0
 
 
 def test_kawanaka_z3xz3():
     g = parse_group_spec("product:cyclic:3,cyclic:3")
-    res = verify_kawanaka(g, inversion_automorphism(g))
+    res = _kawanaka(g, inversion_automorphism(g))
     assert res.ok
 
 
@@ -383,16 +446,10 @@ def test_abelian_lie_algebras_are_abelian():
 
 def test_report_json_round_trip():
     s3 = catalog("symmetric", 3)
-    data = verify_theorem(s3, find_character(s3, "sign")).to_json_dict()
+    data = _theorem(s3, find_character(s3, "sign")).to_json_dict()
     # plain JSON values only (no tuples, no non-string keys), so the text
     # form decodes to the same dict
     assert json.loads(json.dumps(data)) == data
-
-
-def test_verification_failed_attributes():
-    err = VerificationFailed("dims", "test detail")
-    assert err.check == "dims"
-    assert "dims" in str(err)
 
 
 def test_default_catalog_contents():
@@ -412,7 +469,7 @@ def test_kawanaka_irrational_inner_product_is_typed():
     rows[1][1] = rows[1][1] * t.context().zeta(1)
     bad = dataclasses.replace(t, values=tuple(tuple(r) for r in rows))
     with pytest.raises(LiftInconsistent, match=r"restriction of irrep \d+ of .* non-rational"):
-        verify_kawanaka(g, inversion_automorphism(g), table=bad)
+        _kawanaka(g, inversion_automorphism(g), table=bad)
 
 
 def test_run_suite_builds_one_indicator_batch_per_group(monkeypatch):
@@ -436,11 +493,12 @@ def test_run_suite_builds_one_indicator_batch_per_group(monkeypatch):
 
     monkeypatch.setattr(verify, "indicator_reports", counted_reports)
     monkeypatch.setattr(indicators, "joint_indicator", counted_joint)
-    monkeypatch.setattr(verify, "indicator_report", refused)
+    monkeypatch.setattr(indicators, "indicator_report", refused)
     groups = [catalog("cyclic", 6), catalog("symmetric", 3)]
     res = run_suite(groups)
     assert res.all_ok and res.contexts == 10 and len(res.kawanaka) == 1
-    assert batches == [8, 2]
+    # Z/6: 8 theorem contexts and the (trivial, inv) report of its Kawanaka check
+    assert batches == [9, 2]
     # the one joint indicator left is F_eps on the extension of Z/6 by inv
     assert len(joints) == 1 and joints[0] != groups[0].name
 
@@ -449,32 +507,38 @@ def test_kawanaka_reads_the_trivial_tau_report():
     g = catalog("cyclic", 5)
     t = character_table(g)
     inv = inversion_automorphism(g)
-    report = verify.indicator_report(g, t, find_character(g, "trivial"), inv)
-    res = verify_kawanaka(g, inv, table=t, report=report)
-    assert res.ok and res == verify_kawanaka(g, inv, table=t)
+    report = indicator_report(g, t, find_character(g, "trivial"), inv)
+    res = verify_kawanaka(g, inv, seed=0, table=t, report=report)
+    # the report of run_suite's batch gives the same verdict as one built alone
+    assert res.ok and res == run_suite([g], tau_policy="inv").kawanaka[0]
     # the 2-dimensional irreps of D5 restrict to chi + conj(chi); c_tau of
     # one of the two components changed in the report fails its split check
     row = next(r for r in res.rows if len(r["split_components"]) == 2)
     c_tau = list(report.c_tau)
     c_tau[row["split_components"][0]] = 0
     broken = dataclasses.replace(report, c_tau=tuple(c_tau))
-    bad = verify_kawanaka(g, inv, table=t, report=broken, raise_on_failure=False)
+    bad = verify_kawanaka(g, inv, seed=0, table=t, report=broken)
     assert not bad.ok and not bad.rows[row["irrep"]]["split_ok"]
 
 
-@pytest.mark.parametrize("which", ["alpha", "tau", "group"])
+@pytest.mark.parametrize("which", ["alpha", "tau", "group", "report_tau"])
 def test_a_report_of_another_context_is_refused(which):
     z4 = catalog("cyclic", 4)
     t = character_table(z4)
     triv, sign = find_character(z4, "trivial"), find_character(z4, "sign")
     tid, inv = identity_automorphism(z4), inversion_automorphism(z4)
-    report = verify.indicator_report(z4, t, triv, tid)
+    report = indicator_report(z4, t, triv, tid)
     if which == "alpha":
-        call = lambda: verify_theorem(z4, sign, tid, report=report)  # noqa: E731
+        call = lambda: verify_theorem(lie_basis(make_context(z4, sign, tid)), report)  # noqa: E731
     elif which == "tau":
-        call = lambda: verify_theorem(z4, triv, inv, report=report)  # noqa: E731
+        call = lambda: verify_theorem(lie_basis(make_context(z4, triv, inv)), report)  # noqa: E731
+    elif which == "report_tau":
+        # a basis of (sign, id) with the report of (sign, inv)
+        call = lambda: verify_theorem(lie_basis(make_context(z4, sign, tid)),  # noqa: E731
+                                      indicator_report(z4, t, sign, inv))
     else:
         z5 = catalog("cyclic", 5)
-        call = lambda: verify_kawanaka(z5, inversion_automorphism(z5), report=report)  # noqa: E731
+        call = lambda: verify_kawanaka(z5, inversion_automorphism(z5), seed=0,  # noqa: E731
+                                       table=character_table(z5), report=report)
     with pytest.raises(BadParameters, match="indicator report of"):
         call()

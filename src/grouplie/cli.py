@@ -264,7 +264,7 @@ def cmd_bessel(cfg: argparse.Namespace) -> int:
 
 def cmd_catalog_list(cfg: argparse.Namespace) -> int:
     groups = default_catalog()
-    if cfg.max_order:
+    if cfg.max_order is not None:
         groups = [g for g in groups if g.order <= cfg.max_order]
     if cfg.fmt == "json":
         _emit(_dump([

@@ -2,8 +2,8 @@
 
 Elements are indices 0..n-1 with the identity normalized to 0.  The module
 provides validated constructors, a catalog of standard groups, conjugacy
-data, linear characters (through the abelianization) and validated
-involutive automorphisms.
+data, linear characters (as homomorphisms into Z/m, fixed by their values
+on a generating set) and validated involutive automorphisms.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from . import cyclo
 from .errors import (
     AlphaNotReal,
     BadParameters,
-    InvariantViolated,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -481,31 +480,6 @@ def conjugacy_data(group: GroupTable) -> ConjugacyData:
 # linear characters
 
 
-def _commutator_subgroup(group: GroupTable) -> tuple[int, ...]:
-    mult = group.mult_array()
-    inv = np.array(group.inverse)
-    gens = set()
-    for g in range(group.order):
-        # g^-1 h^-1 g h for every h
-        gens.update(mult[mult[inv[g], inv], mult[g]].tolist())
-    return subgroup_closure(group, gens)
-
-
-def subgroup_closure(group: GroupTable, generators) -> tuple[int, ...]:
-    """Elements of the subgroup generated by the given elements (sorted)."""
-    elems = {group.identity}
-    queue = [group.identity]
-    gens = sorted(set(generators))
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = group.mult[x][g]
-            if y not in elems:
-                elems.add(y)
-                queue.append(y)
-    return tuple(sorted(elems))
-
-
 def subgroup_table(group: GroupTable, elements, name: str | None = None):
     """Reindexed GroupTable on a subgroup plus the embedding into the parent.
 
@@ -530,88 +504,51 @@ def kernel_subgroup(group: GroupTable, alpha: LinearCharacter):
     return subgroup_table(group, alpha.kernel_elements(), name=f"Ker({alpha.label})")
 
 
-def _quotient_table(group: GroupTable, normal_elements: tuple[int, ...]) -> tuple[GroupTable, tuple[int, ...]]:
-    """Quotient by a normal subgroup; returns (quotient, coset_of)."""
-    n = group.order
-    in_k = set(normal_elements)
-    coset_of = [-1] * n
-    reps = []
-    for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for k in in_k:
-            coset_of[group.mult[g][k]] = idx
-    q = len(reps)
-    table = [[coset_of[group.mult[a][b]] for b in reps] for a in reps]
-    return from_mult_table(table, f"{group.name}/[,]"), tuple(coset_of)
-
-
-def _abelian_character_exponents(q_group: GroupTable, m: int) -> list[tuple[int, ...]]:
-    """All characters of an abelian group as exponent vectors mod m.
-
-    Characters are extended along a chain of subgroups: adjoining an element
-    a of relative order k multiplies the count by k, each extension solving
-    k*s = t (mod m) for the exponent s at a.
-    """
-    n = q_group.order
-    in_h = [False] * n
-    in_h[0] = True
-    h_elems = [0]
-    chars: list[dict[int, int]] = [{0: 0}]
-    while len(h_elems) < n:
-        a = next(g for g in range(n) if not in_h[g])
-        k = 1
-        x = a
-        while not in_h[x]:
-            x = q_group.mult[x][a]
-            k += 1
-        a_to_k = x  # a^k, lands in the current subgroup
-        powers = [0]
-        for _ in range(k - 1):
-            powers.append(q_group.mult[powers[-1]][a])
-        new_chars = []
-        for chi in chars:
-            t = chi[a_to_k]
-            if t % k or m % k:
-                raise InvariantViolated(f"character value {t} at a^{k} has no {k}-th root mod {m}")
-            base = t // k
-            for j in range(k):
-                s = (base + j * (m // k)) % m
-                ext = dict(chi)
-                for u in range(1, k):
-                    pu = powers[u]
-                    for h in h_elems:
-                        ext[q_group.mult[pu][h]] = (u * s + chi[h]) % m
-                new_chars.append(ext)
-        for u in range(1, k):
-            pu = powers[u]
-            for h in list(h_elems):
-                y = q_group.mult[pu][h]
-                if not in_h[y]:
-                    in_h[y] = True
-                    h_elems.append(y)
-        chars = new_chars
-    if len(chars) != n:
-        raise InvariantViolated(f"{len(chars)} characters on an abelian group of order {n}")
-    return [tuple(chi[g] for g in range(n)) for chi in chars]
-
-
 def linear_characters(group: GroupTable) -> tuple[LinearCharacter, ...]:
-    """All homomorphisms into Q(zeta_m)^x, m the group exponent.
+    """All homomorphisms into Q(zeta_m)^x, m the group exponent: the
+    homomorphisms f: G -> Z/m, alpha(g) = zeta^f(g).
 
-    Computed on the abelianization; the count is the index of the commutator
-    subgroup.
+    Every element x is a positive word in the generators s_j of
+    _greedy_generators, so f(x) = words[x] . e, where words[x] counts each s_j
+    in one such word and e_j = f(s_j).  A tuple e gives a homomorphism exactly
+    when f(x s_j) = f(x) + e_j for every x and j (Schreier's lemma; Holt, Eick
+    & O'Brien, Handbook of Computational Group Theory, 2005).  The tuples are
+    built one generator at a time: e_j runs over the multiples of m / ord(s_j),
+    and a partial tuple is kept while every relation on its generators holds.
     """
     cached = group.__dict__.get("_linear_characters")
     if cached is not None:
         return cached
-    m = group.exponent
-    commutators = _commutator_subgroup(group)
-    quotient, coset_of = _quotient_table(group, commutators)
-    exps = _abelian_character_exponents(quotient, m)
-    pulled = sorted(tuple(e[coset_of[g]] for g in range(group.order)) for e in exps)
+    m, n = group.exponent, group.order
+    gens = _greedy_generators(group.mult)
+    k = len(gens)
+    unit = np.eye(k, dtype=np.int64)
+    words = np.zeros((n, k), dtype=np.int64)
+    reached = [True] + [False] * (n - 1)
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for j, s in enumerate(gens):
+            y = group.mult[x][s]
+            if not reached[y]:
+                reached[y] = True
+                words[y] = words[x] + unit[j]
+                frontier.append(y)
+    # the relation r of (x, j) is words[x s_j] - words[x] - unit[j], and r . e = 0
+    # (mod m); each is checked once its last generator has a value (a zero one never)
+    relations = (words[group.mult_array()[:, gens]] - words[:, None, :] - unit) % m
+    # distinct rows through a set: np.unique(axis=0) would import numpy.ma
+    distinct = set(map(tuple, relations.reshape(n * k, k).tolist()))
+    relations = np.array(list(distinct), dtype=np.int64).reshape(len(distinct), k)
+    last = ((relations != 0) * np.arange(1, k + 1)).max(axis=1, initial=0) - 1
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    for j, s in enumerate(gens):
+        values = np.arange(0, m, m // group.element_order(s))
+        tuples = np.hstack([np.repeat(tuples, len(values), axis=0),
+                            np.tile(values, len(tuples))[:, None]])
+        held = (tuples @ relations[last == j, : j + 1].T) % m == 0
+        tuples = tuples[held.all(axis=1)]
+    pulled = sorted(map(tuple, ((words @ tuples.T) % m).T.tolist()))
     real_nontrivial = [
         e for e in pulled if any(e) and all(2 * x % m == 0 for x in e)
     ]

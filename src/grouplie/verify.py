@@ -31,8 +31,8 @@ the inputs of a suite and shares per-group work between the checks.  It
 builds the tau = id basis of trivial and of each selected character once and
 hands it to the theorem and Clifford checks, builds H = L(Ker alpha) once per
 distinct kernel, and builds the indicator reports of all the group's
-contexts, and the (trivial, tau) report of each Kawanaka check, as one
-indicator_reports batch.
+contexts, and the (trivial, tau) report of each Kawanaka check that is not
+one of them, as one indicator_reports batch.
 
 A failing check is reported as an implementation bug: the underlying
 identities are theorems.
@@ -244,10 +244,23 @@ def verify_clifford(trivial_basis: LieBasis, alpha_basis: LieBasis,
     copy of A's reduced row space with B's vectors added.  `trivial_basis`
     and `alpha_basis` are the lie_basis of A and B, whose row spaces are
     reduced once and reused, and `kernel` is the kernel_space of alpha.
+    Inputs of another context raise BadParameters.
     """
-    group, alpha = alpha_basis.context.group, alpha_basis.context.alpha
+    a, b = trivial_basis.context, alpha_basis.context
+    group, alpha = b.group, b.alpha
     if alpha.is_trivial():
         raise BadParameters("clifford check needs a nontrivial character")
+    if a.group != group or not (a.alpha.is_trivial() and a.tau.is_identity()
+                                and b.tau.is_identity()):
+        raise BadParameters(
+            f"bases of ({a.group.name}, {a.alpha.label}, {a.tau.label}) and "
+            f"({group.name}, {alpha.label}, {b.tau.label}) handed to the clifford check, "
+            f"which needs (G, trivial, id) and (G, alpha, id)"
+        )
+    in_kernel = set(alpha.kernel_elements())
+    if kernel.order != len(in_kernel) or any(row.keys() - in_kernel for row in kernel.rows):
+        raise BadParameters(f"kernel space of order {kernel.order} does not fit "
+                            f"Ker({alpha.label}) of order {len(in_kernel)} in {group.name}")
     space_a = trivial_basis.row_space()
     space_b = alpha_basis.row_space()
     space_sum = space_a.copy()
@@ -452,15 +465,15 @@ def run_suite(groups: list[GroupTable] | None = None, *,
                          if not tau.is_identity() and 2 * group.order <= 256]
         # the indicator reports of all the group's contexts and the
         # (trivial, tau) report of each Kawanaka check, as one batch
-        reports = indicator_reports(group, table,
-                                    pairs + [(trivial, tau) for tau in kawanaka_taus])
-        for (alpha, tau), report in zip(pairs, reports):
+        batch = pairs + [(trivial, tau) for tau in kawanaka_taus if (trivial, tau) not in pairs]
+        reports = dict(zip(batch, indicator_reports(group, table, batch)))
+        for alpha, tau in pairs:
             basis = (bases[alpha.exponents] if tau.is_identity()
                      else lie_basis(make_context(group, alpha, tau)))
-            result.reports.append(verify_theorem(basis, report))
-        for tau, report in zip(kawanaka_taus, reports[len(pairs):]):
-            result.kawanaka.append(
-                verify_kawanaka(group, tau, seed=seed, table=table, report=report))
+            result.reports.append(verify_theorem(basis, reports[alpha, tau]))
+        for tau in kawanaka_taus:
+            result.kawanaka.append(verify_kawanaka(group, tau, seed=seed, table=table,
+                                                   report=reports[trivial, tau]))
         # H = L(Ker alpha) depends on alpha only through its kernel
         kernels = {}
         for alpha in chars:

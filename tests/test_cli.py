@@ -200,6 +200,10 @@ def test_catalog_list(capsys):
     doc = json.loads(out)
     assert all(entry["order"] <= 8 for entry in doc)
 
+    # 0 is a bound, as in verify, not "no limit"
+    code, out, _ = run_cli(capsys, "catalog-list", "--max-order", "0", "--format", "json")
+    assert code == 0 and json.loads(out) == []
+
 
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"

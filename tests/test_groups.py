@@ -3,8 +3,12 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grouplie.chartable import character_table
 from grouplie.errors import (
     BadParameters,
     GroupLieError,
@@ -17,11 +21,13 @@ from grouplie.errors import (
     UnknownName,
 )
 from grouplie.groups import (
-    _commutator_subgroup,
+    _greedy_generators,
     _permutation_group,
     alpha_tau_compatible,
     catalog,
     conjugacy_data,
+    conjugation_map,
+    direct_product,
     from_mult_table,
     from_permutation_generators,
     group_from_json,
@@ -30,10 +36,11 @@ from grouplie.groups import (
     kernel_subgroup,
     linear_characters,
     parse_group_spec,
-    subgroup_closure,
+    semidirect_product,
     subgroup_table,
     validate_automorphism,
 )
+from grouplie.verify import default_catalog
 
 
 def brute_force_classes(group):
@@ -173,11 +180,17 @@ def test_permutation_group_rejects_a_list_that_is_not_closed():
 @pytest.mark.parametrize("spec", ["symmetric:4", "alternating:5", "dihedral:6",
                                   "quaternion8", "frobenius21", "cyclic:12"])
 def test_commutator_subgroup_matches_pairwise_commutators(spec):
+    # the common kernel of the linear characters is the commutator subgroup,
+    # the closure of the pairwise commutators; a missing character leaves it larger
     g = parse_group_spec(spec)
     inv, mult = g.inverse, g.mult
     commutators = {mult[mult[inv[x]][inv[y]]][mult[x][y]]
                    for x in range(g.order) for y in range(g.order)}
-    assert _commutator_subgroup(g) == subgroup_closure(g, commutators)
+    closure = {g.identity}
+    while (grown := closure | {mult[x][c] for x in closure for c in commutators}) != closure:
+        closure = grown
+    kernels = [set(c.kernel_elements()) for c in linear_characters(g)]
+    assert set.intersection(*kernels) == closure
 
 
 def test_order_cap():
@@ -328,6 +341,69 @@ def test_linear_characters_frobenius21():
     assert len(linear_characters(catalog("frobenius21"))) == 3
 
 
+def _assert_homomorphisms(group, chars):
+    """Every character is a homomorphism into Z/m on all pairs, and no two
+    are equal."""
+    exps = np.array([c.exponents for c in chars])
+    m = group.exponent
+    assert ((exps[:, group.mult_array()] - exps[:, :, None] - exps[:, None, :]) % m == 0).all()
+    assert len({c.exponents for c in chars}) == len(chars)
+
+
+def _assert_all_linear_characters(group):
+    chars = linear_characters(group)
+    _assert_homomorphisms(group, chars)
+    # as many as the degree-1 rows of the character table
+    assert len(chars) == character_table(group).degrees.count(1)
+
+
+SUITE_LARGE = ["symmetric:5", "alternating:5", "product:alternating:5,cyclic:2",
+               "product:symmetric:3,alternating:4", "product:symmetric:4,cyclic:2",
+               "product:symmetric:4,cyclic:3", "product:symmetric:3,symmetric:3", "dihedral:30"]
+
+
+@pytest.mark.parametrize("group", [g for g in default_catalog() if g.order <= 24]
+                         + [parse_group_spec(s) for s in SUITE_LARGE],
+                         ids=lambda g: g.name)
+def test_linear_characters_are_every_homomorphism(group):
+    _assert_all_linear_characters(group)
+
+
+SMALL = [parse_group_spec(s) for s in ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6",
+                                       "dihedral:3", "dihedral:4", "quaternion8")]
+
+
+@st.composite
+def small_products(draw):
+    """A direct product of two small groups, or a small group, extended by
+    the identity, the inversion or the conjugation by an involution."""
+    group = draw(st.sampled_from(SMALL))
+    if draw(st.booleans()):
+        group = direct_product(group, draw(st.sampled_from(SMALL)))
+    taus = [None, identity_automorphism(group)]
+    taus += [validate_automorphism(group, conjugation_map(group, h), f"conj{h}")
+             for h in group.elements() if h and group.mult[h][h] == 0]
+    if group.is_abelian():
+        taus.append(inversion_automorphism(group))
+    tau = draw(st.sampled_from(taus))
+    return group if tau is None else semidirect_product(group, tau)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_products())
+def test_linear_characters_of_products_are_every_homomorphism(group):
+    _assert_all_linear_characters(group)
+
+
+def test_linear_characters_with_ten_generators():
+    group = parse_group_spec("product:" + ",".join(["cyclic:2"] * 10))
+    assert group.order == 1024 and len(_greedy_generators(group.mult)) == 10
+    chars = linear_characters(group)
+    # an abelian group has as many characters as elements
+    assert len({c.exponents for c in chars}) == 1024
+    _assert_homomorphisms(group, random.Random(0).sample(chars, 8))
+
+
 def test_validate_automorphism_identity_and_inversion():
     z5 = catalog("cyclic", 5)
     assert identity_automorphism(z5).is_identity()
@@ -360,8 +436,11 @@ def test_alpha_tau_compatibility():
 
 def test_subgroups_and_kernel():
     q8 = catalog("quaternion8")
-    elems = subgroup_closure(q8, [2])  # <i> = {1, -1, i, -i}
-    assert elems == (0, 1, 2, 3)
+    elems, x = [0], 2
+    while x:  # the powers of i: {1, -1, i, -i}
+        elems.append(x)
+        x = q8.mult[x][2]
+    assert sorted(elems) == [0, 1, 2, 3]
     sub, embed = subgroup_table(q8, elems)
     assert sub.order == 4 and sub.exponent == 4
     assert embed == (0, 1, 2, 3)

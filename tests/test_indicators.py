@@ -5,7 +5,12 @@ import pytest
 
 from grouplie import cyclo
 from grouplie.chartable import character_table
-from grouplie.errors import AlphaNotReal, IncompatiblePair, IndicatorOutOfRange
+from grouplie.errors import (
+    AlphaNotReal,
+    IncompatiblePair,
+    IndicatorOutOfRange,
+    PartnerNotFound,
+)
 from grouplie.groups import (
     alpha_tau_compatible,
     catalog,
@@ -311,6 +316,19 @@ def test_report_and_batch_raise_the_same_error(alpha_label, corrupt, error, mess
         indicator_reports(z4, table, [(alpha, inv)])
     assert str(one.value) == str(batch.value)
     assert str(one.value).startswith(message)
+
+
+def test_a_table_with_swapped_columns_has_no_partner():
+    # classes 1 and 5 of Z/8 swapped in every row: lin1 times the conjugate
+    # of a row is then no row of the table
+    z8 = catalog("cyclic", 8)
+    table = character_table(z8)
+    values = [list(row) for row in table.values]
+    for row in values:
+        row[1], row[5] = row[5], row[1]
+    table = dataclasses.replace(table, values=tuple(map(tuple, values)))
+    with pytest.raises(PartnerNotFound, match=r"no irrep matches alpha \* conj\(chi_\d+\) o tau"):
+        indicator_report(z8, table, find_character(z8, "lin1"), identity_automorphism(z8))
 
 
 def test_pairing_reads_conjugates_without_conj(monkeypatch):

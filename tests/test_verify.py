@@ -14,7 +14,6 @@ from grouplie.groups import (
     kernel_subgroup,
     linear_characters,
     parse_group_spec,
-    subgroup_closure,
     subgroup_table,
 )
 from grouplie.indicators import indicator_report
@@ -271,7 +270,8 @@ def test_clifford_fails_when_the_kernel_basis_loses_its_last_vector(monkeypatch)
 
 def test_clifford_fails_when_b_is_built_from_another_character():
     # alpha has the rotations of D4 as kernel, so L(Ker alpha) is nonzero;
-    # the other two nontrivial characters have Klein four-groups as kernels
+    # the other two nontrivial characters have Klein four-groups as kernels,
+    # which H = L(Ker alpha) does not fit, so B of either is refused
     d4 = catalog("dihedral", 4)
     alpha = next(c for c in linear_characters(d4)
                  if not c.is_trivial() and any(d4.inverse[g] != g for g in c.kernel_elements()))
@@ -279,14 +279,37 @@ def test_clifford_fails_when_b_is_built_from_another_character():
     assert len(others) == 2
     for beta in others:
         wrong_b = lie_basis(make_context(d4, beta))
-        assert not _clifford(d4, alpha, alpha_basis=wrong_b).ok
+        with pytest.raises(BadParameters, match=r"does not fit Ker\(lin\d\) of order 4"):
+            _clifford(d4, alpha, alpha_basis=wrong_b)
     assert _clifford(d4, alpha, alpha_basis=lie_basis(make_context(d4, alpha))).ok
 
 
 def test_clifford_fails_when_h_gains_a_vector_of_a_outside_b(monkeypatch):
+    # a vector of A outside B has support outside Ker alpha, so H is refused
     z6 = catalog("cyclic", 6)
     sign = find_character(z6, "sign")
     extra = _outside_pair(z6, sign)
+    original = verify.kernel_space
+    monkeypatch.setattr(verify, "kernel_space",
+                        lambda g, a: _with_rows(g, original(g, a), original(g, a).rows + [extra]))
+    with pytest.raises(BadParameters, match=r"does not fit Ker\(sign\) of order 3 in Z/6"):
+        _clifford(z6, sign)
+
+
+def _symmetric_pair(group, alpha):
+    """delta_g + delta_(g^-1) for some g in Ker alpha with g != g^-1: a row
+    that fits Ker alpha and lies in neither L(G, trivial) nor L(G, alpha)."""
+    g = next(g for g in alpha.kernel_elements() if group.inverse[g] != g)
+    ctx = context(group.exponent)
+    row = {g: ctx.one, group.inverse[g]: ctx.one}
+    assert not lie_basis(make_context(group, find_character(group, "trivial"))).row_space().contains(row)
+    return row
+
+
+def test_clifford_fails_when_h_gains_a_vector_outside_a(monkeypatch):
+    z6 = catalog("cyclic", 6)
+    sign = find_character(z6, "sign")
+    extra = _symmetric_pair(z6, sign)
     original = verify.kernel_space
     monkeypatch.setattr(verify, "kernel_space",
                         lambda g, a: _with_rows(g, original(g, a), original(g, a).rows + [extra]))
@@ -295,17 +318,41 @@ def test_clifford_fails_when_h_gains_a_vector_of_a_outside_b(monkeypatch):
 
 
 def test_clifford_checks_membership_as_well_as_dimension(monkeypatch):
-    # H's one vector swapped for a vector of A outside B: the ranks still
-    # agree, so only the membership test in B can catch it
+    # H's one vector swapped for a vector of Ker alpha outside A: the ranks
+    # still agree, so only the membership test can catch it
     z6 = catalog("cyclic", 6)
     sign = find_character(z6, "sign")
-    extra = _outside_pair(z6, sign)
+    extra = _symmetric_pair(z6, sign)
     original = verify.kernel_space
     monkeypatch.setattr(verify, "kernel_space",
                         lambda g, a: _with_rows(g, original(g, a), original(g, a).rows[:-1] + [extra]))
     res = _clifford(z6, sign)
     assert (res.dim_kernel, res.dim_intersection) == (1, 1)
     assert not res.ok
+
+
+def test_clifford_refuses_inputs_of_another_context():
+    z6 = catalog("cyclic", 6)
+    sign, trivial = find_character(z6, "sign"), find_character(z6, "trivial")
+    a = lie_basis(make_context(z6, trivial))
+    b = lie_basis(make_context(z6, sign))
+    h = verify.kernel_space(z6, sign)
+    # B of (sign, inv)
+    with pytest.raises(BadParameters, match=r"\(Z/6, sign, inv\) handed to the clifford check"):
+        verify_clifford(a, lie_basis(make_context(z6, sign, inversion_automorphism(z6))), h)
+    # A of (trivial, inv), and A of a nontrivial character
+    with pytest.raises(BadParameters, match=r"\(Z/6, trivial, inv\)"):
+        verify_clifford(lie_basis(make_context(z6, trivial, inversion_automorphism(z6))), b, h)
+    with pytest.raises(BadParameters, match=r"\(Z/6, sign, id\) and \(Z/6, sign, id\)"):
+        verify_clifford(b, b, h)
+    # A over another group
+    z4 = catalog("cyclic", 4)
+    with pytest.raises(BadParameters, match=r"\(Z/4, trivial, id\) and \(Z/6, sign, id\)"):
+        verify_clifford(lie_basis(make_context(z4, find_character(z4, "trivial"))), b, h)
+    # H of Z/4's sign, of order 2; Ker(sign) of Z/6 has order 3
+    with pytest.raises(BadParameters, match=r"order 2 does not fit Ker\(sign\) of order 3"):
+        verify_clifford(a, b, verify.kernel_space(z4, find_character(z4, "sign")))
+    assert verify_clifford(a, b, h).ok
 
 
 def test_suite_clifford_with_shared_bases_equals_standalone_checks():
@@ -406,8 +453,7 @@ def test_functoriality_embedded_subalgebras():
     _assert_lie_subalgebra(s3, sub, embed)
 
     q8 = catalog("quaternion8")
-    elems = subgroup_closure(q8, [2])
-    sub2, embed2 = subgroup_table(q8, elems)
+    sub2, embed2 = subgroup_table(q8, (0, 1, 2, 3))  # <i> = {1, -1, i, -i}
     _assert_lie_subalgebra(q8, sub2, embed2)
 
 
@@ -497,10 +543,17 @@ def test_run_suite_builds_one_indicator_batch_per_group(monkeypatch):
     groups = [catalog("cyclic", 6), catalog("symmetric", 3)]
     res = run_suite(groups)
     assert res.all_ok and res.contexts == 10 and len(res.kawanaka) == 1
-    # Z/6: 8 theorem contexts and the (trivial, inv) report of its Kawanaka check
-    assert batches == [9, 2]
+    # Z/6: 8 theorem contexts, (trivial, inv) among them, which its Kawanaka
+    # check reads too
+    assert batches == [8, 2]
     # the one joint indicator left is F_eps on the extension of Z/6 by inv
     assert len(joints) == 1 and joints[0] != groups[0].name
+    # with sign alone no theorem context is (trivial, inv), so the Kawanaka
+    # check's report joins the batch
+    batches.clear()
+    res = run_suite(groups[:1], alpha_labels=["sign"])
+    assert res.all_ok and res.contexts == 2 and len(res.kawanaka) == 1
+    assert batches == [3]
 
 
 def test_kawanaka_reads_the_trivial_tau_report():

@@ -29,15 +29,15 @@ and the lift (one DFT matmul per class, for every irrep at once).  A sum of
 t products of residues is bounded by t (p - 1)^2 before it is formed (t is
 2, the number of classes, an eigenspace dimension, the number of eigenvalues
 or an element order) and raises IntegerBoundExceeded at 2^63.  The table
-keeps its values as CycloScalars and, derived from them, as an int64
-coefficient array; the certification evaluates the row relation on that
-array with one cyclo.class_sums call.
+is the lifted int64 coefficient array; the certification evaluates the row
+relation on it with one cyclo.class_sums call, and CycloScalars are made
+only where output renders the values.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,22 +48,22 @@ from .groups import ConjugacyData, GroupTable, conjugacy_data
 _PRIME_BOUND = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     """Exact irreducible character values per (irrep, conjugacy class)."""
 
     group: GroupTable
     class_data: ConjugacyData
     degrees: tuple[int, ...]
-    values: tuple[tuple[cyclo.CycloScalar, ...], ...]
+    # canonical coefficients, read-only int64 (irrep, class, phi(m)); nested
+    # rows of coefficient vectors are converted on construction
+    values: np.ndarray
     prime: int
-    # canonical coefficients of `values`, int64 (irrep, class, phi(m)); derived
-    # from `values` on construction, so a replaced table stays consistent
-    coeff_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff_array",
-                           cyclo.coefficient_array(self.values, self.context()))
+        values = np.array(self.values, dtype=np.int64)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def num_irreps(self) -> int:
@@ -72,7 +72,13 @@ class CharacterTable:
     def context(self) -> cyclo.CycloContext:
         return cyclo.context(self.group.exponent)
 
+    def scalar_rows(self) -> list[list[cyclo.CycloScalar]]:
+        """The values as CycloScalars, one list per irrep, for output."""
+        ctx = self.context()
+        return [[cyclo.scalar_of(v, ctx) for v in row] for row in self.values]
+
     def to_json_dict(self) -> dict:
+        rows = self.scalar_rows()
         return {
             "group": self.group.name,
             "order": self.group.order,
@@ -81,10 +87,8 @@ class CharacterTable:
             "class_sizes": list(self.class_data.sizes),
             "class_representatives": list(self.class_data.representatives),
             "degrees": list(self.degrees),
-            "values": [[v.to_json() for v in row] for row in self.values],
-            "values_float": [
-                [[z.real, z.imag] for z in map(complex, row)] for row in self.values
-            ],
+            "values": [[v.to_json() for v in row] for row in rows],
+            "values_float": [[[z.real, z.imag] for z in map(complex, row)] for row in rows],
         }
 
 
@@ -106,22 +110,23 @@ def class_constants(group: GroupTable, cd: ConjugacyData) -> np.ndarray:
 # arithmetic mod p
 
 
+def _is_prime(x: int) -> bool:
+    if x < 2:
+        return False
+    f = 2
+    while f * f <= x:
+        if x % f == 0:
+            return False
+        f += 1
+    return True
+
+
 def _find_prime(m: int, order: int, skip: int = 0) -> int:
     """Smallest prime p = 1 (mod m) with p*p > 4*order, skipping `skip` hits."""
-    def is_prime(x):
-        if x < 2:
-            return False
-        f = 2
-        while f * f <= x:
-            if x % f == 0:
-                return False
-            f += 1
-        return True
-
     p = m + 1
     found = 0
     while p < _PRIME_BOUND:
-        if p * p > 4 * order and is_prime(p):
+        if p * p > 4 * order and _is_prime(p):
             if found == skip:
                 return p
             found += 1
@@ -309,13 +314,13 @@ def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
     raise LiftInconsistent("eigenspace splitting did not converge after 32 rounds")
 
 
-def _canonical_order(degrees: list[int], values: list) -> list[int]:
+def _canonical_order(degrees: list[int], coeffs: np.ndarray, ctx: cyclo.CycloContext) -> list[int]:
     """Irrep order by degree, then the float embedding of the row, then the
     exact coefficients: the same table whatever the seed or prime."""
     order_key = []
-    for i, row in enumerate(values):
-        emb = tuple((z.real, z.imag) for z in map(complex, row))
-        exact = tuple(v.coeffs for v in row)
+    for i, row in enumerate(coeffs.tolist()):
+        exact = tuple(map(tuple, row))
+        emb = tuple((z.real, z.imag) for z in (complex(cyclo.CycloScalar(ctx, v)) for v in exact))
         order_key.append((degrees[i], emb, exact, i))
     order_key.sort()
     return [entry[3] for entry in order_key]
@@ -338,6 +343,8 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
         # _poly_roots_mod evaluates a characteristic polynomial at every residue
         raise PrimeSearchFailed(
             f"prime {p} is too large: the eigenvalue search needs p < {_PRIME_BOUND}")
+    if not _is_prime(p):  # trial division, so only once p is below the bound
+        raise PrimeSearchFailed(f"{p} is not a prime")
 
     spaces = _split_eigenspaces(class_constants(group, cd), p,
                                 random.Random((seed << 16) ^ p))
@@ -395,13 +402,9 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
         powers = ctx.power_array[exps * (m // n_c)]
         cyclo.check_int64_bound(n_c * max(degrees) * cyclo.max_abs(powers), "lift")
         coeffs[:, j] = mus @ powers
-    values = [tuple(cyclo.CycloScalar(ctx, tuple(v)) for v in row) for row in coeffs.tolist()]
 
-    perm = _canonical_order(degrees, values)
-    degrees = tuple(degrees[i] for i in perm)
-    values = tuple(values[i] for i in perm)
-
-    table = CharacterTable(group, cd, degrees, values, p)
+    perm = _canonical_order(degrees, coeffs, ctx)
+    table = CharacterTable(group, cd, tuple(degrees[i] for i in perm), coeffs[perm], p)
     _certify(table)
     return table
 
@@ -416,7 +419,7 @@ def _certify(table: CharacterTable) -> None:
     k = cd.num_classes
     n = table.group.order
     ctx = table.context()
-    x = table.coeff_array
+    x = table.values
     if x.shape[:2] != (k, k) or len(table.degrees) != k:
         raise LiftInconsistent(f"{len(table.degrees)} degrees and values of shape "
                                f"{x.shape[:2]} for {k} classes")

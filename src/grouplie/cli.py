@@ -232,9 +232,9 @@ def cmd_table(cfg: argparse.Namespace) -> int:
         f"exponent {group.exponent}, prime {table.prime})",
         "class sizes: " + " ".join(str(s) for s in cd.sizes),
     ]
-    for i in range(table.num_irreps):
-        row = "  ".join(f"{v!r}" for v in table.values[i])
-        approx = "  ".join(f"{complex(v):.6g}" for v in table.values[i])
+    for i, values in enumerate(table.scalar_rows()):
+        row = "  ".join(f"{v!r}" for v in values)
+        approx = "  ".join(f"{complex(v):.6g}" for v in values)
         lines.append(f"chi_{i} (deg {table.degrees[i]}): {row}")
         lines.append(f"        ~ {approx}")
     _emit("\n".join(lines) + "\n", cfg.out)

@@ -396,22 +396,6 @@ def max_abs(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
-def coefficient_array(rows, ctx: CycloContext) -> np.ndarray:
-    """int64 array (rows, columns, phi(m)) of the canonical coefficients of a
-    table of CycloScalars in `ctx`; every value must be an algebraic integer."""
-    flat = []
-    for i, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if v.ctx.m != ctx.m:
-                raise ConductorMismatch(f"mixed conductors {ctx.m} and {v.ctx.m}")
-            if any(type(a) is not int for a in v.coeffs):
-                raise InvariantViolated(f"value {v!r} at ({i}, {c}) is not an algebraic integer")
-            flat.extend(v.coeffs)
-    check_int64_bound(max(map(abs, flat), default=0), "coefficient array")
-    shape = (len(rows), len(rows[0]) if rows else 0, ctx.degree)
-    return np.array(flat, dtype=np.int64).reshape(shape)
-
-
 def scalar_of(coeffs: np.ndarray, ctx: CycloContext) -> CycloScalar:
     """The CycloScalar with the canonical coefficient vector `coeffs`."""
     return CycloScalar(ctx, tuple(coeffs.tolist()))

@@ -548,16 +548,17 @@ def linear_characters(group: GroupTable) -> tuple[LinearCharacter, ...]:
                             np.tile(values, len(tuples))[:, None]])
         held = (tuples @ relations[last == j, : j + 1].T) % m == 0
         tuples = tuples[held.all(axis=1)]
-    pulled = sorted(map(tuple, ((words @ tuples.T) % m).T.tolist()))
-    real_nontrivial = [
-        e for e in pulled if any(e) and all(2 * x % m == 0 for x in e)
-    ]
+    values = (words @ tuples.T) % m
+    pulled = sorted(map(tuple, values.T.tolist()))
+    # a character is real exactly when its values on the generators are
+    real = np.flatnonzero((2 * tuples % m == 0).all(axis=1) & tuples.any(axis=1))
+    sign = tuple(values[:, real[0]].tolist()) if len(real) == 1 else None
     chars = []
     lin_idx = 0
     for e in pulled:
         if not any(e):
             label = "trivial"
-        elif len(real_nontrivial) == 1 and e == real_nontrivial[0]:
+        elif e == sign:
             label = "sign"
         else:
             lin_idx += 1

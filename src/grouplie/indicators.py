@@ -161,7 +161,7 @@ def scaled_sums(weights: np.ndarray, rows: np.ndarray, ctx: cyclo.CycloContext) 
 def _joint_indicators(table: CharacterTable, keys) -> np.ndarray:
     """The joint indicators (irreps, keys) of every (alpha, tau) of `keys`."""
     ctx = table.context()
-    sums = scaled_sums(stacked_weights(table.group, keys, ctx), table.coeff_array, ctx)
+    sums = scaled_sums(stacked_weights(table.group, keys, ctx), table.values, ctx)
     labels = [f"nu_({alpha.label},{tau.label})" for alpha, tau in keys]
     return _as_indicators(sums, table.group.order, ctx, labels)
 
@@ -204,7 +204,7 @@ def _partner_maps(table: CharacterTable, tau: InvolutiveAutomorphism,
     ctx = table.context()
     for alpha in alphas:
         _check_conductor(alpha, ctx)
-    x = table.coeff_array
+    x = table.values
     # conj(chi(y)) = chi(y^-1), so conj(chi) o tau is read at the inverse class
     conj_tau = x[:, [cd.inverse_class[cd.class_of[tau.mapping[r]]] for r in cd.representatives]]
     exponents = np.array([[alpha.exponents[r] for r in cd.representatives] for alpha in alphas])

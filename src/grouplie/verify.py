@@ -317,7 +317,7 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
     ctx_ext = table_ext.context()
 
     # restrictions to G of the extension's irreps, as class functions of G
-    res = table_ext.coeff_array[:, [cd_ext.class_of[r] for r in cd.representatives]]
+    res = table_ext.values[:, [cd_ext.class_of[r] for r in cd.representatives]]
     # n * F_1 and n * c_tau of each restriction, kept integral; restrictions
     # are reducible, so these are not read off as indicators
     weights = stacked_weights(group, [(None, identity_automorphism(group)), (None, tau)], ctx_ext)
@@ -325,7 +325,7 @@ def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
     nf1, nctau = sums[:, 0], sums[:, 1]
 
     # decompose every restriction into irreducibles of G: n * <Res chi_i, chi_j>
-    gconj_emb = cyclo.galois_array(table.coeff_array, -1, table.context(), ctx_ext)
+    gconj_emb = cyclo.galois_array(table.values, -1, table.context(), ctx_ext)
     inner = cyclo.class_sums(res, gconj_emb, cd.sizes, ctx_ext)
     for i in range(len(res)):
         irrational = np.flatnonzero(inner[i, :, 1:].any(axis=1))

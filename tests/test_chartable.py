@@ -16,8 +16,20 @@ from grouplie.chartable import (
     class_constants,
 )
 from grouplie.cyclo import context
-from grouplie.errors import IntegerBoundExceeded, LiftInconsistent, PrimeSearchFailed
-from grouplie.groups import catalog, conjugacy_data, parse_group_spec
+from grouplie.errors import (
+    IndicatorOutOfRange,
+    IntegerBoundExceeded,
+    LiftInconsistent,
+    PrimeSearchFailed,
+)
+from grouplie.groups import (
+    catalog,
+    conjugacy_data,
+    identity_automorphism,
+    linear_characters,
+    parse_group_spec,
+)
+from grouplie.indicators import indicator_reports
 from grouplie.verify import default_catalog
 
 
@@ -88,7 +100,7 @@ def test_table_z3():
     t = character_table(z3)
     assert t.degrees == (1, 1, 1)
     ctx = context(3)
-    rows = {tuple(v for v in row) for row in t.values}
+    rows = {tuple(row) for row in t.scalar_rows()}
     expected = {
         tuple(ctx.zeta((k * c) % 3) for c in range(3)) for k in range(3)
     }
@@ -103,7 +115,7 @@ def test_table_s3():
     e = cd.class_of[0]
     transp = next(c for c in range(3) if cd.sizes[c] == 3)
     cyc = next(c for c in range(3) if cd.sizes[c] == 2)
-    std = t.values[2]
+    std = t.scalar_rows()[2]
     assert std[e] == 2 and std[transp] == 0 and std[cyc] == -1
 
 
@@ -111,7 +123,7 @@ def test_table_q8():
     q8 = catalog("quaternion8")
     t = character_table(q8)
     assert t.degrees == (1, 1, 1, 1, 2)
-    two_dim = t.values[4]
+    two_dim = t.scalar_rows()[4]
     e = t.class_data.class_of[0]
     minus_one = t.class_data.class_of[1]
     assert two_dim[e] == 2 and two_dim[minus_one] == -2
@@ -138,7 +150,7 @@ def test_orthogonality_exact(spec):
     t = character_table(g)
     cd = t.class_data
     k = cd.num_classes
-    ctx = t.context()
+    ctx, rows = t.context(), t.scalar_rows()
     assert t.num_irreps == k
     assert sum(d * d for d in t.degrees) == g.order
     assert all(g.order % d == 0 for d in t.degrees)
@@ -146,13 +158,13 @@ def test_orthogonality_exact(spec):
         for j in range(k):
             acc = ctx.zero
             for c in range(k):
-                acc = acc + cd.sizes[c] * t.values[i][c] * t.values[j][c].conj()
+                acc = acc + cd.sizes[c] * rows[i][c] * rows[j][c].conj()
             assert acc == (g.order if i == j else 0)
     for c in range(k):
         for cp in range(k):
             acc = ctx.zero
             for i in range(k):
-                acc = acc + t.values[i][c] * t.values[i][cp].conj()
+                acc = acc + rows[i][c] * rows[i][cp].conj()
             expected = Fraction(g.order, cd.sizes[c]) if c == cp else Fraction(0)
             assert acc == ctx.from_fraction(expected)
 
@@ -166,12 +178,12 @@ def test_reproducible_across_primes(spec):
     t2 = character_table(g, prime=p2)
     assert t1.prime != t2.prime
     assert t1.degrees == t2.degrees
-    assert t1.values == t2.values
+    assert np.array_equal(t1.values, t2.values)
 
 
 def test_seed_does_not_change_table():
     g = catalog("dihedral", 4)
-    assert character_table(g, seed=0).values == character_table(g, seed=99).values
+    assert np.array_equal(character_table(g, seed=0).values, character_table(g, seed=99).values)
 
 
 def test_regular_character():
@@ -181,7 +193,7 @@ def test_regular_character():
         e = t.class_data.class_of[0]
         for c in range(t.class_data.num_classes):
             # sum of deg(chi) chi(c) over the irreps: #G at e, 0 elsewhere
-            v = sum((d * row[c] for d, row in zip(t.degrees, t.values)), t.context().zero)
+            v = sum((d * row[c] for d, row in zip(t.degrees, t.scalar_rows())), t.context().zero)
             assert v == (g.order if c == e else 0)
 
 
@@ -197,6 +209,10 @@ def test_invalid_prime_rejected():
     g = catalog("cyclic", 4)
     with pytest.raises(PrimeSearchFailed):
         character_table(g, prime=7)  # 7 != 1 (mod 4)
+    # 1 (mod 4) and above 2*sqrt(4), but not primes
+    for p in (-7, 9, 25):
+        with pytest.raises(PrimeSearchFailed, match=rf"^{p} is not a prime$"):
+            character_table(g, prime=p)
 
 
 def test_charpoly_mod_against_determinant_scan():
@@ -261,17 +277,13 @@ def column_relation_failure(table):
     """The first class pair (c, d), c <= d, at which the column relation
     sum_i chi_i(c) conj(chi_i(d)) = (#G / |c|) delta_cd fails, or None;
     evaluated on the CycloScalar values, apart from _certify's array path."""
-    ctx, rows = table.context(), table.values
+    ctx, rows = table.context(), table.scalar_rows()
     sizes = table.class_data.sizes
     for c, d in itertools.combinations_with_replacement(range(len(sizes)), 2):
         got = sum((row[c] * row[d].galois(-1) for row in rows), ctx.zero)
         if got != ctx.from_fraction(table.group.order // sizes[c] if c == d else 0):
             return c, d
     return None
-
-
-def replace_values(table, rows):
-    return dataclasses.replace(table, values=tuple(tuple(r) for r in rows))
 
 
 @pytest.mark.parametrize("spec, irrep, cls, zeta_power", [
@@ -286,10 +298,10 @@ def test_certify_names_row_and_column_pair(spec, irrep, cls, zeta_power):
     # identity class against the corrupted one
     t = character_table(parse_group_spec(spec))
     ctx = t.context()
-    rows = [list(r) for r in t.values]
-    rows[irrep][cls] = rows[irrep][cls] + ctx.zeta(zeta_power)
-    bad = replace_values(t, rows)
-    assert bad.coeff_array[irrep, cls].tolist() == list(rows[irrep][cls].coeffs)
+    x = t.values.copy()
+    x[irrep, cls] += ctx.zeta(zeta_power).coeffs
+    bad = dataclasses.replace(t, values=x)
+    assert bad.scalar_rows()[irrep][cls] == t.scalar_rows()[irrep][cls] + ctx.zeta(zeta_power)
     with pytest.raises(LiftInconsistent, match=rf"row orthogonality fails at irreps \(0, {irrep}\)"):
         _certify(bad)
     assert column_relation_failure(bad) == (0, cls)
@@ -303,7 +315,9 @@ def test_certify_refuses_a_row_times_zeta(spec):
     # identity class is no longer the degree
     t = character_table(parse_group_spec(spec))
     zeta = t.context().zeta(1)
-    bad = replace_values(t, t.values[:-1] + (tuple(v * zeta for v in t.values[-1]),))
+    x = t.values.copy()
+    x[-1] = [(v * zeta).coeffs for v in t.scalar_rows()[-1]]
+    bad = dataclasses.replace(t, values=x)
     assert column_relation_failure(bad) is None
     last = t.num_irreps - 1
     with pytest.raises(LiftInconsistent, match=rf"irrep {last} takes {re.escape(repr(zeta * t.degrees[-1]))} "
@@ -316,10 +330,11 @@ def test_certify_refuses_a_swapped_identity_column():
     # another permutes the columns and keeps both orthogonality relations
     t = character_table(catalog("cyclic", 6))
     assert t.class_data.class_of[t.group.identity] == 0 and t.class_data.sizes[1] == 1
-    bad = replace_values(t, [(r[1], r[0]) + r[2:] for r in t.values])
+    bad = dataclasses.replace(t, values=t.values[:, [1, 0] + list(range(2, t.num_irreps))])
     assert column_relation_failure(bad) is None
-    i = next(i for i, r in enumerate(t.values) if r[1] != 1)
-    with pytest.raises(LiftInconsistent, match=rf"irrep {i} takes {re.escape(repr(t.values[i][1]))} "
+    rows = t.scalar_rows()
+    i = next(i for i, r in enumerate(rows) if r[1] != 1)
+    with pytest.raises(LiftInconsistent, match=rf"irrep {i} takes {re.escape(repr(rows[i][1]))} "
                                                r"at the identity class, not its degree 1"):
         _certify(bad)
 
@@ -329,6 +344,33 @@ def test_certify_refuses_a_dropped_row():
     bad = dataclasses.replace(t, degrees=t.degrees[:-1], values=t.values[:-1])
     with pytest.raises(LiftInconsistent, match=r"4 degrees and values of shape \(4, 5\) for 5 classes"):
         _certify(bad)
+
+
+def test_a_table_replaced_with_nested_rows_is_the_swapped_array():
+    # a table built with dataclasses.replace from nested rows of coefficient
+    # vectors, with two entries of the last irrep exchanged (the degree and the
+    # value at the last class): every reader sees the swap
+    g = catalog("symmetric", 4)
+    t = character_table(g)
+    rows = [list(row) for row in t.values]
+    rows[-1][0], rows[-1][-1] = rows[-1][-1], rows[-1][0]
+    bad = dataclasses.replace(t, values=tuple(tuple(r) for r in rows))
+    assert bad.values.dtype == np.int64 and bad.values.shape == t.values.shape
+    good_json, bad_json = t.to_json_dict(), bad.to_json_dict()
+    for key in ("values", "values_float"):
+        expected = [list(row) for row in good_json[key]]
+        expected[-1][0], expected[-1][-1] = expected[-1][-1], expected[-1][0]
+        assert bad_json[key] == expected != good_json[key]
+    pairs = [(a, identity_automorphism(g)) for a in linear_characters(g)]
+    indicator_reports(g, t, pairs)
+    with pytest.raises(IndicatorOutOfRange, match=r"24 \* nu_\(trivial,id\)\(irrep 4\) = -16 "):
+        indicator_reports(g, bad, pairs)
+    with pytest.raises(LiftInconsistent, match="irrep 4 takes -1 at the identity class, not its degree 3"):
+        _certify(bad)
+    # the array is read-only, in the computed table and in the replaced one
+    for table in (t, bad):
+        with pytest.raises(ValueError):
+            table.values[0, 0, 0] = 2
 
 
 @pytest.mark.parametrize("spec", ["symmetric:4", "cyclic:6", "frobenius21", "quaternion8"])
@@ -342,18 +384,18 @@ def test_certify_fails_exactly_when_the_column_relation_fails(spec):
     rng = random.Random(spec)
     outcomes = set()
     for trial in range(60):
-        rows = [list(r) for r in t.values]
+        x = t.values.copy()
         kind = trial % 3
         if kind == 0:  # one entry plus zeta^e
             i, c = rng.randrange(k), rng.randrange(k)
-            rows[i][c] = rows[i][c] + ctx.zeta(rng.randrange(ctx.m))
+            x[i, c] += ctx.zeta(rng.randrange(ctx.m)).coeffs
         elif kind == 1:  # two entries swapped
             (i, c), (j, d) = rng.sample([(i, c) for i in range(k) for c in range(k)], 2)
-            rows[i][c], rows[j][d] = rows[j][d], rows[i][c]
+            x[[i, j], [c, d]] = x[[j, i], [d, c]]
         else:  # one row copied over another
             i, j = rng.sample(range(k), 2)
-            rows[j] = list(rows[i])
-        bad = replace_values(t, rows)
+            x[j] = x[i]
+        bad = dataclasses.replace(t, values=x)
         column = column_relation_failure(bad)
         try:
             _certify(bad)
@@ -370,8 +412,9 @@ def test_certify_fails_exactly_when_the_column_relation_fails(spec):
 
 @pytest.mark.parametrize("prime", [2**62 + 1, 2**70 + 1])
 def test_modular_bound_guard(prime):
-    # p = 1 (mod 4) passes the prime checks, but a product of two residues
-    # mod p leaves int64: the guard raises before any array is formed
+    # p = 1 (mod 4) and p^2 > 16, but a product of two residues mod p leaves
+    # int64: the guard raises before any array is formed, and before the
+    # trial division that would find both composite (5 divides each)
     with pytest.raises(IntegerBoundExceeded):
         character_table(catalog("cyclic", 4), prime=prime)
 

@@ -425,6 +425,25 @@ def test_table_json_pinned(capsys, spec):
     assert out == (Path(__file__).parent / "data" / TABLE_PINS[spec]).read_text()
 
 
+# SHA-256 of the `table` text output for the groups of TABLE_PINS: the exact
+# values and their 6-digit complex approximations, one line each per irrep
+TABLE_TEXT_DIGESTS = {
+    "cyclic:12": "5d23ffa13089a32880bc0116c3fee4b578d84b45c8030aee3acc5e00f32ebeb3",
+    "dihedral:6": "c2e6fc7d5d9b1603b74e01c4f277486b2a338cb0cc627b936d7ee19ac9a147d9",
+    "symmetric:4": "133133058eeaeb61e907094b0e597cad59e03b16e34a94e34816f3842e001d7c",
+    "product:quaternion8,cyclic:6":
+        "14e0d895239f653855620bb51347306d959b1a0a766fdaadadad593eb61399ed",
+    "frobenius21": "e7d420de7c268ad8beeef4d5c29cf5469a88a4c47fcdba2c30ab0eda1e46793f",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE_TEXT_DIGESTS))
+def test_table_text_pinned(capsys, spec):
+    code, out, err = run_cli(capsys, "table", "--group", spec)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_TEXT_DIGESTS[spec]
+
+
 # SHA-256 of `table --format json` for the two tables whose eigenspace split
 # takes several rounds with repeated eigenvalues (60 classes each); the JSON
 # itself is 4 MB, so only its digest is kept
@@ -448,3 +467,11 @@ def test_table_prime_beyond_the_root_search(capsys):
     code, out, _ = run_cli(capsys, "table", "--group", "cyclic:4",
                            "--format", "json", "--prime", "999961")
     assert code == 0 and json.loads(out)["prime"] == 999961
+
+
+@pytest.mark.parametrize("prime", ["-7", "9", "25"])
+def test_table_prime_that_is_not_prime(capsys, prime):
+    # 1 (mod 4) and above 2*sqrt(4), but not a prime: one error line, exit 1
+    code, out, err = run_cli(capsys, "table", "--group", "cyclic:4", "--prime", prime)
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and f"{prime} is not a prime" in err

@@ -404,6 +404,25 @@ def test_linear_characters_with_ten_generators():
     _assert_homomorphisms(group, random.Random(0).sample(chars, 8))
 
 
+def test_linear_character_labels_match_the_exponent_scan():
+    # oracle: the real nontrivial characters found by scanning every
+    # exponent of every character; `sign` names the only one, if one
+    groups = list(default_catalog()) + [parse_group_spec("product:" + ",".join(["cyclic:2"] * 10))]
+    signs = 0
+    for group in groups:
+        chars = linear_characters(group)
+        m = group.exponent
+        real = [c.exponents for c in chars
+                if any(c.exponents) and all(2 * x % m == 0 for x in c.exponents)]
+        lin = iter(range(1, len(chars) + 1))
+        expected = ["trivial" if not any(c.exponents)
+                    else "sign" if len(real) == 1 and c.exponents == real[0]
+                    else f"lin{next(lin)}" for c in chars]
+        assert [c.label for c in chars] == expected, group.name
+        signs += "sign" in expected
+    assert signs >= 10
+
+
 def test_validate_automorphism_identity_and_inversion():
     z5 = catalog("cyclic", 5)
     assert identity_automorphism(z5).is_identity()

@@ -511,9 +511,9 @@ def test_kawanaka_irrational_inner_product_is_typed():
     # non-rational; the error names the extension irrep, not a bare ValueError
     g = catalog("cyclic", 4)
     t = character_table(g)
-    rows = [list(r) for r in t.values]
-    rows[1][1] = rows[1][1] * t.context().zeta(1)
-    bad = dataclasses.replace(t, values=tuple(tuple(r) for r in rows))
+    x = t.values.copy()
+    x[1, 1] = (t.scalar_rows()[1][1] * t.context().zeta(1)).coeffs
+    bad = dataclasses.replace(t, values=x)
     with pytest.raises(LiftInconsistent, match=r"restriction of irrep \d+ of .* non-rational"):
         _kawanaka(g, inversion_automorphism(g), table=bad)
 

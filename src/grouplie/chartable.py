@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclo
-from .errors import LiftInconsistent, PrimeSearchFailed
+from .errors import InvariantViolated, LiftInconsistent, PrimeSearchFailed
 from .groups import ConjugacyData, GroupTable, conjugacy_data
 
 _PRIME_BOUND = 1_000_000
@@ -56,12 +56,17 @@ class CharacterTable:
     class_data: ConjugacyData
     degrees: tuple[int, ...]
     # canonical coefficients, read-only int64 (irrep, class, phi(m)); nested
-    # rows of coefficient vectors are converted on construction
+    # rows of integer coefficient vectors are converted on construction, and
+    # any other entry (a float, a Fraction) raises InvariantViolated
     values: np.ndarray
     prime: int
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.int64)
+        values = np.asarray(self.values)
+        if values.dtype.kind != "i":
+            raise InvariantViolated(f"character values must be integer coefficients, "
+                                    f"not {values.dtype} entries")
+        values = np.array(values, dtype=np.int64)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

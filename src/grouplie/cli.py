@@ -13,7 +13,7 @@ from .bessel import deviation, exp_cyclic, exp_matrix_oracle
 from .chartable import character_table
 from .errors import GroupLieError, UsageError
 from .groups import find_character, linear_characters, load_tau, parse_group_spec
-from .indicators import indicator_report, render_factors
+from .indicators import indicator_reports, render_factors
 from .liealg import lie_basis, make_context
 from .verify import default_catalog, run_suite, verify_theorem
 
@@ -121,7 +121,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
     tau = load_tau(group, cfg.tau)
     # the context first, so an incompatible pair fails before any table is built
     ctx = make_context(group, alpha, tau)
-    ind = indicator_report(group, character_table(group, seed=cfg.seed), alpha, tau)
+    ind = indicator_reports(character_table(group, seed=cfg.seed), [ctx])[0]
     report = verify_theorem(lie_basis(ctx), ind)
     if cfg.fmt == "json":
         _emit(_dump({

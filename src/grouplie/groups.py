@@ -20,6 +20,7 @@ from . import cyclo
 from .errors import (
     AlphaNotReal,
     BadParameters,
+    GroupMismatch,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -610,6 +611,16 @@ def inversion_automorphism(group: GroupTable) -> InvolutiveAutomorphism:
 
 def conjugation_map(group: GroupTable, h: int) -> tuple[int, ...]:
     return tuple(group.conjugate(h, g) for g in group.elements())
+
+
+def check_order(group: GroupTable, *maps: LinearCharacter | InvolutiveAutomorphism) -> None:
+    """Raise GroupMismatch unless every character or automorphism of `maps`
+    is defined on the elements of `group`."""
+    for f in maps:
+        n = len(f.exponents if isinstance(f, LinearCharacter) else f.mapping)
+        if n != group.order:
+            raise GroupMismatch(f"{f.label} is defined on a group of order {n}, "
+                                f"not on {group.name} of order {group.order}")
 
 
 def alpha_tau_compatible(alpha: LinearCharacter, tau: InvolutiveAutomorphism) -> bool:

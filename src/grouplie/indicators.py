@@ -15,13 +15,13 @@ The sums run on the table's int64 coefficient array: the per-class weights
 become a coefficient array too, and cyclo.class_sums forms #G times every
 irrep's indicator at once.
 
-Every report comes from indicator_reports, which takes a list of
-(alpha, tau): one class_sums call forms every distinct joint, weighted and
-twisted sum of those contexts from one stacked weight array (keys, classes,
-phi(m)), and one times_roots einsum per tau, in blocks of alphas, forms
-every partner target.  indicator_report is the batch of one context;
-joint_indicator, pairing, weighted_fs_indicator and kawanaka_indicator are
-one-context calls into the same kernels.
+Every report comes from indicator_reports, which takes LieContexts over
+the table's group and keeps each in its report: one class_sums call forms
+every distinct joint, weighted and twisted sum of them from one stacked
+weight array (keys, classes, phi(m)), and one times_roots einsum per tau, in
+blocks of alphas, forms every partner target.  indicator_report is the batch
+of one context; joint_indicator, pairing, weighted_fs_indicator and
+kawanaka_indicator are one-context calls into the same kernels.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ import numpy as np
 
 from . import cyclo
 from .chartable import CharacterTable
-from .errors import ConductorMismatch, IndicatorOutOfRange, PartnerNotFound
+from .errors import BadParameters, ConductorMismatch, IndicatorOutOfRange, PartnerNotFound
 from .groups import (
     GroupTable,
     InvolutiveAutomorphism,
     LinearCharacter,
+    check_order,
     conjugacy_data,
     identity_automorphism,
     trivial_character,
@@ -64,10 +65,7 @@ class Factor:
 
 @dataclass(frozen=True)
 class IndicatorReport:
-    group_name: str
-    order: int
-    alpha_label: str
-    tau_label: str
+    context: LieContext
     degrees: tuple[int, ...]
     f_alpha: tuple[int, ...]
     c_tau: tuple[int, ...]
@@ -85,10 +83,10 @@ class IndicatorReport:
     def to_json_dict(self) -> dict:
         factor = {i: fac for pc, fac in zip(self.classes, self.factors) for i in pc.members}
         return {
-            "group": self.group_name,
-            "order": self.order,
-            "alpha": self.alpha_label,
-            "tau": self.tau_label,
+            "group": self.context.group.name,
+            "order": self.context.group.order,
+            "alpha": self.context.alpha.label,
+            "tau": self.context.tau.label,
             "irreps": [
                 {
                     "degree": self.degrees[i],
@@ -125,7 +123,8 @@ def _as_indicators(scaled: np.ndarray, n: int, ctx: cyclo.CycloContext, labels) 
     return scaled[:, :, 0] // n
 
 
-def _check_conductor(alpha: LinearCharacter, ctx: cyclo.CycloContext) -> None:
+def _check_character(group: GroupTable, alpha: LinearCharacter, ctx: cyclo.CycloContext) -> None:
+    check_order(group, alpha)
     if alpha.conductor != ctx.m:
         raise ConductorMismatch(f"mixed conductors {alpha.conductor} and {ctx.m}")
 
@@ -140,8 +139,9 @@ def stacked_weights(group: GroupTable, keys, ctx: cyclo.CycloContext) -> np.ndar
     mult = group.mult_array()
     counts = np.zeros((len(keys), cd.num_classes, ctx.m), dtype=np.int64)
     for w, (alpha, tau) in enumerate(keys):
+        check_order(group, tau)
         if alpha is not None:
-            _check_conductor(alpha, ctx)
+            _check_character(group, alpha, ctx)
         # the class of g*tau(g) and the exponent of conj(alpha(g)), for every g
         classes = class_of[mult[group.elements(), tau.mapping]]
         e = 0 if alpha is None else -np.array(alpha.exponents) % ctx.m
@@ -202,8 +202,9 @@ def _partner_maps(table: CharacterTable, tau: InvolutiveAutomorphism,
     """
     cd = table.class_data
     ctx = table.context()
+    check_order(table.group, tau)
     for alpha in alphas:
-        _check_conductor(alpha, ctx)
+        _check_character(table.group, alpha, ctx)
     x = table.values
     # conj(chi(y)) = chi(y^-1), so conj(chi) o tau is read at the inverse class
     conj_tau = x[:, [cd.inverse_class[cd.class_of[tau.mapping[r]]] for r in cd.representatives]]
@@ -285,14 +286,10 @@ def _report(ctx: LieContext, table: CharacterTable, nu: tuple[int, ...],
             f_alpha: tuple[int, ...], c_tau: tuple[int, ...],
             partner: tuple[int, ...], classes: tuple[PairingClass, ...]) -> IndicatorReport:
     """The report of one context from its indicators and partner map."""
-    group, alpha, tau = ctx.group, ctx.alpha, ctx.tau
     factors = tuple(_factor(pc, nu, table.degrees) for pc in classes)
-    plus, minus = involution_counts(group, alpha, tau)
+    plus, minus = involution_counts(ctx.group, ctx.alpha, ctx.tau)
     return IndicatorReport(
-        group_name=group.name,
-        order=group.order,
-        alpha_label=alpha.label,
-        tau_label=tau.label,
+        context=ctx,
         degrees=table.degrees,
         f_alpha=f_alpha,
         c_tau=c_tau,
@@ -309,24 +306,27 @@ def _report(ctx: LieContext, table: CharacterTable, nu: tuple[int, ...],
     )
 
 
-def indicator_report(group: GroupTable, table: CharacterTable,
-                     alpha: LinearCharacter,
+def indicator_report(table: CharacterTable, alpha: LinearCharacter,
                      tau: InvolutiveAutomorphism | None = None) -> IndicatorReport:
-    """Indicators, pairing and the predicted decomposition of one context:
-    the batch of one, so an incompatible (alpha, tau) raises IncompatiblePair
-    before any sum is formed."""
-    return indicator_reports(group, table, [(alpha, tau)])[0]
+    """Indicators, pairing and the predicted decomposition of the context
+    (table.group, alpha, tau): the batch of one, so an incompatible (alpha,
+    tau) raises IncompatiblePair before any sum is formed."""
+    return indicator_reports(table, [make_context(table.group, alpha, tau)])[0]
 
 
-def indicator_reports(group: GroupTable, table: CharacterTable, pairs) -> list[IndicatorReport]:
-    """The IndicatorReport of every (alpha, tau) of `pairs`, in order, with
-    the work shared across them; tau None stands for the identity.
+def indicator_reports(table: CharacterTable, contexts) -> list[IndicatorReport]:
+    """The IndicatorReport of every LieContext of `contexts`, in order, with
+    the work shared across them; a context over another group than
+    table.group raises BadParameters.
 
-    Every context is validated first.  One class_sums call gives every
-    distinct joint, weighted and twisted indicator of the contexts, and one
-    partner einsum per tau (in blocks of alphas) every partner map.
+    One class_sums call gives every distinct joint, weighted and twisted
+    indicator of the contexts, and one partner einsum per tau (in blocks of
+    alphas) every partner map.
     """
-    contexts = [make_context(group, alpha, tau) for alpha, tau in pairs]
+    group = table.group
+    for ctx in contexts:
+        if ctx.group != group:
+            raise BadParameters(f"context {ctx} handed with the character table of {group.name}")
     identity = identity_automorphism(group)
     trivial = trivial_character(group)
     keys = {}  # (alpha.exponents, tau.mapping) -> (alpha, tau), in first-use order

@@ -50,6 +50,7 @@ from .groups import (
     InvolutiveAutomorphism,
     LinearCharacter,
     alpha_tau_compatible,
+    check_order,
     conjugacy_data,
     identity_automorphism,
 )
@@ -172,8 +173,7 @@ class LieContext:
     tau: InvolutiveAutomorphism
 
     def __post_init__(self):
-        if len(self.tau.mapping) != self.group.order:
-            raise IncompatiblePair("tau does not match the group order")
+        check_order(self.group, self.alpha, self.tau)
         if self.alpha.conductor != self.group.exponent:
             raise ConductorMismatch(
                 f"alpha has conductor {self.alpha.conductor}, the group exponent "
@@ -187,6 +187,9 @@ class LieContext:
         # sigma(g) = tau(g)^-1 is the basis involution underlying the star map
         sigma = tuple(self.group.inverse[t] for t in self.tau.mapping)
         object.__setattr__(self, "sigma", sigma)
+
+    def __str__(self):
+        return f"({self.group.name}, {self.alpha.label}, {self.tau.label})"
 
 
 def make_context(group: GroupTable, alpha: LinearCharacter,

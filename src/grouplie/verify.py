@@ -63,6 +63,7 @@ from .groups import (
     linear_characters,
     semidirect_product,
     trivial_character,
+    validate_automorphism,
 )
 from .indicators import (
     Factor,
@@ -158,24 +159,15 @@ def _center_data(ctx: LieContext, report: IndicatorReport):
     return exact, gens, class_count_ok
 
 
-def _check_report(report: IndicatorReport, group: GroupTable, alpha: LinearCharacter,
-                  tau: InvolutiveAutomorphism) -> None:
-    """Raise BadParameters unless a caller's `report` names this context."""
-    named = (report.group_name, report.alpha_label, report.tau_label)
-    if named != (group.name, alpha.label, tau.label):
-        raise BadParameters(
-            f"indicator report of {named} handed to context "
-            f"({group.name}, {alpha.label}, {tau.label})"
-        )
-
-
 def verify_theorem(basis: LieBasis, report: IndicatorReport) -> LieReport:
     """Check the context of `basis`, its lie_basis, against `report`, its
-    indicator_report."""
+    indicator report; a report of another context raises BadParameters."""
     t0 = time.perf_counter()
     ctx = basis.context
+    if report.context != ctx:
+        raise BadParameters(f"indicator report of {report.context} handed to the basis of "
+                            f"another context, {ctx}")
     group, alpha, tau = ctx.group, ctx.alpha, ctx.tau
-    _check_report(report, group, alpha, tau)
 
     dim_rank = basis.row_space().rank
     dims_ok = dim_rank == report.dim_l_formula == report.dim_m
@@ -252,11 +244,8 @@ def verify_clifford(trivial_basis: LieBasis, alpha_basis: LieBasis,
         raise BadParameters("clifford check needs a nontrivial character")
     if a.group != group or not (a.alpha.is_trivial() and a.tau.is_identity()
                                 and b.tau.is_identity()):
-        raise BadParameters(
-            f"bases of ({a.group.name}, {a.alpha.label}, {a.tau.label}) and "
-            f"({group.name}, {alpha.label}, {b.tau.label}) handed to the clifford check, "
-            f"which needs (G, trivial, id) and (G, alpha, id)"
-        )
+        raise BadParameters(f"bases of {a} and {b} handed to the clifford check, "
+                            f"which needs (G, trivial, id) and (G, alpha, id)")
     in_kernel = set(alpha.kernel_elements())
     if kernel.order != len(in_kernel) or any(row.keys() - in_kernel for row in kernel.rows):
         raise BadParameters(f"kernel space of order {kernel.order} does not fit "
@@ -290,19 +279,21 @@ class KawanakaResult:
     ok: bool
 
 
-def verify_kawanaka(group: GroupTable, tau: InvolutiveAutomorphism, *,
-                    seed: int, table: CharacterTable,
-                    report: IndicatorReport) -> KawanakaResult:
+def verify_kawanaka(table: CharacterTable, report: IndicatorReport, *,
+                    seed: int) -> KawanakaResult:
     """Check 2 F_eps(chi) = F_1(Res chi) - c_tau(Res chi) on the tau-extension.
 
-    The extension is G extended by the order-2 group acting through tau; eps
-    is its order-2 character with kernel the embedded copy of G.  Split
+    G = table.group is extended by the order-2 group acting through tau;
+    eps is its order-2 character with kernel the embedded copy of G.  Split
     restrictions additionally satisfy c_tau(chi+) = c_tau(chi-) and
     F(chi+) = F(chi-), with c_tau and F = F_1 of G read from `report`, the
-    indicator_report of (G, trivial, tau).  `table` is the character table of
-    G; `seed` drives the eigenspace split of the extension's table.
+    indicator report of (G, trivial, tau); any other raises BadParameters.
+    `seed` drives the eigenspace split of the extension's table.
     """
-    _check_report(report, group, trivial_character(group), tau)
+    group, tau = table.group, report.context.tau
+    if report.context.group != group or not report.context.alpha.is_trivial():
+        raise BadParameters(f"indicator report of {report.context} handed to the kawanaka "
+                            f"check of {group.name}, which needs (G, trivial, tau)")
     ext = semidirect_product(group, tau)
     table_ext = character_table(ext, seed=seed)
     cd_ext = conjugacy_data(ext)
@@ -437,7 +428,9 @@ def run_suite(groups: list[GroupTable] | None = None, *,
 
     alpha_labels: "all" or a list of character labels.  tau_policy: "all"
     (identity plus inversion where valid), "id", "inv", or an explicit list
-    of automorphisms (sensible with one group).
+    of automorphisms; each of them is validated against every group, so a
+    map that is no involutive automorphism of one raises NotHomomorphism or
+    NotInvolutive, and one of another order BadParameters.
     """
     if isinstance(alpha_labels, str) and alpha_labels != "all":
         raise BadParameters(f"alpha_labels must be 'all' or a list, got {alpha_labels!r}")
@@ -451,7 +444,10 @@ def run_suite(groups: list[GroupTable] | None = None, *,
     result = SuiteResult()
     for group in groups:
         table = character_table(group, seed=seed)
-        taus = tau_policy if isinstance(tau_policy, list) else TAU_POLICIES[tau_policy](group)
+        if isinstance(tau_policy, list):
+            taus = [validate_automorphism(group, tau.mapping, tau.label) for tau in tau_policy]
+        else:
+            taus = TAU_POLICIES[tau_policy](group)
         trivial = trivial_character(group)
         chars = [c for c in linear_characters(group)
                  if alpha_labels == "all" or c.label in alpha_labels]
@@ -459,21 +455,23 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         # shared by the theorem checks with tau = id and the Clifford checks
         bases = {c.exponents: lie_basis(make_context(group, c))
                  for c in linear_characters(group) if c.is_trivial() or c in chars}
-        pairs = [(alpha, tau) for tau in taus for alpha in chars
-                 if alpha_tau_compatible(alpha, tau)]
+        contexts = [bases[alpha.exponents].context if tau.is_identity()
+                    else make_context(group, alpha, tau)
+                    for tau in taus for alpha in chars if alpha_tau_compatible(alpha, tau)]
         kawanaka_taus = [tau for tau in taus
                          if not tau.is_identity() and 2 * group.order <= 256]
         # the indicator reports of all the group's contexts and the
-        # (trivial, tau) report of each Kawanaka check, as one batch
-        batch = pairs + [(trivial, tau) for tau in kawanaka_taus if (trivial, tau) not in pairs]
-        reports = dict(zip(batch, indicator_reports(group, table, batch)))
-        for alpha, tau in pairs:
-            basis = (bases[alpha.exponents] if tau.is_identity()
-                     else lie_basis(make_context(group, alpha, tau)))
-            result.reports.append(verify_theorem(basis, reports[alpha, tau]))
-        for tau in kawanaka_taus:
-            result.kawanaka.append(verify_kawanaka(group, tau, seed=seed, table=table,
-                                                   report=reports[trivial, tau]))
+        # (trivial, tau) report of each Kawanaka check, one of those contexts
+        # when trivial is selected, as one batch
+        extra = [] if trivial in chars else [make_context(group, trivial, t) for t in kawanaka_taus]
+        reports = indicator_reports(table, contexts + extra)
+        for report in reports[:len(contexts)]:
+            ctx = report.context
+            basis = bases[ctx.alpha.exponents] if ctx.tau.is_identity() else lie_basis(ctx)
+            result.reports.append(verify_theorem(basis, report))
+        for report in reports:
+            if report.context.alpha.is_trivial() and report.context.tau in kawanaka_taus:
+                result.kawanaka.append(verify_kawanaka(table, report, seed=seed))
         # H = L(Ker alpha) depends on alpha only through its kernel
         kernels = {}
         for alpha in chars:

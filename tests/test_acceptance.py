@@ -51,7 +51,7 @@ def _theorem(group, alpha, tau=None, table=None):
     """verify_theorem of one context, its basis and report built as
     `grouplie analyze` builds them."""
     ctx = make_context(group, alpha, tau)
-    report = indicator_report(group, table or character_table(group), alpha, ctx.tau)
+    report = indicator_report(table or character_table(group), alpha, ctx.tau)
     return verify_theorem(lie_basis(ctx), report)
 
 
@@ -188,9 +188,8 @@ def test_criterion_7_kawanaka():
     for spec in specs:
         group = parse_group_spec(spec)
         inv, table = inversion_automorphism(group), character_table(group)
-        res = verify_kawanaka(group, inv, seed=0, table=table,
-                              report=indicator_report(group, table,
-                                                      find_character(group, "trivial"), inv))
+        res = verify_kawanaka(table, indicator_report(table, find_character(group, "trivial"), inv),
+                              seed=0)
         ok = ok and res.ok and all(row["identity_ok"] for row in res.rows)
         rows += len(res.rows)
     _line(7, ok, f"2F_eps = F_1(Res) - c_tau(Res) exactly on {rows} irreps "

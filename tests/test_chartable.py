@@ -19,6 +19,7 @@ from grouplie.cyclo import context
 from grouplie.errors import (
     IndicatorOutOfRange,
     IntegerBoundExceeded,
+    InvariantViolated,
     LiftInconsistent,
     PrimeSearchFailed,
 )
@@ -30,6 +31,7 @@ from grouplie.groups import (
     parse_group_spec,
 )
 from grouplie.indicators import indicator_reports
+from grouplie.liealg import make_context
 from grouplie.verify import default_catalog
 
 
@@ -361,10 +363,10 @@ def test_a_table_replaced_with_nested_rows_is_the_swapped_array():
         expected = [list(row) for row in good_json[key]]
         expected[-1][0], expected[-1][-1] = expected[-1][-1], expected[-1][0]
         assert bad_json[key] == expected != good_json[key]
-    pairs = [(a, identity_automorphism(g)) for a in linear_characters(g)]
-    indicator_reports(g, t, pairs)
+    contexts = [make_context(g, a, identity_automorphism(g)) for a in linear_characters(g)]
+    indicator_reports(t, contexts)
     with pytest.raises(IndicatorOutOfRange, match=r"24 \* nu_\(trivial,id\)\(irrep 4\) = -16 "):
-        indicator_reports(g, bad, pairs)
+        indicator_reports(bad, contexts)
     with pytest.raises(LiftInconsistent, match="irrep 4 takes -1 at the identity class, not its degree 3"):
         _certify(bad)
     # the array is read-only, in the computed table and in the replaced one
@@ -459,3 +461,15 @@ def test_split_rejects_matrices_that_are_not_diagonalizable(block, message):
     consts = np.stack([ident, n] + [ident] * (len(n) - 2))
     with pytest.raises(LiftInconsistent, match=message):
         _split_eigenspaces(consts, 7, random.Random(1))
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2)])
+def test_a_table_refuses_non_integral_values(value):
+    t = character_table(catalog("symmetric", 3))
+    rows = t.values.tolist()
+    rows[0][0][0] = value
+    with pytest.raises(InvariantViolated, match="integer coefficients"):
+        dataclasses.replace(t, values=rows)
+    # nested rows of Python ints convert exactly
+    rows[0][0][0] = 1
+    assert np.array_equal(dataclasses.replace(t, values=rows).values, t.values)

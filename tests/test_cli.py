@@ -94,7 +94,7 @@ def test_analyze_json_round_trip(capsys):
     doc = json.loads(out)
     s3 = catalog("symmetric", 3)
     sign = find_character(s3, "sign")
-    report = indicator_report(s3, character_table(s3), sign)
+    report = indicator_report(character_table(s3), sign)
     assert doc["structure"] == verify_theorem(lie_basis(make_context(s3, sign)), report).to_json_dict()
     assert doc["indicators"]["dim_M"] == 4
 
@@ -275,7 +275,8 @@ def test_analyze_json_pinned(capsys, key):
 def test_analyze_builds_one_indicator_report(capsys, monkeypatch):
     import grouplie
 
-    original = grouplie.indicators.indicator_report
+    # every report comes from the batch; analyze hands it its one context
+    original = grouplie.indicators.indicator_reports
     calls = []
 
     def counted(*args, **kwargs):
@@ -284,13 +285,13 @@ def test_analyze_builds_one_indicator_report(capsys, monkeypatch):
 
     # every module that binds the name, so a call through any of them counts
     for module in (grouplie.indicators, grouplie.verify, grouplie.cli):
-        if getattr(module, "indicator_report", None) is original:
-            monkeypatch.setattr(module, "indicator_report", counted)
+        if getattr(module, "indicator_reports", None) is original:
+            monkeypatch.setattr(module, "indicator_reports", counted)
     for fmt in ("text", "json"):
         calls.clear()
         code, _, _ = run_cli(capsys, "analyze", "--group", "symmetric:3",
                              "--alpha", "sign", "--format", fmt)
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and len(calls) == 1 and len(calls[0][1]) == 1
 
 
 def test_analyze_reports_a_failed_check(capsys, monkeypatch):

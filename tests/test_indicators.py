@@ -7,6 +7,8 @@ from grouplie import cyclo
 from grouplie.chartable import character_table
 from grouplie.errors import (
     AlphaNotReal,
+    BadParameters,
+    GroupMismatch,
     IncompatiblePair,
     IndicatorOutOfRange,
     PartnerNotFound,
@@ -36,6 +38,7 @@ from grouplie.indicators import (
     stacked_weights,
     weighted_fs_indicator,
 )
+from grouplie.liealg import make_context
 from grouplie.verify import curated_taus, default_catalog
 
 
@@ -184,11 +187,11 @@ def test_alpha_not_real_guard():
 def test_predictions_s3():
     s3 = catalog("symmetric", 3)
     t = character_table(s3)
-    r = indicator_report(s3, t, find_character(s3, "trivial"))
+    r = indicator_report(t, find_character(s3, "trivial"))
     assert r.dim_m == 1 and r.center_dim == 0 and r.dim_l_formula == 1
     assert render_factors(r.factors) == "so(1)² ⊕ so(2)".replace("²", "^2")
 
-    r2 = indicator_report(s3, t, find_character(s3, "sign"))
+    r2 = indicator_report(t, find_character(s3, "sign"))
     assert r2.dim_m == 4 and r2.center_dim == 1
     assert render_factors(r2.factors) == "gl(1) ⊕ sp(2)"
 
@@ -196,7 +199,7 @@ def test_predictions_s3():
 def test_predictions_q8():
     q8 = catalog("quaternion8")
     t = character_table(q8)
-    r = indicator_report(q8, t, find_character(q8, "trivial"))
+    r = indicator_report(t, find_character(q8, "trivial"))
     assert r.dim_m == 3 and r.center_dim == 0
     assert render_factors(r.factors) == "so(1)^4 ⊕ sp(2)"
 
@@ -221,7 +224,7 @@ def test_prop_identities_all_characters(spec):
         # vanishing indicator exactly on swapped pairs
         for i, fi in enumerate(f):
             assert (fi == 0) == (partner[i] != i)
-        r = indicator_report(group, t, alpha, tid)
+        r = indicator_report(t, alpha, tid)
         assert r.nu == f
         # block bookkeeping: #G - 2 dim_M = signed dimension sum
         assert group.order - 2 * r.dim_m == sum(fi * d for fi, d in zip(f, t.degrees))
@@ -244,7 +247,7 @@ def test_prop_identities_all_characters(spec):
 def test_report_json_round_trip():
     s3 = catalog("symmetric", 3)
     t = character_table(s3)
-    r = indicator_report(s3, t, find_character(s3, "sign"))
+    r = indicator_report(t, find_character(s3, "sign"))
     d = r.to_json_dict()
     assert d["dim_M"] == 4 and d["I"] == 1 and d["J"] == 3
     assert d["irreps"][2]["factor"] == "sp(2)"
@@ -258,7 +261,7 @@ def test_report_keeps_the_pairing_classes():
         g = parse_group_spec(spec)
         t = character_table(g)
         alpha, tau = find_character(g, label), tau_of(g)
-        r = indicator_report(g, t, alpha, tau)
+        r = indicator_report(t, alpha, tau)
         partner, classes = pairing(t, alpha, tau)
         assert r.partner == partner and r.classes == classes
         assert len(r.factors) == len(classes)
@@ -268,7 +271,7 @@ def test_report_rejects_incompatible_pair_before_pairing():
     z4 = catalog("cyclic", 4)
     lin1 = find_character(z4, "lin1")
     with pytest.raises(IncompatiblePair):
-        indicator_report(z4, character_table(z4), lin1, inversion_automorphism(z4))
+        indicator_report(character_table(z4), lin1, inversion_automorphism(z4))
 
 
 @pytest.mark.parametrize("spec, alpha_label, tau_name, keys", [
@@ -292,7 +295,7 @@ def test_indicator_report_reuses_nu(monkeypatch, spec, alpha_label, tau_name, ke
         return original(a, b, w, ctx)
 
     monkeypatch.setattr(cyclo, "class_sums", counted)
-    r = indicator_report(g, t, alpha, tau)
+    r = indicator_report(t, alpha, tau)
     # one class_sums call, over the distinct (alpha, tau) keys of nu, f_alpha, c_tau
     assert stacks == [keys]
     assert (r.f_alpha, r.c_tau, r.nu) == expected
@@ -312,9 +315,9 @@ def test_report_and_batch_raise_the_same_error(alpha_label, corrupt, error, mess
         table = dataclasses.replace(table, values=values)
     alpha, inv = find_character(z4, alpha_label), inversion_automorphism(z4)
     with pytest.raises(error) as one:
-        indicator_report(z4, table, alpha, inv)
+        indicator_report(table, alpha, inv)
     with pytest.raises(error) as batch:
-        indicator_reports(z4, table, [(alpha, inv)])
+        indicator_reports(table, [make_context(z4, alpha, inv)])
     assert str(one.value) == str(batch.value)
     assert str(one.value).startswith(message)
 
@@ -327,7 +330,7 @@ def test_a_table_with_swapped_columns_has_no_partner():
     values = table.values[:, [0, 5, 2, 3, 4, 1, 6, 7]]
     table = dataclasses.replace(table, values=values)
     with pytest.raises(PartnerNotFound, match=r"no irrep matches alpha \* conj\(chi_\d+\) o tau"):
-        indicator_report(z8, table, find_character(z8, "lin1"), identity_automorphism(z8))
+        indicator_report(table, find_character(z8, "lin1"), identity_automorphism(z8))
 
 
 def test_pairing_reads_conjugates_without_conj(monkeypatch):
@@ -419,6 +422,10 @@ def oracle_pairing(table, alpha, tau):
     return partner, tuple(classes)
 
 
+def contexts_of(group, pairs):
+    return [make_context(group, alpha, tau) for alpha, tau in pairs]
+
+
 def suite_pairs(group):
     return [(alpha, tau) for tau in curated_taus(group) for alpha in linear_characters(group)
             if alpha_tau_compatible(alpha, tau)]
@@ -431,18 +438,18 @@ def test_indicator_reports_equal_the_per_context_oracle():
     for group in groups:
         table = character_table(group)
         pairs = suite_pairs(group)
-        reports = indicator_reports(group, table, pairs)
+        reports = indicator_reports(table, contexts_of(group, pairs))
         assert len(reports) == len(pairs)
         trivial, identity = trivial_character(group), identity_automorphism(group)
         for (alpha, tau), r in zip(pairs, reports):
             if group.order <= 24:
                 contexts += 1
-            assert (r.alpha_label, r.tau_label) == (alpha.label, tau.label)
+            assert (r.context.alpha.label, r.context.tau.label) == (alpha.label, tau.label)
             assert r.nu == oracle_joint(table, alpha, tau)
             assert r.f_alpha == oracle_joint(table, alpha, identity)
             assert r.c_tau == oracle_joint(table, trivial, tau)
             assert (r.partner, r.classes) == oracle_pairing(table, alpha, tau)
-            assert r == indicator_report(group, table, alpha, tau)
+            assert r == indicator_report(table, alpha, tau)
     assert contexts == 406
 
 
@@ -455,7 +462,7 @@ def test_partner_blocks_do_not_change_the_reports(monkeypatch, spec):
     table = character_table(group)
     for tau in curated_taus(group):
         pairs = [p for p in suite_pairs(group) if p[1] is tau]
-        expected = indicator_reports(group, table, pairs)
+        expected = indicator_reports(table, contexts_of(group, pairs))
         n = len(pairs)
         for block in (1, max(1, n - 1)):
             calls = []
@@ -467,7 +474,7 @@ def test_partner_blocks_do_not_change_the_reports(monkeypatch, spec):
 
             monkeypatch.setattr(indicators, "_alphas_per_block", lambda per_alpha: block)
             monkeypatch.setattr(cyclo, "times_roots", counted)
-            assert indicator_reports(group, table, pairs) == expected
+            assert indicator_reports(table, contexts_of(group, pairs)) == expected
             assert calls == [min(block, n - lo) for lo in range(0, n, block)]
             monkeypatch.undo()
 
@@ -486,7 +493,7 @@ def test_partner_blocks_stay_within_the_sums_block(monkeypatch):
         return out
 
     monkeypatch.setattr(cyclo, "times_roots", measured)
-    reports = indicator_reports(group, table, pairs)
+    reports = indicator_reports(table, contexts_of(group, pairs))
     assert len(sizes) == 2 and max(sizes) <= cyclo._SUMS_BLOCK
     assert [r.partner for r in reports] == [oracle_pairing(table, a, t)[0] for a, t in pairs]
 
@@ -497,5 +504,42 @@ def test_indicator_reports_validate_every_context_first():
     inv = inversion_automorphism(z4)
     pairs = [(find_character(z4, "trivial"), inv), (find_character(z4, "lin1"), inv)]
     with pytest.raises(IncompatiblePair):
-        indicator_reports(z4, table, pairs)
-    assert indicator_reports(z4, table, []) == []
+        indicator_reports(table, contexts_of(z4, pairs))
+    assert indicator_reports(table, []) == []
+
+
+def test_indicator_reports_refuse_a_context_over_another_group():
+    z6, s3 = catalog("cyclic", 6), catalog("symmetric", 3)
+    table = character_table(s3)
+    contexts = [make_context(s3, find_character(s3, "sign")),
+                make_context(z6, trivial_character(z6))]
+    with pytest.raises(BadParameters, match=r"context \(Z/6, trivial, id\) handed with the "
+                                            r"character table of S3"):
+        indicator_reports(table, contexts)
+    report = indicator_reports(table, contexts[:1])[0]
+    assert report.context is contexts[0]
+    # the context's group is read off the table
+    assert indicator_report(table, trivial_character(s3)).context.group is s3
+
+
+def test_one_context_calls_refuse_a_character_or_tau_of_another_order():
+    v4 = catalog("direct_product", catalog("cyclic", 2), catalog("cyclic", 2))
+    v8 = catalog("direct_product", v4, catalog("cyclic", 2))
+    z2 = catalog("cyclic", 2)
+    table = character_table(v4)
+    identity = identity_automorphism(v4)
+    small, large = find_character(z2, "sign"), linear_characters(v8)[1]
+    assert small.conductor == large.conductor == v4.exponent
+    for alpha, n in ((small, 2), (large, 8)):
+        message = f"defined on a group of order {n}, not on Z/2xZ/2 of order 4"
+        for call in (lambda: joint_indicator(table, alpha, identity),
+                     lambda: pairing(table, alpha, identity),
+                     lambda: weighted_fs_indicator(table, alpha),
+                     lambda: indicator_report(table, alpha)):
+            with pytest.raises(GroupMismatch, match=message):
+                call()
+    tau = identity_automorphism(v8)
+    with pytest.raises(GroupMismatch, match="id is defined on a group of order 8"):
+        kawanaka_indicator(table, tau)
+    with pytest.raises(GroupMismatch, match="id is defined on a group of order 8"):
+        joint_indicator(table, trivial_character(v4), tau)

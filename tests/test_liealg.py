@@ -440,3 +440,16 @@ def test_context_refuses_an_alpha_of_another_conductor():
     doubled = LinearCharacter(8, tuple(2 * e for e in find_character(z4, "lin1").exponents), "x")
     with pytest.raises(ConductorMismatch, match="conductor 8"):
         make_context(z4, doubled)
+
+
+def test_context_refuses_a_character_or_tau_of_another_order():
+    v4 = catalog("direct_product", catalog("cyclic", 2), catalog("cyclic", 2))
+    v8 = catalog("direct_product", v4, catalog("cyclic", 2))
+    sign = find_character(catalog("cyclic", 2), "sign")
+    with pytest.raises(GroupMismatch, match="sign is defined on a group of order 2, "
+                                            "not on Z/2xZ/2 of order 4"):
+        make_context(v4, sign)
+    with pytest.raises(GroupMismatch, match="lin1 is defined on a group of order 8"):
+        make_context(v4, linear_characters(v8)[1])
+    with pytest.raises(GroupMismatch, match="id is defined on a group of order 8"):
+        make_context(v4, find_character(v4, "trivial"), identity_automorphism(v8))

@@ -5,16 +5,18 @@ import pytest
 
 from grouplie import verify
 from grouplie.chartable import character_table
-from grouplie.errors import BadParameters, LiftInconsistent
+from grouplie.errors import BadParameters, LiftInconsistent, NotHomomorphism
 from grouplie.groups import (
     catalog,
     find_character,
+    from_mult_table,
     identity_automorphism,
     inversion_automorphism,
     kernel_subgroup,
     linear_characters,
     parse_group_spec,
     subgroup_table,
+    validate_automorphism,
 )
 from grouplie.indicators import indicator_report
 from grouplie.liealg import GroupAlgebraElement, bracket, lie_basis, make_context
@@ -34,7 +36,7 @@ def _theorem(group, alpha, tau=None):
     `grouplie analyze` builds them; the basis goes through verify.lie_basis,
     so a patch of that name reaches it."""
     ctx = make_context(group, alpha, tau)
-    report = indicator_report(group, character_table(group), alpha, ctx.tau)
+    report = indicator_report(character_table(group), alpha, ctx.tau)
     return verify_theorem(verify.lie_basis(ctx), report)
 
 
@@ -55,8 +57,8 @@ def _with_rows(group, kernel, rows):
 def _kawanaka(group, tau, table=None):
     """verify_kawanaka with G's table and (trivial, tau) report built here."""
     table = table or character_table(group)
-    report = indicator_report(group, table, find_character(group, "trivial"), tau)
-    return verify_kawanaka(group, tau, seed=0, table=table, report=report)
+    report = indicator_report(table, find_character(group, "trivial"), tau)
+    return verify_kawanaka(table, report, seed=0)
 
 
 def test_theorem_s3_sign():
@@ -526,9 +528,9 @@ def test_run_suite_builds_one_indicator_batch_per_group(monkeypatch):
     batches, joints = [], []
     original_reports, original_joint = verify.indicator_reports, indicators.joint_indicator
 
-    def counted_reports(group, table, pairs):
-        batches.append(len(pairs))
-        return original_reports(group, table, pairs)
+    def counted_reports(table, contexts):
+        batches.append(len(contexts))
+        return original_reports(table, contexts)
 
     def counted_joint(table, alpha, tau):
         joints.append(table.group.name)
@@ -560,8 +562,8 @@ def test_kawanaka_reads_the_trivial_tau_report():
     g = catalog("cyclic", 5)
     t = character_table(g)
     inv = inversion_automorphism(g)
-    report = indicator_report(g, t, find_character(g, "trivial"), inv)
-    res = verify_kawanaka(g, inv, seed=0, table=t, report=report)
+    report = indicator_report(t, find_character(g, "trivial"), inv)
+    res = verify_kawanaka(t, report, seed=0)
     # the report of run_suite's batch gives the same verdict as one built alone
     assert res.ok and res == run_suite([g], tau_policy="inv").kawanaka[0]
     # the 2-dimensional irreps of D5 restrict to chi + conj(chi); c_tau of
@@ -570,7 +572,7 @@ def test_kawanaka_reads_the_trivial_tau_report():
     c_tau = list(report.c_tau)
     c_tau[row["split_components"][0]] = 0
     broken = dataclasses.replace(report, c_tau=tuple(c_tau))
-    bad = verify_kawanaka(g, inv, seed=0, table=t, report=broken)
+    bad = verify_kawanaka(t, broken, seed=0)
     assert not bad.ok and not bad.rows[row["irrep"]]["split_ok"]
 
 
@@ -580,7 +582,7 @@ def test_a_report_of_another_context_is_refused(which):
     t = character_table(z4)
     triv, sign = find_character(z4, "trivial"), find_character(z4, "sign")
     tid, inv = identity_automorphism(z4), inversion_automorphism(z4)
-    report = indicator_report(z4, t, triv, tid)
+    report = indicator_report(t, triv, tid)
     if which == "alpha":
         call = lambda: verify_theorem(lie_basis(make_context(z4, sign, tid)), report)  # noqa: E731
     elif which == "tau":
@@ -588,10 +590,62 @@ def test_a_report_of_another_context_is_refused(which):
     elif which == "report_tau":
         # a basis of (sign, id) with the report of (sign, inv)
         call = lambda: verify_theorem(lie_basis(make_context(z4, sign, tid)),  # noqa: E731
-                                      indicator_report(z4, t, sign, inv))
+                                      indicator_report(t, sign, inv))
     else:
         z5 = catalog("cyclic", 5)
-        call = lambda: verify_kawanaka(z5, inversion_automorphism(z5), seed=0,  # noqa: E731
-                                       table=character_table(z5), report=report)
+        call = lambda: verify_kawanaka(character_table(z5), report, seed=0)  # noqa: E731
     with pytest.raises(BadParameters, match="indicator report of"):
         call()
+
+
+def _z4_and_v4():
+    """Z/4 and the Klein four-group as multiplication tables, both named G."""
+    z4 = from_mult_table([[(i + j) % 4 for j in range(4)] for i in range(4)])
+    v4 = from_mult_table([[i ^ j for j in range(4)] for i in range(4)])
+    assert z4.name == v4.name == "G"
+    return z4, v4
+
+
+def test_theorem_refuses_a_report_of_another_group_with_the_same_names():
+    z4, v4 = _z4_and_v4()
+    basis = lie_basis(make_context(z4, find_character(z4, "lin1")))
+    report = indicator_report(character_table(v4), find_character(v4, "lin1"))
+    assert str(report.context) == str(basis.context) == "(G, lin1, id)"
+    with pytest.raises(BadParameters, match="indicator report of"):
+        verify_theorem(basis, report)
+
+
+def test_theorem_refuses_a_report_whose_tau_has_the_same_label_and_another_mapping():
+    z4 = catalog("cyclic", 4)
+    trivial = find_character(z4, "trivial")
+    basis = lie_basis(make_context(z4, trivial, inversion_automorphism(z4)))
+    also_inv = validate_automorphism(z4, list(range(4)), "inv")
+    report = indicator_report(character_table(z4), trivial, also_inv)
+    assert report.context.tau.label == basis.context.tau.label == "inv"
+    with pytest.raises(BadParameters, match="indicator report of"):
+        verify_theorem(basis, report)
+
+
+def test_kawanaka_refuses_a_report_of_another_group_or_character():
+    z4, v4 = _z4_and_v4()
+    table = character_table(z4)
+    v4_report = indicator_report(character_table(v4), find_character(v4, "trivial"),
+                                 inversion_automorphism(v4))
+    with pytest.raises(BadParameters, match=r"indicator report of \(G, trivial, inv\)"):
+        verify_kawanaka(table, v4_report, seed=0)
+    sign_report = indicator_report(table, find_character(z4, "sign"), inversion_automorphism(z4))
+    with pytest.raises(BadParameters, match="needs \\(G, trivial, tau\\)"):
+        verify_kawanaka(table, sign_report, seed=0)
+    trivial_report = indicator_report(table, find_character(z4, "trivial"),
+                                      inversion_automorphism(z4))
+    assert verify_kawanaka(table, trivial_report, seed=0).ok
+
+
+def test_run_suite_validates_an_explicit_tau_against_every_group():
+    z6, s3 = catalog("cyclic", 6), catalog("symmetric", 3)
+    inv = inversion_automorphism(z6)
+    assert run_suite([z6], tau_policy=[inv]).all_ok
+    with pytest.raises(NotHomomorphism):
+        run_suite([z6, s3], tau_policy=[inv])
+    with pytest.raises(BadParameters, match="inv has 6 entries, expected 4"):
+        run_suite([z6, catalog("cyclic", 4)], tau_policy=[inv], alpha_labels=["trivial"])

@@ -297,9 +297,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_args(argv if argv is not None else sys.argv[1:])
         return _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except GroupLieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

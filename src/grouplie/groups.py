@@ -20,6 +20,7 @@ from . import cyclo
 from .errors import (
     AlphaNotReal,
     BadParameters,
+    ConductorMismatch,
     GroupMismatch,
     NoIdentity,
     NoInverse,
@@ -67,6 +68,14 @@ class GroupTable:
                 for b in range(a + 1, self.order)
             )
             object.__setattr__(self, "_abelian", cached)
+        return cached
+
+    def generators(self) -> tuple[int, ...]:
+        """_greedy_generators of the table, built on first use and shared."""
+        cached = self.__dict__.get("_generators")
+        if cached is None:
+            cached = tuple(_greedy_generators(self.mult))
+            object.__setattr__(self, "_generators", cached)
         return cached
 
     def mult_array(self) -> np.ndarray:
@@ -521,7 +530,7 @@ def linear_characters(group: GroupTable) -> tuple[LinearCharacter, ...]:
     if cached is not None:
         return cached
     m, n = group.exponent, group.order
-    gens = _greedy_generators(group.mult)
+    gens = list(group.generators())
     k = len(gens)
     unit = np.eye(k, dtype=np.int64)
     words = np.zeros((n, k), dtype=np.int64)
@@ -621,6 +630,24 @@ def check_order(group: GroupTable, *maps: LinearCharacter | InvolutiveAutomorphi
         if n != group.order:
             raise GroupMismatch(f"{f.label} is defined on a group of order {n}, "
                                 f"not on {group.name} of order {group.order}")
+
+
+def check_character(group: GroupTable, alpha: LinearCharacter) -> None:
+    """Raise unless `alpha` is a linear character of `group`: GroupMismatch
+    for another order, ConductorMismatch for a conductor other than the group
+    exponent, and NotHomomorphism, naming a pair (x, s), where f(x s) !=
+    f(x) + f(s) (mod m) for some s of group.generators().  Every element is a
+    positive word in those, so n * k lookups decide it exactly."""
+    check_order(group, alpha)
+    if alpha.conductor != group.exponent:
+        raise ConductorMismatch(f"alpha has conductor {alpha.conductor}, the group exponent "
+                                f"{group.exponent}")
+    gens = list(group.generators())
+    f = np.array(alpha.exponents)
+    wrong = (f[group.mult_array()[:, gens]] - f[:, None] - f[gens]) % group.exponent
+    if wrong.any():
+        x, j = np.argwhere(wrong)[0].tolist()
+        raise NotHomomorphism((x, gens[j]), alpha.label)
 
 
 def alpha_tau_compatible(alpha: LinearCharacter, tau: InvolutiveAutomorphism) -> bool:

@@ -18,10 +18,10 @@ irrep's indicator at once.
 Every report comes from indicator_reports, which takes LieContexts over
 the table's group and keeps each in its report: one class_sums call forms
 every distinct joint, weighted and twisted sum of them from one stacked
-weight array (keys, classes, phi(m)), and one times_roots einsum per tau, in
-blocks of alphas, forms every partner target.  indicator_report is the batch
-of one context; joint_indicator, pairing, weighted_fs_indicator and
-kawanaka_indicator are one-context calls into the same kernels.
+weight array (keys, classes, phi(m)), and each partner map composes row
+permutations (_partner_maps).  indicator_report is the batch of one context;
+joint_indicator, pairing, weighted_fs_indicator and kawanaka_indicator are
+one-context calls into the same kernels.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ import numpy as np
 
 from . import cyclo
 from .chartable import CharacterTable
-from .errors import BadParameters, ConductorMismatch, IndicatorOutOfRange, PartnerNotFound
+from .errors import BadParameters, IndicatorOutOfRange, PartnerNotFound
 from .groups import (
     GroupTable,
     InvolutiveAutomorphism,
     LinearCharacter,
+    check_character,
     check_order,
     conjugacy_data,
     identity_automorphism,
@@ -123,12 +124,6 @@ def _as_indicators(scaled: np.ndarray, n: int, ctx: cyclo.CycloContext, labels) 
     return scaled[:, :, 0] // n
 
 
-def _check_character(group: GroupTable, alpha: LinearCharacter, ctx: cyclo.CycloContext) -> None:
-    check_order(group, alpha)
-    if alpha.conductor != ctx.m:
-        raise ConductorMismatch(f"mixed conductors {alpha.conductor} and {ctx.m}")
-
-
 def stacked_weights(group: GroupTable, keys, ctx: cyclo.CycloContext) -> np.ndarray:
     """Per-class sums of conj(alpha(g)) over g with g*tau(g) in the class
     (the integer counts when alpha is None), for every (alpha, tau) of
@@ -141,7 +136,7 @@ def stacked_weights(group: GroupTable, keys, ctx: cyclo.CycloContext) -> np.ndar
     for w, (alpha, tau) in enumerate(keys):
         check_order(group, tau)
         if alpha is not None:
-            _check_character(group, alpha, ctx)
+            check_character(group, alpha)
         # the class of g*tau(g) and the exponent of conj(alpha(g)), for every g
         classes = class_of[mult[group.elements(), tau.mapping]]
         e = 0 if alpha is None else -np.array(alpha.exponents) % ctx.m
@@ -149,19 +144,12 @@ def stacked_weights(group: GroupTable, keys, ctx: cyclo.CycloContext) -> np.ndar
     return counts @ ctx.power_array[:ctx.m]
 
 
-def scaled_sums(weights: np.ndarray, rows: np.ndarray, ctx: cyclo.CycloContext) -> np.ndarray:
-    """sum_c weights[w, c] * rows[r, c] for every class-function row r and
-    every stacked weight w, as canonical coefficients (rows, weights,
-    phi(m)): #G times the indicators, kept integral, from one class_sums
-    call."""
-    unit = np.ones(weights.shape[1], dtype=np.int64)
-    return cyclo.class_sums(rows, weights, unit, ctx)
-
-
 def _joint_indicators(table: CharacterTable, keys) -> np.ndarray:
     """The joint indicators (irreps, keys) of every (alpha, tau) of `keys`."""
     ctx = table.context()
-    sums = scaled_sums(stacked_weights(table.group, keys, ctx), table.values, ctx)
+    # #G times every indicator, kept integral, from one class_sums call
+    unit = [1] * table.class_data.num_classes
+    sums = cyclo.class_sums(table.values, stacked_weights(table.group, keys, ctx), unit, ctx)
     labels = [f"nu_({alpha.label},{tau.label})" for alpha, tau in keys]
     return _as_indicators(sums, table.group.order, ctx, labels)
 
@@ -186,47 +174,54 @@ def kawanaka_indicator(table: CharacterTable, tau: InvolutiveAutomorphism) -> tu
     return joint_indicator(table, trivial_character(table.group), tau)
 
 
-def _alphas_per_block(per_alpha: int) -> int:
-    """How many alphas one partner einsum takes, for block arrays of
-    `per_alpha` entries per alpha."""
-    return max(1, cyclo._SUMS_BLOCK // per_alpha)
-
-
-def _partner_maps(table: CharacterTable, tau: InvolutiveAutomorphism,
-                  alphas) -> list[tuple[int, ...]]:
-    """The partner map of (alpha, tau) for every alpha of `alphas`.
-
-    The targets alpha * conj(chi) o tau of all alphas come from one
-    times_roots einsum per block of alphas; no block array exceeds
-    cyclo._SUMS_BLOCK entries unless one alpha alone does.
+def _partner_maps(table: CharacterTable, pairs) -> list[tuple[int, ...]]:
+    """The partner map of every (alpha, tau) of `pairs`, each validated first,
+    as mu_alpha o rho_tau.  rho_tau(i) is the row equal to the column gather
+    conj(chi_i) o tau, found by lookup.  mu_alpha(j) is the row equal to
+    alpha * chi_j: times_roots forms it only for an alpha outside the group
+    the earlier alphas generate, keyed by its exponents on the class
+    representatives, and mu_(alpha beta) = mu_alpha o mu_beta gives the rest.
     """
     cd = table.class_data
     ctx = table.context()
-    check_order(table.group, tau)
-    for alpha in alphas:
-        _check_character(table.group, alpha, ctx)
+    for alpha, tau in pairs:
+        check_order(table.group, tau)
+        check_character(table.group, alpha)
     x = table.values
-    # conj(chi(y)) = chi(y^-1), so conj(chi) o tau is read at the inverse class
-    conj_tau = x[:, [cd.inverse_class[cd.class_of[tau.mapping[r]]] for r in cd.representatives]]
-    exponents = np.array([[alpha.exponents[r] for r in cd.representatives] for alpha in alphas])
     rows = {row.tobytes(): i for i, row in enumerate(x)}
-    d = ctx.degree
-    step = _alphas_per_block(x.shape[1] * d * max(x.shape[0], d))
+
+    def find(targets, names) -> np.ndarray:
+        found = [rows.get(t.tobytes()) for t in targets]
+        if None in found:
+            raise PartnerNotFound(f"no irrep matches alpha * conj(chi_{names[found.index(None)]}) "
+                                  "o tau; table inconsistency")
+        return np.array(found)
+
+    rho = {}  # tau.mapping -> rho_tau
+    mu = {(0,) * len(cd.representatives): np.arange(len(x))}
     out = []
-    for lo in range(0, len(alphas), step):
-        for targets in cyclo.times_roots(conj_tau, exponents[lo:lo + step], ctx):
-            partner = []
-            for i, target in enumerate(targets):
-                j = rows.get(target.tobytes())
-                if j is None:
-                    raise PartnerNotFound(
-                        f"no irrep matches alpha * conj(chi_{i}) o tau; table inconsistency"
-                    )
-                partner.append(j)
-            for i, j in enumerate(partner):
-                if partner[j] != i:
-                    raise PartnerNotFound("partner map is not an involution")
-            out.append(tuple(partner))
+    for alpha, tau in pairs:
+        if tau.mapping not in rho:
+            # conj(chi(y)) = chi(y^-1), so conj(chi) o tau is read at the inverse class
+            gather = [cd.inverse_class[cd.class_of[tau.mapping[c]]] for c in cd.representatives]
+            rho[tau.mapping] = find(x[:, gather], range(len(x)))
+        r = rho[tau.mapping]
+        key = tuple(alpha.exponents[c] % ctx.m for c in cd.representatives)
+        if key not in mu:
+            # conj o tau is an involution, so alpha * chi_j = alpha * conj(chi_r[j]) o tau
+            gen = find(cyclo.times_roots(x, np.array([key]), ctx)[0], r)
+            known = list(mu.items())
+            while known:
+                h, perm = known.pop()
+                e = tuple((a + b) % ctx.m for a, b in zip(h, key))
+                if e not in mu:
+                    mu[e] = gen[perm]
+                    known.append((e, mu[e]))
+        partner = mu[key][r].tolist()
+        for i, j in enumerate(partner):
+            if partner[j] != i:
+                raise PartnerNotFound("partner map is not an involution")
+        out.append(tuple(partner))
     return out
 
 
@@ -251,7 +246,7 @@ def pairing(table: CharacterTable, alpha: LinearCharacter,
 
     Returns (partner, classes); partner is an involution on irrep indices.
     """
-    partner = _partner_maps(table, tau, [alpha])[0]
+    partner = _partner_maps(table, [(alpha, tau)])[0]
     return partner, _pairing_classes(partner)
 
 
@@ -320,8 +315,7 @@ def indicator_reports(table: CharacterTable, contexts) -> list[IndicatorReport]:
     table.group raises BadParameters.
 
     One class_sums call gives every distinct joint, weighted and twisted
-    indicator of the contexts, and one partner einsum per tau (in blocks of
-    alphas) every partner map.
+    indicator of the contexts, and one _partner_maps call every partner map.
     """
     group = table.group
     for ctx in contexts:
@@ -336,15 +330,7 @@ def indicator_reports(table: CharacterTable, contexts) -> list[IndicatorReport]:
     columns = _joint_indicators(table, list(keys.values())).T.tolist()
     indicator = {key: tuple(col) for key, col in zip(keys, columns)}
 
-    same_tau = {}  # tau.mapping -> the indices of its contexts
-    for i, ctx in enumerate(contexts):
-        same_tau.setdefault(ctx.tau.mapping, []).append(i)
-    partners = [None] * len(contexts)
-    for at in same_tau.values():
-        maps = _partner_maps(table, contexts[at[0]].tau, [contexts[i].alpha for i in at])
-        for i, partner in zip(at, maps):
-            partners[i] = partner
-
+    partners = _partner_maps(table, [(ctx.alpha, ctx.tau) for ctx in contexts])
     return [
         _report(ctx, table,
                 indicator[ctx.alpha.exponents, ctx.tau.mapping],

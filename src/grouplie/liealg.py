@@ -50,6 +50,7 @@ from .groups import (
     InvolutiveAutomorphism,
     LinearCharacter,
     alpha_tau_compatible,
+    check_character,
     check_order,
     conjugacy_data,
     identity_automorphism,
@@ -173,12 +174,8 @@ class LieContext:
     tau: InvolutiveAutomorphism
 
     def __post_init__(self):
-        check_order(self.group, self.alpha, self.tau)
-        if self.alpha.conductor != self.group.exponent:
-            raise ConductorMismatch(
-                f"alpha has conductor {self.alpha.conductor}, the group exponent "
-                f"{self.group.exponent}"
-            )
+        check_character(self.group, self.alpha)
+        check_order(self.group, self.tau)
         if not alpha_tau_compatible(self.alpha, self.tau):
             raise IncompatiblePair(
                 f"alpha({self.alpha.label}) o tau({self.tau.label}) != alpha; "
@@ -235,16 +232,6 @@ class LieBasis:
             cached = RowSpace(cyclo.context(group.exponent), group.order,
                               [v.terms for v in self.vectors])
             object.__setattr__(self, "_row_space", cached)
-        return cached
-
-    def monomials(self) -> np.ndarray:
-        """The module function `monomials` of the vectors, built on first use
-        and shared."""
-        cached = self.__dict__.get("_monomials")
-        if cached is None:
-            cached = monomials(enumerate(v.terms for v in self.vectors),
-                               cyclo.context(self.context.group.exponent))
-            object.__setattr__(self, "_monomials", cached)
         return cached
 
 
@@ -505,11 +492,10 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     - centrality: [v, u] = 0 for every v in `center` and u in the basis;
     - orthogonality: t(u*s) = 0 for every u in the basis and s in `plus`.
 
-    Every coefficient becomes integer monomials c*zeta^k (`monomials`; the
-    basis is encoded once, beside its row space).  A product of two
-    monomials is a lookup in the multiplication table and a sum of
-    exponents; a pair with xy == yx contributes nothing to a bracket.  A
-    closure term at a pivot column moves along that pivot row, as
+    Every coefficient becomes integer monomials c*zeta^k (`monomials`).  A
+    product of two monomials is a lookup in the multiplication table and a
+    sum of exponents; a pair with xy == yx contributes nothing to a bracket.
+    A closure term at a pivot column moves along that pivot row, as
     RowSpace.reduce clears each pivot once.  The terms are summed per (pair,
     position, power of zeta), and the nonzero sums are reduced to canonical
     coordinates with one gather from power_array (see _Batch); a check
@@ -519,7 +505,7 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     group = basis.context.group
     ctx = cyclo.context(group.exponent)
     mult = group.mult_array()
-    lie = basis.monomials()
+    lie = monomials(enumerate(v.terms for v in basis.vectors), ctx)
     cen = monomials(enumerate(v.terms for v in center), ctx)
     pls = monomials(enumerate(v.terms for v in plus), ctx)
     nv, nc, nplus = len(basis.vectors), len(center), len(plus)

@@ -69,7 +69,6 @@ from .indicators import (
     Factor,
     IndicatorReport,
     indicator_reports,
-    scaled_sums,
     stacked_weights,
     weighted_fs_indicator,
 )
@@ -312,7 +311,7 @@ def verify_kawanaka(table: CharacterTable, report: IndicatorReport, *,
     # n * F_1 and n * c_tau of each restriction, kept integral; restrictions
     # are reducible, so these are not read off as indicators
     weights = stacked_weights(group, [(None, identity_automorphism(group)), (None, tau)], ctx_ext)
-    sums = scaled_sums(weights, res, ctx_ext)
+    sums = cyclo.class_sums(res, weights, [1] * cd.num_classes, ctx_ext)
     nf1, nctau = sums[:, 0], sums[:, 1]
 
     # decompose every restriction into irreducibles of G: n * <Res chi_i, chi_j>

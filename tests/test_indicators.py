@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouplie import cyclo
 from grouplie.chartable import character_table
@@ -11,6 +14,7 @@ from grouplie.errors import (
     GroupMismatch,
     IncompatiblePair,
     IndicatorOutOfRange,
+    NotHomomorphism,
     PartnerNotFound,
 )
 from grouplie.groups import (
@@ -422,6 +426,12 @@ def oracle_pairing(table, alpha, tau):
     return partner, tuple(classes)
 
 
+# the groups of the benchmark's suite-large workload
+SUITE_LARGE = ("symmetric:5", "alternating:5", "product:alternating:5,cyclic:2",
+               "product:symmetric:3,alternating:4", "product:symmetric:4,cyclic:2",
+               "product:symmetric:4,cyclic:3", "product:symmetric:3,symmetric:3", "dihedral:30")
+
+
 def contexts_of(group, pairs):
     return [make_context(group, alpha, tau) for alpha, tau in pairs]
 
@@ -432,9 +442,10 @@ def suite_pairs(group):
 
 
 def test_indicator_reports_equal_the_per_context_oracle():
-    groups = [g for g in default_catalog() if g.order <= 24] + [catalog("alternating", 5)]
+    groups = [g for g in default_catalog() if g.order <= 24] + \
+        [parse_group_spec(spec) for spec in SUITE_LARGE]
     assert any(g.name == catalog("symmetric", 4).name for g in groups)
-    contexts = 0
+    contexts = {True: 0, False: 0}  # order <= 24 or not
     for group in groups:
         table = character_table(group)
         pairs = suite_pairs(group)
@@ -442,60 +453,66 @@ def test_indicator_reports_equal_the_per_context_oracle():
         assert len(reports) == len(pairs)
         trivial, identity = trivial_character(group), identity_automorphism(group)
         for (alpha, tau), r in zip(pairs, reports):
-            if group.order <= 24:
-                contexts += 1
+            contexts[group.order <= 24] += 1
             assert (r.context.alpha.label, r.context.tau.label) == (alpha.label, tau.label)
             assert r.nu == oracle_joint(table, alpha, tau)
             assert r.f_alpha == oracle_joint(table, alpha, identity)
             assert r.c_tau == oracle_joint(table, trivial, tau)
             assert (r.partner, r.classes) == oracle_pairing(table, alpha, tau)
             assert r == indicator_report(table, alpha, tau)
-    assert contexts == 406
+    assert contexts == {True: 406, False: 29}
 
 
-@pytest.mark.parametrize("spec", ["cyclic:12", "product:cyclic:3,cyclic:4",
-                                  "dihedral:4", "alternating:4"])
-def test_partner_blocks_do_not_change_the_reports(monkeypatch, spec):
-    from grouplie import indicators
-
-    group = parse_group_spec(spec)
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=2, max_size=3).filter(lambda ns: math.prod(ns) <= 48),
+       st.data())
+def test_composed_partner_maps_equal_the_einsum_oracle_on_cyclic_products(orders, data):
+    group = catalog("direct_product", *[catalog("cyclic", n) for n in orders])
     table = character_table(group)
-    for tau in curated_taus(group):
-        pairs = [p for p in suite_pairs(group) if p[1] is tau]
-        expected = indicator_reports(table, contexts_of(group, pairs))
-        n = len(pairs)
-        for block in (1, max(1, n - 1)):
-            calls = []
-            original = cyclo.times_roots
-
-            def counted(x, exponents, ctx):
-                calls.append(len(exponents))
-                return original(x, exponents, ctx)
-
-            monkeypatch.setattr(indicators, "_alphas_per_block", lambda per_alpha: block)
-            monkeypatch.setattr(cyclo, "times_roots", counted)
-            assert indicator_reports(table, contexts_of(group, pairs)) == expected
-            assert calls == [min(block, n - lo) for lo in range(0, n, block)]
-            monkeypatch.undo()
+    for tau in (identity_automorphism(group), inversion_automorphism(group)):
+        # the alphas in a drawn order, so the generators the batch picks vary
+        pairs = data.draw(st.permutations([(alpha, tau) for alpha in linear_characters(group)
+                                           if alpha_tau_compatible(alpha, tau)]))
+        reports = indicator_reports(table, contexts_of(group, pairs))
+        assert [(r.partner, r.classes) for r in reports] == \
+            [oracle_pairing(table, alpha, tau) for alpha, tau in pairs]
 
 
-def test_partner_blocks_stay_within_the_sums_block(monkeypatch):
-    # cyclic:24 has 24 alphas of 24 * 8 * 24 entries each: two blocks at tau = id
-    group = catalog("cyclic", 24)
-    table = character_table(group)
-    pairs = [(alpha, identity_automorphism(group)) for alpha in linear_characters(group)]
-    sizes = []
+def count_times_roots(monkeypatch):
+    calls = []
     original = cyclo.times_roots
 
-    def measured(x, exponents, ctx):
-        out = original(x, exponents, ctx)
-        sizes.append(out.size)
-        return out
+    def counted(x, exponents, ctx):
+        calls.append(len(exponents))
+        return original(x, exponents, ctx)
 
-    monkeypatch.setattr(cyclo, "times_roots", measured)
+    monkeypatch.setattr(cyclo, "times_roots", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("cyclic:24", 1),                          # lin1 generates every alpha
+    ("product:cyclic:2,cyclic:2,cyclic:2", 3),  # each generator doubles the closure
+    ("symmetric:4", 1),                        # trivial needs none, sign one
+    ("quaternion8", 2),
+])
+def test_a_batch_forms_one_times_roots_per_generator(monkeypatch, spec, expected):
+    group = parse_group_spec(spec)
+    table = character_table(group)
+    pairs = suite_pairs(group)
+    calls = count_times_roots(monkeypatch)
     reports = indicator_reports(table, contexts_of(group, pairs))
-    assert len(sizes) == 2 and max(sizes) <= cyclo._SUMS_BLOCK
+    assert calls == [1] * expected
     assert [r.partner for r in reports] == [oracle_pairing(table, a, t)[0] for a, t in pairs]
+
+
+def test_times_roots_calls_stay_within_log2_of_the_linear_characters(monkeypatch):
+    calls = count_times_roots(monkeypatch)
+    for group in [g for g in default_catalog() if g.order <= 24]:
+        calls.clear()
+        indicator_reports(character_table(group), contexts_of(group, suite_pairs(group)))
+        # each generator at least doubles the group of alphas it closes
+        assert 2 ** len(calls) <= len(linear_characters(group)), group.name
 
 
 def test_indicator_reports_validate_every_context_first():
@@ -543,3 +560,23 @@ def test_one_context_calls_refuse_a_character_or_tau_of_another_order():
         kawanaka_indicator(table, tau)
     with pytest.raises(GroupMismatch, match="id is defined on a group of order 8"):
         joint_indicator(table, trivial_character(v4), tau)
+
+
+def test_a_character_of_another_group_of_the_same_order_and_conductor_is_refused():
+    # lin1 of Z/6 has the order and conductor of a character of S3, and is none
+    s3, z6 = catalog("symmetric", 3), catalog("cyclic", 6)
+    alpha = find_character(z6, "lin1")
+    assert (len(alpha.exponents), alpha.conductor) == (s3.order, s3.exponent)
+    table = character_table(s3)
+    identity = identity_automorphism(s3)
+    for call in (lambda: make_context(s3, alpha),
+                 lambda: indicator_report(table, alpha),
+                 lambda: joint_indicator(table, alpha, identity),
+                 lambda: weighted_fs_indicator(table, alpha),
+                 lambda: pairing(table, alpha, identity)):
+        with pytest.raises(NotHomomorphism, match=r"lin1 is not a homomorphism") as err:
+            call()
+        # the pair (x, s) is a witness: f(x s) != f(x) + f(s) (mod m)
+        x, s = err.value.pair
+        f = alpha.exponents
+        assert (f[s3.mult[x][s]] - f[x] - f[s]) % alpha.conductor

@@ -12,23 +12,30 @@ table is certified exactly by its shape, its degree column and the row
 orthogonality relation, which for a square table implies the column one.
 
 The common eigenspaces are split by random linear combinations of the class
-matrices.  On each space, the combination's eigenvalues l_1..l_r are the
-roots of its characteristic polynomial, and the l_i eigenspace is the image
-of the Lagrange projector q_i = prod_(j != i) (x - l_j): all q_i come from
-one synthetic division of mu = prod_j (x - l_j), and each projector from the
-stack of matrix powers with one tensordot.  This is exact because p = 1
-(mod m) exceeds every prime divisor of #G, so the class algebra over F_p is
-semisimple and every combination is diagonalizable on every common
-eigenspace.  If that ever fails, the projector images gain dimensions (or
-lose them, when the roots do not split the characteristic polynomial) and
-the split raises LiftInconsistent.
+matrices.  On each space, the combination M has the roots l_1..l_r of its
+characteristic polynomial as eigenvalues, and q_i = prod_(j != i) (x - l_j)
+maps the space onto the l_i eigenspace: all q_i come from one synthetic
+division of mu = prod_j (x - l_j), and all images W_i = q_i(M) V of one
+random block V, with as many columns as the largest root multiplicity, from
+its Krylov sequence M^t V with one tensordot.  A W_i is kept only when
+M W_i = l_i W_i holds exactly and its rank is the multiplicity of l_i, read
+off by deflating the characteristic polynomial; no eigenspace is larger
+than that, so W_i then spans the whole l_i eigenspace.  For a simple root a
+nonzero eigenvector suffices, and all of those lines are mapped and
+normalized at once, with no elimination.  Any other root takes the null
+space of M - l_i.  The split succeeds because p = 1 (mod m) exceeds every
+prime divisor of #G, so the class algebra over F_p is semisimple and every
+combination is diagonalizable on every common eigenspace.  If that ever
+fails, the null spaces lose dimensions (as the roots do when they do not
+split the characteristic polynomial) and the split raises LiftInconsistent.
 
 The modular steps run on int64 arrays of residues: elimination, restriction
-to an eigenspace, the projectors, the random combination of class matrices
-and the lift (one DFT matmul per class, for every irrep at once).  A sum of
-t products of residues is bounded by t (p - 1)^2 before it is formed (t is
-2, the number of classes, an eigenspace dimension, the number of eigenvalues
-or an element order) and raises IntegerBoundExceeded at 2^63.  The table
+to an eigenspace, the Krylov blocks and their images, the random combination
+of class matrices and the lift (one DFT matmul per class, for every irrep
+at once).  A sum of t products of residues is bounded by t (p - 1)^2 before
+it is formed (t is 2, the number of classes, an eigenspace dimension, the
+number of eigenvalues or an element order) and raises IntegerBoundExceeded
+at 2^63.  The table
 is the lifted int64 coefficient array; the certification evaluates the row
 relation on it with one cyclo.class_sums call, and CycloScalars are made
 only where output renders the values.
@@ -257,40 +264,97 @@ def _restrict_mod(mat: np.ndarray, basis: np.ndarray, pivots: list[int], p: int)
     return coords.T
 
 
-def _eigenspaces(mat: np.ndarray, basis: np.ndarray, p: int) -> list:
-    """The eigenspaces of `mat` (acting on coordinate columns over the rows
-    of `basis`), one per root of its characteristic polynomial in increasing
-    order, each as (RREF basis, pivot columns) of the full space.
+def _root_multiplicities(poly: list[int], roots: list[int], p: int) -> list[int]:
+    """The multiplicity of each root of `poly` (low degree first) mod p, by
+    deflating the polynomial with one synthetic division per factor."""
+    rest = poly[::-1]
+    mults = []
+    for lam in roots:
+        m = 0
+        while True:
+            quot = [rest[0]]
+            for c in rest[1:]:
+                quot.append((c + lam * quot[-1]) % p)
+            if quot[-1]:
+                break
+            rest = quot[:-1]
+            m += 1
+        mults.append(m)
+    return mults
 
-    With distinct roots l_1..l_r and mu = prod_j (x - l_j), the l_i
-    eigenspace is the image of the Lagrange projector q_i(mat) with
-    q_i = mu / (x - l_i), provided `mat` is diagonalizable; the columns of
-    q_i(mat) are the rows of q_i(mat^T).  Otherwise the images gain
-    dimensions, or lose them if the roots do not account for the whole
-    characteristic polynomial, and the caller's dimension count fails.
+
+def _eigenspaces(mat: np.ndarray, basis: np.ndarray, pivots: list[int], p: int,
+                 rng: random.Random) -> list:
+    """The eigenspaces of `mat` (acting on coordinate columns over the rows
+    of `basis`, an RREF basis with pivot columns `pivots`), one per root of
+    its characteristic polynomial in increasing order, each as (RREF basis,
+    pivot columns) of the full space.
+
+    With distinct roots l_1..l_r and mu = prod_j (x - l_j), q_i = mu / (x -
+    l_i) maps onto the l_i eigenspace when `mat` is diagonalizable, so the
+    columns of W_i = q_i(mat) V, for V random with as many columns b as the
+    largest multiplicity, span it.  All W_i come from the Krylov block
+    mat^t V, t < r.  A W_i is accepted only when mat W_i = l_i W_i and its
+    rank is the multiplicity of l_i (for a simple root: its first column is
+    nonzero), which makes it the whole eigenspace; any other root takes the
+    null space of mat - l_i.  If `mat` is not diagonalizable, the null
+    spaces lose dimensions, and so do the roots if they do not account for
+    the whole characteristic polynomial; the caller's dimension count fails.
     """
-    lams = np.array(_poly_roots_mod(_charpoly_mod(mat, p), p), dtype=np.int64)
-    r, d = len(lams), len(mat)
-    if not r:
-        return []
+    poly = _charpoly_mod(mat, p)
+    roots = _poly_roots_mod(poly, p)
+    r, d = len(roots), len(mat)
+    if r < 2:
+        # no root gives no space; one root keeps the space whole (its q is 1)
+        return [(basis, pivots)] if r else []
+    mults = _root_multiplicities(poly, roots, p)
+    lams = np.array(roots, dtype=np.int64)
     # mu, high degree first, then every q_i by one synthetic division
     mu = np.zeros(r + 1, dtype=np.int64)
     mu[0] = 1
-    for lam in lams.tolist():
+    for lam in roots:
         mu[1:] = (mu[1:] - lam * mu[:-1]) % p
     q = np.ones((r, r), dtype=np.int64)
     for t in range(1, r):
         q[:, t] = (mu[t] + lams * q[:, t - 1]) % p
-    # powers of mat^T, then q_i(mat^T) = sum_t q[i, r-1-t] (mat^T)^t for each i
-    powers = np.empty((r, d, d), dtype=np.int64)
-    powers[0] = np.eye(d, dtype=np.int64)
+    # the Krylov block, then W_i = sum_t q[i, r-1-t] mat^t V for each i
+    b = max(mults)
+    krylov = np.empty((r, d, b), dtype=np.int64)
+    krylov[0] = [[rng.randrange(p) for _ in range(b)] for _ in range(d)]
     for t in range(1, r):
-        powers[t] = _matmul_mod(powers[t - 1], mat.T, p)
+        krylov[t] = _matmul_mod(mat, krylov[t - 1], p)
     _check_mod_bound(r, p)
-    spaces = []
-    for qi in q[:, ::-1]:
-        coords, _ = _rref_mod(np.tensordot(qi, powers, axes=1) % p, p)
-        spaces.append(_rref_mod(_matmul_mod(coords, basis, p), p))
+    w = np.tensordot(q[:, ::-1], krylov, axes=1) % p
+    # eigen[i, j]: column j of W_i is an eigenvector of l_i, or zero
+    eigen = ~((_matmul_mod(mat, w, p) - lams[:, None, None] * w) % p).any(axis=1)
+
+    spaces: list = [None] * r
+    # a simple root's eigenspace is at most a line, so a nonzero eigenvector
+    # spans it: all such lines through the basis at once, each normalized at
+    # its leading entry
+    simple = [i for i in range(r) if mults[i] == 1 and eigen[i, 0] and w[i, :, 0].any()]
+    if simple:
+        lines = _matmul_mod(w[simple, :, 0], basis, p)
+        lead = (lines != 0).argmax(axis=1)
+        scale = [pow(int(x), p - 2, p) for x in lines[np.arange(len(simple)), lead]]
+        lines = lines * np.array(scale, dtype=np.int64)[:, None] % p
+        for i, line, c in zip(simple, lines, lead.tolist()):
+            spaces[i] = (line[None], [c])
+    for i in range(r):
+        if spaces[i] is not None:
+            continue
+        if mults[i] > 1 and eigen[i].all():
+            space = _rref_mod(_matmul_mod(w[i].T, basis, p), p)
+            if len(space[0]) == mults[i]:
+                spaces[i] = space
+                continue
+        # the null space of mat - l_i: one vector per free column
+        red, piv = _rref_mod(mat - roots[i] * np.eye(d, dtype=np.int64), p)
+        free = [c for c in range(d) if c not in piv]
+        null = np.zeros((len(free), d), dtype=np.int64)
+        null[np.arange(len(free)), free] = 1
+        null[:, piv] = -red[:, free].T % p
+        spaces[i] = _rref_mod(_matmul_mod(null, basis, p), p)
     return spaces
 
 
@@ -299,7 +363,8 @@ def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
     (RREF basis, pivot columns): split with random linear combinations
     until every space is a line."""
     k = len(consts)
-    spaces = [_rref_mod(np.eye(k, dtype=np.int64), p)]  # checks p before any product
+    _check_mod_bound(2, p)  # before any product
+    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
     consts = consts % p
     for _ in range(32):
         if all(len(b) == 1 for b, _ in spaces):
@@ -312,7 +377,8 @@ def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
             if len(basis) == 1:
                 new_spaces.append((basis, pivots))
             else:
-                new_spaces += _eigenspaces(_restrict_mod(combo, basis, pivots, p), basis, p)
+                new_spaces += _eigenspaces(_restrict_mod(combo, basis, pivots, p),
+                                           basis, pivots, p, rng)
         if sum(len(b) for b, _ in new_spaces) != k:
             raise LiftInconsistent("eigenspace splitting lost or gained dimensions")
         spaces = new_spaces
@@ -321,13 +387,19 @@ def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
 
 def _canonical_order(degrees: list[int], coeffs: np.ndarray, ctx: cyclo.CycloContext) -> list[int]:
     """Irrep order by degree, then the float embedding of the row, then the
-    exact coefficients: the same table whatever the seed or prime."""
-    order_key = []
-    for i, row in enumerate(coeffs.tolist()):
-        exact = tuple(map(tuple, row))
-        emb = tuple((z.real, z.imag) for z in (complex(cyclo.CycloScalar(ctx, v)) for v in exact))
-        order_key.append((degrees[i], emb, exact, i))
-    order_key.sort()
+    exact coefficients: the same table whatever the seed or prime.  The
+    embedding adds a * zeta^t one power t at a time, in increasing t: the
+    IEEE operations of complex(CycloScalar), where a zero coefficient adds
+    +-0.0, which changes no comparison."""
+    re = np.zeros(coeffs.shape[:2])
+    im = np.zeros(coeffs.shape[:2])
+    for t in range(ctx.degree):
+        re += coeffs[:, :, t] * ctx._roots[t].real
+        im += coeffs[:, :, t] * ctx._roots[t].imag
+    order_key = sorted(
+        (deg, tuple(zip(re_row, im_row)), tuple(map(tuple, row)), i)
+        for i, (deg, re_row, im_row, row)
+        in enumerate(zip(degrees, re.tolist(), im.tolist(), coeffs.tolist())))
     return [entry[3] for entry in order_key]
 
 

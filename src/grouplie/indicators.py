@@ -21,7 +21,9 @@ every distinct joint, weighted and twisted sum of them from one stacked
 weight array (keys, classes, phi(m)), and each partner map composes row
 permutations (_partner_maps).  indicator_report is the batch of one context;
 joint_indicator, pairing, weighted_fs_indicator and kawanaka_indicator are
-one-context calls into the same kernels.
+one-context calls into the same kernels.  The kernels take alpha and tau as
+validated: a LieContext checks them once, and each one-context call checks
+its own pair (_check_pair).
 """
 
 from __future__ import annotations
@@ -124,19 +126,23 @@ def _as_indicators(scaled: np.ndarray, n: int, ctx: cyclo.CycloContext, labels) 
     return scaled[:, :, 0] // n
 
 
+def _check_pair(group: GroupTable, alpha: LinearCharacter, tau: InvolutiveAutomorphism) -> None:
+    """Refuse a tau of another order, then an alpha that is no linear
+    character of `group`, before any sum is formed."""
+    check_order(group, tau)
+    check_character(group, alpha)
+
+
 def stacked_weights(group: GroupTable, keys, ctx: cyclo.CycloContext) -> np.ndarray:
     """Per-class sums of conj(alpha(g)) over g with g*tau(g) in the class
     (the integer counts when alpha is None), for every (alpha, tau) of
     `keys`, as canonical coefficients (keys, classes, phi(m)) from one
-    matmul."""
+    matmul.  Every alpha and tau must already be validated for `group`."""
     cd = conjugacy_data(group)
     class_of = np.array(cd.class_of)
     mult = group.mult_array()
     counts = np.zeros((len(keys), cd.num_classes, ctx.m), dtype=np.int64)
     for w, (alpha, tau) in enumerate(keys):
-        check_order(group, tau)
-        if alpha is not None:
-            check_character(group, alpha)
         # the class of g*tau(g) and the exponent of conj(alpha(g)), for every g
         classes = class_of[mult[group.elements(), tau.mapping]]
         e = 0 if alpha is None else -np.array(alpha.exponents) % ctx.m
@@ -161,6 +167,7 @@ def joint_indicator(table: CharacterTable, alpha: LinearCharacter,
     Specializes to the weighted indicator at tau = id and to the twisted one
     at alpha = trivial.
     """
+    _check_pair(table.group, alpha, tau)
     return tuple(_joint_indicators(table, [(alpha, tau)])[:, 0].tolist())
 
 
@@ -175,8 +182,8 @@ def kawanaka_indicator(table: CharacterTable, tau: InvolutiveAutomorphism) -> tu
 
 
 def _partner_maps(table: CharacterTable, pairs) -> list[tuple[int, ...]]:
-    """The partner map of every (alpha, tau) of `pairs`, each validated first,
-    as mu_alpha o rho_tau.  rho_tau(i) is the row equal to the column gather
+    """The partner map of every validated (alpha, tau) of `pairs`, as
+    mu_alpha o rho_tau.  rho_tau(i) is the row equal to the column gather
     conj(chi_i) o tau, found by lookup.  mu_alpha(j) is the row equal to
     alpha * chi_j: times_roots forms it only for an alpha outside the group
     the earlier alphas generate, keyed by its exponents on the class
@@ -184,9 +191,6 @@ def _partner_maps(table: CharacterTable, pairs) -> list[tuple[int, ...]]:
     """
     cd = table.class_data
     ctx = table.context()
-    for alpha, tau in pairs:
-        check_order(table.group, tau)
-        check_character(table.group, alpha)
     x = table.values
     rows = {row.tobytes(): i for i, row in enumerate(x)}
 
@@ -246,6 +250,7 @@ def pairing(table: CharacterTable, alpha: LinearCharacter,
 
     Returns (partner, classes); partner is an involution on irrep indices.
     """
+    _check_pair(table.group, alpha, tau)
     partner = _partner_maps(table, [(alpha, tau)])[0]
     return partner, _pairing_classes(partner)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -7,10 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from grouplie import chartable, cyclo
 from grouplie.chartable import (
     CharacterTable,
+    _canonical_order,
     _certify,
+    _eigenspaces,
     _find_prime,
+    _poly_roots_mod,
+    _root_multiplicities,
     _split_eigenspaces,
     character_table,
     class_constants,
@@ -473,3 +479,135 @@ def test_a_table_refuses_non_integral_values(value):
     # nested rows of Python ints convert exactly
     rows[0][0][0] = 1
     assert np.array_equal(dataclasses.replace(t, values=rows).values, t.values)
+
+
+class _Zeros:
+    """An rng stub whose every draw is 0."""
+
+    def randrange(self, p):
+        return 0
+
+
+def test_a_zero_krylov_block_sends_every_root_to_the_null_space(monkeypatch):
+    # with V = 0 every W_i is 0, so no root passes its test, and each takes
+    # the null space of mat - l_i, the one _rref_mod call on d rows; the
+    # lines and the tables stay the same
+    group = catalog("dihedral", 6)
+    consts, p = class_constants(group, conjugacy_data(group)), 13
+    expected = _split_eigenspaces(consts, p, random.Random(0))
+    rows, splits = [], []
+    real_eigenspaces, real_rref = chartable._eigenspaces, chartable._rref_mod
+
+    def zero_block(mat, basis, pivots, p, rng):
+        rows.clear()
+        spaces = real_eigenspaces(mat, basis, pivots, p, _Zeros())
+        if len(spaces) > 1:
+            splits.append((len(spaces), rows.count(len(mat))))
+        return spaces
+
+    def counted_rref(a, p):
+        rows.append(len(a))
+        return real_rref(a, p)
+
+    monkeypatch.setattr(chartable, "_eigenspaces", zero_block)
+    monkeypatch.setattr(chartable, "_rref_mod", counted_rref)
+    got = _split_eigenspaces(consts, p, random.Random(0))
+    assert splits and all(roots == null_spaces for roots, null_spaces in splits)
+    assert sorted(b.tolist() for b, _ in got) == sorted(b.tolist() for b, _ in expected)
+    for spec in ("dihedral:6", "quaternion8", "alternating:4", "cyclic:12"):
+        g = parse_group_spec(spec)
+        monkeypatch.setattr(chartable, "_eigenspaces", zero_block)
+        zero = character_table(g).to_json_dict()
+        monkeypatch.setattr(chartable, "_eigenspaces", real_eigenspaces)
+        assert zero == character_table(g).to_json_dict(), spec
+
+
+def test_a_double_root_takes_its_eigenspace_from_the_krylov_block(monkeypatch):
+    # diag(1, 1, 2) conjugated by s = lower * upper (unitriangular) mod 7:
+    # the root 1 has the 2-dimensional eigenspace spanned by the first two
+    # columns of s, reached through W_1 (d x b = 3 x 2) with one _rref_mod
+    # call, and the simple root 2 the line of the third column, with none
+    p = 7
+    lower = np.array([[1, 0, 0], [4, 1, 0], [5, 6, 1]])
+    upper = np.array([[1, 2, 0], [0, 1, 3], [0, 0, 1]])
+    s = lower @ upper % p
+    s_inv = np.array([[1, -2, 6], [0, 1, -3], [0, 0, 1]]) @ np.array(
+        [[1, 0, 0], [-4, 1, 0], [19, -6, 1]]) % p
+    assert np.array_equal(s @ s_inv % p, np.eye(3))
+    mat = s @ np.diag([1, 1, 2]) @ s_inv % p
+    ones, _ = chartable._rref_mod(s[:, :2].T, p)
+    two = s[:, 2] * pow(int(s[:, 2][s[:, 2] != 0][0]), p - 2, p) % p
+    rows = []
+    real_rref = chartable._rref_mod
+
+    def counted_rref(a, p):
+        rows.append(len(a))
+        return real_rref(a, p)
+
+    monkeypatch.setattr(chartable, "_rref_mod", counted_rref)
+    spaces = _eigenspaces(mat, np.eye(3, dtype=np.int64), [0, 1, 2], p, random.Random(0))
+    assert rows == [2]
+    assert [b.tolist() for b, _ in spaces] == [ones.tolist(), [two.tolist()]]
+
+
+def test_multiplicities_by_deflation_equal_a_count():
+    rng = random.Random(5)
+    for p in (5, 7, 11, 13):
+        for _ in range(20):
+            roots = [rng.randrange(p) for _ in range(rng.randrange(1, 9))]
+            poly = [1]  # prod (x - r), low degree first
+            for r in roots:
+                poly = [(a - r * b) % p for a, b in zip([0] + poly, poly + [0])]
+            found = _poly_roots_mod(poly, p)
+            assert found == sorted(set(roots))
+            assert _root_multiplicities(poly, found, p) == [roots.count(x) for x in found]
+
+
+# the benchmark's table inputs and suite-large groups, beside the catalog
+BENCHMARK_TABLES = (
+    ("cyclic:48", None), ("cyclic:60", None), ("product:cyclic:4,cyclic:12", None),
+    ("dihedral:60", None), ("product:quaternion8,cyclic:6", None),
+    ("product:dihedral:4,cyclic:6", None), ("semidirect:cyclic:30,inv", None),
+    ("symmetric:5", None), ("symmetric:5", 181),
+    ("alternating:5", None), ("product:alternating:5,cyclic:2", None),
+    ("product:symmetric:3,alternating:4", None), ("product:symmetric:4,cyclic:2", None),
+    ("product:symmetric:4,cyclic:3", None), ("product:symmetric:3,symmetric:3", None),
+    ("dihedral:30", None),
+)
+
+
+def complex_order(degrees, coeffs, ctx):
+    """The irrep order keyed by complex() of each value as a CycloScalar."""
+    order_key = []
+    for i, row in enumerate(coeffs.tolist()):
+        exact = tuple(map(tuple, row))
+        emb = tuple((z.real, z.imag) for z in (complex(cyclo.CycloScalar(ctx, v)) for v in exact))
+        order_key.append((degrees[i], emb, exact, i))
+    order_key.sort()
+    return [entry[3] for entry in order_key]
+
+
+def test_canonical_order_equals_the_complex_key_on_shuffled_rows():
+    rng = random.Random(7)
+    tables = [character_table(g) for g in default_catalog()]
+    tables += [character_table(parse_group_spec(s), prime=p) for s, p in BENCHMARK_TABLES]
+    for t in tables:
+        shuffle = list(range(t.num_irreps))
+        rng.shuffle(shuffle)
+        degrees, coeffs = [t.degrees[i] for i in shuffle], t.values[shuffle]
+        perm = _canonical_order(degrees, coeffs, t.context())
+        assert perm == complex_order(degrees, coeffs, t.context()), t.group.name
+        assert np.array_equal(coeffs[perm], t.values), t.group.name
+
+
+def test_catalog_tables_are_byte_identical_across_seeds(monkeypatch):
+    for g in default_catalog():
+        texts = {json.dumps(character_table(g, seed=s).to_json_dict()) for s in (0, 1, 5)}
+        assert len(texts) == 1, g.name
+    t = character_table(catalog("dihedral", 6))
+
+    def refused(*args):
+        raise AssertionError("a CycloScalar was made")
+
+    monkeypatch.setattr(cyclo.CycloScalar, "__init__", refused)
+    assert _canonical_order(list(t.degrees), t.values, t.context()) == list(range(t.num_irreps))

@@ -525,6 +525,29 @@ def test_indicator_reports_validate_every_context_first():
     assert indicator_reports(table, []) == []
 
 
+def test_the_batch_checks_no_character_its_contexts_checked(monkeypatch):
+    # each LieContext validated its alpha and tau once; the batch and its
+    # kernels take them as they are, and the one-context calls check theirs
+    from grouplie import indicators
+
+    calls = []
+    real = indicators.check_character
+    monkeypatch.setattr(indicators, "check_character",
+                        lambda group, alpha: calls.append(alpha.label) or real(group, alpha))
+    group = catalog("cyclic", 12)
+    table = character_table(group)
+    contexts = contexts_of(group, suite_pairs(group))
+    assert len({ctx.tau.mapping for ctx in contexts}) > 1
+    indicator_reports(table, contexts)
+    assert calls == []
+    alpha, tau = contexts[-1].alpha, contexts[-1].tau
+    joint_indicator(table, alpha, tau)
+    pairing(table, alpha, tau)
+    weighted_fs_indicator(table, alpha)
+    kawanaka_indicator(table, tau)
+    assert calls == [alpha.label] * 3 + ["trivial"]
+
+
 def test_indicator_reports_refuse_a_context_over_another_group():
     z6, s3 = catalog("cyclic", 6), catalog("symmetric", 3)
     table = character_table(s3)

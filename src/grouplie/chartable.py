@@ -17,7 +17,7 @@ characteristic polynomial as eigenvalues, and q_i = prod_(j != i) (x - l_j)
 maps the space onto the l_i eigenspace: all q_i come from one synthetic
 division of mu = prod_j (x - l_j), and all images W_i = q_i(M) V of one
 random block V, with as many columns as the largest root multiplicity, from
-its Krylov sequence M^t V with one tensordot.  A W_i is kept only when
+its Krylov sequence M^t V with one product.  A W_i is kept only when
 M W_i = l_i W_i holds exactly and its rank is the multiplicity of l_i, read
 off by deflating the characteristic polynomial; no eigenspace is larger
 than that, so W_i then spans the whole l_i eigenspace.  For a simple root a
@@ -29,14 +29,20 @@ combination is diagonalizable on every common eigenspace.  If that ever
 fails, the null spaces lose dimensions (as the roots do when they do not
 split the characteristic polynomial) and the split raises LiftInconsistent.
 
-The modular steps run on int64 arrays of residues: elimination, restriction
-to an eigenspace, the Krylov blocks and their images, the random combination
-of class matrices and the lift (one DFT matmul per class, for every irrep
-at once).  A sum of t products of residues is bounded by t (p - 1)^2 before
-it is formed (t is 2, the number of classes, an eigenspace dimension, the
-number of eigenvalues or an element order) and raises IntegerBoundExceeded
-at 2^63.  The table
-is the lifted int64 coefficient array; the certification evaluates the row
+The modular steps run on arrays of residues.  Every sum of products of
+residues (restriction to an eigenspace, the Krylov blocks and their images,
+the random combination of class matrices, the Hessenberg steps, the norms
+and the lift) is a float64 (BLAS) product: a sum of t products is at most
+t (p - 1)^2, proven below 2^53 before it is formed (t is at most one more
+than the group order, and p < 10^6), so every product and partial sum is
+an exact float64 integer, whatever order the sum is taken in, and the
+result is cast back to int64 residues.  Elimination and the other
+elementwise steps stay in int64, bounded at 2^63.  Either bound raises
+IntegerBoundExceeded when it fails.  The lift reads the power classes of
+all representatives from one walk of the multiplication table and takes
+one inverse DFT mod p per element order, for every irrep and every class
+of that order at once.  The table is the lifted int64 coefficient array,
+put in order by one np.lexsort; the certification evaluates the row
 relation on it with one cyclo.class_sums call, and CycloScalars are made
 only where output renders the values.
 """
@@ -53,6 +59,7 @@ from .errors import InvariantViolated, LiftInconsistent, PrimeSearchFailed
 from .groups import ConjugacyData, GroupTable, conjugacy_data
 
 _PRIME_BOUND = 1_000_000
+_LIFT_BLOCK = 1 << 16  # irrep x class x power entries gathered at once by the lift
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,14 +171,21 @@ def _primitive_root(p: int) -> int:
     raise PrimeSearchFailed(f"no primitive root mod {p}")  # unreachable for prime p
 
 
-def _check_mod_bound(terms: int, p: int) -> None:
-    """Sums of `terms` products of two residues mod p must stay exact in int64."""
-    cyclo.check_int64_bound(terms * (p - 1) ** 2, f"sum of {terms} products mod {p}")
+def _check_mod_bound(terms: int, p: int, check=cyclo.check_int64_bound) -> None:
+    """Sums of `terms` products of two residues mod p must stay exact: in
+    int64, or in float64 with check=cyclo.check_float64_bound."""
+    check(terms * (p - 1) ** 2, f"sum of {terms} products mod {p}")
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    _check_mod_bound(a.shape[-1], p)
-    return a @ b % p
+    """a @ b mod p on arrays of residues, as int64 residues: one float64
+    (BLAS) product, after proving that a sum of t = a.shape[-1] products of
+    residues, at most t (p - 1)^2, stays below 2^53, so that every product
+    and partial sum is an exact float64 integer in any summation order."""
+    _check_mod_bound(a.shape[-1], p, cyclo.check_float64_bound)
+    residues = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
+    residues %= p
+    return residues
 
 
 def _rref_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -204,10 +218,14 @@ def _rref_mod(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _charpoly_mod(a, p: int) -> list[int]:
-    """Characteristic polynomial mod p (low degree first), via Hessenberg form."""
+    """Characteristic polynomial mod p (low degree first), via Hessenberg form.
+
+    The elimination runs on int64 residues; each column update and each
+    step of the recurrence is a float64 product of a residue plus at most n
+    products of residues."""
     h = np.array(a, dtype=np.int64) % p
     n = len(h)
-    _check_mod_bound(n + 1, p)
+    _check_mod_bound(n + 1, p, cyclo.check_float64_bound)
     for c in range(n - 2):
         nz = np.flatnonzero(h[c + 1:, c])
         if not nz.size:
@@ -220,11 +238,11 @@ def _charpoly_mod(a, p: int) -> list[int]:
         # c below the subdiagonal, and column c+1 gains f times columns c+2..
         f = h[c + 2:, c] * pow(int(h[c + 1, c]), p - 2, p) % p
         h[c + 2:, c:] = (h[c + 2:, c:] - np.outer(f, h[c + 1, c:])) % p
-        h[:, c + 1] = (h[:, c + 1] + h[:, c + 2:] @ f) % p
+        h[:, c + 1] = (h[:, c + 1] + (h[:, c + 2:].astype(np.float64) @ f).astype(np.int64)) % p
     # charpoly recurrence on the Hessenberg form: p_k = (x - h[k-1, k-1]) p_(k-1)
     # - sum_i h[k-1-i, k-1] * (product of i subdiagonal entries) * p_(k-1-i)
     hl = h.tolist()
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys = np.zeros((n + 1, n + 1))
     polys[0, 0] = 1
     for k in range(1, n + 1):
         coefs = [hl[k - 1][k - 1]]
@@ -235,8 +253,9 @@ def _charpoly_mod(a, p: int) -> list[int]:
                 break
             coefs.append(hl[k - 1 - i][k - 1] * sub % p)
         polys[k, 1:] = polys[k - 1, :-1]
-        polys[k] = (polys[k] - np.array(coefs) @ polys[k - 1 - np.arange(len(coefs))]) % p
-    return polys[n].tolist()
+        polys[k] = (polys[k] - np.array(coefs, dtype=np.float64)
+                    @ polys[k - 1 - np.arange(len(coefs))]) % p
+    return polys[n].astype(np.int64).tolist()
 
 
 def _poly_roots_mod(poly: list[int], p: int) -> list[int]:
@@ -319,14 +338,14 @@ def _eigenspaces(mat: np.ndarray, basis: np.ndarray, pivots: list[int], p: int,
         q[:, t] = (mu[t] + lams * q[:, t - 1]) % p
     # the Krylov block, then W_i = sum_t q[i, r-1-t] mat^t V for each i
     b = max(mults)
-    krylov = np.empty((r, d, b), dtype=np.int64)
+    fmat = mat.astype(np.float64)  # the residues once as float64 operands
+    krylov = np.empty((r, d, b))
     krylov[0] = [[rng.randrange(p) for _ in range(b)] for _ in range(d)]
     for t in range(1, r):
-        krylov[t] = _matmul_mod(mat, krylov[t - 1], p)
-    _check_mod_bound(r, p)
-    w = np.tensordot(q[:, ::-1], krylov, axes=1) % p
+        krylov[t] = _matmul_mod(fmat, krylov[t - 1], p)
+    w = _matmul_mod(q[:, ::-1], krylov.reshape(r, d * b), p).reshape(r, d, b)
     # eigen[i, j]: column j of W_i is an eigenvector of l_i, or zero
-    eigen = ~((_matmul_mod(mat, w, p) - lams[:, None, None] * w) % p).any(axis=1)
+    eigen = ~((_matmul_mod(fmat, w, p) - lams[:, None, None] * w) % p).any(axis=1)
 
     spaces: list = [None] * r
     # a simple root's eigenspace is at most a line, so a nonzero eigenvector
@@ -365,13 +384,14 @@ def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
     k = len(consts)
     _check_mod_bound(2, p)  # before any product
     spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
-    consts = consts % p
+    # the one working copy: int64 residues cast to float64 as they are
+    # written, the operands of every combination
+    consts = np.remainder(consts, p, out=np.empty(consts.shape)).reshape(k, k * k)
     for _ in range(32):
         if all(len(b) == 1 for b, _ in spaces):
             return spaces
         coeffs = np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
-        _check_mod_bound(k, p)
-        combo = np.tensordot(coeffs, consts, axes=1) % p
+        combo = _matmul_mod(coeffs, consts, p).reshape(k, k)
         new_spaces = []
         for basis, pivots in spaces:
             if len(basis) == 1:
@@ -385,22 +405,85 @@ def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
     raise LiftInconsistent("eigenspace splitting did not converge after 32 rounds")
 
 
+def _lift(group: GroupTable, cd: ConjugacyData, rows_mod: np.ndarray, degrees: list[int],
+          p: int) -> np.ndarray:
+    """The coefficient array (irrep, class, phi(m)) of the characters with
+    the values `rows_mod` mod p.
+
+    chi(c) = sum_t mu_t zeta^(t m/n_c) with n_c the order of c, and the
+    multiplicities mu_t are the inverse DFT mod p of chi on the power
+    classes of c, each at most the degree and summing to it.  One walk of
+    the multiplication table gives the power classes of every representative;
+    then one DFT product per element order lifts every irrep on every class
+    of that order, in blocks of at most _LIFT_BLOCK gathered entries (and at
+    least one class).  A multiplicity check that fails names the first class,
+    in class order, and in it the first irrep.
+    """
+    m, k = group.exponent, cd.num_classes
+    ctx = cyclo.context(m)
+    deg = np.array(degrees)
+    # walk[j, s] = rep_j^s: each step appends rep^(L-1) * rep^a for 0 < a < L
+    # to a walk of length L, until every rep has returned to e
+    mult, e = group.mult_array(), group.identity
+    walk = np.stack([np.full(k, e), cd.representatives], axis=1)
+    while not (walk[:, 1:] == e).any(axis=1).all():
+        walk = np.concatenate([walk, mult[walk[:, -1:], walk[:, 1:]]], axis=1)
+    orders = (walk[:, 1:] == e).argmax(axis=1) + 1
+    power_classes = np.array(cd.class_of)[walk]
+    # zpow[t] = z^t for a primitive m-th root of unity z mod p
+    z = pow(_primitive_root(p), (p - 1) // m, p)
+    zpow = np.array([pow(z, t, p) for t in range(m)])
+    values = rows_mod.astype(np.float64)  # gathered as float64 operands
+    coeffs = np.empty((k, k, ctx.degree), dtype=np.int64)
+    failure = None
+    for n_c in sorted(set(orders.tolist())):
+        # dft[s, t] = z^(-(m / n_c) s t) / n_c, the inverse DFT of order n_c;
+        # fold takes multiplicities to the power basis of zeta^(t m / n_c),
+        # and its last column sums them
+        exps = np.arange(n_c)
+        dft = zpow[-(m // n_c) * np.outer(exps, exps) % m] * pow(n_c, p - 2, p) % p
+        fold = np.ones((n_c, ctx.degree + 1))
+        fold[:, :-1] = ctx.power_array[exps * (m // n_c)]
+        cyclo.check_float64_bound(n_c * (p - 1) * cyclo.max_abs(fold), "lift")
+        classes = np.flatnonzero(orders == n_c)
+        step = max(1, _LIFT_BLOCK // (k * n_c))
+        for s in range(0, len(classes), step):
+            block = classes[s:s + step]
+            gathered = values[:, power_classes[block, :n_c]].reshape(-1, n_c)
+            mus = _matmul_mod(gathered, dft, p)
+            lifted = (mus.astype(np.float64) @ fold).reshape(k, len(block), -1)
+            # the multiplicities are residues, so nonnegative: summing to the
+            # degree also bounds each of them by it
+            bad = lifted[:, :, -1] != deg[:, None]
+            if bad.any():
+                c, i = np.argwhere(bad.T)[0]
+                if failure is None or block[c] < failure[0]:
+                    failure = (block[c], mus.reshape(k, len(block), n_c)[i, c].tolist(), degrees[i])
+            coeffs[:, block] = lifted[:, :, :-1]
+    if failure is not None:
+        raise LiftInconsistent(
+            f"root-of-unity multiplicities {failure[1]} do not sum to degree {failure[2]}")
+    return coeffs
+
+
 def _canonical_order(degrees: list[int], coeffs: np.ndarray, ctx: cyclo.CycloContext) -> list[int]:
-    """Irrep order by degree, then the float embedding of the row, then the
-    exact coefficients: the same table whatever the seed or prime.  The
-    embedding adds a * zeta^t one power t at a time, in increasing t: the
-    IEEE operations of complex(CycloScalar), where a zero coefficient adds
-    +-0.0, which changes no comparison."""
+    """Irrep order by degree, then the float embedding of the row (real and
+    imaginary part, class by class), then the exact coefficients, then the
+    index: the same table whatever the seed or prime.  The embedding adds
+    a * zeta^t one power t at a time, in increasing t: the IEEE operations
+    of complex(CycloScalar).  Every entry is finite, and a zero coefficient
+    may leave -0.0, which compares equal to 0.0 here as in a tuple sort."""
+    rows = coeffs.shape[0]
     re = np.zeros(coeffs.shape[:2])
     im = np.zeros(coeffs.shape[:2])
     for t in range(ctx.degree):
         re += coeffs[:, :, t] * ctx._roots[t].real
         im += coeffs[:, :, t] * ctx._roots[t].imag
-    order_key = sorted(
-        (deg, tuple(zip(re_row, im_row)), tuple(map(tuple, row)), i)
-        for i, (deg, re_row, im_row, row)
-        in enumerate(zip(degrees, re.tolist(), im.tolist(), coeffs.tolist())))
-    return [entry[3] for entry in order_key]
+    embedding = np.stack([re, im], axis=2).reshape(rows, -1)
+    # np.lexsort sorts by its last key first, and stably, so ties keep the
+    # index order
+    keys = (*coeffs.reshape(rows, -1).T[::-1], *embedding.T[::-1], np.asarray(degrees))
+    return np.lexsort(keys).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +492,6 @@ def _canonical_order(degrees: list[int], coeffs: np.ndarray, ctx: cyclo.CycloCon
 
 def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = None) -> CharacterTable:
     cd = conjugacy_data(group)
-    k = cd.num_classes
     m = group.exponent
     n = group.order
     p = prime if prime is not None else _find_prime(m, n)
@@ -435,7 +517,6 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
     omegas = omegas * np.array(scale)[:, None] % p
 
     inv_sizes = np.array([pow(s, p - 2, p) for s in cd.sizes])
-    zroot = pow(_primitive_root(p), (p - 1) // m, p)
 
     # omega_j * omega_(j^-1) / |c_j|, summed over classes: (#G / d^2) mod p
     norms = _matmul_mod(omegas * omegas[:, list(cd.inverse_class)] % p, inv_sizes, p)
@@ -454,33 +535,8 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
     deg = np.array(degrees)
     rows_mod = omegas * inv_sizes % p * deg[:, None] % p
 
-    # lift each value chi(c) = sum_t mu_t zeta^(t*m/n_c) from the power
-    # classes: one inverse DFT mod p per class, for every irrep at once
-    ctx = cyclo.context(m)
-    coeffs = np.zeros((k, k, ctx.degree), dtype=np.int64)
-    for j, rep in enumerate(cd.representatives):
-        n_c = group.element_order(rep)
-        power_classes = []
-        x = group.identity
-        for _ in range(n_c):
-            power_classes.append(cd.class_of[x])
-            x = group.mult[x][rep]
-        lam_inv = pow(zroot, -(m // n_c), p)
-        lam_pows = np.array([pow(lam_inv, e, p) for e in range(n_c)])
-        exps = np.arange(n_c)
-        dft = lam_pows[np.outer(exps, exps) % n_c] * pow(n_c, p - 2, p) % p
-        mus = _matmul_mod(rows_mod[:, power_classes], dft, p)
-        bad = (mus.sum(axis=1) != deg) | (mus > deg[:, None]).any(axis=1)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise LiftInconsistent(
-                f"root-of-unity multiplicities {mus[i].tolist()} do not sum to degree {degrees[i]}"
-            )
-        powers = ctx.power_array[exps * (m // n_c)]
-        cyclo.check_int64_bound(n_c * max(degrees) * cyclo.max_abs(powers), "lift")
-        coeffs[:, j] = mus @ powers
-
-    perm = _canonical_order(degrees, coeffs, ctx)
+    coeffs = _lift(group, cd, rows_mod, degrees, p)
+    perm = _canonical_order(degrees, coeffs, cyclo.context(m))
     table = CharacterTable(group, cd, tuple(degrees[i] for i in perm), coeffs[perm], p)
     _certify(table)
     return table

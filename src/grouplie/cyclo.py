@@ -391,6 +391,14 @@ def check_int64_bound(bound: int, what: str) -> None:
         raise IntegerBoundExceeded(f"{what}: |entries| could reach {bound} >= 2^63")
 
 
+def check_float64_bound(bound: int, what: str) -> None:
+    """Raise IntegerBoundExceeded unless every float64 value of a product of
+    integers whose partial sums are at most `bound` in absolute value is an
+    exact integer."""
+    if bound >= FLOAT64_EXACT_LIMIT:
+        raise IntegerBoundExceeded(f"{what}: |entries| could reach {bound} >= 2^53")
+
+
 def max_abs(x: np.ndarray) -> int:
     """The largest |entry| of an int64 array, as a Python int (0 if empty)."""
     return max(int(x.max()), -int(x.min())) if x.size else 0

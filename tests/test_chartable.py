@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -587,6 +589,21 @@ def complex_order(degrees, coeffs, ctx):
     return [entry[3] for entry in order_key]
 
 
+def tuple_order(degrees, coeffs, ctx):
+    """The irrep order by sorted Python tuples: degree, (re, im) class by
+    class, the exact coefficients, the index."""
+    re = np.zeros(coeffs.shape[:2])
+    im = np.zeros(coeffs.shape[:2])
+    for t in range(ctx.degree):
+        re += coeffs[:, :, t] * ctx._roots[t].real
+        im += coeffs[:, :, t] * ctx._roots[t].imag
+    order_key = sorted(
+        (deg, tuple(zip(re_row, im_row)), tuple(map(tuple, row)), i)
+        for i, (deg, re_row, im_row, row)
+        in enumerate(zip(degrees, re.tolist(), im.tolist(), coeffs.tolist())))
+    return [entry[3] for entry in order_key]
+
+
 def test_canonical_order_equals_the_complex_key_on_shuffled_rows():
     rng = random.Random(7)
     tables = [character_table(g) for g in default_catalog()]
@@ -597,6 +614,7 @@ def test_canonical_order_equals_the_complex_key_on_shuffled_rows():
         degrees, coeffs = [t.degrees[i] for i in shuffle], t.values[shuffle]
         perm = _canonical_order(degrees, coeffs, t.context())
         assert perm == complex_order(degrees, coeffs, t.context()), t.group.name
+        assert perm == tuple_order(degrees, coeffs, t.context()), t.group.name
         assert np.array_equal(coeffs[perm], t.values), t.group.name
 
 
@@ -611,3 +629,228 @@ def test_catalog_tables_are_byte_identical_across_seeds(monkeypatch):
 
     monkeypatch.setattr(cyclo.CycloScalar, "__init__", refused)
     assert _canonical_order(list(t.degrees), t.values, t.context()) == list(range(t.num_irreps))
+
+
+def test_canonical_order_breaks_float_ties_by_the_exact_coefficients():
+    # m = 2: a coefficient a embeds as (a, a * 0.0), and 2^53 + 1 rounds to
+    # the float 2^53, so rows 0, 1 and 3 tie on every embedding entry; row 0
+    # then sorts last among them by its exact coefficient, and rows 1 and 3,
+    # equal throughout, by index
+    big = 2**53
+    coeffs = np.array([[[big + 1], [3]], [[big], [3]], [[big + 1], [2]], [[big], [3]],
+                       [[big + 2], [1]]], dtype=np.int64)
+    degrees = [1] * len(coeffs)
+    perm = _canonical_order(degrees, coeffs, context(2))
+    assert perm == tuple_order(degrees, coeffs, context(2)) == [2, 1, 3, 0, 4]
+
+
+def test_canonical_order_with_signed_zero_embedding_terms():
+    # the zeroth power is 1 + 0j, so a negative coefficient adds -0.0 to the
+    # imaginary part and a positive one +0.0: the zero entries come from both
+    # signs, and the order is still the tuple order
+    rng = random.Random(4)
+    ctx = context(6)
+    coeffs = np.array([[[rng.choice((-2, -1, 1, 2)), rng.randrange(-1, 2)] for _ in range(4)]
+                       for _ in range(12)], dtype=np.int64)
+    assert np.signbit(coeffs[:, :, 0] * ctx._roots[0].imag).any()
+    degrees = [rng.randrange(1, 3) for _ in range(len(coeffs))]
+    assert _canonical_order(degrees, coeffs, ctx) == tuple_order(degrees, coeffs, ctx)
+    # and on a key that holds both zeros, np.lexsort ranks -0.0 with 0.0, as
+    # a tuple sort does
+    zeros, second = [0.0, -0.0, 0.0, -0.0], [3, 2, 1, 0]
+    assert np.lexsort((second, zeros)).tolist() == [
+        i for _, _, i in sorted(zip(zeros, second, range(4)))] == [3, 2, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# float64 products mod p
+
+
+def test_matmul_mod_equals_python_ints_at_the_largest_sums():
+    # t = 1024 terms (the order cap) at the largest prime below 10^6: random
+    # residues and the worst case, every entry p - 1
+    p, t = 999_961, 1024
+    rng = random.Random(3)
+    a = [[rng.randrange(p) for _ in range(t)] for _ in range(3)] + [[p - 1] * t]
+    b = [[rng.randrange(p) for _ in range(5)] + [p - 1] for _ in range(t)]
+    expected = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+    got = chartable._matmul_mod(np.array(a), np.array(b), p)
+    assert got.dtype == np.int64 and got.tolist() == expected
+
+
+@pytest.mark.parametrize("terms", [2, 1024])
+def test_matmul_mod_is_exact_below_2_53_and_refuses_at_it(terms):
+    # a synthetic modulus q (no prime needed) with terms * (q - 1)^2 just
+    # below 2^53; at q + 1 the bound terms * q^2 reaches 2^53 (exactly, for
+    # two terms) and the product is refused before it is formed
+    q = math.isqrt((2**53 - 1) // terms) + 1
+    assert terms * (q - 1) ** 2 < 2**53 <= terms * q ** 2
+    assert terms > 2 or terms * q ** 2 == 2**53
+    a = np.full((2, terms), q - 1)
+    a[1, ::2] = q - 2
+    b = np.full((terms, 1), q - 1)
+    expected = [sum(int(x) * (q - 1) for x in row) % q for row in a]
+    assert chartable._matmul_mod(a, b, q)[:, 0].tolist() == expected
+    with pytest.raises(IntegerBoundExceeded, match=re.escape(">= 2^53")):
+        chartable._matmul_mod(a, b, q + 1)
+
+
+# ---------------------------------------------------------------------------
+# the lift
+
+
+def per_class_lift(group, cd, rows_mod, degrees, p, failures=None):
+    """The lift class by class: each class's powers walked in Python, one
+    inverse DFT mod p per class, and the multiplicity check before the class
+    is lifted.  With a `failures` list, every failing (class, irrep) pair is
+    recorded before the first one raises."""
+    m = group.exponent
+    ctx = context(m)
+    deg = np.array(degrees)
+    zroot = pow(chartable._primitive_root(p), (p - 1) // m, p)
+    coeffs = np.zeros((cd.num_classes, cd.num_classes, ctx.degree), dtype=np.int64)
+    first = None
+    for j, rep in enumerate(cd.representatives):
+        n_c = group.element_order(rep)
+        power_classes = []
+        x = group.identity
+        for _ in range(n_c):
+            power_classes.append(cd.class_of[x])
+            x = group.mult[x][rep]
+        lam_inv = pow(zroot, -(m // n_c), p)
+        lam_pows = np.array([pow(lam_inv, e, p) for e in range(n_c)])
+        exps = np.arange(n_c)
+        dft = lam_pows[np.outer(exps, exps) % n_c] * pow(n_c, p - 2, p) % p
+        mus = rows_mod[:, power_classes] @ dft % p
+        bad = (mus.sum(axis=1) != deg) | (mus > deg[:, None]).any(axis=1)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            first = first or LiftInconsistent(
+                f"root-of-unity multiplicities {mus[i].tolist()} do not sum to degree {degrees[i]}")
+            if failures is None:
+                raise first
+            failures.append((j, i))
+            continue
+        coeffs[:, j] = mus @ ctx.power_array[exps * (m // n_c)]
+    if first is not None:
+        raise first
+    return coeffs
+
+
+def test_the_lift_per_element_order_equals_the_per_class_lift(monkeypatch):
+    # the same coefficient array from the same residues on every catalog
+    # group and every benchmark input, with one DFT product per element
+    # order: 72 over the nine tables of the tables workload, where the lift
+    # class by class made 281
+    real, real_matmul = chartable._lift, chartable._matmul_mod
+    products = []
+
+    def counted(*args):
+        products[-1] += 1
+        return real_matmul(*args)
+
+    def compared(group, cd, rows_mod, degrees, p):
+        products.append(0)
+        monkeypatch.setattr(chartable, "_matmul_mod", counted)
+        coeffs = real(group, cd, rows_mod, degrees, p)
+        monkeypatch.setattr(chartable, "_matmul_mod", real_matmul)
+        assert np.array_equal(coeffs, per_class_lift(group, cd, rows_mod, degrees, p)), group.name
+        orders = {group.element_order(r) for r in cd.representatives}
+        assert products[-1] == len(orders), group.name
+        return coeffs
+
+    monkeypatch.setattr(chartable, "_lift", compared)
+    for g in default_catalog():
+        character_table(g)
+    for spec, prime in BENCHMARK_TABLES:
+        character_table(parse_group_spec(spec), prime=prime)
+    assert len(products) == 43 + len(BENCHMARK_TABLES)
+    assert sum(products[43:52]) == 72
+
+
+def test_the_lift_in_blocks_of_one_class_equals_the_per_class_lift(monkeypatch):
+    # a block holds at least one class, whatever its size: with a block
+    # bound of 1 entry every class of every order is its own DFT product
+    real = chartable._lift
+
+    def compared(group, cd, rows_mod, degrees, p):
+        coeffs = real(group, cd, rows_mod, degrees, p)
+        assert np.array_equal(coeffs, per_class_lift(group, cd, rows_mod, degrees, p)), group.name
+        return coeffs
+
+    monkeypatch.setattr(chartable, "_LIFT_BLOCK", 1)
+    monkeypatch.setattr(chartable, "_lift", compared)
+    for spec in ("cyclic:12", "dihedral:6", "symmetric:4", "product:quaternion8,cyclic:6",
+                 "cyclic:48"):
+        character_table(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize("block", [chartable._LIFT_BLOCK, 1])
+def test_a_corrupted_lift_fails_where_the_per_class_lift_fails(monkeypatch, block):
+    # residues corrupted at three random entries: character_table raises the
+    # per-class lift's message, which names the first failing class in class
+    # order and in it the first irrep, though the lift takes the classes
+    # element order by element order, in blocks of classes
+    monkeypatch.setattr(chartable, "_LIFT_BLOCK", block)
+    real = chartable._lift
+    rng = random.Random(11)
+    seen = []
+
+    def corrupted(group, cd, rows_mod, degrees, p):
+        rows = rows_mod.copy()
+        for _ in range(3):
+            i, c = rng.randrange(len(rows)), rng.randrange(len(rows))
+            rows[i, c] = (rows[i, c] + rng.randrange(1, p)) % p
+        failures = []
+        with pytest.raises(LiftInconsistent) as oracle:
+            per_class_lift(group, cd, rows, degrees, p, failures)
+        orders = [group.element_order(cd.representatives[j]) for j, _ in failures]
+        seen.append((str(oracle.value), orders[0] > min(orders)))
+        return real(group, cd, rows, degrees, p)
+
+    monkeypatch.setattr(chartable, "_lift", corrupted)
+    for spec in ("cyclic:12", "dihedral:6", "symmetric:4", "product:quaternion8,cyclic:6"):
+        for _ in range(8):
+            with pytest.raises(LiftInconsistent) as got:
+                character_table(parse_group_spec(spec))
+            assert str(got.value) == seen[-1][0], spec
+    # some first failing class has a larger element order than a later one
+    assert any(later_order_smaller for _, later_order_smaller in seen)
+
+
+def test_character_table_peak_memory_at_128_classes():
+    # tracemalloc's peak over character_table(cyclic:128), whose high point
+    # is the certification; the bound is the peak of the int64 products
+    # this implementation replaced, measured the same way: the float64
+    # products add no second copy of the (k, k, k) class constants
+    int64_peak = 53_747_856
+    character_table(catalog("cyclic", 4))  # lazy imports and caches first
+    group = parse_group_spec("cyclic:128")
+    tracemalloc.start()
+    try:
+        character_table(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= int64_peak
+    # the split itself: one working copy of the caller's (k, k, k) tensor
+    # (16 MiB here), as float64, and arrays of k^2 entries at most
+    consts = class_constants(group, conjugacy_data(group))
+    tracemalloc.start()
+    try:
+        _split_eigenspaces(consts, _find_prime(group.exponent, group.order), random.Random(0))
+        split_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split_peak < 1.5 * consts.nbytes
+
+
+def test_cyclic_12_values_agree_at_the_default_and_the_largest_prime():
+    # 999961 is the largest prime p = 1 (mod 12) below the root search's
+    # bound of 10^6, where a sum of t products of residues comes closest to
+    # 2^53
+    g = catalog("cyclic", 12)
+    default, top = character_table(g), character_table(g, prime=999_961)
+    assert (default.prime, top.prime) == (13, 999_961)
+    assert default.degrees == top.degrees
+    assert np.array_equal(default.values, top.values)

@@ -445,9 +445,11 @@ def test_table_text_pinned(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_TEXT_DIGESTS[spec]
 
 
-# SHA-256 of `table --format json` for the two tables whose eigenspace split
-# takes several rounds with repeated eigenvalues (60 classes each); the JSON
-# itself is 4 MB, so only its digest is kept
+# SHA-256 of `table --format json` for two tables whose eigenspace split
+# takes several rounds with repeated eigenvalues (60 classes each), and for
+# three beyond the catalog with 67 to 128 classes (cyclic:96, dihedral:128,
+# product:cyclic:8,cyclic:16); the JSON runs to megabytes, so only its
+# digest is kept
 TABLE_DIGESTS = json.loads((Path(__file__).parent / "data" / "table_sha256.json").read_text())
 
 

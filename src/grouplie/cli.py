@@ -15,7 +15,7 @@ from .errors import GroupLieError, UsageError
 from .groups import find_character, linear_characters, load_tau, parse_group_spec
 from .indicators import indicator_reports, render_factors
 from .liealg import lie_basis, make_context
-from .verify import default_catalog, run_suite, verify_theorem
+from .verify import center_data, default_catalog, run_suite, verify_theorem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,7 +122,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
     # the context first, so an incompatible pair fails before any table is built
     ctx = make_context(group, alpha, tau)
     ind = indicator_reports(character_table(group, seed=cfg.seed), [ctx])[0]
-    report = verify_theorem(lie_basis(ctx), ind)
+    report = verify_theorem(lie_basis(ctx), ind, center_data([ctx])[0])
     if cfg.fmt == "json":
         _emit(_dump({
             "indicators": ind.to_json_dict(),

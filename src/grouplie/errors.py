@@ -94,6 +94,12 @@ class InvariantViolated(GroupLieError):
     never bad input."""
 
 
+class OrbitBlockViolated(GroupLieError):
+    """A row of a rank or membership question crosses two sigma-orbit
+    blocks, or one block holds more than two rows; the block kernel decides
+    neither."""
+
+
 class IntegerBoundExceeded(GroupLieError):
     """An int64 array product could leave the exact range; raised before the
     product is formed, never after a silent wrap."""

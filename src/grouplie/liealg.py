@@ -5,10 +5,8 @@ the group algebra; its -1 eigenspace is a Lie subalgebra, spanned by the
 elements g - alpha(g) tau(g)^-1.  This module builds that basis exactly,
 together with the +1 eigenspace and the center generators.
 
-An element is the dict {g: coefficient} of its nonzero coefficients, the
-same sparse format as a RowSpace row, so a spanning vector (at most 2 terms)
-or a bracket of two of them (at most 8) goes into an elimination as it is.
-The products iterate over these terms only, so they cost what the supports
+An element is the dict {g: coefficient} of its nonzero coefficients.  The
+products iterate over these terms only, so they cost what the supports
 cost, not what |G| costs.  bracket forms each a_x b_y once, and
 trace_of_product reads only the identity coefficient of a product.
 
@@ -17,33 +15,46 @@ combination is 1, +-zeta^e or 1 +- zeta^e, so these vectors are written
 directly with values read from the per-conductor tuples
 CycloContext.root_values, with no scalar arithmetic.
 
+Every row whose rank or membership the verifier decides lies in one orbit
+block of sigma: g -> tau(g)^-1, the pair {g, sigma(g)} for a spanning,
+Clifford or kernel vector and the pair of classes {c, sigma(c)} for a
+center candidate.  So block_spans, the one rank and membership kernel,
+groups the rows by block (Blocks) and decides each block of at most two
+rows by one 2x2 minor u_a v_b - u_b v_a, an exact sum of monomial products
+with no division and no scalar arithmetic; linalg.RowSpace is its test
+oracle.
+
 The verifier's pair checks (closure, centrality, trace-form orthogonality)
 run as one exact integer kernel, skew_checks, with bracket,
-trace_of_product and RowSpace.contains as its oracles.  Each coefficient
+trace_of_product and RowSpace.contains as its oracles; closure reduces each
+bracket against the basis row of every block it touches.  Each coefficient
 becomes monomials c*zeta^k.  A value +-zeta^k, which is every coefficient of
 those vectors except 1 -+ alpha(g) at a fixed point, is one monomial, looked
 up in CycloContext.signed_roots; any other algebraic integer expands into
 its power-basis terms.  A product of two monomials is a multiplication-table
 lookup and a sum of exponents; the kernel sums the products per (pair,
 position) in int64, in batches of about BATCH_SIZE products, and checks
-that every sum is zero in Q(zeta_m).  Every sum is bounded below 2^63
-before it is formed.
+that every sum is zero in Q(zeta_m); block_spans tests its minors with the
+same zero test (_Batch).  Every sum is bounded below 2^63 before it is
+formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import cyclo
 from .errors import (
+    BadParameters,
     ConductorMismatch,
     GroupMismatch,
     IncompatiblePair,
     InvariantViolated,
+    OrbitBlockViolated,
 )
 from .groups import (
     GroupTable,
@@ -55,7 +66,6 @@ from .groups import (
     conjugacy_data,
     identity_automorphism,
 )
-from .linalg import RowSpace
 
 
 class GroupAlgebraElement:
@@ -223,16 +233,22 @@ class LieBasis:
     context: LieContext
     vectors: tuple[GroupAlgebraElement, ...]
 
-    def row_space(self) -> RowSpace:
-        """The reduced span of the vectors, built on first use and shared;
-        callers must not add to it."""
-        cached = self.__dict__.get("_row_space")
-        if cached is None:
-            group = self.context.group
-            cached = RowSpace(cyclo.context(group.exponent), group.order,
-                              [v.terms for v in self.vectors])
-            object.__setattr__(self, "_row_space", cached)
-        return cached
+    @cached_property
+    def blocks(self) -> "Blocks":
+        """The vectors grouped by sigma-orbit block, built on first use."""
+        return Blocks([v.terms for v in self.vectors], self.context.sigma)
+
+    @cached_property
+    def independent(self) -> tuple[bool, ...]:
+        """Per vector, whether it is nonzero and outside the span of the
+        earlier vectors of its block; decided by block_spans' kernel on first
+        use."""
+        flags, _ = _independent([self.blocks], cyclo.context(self.context.group.exponent))
+        return tuple(flags[0])
+
+    @property
+    def rank(self) -> int:
+        return sum(self.independent)
 
 
 def _orbit_vectors(ctx: LieContext, sign: int):
@@ -331,28 +347,26 @@ class SkewChecks(NamedTuple):
     orthogonality: bool
 
 
-def monomials(owned_terms, ctx: cyclo.CycloContext, scale: int = 1) -> np.ndarray:
+def monomials(owned_terms, ctx: cyclo.CycloContext) -> np.ndarray:
     """int64 array (4, t), one column (owner, g, c, k) per monomial c*zeta^k
-    of scale * x, for every (owner, {g: x}) of `owned_terms`.
+    of x, for every (owner, {g: x}) of `owned_terms`.
 
     A value +-zeta^k is one monomial, looked up in ctx.signed_roots; any other
-    value expands into its power-basis terms, which must be integers once
-    scaled.
+    value expands into its power-basis terms, which must be integers.
     """
     roots = ctx.signed_roots
     out = []
-    big = abs(scale)
+    big = 1
     for owner, terms in owned_terms:
         for g, x in terms.items():
-            if x.ctx.m != ctx.m:
+            if x.ctx is not ctx and x.ctx.m != ctx.m:
                 raise ConductorMismatch(f"mixed conductors {ctx.m} and {x.ctx.m}")
             hit = roots.get(x.coeffs)
             if hit is not None:
-                out += (owner, g, hit[0] * scale, hit[1])
+                out += (owner, g, *hit)
                 continue
             for k, a in enumerate(x.coeffs):
                 if a:
-                    a *= scale
                     if type(a) is not int:
                         if a.denominator != 1:
                             raise InvariantViolated(
@@ -362,32 +376,6 @@ def monomials(owned_terms, ctx: cyclo.CycloContext, scale: int = 1) -> np.ndarra
                     out += (owner, g, a, k)
     cyclo.check_int64_bound(big, "monomial coefficients")
     return np.array(out, dtype=np.int64).reshape(-1, 4).T
-
-
-def _pivot_map(space: RowSpace, order: int):
-    """What RowSpace.reduce does to one term at each column z, as the
-    monomials (target column, c, k) in columns start[z]:start[z + 1] of the
-    returned array.
-
-    A term at a non-pivot column stays, times D; a term at pivot p moves
-    along p's row: it becomes -D times the row's entries off p.  D is the
-    least common denominator of the rows' coefficients (1 for a Lie basis);
-    it scales the whole reduced vector, so whether that vanishes is kept.
-    """
-    rows = space.rows
-    scale = 1
-    for row in rows.values():
-        for x in row.values():
-            for a in x.coeffs:
-                if type(a) is not int:
-                    scale = lcm(scale, a.denominator)
-    moved = monomials(rows.items(), space.ctx, -scale)
-    moved = moved[:, moved[0] != moved[1]]
-    kept = np.array([z for z in range(order) if z not in rows], dtype=np.int64)
-    kept = np.stack([kept, kept, np.full_like(kept, scale), np.zeros_like(kept)])
-    both = np.concatenate([kept, moved], axis=1)
-    both = both[:, np.argsort(both[0], kind="stable")]
-    return np.searchsorted(both[0], np.arange(order + 1)), both[1:]
 
 
 def _runs(owner: np.ndarray, size: int) -> list[slice]:
@@ -405,10 +393,19 @@ def _runs(owner: np.ndarray, size: int) -> list[slice]:
     return out
 
 
+def _starts(x: np.ndarray) -> np.ndarray:
+    """The indices where a sorted `x` starts a run of equal values."""
+    new = np.empty(len(x), dtype=bool)
+    new[:1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 class _Batch:
     """Terms c*zeta^k at (slot, column) gathered over several checks; each
     check owns a range of slots, and fails when the sum at one of its
-    (slot, column) pairs is not zero in Q(zeta_m).
+    (slot, column) pairs is not zero in Q(zeta_m).  `nonzero` marks every
+    slot with such a sum, and a check fails when it owns one.
 
     For even m, zeta^(m/2) = -1, so a term is first folded to an exponent
     below m/2 with its sign flipped when it wraps; a sum that cancels only
@@ -421,7 +418,7 @@ class _Batch:
         self.order = order
         self.powers = ctx.power_array[:self.period]
         self.offsets = np.cumsum([0] + slots)
-        self.failed = [False] * len(slots)
+        self.nonzero = np.zeros(self.offsets[-1], dtype=bool)
         self.keys: list[np.ndarray] = []
         self.values: list[np.ndarray] = []
         self.size = 0
@@ -438,6 +435,9 @@ class _Batch:
         if self.size >= BATCH_SIZE:
             self.flush()
 
+    def failed(self, check: int) -> bool:
+        return bool(self.nonzero[self.offsets[check]:self.offsets[check + 1]].any())
+
     def flush(self) -> None:
         if not self.size:
             return
@@ -448,18 +448,211 @@ class _Batch:
         keys, values = keys[order], values[order]
         # the sum per (slot, column, power of zeta), then its nonzero ones
         # per (slot, column) in canonical coordinates
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        first = _starts(keys)
         sums = np.add.reduceat(values, first)
         nonzero = np.flatnonzero(sums)
         if not nonzero.size:
             return
         position, power = np.divmod(keys[first[nonzero]], self.period)
         coords = sums[nonzero, None] * self.powers[power]
-        first = np.flatnonzero(np.diff(position, prepend=-1))
+        first = _starts(position)
         bad = np.add.reduceat(coords, first, axis=0).any(axis=1)
-        slots = position[first[bad]] // self.order
-        for check in np.unique(np.searchsorted(self.offsets, slots, side="right") - 1):
-            self.failed[check] = True
+        self.nonzero[position[first[bad]] // self.order] = True
+
+
+def _sum_bound(left: np.ndarray, right: np.ndarray, factor: int, what: str) -> None:
+    """Raise IntegerBoundExceeded unless `factor` times the largest sum of
+    |products| of one left and one right vector's monomials stays below
+    2^63; `factor` covers the products per monomial pair, the closure's
+    pivot rows and the reduction to canonical coordinates."""
+    def most(x):
+        return int(np.bincount(x[0]).max()) * cyclo.max_abs(x[2]) if x.size else 0
+    cyclo.check_int64_bound(factor * most(left) * most(right), what)
+
+
+# ---------------------------------------------------------------------------
+# rank and membership per sigma-orbit block
+
+
+class Blocks:
+    """Sparse rows {column: value} grouped by the orbit {z, sigma[z]} of the
+    involution `sigma` that holds each row's nonzero entries: `groups` maps
+    the least column of each orbit to the indices of its nonzero rows.  A
+    row that crosses two orbits raises OrbitBlockViolated.
+
+    Blocks of one sigma add up to the blocks of both row lists, the rows of
+    the second numbered after those of the first, with no row regrouped.
+    """
+
+    __slots__ = ("rows", "sigma", "groups")
+
+    def __init__(self, rows, sigma, groups: dict[int, list[int]] | None = None):
+        self.rows = list(rows)
+        self.sigma = sigma
+        if groups is None:
+            groups = {}
+            for r, row in enumerate(self.rows):
+                blocks = {min(z, sigma[z]) for z, x in row.items() if x}
+                if len(blocks) == 1:
+                    groups.setdefault(blocks.pop(), []).append(r)
+                elif blocks:
+                    _block(row, sigma, "row", r)
+        self.groups = groups
+
+    def __add__(self, other: "Blocks") -> "Blocks":
+        if other.sigma != self.sigma:
+            raise BadParameters("blocks of two different involutions do not add")
+        n = len(self.rows)
+        groups = {b: list(g) for b, g in self.groups.items()}
+        for b, g in other.groups.items():
+            groups.setdefault(b, []).extend(r + n for r in g)
+        return Blocks(self.rows + other.rows, self.sigma, groups)
+
+
+class BlockSpans(NamedTuple):
+    """The answers of block_spans."""
+
+    ranks: list[int]
+    contains: list[bool]
+
+
+def _name(z: int, sigma) -> str:
+    return f"{{{z}}}" if sigma[z] == z else f"{{{z}, {sigma[z]}}}"
+
+
+def _block(row: dict, sigma, kind: str, index: int):
+    """The least column of the orbit {z, sigma[z]} that holds every nonzero
+    entry of `row`, or None for a zero row; `kind` and `index` name the row."""
+    blocks = {min(z, sigma[z]) for z, x in row.items() if x}
+    if len(blocks) > 1:
+        a, b = sorted(blocks)[:2]
+        raise OrbitBlockViolated(f"{kind} {index} crosses the blocks {_name(a, sigma)} and "
+                                 f"{_name(b, sigma)}")
+    return blocks.pop() if blocks else None
+
+
+def _nonzero_minors(pairs, ctx: cyclo.CycloContext) -> list[bool]:
+    """Whether u_a v_b - u_b v_a != 0 in Q(zeta_m), for each (u, v, a) of
+    `pairs`: two sparse rows on one orbit {a, b} of columns, a its least.
+    On an orbit of one column the minor is 0.
+
+    Each minor is the sum of the products of the monomials (`monomials`) of
+    u_a and v_b, minus those of u_b and v_a, and _Batch tells which sums are
+    not zero; every sum is bounded below 2^63 before it is formed.
+    """
+    if not pairs:
+        return []
+    mono = monomials(((2 * p + s, row) for p, pair in enumerate(pairs)
+                      for s, row in enumerate(pair[:2])), ctx)
+    batch = _Batch(ctx, 1, [len(pairs)])
+    _sum_bound(mono, mono, cyclo.max_abs(batch.powers), "block minor")
+    # every monomial of u against every monomial of v, per pair
+    start = np.searchsorted(mono[0], np.arange(2 * len(pairs) + 1))
+    count = np.diff(start)
+    nu, nv = count[0::2], count[1::2]
+    size = nu * nv
+    pair = np.repeat(np.arange(len(pairs)), size)
+    offset = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
+    i = start[:-1:2][pair] + offset // nv[pair]
+    j = start[1::2][pair] + offset % nv[pair]
+    # u_a v_b counts +, u_b v_a counts -, and u_a v_a, u_b v_b not at all
+    low = np.array([p[2] for p in pairs])[pair]
+    u_low = mono[1, i] == low
+    keep = u_low != (mono[1, j] == low)
+    i, j = i[keep], j[keep]
+    c = np.where(u_low[keep], mono[2, i], -mono[2, i]) * mono[2, j]
+    batch.add(0, pair[keep], 0, c, mono[3, i] + mono[3, j])
+    batch.flush()
+    return batch.nonzero.tolist()
+
+
+def _independent(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()):
+    """(per row of each space, whether it is nonzero and outside the span of
+    the earlier rows of its block; per query (i, row), whether row is
+    nonzero and outside the span of the rows of spaces[i] in its block).
+
+    A block holds at most two rows, a query counted as one, so the second
+    row (or the query) is outside the span of the first exactly when their
+    minor is not zero (_nonzero_minors); a fuller block raises
+    OrbitBlockViolated.
+    """
+    flags = [[False] * len(space.rows) for space in spaces]
+    tests = []
+    for i, space in enumerate(spaces):
+        for b, group in space.groups.items():
+            if len(group) > 2:
+                raise OrbitBlockViolated(f"block {_name(b, space.sigma)} of space {i} holds "
+                                         f"{len(group)} rows: {group}")
+            flags[i][group[0]] = True
+            if len(group) == 2:
+                rows = space.rows
+                tests.append((flags[i], group[1], rows[group[0]], rows[group[1]], b))
+    found = []
+    for q, (i, row) in enumerate(queries):
+        space = spaces[i]
+        b = _block(row, space.sigma, "query", q)
+        group = space.groups.get(b, ())
+        if len(group) > 1:
+            raise OrbitBlockViolated(f"block {_name(b, space.sigma)} of space {i} holds rows "
+                                     f"{group} and query {q}")
+        found.append(b is not None and not group)
+        if group:
+            tests.append((found, q, space.rows[group[0]], row, b))
+    minors = _nonzero_minors([test[2:] for test in tests], ctx)
+    for (target, index, *_), nonzero in zip(tests, minors):
+        target[index] = nonzero
+    return flags, found
+
+
+def block_spans(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()) -> BlockSpans:
+    """The rank of each space of `spaces`, sparse rows over Q(zeta_m) grouped
+    into Blocks, and for each query (i, row) whether row lies in the span of
+    spaces[i], all decided exactly, per orbit block, in one array pass.
+
+    Every row lies in one orbit of its space's involution sigma: a Lie
+    basis vector, a Clifford or kernel row in {g, sigma(g)}, a center
+    candidate in class coordinates in {c, sigma(c)}.  The rank of a space is
+    the sum of its blocks' ranks, and a block of two rows u, v on columns
+    a < b has rank 2 exactly when u_a v_b - u_b v_a != 0; a query lies in a
+    space when it is zero or adds nothing to the rank of its block.  There
+    is no division and no scalar arithmetic.  A row that crosses two blocks,
+    or a block with more than two rows (a query counted as one), raises
+    OrbitBlockViolated.
+    """
+    flags, found = _independent(spaces, ctx, queries)
+    return BlockSpans([sum(f) for f in flags], [not f for f in found])
+
+
+def _pivot_map(lie: np.ndarray, independent: np.ndarray, sigma):
+    """What reducing by the basis rows does to one term at each column z,
+    per sigma-orbit block, as the monomials (target column, c, k) in
+    columns start[z]:start[z + 1] of the returned array; `lie` holds the
+    basis monomials and `independent` the flags of its rows (_independent).
+
+    In a block {a, b}, a < b, with one independent row r, a vector w lies in
+    the span exactly when the minor r_a w_b - r_b w_a is zero, and that
+    minor goes to column b: a term at b is multiplied by r_a, and a term at
+    a by -r_b.  For a Lie basis r_a = 1, so this is the row reduction that
+    clears pivot a.  A block that its rows span (two independent rows, or
+    one on a fixed column) clears its terms, and a term in a block with no
+    row stays, times 1.
+    """
+    order = len(sigma)
+    sig = np.array(sigma, dtype=np.int64)
+    cols = np.arange(order)
+    low = np.minimum(cols, sig)
+    rows = lie[:, independent[lie[0]]]
+    # the independent rows of each column's block
+    count = np.bincount(low[rows[1, _starts(rows[0])]], minlength=order)[low]
+    kept = cols[count == 0]
+    kept = np.stack([kept, kept, np.ones_like(kept), np.zeros_like(kept)])
+    one = rows[:, (count[rows[1]] == 1) & (sig[rows[1]] != rows[1])]
+    at, other = one[1], sig[one[1]]
+    moved = np.stack([other, np.maximum(at, other), np.where(at < other, one[2], -one[2]),
+                      one[3]])
+    both = np.concatenate([kept, moved], axis=1)
+    both = both[:, np.argsort(both[0], kind="stable")]
+    return np.searchsorted(both[0], np.arange(order + 1)), both[1:]
 
 
 def _bracket_terms(left: np.ndarray, right: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -474,38 +667,30 @@ def _bracket_terms(left: np.ndarray, right: np.ndarray, a: np.ndarray, b: np.nda
             np.concatenate([mult[x, y], mult[y, x]]), np.concatenate([c, -c]), np.tile(k, 2))
 
 
-def _sum_bound(left: np.ndarray, right: np.ndarray, factor: int, what: str) -> None:
-    """Raise IntegerBoundExceeded unless `factor` times the largest sum of
-    |products| of one left and one right vector's monomials stays below
-    2^63; `factor` covers the products per monomial pair, the closure's
-    pivot rows and the reduction to canonical coordinates."""
-    def most(x):
-        return int(np.bincount(x[0]).max()) * cyclo.max_abs(x[2]) if x.size else 0
-    cyclo.check_int64_bound(factor * most(left) * most(right), what)
-
-
 def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     """The closure, centrality and orthogonality checks of one context as one
     exact integer batch:
 
-    - closure: every bracket of two basis vectors lies in basis.row_space();
+    - closure: every bracket of two basis vectors lies in their span;
     - centrality: [v, u] = 0 for every v in `center` and u in the basis;
     - orthogonality: t(u*s) = 0 for every u in the basis and s in `plus`.
 
     Every coefficient becomes integer monomials c*zeta^k (`monomials`).  A
     product of two monomials is a lookup in the multiplication table and a
     sum of exponents; a pair with xy == yx contributes nothing to a bracket.
-    A closure term at a pivot column moves along that pivot row, as
-    RowSpace.reduce clears each pivot once.  The terms are summed per (pair,
-    position, power of zeta), and the nonzero sums are reduced to canonical
-    coordinates with one gather from power_array (see _Batch); a check
-    passes when every sum is zero.  Every sum is bounded below 2^63 before
-    it is formed.
+    A closure term is reduced against the basis row of its sigma-orbit
+    block (_pivot_map), so a bracket lies in the span exactly when every
+    reduced sum is zero; a basis that is not block-shaped raises
+    OrbitBlockViolated.  The terms are summed per (pair, position, power of
+    zeta), and the nonzero sums are reduced to canonical coordinates with
+    one gather from power_array (see _Batch); a check passes when every sum
+    is zero.  Every sum is bounded below 2^63 before it is formed.
     """
     group = basis.context.group
     ctx = cyclo.context(group.exponent)
     mult = group.mult_array()
     lie = monomials(enumerate(v.terms for v in basis.vectors), ctx)
+    independent = np.array(basis.independent, dtype=bool)
     cen = monomials(enumerate(v.terms for v in center), ctx)
     pls = monomials(enumerate(v.terms for v in plus), ctx)
     nv, nc, nplus = len(basis.vectors), len(center), len(plus)
@@ -518,10 +703,11 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
                                & moving[lie[1][:, None], lie[1][None, :]])
     center_pairs = np.nonzero(moving[cen[1][:, None], lie[1][None, :]])
     if closure_pairs[0].size:
-        start, moves = _pivot_map(basis.row_space(), group.order)
-        _sum_bound(lie, lie, 2 * reach * cyclo.max_abs(moves[1]), "closure sum")
+        start, moves = _pivot_map(lie, independent, basis.context.sigma)
+        spread = int(np.diff(start).max()) * cyclo.max_abs(moves[1])
+        _sum_bound(lie, lie, 2 * reach * spread, "closure sum")
         for part in _runs(lie[0][closure_pairs[0]], BATCH_SIZE // 2):
-            if batch.failed[0]:
+            if batch.failed(0):
                 break
             i, j, col, c, k = _bracket_terms(lie, lie, closure_pairs[0][part],
                                              closure_pairs[1][part], mult)
@@ -533,7 +719,7 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     if center_pairs[0].size:
         _sum_bound(cen, lie, 2 * reach, "centrality sum")
         for part in _runs(cen[0][center_pairs[0]], BATCH_SIZE // 2):
-            if batch.failed[1]:
+            if batch.failed(1):
                 break
             v, u, col, c, k = _bracket_terms(cen, lie, center_pairs[0][part],
                                              center_pairs[1][part], mult)
@@ -543,10 +729,10 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     if a.size:
         _sum_bound(lie, pls, reach, "orthogonality sum")
         for part in _runs(lie[0][a], BATCH_SIZE):
-            if batch.failed[2]:
+            if batch.failed(2):
                 break
             ap, bp = a[part], b[part]
             batch.add(2, lie[0, ap] * nplus + pls[0, bp], 0, lie[2, ap] * pls[2, bp],
                       lie[3, ap] + pls[3, bp])
     batch.flush()
-    return SkewChecks(*(not f for f in batch.failed))
+    return SkewChecks(*(not batch.failed(check) for check in range(3)))

@@ -1,6 +1,11 @@
 """Exact linear algebra over Q(zeta_m): rank, membership, subspace equality
 and intersection.
 
+None of it is in the verification pipeline: every rank and membership there
+is decided per sigma-orbit block by liealg.block_spans, whose differential
+tests use RowSpace as their oracle.  The benchmark's tracer still wraps
+RowSpace.add and RowSpace.contains by name.
+
 RowSpace, an incrementally reduced row echelon basis, is the only Gaussian
 elimination.  It takes and keeps sparse rows, dicts {column: value} of the
 nonzero entries (the format of a group-algebra element's terms), so an

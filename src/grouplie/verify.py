@@ -6,7 +6,7 @@ subalgebra is compared against the character-theoretic prediction:
   1. dimension by exact rank = dimension by element census = predicted sum
      of factor dimensions;
   2. Lie closure of the constructed basis: every bracket of two basis
-     vectors lies in the basis's reduced row space;
+     vectors lies in the span of the basis;
   3. the skew class-sum generators are central (their bracket with every
      basis vector is 0), independent, and count exactly the predicted
      center dimension;
@@ -24,15 +24,22 @@ For each nontrivial linear character alpha of a group (tau = id) the
 Clifford identity L(Ker alpha) = L(G) & L_alpha(G) is checked as well.  With
 H = L(Ker alpha), A = L(G, trivial) and B = L(G, alpha), H = A & B exactly
 when every row of H lies in A and in B and rank H = dim A + dim B - dim(A + B)
-(Grassmann's formula).  A + B starts from a copy of A's reduced row space.
+(Grassmann's formula).
+
+Every rank and membership (the dimension of L, the center count, dim(A + B),
+H in A and in B, rank H) is decided by liealg.block_spans per sigma-orbit
+block, with no field arithmetic; center_data and verify_clifford each ask a
+whole group's questions in one block_spans pass.
 
 The checks take their inputs and return their verdicts; run_suite builds
 the inputs of a suite and shares per-group work between the checks.  It
 builds the tau = id basis of trivial and of each selected character once and
 hands it to the theorem and Clifford checks, builds H = L(Ker alpha) once per
-distinct kernel, and builds the indicator reports of all the group's
-contexts, and the (trivial, tau) report of each Kawanaka check that is not
-one of them, as one indicator_reports batch.
+distinct kernel, builds the center data of all the group's contexts as one
+center_data batch, runs its Clifford checks as one verify_clifford batch,
+and builds the indicator reports of all the group's contexts, and the
+(trivial, tau) report of each Kawanaka check that is not one of them, as
+one indicator_reports batch.
 
 A failing check is reported as an implementation bug: the underlying
 identities are theorems.
@@ -73,8 +80,11 @@ from .indicators import (
     weighted_fs_indicator,
 )
 from .liealg import (
+    Blocks,
+    GroupAlgebraElement,
     LieBasis,
     LieContext,
+    block_spans,
     center_basis,
     center_candidates,
     lie_basis,
@@ -83,7 +93,6 @@ from .liealg import (
     sigma_class_map,
     skew_checks,
 )
-from .linalg import RowSpace
 
 
 # check names in reporting order; each is stored in the LieReport field <name>_ok
@@ -141,38 +150,68 @@ class LieReport:
         return out
 
 
-def _center_data(ctx: LieContext, report: IndicatorReport):
-    """(exact count, center generators, class-count identity flag)."""
-    group = ctx.group
-    cd = conjugacy_data(group)
+class CenterData(NamedTuple):
+    """The skew class-sum generators of a context's center, and the exact
+    rank of all its center candidates."""
+
+    context: LieContext
+    generators: list[GroupAlgebraElement]
+    rank: int
+
+
+def center_data(contexts: list[LieContext]) -> list[CenterData]:
+    """The CenterData of each context, all the ranks in one block_spans pass;
+    contexts over groups of different exponents raise BadParameters.
+
+    A candidate T_c - alpha(c) T_(sigma c) is constant on each class, so its
+    rank is taken in class coordinates, where the candidate lies in the
+    sigma-orbit block {c, sigma(c)}.  Every eligible candidate counts, in
+    both orbit orders.
+    """
+    if len({ctx.group.exponent for ctx in contexts}) > 1:
+        raise BadParameters("center data of groups of different exponents in one batch")
+    spaces, gens = [], []
+    for ctx in contexts:
+        reps = conjugacy_data(ctx.group).representatives
+        candidates = list(center_candidates(ctx))
+        gens.append(center_basis(candidates))
+        rows = [{x: v.terms[reps[x]] for x in (c, sc)} for c, sc, v in candidates]
+        spaces.append(Blocks(rows, sigma_class_map(ctx)))
+    if not contexts:
+        return []
+    ranks = block_spans(spaces, cyclo.context(contexts[0].group.exponent)).ranks
+    return [CenterData(*data) for data in zip(contexts, gens, ranks)]
+
+
+def _class_count_ok(ctx: LieContext, report: IndicatorReport) -> bool:
+    """The signed count of sigma-fixed classes equals the count of
+    self-paired irreps."""
+    cd = conjugacy_data(ctx.group)
     sig = sigma_class_map(ctx)
-    candidates = list(center_candidates(ctx))
-    gens = center_basis(candidates)
-    # independence of the full eligible candidate set, both orbit orders
-    exact = RowSpace(cyclo.context(group.exponent), group.order,
-                     [v.terms for _, _, v in candidates]).rank
-    # signed count of sigma-fixed classes vs self-paired irreps
     fixed = sum(ctx.alpha.real_sign(r) for c, r in enumerate(cd.representatives) if sig[c] == c)
     self_paired = sum(1 for i, p in enumerate(report.partner) if p == i)
-    class_count_ok = fixed == self_paired
-    return exact, gens, class_count_ok
+    return fixed == self_paired
 
 
-def verify_theorem(basis: LieBasis, report: IndicatorReport) -> LieReport:
+def verify_theorem(basis: LieBasis, report: IndicatorReport, center: CenterData) -> LieReport:
     """Check the context of `basis`, its lie_basis, against `report`, its
-    indicator report; a report of another context raises BadParameters."""
+    indicator report, and `center`, its center_data; a report or center
+    data of another context raises BadParameters."""
     t0 = time.perf_counter()
     ctx = basis.context
     if report.context != ctx:
         raise BadParameters(f"indicator report of {report.context} handed to the basis of "
                             f"another context, {ctx}")
+    if center.context != ctx:
+        raise BadParameters(f"center data of {center.context} handed to the basis of "
+                            f"another context, {ctx}")
     group, alpha, tau = ctx.group, ctx.alpha, ctx.tau
 
-    dim_rank = basis.row_space().rank
+    dim_rank = basis.rank
     dims_ok = dim_rank == report.dim_l_formula == report.dim_m
-    center_exact, gens, class_count_ok = _center_data(ctx, report)
+    gens = center.generators
     checks = skew_checks(basis, gens, plus_fixed_basis(ctx))
-    center_ok = checks.centrality and center_exact == len(gens) == report.center_dim
+    center_ok = checks.centrality and center.rank == len(gens) == report.center_dim
     bookkeeping = (group.order - 2 * dim_rank) == (
         report.involutions_plus - report.involutions_minus
     )
@@ -185,14 +224,14 @@ def verify_theorem(basis: LieBasis, report: IndicatorReport) -> LieReport:
         dim_l_rank=dim_rank,
         dim_l_formula=report.dim_l_formula,
         dim_m_predicted=report.dim_m,
-        center_dim_exact=center_exact,
+        center_dim_exact=center.rank,
         center_dim_predicted=report.center_dim,
         closure_ok=checks.closure,
         centrality_ok=center_ok,
         orthogonality_ok=checks.orthogonality,
         dims_ok=dims_ok,
         bookkeeping_ok=bookkeeping,
-        class_count_ok=class_count_ok,
+        class_count_ok=_class_count_ok(ctx, report),
         factors=report.factors,
         seconds=time.perf_counter() - t0,
     )
@@ -222,51 +261,63 @@ def kernel_space(group: GroupTable, alpha: LinearCharacter) -> KernelSpace:
     ctx_f = cyclo.context(group.exponent)
     rows = [{embed[h]: c.embed(ctx_f) for h, c in v.terms.items()}
             for v in lie_basis(make_context(sub, trivial_character(sub))).vectors]
-    return KernelSpace(sub.order, rows, RowSpace(ctx_f, group.order, rows).rank)
+    return KernelSpace(sub.order, rows,
+                       block_spans([Blocks(rows, group.inverse)], ctx_f).ranks[0])
 
 
-def verify_clifford(trivial_basis: LieBasis, alpha_basis: LieBasis,
-                    kernel: KernelSpace) -> CliffordResult:
-    """Exact subspace equality of H = L(Ker alpha) and A & B, where
-    A = L(G, trivial) and B = L(G, alpha), both with tau = id.
+def verify_clifford(trivial_basis: LieBasis, alpha_bases: list[LieBasis],
+                    kernels: list[KernelSpace]) -> list[CliffordResult]:
+    """For each alpha_bases[i] = B and kernels[i] = H, exact subspace
+    equality of H = L(Ker alpha) and A & B, where A = L(G, trivial) and
+    B = L(G, alpha), both with tau = id.
 
     H = A & B exactly when every row of H lies in A and in B and
-    rank H = dim A + dim B - dim(A + B), by Grassmann's formula; A + B is a
-    copy of A's reduced row space with B's vectors added.  `trivial_basis`
-    and `alpha_basis` are the lie_basis of A and B, whose row spaces are
-    reduced once and reused, and `kernel` is the kernel_space of alpha.
+    rank H = dim A + dim B - dim(A + B), by Grassmann's formula.
+    `trivial_basis` is the lie_basis of A, each of `alpha_bases` that of a
+    B, and each of `kernels` the kernel_space of its alpha.  Every rank and
+    membership of the batch is one block_spans pass: the rows of A, B and H
+    lie in the orbits {g, g^-1}, and A + B adds the blocks of A and B.
     Inputs of another context raise BadParameters.
     """
-    a, b = trivial_basis.context, alpha_basis.context
-    group, alpha = b.group, b.alpha
-    if alpha.is_trivial():
-        raise BadParameters("clifford check needs a nontrivial character")
-    if a.group != group or not (a.alpha.is_trivial() and a.tau.is_identity()
-                                and b.tau.is_identity()):
-        raise BadParameters(f"bases of {a} and {b} handed to the clifford check, "
-                            f"which needs (G, trivial, id) and (G, alpha, id)")
-    in_kernel = set(alpha.kernel_elements())
-    if kernel.order != len(in_kernel) or any(row.keys() - in_kernel for row in kernel.rows):
-        raise BadParameters(f"kernel space of order {kernel.order} does not fit "
-                            f"Ker({alpha.label}) of order {len(in_kernel)} in {group.name}")
-    space_a = trivial_basis.row_space()
-    space_b = alpha_basis.row_space()
-    space_sum = space_a.copy()
-    for v in alpha_basis.vectors:
-        space_sum.add(v.terms)
-    dim_intersection = space_a.rank + space_b.rank - space_sum.rank
-
-    ok = kernel.rank == dim_intersection and all(
-        space_a.contains(row) and space_b.contains(row) for row in kernel.rows
-    )
-    return CliffordResult(
-        group_name=group.name,
-        alpha_label=alpha.label,
-        kernel_order=kernel.order,
-        dim_kernel=kernel.rank,
-        dim_intersection=dim_intersection,
-        ok=ok,
-    )
+    if len(alpha_bases) != len(kernels):
+        raise BadParameters(f"{len(alpha_bases)} bases and {len(kernels)} kernel spaces "
+                            f"handed to the clifford check")
+    a = trivial_basis.context
+    spaces, queries = [trivial_basis.blocks], []
+    for alpha_basis, kernel in zip(alpha_bases, kernels):
+        b = alpha_basis.context
+        group, alpha = b.group, b.alpha
+        if alpha.is_trivial():
+            raise BadParameters("clifford check needs a nontrivial character")
+        if a.group != group or not (a.alpha.is_trivial() and a.tau.is_identity()
+                                    and b.tau.is_identity()):
+            raise BadParameters(f"bases of {a} and {b} handed to the clifford check, "
+                                f"which needs (G, trivial, id) and (G, alpha, id)")
+        in_kernel = set(alpha.kernel_elements())
+        if kernel.order != len(in_kernel) or any(row.keys() - in_kernel for row in kernel.rows):
+            raise BadParameters(f"kernel space of order {kernel.order} does not fit "
+                                f"Ker({alpha.label}) of order {len(in_kernel)} in {group.name}")
+        queries += [(space, row) for row in kernel.rows for space in (0, len(spaces))]
+        spaces += [alpha_basis.blocks, trivial_basis.blocks + alpha_basis.blocks]
+    if not kernels:
+        return []
+    spans = block_spans(spaces, cyclo.context(a.group.exponent), queries)
+    dim_a = spans.ranks[0]
+    results, done = [], 0
+    for i, (alpha_basis, kernel) in enumerate(zip(alpha_bases, kernels)):
+        dim_b, dim_sum = spans.ranks[2 * i + 1:2 * i + 3]
+        dim_intersection = dim_a + dim_b - dim_sum
+        contained = spans.contains[done:done + 2 * len(kernel.rows)]
+        done += len(contained)
+        results.append(CliffordResult(
+            group_name=a.group.name,
+            alpha_label=alpha_basis.context.alpha.label,
+            kernel_order=kernel.order,
+            dim_kernel=kernel.rank,
+            dim_intersection=dim_intersection,
+            ok=kernel.rank == dim_intersection and all(contained),
+        ))
+    return results
 
 
 @dataclass(frozen=True)
@@ -464,23 +515,23 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         # when trivial is selected, as one batch
         extra = [] if trivial in chars else [make_context(group, trivial, t) for t in kawanaka_taus]
         reports = indicator_reports(table, contexts + extra)
-        for report in reports[:len(contexts)]:
+        for report, center in zip(reports[:len(contexts)], center_data(contexts)):
             ctx = report.context
             basis = bases[ctx.alpha.exponents] if ctx.tau.is_identity() else lie_basis(ctx)
-            result.reports.append(verify_theorem(basis, report))
+            result.reports.append(verify_theorem(basis, report, center))
         for report in reports:
             if report.context.alpha.is_trivial() and report.context.tau in kawanaka_taus:
                 result.kawanaka.append(verify_kawanaka(table, report, seed=seed))
         # H = L(Ker alpha) depends on alpha only through its kernel
+        nontrivial = [alpha for alpha in chars if not alpha.is_trivial()]
         kernels = {}
-        for alpha in chars:
-            if not alpha.is_trivial():
-                key = alpha.kernel_elements()
-                if key not in kernels:
-                    kernels[key] = kernel_space(group, alpha)
-                result.clifford.append(
-                    verify_clifford(bases[trivial.exponents], bases[alpha.exponents],
-                                    kernels[key]))
+        for alpha in nontrivial:
+            key = alpha.kernel_elements()
+            if key not in kernels:
+                kernels[key] = kernel_space(group, alpha)
+        result.clifford += verify_clifford(bases[trivial.exponents],
+                                           [bases[alpha.exponents] for alpha in nontrivial],
+                                           [kernels[alpha.kernel_elements()] for alpha in nontrivial])
     result.reports.sort(key=lambda r: (r.group_name, r.alpha_label, r.tau_label))
     result.clifford.sort(key=lambda r: (r.group_name, r.alpha_label))
     result.kawanaka.sort(key=lambda r: (r.group_name, r.tau_label))

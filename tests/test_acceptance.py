@@ -32,6 +32,7 @@ from grouplie.indicators import (
 )
 from grouplie.liealg import lie_basis, make_context
 from grouplie.verify import (
+    center_data,
     default_catalog,
     kernel_space,
     run_suite,
@@ -52,7 +53,7 @@ def _theorem(group, alpha, tau=None, table=None):
     `grouplie analyze` builds them."""
     ctx = make_context(group, alpha, tau)
     report = indicator_report(table or character_table(group), alpha, ctx.tau)
-    return verify_theorem(lie_basis(ctx), report)
+    return verify_theorem(lie_basis(ctx), report, center_data([ctx])[0])
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +174,8 @@ def test_criterion_6_clifford(catalog24):
         for alpha in linear_characters(group):
             if alpha.is_trivial():
                 continue
-            res = verify_clifford(trivial, lie_basis(make_context(group, alpha)),
-                                  kernel_space(group, alpha))
+            res, = verify_clifford(trivial, [lie_basis(make_context(group, alpha))],
+                                   [kernel_space(group, alpha)])
             ok = ok and res.ok
             checked += 1
     _line(6, ok and checked >= 50,

@@ -13,7 +13,7 @@ from grouplie.chartable import character_table
 from grouplie.groups import catalog, find_character
 from grouplie.indicators import indicator_report
 from grouplie.liealg import lie_basis, make_context
-from grouplie.verify import verify_theorem
+from grouplie.verify import center_data, verify_theorem
 
 
 def run_cli(capsys, *argv):
@@ -95,7 +95,9 @@ def test_analyze_json_round_trip(capsys):
     s3 = catalog("symmetric", 3)
     sign = find_character(s3, "sign")
     report = indicator_report(character_table(s3), sign)
-    assert doc["structure"] == verify_theorem(lie_basis(make_context(s3, sign)), report).to_json_dict()
+    ctx = make_context(s3, sign)
+    structure = verify_theorem(lie_basis(ctx), report, center_data([ctx])[0]).to_json_dict()
+    assert doc["structure"] == structure
     assert doc["indicators"]["dim_M"] == 4
 
 
@@ -458,6 +460,20 @@ def test_large_table_json_pinned(capsys, spec):
     code, out, err = run_cli(capsys, "table", "--group", spec, "--format", "json")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[spec]
+
+
+# SHA-256 of `verify --format json` for four groups beyond the catalog
+# (orders 128-512, 67-131 classes), recorded at seeds 0 and 5; tier-1 checks
+# the two that take about a second, and CI runs scripts/verify_pins.py on
+# cyclic:128 and dihedral:256, which take several seconds each
+VERIFY_DIGESTS = json.loads((Path(__file__).parent / "data" / "verify_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("spec", ["dihedral:128", "product:cyclic:8,cyclic:16"])
+def test_verify_json_at_scale_pinned(capsys, spec):
+    code, out, err = run_cli(capsys, "verify", "--group", spec, "--format", "json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[spec]
 
 
 def test_table_prime_beyond_the_root_search(capsys):

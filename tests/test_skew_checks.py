@@ -1,5 +1,6 @@
 """The closure, centrality and orthogonality kernel against its scalar oracles."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from grouplie import liealg
 from grouplie.cyclo import context
-from grouplie.errors import IntegerBoundExceeded, InvariantViolated
+from grouplie.errors import IntegerBoundExceeded, InvariantViolated, OrbitBlockViolated
 from grouplie.groups import alpha_tau_compatible, catalog, linear_characters, parse_group_spec
 from grouplie.liealg import (
     GroupAlgebraElement,
@@ -24,6 +25,7 @@ from grouplie.liealg import (
     skew_checks,
     trace_of_product,
 )
+from grouplie.linalg import RowSpace
 from grouplie.verify import curated_taus, default_catalog
 
 KERNEL_GROUPS = (catalog("symmetric", 3), catalog("quaternion8"), catalog("dihedral", 4),
@@ -33,6 +35,12 @@ KERNEL_GROUPS = (catalog("symmetric", 3), catalog("quaternion8"), catalog("dihed
 SUITE_LARGE = ("symmetric:5", "alternating:5", "product:alternating:5,cyclic:2",
                "product:symmetric:3,alternating:4", "product:symmetric:4,cyclic:2",
                "product:symmetric:4,cyclic:3", "product:symmetric:3,symmetric:3", "dihedral:30")
+
+
+def _row_space(basis):
+    """The RowSpace oracle of a basis's vectors."""
+    return RowSpace(context(basis.context.group.exponent), basis.context.group.order,
+                    [v.terms for v in basis.vectors])
 
 
 def scalar_checks(vectors, center, plus, space):
@@ -59,24 +67,38 @@ def integral_values(draw, ctx):
 
 
 @st.composite
-def elements(draw, group):
+def elements(draw, group, sigma=None):
+    """A random element of support at most 3, or, given `sigma`, perhaps one
+    supported on a single orbit {g, sigma(g)}."""
     ctx = context(group.exponent)
-    support = draw(st.sets(st.sampled_from(list(group.elements())), max_size=3))
+    if sigma is not None and draw(st.booleans()):
+        g = draw(st.sampled_from(list(group.elements())))
+        support = draw(st.sets(st.sampled_from(sorted({g, sigma[g]})), min_size=1))
+    else:
+        support = draw(st.sets(st.sampled_from(list(group.elements())), max_size=3))
     return GroupAlgebraElement(group, {g: draw(integral_values(ctx)) for g in support})
 
 
 @st.composite
-def vector_lists(draw, group, structured):
+def vector_lists(draw, group, structured, sigma=None):
     """Either `structured` (a list with a known verdict), each vector scaled
     by a random integral value and perhaps one random element added, or a
-    list of random elements."""
+    list of random elements; `sigma` goes to `elements`."""
     ctx = context(group.exponent)
     if draw(st.booleans()):
         out = [v.scaled(draw(integral_values(ctx))) for v in structured]
         if draw(st.booleans()):
-            out.append(draw(elements(group)))
+            out.append(draw(elements(group, sigma)))
         return out
-    return draw(st.lists(elements(group), max_size=4))
+    return draw(st.lists(elements(group, sigma), max_size=4))
+
+
+def fits_blocks(vectors, sigma):
+    """Whether every vector lies in one orbit {g, sigma(g)}, with at most two
+    vectors in each orbit."""
+    orbits = [{min(g, sigma[g]) for g in v.terms} for v in vectors]
+    held = Counter(min(orbit) for orbit in orbits if orbit)
+    return all(len(orbit) <= 1 for orbit in orbits) and max(held.values(), default=0) <= 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -85,12 +107,18 @@ def test_kernel_verdicts_equal_the_scalar_products(data):
     group = data.draw(st.sampled_from(KERNEL_GROUPS))
     ctx = make_context(group, data.draw(st.sampled_from(linear_characters(group))))
     lie = lie_basis(ctx)
-    vectors = data.draw(vector_lists(group, lie.vectors))
+    vectors = data.draw(vector_lists(group, lie.vectors, ctx.sigma))
     center = data.draw(vector_lists(group, center_basis(center_candidates(ctx))))
     plus = data.draw(vector_lists(group, plus_fixed_basis(ctx)))
     basis = LieBasis(ctx, tuple(vectors))
+    # closure reduces against the basis per sigma-orbit block, so a basis
+    # that is not block-shaped is refused
+    if not fits_blocks(vectors, ctx.sigma):
+        with pytest.raises(OrbitBlockViolated):
+            skew_checks(basis, center, plus)
+        return
     got = skew_checks(basis, center, plus)
-    assert tuple(got) == scalar_checks(vectors, center, plus, basis.row_space())
+    assert tuple(got) == scalar_checks(vectors, center, plus, _row_space(basis))
 
 
 def _contexts(groups):
@@ -111,7 +139,7 @@ def test_kernel_verdicts_equal_the_scalar_loops_on_every_suite_context(groups, c
         basis = lie_basis(ctx)
         center, plus = center_basis(center_candidates(ctx)), plus_fixed_basis(ctx)
         assert tuple(skew_checks(basis, center, plus)) == \
-            scalar_checks(basis.vectors, center, plus, basis.row_space()) == (True, True, True)
+            scalar_checks(basis.vectors, center, plus, _row_space(basis)) == (True, True, True)
         seen += 1
     assert seen == count
 
@@ -186,7 +214,7 @@ def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
     assert tuple(skew_checks(basis, center, plus)) == (True, True, True)
     wrong = LieBasis(ctx, tuple(broken))
     verdicts = tuple(skew_checks(wrong, center, plus))
-    assert verdicts == scalar_checks(broken, center, plus, wrong.row_space())
+    assert verdicts == scalar_checks(broken, center, plus, _row_space(wrong))
     assert not verdicts[0]
 
 

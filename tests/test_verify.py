@@ -22,6 +22,7 @@ from grouplie.indicators import indicator_report
 from grouplie.liealg import GroupAlgebraElement, bracket, lie_basis, make_context
 from grouplie.linalg import RowSpace
 from grouplie.verify import (
+    center_data,
     default_catalog,
     run_suite,
     verify_clifford,
@@ -37,7 +38,14 @@ def _theorem(group, alpha, tau=None):
     so a patch of that name reaches it."""
     ctx = make_context(group, alpha, tau)
     report = indicator_report(character_table(group), alpha, ctx.tau)
-    return verify_theorem(verify.lie_basis(ctx), report)
+    return _check(verify.lie_basis(ctx), report)
+
+
+def _check(basis, report):
+    """verify_theorem of `basis` and `report` with the center data of the
+    basis's context, built through verify.center_data, so a patch of
+    verify.center_basis reaches it."""
+    return verify_theorem(basis, report, verify.center_data([basis.context])[0])
 
 
 def _clifford(group, alpha, alpha_basis=None):
@@ -46,7 +54,13 @@ def _clifford(group, alpha, alpha_basis=None):
     trivial = lie_basis(make_context(group, find_character(group, "trivial")))
     if alpha_basis is None:
         alpha_basis = lie_basis(make_context(group, alpha))
-    return verify_clifford(trivial, alpha_basis, verify.kernel_space(group, alpha))
+    return verify_clifford(trivial, [alpha_basis], [verify.kernel_space(group, alpha)])[0]
+
+
+def _row_space(basis):
+    """The RowSpace oracle of a basis's vectors."""
+    return RowSpace(context(basis.context.group.exponent), basis.context.group.order,
+                    [v.terms for v in basis.vectors])
 
 
 def _with_rows(group, kernel, rows):
@@ -246,8 +260,8 @@ def _outside_pair(group, alpha):
     kernel = set(alpha.kernel_elements())
     g = next(g for g in group.elements() if g not in kernel and group.inverse[g] != g)
     row = _signed_pair(group, g)
-    assert lie_basis(make_context(group, find_character(group, "trivial"))).row_space().contains(row)
-    assert not lie_basis(make_context(group, alpha)).row_space().contains(row)
+    assert _row_space(lie_basis(make_context(group, find_character(group, "trivial")))).contains(row)
+    assert not _row_space(lie_basis(make_context(group, alpha))).contains(row)
     return row
 
 
@@ -304,7 +318,7 @@ def _symmetric_pair(group, alpha):
     g = next(g for g in alpha.kernel_elements() if group.inverse[g] != g)
     ctx = context(group.exponent)
     row = {g: ctx.one, group.inverse[g]: ctx.one}
-    assert not lie_basis(make_context(group, find_character(group, "trivial"))).row_space().contains(row)
+    assert not _row_space(lie_basis(make_context(group, find_character(group, "trivial")))).contains(row)
     return row
 
 
@@ -341,20 +355,20 @@ def test_clifford_refuses_inputs_of_another_context():
     h = verify.kernel_space(z6, sign)
     # B of (sign, inv)
     with pytest.raises(BadParameters, match=r"\(Z/6, sign, inv\) handed to the clifford check"):
-        verify_clifford(a, lie_basis(make_context(z6, sign, inversion_automorphism(z6))), h)
+        verify_clifford(a, [lie_basis(make_context(z6, sign, inversion_automorphism(z6)))], [h])
     # A of (trivial, inv), and A of a nontrivial character
     with pytest.raises(BadParameters, match=r"\(Z/6, trivial, inv\)"):
-        verify_clifford(lie_basis(make_context(z6, trivial, inversion_automorphism(z6))), b, h)
+        verify_clifford(lie_basis(make_context(z6, trivial, inversion_automorphism(z6))), [b], [h])
     with pytest.raises(BadParameters, match=r"\(Z/6, sign, id\) and \(Z/6, sign, id\)"):
-        verify_clifford(b, b, h)
+        verify_clifford(b, [b], [h])
     # A over another group
     z4 = catalog("cyclic", 4)
     with pytest.raises(BadParameters, match=r"\(Z/4, trivial, id\) and \(Z/6, sign, id\)"):
-        verify_clifford(lie_basis(make_context(z4, find_character(z4, "trivial"))), b, h)
+        verify_clifford(lie_basis(make_context(z4, find_character(z4, "trivial"))), [b], [h])
     # H of Z/4's sign, of order 2; Ker(sign) of Z/6 has order 3
     with pytest.raises(BadParameters, match=r"order 2 does not fit Ker\(sign\) of order 3"):
-        verify_clifford(a, b, verify.kernel_space(z4, find_character(z4, "sign")))
-    assert verify_clifford(a, b, h).ok
+        verify_clifford(a, [b], [verify.kernel_space(z4, find_character(z4, "sign"))])
+    assert verify_clifford(a, [b], [h])[0].ok
 
 
 def test_suite_clifford_with_shared_bases_equals_standalone_checks():
@@ -464,7 +478,7 @@ def _assert_lie_subalgebra(group, sub, embed):
     triv_g = next(c for c in linear_characters(group) if c.is_trivial())
     triv_h = next(c for c in linear_characters(sub) if c.is_trivial())
     big_basis = lie_basis(make_context(group, triv_g))
-    rs = big_basis.row_space()
+    rs = _row_space(big_basis)
     small = lie_basis(make_context(sub, triv_h))
     embedded = []
     for v in small.vectors:
@@ -584,13 +598,13 @@ def test_a_report_of_another_context_is_refused(which):
     tid, inv = identity_automorphism(z4), inversion_automorphism(z4)
     report = indicator_report(t, triv, tid)
     if which == "alpha":
-        call = lambda: verify_theorem(lie_basis(make_context(z4, sign, tid)), report)  # noqa: E731
+        call = lambda: _check(lie_basis(make_context(z4, sign, tid)), report)  # noqa: E731
     elif which == "tau":
-        call = lambda: verify_theorem(lie_basis(make_context(z4, triv, inv)), report)  # noqa: E731
+        call = lambda: _check(lie_basis(make_context(z4, triv, inv)), report)  # noqa: E731
     elif which == "report_tau":
         # a basis of (sign, id) with the report of (sign, inv)
-        call = lambda: verify_theorem(lie_basis(make_context(z4, sign, tid)),  # noqa: E731
-                                      indicator_report(t, sign, inv))
+        call = lambda: _check(lie_basis(make_context(z4, sign, tid)),  # noqa: E731
+                              indicator_report(t, sign, inv))
     else:
         z5 = catalog("cyclic", 5)
         call = lambda: verify_kawanaka(character_table(z5), report, seed=0)  # noqa: E731
@@ -612,7 +626,7 @@ def test_theorem_refuses_a_report_of_another_group_with_the_same_names():
     report = indicator_report(character_table(v4), find_character(v4, "lin1"))
     assert str(report.context) == str(basis.context) == "(G, lin1, id)"
     with pytest.raises(BadParameters, match="indicator report of"):
-        verify_theorem(basis, report)
+        _check(basis, report)
 
 
 def test_theorem_refuses_a_report_whose_tau_has_the_same_label_and_another_mapping():
@@ -623,7 +637,7 @@ def test_theorem_refuses_a_report_whose_tau_has_the_same_label_and_another_mappi
     report = indicator_report(character_table(z4), trivial, also_inv)
     assert report.context.tau.label == basis.context.tau.label == "inv"
     with pytest.raises(BadParameters, match="indicator report of"):
-        verify_theorem(basis, report)
+        _check(basis, report)
 
 
 def test_kawanaka_refuses_a_report_of_another_group_or_character():
@@ -649,3 +663,32 @@ def test_run_suite_validates_an_explicit_tau_against_every_group():
         run_suite([z6, s3], tau_policy=[inv])
     with pytest.raises(BadParameters, match="inv has 6 entries, expected 4"):
         run_suite([z6, catalog("cyclic", 4)], tau_policy=[inv], alpha_labels=["trivial"])
+
+
+def test_theorem_refuses_center_data_of_another_context():
+    z4 = catalog("cyclic", 4)
+    triv, sign = find_character(z4, "trivial"), find_character(z4, "sign")
+    ctx = make_context(z4, sign)
+    report = indicator_report(character_table(z4), sign)
+    for other in (make_context(z4, triv), make_context(z4, sign, inversion_automorphism(z4))):
+        with pytest.raises(BadParameters, match=r"center data of \(Z/4, .*\) handed to the basis"):
+            verify_theorem(lie_basis(ctx), report, center_data([other])[0])
+    assert verify_theorem(lie_basis(ctx), report, center_data([ctx])[0]).all_ok
+
+
+def test_center_data_refuses_groups_of_different_exponents():
+    z4, z6 = catalog("cyclic", 4), catalog("cyclic", 6)
+    contexts = [make_context(g, find_character(g, "trivial")) for g in (z4, z6)]
+    with pytest.raises(BadParameters, match="different exponents"):
+        center_data(contexts)
+    assert center_data([]) == []
+
+
+def test_clifford_refuses_unmatched_bases_and_kernel_spaces():
+    z6 = catalog("cyclic", 6)
+    sign = find_character(z6, "sign")
+    a = lie_basis(make_context(z6, find_character(z6, "trivial")))
+    b = lie_basis(make_context(z6, sign))
+    with pytest.raises(BadParameters, match="1 bases and 0 kernel spaces"):
+        verify_clifford(a, [b], [])
+    assert verify_clifford(a, [], []) == []

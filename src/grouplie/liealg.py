@@ -405,7 +405,7 @@ class _Batch:
     """Terms c*zeta^k at (slot, column) gathered over several checks; each
     check owns a range of slots, and fails when the sum at one of its
     (slot, column) pairs is not zero in Q(zeta_m).  `nonzero` marks every
-    slot with such a sum, and a check fails when it owns one.
+    slot with such a sum, and `failed` every check that owns one.
 
     For even m, zeta^(m/2) = -1, so a term is first folded to an exponent
     below m/2 with its sign flipped when it wraps; a sum that cancels only
@@ -418,6 +418,7 @@ class _Batch:
         self.order = order
         self.powers = ctx.power_array[:self.period]
         self.offsets = np.cumsum([0] + slots)
+        self.failed = [False] * len(slots)
         self.nonzero = np.zeros(self.offsets[-1], dtype=bool)
         self.keys: list[np.ndarray] = []
         self.values: list[np.ndarray] = []
@@ -434,9 +435,6 @@ class _Batch:
         self.size += len(key)
         if self.size >= BATCH_SIZE:
             self.flush()
-
-    def failed(self, check: int) -> bool:
-        return bool(self.nonzero[self.offsets[check]:self.offsets[check + 1]].any())
 
     def flush(self) -> None:
         if not self.size:
@@ -457,7 +455,10 @@ class _Batch:
         coords = sums[nonzero, None] * self.powers[power]
         first = _starts(position)
         bad = np.add.reduceat(coords, first, axis=0).any(axis=1)
-        self.nonzero[position[first[bad]] // self.order] = True
+        slots = position[first[bad]] // self.order
+        self.nonzero[slots] = True
+        for check in np.unique(np.searchsorted(self.offsets, slots, side="right") - 1):
+            self.failed[check] = True
 
 
 def _sum_bound(left: np.ndarray, right: np.ndarray, factor: int, what: str) -> None:
@@ -538,27 +539,36 @@ def _nonzero_minors(pairs, ctx: cyclo.CycloContext) -> list[bool]:
 
     Each minor is the sum of the products of the monomials (`monomials`) of
     u_a and v_b, minus those of u_b and v_a, and _Batch tells which sums are
-    not zero; every sum is bounded below 2^63 before it is formed.
+    not zero; every sum is bounded below 2^63 before it is formed.  A row
+    that several pairs share is encoded once.
     """
     if not pairs:
         return []
-    mono = monomials(((2 * p + s, row) for p, pair in enumerate(pairs)
-                      for s, row in enumerate(pair[:2])), ctx)
+    index: dict[int, int] = {}
+    rows, at = [], []
+    for pair in pairs:
+        for row in pair[:2]:
+            r = index.get(id(row))
+            if r is None:
+                r = index[id(row)] = len(rows)
+                rows.append(row)
+            at.append(r)
+    mono = monomials(enumerate(rows), ctx)
     batch = _Batch(ctx, 1, [len(pairs)])
     _sum_bound(mono, mono, cyclo.max_abs(batch.powers), "block minor")
     # every monomial of u against every monomial of v, per pair
-    start = np.searchsorted(mono[0], np.arange(2 * len(pairs) + 1))
-    count = np.diff(start)
-    nu, nv = count[0::2], count[1::2]
-    size = nu * nv
+    start = np.searchsorted(mono[0], np.arange(len(rows) + 1))
+    at = np.array(at)
+    u, v, low = at[0::2], at[1::2], np.array([p[2] for p in pairs])
+    nv = start[v + 1] - start[v]
+    size = (start[u + 1] - start[u]) * nv
     pair = np.repeat(np.arange(len(pairs)), size)
     offset = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
-    i = start[:-1:2][pair] + offset // nv[pair]
-    j = start[1::2][pair] + offset % nv[pair]
+    i = start[u][pair] + offset // nv[pair]
+    j = start[v][pair] + offset % nv[pair]
     # u_a v_b counts +, u_b v_a counts -, and u_a v_a, u_b v_b not at all
-    low = np.array([p[2] for p in pairs])[pair]
-    u_low = mono[1, i] == low
-    keep = u_low != (mono[1, j] == low)
+    u_low = mono[1, i] == low[pair]
+    keep = u_low != (mono[1, j] == low[pair])
     i, j = i[keep], j[keep]
     c = np.where(u_low[keep], mono[2, i], -mono[2, i]) * mono[2, j]
     batch.add(0, pair[keep], 0, c, mono[3, i] + mono[3, j])
@@ -707,7 +717,7 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
         spread = int(np.diff(start).max()) * cyclo.max_abs(moves[1])
         _sum_bound(lie, lie, 2 * reach * spread, "closure sum")
         for part in _runs(lie[0][closure_pairs[0]], BATCH_SIZE // 2):
-            if batch.failed(0):
+            if batch.failed[0]:
                 break
             i, j, col, c, k = _bracket_terms(lie, lie, closure_pairs[0][part],
                                              closure_pairs[1][part], mult)
@@ -719,7 +729,7 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     if center_pairs[0].size:
         _sum_bound(cen, lie, 2 * reach, "centrality sum")
         for part in _runs(cen[0][center_pairs[0]], BATCH_SIZE // 2):
-            if batch.failed(1):
+            if batch.failed[1]:
                 break
             v, u, col, c, k = _bracket_terms(cen, lie, center_pairs[0][part],
                                              center_pairs[1][part], mult)
@@ -729,10 +739,10 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     if a.size:
         _sum_bound(lie, pls, reach, "orthogonality sum")
         for part in _runs(lie[0][a], BATCH_SIZE):
-            if batch.failed(2):
+            if batch.failed[2]:
                 break
             ap, bp = a[part], b[part]
             batch.add(2, lie[0, ap] * nplus + pls[0, bp], 0, lie[2, ap] * pls[2, bp],
                       lie[3, ap] + pls[3, bp])
     batch.flush()
-    return SkewChecks(*(not batch.failed(check) for check in range(3)))
+    return SkewChecks(*(not f for f in batch.failed))

@@ -457,8 +457,8 @@ class _Batch:
         bad = np.add.reduceat(coords, first, axis=0).any(axis=1)
         slots = position[first[bad]] // self.order
         self.nonzero[slots] = True
-        for check in np.unique(np.searchsorted(self.offsets, slots, side="right") - 1):
-            self.failed[check] = True
+        for check in set(np.searchsorted(self.offsets, slots, side="right").tolist()):
+            self.failed[check - 1] = True
 
 
 def _sum_bound(left: np.ndarray, right: np.ndarray, factor: int, what: str) -> None:

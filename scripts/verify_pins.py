@@ -6,7 +6,8 @@ Usage:
 
 The digests live in tests/data/verify_sha256.json; with no group named, every
 pinned group is checked.  Prints one line per group and exits 1 if any
-digest differs.
+digest differs; a group with no pin is refused before any run, with one
+line on stderr, and exit 1.
 """
 
 import contextlib
@@ -23,6 +24,11 @@ PINS = Path(__file__).resolve().parent.parent / "tests" / "data" / "verify_sha25
 
 def main(specs: list[str]) -> int:
     pins = json.loads(PINS.read_text())
+    unpinned = [spec for spec in specs if spec not in pins]
+    if unpinned:
+        print(f"error: no pin for {' '.join(unpinned)}; the pinned groups are "
+              f"{' '.join(pins)}", file=sys.stderr)
+        return 1
     failed = 0
     for spec in specs or list(pins):
         out = io.StringIO()

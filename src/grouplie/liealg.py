@@ -10,19 +10,21 @@ products iterate over these terms only, so they cost what the supports
 cost, not what |G| costs.  bracket forms each a_x b_y once, and
 trace_of_product reads only the identity coefficient of a product.
 
-Every coefficient of a spanning vector, a +1 eigenvector or a skew class-sum
-combination is 1, +-zeta^e or 1 +- zeta^e, so these vectors are written
-directly with values read from the per-conductor tuples
-CycloContext.root_values, with no scalar arithmetic.
+A spanning vector, a +1 eigenvector and a center candidate are one
+construction, the row delta_z + sign * alpha(z) delta_sigma(z) on an orbit
+of an involution: sigma: g -> tau(g)^-1 on elements for the first two, and
+sigma on classes, with sign -1, for the candidate T_c - alpha(c) T_sigma(c),
+kept in class coordinates.  One writer, _orbit_rows, yields them all; every
+coefficient is 1, +-zeta^e or 1 +- zeta^e, read from the per-conductor
+tuples CycloContext.root_values, with no scalar arithmetic.
 
 Every row whose rank or membership the verifier decides lies in one orbit
-block of sigma: g -> tau(g)^-1, the pair {g, sigma(g)} for a spanning,
-Clifford or kernel vector and the pair of classes {c, sigma(c)} for a
-center candidate.  So block_spans, the one rank and membership kernel,
-groups the rows by block (Blocks) and decides each block of at most two
-rows by one 2x2 minor u_a v_b - u_b v_a, an exact sum of monomial products
-with no division and no scalar arithmetic; linalg.RowSpace is its test
-oracle.
+block of sigma: the pair {g, sigma(g)} for a spanning, Clifford or kernel
+vector and the pair of classes {c, sigma(c)} for a center candidate.  So
+block_spans, the one entry to the rank and membership kernel, groups the
+rows by block (Blocks) and decides each block of at most two rows by one
+2x2 minor u_a v_b - u_b v_a, an exact sum of monomial products with no
+division and no scalar arithmetic; linalg.RowSpace is its test oracle.
 
 The verifier's pair checks (closure, centrality, trace-form orthogonality)
 run as one exact integer kernel, skew_checks, with bracket,
@@ -195,6 +197,12 @@ class LieContext:
         sigma = tuple(self.group.inverse[t] for t in self.tau.mapping)
         object.__setattr__(self, "sigma", sigma)
 
+    @cached_property
+    def class_sigma(self) -> tuple[int, ...]:
+        """sigma on classes: c -> the class of tau(rep)^-1, built on first use."""
+        cd = conjugacy_data(self.group)
+        return tuple(cd.class_of[self.sigma[r]] for r in cd.representatives)
+
     def __str__(self):
         return f"({self.group.name}, {self.alpha.label}, {self.tau.label})"
 
@@ -243,36 +251,36 @@ class LieBasis:
         """Per vector, whether it is nonzero and outside the span of the
         earlier vectors of its block; decided by block_spans' kernel on first
         use."""
-        flags, _ = _independent([self.blocks], cyclo.context(self.context.group.exponent))
-        return tuple(flags[0])
+        spans = block_spans([self.blocks], cyclo.context(self.context.group.exponent))
+        return tuple(spans.independent[0])
 
     @property
     def rank(self) -> int:
         return sum(self.independent)
 
 
-def _orbit_vectors(ctx: LieContext, sign: int):
-    """Yield delta_g + sign * alpha(g) delta_sigma(g), one per orbit of sigma
-    on which it is nonzero, with g the orbit's least element; the partner's
-    vector is proportional.
+def _orbit_rows(sigma, exponents, sign: int, values: cyclo.CycloContext):
+    """Yield (z, sigma(z), row) for every point z of the involution `sigma`
+    where the row delta_z + sign * zeta^exponents[z] delta_sigma(z) is
+    nonzero; the rows of z and sigma(z) are proportional.
 
     Every coefficient is 1, sign * zeta^e or, at a fixed point,
-    1 + sign * zeta^e, read from CycloContext.root_values."""
-    group = ctx.group
-    sigma = ctx.sigma
-    exponents = ctx.alpha.exponents
-    values = cyclo.context(group.exponent)
+    1 + sign * zeta^e, read from values.root_values; a fixed point's row is
+    zero only where zeta^e = -sign."""
     one, moved, fixed = values.one, values.root_values[0, sign], values.root_values[1, sign]
-    seen = set()
-    for g in group.elements():
-        if g in seen:
-            continue
-        s = sigma[g]
-        seen.update((g, s))
-        e = exponents[g]
-        v = GroupAlgebraElement(group, {g: fixed[e]} if s == g else {g: one, s: moved[e]})
-        if v.terms:  # empty only at a fixed point with alpha(g) = -sign
-            yield v
+    for z, s in enumerate(sigma):
+        e = exponents[z]
+        if s != z:
+            yield z, s, {z: one, s: moved[e]}
+        elif fixed[e]:
+            yield z, z, {z: fixed[e]}
+
+
+def _orbit_vectors(ctx: LieContext, sign: int) -> list[GroupAlgebraElement]:
+    """delta_g + sign * alpha(g) delta_sigma(g), one per orbit of sigma on
+    which it is nonzero, with g the orbit's least element."""
+    rows = _orbit_rows(ctx.sigma, ctx.alpha.exponents, sign, cyclo.context(ctx.group.exponent))
+    return [GroupAlgebraElement(ctx.group, row) for g, s, row in rows if g <= s]
 
 
 def lie_basis(ctx: LieContext) -> LieBasis:
@@ -285,50 +293,33 @@ def lie_basis(ctx: LieContext) -> LieBasis:
 
 def plus_fixed_basis(ctx: LieContext) -> list[GroupAlgebraElement]:
     """Basis of the +1 eigenspace of the star map."""
-    return list(_orbit_vectors(ctx, 1))
-
-
-def sigma_class_map(ctx: LieContext) -> tuple[int, ...]:
-    """Class-level involution c -> class of tau(rep)^-1."""
-    cd = conjugacy_data(ctx.group)
-    return tuple(cd.class_of[ctx.sigma[r]] for r in cd.representatives)
+    return _orbit_vectors(ctx, 1)
 
 
 def center_candidates(ctx: LieContext):
-    """Yield (c, sigma(c), T_c - alpha(c) T_(sigma c)) for every class c where
-    the combination can be nonzero, i.e. unless c is sigma-fixed with alpha(c) = 1.
+    """Yield (c, sigma(c), row) for every class c where T_c - alpha(c) T_(sigma c)
+    is nonzero, i.e. unless c is sigma-fixed with alpha(c) = 1: row is the
+    combination in class coordinates, {c: 1, sigma(c): -alpha(c)}, or
+    {c: 1 - alpha(c)} on a sigma-fixed c (_orbit_rows on classes).
 
-    A sigma-orbit {c, sigma(c)} yields proportional candidates.  The terms
-    are written directly: 1 on c and -alpha(c) on sigma(c), or 1 - alpha(c)
-    on a sigma-fixed c, read from CycloContext.root_values.
-    """
-    group = ctx.group
-    cd = conjugacy_data(group)
-    sig = sigma_class_map(ctx)
-    values = cyclo.context(group.exponent)
-    one, moved, fixed = values.one, values.root_values[0, -1], values.root_values[1, -1]
-    for c in range(cd.num_classes):
-        sc = sig[c]
-        e = ctx.alpha.exponents[cd.representatives[c]]
-        if sc == c:
-            if e == 0:
-                continue
-            terms = dict.fromkeys(cd.classes[c], fixed[e])
-        else:
-            terms = dict.fromkeys(cd.classes[c], one)
-            terms.update(dict.fromkeys(cd.classes[sc], moved[e]))
-        yield c, sc, GroupAlgebraElement(group, terms)
+    A sigma-orbit {c, sigma(c)} yields proportional candidates."""
+    reps = conjugacy_data(ctx.group).representatives
+    exponents = [ctx.alpha.exponents[r] for r in reps]
+    return _orbit_rows(ctx.class_sigma, exponents, -1, cyclo.context(ctx.group.exponent))
 
 
-def center_basis(candidates) -> list[GroupAlgebraElement]:
-    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit,
-    from the center_candidates of a context."""
+def center_basis(group: GroupTable, candidates) -> list[GroupAlgebraElement]:
+    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit:
+    the first of the center_candidates of a context on each orbit, expanded
+    into class sums of `group`."""
+    classes = conjugacy_data(group).classes
     seen = set()
     out = []
-    for c, sc, v in candidates:
+    for c, sc, row in candidates:
         if c not in seen:
             seen.update((c, sc))
-            out.append(v)
+            out.append(GroupAlgebraElement(
+                group, {g: x for d, x in row.items() for g in classes[d]}))
     return out
 
 
@@ -493,11 +484,9 @@ class Blocks:
         if groups is None:
             groups = {}
             for r, row in enumerate(self.rows):
-                blocks = {min(z, sigma[z]) for z, x in row.items() if x}
-                if len(blocks) == 1:
-                    groups.setdefault(blocks.pop(), []).append(r)
-                elif blocks:
-                    _block(row, sigma, "row", r)
+                b = _block(row, sigma, "row", r)
+                if b is not None:
+                    groups.setdefault(b, []).append(r)
         self.groups = groups
 
     def __add__(self, other: "Blocks") -> "Blocks":
@@ -513,8 +502,12 @@ class Blocks:
 class BlockSpans(NamedTuple):
     """The answers of block_spans."""
 
-    ranks: list[int]
+    independent: list[list[bool]]
     contains: list[bool]
+
+    @property
+    def ranks(self) -> list[int]:
+        return [sum(flags) for flags in self.independent]
 
 
 def _name(z: int, sigma) -> str:
@@ -576,14 +569,22 @@ def _nonzero_minors(pairs, ctx: cyclo.CycloContext) -> list[bool]:
     return batch.nonzero.tolist()
 
 
-def _independent(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()):
-    """(per row of each space, whether it is nonzero and outside the span of
-    the earlier rows of its block; per query (i, row), whether row is
-    nonzero and outside the span of the rows of spaces[i] in its block).
+def block_spans(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()) -> BlockSpans:
+    """For each space of `spaces`, sparse rows over Q(zeta_m) grouped into
+    Blocks, whether each row is nonzero and outside the span of the earlier
+    rows of its block (the space's rank is their count), and for each query
+    (i, row) whether row lies in the span of spaces[i], all decided exactly,
+    per orbit block, in one array pass.
 
-    A block holds at most two rows, a query counted as one, so the second
-    row (or the query) is outside the span of the first exactly when their
-    minor is not zero (_nonzero_minors); a fuller block raises
+    Every row lies in one orbit of its space's involution sigma: a Lie
+    basis vector, a Clifford or kernel row in {g, sigma(g)}, a center
+    candidate in class coordinates in {c, sigma(c)}.  A block holds at most
+    two rows, a query counted as one, and of two rows u, v on columns a < b
+    the second lies outside the span of the first exactly when the minor
+    u_a v_b - u_b v_a is not zero (_nonzero_minors); a query lies in a
+    space when it is zero or adds nothing to the rank of its block.  There
+    is no division and no scalar arithmetic.  A row that crosses two blocks,
+    or a block with more than two rows (a query counted as one), raises
     OrbitBlockViolated.
     """
     flags = [[False] * len(space.rows) for space in spaces]
@@ -611,33 +612,14 @@ def _independent(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()):
     minors = _nonzero_minors([test[2:] for test in tests], ctx)
     for (target, index, *_), nonzero in zip(tests, minors):
         target[index] = nonzero
-    return flags, found
-
-
-def block_spans(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()) -> BlockSpans:
-    """The rank of each space of `spaces`, sparse rows over Q(zeta_m) grouped
-    into Blocks, and for each query (i, row) whether row lies in the span of
-    spaces[i], all decided exactly, per orbit block, in one array pass.
-
-    Every row lies in one orbit of its space's involution sigma: a Lie
-    basis vector, a Clifford or kernel row in {g, sigma(g)}, a center
-    candidate in class coordinates in {c, sigma(c)}.  The rank of a space is
-    the sum of its blocks' ranks, and a block of two rows u, v on columns
-    a < b has rank 2 exactly when u_a v_b - u_b v_a != 0; a query lies in a
-    space when it is zero or adds nothing to the rank of its block.  There
-    is no division and no scalar arithmetic.  A row that crosses two blocks,
-    or a block with more than two rows (a query counted as one), raises
-    OrbitBlockViolated.
-    """
-    flags, found = _independent(spaces, ctx, queries)
-    return BlockSpans([sum(f) for f in flags], [not f for f in found])
+    return BlockSpans(flags, [not f for f in found])
 
 
 def _pivot_map(lie: np.ndarray, independent: np.ndarray, sigma):
     """What reducing by the basis rows does to one term at each column z,
     per sigma-orbit block, as the monomials (target column, c, k) in
     columns start[z]:start[z + 1] of the returned array; `lie` holds the
-    basis monomials and `independent` the flags of its rows (_independent).
+    basis monomials and `independent` the flags of its rows (block_spans).
 
     In a block {a, b}, a < b, with one independent row r, a vector w lies in
     the span exactly when the minor r_a w_b - r_b w_a is zero, and that

@@ -90,7 +90,6 @@ from .liealg import (
     lie_basis,
     make_context,
     plus_fixed_basis,
-    sigma_class_map,
     skew_checks,
 )
 
@@ -163,8 +162,8 @@ def center_data(contexts: list[LieContext]) -> list[CenterData]:
     """The CenterData of each context, all the ranks in one block_spans pass;
     contexts over groups of different exponents raise BadParameters.
 
-    A candidate T_c - alpha(c) T_(sigma c) is constant on each class, so its
-    rank is taken in class coordinates, where the candidate lies in the
+    A candidate T_c - alpha(c) T_(sigma c) is constant on each class, so it
+    is written and its rank taken in class coordinates, where it lies in the
     sigma-orbit block {c, sigma(c)}.  Every eligible candidate counts, in
     both orbit orders.
     """
@@ -172,11 +171,9 @@ def center_data(contexts: list[LieContext]) -> list[CenterData]:
         raise BadParameters("center data of groups of different exponents in one batch")
     spaces, gens = [], []
     for ctx in contexts:
-        reps = conjugacy_data(ctx.group).representatives
         candidates = list(center_candidates(ctx))
-        gens.append(center_basis(candidates))
-        rows = [{x: v.terms[reps[x]] for x in (c, sc)} for c, sc, v in candidates]
-        spaces.append(Blocks(rows, sigma_class_map(ctx)))
+        gens.append(center_basis(ctx.group, candidates))
+        spaces.append(Blocks([row for _, _, row in candidates], ctx.class_sigma))
     if not contexts:
         return []
     ranks = block_spans(spaces, cyclo.context(contexts[0].group.exponent)).ranks
@@ -187,7 +184,7 @@ def _class_count_ok(ctx: LieContext, report: IndicatorReport) -> bool:
     """The signed count of sigma-fixed classes equals the count of
     self-paired irreps."""
     cd = conjugacy_data(ctx.group)
-    sig = sigma_class_map(ctx)
+    sig = ctx.class_sigma
     fixed = sum(ctx.alpha.real_sign(r) for c, r in enumerate(cd.representatives) if sig[c] == c)
     self_paired = sum(1 for i, p in enumerate(report.partner) if p == i)
     return fixed == self_paired

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouplie import cyclo, linalg, verify
+from grouplie import cyclo, liealg, linalg, verify
 from grouplie.cyclo import CycloScalar, context
 from grouplie.errors import BadParameters, IntegerBoundExceeded, OrbitBlockViolated
 from grouplie.groups import (
     alpha_tau_compatible,
+    conjugacy_data,
     find_character,
     linear_characters,
     parse_group_spec,
@@ -47,13 +48,16 @@ def test_every_suite_rank_and_membership_equals_the_row_space_oracle(groups, con
     seen = checked = 0
     for group in groups:
         field = context(group.exponent)
-        # the dims rank, and the center rank over all candidates in element
-        # coordinates, where the oracle takes them
+        # the dims rank, and the center rank over all candidates, in both
+        # orbit orders, each class-coordinate row expanded over its classes
+        # into the element coordinates where the oracle takes it
         ctxs = list(_contexts(group))
         for ctx, center in zip(ctxs, center_data(ctxs)):
             basis = lie_basis(ctx)
             assert basis.rank == oracle(field, group.order, [v.terms for v in basis.vectors]).rank
-            rows = [v.terms for _, _, v in center_candidates(ctx)]
+            classes = conjugacy_data(group).classes
+            rows = [{g: x for c, x in row.items() for g in classes[c]}
+                    for _, _, row in center_candidates(ctx)]
             assert center.rank == oracle(field, group.order, rows).rank
             seen += 1
         # dim(A + B), every membership of H in A and in B, and rank H
@@ -173,6 +177,13 @@ def test_random_blocks_equal_the_row_space_oracle(problem):
     spans = [oracle(ctx, len(sigma), rows) for rows in spaces]
     assert got.ranks == [s.rank for s in spans]
     assert got.contains == [spans[i].contains(q) for i, q in queries]
+    # the blocks hold disjoint columns, so a row is independent of the
+    # earlier rows of its block exactly when it enlarges the earlier rows' span
+    flags = []
+    for rows in spaces:
+        space = oracle(ctx, len(sigma), [])
+        flags.append([space.add(row) for row in rows])
+    assert got.independent == flags
 
 
 @pytest.mark.parametrize("m", CONDUCTORS)
@@ -273,3 +284,40 @@ def test_the_suite_makes_no_row_space_or_scalar_product_call(monkeypatch):
     RowSpace(ctx, 1, [{0: ctx.one}]).contains({0: ctx.one})
     assert counts == {"__mul__": 1, "__sub__": 1, "inverse": 1,
                       "RowSpace.add": 1, "RowSpace.contains": 1}
+
+
+def test_the_center_is_built_once_in_class_coordinates(monkeypatch):
+    # center_data builds one group-algebra element per center generator and
+    # reads every rank off class-coordinate rows, and sigma's class map is
+    # built once per context, however many checks read it
+    elements = classes = 0
+    inside = False
+    element_init = liealg.GroupAlgebraElement.__init__
+    class_sigma = liealg.LieContext.__dict__["class_sigma"]
+    class_map = class_sigma.func
+
+    def counted_element(self, group, terms):
+        nonlocal elements
+        elements += inside
+        element_init(self, group, terms)
+
+    def counted_map(ctx):
+        nonlocal classes
+        classes += 1
+        return class_map(ctx)
+
+    def counted_center_data(contexts):
+        nonlocal inside
+        inside = True
+        try:
+            return center_data(contexts)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(liealg.GroupAlgebraElement, "__init__", counted_element)
+    monkeypatch.setattr(class_sigma, "func", counted_map)
+    monkeypatch.setattr(verify, "center_data", counted_center_data)
+    result = verify.run_suite(max_order=24)
+    assert result.all_ok and result.contexts == 406
+    assert sum(r.center_dim_exact for r in result.reports) == elements == 2546
+    assert classes == 406

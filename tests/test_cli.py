@@ -1,6 +1,9 @@
 import cmath
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -462,10 +465,11 @@ def test_large_table_json_pinned(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[spec]
 
 
-# SHA-256 of `verify --format json` for four groups beyond the catalog
-# (orders 128-512, 67-131 classes), recorded at seeds 0 and 5; tier-1 checks
-# the two that take about a second, and CI runs scripts/verify_pins.py on
-# cyclic:128 and dihedral:256, which take several seconds each
+# SHA-256 of `verify --format json` for five groups beyond the catalog
+# (orders 128-512, 67-131 classes), recorded at seeds 0 and 5; tier-1
+# checks the two that take about a second, and CI runs scripts/verify_pins.py
+# on cyclic:128, dihedral:256 and quaternion8^3 (125 classes, the center path
+# on a nonabelian group), which take several seconds each
 VERIFY_DIGESTS = json.loads((Path(__file__).parent / "data" / "verify_sha256.json").read_text())
 
 
@@ -474,6 +478,19 @@ def test_verify_json_at_scale_pinned(capsys, spec):
     code, out, err = run_cli(capsys, "verify", "--group", spec, "--format", "json")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[spec]
+
+
+def test_verify_pins_refuses_an_unpinned_group_before_any_run():
+    # cyclic:128 is pinned and takes seconds; the unpinned cyclic:3 stops
+    # the script before it runs anything
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                         os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, str(root / "scripts" / "verify_pins.py"),
+                          "cyclic:128", "cyclic:3"], capture_output=True, text=True, env=env)
+    assert out.returncode == 1 and out.stdout == ""
+    assert _one_error_line(out.stderr) and "no pin for cyclic:3;" in out.stderr
+    assert all(spec in out.stderr for spec in VERIFY_DIGESTS)
 
 
 def test_table_prime_beyond_the_root_search(capsys):

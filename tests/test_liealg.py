@@ -27,7 +27,6 @@ from grouplie.liealg import (
     lie_basis,
     make_context,
     plus_fixed_basis,
-    sigma_class_map,
     star,
     trace_of_product,
 )
@@ -289,13 +288,13 @@ def test_center_generators_are_skew():
                         ("dihedral:6", "lin1")]:
         g = parse_group_spec(spec)
         ctx = make_context(g, find_character(g, label))
-        for v in center_basis(center_candidates(ctx)):
+        for v in center_basis(ctx.group, center_candidates(ctx)):
             assert star(ctx, v) == -v
 
 
 def test_center_bases():
     sign = find_character(S3, "sign")
-    gens = center_basis(center_candidates(make_context(S3, sign)))
+    gens = center_basis(S3, center_candidates(make_context(S3, sign)))
     assert len(gens) == 1
     cd = conjugacy_data(S3)
     transp = next(c for c in range(3) if cd.sizes[c] == 3)
@@ -303,12 +302,13 @@ def test_center_bases():
     assert gens[0] == expected
 
     z3 = catalog("cyclic", 3)
-    gens3 = center_basis(center_candidates(make_context(z3, find_character(z3, "trivial"))))
+    gens3 = center_basis(z3, center_candidates(make_context(z3, find_character(z3, "trivial"))))
     assert len(gens3) == 1
     d1 = GroupAlgebraElement.delta(z3, 1) - GroupAlgebraElement.delta(z3, 2)
     assert gens3[0] == d1
 
-    assert center_basis(center_candidates(make_context(Q8, find_character(Q8, "trivial")))) == []
+    assert center_basis(
+        Q8, center_candidates(make_context(Q8, find_character(Q8, "trivial")))) == []
 
 
 def test_orthogonality_between_eigenspaces():
@@ -374,7 +374,7 @@ def oracle_center_candidates(ctx):
     arithmetic, skipping sigma-fixed classes with alpha(c) = 1."""
     group = ctx.group
     cd = conjugacy_data(group)
-    sig = sigma_class_map(ctx)
+    sig = ctx.class_sigma
     out = []
     for c in range(cd.num_classes):
         alpha_c = ctx.alpha.value(cd.representatives[c])
@@ -399,7 +399,14 @@ def test_lookup_vectors_equal_the_arithmetic_construction():
                 assert basis.vectors == tuple(v for _, v in minus)
                 assert [min(v.terms) for v in basis.vectors] == [g for g, _ in minus]
                 assert plus_fixed_basis(ctx) == [v for _, v in oracle_orbit_vectors(ctx, 1)]
-                assert list(center_candidates(ctx)) == oracle_center_candidates(ctx)
+                # each candidate is its oracle's combination read at the class
+                # representatives, and center_basis keeps one per orbit
+                reps = conjugacy_data(group).representatives
+                center = oracle_center_candidates(ctx)
+                assert list(center_candidates(ctx)) == [
+                    (c, sc, {x: v.terms[reps[x]] for x in (c, sc)}) for c, sc, v in center]
+                assert center_basis(group, center_candidates(ctx)) == [
+                    v for c, sc, v in center if c <= sc]
     assert contexts == 406
 
 
@@ -417,9 +424,10 @@ def test_lookup_vectors_at_fixed_points_and_fixed_classes():
                                      for g in z4.elements() if g not in minus_one]
     # every class is sigma-fixed: alpha(c) = 1 is skipped, alpha(c) = -1 gives 2 T_c
     cd = conjugacy_data(z4)
-    assert [(c, sc, v.terms) for c, sc, v in center_candidates(ctx)] == [
-        (c, c, dict.fromkeys(cd.classes[c], two)) for c in range(cd.num_classes)
-        if cd.representatives[c] in minus_one]
+    fixed = [c for c in range(cd.num_classes) if cd.representatives[c] in minus_one]
+    assert list(center_candidates(ctx)) == [(c, c, {c: two}) for c in fixed]
+    assert center_basis(z4, center_candidates(ctx)) == [
+        GroupAlgebraElement(z4, dict.fromkeys(cd.classes[c], two)) for c in fixed]
 
     # a moved pair (g, g^-1) under tau = id: delta_g - alpha(g) delta_(g^-1)
     lin1 = find_character(z4, "lin1")
@@ -428,10 +436,12 @@ def test_lookup_vectors_at_fixed_points_and_fixed_classes():
     vec = next(v for v in lie_basis(ctx).vectors if min(v.terms) == g)
     assert vec.terms == {g: one, z4.inverse[g]: -lin1.value(g)}
     # a sigma-fixed class with alpha(c) != 1: (1 - alpha(c)) T_c
-    c, _, v = next(cand for cand in center_candidates(ctx) if cand[0] == cand[1])
+    c, _, row = next(cand for cand in center_candidates(ctx) if cand[0] == cand[1])
     alpha_c = lin1.value(cd.representatives[c])
     assert alpha_c != 1
-    assert v.terms == dict.fromkeys(cd.classes[c], one - alpha_c)
+    assert row == {c: one - alpha_c}
+    assert GroupAlgebraElement(z4, dict.fromkeys(cd.classes[c], one - alpha_c)) in \
+        center_basis(z4, center_candidates(ctx))
 
 
 def test_context_refuses_an_alpha_of_another_conductor():

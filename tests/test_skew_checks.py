@@ -108,7 +108,7 @@ def test_kernel_verdicts_equal_the_scalar_products(data):
     ctx = make_context(group, data.draw(st.sampled_from(linear_characters(group))))
     lie = lie_basis(ctx)
     vectors = data.draw(vector_lists(group, lie.vectors, ctx.sigma))
-    center = data.draw(vector_lists(group, center_basis(center_candidates(ctx))))
+    center = data.draw(vector_lists(group, center_basis(ctx.group, center_candidates(ctx))))
     plus = data.draw(vector_lists(group, plus_fixed_basis(ctx)))
     basis = LieBasis(ctx, tuple(vectors))
     # closure reduces against the basis per sigma-orbit block, so a basis
@@ -137,7 +137,7 @@ def test_kernel_verdicts_equal_the_scalar_loops_on_every_suite_context(groups, c
     seen = 0
     for ctx in _contexts(groups):
         basis = lie_basis(ctx)
-        center, plus = center_basis(center_candidates(ctx)), plus_fixed_basis(ctx)
+        center, plus = center_basis(ctx.group, center_candidates(ctx)), plus_fixed_basis(ctx)
         assert tuple(skew_checks(basis, center, plus)) == \
             scalar_checks(basis.vectors, center, plus, _row_space(basis)) == (True, True, True)
         seen += 1
@@ -203,7 +203,7 @@ def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
     group = parse_group_spec("symmetric:4")
     ctx = make_context(group, linear_characters(group)[1])
     basis, plus = lie_basis(ctx), plus_fixed_basis(ctx)
-    center = center_basis(center_candidates(ctx))
+    center = center_basis(ctx.group, center_candidates(ctx))
     # the last two-term basis vector with one coefficient times zeta
     index = max(i for i, v in enumerate(basis.vectors) if len(v.terms) == 2)
     terms = dict(basis.vectors[index].terms)

@@ -185,7 +185,7 @@ def test_centrality_fails_on_one_corrupted_generator_monomial(monkeypatch, spec,
     group = parse_group_spec(spec)
     original = verify.center_basis
     monkeypatch.setattr(verify, "center_basis",
-                        lambda candidates: _times_zeta(original(candidates), 0))
+                        lambda group, candidates: _times_zeta(original(group, candidates), 0))
     r = _theorem(group, find_character(group, label))
     assert r.center_dim_exact == r.center_dim_predicted
     assert not r.centrality_ok
@@ -214,7 +214,7 @@ def test_centrality_check_can_fail(monkeypatch):
     # center generator, so there the count alone would fail)
     s3 = catalog("symmetric", 3)
     monkeypatch.setattr(verify, "center_basis",
-                        lambda candidates: [GroupAlgebraElement.delta(s3, 2)])
+                        lambda group, candidates: [GroupAlgebraElement.delta(s3, 2)])
     r = _s3_report("sign")
     assert r.center_dim_exact == r.center_dim_predicted == 1
     assert not r.centrality_ok

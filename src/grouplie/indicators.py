@@ -45,7 +45,7 @@ from .groups import (
     identity_automorphism,
     trivial_character,
 )
-from .liealg import LieContext, census_dimension, make_context
+from .liealg import LieContext, make_context
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,7 @@ def _report(ctx: LieContext, table: CharacterTable, nu: tuple[int, ...],
         involutions_plus=plus,
         involutions_minus=minus,
         dim_m=sum(fac.dim for fac in factors),
-        dim_l_formula=census_dimension(ctx),
+        dim_l_formula=ctx.census,
         center_dim=sum(1 for pc in classes if pc.kind == "gl"),
     )
 

@@ -22,9 +22,11 @@ Every row whose rank or membership the verifier decides lies in one orbit
 block of sigma: the pair {g, sigma(g)} for a spanning, Clifford or kernel
 vector and the pair of classes {c, sigma(c)} for a center candidate.  So
 block_spans, the one entry to the rank and membership kernel, groups the
-rows by block (Blocks) and decides each block of at most two rows by one
-2x2 minor u_a v_b - u_b v_a, an exact sum of monomial products with no
-division and no scalar arithmetic; linalg.RowSpace is its test oracle.
+rows by block (Blocks) and decides each block of at most two rows by ratio
+keys: every two-entry row it compares has entries +-zeta^k, so two such
+rows are proportional exactly when the ratios of their entries agree, read
+as (sign, exponent) from CycloContext.signed_roots, with no product and no
+scalar arithmetic; linalg.RowSpace is its test oracle.
 
 The verifier's pair checks (closure, centrality, trace-form orthogonality)
 run as one exact integer kernel, skew_checks, with bracket,
@@ -36,9 +38,8 @@ up in CycloContext.signed_roots; any other algebraic integer expands into
 its power-basis terms.  A product of two monomials is a multiplication-table
 lookup and a sum of exponents; the kernel sums the products per (pair,
 position) in int64, in batches of about BATCH_SIZE products, and checks
-that every sum is zero in Q(zeta_m); block_spans tests its minors with the
-same zero test (_Batch).  Every sum is bounded below 2^63 before it is
-formed.
+that every sum is zero in Q(zeta_m) (_Batch).  Every sum is bounded below
+2^63 before it is formed.
 """
 
 from __future__ import annotations
@@ -203,6 +204,11 @@ class LieContext:
         cd = conjugacy_data(self.group)
         return tuple(cd.class_of[self.sigma[r]] for r in cd.representatives)
 
+    @cached_property
+    def census(self) -> int:
+        """census_dimension of the context, computed on first use."""
+        return census_dimension(self)
+
     def __str__(self):
         return f"({self.group.name}, {self.alpha.label}, {self.tau.label})"
 
@@ -285,9 +291,9 @@ def _orbit_vectors(ctx: LieContext, sign: int) -> list[GroupAlgebraElement]:
 
 def lie_basis(ctx: LieContext) -> LieBasis:
     vectors = tuple(_orbit_vectors(ctx, -1))
-    census = census_dimension(ctx)
-    if len(vectors) != census:
-        raise InvariantViolated(f"{len(vectors)} spanning vectors but census dimension {census}")
+    if len(vectors) != ctx.census:
+        raise InvariantViolated(
+            f"{len(vectors)} spanning vectors but census dimension {ctx.census}")
     return LieBasis(ctx, vectors)
 
 
@@ -395,8 +401,8 @@ def _starts(x: np.ndarray) -> np.ndarray:
 class _Batch:
     """Terms c*zeta^k at (slot, column) gathered over several checks; each
     check owns a range of slots, and fails when the sum at one of its
-    (slot, column) pairs is not zero in Q(zeta_m).  `nonzero` marks every
-    slot with such a sum, and `failed` every check that owns one.
+    (slot, column) pairs is not zero in Q(zeta_m); `failed` marks every
+    check that owns such a sum.
 
     For even m, zeta^(m/2) = -1, so a term is first folded to an exponent
     below m/2 with its sign flipped when it wraps; a sum that cancels only
@@ -410,7 +416,6 @@ class _Batch:
         self.powers = ctx.power_array[:self.period]
         self.offsets = np.cumsum([0] + slots)
         self.failed = [False] * len(slots)
-        self.nonzero = np.zeros(self.offsets[-1], dtype=bool)
         self.keys: list[np.ndarray] = []
         self.values: list[np.ndarray] = []
         self.size = 0
@@ -447,7 +452,6 @@ class _Batch:
         first = _starts(position)
         bad = np.add.reduceat(coords, first, axis=0).any(axis=1)
         slots = position[first[bad]] // self.order
-        self.nonzero[slots] = True
         for check in set(np.searchsorted(self.offsets, slots, side="right").tolist()):
             self.failed[check - 1] = True
 
@@ -525,48 +529,25 @@ def _block(row: dict, sigma, kind: str, index: int):
     return blocks.pop() if blocks else None
 
 
-def _nonzero_minors(pairs, ctx: cyclo.CycloContext) -> list[bool]:
-    """Whether u_a v_b - u_b v_a != 0 in Q(zeta_m), for each (u, v, a) of
-    `pairs`: two sparse rows on one orbit {a, b} of columns, a its least.
-    On an orbit of one column the minor is 0.
-
-    Each minor is the sum of the products of the monomials (`monomials`) of
-    u_a and v_b, minus those of u_b and v_a, and _Batch tells which sums are
-    not zero; every sum is bounded below 2^63 before it is formed.  A row
-    that several pairs share is encoded once.
-    """
-    if not pairs:
-        return []
-    index: dict[int, int] = {}
-    rows, at = [], []
-    for pair in pairs:
-        for row in pair[:2]:
-            r = index.get(id(row))
-            if r is None:
-                r = index[id(row)] = len(rows)
-                rows.append(row)
-            at.append(r)
-    mono = monomials(enumerate(rows), ctx)
-    batch = _Batch(ctx, 1, [len(pairs)])
-    _sum_bound(mono, mono, cyclo.max_abs(batch.powers), "block minor")
-    # every monomial of u against every monomial of v, per pair
-    start = np.searchsorted(mono[0], np.arange(len(rows) + 1))
-    at = np.array(at)
-    u, v, low = at[0::2], at[1::2], np.array([p[2] for p in pairs])
-    nv = start[v + 1] - start[v]
-    size = (start[u + 1] - start[u]) * nv
-    pair = np.repeat(np.arange(len(pairs)), size)
-    offset = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
-    i = start[u][pair] + offset // nv[pair]
-    j = start[v][pair] + offset % nv[pair]
-    # u_a v_b counts +, u_b v_a counts -, and u_a v_a, u_b v_b not at all
-    u_low = mono[1, i] == low[pair]
-    keep = u_low != (mono[1, j] == low[pair])
-    i, j = i[keep], j[keep]
-    c = np.where(u_low[keep], mono[2, i], -mono[2, i]) * mono[2, j]
-    batch.add(0, pair[keep], 0, c, mono[3, i] + mono[3, j])
-    batch.flush()
-    return batch.nonzero.tolist()
+def _ratio(row: dict, b: int, sigma, ctx: cyclo.CycloContext, kind: str, index: int):
+    """The key of a nonzero `row` on the orbit block {b, sigma[b]}, b its
+    least column: () on a fixed column, the column of a one-entry row, and
+    for a two-entry row the ratio x_sigma(b) / x_b of its entries, both
+    +-zeta^k, as (sign, k mod m) read off ctx.signed_roots, which gives each
+    +-zeta^k one (sign, k).  Two nonzero rows of one block are proportional
+    exactly when their keys are equal.  A two-entry row with another entry
+    raises InvariantViolated; `kind` and `index` name the row."""
+    if sigma[b] == b:
+        return ()
+    x, y = row.get(b), row.get(sigma[b])
+    if not (x and y):
+        return b if x else sigma[b]
+    keys = [ctx.signed_roots.get(v.coeffs) if v.ctx.m == ctx.m else None for v in (x, y)]
+    if None in keys:
+        raise InvariantViolated(f"{kind} {index} has the entry {(x, y)[keys.index(None)]!r} "
+                                f"in block {_name(b, sigma)}, not +-zeta^k in Q(zeta_{ctx.m})")
+    (s, i), (t, j) = keys
+    return s * t, (j - i) % ctx.m
 
 
 def block_spans(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()) -> BlockSpans:
@@ -574,17 +555,16 @@ def block_spans(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()) -> Bl
     Blocks, whether each row is nonzero and outside the span of the earlier
     rows of its block (the space's rank is their count), and for each query
     (i, row) whether row lies in the span of spaces[i], all decided exactly,
-    per orbit block, in one array pass.
+    per orbit block, by ratio keys.
 
     Every row lies in one orbit of its space's involution sigma: a Lie
     basis vector, a Clifford or kernel row in {g, sigma(g)}, a center
     candidate in class coordinates in {c, sigma(c)}.  A block holds at most
-    two rows, a query counted as one, and of two rows u, v on columns a < b
-    the second lies outside the span of the first exactly when the minor
-    u_a v_b - u_b v_a is not zero (_nonzero_minors); a query lies in a
-    space when it is zero or adds nothing to the rank of its block.  There
-    is no division and no scalar arithmetic.  A row that crosses two blocks,
-    or a block with more than two rows (a query counted as one), raises
+    two rows, a query counted as one; the second of two rows lies outside
+    the span of the first exactly when their keys (_ratio) differ, and a
+    query lies in a space when it is zero or its key equals the key of its
+    block's row, so no product is formed.  A row that crosses two blocks, or
+    a block with more than two rows (a query counted as one), raises
     OrbitBlockViolated.
     """
     flags = [[False] * len(space.rows) for space in spaces]
@@ -596,8 +576,7 @@ def block_spans(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()) -> Bl
                                          f"{len(group)} rows: {group}")
             flags[i][group[0]] = True
             if len(group) == 2:
-                rows = space.rows
-                tests.append((flags[i], group[1], rows[group[0]], rows[group[1]], b))
+                tests.append((flags[i], space, b, group[0], "row", group[1], space.rows[group[1]]))
     found = []
     for q, (i, row) in enumerate(queries):
         space = spaces[i]
@@ -608,10 +587,10 @@ def block_spans(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()) -> Bl
                                      f"{group} and query {q}")
         found.append(b is not None and not group)
         if group:
-            tests.append((found, q, space.rows[group[0]], row, b))
-    minors = _nonzero_minors([test[2:] for test in tests], ctx)
-    for (target, index, *_), nonzero in zip(tests, minors):
-        target[index] = nonzero
+            tests.append((found, space, b, group[0], "query", q, row))
+    for target, space, b, r, kind, index, row in tests:
+        target[index] = (_ratio(space.rows[r], b, space.sigma, ctx, "row", r)
+                         != _ratio(row, b, space.sigma, ctx, kind, index))
     return BlockSpans(flags, [not f for f in found])
 
 

@@ -1,6 +1,6 @@
 """The sigma-orbit block kernel (liealg.block_spans) against the RowSpace
-oracle, its refusals and its int64 guard, and the counts that show RowSpace
-and CycloScalar arithmetic out of the pipeline."""
+oracle and its refusals, and the counts that show RowSpace and CycloScalar
+arithmetic out of the pipeline and the monomial kernel out of the ranks."""
 
 from math import isqrt
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from grouplie import cyclo, liealg, linalg, verify
 from grouplie.cyclo import CycloScalar, context
-from grouplie.errors import BadParameters, IntegerBoundExceeded, OrbitBlockViolated
+from grouplie.errors import BadParameters, InvariantViolated, OrbitBlockViolated
 from grouplie.groups import (
     alpha_tau_compatible,
     conjugacy_data,
@@ -90,7 +90,7 @@ CONDUCTORS = (2, 4, 12, 15, 128)
 @st.composite
 def values(draw, ctx):
     """+-zeta^k, 1 +- zeta^k, or a small integer combination of powers of
-    zeta, never 0."""
+    zeta, never 0: an entry of a row on a fixed column."""
     k = draw(st.integers(0, ctx.m - 1))
     kind = draw(st.sampled_from(("root", "one_plus_root", "terms")))
     if kind == "root":
@@ -106,23 +106,20 @@ def values(draw, ctx):
 
 
 @st.composite
-def scalings(draw, ctx):
-    """A multiplier lambda that is not a single monomial c*zeta^k, so that
-    lambda*u_a*u_b - lambda*u_b*u_a cancels only after the reduction mod
-    Phi_m (for m = 2 every value is rational, and lambda is 2, 3 or -2)."""
-    if ctx.degree == 1:
-        return ctx.from_fraction(draw(st.sampled_from((2, 3, -2))))
-    k = draw(st.integers(1, ctx.m - 1))
-    lam = ctx.from_fraction(draw(st.sampled_from((1, 2, -1)))) + ctx.zeta(k)
-    roots = ctx.signed_roots
-    return lam if lam and lam.coeffs not in roots else ctx.one + ctx.one + ctx.zeta(1)
+def roots(draw, ctx):
+    """+-zeta^k: an entry of a row on a moved orbit {a, b}, as every such
+    entry the pipeline writes."""
+    return ctx.zeta(draw(st.integers(0, ctx.m - 1))) * draw(st.sampled_from((1, -1)))
 
 
 @st.composite
 def block_problems(draw):
     """(ctx, sigma, spaces, queries): an involution sigma on up to 8 columns,
-    spaces whose blocks hold at most two rows each (sometimes v = lambda*u),
-    and queries into blocks that hold at most one row of their space."""
+    spaces whose blocks hold at most two rows each (sometimes v = lambda*u,
+    with lambda = +-zeta^j on a moved orbit and any nonzero value on a fixed
+    column), and queries into blocks that hold at most one row of their
+    space.  A row on a moved orbit has one or two entries +-zeta^k, and a row
+    on a fixed column any nonzero value."""
     ctx = context(draw(st.sampled_from(CONDUCTORS)))
     n = draw(st.integers(1, 8))
     order = draw(st.permutations(range(n)))
@@ -134,9 +131,15 @@ def block_problems(draw):
     blocks = sorted({min(z, sigma[z]) for z in range(n)})
 
     def row(block):
-        cols = sorted({block, sigma[block]})
-        support = draw(st.sets(st.sampled_from(cols), min_size=1))
-        return {z: draw(values(ctx)) for z in support}
+        if sigma[block] == block:
+            return {block: draw(values(ctx))}
+        support = draw(st.sets(st.sampled_from((block, sigma[block])), min_size=1))
+        return {z: draw(roots(ctx)) for z in support}
+
+    def multiple(u):
+        z = min(u)
+        lam = draw(values(ctx) if sigma[z] == z else roots(ctx))
+        return {z: x * lam for z, x in u.items()}
 
     spaces = []
     for _ in range(draw(st.integers(1, 3))):
@@ -147,11 +150,7 @@ def block_problems(draw):
                 u = row(block)
                 rows.append(u)
                 if count == 2:
-                    if draw(st.booleans()):
-                        lam = draw(scalings(ctx))
-                        rows.append({z: x * lam for z, x in u.items()})
-                    else:
-                        rows.append(row(block))
+                    rows.append(multiple(u) if draw(st.booleans()) else row(block))
         spaces.append(draw(st.permutations(rows)))
     queries = []
     for _ in range(draw(st.integers(0, 4))):
@@ -160,12 +159,7 @@ def block_problems(draw):
         held = [r for r in spaces[i] if min(min(r), sigma[min(r)]) == block]
         if len(held) > 1:
             continue
-        if held and draw(st.booleans()):
-            lam = draw(scalings(ctx))
-            q = {z: x * lam for z, x in held[0].items()}
-        else:
-            q = row(block)
-        queries.append((i, q))
+        queries.append((i, multiple(held[0]) if held and draw(st.booleans()) else row(block)))
     return ctx, tuple(sigma), spaces, queries
 
 
@@ -188,21 +182,40 @@ def test_random_blocks_equal_the_row_space_oracle(problem):
 
 @pytest.mark.parametrize("m", CONDUCTORS)
 def test_a_proportional_pair_cancels_only_through_phi_m(m):
-    # u = (2 + zeta, zeta^2) and v = lambda u with lambda = 1 + zeta^3 (or 2
-    # at m = 2): the minor is a sum of monomials whose exponents do not
-    # cancel pairwise, and it is zero in Q(zeta_m); w = u + (0, 1) is not
-    # proportional to u
+    # u = (zeta, -zeta^3) and v = zeta^5 u: the keys of u and v agree once
+    # -zeta^3 and -zeta^8 are read in canonical form, which at even m folds
+    # the sign into zeta^(m/2) = -1, a relation of Phi_m; w = (zeta, zeta^3)
+    # is not proportional to u
     ctx = context(m)
-    lam = ctx.from_fraction(2) if m == 2 else ctx.one + ctx.zeta(3)
-    u = {0: ctx.from_fraction(2) + ctx.zeta(1), 1: ctx.zeta(2)}
-    v = {z: x * lam for z, x in u.items()}
-    w = {0: u[0], 1: u[1] + ctx.one}
+    u = {0: ctx.zeta(1), 1: -ctx.zeta(3)}
+    v = {z: x * ctx.zeta(5) for z, x in u.items()}
+    w = {0: ctx.zeta(1), 1: ctx.zeta(3)}
     spans = block_spans([Blocks([u, v], (1, 0)), Blocks([u], (1, 0))], ctx, [(1, v), (1, w)])
     assert spans.ranks == [1, 1]
     assert spans.contains == [True, False]
 
 
-# --- refusals and the guard ---------------------------------------------------
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_a_two_entry_row_or_query_off_the_roots_of_unity_is_refused(m):
+    # u = (2 + zeta, zeta^2) and v = lambda u with lambda = 1 + zeta^3 (or 2
+    # at m = 2, where 2 + zeta = 1): v has entries that are not +-zeta^k, so
+    # it has no ratio key, and block_spans names it and its block when it
+    # compares it as a row or as a query; alone in its block it is counted
+    ctx = context(m)
+    lam = ctx.from_fraction(2) if m == 2 else ctx.one + ctx.zeta(3)
+    u = {0: ctx.from_fraction(2) + ctx.zeta(1), 1: ctx.zeta(2)}
+    v = {z: x * lam for z, x in u.items()}
+    unit = {0: ctx.one, 1: ctx.zeta(1)}
+    for rows, index in (([unit, v], 1), ([v, unit], 0)):
+        with pytest.raises(InvariantViolated,
+                           match=rf"row {index} has the entry .* in block \{{0, 1\}}, not \+-zeta"):
+            block_spans([Blocks(rows, (1, 0))], ctx)
+    with pytest.raises(InvariantViolated, match=r"query 0 has the entry .* in block \{0, 1\}"):
+        block_spans([Blocks([unit], (1, 0))], ctx, [(0, v)])
+    assert block_spans([Blocks([v], (1, 0))], ctx).ranks == [1]
+
+
+# --- refusals -----------------------------------------------------------------
 
 
 def test_a_row_across_two_blocks_is_refused_with_its_blocks():
@@ -237,19 +250,14 @@ def test_a_sum_of_blocks_keeps_both_row_lists_and_refuses_another_sigma():
         a + Blocks([], (0, 1, 2))
 
 
-def test_the_minor_guard_sits_at_2_to_the_63():
-    # m = 2: every power of zeta reduces to +-1, so the guard is
-    # max|c|^2 for rows of one monomial each; the largest c with c^2 < 2^63
-    # passes and gives rank 2, the next one raises before the product
+def test_one_entry_rows_of_any_size_form_no_product():
+    # m = 2: rows {0: c} and {1: c} have one entry each, so their keys are
+    # their columns and they span two dimensions at any c, even where c^2
+    # would not fit in int64
     ctx = context(2)
-    below = isqrt(2**63 - 1)
-    for c, ok in ((below, True), (below + 1, False)):
+    for c in (isqrt(2**63 - 1), isqrt(2**63 - 1) + 1):
         rows = [{0: ctx.from_fraction(c)}, {1: ctx.from_fraction(c)}]
-        if ok:
-            assert block_spans([Blocks(rows, (1, 0))], ctx).ranks == [2]
-        else:
-            with pytest.raises(IntegerBoundExceeded, match="block minor"):
-                block_spans([Blocks(rows, (1, 0))], ctx)
+        assert block_spans([Blocks(rows, (1, 0))], ctx).ranks == [2]
 
 
 # --- exact counts -------------------------------------------------------------
@@ -284,6 +292,29 @@ def test_the_suite_makes_no_row_space_or_scalar_product_call(monkeypatch):
     RowSpace(ctx, 1, [{0: ctx.one}]).contains({0: ctx.one})
     assert counts == {"__mul__": 1, "__sub__": 1, "inverse": 1,
                       "RowSpace.add": 1, "RowSpace.contains": 1}
+
+
+def test_the_ranks_encode_no_monomials(monkeypatch):
+    # block_spans reads ratio keys, so the monomials and the batch serve
+    # skew_checks alone: the basis, center and +1 vectors are encoded once
+    # each, into one batch per context
+    counts = {"monomials": 0, "_Batch": 0}
+    monomials, batch = liealg.monomials, liealg._Batch
+
+    def counted_monomials(*args):
+        counts["monomials"] += 1
+        return monomials(*args)
+
+    class CountedBatch(batch):
+        def __init__(self, *args):
+            counts["_Batch"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(liealg, "monomials", counted_monomials)
+    monkeypatch.setattr(liealg, "_Batch", CountedBatch)
+    result = verify.run_suite(max_order=24)
+    assert result.all_ok and result.contexts == 406
+    assert counts == {"monomials": 3 * 406, "_Batch": 406}
 
 
 def test_the_center_is_built_once_in_class_coordinates(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from grouplie.liealg import (
     trace_of_product,
 )
 from grouplie.linalg import RowSpace
-from grouplie.verify import curated_taus, default_catalog
+from grouplie.verify import curated_taus, default_catalog, run_suite
 
 
 S3 = catalog("symmetric", 3)
@@ -347,6 +348,27 @@ def test_lie_basis_checks_the_census_without_assert(monkeypatch):
     monkeypatch.setattr(liealg_mod, "census_dimension", lambda c: 0)
     with pytest.raises(InvariantViolated):
         lie_basis(ctx)
+
+
+def test_the_census_is_computed_once_per_context():
+    # lie_basis checks it and the indicator report copies it into
+    # dim_l_formula, both from LieContext.census; the calls are counted by
+    # code object, so a caller that binds the function under its own name
+    # counts too
+    code = census_dimension.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        result = run_suite(max_order=24)
+    finally:
+        sys.setprofile(None)
+    assert result.all_ok and result.contexts == 406
+    assert calls == 509
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,15 @@ def fits_blocks(vectors, sigma):
     return all(len(orbit) <= 1 for orbit in orbits) and max(held.values(), default=0) <= 2
 
 
+def compares_a_non_root(vectors, sigma):
+    """Whether a block of two vectors holds a two-entry vector with an entry
+    that is not +-zeta^k: block_spans reads no ratio key off it."""
+    held = Counter(min(g, sigma[g]) for v in vectors for g in list(v.terms)[:1])
+    return any(len(v.terms) == 2 and held[min(v.terms)] == 2
+               and any(x.coeffs not in x.ctx.signed_roots for x in v.terms.values())
+               for v in vectors)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_kernel_verdicts_equal_the_scalar_products(data):
@@ -112,9 +121,14 @@ def test_kernel_verdicts_equal_the_scalar_products(data):
     plus = data.draw(vector_lists(group, plus_fixed_basis(ctx)))
     basis = LieBasis(ctx, tuple(vectors))
     # closure reduces against the basis per sigma-orbit block, so a basis
-    # that is not block-shaped is refused
+    # that is not block-shaped is refused, and so is one whose two-vector
+    # block holds a two-entry vector off the roots of unity
     if not fits_blocks(vectors, ctx.sigma):
         with pytest.raises(OrbitBlockViolated):
+            skew_checks(basis, center, plus)
+        return
+    if compares_a_non_root(vectors, ctx.sigma):
+        with pytest.raises(InvariantViolated, match=r"not \+-zeta\^k"):
             skew_checks(basis, center, plus)
         return
     got = skew_checks(basis, center, plus)

@@ -122,7 +122,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
     # the context first, so an incompatible pair fails before any table is built
     ctx = make_context(group, alpha, tau)
     ind = indicator_reports(character_table(group, seed=cfg.seed), [ctx])[0]
-    report = verify_theorem(lie_basis(ctx), ind, center_data([ctx])[0])
+    report = verify_theorem(lie_basis(ctx), ind, center_data(ctx))
     if cfg.fmt == "json":
         _emit(_dump({
             "indicators": ind.to_json_dict(),

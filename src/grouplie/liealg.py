@@ -20,13 +20,14 @@ tuples CycloContext.root_values, with no scalar arithmetic.
 
 Every row whose rank or membership the verifier decides lies in one orbit
 block of sigma: the pair {g, sigma(g)} for a spanning, Clifford or kernel
-vector and the pair of classes {c, sigma(c)} for a center candidate.  So
-block_spans, the one entry to the rank and membership kernel, groups the
-rows by block (Blocks) and decides each block of at most two rows by ratio
-keys: every two-entry row it compares has entries +-zeta^k, so two such
-rows are proportional exactly when the ratios of their entries agree, read
-as (sign, exponent) from CycloContext.signed_roots, with no product and no
-scalar arithmetic; linalg.RowSpace is its test oracle.
+vector and the pair of classes {c, sigma(c)} for a center candidate.  So an
+OrbitSpan of a row list keeps the independent rows of each block, at most
+two, and answers its rank, a membership and the span of a sum block by
+block with ratio keys: every two-entry row it compares has entries
++-zeta^k, so two such rows are proportional exactly when the ratios of
+their entries agree, read as (sign, exponent) from
+CycloContext.signed_roots, with no product and no scalar arithmetic;
+linalg.RowSpace is its test oracle.
 
 The verifier's pair checks (closure, centrality, trace-form orthogonality)
 run as one exact integer kernel, skew_checks, with bracket,
@@ -248,21 +249,14 @@ class LieBasis:
     vectors: tuple[GroupAlgebraElement, ...]
 
     @cached_property
-    def blocks(self) -> "Blocks":
-        """The vectors grouped by sigma-orbit block, built on first use."""
-        return Blocks([v.terms for v in self.vectors], self.context.sigma)
-
-    @cached_property
-    def independent(self) -> tuple[bool, ...]:
-        """Per vector, whether it is nonzero and outside the span of the
-        earlier vectors of its block; decided by block_spans' kernel on first
-        use."""
-        spans = block_spans([self.blocks], cyclo.context(self.context.group.exponent))
-        return tuple(spans.independent[0])
+    def span(self) -> "OrbitSpan":
+        """The OrbitSpan of the vectors, decided on first use."""
+        return OrbitSpan([v.terms for v in self.vectors], self.context.sigma,
+                         cyclo.context(self.context.group.exponent))
 
     @property
     def rank(self) -> int:
-        return sum(self.independent)
+        return self.span.rank
 
 
 def _orbit_rows(sigma, exponents, sign: int, values: cyclo.CycloContext):
@@ -470,73 +464,34 @@ def _sum_bound(left: np.ndarray, right: np.ndarray, factor: int, what: str) -> N
 # rank and membership per sigma-orbit block
 
 
-class Blocks:
-    """Sparse rows {column: value} grouped by the orbit {z, sigma[z]} of the
-    involution `sigma` that holds each row's nonzero entries: `groups` maps
-    the least column of each orbit to the indices of its nonzero rows.  A
-    row that crosses two orbits raises OrbitBlockViolated.
-
-    Blocks of one sigma add up to the blocks of both row lists, the rows of
-    the second numbered after those of the first, with no row regrouped.
-    """
-
-    __slots__ = ("rows", "sigma", "groups")
-
-    def __init__(self, rows, sigma, groups: dict[int, list[int]] | None = None):
-        self.rows = list(rows)
-        self.sigma = sigma
-        if groups is None:
-            groups = {}
-            for r, row in enumerate(self.rows):
-                b = _block(row, sigma, "row", r)
-                if b is not None:
-                    groups.setdefault(b, []).append(r)
-        self.groups = groups
-
-    def __add__(self, other: "Blocks") -> "Blocks":
-        if other.sigma != self.sigma:
-            raise BadParameters("blocks of two different involutions do not add")
-        n = len(self.rows)
-        groups = {b: list(g) for b, g in self.groups.items()}
-        for b, g in other.groups.items():
-            groups.setdefault(b, []).extend(r + n for r in g)
-        return Blocks(self.rows + other.rows, self.sigma, groups)
-
-
-class BlockSpans(NamedTuple):
-    """The answers of block_spans."""
-
-    independent: list[list[bool]]
-    contains: list[bool]
-
-    @property
-    def ranks(self) -> list[int]:
-        return [sum(flags) for flags in self.independent]
-
-
 def _name(z: int, sigma) -> str:
     return f"{{{z}}}" if sigma[z] == z else f"{{{z}, {sigma[z]}}}"
 
 
-def _block(row: dict, sigma, kind: str, index: int):
+def _what(index) -> str:
+    return "query" if index is None else f"row {index}"
+
+
+def _block(row: dict, sigma, index):
     """The least column of the orbit {z, sigma[z]} that holds every nonzero
-    entry of `row`, or None for a zero row; `kind` and `index` name the row."""
+    entry of `row`, or None for a zero row; `index` names the row, None a
+    query."""
     blocks = {min(z, sigma[z]) for z, x in row.items() if x}
     if len(blocks) > 1:
         a, b = sorted(blocks)[:2]
-        raise OrbitBlockViolated(f"{kind} {index} crosses the blocks {_name(a, sigma)} and "
+        raise OrbitBlockViolated(f"{_what(index)} crosses the blocks {_name(a, sigma)} and "
                                  f"{_name(b, sigma)}")
     return blocks.pop() if blocks else None
 
 
-def _ratio(row: dict, b: int, sigma, ctx: cyclo.CycloContext, kind: str, index: int):
+def _ratio(row: dict, b: int, sigma, ctx: cyclo.CycloContext, index):
     """The key of a nonzero `row` on the orbit block {b, sigma[b]}, b its
     least column: () on a fixed column, the column of a one-entry row, and
     for a two-entry row the ratio x_sigma(b) / x_b of its entries, both
     +-zeta^k, as (sign, k mod m) read off ctx.signed_roots, which gives each
     +-zeta^k one (sign, k).  Two nonzero rows of one block are proportional
     exactly when their keys are equal.  A two-entry row with another entry
-    raises InvariantViolated; `kind` and `index` name the row."""
+    raises InvariantViolated; `index` names the row, None a query."""
     if sigma[b] == b:
         return ()
     x, y = row.get(b), row.get(sigma[b])
@@ -544,61 +499,91 @@ def _ratio(row: dict, b: int, sigma, ctx: cyclo.CycloContext, kind: str, index: 
         return b if x else sigma[b]
     keys = [ctx.signed_roots.get(v.coeffs) if v.ctx.m == ctx.m else None for v in (x, y)]
     if None in keys:
-        raise InvariantViolated(f"{kind} {index} has the entry {(x, y)[keys.index(None)]!r} "
+        raise InvariantViolated(f"{_what(index)} has the entry {(x, y)[keys.index(None)]!r} "
                                 f"in block {_name(b, sigma)}, not +-zeta^k in Q(zeta_{ctx.m})")
     (s, i), (t, j) = keys
     return s * t, (j - i) % ctx.m
 
 
-def block_spans(spaces: list[Blocks], ctx: cyclo.CycloContext, queries=()) -> BlockSpans:
-    """For each space of `spaces`, sparse rows over Q(zeta_m) grouped into
-    Blocks, whether each row is nonzero and outside the span of the earlier
-    rows of its block (the space's rank is their count), and for each query
-    (i, row) whether row lies in the span of spaces[i], all decided exactly,
-    per orbit block, by ratio keys.
-
-    Every row lies in one orbit of its space's involution sigma: a Lie
-    basis vector, a Clifford or kernel row in {g, sigma(g)}, a center
-    candidate in class coordinates in {c, sigma(c)}.  A block holds at most
-    two rows, a query counted as one; the second of two rows lies outside
-    the span of the first exactly when their keys (_ratio) differ, and a
-    query lies in a space when it is zero or its key equals the key of its
-    block's row, so no product is formed.  A row that crosses two blocks, or
-    a block with more than two rows (a query counted as one), raises
+class OrbitSpan:
+    """The span over Q(zeta_m) of sparse rows {column: value}, each with its
+    nonzero entries in one orbit block {z, sigma[z]} of the involution
+    `sigma`, decided exactly per block with no product: a Lie basis vector,
+    a Clifford or kernel row in {g, sigma(g)}, a center candidate in class
+    coordinates in {c, sigma(c)}.  A row that crosses two blocks raises
     OrbitBlockViolated.
+
+    `blocks` maps the least column of each block to the indices of its
+    independent rows, the nonzero rows outside the span of the earlier rows
+    of their block: at most two on a moved orbit and one on a fixed column,
+    which then span their block.  A block with one independent row on a
+    moved orbit spans a nonzero row exactly when the two rows' ratio keys
+    (_ratio) agree; a key is read only for such a comparison.
+
+    Spans of one sigma add up to the span of both row lists, the rows of
+    the second numbered after those of the first.
     """
-    flags = [[False] * len(space.rows) for space in spaces]
-    tests = []
-    for i, space in enumerate(spaces):
-        for b, group in space.groups.items():
-            if len(group) > 2:
-                raise OrbitBlockViolated(f"block {_name(b, space.sigma)} of space {i} holds "
-                                         f"{len(group)} rows: {group}")
-            flags[i][group[0]] = True
-            if len(group) == 2:
-                tests.append((flags[i], space, b, group[0], "row", group[1], space.rows[group[1]]))
-    found = []
-    for q, (i, row) in enumerate(queries):
-        space = spaces[i]
-        b = _block(row, space.sigma, "query", q)
-        group = space.groups.get(b, ())
-        if len(group) > 1:
-            raise OrbitBlockViolated(f"block {_name(b, space.sigma)} of space {i} holds rows "
-                                     f"{group} and query {q}")
-        found.append(b is not None and not group)
-        if group:
-            tests.append((found, space, b, group[0], "query", q, row))
-    for target, space, b, r, kind, index, row in tests:
-        target[index] = (_ratio(space.rows[r], b, space.sigma, ctx, "row", r)
-                         != _ratio(row, b, space.sigma, ctx, kind, index))
-    return BlockSpans(flags, [not f for f in found])
+
+    __slots__ = ("rows", "sigma", "ctx", "blocks")
+
+    def __init__(self, rows, sigma, ctx: cyclo.CycloContext):
+        self.rows = list(rows)
+        self.sigma = sigma
+        self.ctx = ctx
+        self.blocks: dict[int, list[int]] = {}
+        # every row's block first, so a row across two blocks is refused
+        # before any key is read
+        blocks = [_block(row, sigma, r) for r, row in enumerate(self.rows)]
+        for r, b in enumerate(blocks):
+            if b is not None:
+                self._add(b, r)
+
+    def _outside(self, b: int, row: dict, index) -> bool:
+        """Whether the nonzero `row` of block b lies outside the span of the
+        block's independent rows; `index` names the row, None a query."""
+        held = self.blocks.get(b, ())
+        if len(held) == 1 and self.sigma[b] != b:
+            return (_ratio(self.rows[held[0]], b, self.sigma, self.ctx, held[0])
+                    != _ratio(row, b, self.sigma, self.ctx, index))
+        return not held
+
+    def _add(self, b: int, r: int) -> None:
+        if self._outside(b, self.rows[r], r):
+            self.blocks.setdefault(b, []).append(r)
+
+    @property
+    def independent(self) -> list[bool]:
+        """Per row, whether it is nonzero and outside the span of the earlier
+        rows of its block."""
+        held = {r for rows in self.blocks.values() for r in rows}
+        return [r in held for r in range(len(self.rows))]
+
+    @property
+    def rank(self) -> int:
+        return sum(map(len, self.blocks.values()))
+
+    def contains(self, row: dict) -> bool:
+        b = _block(row, self.sigma, None)
+        return b is None or not self._outside(b, row, None)
+
+    def __add__(self, other: "OrbitSpan") -> "OrbitSpan":
+        if other.sigma != self.sigma or other.ctx.m != self.ctx.m:
+            raise BadParameters("spans of two different involutions or conductors do not add")
+        out = OrbitSpan((), self.sigma, self.ctx)
+        out.rows = self.rows + other.rows
+        out.blocks = {b: list(held) for b, held in self.blocks.items()}
+        n = len(self.rows)
+        for b, held in other.blocks.items():
+            for r in held:
+                out._add(b, r + n)
+        return out
 
 
 def _pivot_map(lie: np.ndarray, independent: np.ndarray, sigma):
     """What reducing by the basis rows does to one term at each column z,
     per sigma-orbit block, as the monomials (target column, c, k) in
     columns start[z]:start[z + 1] of the returned array; `lie` holds the
-    basis monomials and `independent` the flags of its rows (block_spans).
+    basis monomials and `independent` the flags of its rows (OrbitSpan).
 
     In a block {a, b}, a < b, with one independent row r, a vector w lies in
     the span exactly when the minor r_a w_b - r_b w_a is zero, and that
@@ -661,7 +646,7 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     ctx = cyclo.context(group.exponent)
     mult = group.mult_array()
     lie = monomials(enumerate(v.terms for v in basis.vectors), ctx)
-    independent = np.array(basis.independent, dtype=bool)
+    independent = np.array(basis.span.independent, dtype=bool)
     cen = monomials(enumerate(v.terms for v in center), ctx)
     pls = monomials(enumerate(v.terms for v in plus), ctx)
     nv, nc, nplus = len(basis.vectors), len(center), len(plus)

@@ -2,7 +2,7 @@
 and intersection.
 
 None of it is in the verification pipeline: every rank and membership there
-is decided per sigma-orbit block by liealg.block_spans, whose differential
+is decided per sigma-orbit block by liealg.OrbitSpan, whose differential
 tests use RowSpace as their oracle.  The benchmark's tracer still wraps
 RowSpace.add and RowSpace.contains by name.
 

@@ -26,20 +26,19 @@ H = L(Ker alpha), A = L(G, trivial) and B = L(G, alpha), H = A & B exactly
 when every row of H lies in A and in B and rank H = dim A + dim B - dim(A + B)
 (Grassmann's formula).
 
-Every rank and membership (the dimension of L, the center count, dim(A + B),
-H in A and in B, rank H) is decided by liealg.block_spans per sigma-orbit
-block, with no field arithmetic; center_data and verify_clifford each ask a
-whole group's questions in one block_spans pass.
+Every rank and membership (the dimension of L, the center count, dim A,
+dim B, dim(A + B), H in A and in B, rank H) is answered by a
+liealg.OrbitSpan per sigma-orbit block, with no field arithmetic; a Lie
+basis decides its span once, so the Clifford check reads dim A and dim B
+from the spans the theorem check already decided.
 
 The checks take their inputs and return their verdicts; run_suite builds
 the inputs of a suite and shares per-group work between the checks.  It
 builds the tau = id basis of trivial and of each selected character once and
 hands it to the theorem and Clifford checks, builds H = L(Ker alpha) once per
-distinct kernel, builds the center data of all the group's contexts as one
-center_data batch, runs its Clifford checks as one verify_clifford batch,
-and builds the indicator reports of all the group's contexts, and the
-(trivial, tau) report of each Kawanaka check that is not one of them, as
-one indicator_reports batch.
+distinct kernel, and builds the indicator reports of all the group's
+contexts, and the (trivial, tau) report of each Kawanaka check that is not
+one of them, as one indicator_reports batch.
 
 A failing check is reported as an implementation bug: the underlying
 identities are theorems.
@@ -80,11 +79,10 @@ from .indicators import (
     weighted_fs_indicator,
 )
 from .liealg import (
-    Blocks,
     GroupAlgebraElement,
     LieBasis,
     LieContext,
-    block_spans,
+    OrbitSpan,
     center_basis,
     center_candidates,
     lie_basis,
@@ -158,26 +156,18 @@ class CenterData(NamedTuple):
     rank: int
 
 
-def center_data(contexts: list[LieContext]) -> list[CenterData]:
-    """The CenterData of each context, all the ranks in one block_spans pass;
-    contexts over groups of different exponents raise BadParameters.
+def center_data(ctx: LieContext) -> CenterData:
+    """The CenterData of `ctx`.
 
     A candidate T_c - alpha(c) T_(sigma c) is constant on each class, so it
     is written and its rank taken in class coordinates, where it lies in the
     sigma-orbit block {c, sigma(c)}.  Every eligible candidate counts, in
     both orbit orders.
     """
-    if len({ctx.group.exponent for ctx in contexts}) > 1:
-        raise BadParameters("center data of groups of different exponents in one batch")
-    spaces, gens = [], []
-    for ctx in contexts:
-        candidates = list(center_candidates(ctx))
-        gens.append(center_basis(ctx.group, candidates))
-        spaces.append(Blocks([row for _, _, row in candidates], ctx.class_sigma))
-    if not contexts:
-        return []
-    ranks = block_spans(spaces, cyclo.context(contexts[0].group.exponent)).ranks
-    return [CenterData(*data) for data in zip(contexts, gens, ranks)]
+    candidates = list(center_candidates(ctx))
+    span = OrbitSpan([row for _, _, row in candidates], ctx.class_sigma,
+                     cyclo.context(ctx.group.exponent))
+    return CenterData(ctx, center_basis(ctx.group, candidates), span.rank)
 
 
 def _class_count_ok(ctx: LieContext, report: IndicatorReport) -> bool:
@@ -258,63 +248,45 @@ def kernel_space(group: GroupTable, alpha: LinearCharacter) -> KernelSpace:
     ctx_f = cyclo.context(group.exponent)
     rows = [{embed[h]: c.embed(ctx_f) for h, c in v.terms.items()}
             for v in lie_basis(make_context(sub, trivial_character(sub))).vectors]
-    return KernelSpace(sub.order, rows,
-                       block_spans([Blocks(rows, group.inverse)], ctx_f).ranks[0])
+    return KernelSpace(sub.order, rows, OrbitSpan(rows, group.inverse, ctx_f).rank)
 
 
-def verify_clifford(trivial_basis: LieBasis, alpha_bases: list[LieBasis],
-                    kernels: list[KernelSpace]) -> list[CliffordResult]:
-    """For each alpha_bases[i] = B and kernels[i] = H, exact subspace
-    equality of H = L(Ker alpha) and A & B, where A = L(G, trivial) and
-    B = L(G, alpha), both with tau = id.
+def verify_clifford(trivial_basis: LieBasis, alpha_basis: LieBasis,
+                    kernel: KernelSpace) -> CliffordResult:
+    """Exact subspace equality of H = L(Ker alpha) and A & B, where
+    A = L(G, trivial) and B = L(G, alpha), both with tau = id.
 
     H = A & B exactly when every row of H lies in A and in B and
     rank H = dim A + dim B - dim(A + B), by Grassmann's formula.
-    `trivial_basis` is the lie_basis of A, each of `alpha_bases` that of a
-    B, and each of `kernels` the kernel_space of its alpha.  Every rank and
-    membership of the batch is one block_spans pass: the rows of A, B and H
-    lie in the orbits {g, g^-1}, and A + B adds the blocks of A and B.
-    Inputs of another context raise BadParameters.
+    `trivial_basis` is the lie_basis of A, `alpha_basis` that of B, and
+    `kernel` the kernel_space of alpha.  dim A and dim B are the ranks of
+    the bases' spans, decided once per basis, and dim(A + B) is the rank of
+    their sum: the rows of A, B and H lie in the orbits {g, g^-1}.  Inputs
+    of another context raise BadParameters.
     """
-    if len(alpha_bases) != len(kernels):
-        raise BadParameters(f"{len(alpha_bases)} bases and {len(kernels)} kernel spaces "
-                            f"handed to the clifford check")
-    a = trivial_basis.context
-    spaces, queries = [trivial_basis.blocks], []
-    for alpha_basis, kernel in zip(alpha_bases, kernels):
-        b = alpha_basis.context
-        group, alpha = b.group, b.alpha
-        if alpha.is_trivial():
-            raise BadParameters("clifford check needs a nontrivial character")
-        if a.group != group or not (a.alpha.is_trivial() and a.tau.is_identity()
-                                    and b.tau.is_identity()):
-            raise BadParameters(f"bases of {a} and {b} handed to the clifford check, "
-                                f"which needs (G, trivial, id) and (G, alpha, id)")
-        in_kernel = set(alpha.kernel_elements())
-        if kernel.order != len(in_kernel) or any(row.keys() - in_kernel for row in kernel.rows):
-            raise BadParameters(f"kernel space of order {kernel.order} does not fit "
-                                f"Ker({alpha.label}) of order {len(in_kernel)} in {group.name}")
-        queries += [(space, row) for row in kernel.rows for space in (0, len(spaces))]
-        spaces += [alpha_basis.blocks, trivial_basis.blocks + alpha_basis.blocks]
-    if not kernels:
-        return []
-    spans = block_spans(spaces, cyclo.context(a.group.exponent), queries)
-    dim_a = spans.ranks[0]
-    results, done = [], 0
-    for i, (alpha_basis, kernel) in enumerate(zip(alpha_bases, kernels)):
-        dim_b, dim_sum = spans.ranks[2 * i + 1:2 * i + 3]
-        dim_intersection = dim_a + dim_b - dim_sum
-        contained = spans.contains[done:done + 2 * len(kernel.rows)]
-        done += len(contained)
-        results.append(CliffordResult(
-            group_name=a.group.name,
-            alpha_label=alpha_basis.context.alpha.label,
-            kernel_order=kernel.order,
-            dim_kernel=kernel.rank,
-            dim_intersection=dim_intersection,
-            ok=kernel.rank == dim_intersection and all(contained),
-        ))
-    return results
+    a, b = trivial_basis.context, alpha_basis.context
+    group, alpha = b.group, b.alpha
+    if alpha.is_trivial():
+        raise BadParameters("clifford check needs a nontrivial character")
+    if a.group != group or not (a.alpha.is_trivial() and a.tau.is_identity()
+                                and b.tau.is_identity()):
+        raise BadParameters(f"bases of {a} and {b} handed to the clifford check, "
+                            f"which needs (G, trivial, id) and (G, alpha, id)")
+    in_kernel = set(alpha.kernel_elements())
+    if kernel.order != len(in_kernel) or any(row.keys() - in_kernel for row in kernel.rows):
+        raise BadParameters(f"kernel space of order {kernel.order} does not fit "
+                            f"Ker({alpha.label}) of order {len(in_kernel)} in {group.name}")
+    span_a, span_b = trivial_basis.span, alpha_basis.span
+    dim_intersection = span_a.rank + span_b.rank - (span_a + span_b).rank
+    contained = all(span.contains(row) for row in kernel.rows for span in (span_a, span_b))
+    return CliffordResult(
+        group_name=a.group.name,
+        alpha_label=alpha.label,
+        kernel_order=kernel.order,
+        dim_kernel=kernel.rank,
+        dim_intersection=dim_intersection,
+        ok=kernel.rank == dim_intersection and contained,
+    )
 
 
 @dataclass(frozen=True)
@@ -512,10 +484,10 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         # when trivial is selected, as one batch
         extra = [] if trivial in chars else [make_context(group, trivial, t) for t in kawanaka_taus]
         reports = indicator_reports(table, contexts + extra)
-        for report, center in zip(reports[:len(contexts)], center_data(contexts)):
+        for report in reports[:len(contexts)]:
             ctx = report.context
             basis = bases[ctx.alpha.exponents] if ctx.tau.is_identity() else lie_basis(ctx)
-            result.reports.append(verify_theorem(basis, report, center))
+            result.reports.append(verify_theorem(basis, report, center_data(ctx)))
         for report in reports:
             if report.context.alpha.is_trivial() and report.context.tau in kawanaka_taus:
                 result.kawanaka.append(verify_kawanaka(table, report, seed=seed))
@@ -526,9 +498,9 @@ def run_suite(groups: list[GroupTable] | None = None, *,
             key = alpha.kernel_elements()
             if key not in kernels:
                 kernels[key] = kernel_space(group, alpha)
-        result.clifford += verify_clifford(bases[trivial.exponents],
-                                           [bases[alpha.exponents] for alpha in nontrivial],
-                                           [kernels[alpha.kernel_elements()] for alpha in nontrivial])
+        result.clifford += [verify_clifford(bases[trivial.exponents], bases[alpha.exponents],
+                                            kernels[alpha.kernel_elements()])
+                            for alpha in nontrivial]
     result.reports.sort(key=lambda r: (r.group_name, r.alpha_label, r.tau_label))
     result.clifford.sort(key=lambda r: (r.group_name, r.alpha_label))
     result.kawanaka.sort(key=lambda r: (r.group_name, r.tau_label))

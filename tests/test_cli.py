@@ -99,7 +99,7 @@ def test_analyze_json_round_trip(capsys):
     sign = find_character(s3, "sign")
     report = indicator_report(character_table(s3), sign)
     ctx = make_context(s3, sign)
-    structure = verify_theorem(lie_basis(ctx), report, center_data([ctx])[0]).to_json_dict()
+    structure = verify_theorem(lie_basis(ctx), report, center_data(ctx)).to_json_dict()
     assert doc["structure"] == structure
     assert doc["indicators"]["dim_M"] == 4
 

@@ -1,6 +1,5 @@
 """The closure, centrality and orthogonality kernel against its scalar oracles."""
 
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -94,20 +93,31 @@ def vector_lists(draw, group, structured, sigma=None):
 
 
 def fits_blocks(vectors, sigma):
-    """Whether every vector lies in one orbit {g, sigma(g)}, with at most two
-    vectors in each orbit."""
-    orbits = [{min(g, sigma[g]) for g in v.terms} for v in vectors]
-    held = Counter(min(orbit) for orbit in orbits if orbit)
-    return all(len(orbit) <= 1 for orbit in orbits) and max(held.values(), default=0) <= 2
+    """Whether every vector lies in one orbit {g, sigma(g)}."""
+    return all(len({min(g, sigma[g]) for g in v.terms}) <= 1 for v in vectors)
 
 
 def compares_a_non_root(vectors, sigma):
-    """Whether a block of two vectors holds a two-entry vector with an entry
-    that is not +-zeta^k: block_spans reads no ratio key off it."""
-    held = Counter(min(g, sigma[g]) for v in vectors for g in list(v.terms)[:1])
-    return any(len(v.terms) == 2 and held[min(v.terms)] == 2
-               and any(x.coeffs not in x.ctx.signed_roots for x in v.terms.values())
-               for v in vectors)
+    """Whether OrbitSpan compares a two-entry vector with an entry that is
+    not +-zeta^k, off which it reads no ratio key: it compares each nonzero
+    vector of a moved orbit that holds exactly one earlier independent
+    vector with that vector (RowSpace decides which are independent)."""
+    held = {}
+    for v in vectors:
+        z = min(v.terms, default=None)
+        if z is None or sigma[z] == z:
+            continue
+        rows = held.setdefault(min(z, sigma[z]), [])
+        if len(rows) == 1:
+            if any(len(u.terms) == 2 and any(x.coeffs not in x.ctx.signed_roots
+                                             for x in u.terms.values())
+                   for u in (rows[0], v)):
+                return True
+            if not RowSpace(context(v.group.exponent), len(sigma), [rows[0].terms]).contains(v.terms):
+                rows.append(v)
+        elif not rows:
+            rows.append(v)
+    return False
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,8 +131,8 @@ def test_kernel_verdicts_equal_the_scalar_products(data):
     plus = data.draw(vector_lists(group, plus_fixed_basis(ctx)))
     basis = LieBasis(ctx, tuple(vectors))
     # closure reduces against the basis per sigma-orbit block, so a basis
-    # that is not block-shaped is refused, and so is one whose two-vector
-    # block holds a two-entry vector off the roots of unity
+    # that is not block-shaped is refused, and so is one whose span compares
+    # a two-entry vector off the roots of unity
     if not fits_blocks(vectors, ctx.sigma):
         with pytest.raises(OrbitBlockViolated):
             skew_checks(basis, center, plus)

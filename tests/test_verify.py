@@ -45,7 +45,7 @@ def _check(basis, report):
     """verify_theorem of `basis` and `report` with the center data of the
     basis's context, built through verify.center_data, so a patch of
     verify.center_basis reaches it."""
-    return verify_theorem(basis, report, verify.center_data([basis.context])[0])
+    return verify_theorem(basis, report, verify.center_data(basis.context))
 
 
 def _clifford(group, alpha, alpha_basis=None):
@@ -54,7 +54,7 @@ def _clifford(group, alpha, alpha_basis=None):
     trivial = lie_basis(make_context(group, find_character(group, "trivial")))
     if alpha_basis is None:
         alpha_basis = lie_basis(make_context(group, alpha))
-    return verify_clifford(trivial, [alpha_basis], [verify.kernel_space(group, alpha)])[0]
+    return verify_clifford(trivial, alpha_basis, verify.kernel_space(group, alpha))
 
 
 def _row_space(basis):
@@ -355,20 +355,20 @@ def test_clifford_refuses_inputs_of_another_context():
     h = verify.kernel_space(z6, sign)
     # B of (sign, inv)
     with pytest.raises(BadParameters, match=r"\(Z/6, sign, inv\) handed to the clifford check"):
-        verify_clifford(a, [lie_basis(make_context(z6, sign, inversion_automorphism(z6)))], [h])
+        verify_clifford(a, lie_basis(make_context(z6, sign, inversion_automorphism(z6))), h)
     # A of (trivial, inv), and A of a nontrivial character
     with pytest.raises(BadParameters, match=r"\(Z/6, trivial, inv\)"):
-        verify_clifford(lie_basis(make_context(z6, trivial, inversion_automorphism(z6))), [b], [h])
+        verify_clifford(lie_basis(make_context(z6, trivial, inversion_automorphism(z6))), b, h)
     with pytest.raises(BadParameters, match=r"\(Z/6, sign, id\) and \(Z/6, sign, id\)"):
-        verify_clifford(b, [b], [h])
+        verify_clifford(b, b, h)
     # A over another group
     z4 = catalog("cyclic", 4)
     with pytest.raises(BadParameters, match=r"\(Z/4, trivial, id\) and \(Z/6, sign, id\)"):
-        verify_clifford(lie_basis(make_context(z4, find_character(z4, "trivial"))), [b], [h])
+        verify_clifford(lie_basis(make_context(z4, find_character(z4, "trivial"))), b, h)
     # H of Z/4's sign, of order 2; Ker(sign) of Z/6 has order 3
     with pytest.raises(BadParameters, match=r"order 2 does not fit Ker\(sign\) of order 3"):
-        verify_clifford(a, [b], [verify.kernel_space(z4, find_character(z4, "sign"))])
-    assert verify_clifford(a, [b], [h])[0].ok
+        verify_clifford(a, b, verify.kernel_space(z4, find_character(z4, "sign")))
+    assert verify_clifford(a, b, h).ok
 
 
 def test_suite_clifford_with_shared_bases_equals_standalone_checks():
@@ -672,23 +672,17 @@ def test_theorem_refuses_center_data_of_another_context():
     report = indicator_report(character_table(z4), sign)
     for other in (make_context(z4, triv), make_context(z4, sign, inversion_automorphism(z4))):
         with pytest.raises(BadParameters, match=r"center data of \(Z/4, .*\) handed to the basis"):
-            verify_theorem(lie_basis(ctx), report, center_data([other])[0])
-    assert verify_theorem(lie_basis(ctx), report, center_data([ctx])[0]).all_ok
-
-
-def test_center_data_refuses_groups_of_different_exponents():
-    z4, z6 = catalog("cyclic", 4), catalog("cyclic", 6)
-    contexts = [make_context(g, find_character(g, "trivial")) for g in (z4, z6)]
-    with pytest.raises(BadParameters, match="different exponents"):
-        center_data(contexts)
-    assert center_data([]) == []
+            verify_theorem(lie_basis(ctx), report, center_data(other))
+    assert verify_theorem(lie_basis(ctx), report, center_data(ctx)).all_ok
 
 
 def test_clifford_refuses_unmatched_bases_and_kernel_spaces():
-    z6 = catalog("cyclic", 6)
-    sign = find_character(z6, "sign")
-    a = lie_basis(make_context(z6, find_character(z6, "trivial")))
-    b = lie_basis(make_context(z6, sign))
-    with pytest.raises(BadParameters, match="1 bases and 0 kernel spaces"):
-        verify_clifford(a, [b], [])
-    assert verify_clifford(a, [], []) == []
+    # Z/3 x Z/3 has four kernels of order 3: the kernel space of lin3 fits
+    # the order of Ker(lin4) but not its elements
+    group = catalog("direct_product", catalog("cyclic", 3), catalog("cyclic", 3))
+    a = lie_basis(make_context(group, find_character(group, "trivial")))
+    lin3, lin4 = find_character(group, "lin3"), find_character(group, "lin4")
+    with pytest.raises(BadParameters, match=r"order 3 does not fit Ker\(lin4\) of order 3"):
+        verify_clifford(a, lie_basis(make_context(group, lin4)), verify.kernel_space(group, lin3))
+    assert verify_clifford(a, lie_basis(make_context(group, lin4)),
+                           verify.kernel_space(group, lin4)).ok

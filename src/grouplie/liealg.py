@@ -38,7 +38,8 @@ those vectors except 1 -+ alpha(g) at a fixed point, is one monomial, looked
 up in CycloContext.signed_roots; any other algebraic integer expands into
 its power-basis terms.  A product of two monomials is a multiplication-table
 lookup and a sum of exponents; the kernel sums the products per (pair,
-position) in int64, in batches of about BATCH_SIZE products, and checks
+position) in int64, in batches of about BATCH_SIZE = 4096 products (a
+larger batch saves little time and raises the peak memory), and checks
 that every sum is zero in Q(zeta_m) (_Batch).  Every sum is bounded below
 2^63 before it is formed.
 """
@@ -327,7 +328,7 @@ def center_basis(group: GroupTable, candidates) -> list[GroupAlgebraElement]:
 # closure, centrality and orthogonality as one exact integer kernel
 
 # products per batch: the batches bound the kernel's memory on large contexts
-BATCH_SIZE = 1000
+BATCH_SIZE = 4096
 
 
 class SkewChecks(NamedTuple):

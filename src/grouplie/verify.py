@@ -35,10 +35,10 @@ from the spans the theorem check already decided.
 The checks take their inputs and return their verdicts; run_suite builds
 the inputs of a suite and shares per-group work between the checks.  It
 builds the tau = id basis of trivial and of each selected character once and
-hands it to the theorem and Clifford checks, builds H = L(Ker alpha) once per
-distinct kernel, and builds the indicator reports of all the group's
-contexts, and the (trivial, tau) report of each Kawanaka check that is not
-one of them, as one indicator_reports batch.
+hands it to the theorem and Clifford checks, writes H = L(Ker alpha) from
+G's inverse map once per distinct kernel, and builds the indicator reports
+of all the group's contexts, and the (trivial, tau) report of each Kawanaka
+check that is not one of them, as one indicator_reports batch.
 
 A failing check is reported as an implementation bug: the underlying
 identities are theorems.
@@ -65,7 +65,6 @@ from .groups import (
     conjugacy_data,
     identity_automorphism,
     inversion_automorphism,
-    kernel_subgroup,
     linear_characters,
     semidirect_product,
     trivial_character,
@@ -83,6 +82,7 @@ from .liealg import (
     LieBasis,
     LieContext,
     OrbitSpan,
+    _orbit_rows,
     center_basis,
     center_candidates,
     lie_basis,
@@ -243,12 +243,14 @@ class KernelSpace(NamedTuple):
 
 
 def kernel_space(group: GroupTable, alpha: LinearCharacter) -> KernelSpace:
-    """The KernelSpace of Ker alpha; it depends on alpha only through its kernel."""
-    sub, embed = kernel_subgroup(group, alpha)
+    """The KernelSpace of Ker alpha; it depends on alpha only through its
+    kernel.  Its rows delta_h - delta_(h^-1) are those _orbit_rows writes on
+    G's inverse map for the orbits {h, h^-1}, h != h^-1, in the kernel."""
+    kernel = set(alpha.kernel_elements())
     ctx_f = cyclo.context(group.exponent)
-    rows = [{embed[h]: c.embed(ctx_f) for h, c in v.terms.items()}
-            for v in lie_basis(make_context(sub, trivial_character(sub))).vectors]
-    return KernelSpace(sub.order, rows, OrbitSpan(rows, group.inverse, ctx_f).rank)
+    rows = [row for h, s, row in _orbit_rows(group.inverse, (0,) * group.order, -1, ctx_f)
+            if h < s and h in kernel]
+    return KernelSpace(len(kernel), rows, OrbitSpan(rows, group.inverse, ctx_f).rank)
 
 
 def verify_clifford(trivial_basis: LieBasis, alpha_basis: LieBasis,
@@ -493,11 +495,8 @@ def run_suite(groups: list[GroupTable] | None = None, *,
                 result.kawanaka.append(verify_kawanaka(table, report, seed=seed))
         # H = L(Ker alpha) depends on alpha only through its kernel
         nontrivial = [alpha for alpha in chars if not alpha.is_trivial()]
-        kernels = {}
-        for alpha in nontrivial:
-            key = alpha.kernel_elements()
-            if key not in kernels:
-                kernels[key] = kernel_space(group, alpha)
+        by_kernel = {alpha.kernel_elements(): alpha for alpha in nontrivial}
+        kernels = {key: kernel_space(group, alpha) for key, alpha in by_kernel.items()}
         result.clifford += [verify_clifford(bases[trivial.exponents], bases[alpha.exponents],
                                             kernels[alpha.kernel_elements()])
                             for alpha in nontrivial]

@@ -1,7 +1,8 @@
 """The sigma-orbit spans (liealg.OrbitSpan) against the RowSpace oracle and
-their refusals, and the counts that show RowSpace and CycloScalar arithmetic
-out of the pipeline, the monomial kernel out of the ranks and every block
-decided once."""
+their refusals, the kernel spaces against the subgroup route, and the counts
+that show RowSpace and CycloScalar arithmetic out of the pipeline, the
+monomial kernel out of the ranks, every block decided once and no subgroup
+built for a kernel space."""
 
 from itertools import product
 from math import isqrt
@@ -17,8 +18,12 @@ from grouplie.groups import (
     alpha_tau_compatible,
     conjugacy_data,
     find_character,
+    from_mult_table,
+    kernel_subgroup,
     linear_characters,
     parse_group_spec,
+    subgroup_table,
+    trivial_character,
 )
 from grouplie.liealg import OrbitSpan, center_candidates, lie_basis, make_context
 from grouplie.linalg import RowSpace
@@ -81,6 +86,28 @@ def test_every_suite_rank_and_membership_equals_the_row_space_oracle(groups, con
                     == [s.contains(row) for row in kernel.rows for s in (space_a, space_b)])
             checked += 1
     assert (seen, checked) == (contexts, cliffords)
+
+
+@pytest.mark.parametrize("groups, contexts, cliffords", SUITES, ids=["order-24", "suite-large"])
+def test_every_suite_kernel_space_equals_the_subgroup_route(groups, contexts, cliffords):
+    # the oracle: Ker alpha built as a group of its own, the Lie basis of
+    # (Ker alpha, trivial), and its rows mapped back into G
+    checked = 0
+    for group in groups:
+        field = context(group.exponent)
+        for alpha in linear_characters(group):
+            if alpha.is_trivial():
+                continue
+            sub, embed = kernel_subgroup(group, alpha)
+            rows = [{embed[h]: c.embed(field) for h, c in v.terms.items()}
+                    for v in lie_basis(make_context(sub, trivial_character(sub))).vectors]
+            rank = OrbitSpan(rows, group.inverse, field).rank
+            kernel = kernel_space(group, alpha)
+            assert (kernel.order, kernel.rows, kernel.rank) == (sub.order, rows, rank)
+            assert all(type(x) is CycloScalar and x.ctx.m == field.m
+                       for row in kernel.rows for x in row.values())
+            checked += 1
+    assert checked == cliffords
 
 
 # --- random blocks against the oracle --------------------------------------
@@ -378,3 +405,37 @@ def test_the_suite_decides_every_block_once(monkeypatch):
     assert result.all_ok and (result.contexts, len(result.clifford)) == (406, 327)
     assert (counts["span"], counts["sum"]) == (406, 327)
     assert counts["_block"] <= 8019 and counts["_ratio"] <= 9664
+
+
+def test_the_suite_builds_no_subgroup_and_flushes_few_batches(monkeypatch):
+    # the kernel spaces are written on G's inverse map, so a pass over the
+    # order-24 suite builds only the 24 Kawanaka extensions as new groups
+    # and one Lie basis per context, a pass over suite-large no group at
+    # all, and skew_checks flushes 52 batches of data there (BATCH_SIZE)
+    counts = {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 0, "flush": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    class CountedBatch(liealg._Batch):
+        def flush(self):
+            counts["flush"] += self.size > 0
+            super().flush()
+
+    small = [g for g in default_catalog() if g.order <= 24]
+    large = [parse_group_spec(spec) for spec in SUITE_LARGE]
+    for original in (from_mult_table, subgroup_table):
+        name = original.__name__
+        monkeypatch.setattr(f"grouplie.groups.{name}", counted(name, original))
+    monkeypatch.setattr(verify, "lie_basis", counted("lie_basis", verify.lie_basis))
+    monkeypatch.setattr(liealg, "_Batch", CountedBatch)
+    result = verify.run_suite(small)
+    assert result.all_ok and (result.contexts, len(result.kawanaka)) == (406, 24)
+    assert (counts["from_mult_table"], counts["lie_basis"]) == (24, 406)
+    counts.update(dict.fromkeys(counts, 0))
+    result = verify.run_suite(large)
+    assert result.all_ok and (result.contexts, len(result.clifford)) == (29, 21)
+    assert counts == {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 29, "flush": 52}

@@ -465,11 +465,12 @@ def test_large_table_json_pinned(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[spec]
 
 
-# SHA-256 of `verify --format json` for five groups beyond the catalog
-# (orders 128-512, 67-131 classes), recorded at seeds 0 and 5; tier-1
+# SHA-256 of `verify --format json` for six groups beyond the catalog
+# (orders 128-1024, 67-250 classes), recorded at seeds 0 and 5; tier-1
 # checks the two that take about a second, and CI runs scripts/verify_pins.py
-# on cyclic:128, dihedral:256 and quaternion8^3 (125 classes, the center path
-# on a nonabelian group), which take several seconds each
+# on all six: cyclic:128, dihedral:256 and quaternion8^3 (125 classes, the
+# center path on a nonabelian group) take several seconds each, and
+# quaternion8^3 x Z/2 (order 1024, 250 classes) about a minute
 VERIFY_DIGESTS = json.loads((Path(__file__).parent / "data" / "verify_sha256.json").read_text())
 
 

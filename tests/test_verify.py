@@ -268,17 +268,15 @@ def _outside_pair(group, alpha):
 def test_clifford_fails_when_the_kernel_basis_loses_its_last_vector(monkeypatch):
     for spec, label in (("symmetric:3", "sign"), ("cyclic:6", "sign"), ("dihedral:4", "lin1")):
         group = parse_group_spec(spec)
-        original = verify.lie_basis
+        original = verify.kernel_space
 
-        def truncated(ctx, group=group, original=original):
-            basis = original(ctx)
-            if ctx.group.order < group.order:  # the basis of L(Ker alpha)
-                return dataclasses.replace(basis, vectors=basis.vectors[:-1])
-            return basis
+        def truncated(group, alpha, original=original):
+            kernel = original(group, alpha)
+            return _with_rows(group, kernel, kernel.rows[:-1])
 
         alpha = find_character(group, label)
         assert _clifford(group, alpha).dim_kernel == 1
-        monkeypatch.setattr(verify, "lie_basis", truncated)
+        monkeypatch.setattr(verify, "kernel_space", truncated)
         res = _clifford(group, alpha)
         assert not res.ok and (res.dim_kernel, res.dim_intersection) == (0, 1)
         monkeypatch.undo()
@@ -384,13 +382,14 @@ def test_suite_clifford_with_shared_bases_equals_standalone_checks():
 
 
 def test_run_suite_builds_each_tau_id_basis_once_per_group(monkeypatch):
-    # D4: 4 linear characters, tau = id only, 3 Clifford checks
+    # D4: 4 linear characters, tau = id only, 3 Clifford checks, whose
+    # kernel spaces are written without a Lie basis of the kernel
     built = []
     original = verify.lie_basis
     monkeypatch.setattr(verify, "lie_basis", lambda ctx: built.append(ctx) or original(ctx))
     result = run_suite([catalog("dihedral", 4)])
     assert result.all_ok and result.contexts == 4 and len(result.clifford) == 3
-    assert len(built) == 4 + 3
+    assert len(built) == 4
     assert sum(ctx.group.order == 8 for ctx in built) == 4
 
 
@@ -398,8 +397,8 @@ def test_run_suite_builds_each_kernel_space_once(monkeypatch):
     # Z/12 has 11 nontrivial characters, whose kernels are the 5 proper
     # subgroups of Z/12 (one per character order 2, 3, 4, 6, 12)
     built = []
-    original = verify.kernel_subgroup
-    monkeypatch.setattr(verify, "kernel_subgroup",
+    original = verify.kernel_space
+    monkeypatch.setattr(verify, "kernel_space",
                         lambda group, alpha: built.append(alpha) or original(group, alpha))
     result = run_suite([parse_group_spec("cyclic:12")])
     assert result.all_ok and len(result.clifford) == 11
@@ -408,7 +407,7 @@ def test_run_suite_builds_each_kernel_space_once(monkeypatch):
 
 def test_run_suite_builds_only_the_selected_tau_id_bases(monkeypatch):
     # the tau = id bases of Z/24 are those of trivial (for Clifford) and sign;
-    # the other lie_basis calls are (sign, inv) and the kernel's basis
+    # the other lie_basis call is (sign, inv), and the kernel space needs none
     z24 = parse_group_spec("cyclic:24")
     built = []
     original = verify.lie_basis
@@ -417,7 +416,7 @@ def test_run_suite_builds_only_the_selected_tau_id_bases(monkeypatch):
     assert result.all_ok and result.contexts == 2 and len(result.clifford) == 1
     id_bases = [ctx.alpha.label for ctx in built if ctx.group is z24 and ctx.tau.is_identity()]
     assert sorted(id_bases) == ["sign", "trivial"]
-    assert len(built) == 4
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("options", [{"alpha_labels": "lin12"}, {"tau_policy": "bogus"}])

@@ -3,7 +3,9 @@
 Elements are indices 0..n-1 with the identity normalized to 0.  The module
 provides validated constructors, a catalog of standard groups, conjugacy
 data, linear characters (as homomorphisms into Z/m, fixed by their values
-on a generating set) and validated involutive automorphisms.
+on a generating set) and validated involutive automorphisms.  Every catalog
+builder writes its table as one (n, n) int64 array, and from_mult_table,
+the conjugacy classes and the automorphism checks work on that array.
 """
 
 from __future__ import annotations
@@ -62,16 +64,13 @@ class GroupTable:
     def is_abelian(self) -> bool:
         cached = self.__dict__.get("_abelian")
         if cached is None:
-            cached = all(
-                self.mult[a][b] == self.mult[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
+            cached = bool(np.array_equal(self.mult_array(), self.mult_array().T))
             object.__setattr__(self, "_abelian", cached)
         return cached
 
     def generators(self) -> tuple[int, ...]:
-        """_greedy_generators of the table, built on first use and shared."""
+        """_greedy_generators of the table: the ones from_mult_table checked
+        associativity on, or built on first use, and shared."""
         cached = self.__dict__.get("_generators")
         if cached is None:
             cached = tuple(_greedy_generators(self.mult))
@@ -79,8 +78,8 @@ class GroupTable:
         return cached
 
     def mult_array(self) -> np.ndarray:
-        """The multiplication table as one read-only int64 array, built on
-        first use and shared."""
+        """The multiplication table as one read-only int64 array: the one
+        from_mult_table validated, or built on first use, and shared."""
         cached = self.__dict__.get("_mult_array")
         if cached is None:
             cached = np.array(self.mult, dtype=np.int64).reshape(self.order, self.order)
@@ -171,8 +170,18 @@ def _index_list(data, n: int, what: str, *, permutation: bool = False) -> list[i
 
 
 def from_mult_table(table, name: str = "G") -> GroupTable:
-    """Validate a multiplication table and normalize the identity to index 0."""
-    if not isinstance(table, (list, tuple)):
+    """Validate a multiplication table, a list of rows or an (n, n) integer
+    array, and normalize the identity to index 0.
+
+    A list has each row checked by _index_list; an array whose dtype, shape
+    or range is off is refused through its rows as lists, so both name the
+    same row.  Every group axiom is then checked on one int64 array.
+    """
+    if isinstance(table, np.ndarray) and not (
+            table.dtype.kind in "iu" and table.ndim == 2 and table.size
+            and len(table) == table.shape[1] and 0 <= table.min() and table.max() < len(table)):
+        table = table.tolist()
+    if not isinstance(table, (list, tuple, np.ndarray)):
         raise BadParameters(f"multiplication table must be a list of rows, "
                             f"not {type(table).__name__}")
     n = len(table)
@@ -180,42 +189,42 @@ def from_mult_table(table, name: str = "G") -> GroupTable:
         raise BadParameters("empty multiplication table")
     if n > ORDER_CAP:
         raise OrderCapExceeded(f"order {n} exceeds cap {ORDER_CAP}")
-    rows = [_index_list(r, n, f"multiplication table row {a}") for a, r in enumerate(table)]
-
-    identity = None
-    for e in range(n):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise NoIdentity("no two-sided identity element")
-    if identity != 0:
-        perm = list(range(n))
-        perm[0], perm[identity] = identity, 0
-        rows = [[perm[rows[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
-        identity = 0
-
+    rows = table if isinstance(table, np.ndarray) else [
+        _index_list(r, n, f"multiplication table row {a}") for a, r in enumerate(table)]
     arr = np.array(rows, dtype=np.int64)
-    for a in _greedy_generators(rows):
+
+    elements = np.arange(n)
+    found = np.flatnonzero((arr == elements).all(axis=1) & (arr == elements[:, None]).all(axis=0))
+    if not len(found):
+        raise NoIdentity("no two-sided identity element")
+    if found[0]:
+        perm = elements.copy()
+        perm[[0, found[0]]] = found[0], 0
+        arr = perm[arr[np.ix_(perm, perm)]]
+
+    mult = tuple(map(tuple, arr.tolist()))
+    generators = tuple(_greedy_generators(mult))
+    for a in generators:
         left = arr[arr[:, a]]           # left[x, y] = (x*a)*y
         right = arr[:, arr[a]]          # right[x, y] = x*(a*y)
         if not np.array_equal(left, right):
             x, y = map(int, np.argwhere(left != right)[0])
             raise NotAssociative((x, a, y))
 
-    inverse = []
-    for g in range(n):
-        inv = next((h for h in range(n) if rows[g][h] == 0 and rows[h][g] == 0), None)
-        if inv is None:
-            raise NoInverse(g)
-        inverse.append(inv)
-
-    mult = tuple(tuple(r) for r in rows)
-    group = GroupTable(name, n, mult, tuple(inverse), 1)
-    exponent = 1
-    for g in range(n):
-        exponent = math.lcm(exponent, group.element_order(g))
-    return GroupTable(name, n, mult, tuple(inverse), exponent)
+    both = (arr == 0) & (arr.T == 0)
+    has = both.any(axis=1)
+    if not has.all():
+        raise NoInverse(int(np.argmin(has)))
+    # powers[k, g] = g^(k+1), doubling the rows until every column holds e
+    powers = elements[None]
+    while not (powers == 0).any(axis=0).all():
+        powers = np.vstack([powers, arr[powers[-1], powers]])
+    orders = set(((powers == 0).argmax(axis=0) + 1).tolist())
+    group = GroupTable(name, n, mult, tuple(both.argmax(axis=1).tolist()), math.lcm(*orders))
+    arr.setflags(write=False)
+    object.__setattr__(group, "_mult_array", arr)
+    object.__setattr__(group, "_generators", generators)
+    return group
 
 
 def _greedy_generators(rows) -> list[int]:
@@ -299,29 +308,24 @@ def _permutation_group(perms, name: str) -> GroupTable:
         a, b = map(int, outside[0])
         raise BadParameters(f"permutations are not closed under composition: "
                             f"{tuple(perms[a])} o {tuple(perms[b])} is not in the list")
-    return from_mult_table(order[pos].tolist(), name)
+    return from_mult_table(order[pos], name)
 
 
 def cyclic_group(n: int) -> GroupTable:
     if not 1 <= n <= ORDER_CAP:
         raise BadParameters(f"cyclic order {n} out of range")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return from_mult_table(table, f"Z/{n}")
+    x = np.arange(n)
+    return from_mult_table((x[:, None] + x) % n, f"Z/{n}")
 
 
 def dihedral_group(n: int) -> GroupTable:
     """Symmetries of the regular n-gon, order 2n; element i + n*j is r^i s^j."""
     if n < 3 or 2 * n > ORDER_CAP:
         raise BadParameters(f"dihedral parameter {n} out of range (need 3 <= n)")
-    size = 2 * n
-
-    def mul(a, b):
-        i1, j1 = a % n, a // n
-        i2, j2 = b % n, b // n
-        i = (i1 + (i2 if j1 == 0 else -i2)) % n
-        return i + n * ((j1 + j2) % 2)
-
-    table = [[mul(a, b) for b in range(size)] for a in range(size)]
+    x = np.arange(2 * n)
+    i, j = x % n, x // n
+    # r^i1 s^j1 r^i2 s^j2 = r^(i1 +- i2) s^(j1 + j2), with - when j1 = 1
+    table = (i[:, None] + (1 - 2 * j)[:, None] * i) % n + n * ((j[:, None] + j) % 2)
     return from_mult_table(table, f"D{n}")
 
 
@@ -350,36 +354,18 @@ def alternating_group(n: int) -> GroupTable:
 
 def quaternion_group() -> GroupTable:
     """Unit quaternions {1,-1,i,-i,j,-j,k,-k}, indexed in that order."""
-    units = {0: (1, "e"), 1: (-1, "e"), 2: (1, "i"), 3: (-1, "i"),
-             4: (1, "j"), 5: (-1, "j"), 6: (1, "k"), 7: (-1, "k")}
-    prod = {
-        ("e", "e"): (1, "e"), ("e", "i"): (1, "i"), ("e", "j"): (1, "j"), ("e", "k"): (1, "k"),
-        ("i", "e"): (1, "i"), ("j", "e"): (1, "j"), ("k", "e"): (1, "k"),
-        ("i", "i"): (-1, "e"), ("j", "j"): (-1, "e"), ("k", "k"): (-1, "e"),
-        ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-        ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-    }
-    encode = {(s, b): idx for idx, (s, b) in units.items()}
-
-    def mul(a, b):
-        sa, ba = units[a]
-        sb, bb = units[b]
-        s, base = prod[(ba, bb)]
-        return encode[(sa * sb * s, base)]
-
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
+    # element 2*b + s is (-1)^s times unit b of (1, i, j, k); the units
+    # multiply as b1 XOR b2 with the sign flipped where flips[b1, b2]
+    flips = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    b, s = np.arange(8) // 2, np.arange(8) % 2
+    table = 2 * (b[:, None] ^ b) + (s[:, None] ^ s ^ flips[b[:, None], b])
     return from_mult_table(table, "Q8")
 
 
 def frobenius21_group() -> GroupTable:
     """The nonabelian group of order 21: Z/7 twisted by the order-3 action a -> 2a."""
-    def mul(x, y):
-        a1, b1 = x % 7, x // 7
-        a2, b2 = y % 7, y // 7
-        return (a1 + pow(2, b1, 7) * a2) % 7 + 7 * ((b1 + b2) % 3)
-
-    table = [[mul(x, y) for y in range(21)] for x in range(21)]
+    a, b = np.arange(21) % 7, np.arange(21) // 7
+    table = (a[:, None] + (2 ** b)[:, None] * a) % 7 + 7 * ((b[:, None] + b) % 3)
     return from_mult_table(table, "Z/7:Z/3")
 
 
@@ -387,12 +373,9 @@ def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     n1, n2 = g1.order, g2.order
     if n1 * n2 > ORDER_CAP:
         raise OrderCapExceeded(f"product order {n1 * n2} exceeds cap {ORDER_CAP}")
-    table = [
-        [g1.mult[a1][b1] * n2 + g2.mult[a2][b2]
-         for b1 in range(n1) for b2 in range(n2)]
-        for a1 in range(n1) for a2 in range(n2)
-    ]
-    return from_mult_table(table, f"{g1.name}x{g2.name}")
+    # (a1, a2)(b1, b2) at row a1*n2 + a2, column b1*n2 + b2
+    table = g1.mult_array()[:, None, :, None] * n2 + g2.mult_array()[None, :, None, :]
+    return from_mult_table(table.reshape(n1 * n2, n1 * n2), f"{g1.name}x{g2.name}")
 
 
 def semidirect_product(g: GroupTable, tau: InvolutiveAutomorphism) -> GroupTable:
@@ -400,17 +383,13 @@ def semidirect_product(g: GroupTable, tau: InvolutiveAutomorphism) -> GroupTable
 
     Element g + i*#g is the pair (g, tau^i); (g, i)(h, j) = (g*tau^i(h), i+j).
     """
+    check_order(g, tau)
     n = g.order
     if 2 * n > ORDER_CAP:
         raise OrderCapExceeded(f"extension order {2 * n} exceeds cap {ORDER_CAP}")
-
-    def mul(x, y):
-        a, i = x % n, x // n
-        b, j = y % n, y // n
-        bb = b if i == 0 else tau.mapping[b]
-        return g.mult[a][bb] + n * ((i + j) % 2)
-
-    table = [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
+    mult = g.mult_array()
+    twisted = mult[:, tau.mapping]  # twisted[a, b] = a * tau(b)
+    table = np.block([[mult, mult + n], [twisted + n, twisted]])
     return from_mult_table(table, f"{g.name}:<{tau.label}>")
 
 
@@ -461,26 +440,20 @@ def conjugacy_data(group: GroupTable) -> ConjugacyData:
     cached = group.__dict__.get("_conjugacy")
     if cached is not None:
         return cached
-    n = group.order
-    class_of = [-1] * n
-    classes: list[tuple[int, ...]] = []
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        orbit = sorted({group.conjugate(h, g) for h in range(n)})
-        idx = len(classes)
-        for x in orbit:
-            class_of[x] = idx
-        classes.append(tuple(orbit))
-    reps = tuple(c[0] for c in classes)
-    inverse_class = tuple(class_of[group.inverse[r]] for r in reps)
-    sizes = tuple(len(c) for c in classes)
+    mult, inverse = group.mult_array(), np.array(group.inverse)
+    # column g of mult[mult, inverse[:, None]] holds h g h^-1 for every h:
+    # the class of g, numbered by its least element and then in that order
+    least = mult[mult, inverse[:, None]].min(axis=0)
+    is_rep = least == np.arange(group.order)
+    reps, class_of = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[least]
+    sizes = np.bincount(class_of).tolist()
+    members, ends = np.argsort(class_of, kind="stable").tolist(), np.cumsum(sizes).tolist()
     data = ConjugacyData(
-        classes=tuple(classes),
-        class_of=tuple(class_of),
-        inverse_class=inverse_class,
-        sizes=sizes,
-        representatives=reps,
+        classes=tuple(tuple(members[e - size:e]) for e, size in zip(ends, sizes)),
+        class_of=tuple(class_of.tolist()),
+        inverse_class=tuple(class_of[inverse[reps]].tolist()),
+        sizes=tuple(sizes),
+        representatives=tuple(reps.tolist()),
     )
     object.__setattr__(group, "_conjugacy", data)
     return data
@@ -534,16 +507,23 @@ def linear_characters(group: GroupTable) -> tuple[LinearCharacter, ...]:
     k = len(gens)
     unit = np.eye(k, dtype=np.int64)
     words = np.zeros((n, k), dtype=np.int64)
-    reached = [True] + [False] * (n - 1)
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for j, s in enumerate(gens):
-            y = group.mult[x][s]
-            if not reached[y]:
-                reached[y] = True
-                words[y] = words[x] + unit[j]
-                frontier.append(y)
+    words[gens] = unit
+    known = np.zeros(n, dtype=bool)
+    known[[0, *gens]] = True
+    frontier = np.array(gens, dtype=np.int64)
+    # each round takes x f for every known x and every f first reached in the
+    # round before; this doubles the length of the words reached, and a new
+    # element takes the word of any x f it is
+    while len(frontier):
+        reach = np.flatnonzero(known)
+        products = group.mult_array()[np.ix_(reach, frontier)].ravel()
+        source = np.full(n, -1)
+        source[products] = np.arange(len(products))
+        fresh = np.flatnonzero((source >= 0) & ~known)
+        x, f = np.divmod(source[fresh], len(frontier))
+        words[fresh] = words[reach[x]] + words[frontier[f]]
+        known[fresh] = True
+        frontier = fresh
     # the relation r of (x, j) is words[x s_j] - words[x] - unit[j], and r . e = 0
     # (mod m); each is checked once its last generator has a value (a zero one never)
     relations = (words[group.mult_array()[:, gens]] - words[:, None, :] - unit) % m
@@ -597,15 +577,21 @@ def find_character(group: GroupTable, label: str) -> LinearCharacter:
 
 
 def validate_automorphism(group: GroupTable, mapping, label: str = "tau") -> InvolutiveAutomorphism:
-    n = group.order
-    mapping = tuple(_index_list(mapping, n, label, permutation=True))
-    for g in range(n):
-        for h in range(n):
-            if mapping[group.mult[g][h]] != group.mult[mapping[g]][mapping[h]]:
-                raise NotHomomorphism((g, h), label)
-    for g in range(n):
-        if mapping[mapping[g]] != g:
-            raise NotInvolutive(g, label)
+    return _involutive(group, tuple(_index_list(mapping, group.order, label, permutation=True)),
+                       label)
+
+
+def _involutive(group: GroupTable, mapping: tuple[int, ...], label: str) -> InvolutiveAutomorphism:
+    """`mapping`, a permutation of the elements, as an InvolutiveAutomorphism;
+    NotHomomorphism names the first pair (g, h) in row order where it fails,
+    NotInvolutive the first g."""
+    f, mult = np.array(mapping), group.mult_array()
+    wrong = f[mult] != mult[np.ix_(f, f)]
+    if wrong.any():
+        raise NotHomomorphism(tuple(np.argwhere(wrong)[0].tolist()), label)
+    moved = np.flatnonzero(f[f] != np.arange(group.order))
+    if len(moved):
+        raise NotInvolutive(int(moved[0]), label)
     return InvolutiveAutomorphism(mapping, label)
 
 
@@ -615,7 +601,7 @@ def identity_automorphism(group: GroupTable) -> InvolutiveAutomorphism:
 
 def inversion_automorphism(group: GroupTable) -> InvolutiveAutomorphism:
     """g -> g^-1; a homomorphism exactly when the group is abelian."""
-    return validate_automorphism(group, group.inverse, "inv")
+    return _involutive(group, group.inverse, "inv")
 
 
 def conjugation_map(group: GroupTable, h: int) -> tuple[int, ...]:

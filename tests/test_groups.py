@@ -141,6 +141,11 @@ def test_malformed_tables():
         from_mult_table([[0, 1], [1]])
     with pytest.raises(BadParameters):
         from_mult_table([[0, 5], [5, 0]])
+    # JSON booleans and floats are not integers, even where they equal one
+    with pytest.raises(BadParameters, match="row 0 holds True, which is not an integer"):
+        from_mult_table([[True, False], [False, True]])
+    with pytest.raises(BadParameters, match="row 1 holds 0.0, which is not an integer"):
+        from_mult_table([[0, 1], [1, 0.0]])
 
 
 def test_permutation_generators_z2():

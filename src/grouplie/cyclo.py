@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import cycle
 from math import gcd
 
@@ -127,29 +127,6 @@ class CycloContext:
         self.zero = CycloScalar(self, (0,) * d)
         self._zeta_cache: dict[int, CycloScalar] = {}
         self.one = self.zeta(0)
-
-    @cached_property
-    def signed_roots(self) -> dict[tuple, tuple[int, int]]:
-        """(sign, k) of each of the 2m values sign * zeta^k, keyed by its
-        canonical coefficients; where -zeta^k is itself a power of zeta,
-        sign is 1.  Built on first use."""
-        rows = self.power_table[:self.m]
-        out = {tuple(-c for c in row): (-1, k) for k, row in enumerate(rows)}
-        out.update((row, (1, k)) for k, row in enumerate(rows))
-        return out
-
-    @cached_property
-    def root_values(self) -> dict[tuple[int, int], tuple["CycloScalar", ...]]:
-        """(a, sign) -> the m scalars a + sign * zeta^k, k < m, for a in
-        {0, 1} and sign in {1, -1}: every coefficient of a star-map orbit
-        vector or a skew class-sum combination.  Built on first use."""
-        roots = [self.zeta(k) for k in range(self.m)]
-        out = {}
-        for sign in (1, -1):
-            moved = tuple(r if sign == 1 else -r for r in roots)
-            out[0, sign] = moved
-            out[1, sign] = tuple(self.one + r for r in moved)
-        return out
 
     def from_fraction(self, q) -> "CycloScalar":
         q = _norm(Fraction(q))

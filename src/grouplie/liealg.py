@@ -5,43 +5,31 @@ the group algebra; its -1 eigenspace is a Lie subalgebra, spanned by the
 elements g - alpha(g) tau(g)^-1.  This module builds that basis exactly,
 together with the +1 eigenspace and the center generators.
 
-An element is the dict {g: coefficient} of its nonzero coefficients.  The
-products iterate over these terms only, so they cost what the supports
-cost, not what |G| costs.  bracket forms each a_x b_y once, and
-trace_of_product reads only the identity coefficient of a product.
+An element is the dict {g: coefficient} of its nonzero coefficients; its
+products (convolve, bracket, trace_of_product) are library API and oracles.
 
 A spanning vector, a +1 eigenvector and a center candidate are one
 construction, the row delta_z + sign * alpha(z) delta_sigma(z) on an orbit
 of an involution: sigma: g -> tau(g)^-1 on elements for the first two, and
 sigma on classes, with sign -1, for the candidate T_c - alpha(c) T_sigma(c),
-kept in class coordinates.  One writer, _orbit_rows, yields them all; every
-coefficient is 1, +-zeta^e or 1 +- zeta^e, read from the per-conductor
-tuples CycloContext.root_values, with no scalar arithmetic.
+kept in class coordinates.  One writer, _orbit_rows, writes each row list
+as one int64 array of monomials c*zeta^k from sigma and alpha's exponents,
+and every reader takes that array; LieBasis.vectors builds elements only
+when asked.
 
 Every row whose rank or membership the verifier decides lies in one orbit
-block of sigma: the pair {g, sigma(g)} for a spanning, Clifford or kernel
-vector and the pair of classes {c, sigma(c)} for a center candidate.  So an
-OrbitSpan of a row list keeps the independent rows of each block, at most
-two, and answers its rank, a membership and the span of a sum block by
-block with ratio keys: every two-entry row it compares has entries
-+-zeta^k, so two such rows are proportional exactly when the ratios of
-their entries agree, read as (sign, exponent) from
-CycloContext.signed_roots, with no product and no scalar arithmetic;
-linalg.RowSpace is its test oracle.
+block of sigma: {g, sigma(g)} for a spanning, Clifford or kernel vector and
+{c, sigma(c)} for a center candidate.  So an OrbitSpan of a row list keeps
+the independent rows of each block, at most two, and compares two rows by
+the ratio of their entries +-zeta^k, read off the monomials as (sign,
+exponent); linalg.RowSpace is its test oracle.
 
-The verifier's pair checks (closure, centrality, trace-form orthogonality)
-run as one exact integer kernel, skew_checks, with bracket,
-trace_of_product and RowSpace.contains as its oracles; closure reduces each
-bracket against the basis row of every block it touches.  Each coefficient
-becomes monomials c*zeta^k.  A value +-zeta^k, which is every coefficient of
-those vectors except 1 -+ alpha(g) at a fixed point, is one monomial, looked
-up in CycloContext.signed_roots; any other algebraic integer expands into
-its power-basis terms.  A product of two monomials is a multiplication-table
-lookup and a sum of exponents; the kernel sums the products per (pair,
-position) in int64, in batches of about BATCH_SIZE = 4096 products (a
-larger batch saves little time and raises the peak memory), and checks
-that every sum is zero in Q(zeta_m) (_Batch).  Every sum is bounded below
-2^63 before it is formed.
+The pair checks (closure, centrality, trace-form orthogonality) run as one
+exact integer kernel, skew_checks, with bracket, trace_of_product and
+RowSpace.contains as its oracles: a product of two monomials is a
+multiplication-table lookup and a sum of exponents, and the products are
+summed in int64 in batches of at most BATCH_SIZE = 4096 terms unless one
+vector's terms alone are more (_Batch), every sum bounded below 2^63.
 """
 
 from __future__ import annotations
@@ -55,7 +43,6 @@ import numpy as np
 from . import cyclo
 from .errors import (
     BadParameters,
-    ConductorMismatch,
     GroupMismatch,
     IncompatiblePair,
     InvariantViolated,
@@ -242,92 +229,109 @@ def census_dimension(ctx: LieContext) -> int:
     return moved // 2 + fixed_nontrivial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieBasis:
-    """Spanning vectors g - alpha(g) tau(g)^-1, one per orbit of the star map."""
+    """Spanning vectors g - alpha(g) tau(g)^-1 as monomial rows, one per star-map orbit."""
 
     context: LieContext
-    vectors: tuple[GroupAlgebraElement, ...]
+    rows: np.ndarray
+
+    @cached_property
+    def vectors(self) -> tuple[GroupAlgebraElement, ...]:
+        """The rows as group algebra elements, built on first read."""
+        return tuple(as_elements(self.context.group, self.rows))
 
     @cached_property
     def span(self) -> "OrbitSpan":
-        """The OrbitSpan of the vectors, decided on first use."""
-        return OrbitSpan([v.terms for v in self.vectors], self.context.sigma,
-                         cyclo.context(self.context.group.exponent))
+        """The OrbitSpan of the rows, decided on first use."""
+        return OrbitSpan(self.rows, self.context.sigma, self.context.group.exponent)
 
     @property
     def rank(self) -> int:
         return self.span.rank
 
 
-def _orbit_rows(sigma, exponents, sign: int, values: cyclo.CycloContext):
-    """Yield (z, sigma(z), row) for every point z of the involution `sigma`
-    where the row delta_z + sign * zeta^exponents[z] delta_sigma(z) is
-    nonzero; the rows of z and sigma(z) are proportional.
-
-    Every coefficient is 1, sign * zeta^e or, at a fixed point,
-    1 + sign * zeta^e, read from values.root_values; a fixed point's row is
-    zero only where zeta^e = -sign."""
-    one, moved, fixed = values.one, values.root_values[0, sign], values.root_values[1, sign]
-    for z, s in enumerate(sigma):
-        e = exponents[z]
-        if s != z:
-            yield z, s, {z: one, s: moved[e]}
-        elif fixed[e]:
-            yield z, z, {z: fixed[e]}
+def row_count(rows: np.ndarray) -> int:
+    """The number of rows of a monomial array (4, t), numbered from 0 in order."""
+    return int(rows[0, -1]) + 1 if rows.shape[1] else 0
 
 
-def _orbit_vectors(ctx: LieContext, sign: int) -> list[GroupAlgebraElement]:
-    """delta_g + sign * alpha(g) delta_sigma(g), one per orbit of sigma on
-    which it is nonzero, with g the orbit's least element."""
-    rows = _orbit_rows(ctx.sigma, ctx.alpha.exponents, sign, cyclo.context(ctx.group.exponent))
-    return [GroupAlgebraElement(ctx.group, row) for g, s, row in rows if g <= s]
+def as_elements(group: GroupTable, rows: np.ndarray) -> list[GroupAlgebraElement]:
+    """Row r of a monomial array as the element sum c*zeta^k delta_g over
+    its monomials (r, g, c, k)."""
+    ctx = cyclo.context(group.exponent)
+    terms = [{} for _ in range(row_count(rows))]
+    for r, g, c, k in zip(*rows.tolist()):
+        terms[r][g] = terms[r].get(g, ctx.zero) + ctx.zeta(k) * c
+    return [GroupAlgebraElement(group, t) for t in terms]
+
+
+def _orbit_rows(sigma, exponents, sign: int, m: int, points) -> np.ndarray:
+    """The rows delta_z + sign * zeta^e delta_sigma(z), e = exponents[z], of
+    the points z of the involution `sigma` listed in `points`, as one int64
+    array (4, t) of monomials (row, column, c, k) meaning c*zeta^k: row r is
+    (r, z, 1, 0) and (r, sigma(z), sign, e), numbered in the order of
+    `points`.  A fixed point's row 1 + sign * zeta^e is dropped exactly
+    where sign * zeta^e = -1, and is the one monomial (r, z, 2, 0) where
+    sign * zeta^e = 1."""
+    out, r = [], 0
+    for z in points:
+        s, e = sigma[z], exponents[z] % m
+        real = sign if e == 0 else -sign if 2 * e == m else 0  # sign * zeta^e if +-1
+        if s == z and real == -1:
+            continue
+        out += (r, z, 2, 0) if s == z and real == 1 else (r, z, 1, 0, r, s, sign, e)
+        r += 1
+    return np.array(out, dtype=np.int64).reshape(-1, 4).T
+
+
+def _orbit_basis(ctx: LieContext, sign: int) -> np.ndarray:
+    """delta_g + sign * alpha(g) delta_sigma(g), g least in its sigma-orbit, where nonzero."""
+    return _orbit_rows(ctx.sigma, ctx.alpha.exponents, sign, ctx.group.exponent,
+                       (g for g, s in enumerate(ctx.sigma) if g <= s))
 
 
 def lie_basis(ctx: LieContext) -> LieBasis:
-    vectors = tuple(_orbit_vectors(ctx, -1))
-    if len(vectors) != ctx.census:
+    rows = _orbit_basis(ctx, -1)
+    if row_count(rows) != ctx.census:
         raise InvariantViolated(
-            f"{len(vectors)} spanning vectors but census dimension {ctx.census}")
-    return LieBasis(ctx, vectors)
+            f"{row_count(rows)} spanning vectors but census dimension {ctx.census}")
+    return LieBasis(ctx, rows)
 
 
-def plus_fixed_basis(ctx: LieContext) -> list[GroupAlgebraElement]:
-    """Basis of the +1 eigenspace of the star map."""
-    return _orbit_vectors(ctx, 1)
+def plus_fixed_basis(ctx: LieContext) -> np.ndarray:
+    """Basis of the +1 eigenspace of the star map, as monomial rows."""
+    return _orbit_basis(ctx, 1)
 
 
-def center_candidates(ctx: LieContext):
-    """Yield (c, sigma(c), row) for every class c where T_c - alpha(c) T_(sigma c)
-    is nonzero, i.e. unless c is sigma-fixed with alpha(c) = 1: row is the
-    combination in class coordinates, {c: 1, sigma(c): -alpha(c)}, or
-    {c: 1 - alpha(c)} on a sigma-fixed c (_orbit_rows on classes).
-
-    A sigma-orbit {c, sigma(c)} yields proportional candidates."""
+def center_candidates(ctx: LieContext) -> np.ndarray:
+    """The rows T_c - alpha(c) T_(sigma c) in class coordinates, written by
+    _orbit_rows on classes for every class c where it is nonzero, i.e.
+    unless c is sigma-fixed with alpha(c) = 1.  A sigma-orbit {c, sigma(c)}
+    yields proportional candidates."""
     reps = conjugacy_data(ctx.group).representatives
     exponents = [ctx.alpha.exponents[r] for r in reps]
-    return _orbit_rows(ctx.class_sigma, exponents, -1, cyclo.context(ctx.group.exponent))
+    return _orbit_rows(ctx.class_sigma, exponents, -1, ctx.group.exponent, range(len(reps)))
 
 
-def center_basis(group: GroupTable, candidates) -> list[GroupAlgebraElement]:
-    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit:
-    the first of the center_candidates of a context on each orbit, expanded
-    into class sums of `group`."""
+def center_basis(group: GroupTable, candidates: np.ndarray) -> np.ndarray:
+    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit,
+    as element monomials: the center_candidates rows whose point c, the
+    column of their first monomial, is at most sigma(c), that of their
+    last, each class monomial expanded over the elements of its class."""
     classes = conjugacy_data(group).classes
-    seen = set()
-    out = []
-    for c, sc, row in candidates:
-        if c not in seen:
-            seen.update((c, sc))
-            out.append(GroupAlgebraElement(
-                group, {g: x for d, x in row.items() for g in classes[d]}))
-    return out
+    rows, cols, cs, ks = candidates.tolist()
+    first, last = dict(zip(rows[::-1], cols[::-1])), dict(zip(rows, cols))
+    kept = {r: i for i, r in enumerate(r for r in last if first[r] <= last[r])}
+    out = [x for r, d, c, k in zip(rows, cols, cs, ks) if r in kept
+           for g in classes[d] for x in (kept[r], g, c, k)]
+    return np.array(out, dtype=np.int64).reshape(-1, 4).T
 
 
 # ---------------------------------------------------------------------------
 # closure, centrality and orthogonality as one exact integer kernel
 
-# products per batch: the batches bound the kernel's memory on large contexts
+# terms per batch: the batches bound the kernel's memory on large contexts
 BATCH_SIZE = 4096
 
 
@@ -339,45 +343,16 @@ class SkewChecks(NamedTuple):
     orthogonality: bool
 
 
-def monomials(owned_terms, ctx: cyclo.CycloContext) -> np.ndarray:
-    """int64 array (4, t), one column (owner, g, c, k) per monomial c*zeta^k
-    of x, for every (owner, {g: x}) of `owned_terms`.
-
-    A value +-zeta^k is one monomial, looked up in ctx.signed_roots; any other
-    value expands into its power-basis terms, which must be integers.
-    """
-    roots = ctx.signed_roots
-    out = []
-    big = 1
-    for owner, terms in owned_terms:
-        for g, x in terms.items():
-            if x.ctx is not ctx and x.ctx.m != ctx.m:
-                raise ConductorMismatch(f"mixed conductors {ctx.m} and {x.ctx.m}")
-            hit = roots.get(x.coeffs)
-            if hit is not None:
-                out += (owner, g, *hit)
-                continue
-            for k, a in enumerate(x.coeffs):
-                if a:
-                    if type(a) is not int:
-                        if a.denominator != 1:
-                            raise InvariantViolated(
-                                f"coefficient {x!r} of vector {owner} at {g} is not an algebraic integer")
-                        a = a.numerator
-                    big = max(big, abs(a))
-                    out += (owner, g, a, k)
-    cyclo.check_int64_bound(big, "monomial coefficients")
-    return np.array(out, dtype=np.int64).reshape(-1, 4).T
-
-
-def _runs(owner: np.ndarray, size: int) -> list[slice]:
-    """Slices of a nondecreasing `owner` of at most `size` entries each,
-    except a single longer run, that never split a run of equal owners."""
+def _runs(owner: np.ndarray, weight: np.ndarray, size: int) -> list[slice]:
+    """Slices of a nondecreasing `owner` whose `weight` sums to at most
+    `size` each, except a single run of one owner that weighs more, which
+    is never split."""
     n = len(owner)
+    total = np.concatenate([[0], np.cumsum(weight)]).tolist()
     out, lo, prev = [], 0, 0
-    if n > size:
+    if total[-1] > size:
         for cut in (np.flatnonzero(np.diff(owner)) + 1).tolist() + [n]:
-            if cut - lo > size and prev > lo:
+            if total[cut] - total[lo] > size and prev > lo:
                 out.append(slice(lo, prev))
                 lo = prev
             prev = cut
@@ -397,7 +372,8 @@ class _Batch:
     """Terms c*zeta^k at (slot, column) gathered over several checks; each
     check owns a range of slots, and fails when the sum at one of its
     (slot, column) pairs is not zero in Q(zeta_m); `failed` marks every
-    check that owns such a sum.
+    check that owns such a sum.  A part that would take the batch past
+    BATCH_SIZE terms flushes it first.
 
     For even m, zeta^(m/2) = -1, so a term is first folded to an exponent
     below m/2 with its sign flipped when it wraps; a sum that cancels only
@@ -421,11 +397,11 @@ class _Batch:
             c = np.where(k < self.period, c, -c)
             k = k % self.period
         key = ((slot + self.offsets[check]) * self.order + column) * self.period + k
+        if self.size + len(key) > BATCH_SIZE:
+            self.flush()
         self.keys.append(key)
         self.values.append(c)
         self.size += len(key)
-        if self.size >= BATCH_SIZE:
-            self.flush()
 
     def flush(self) -> None:
         if not self.size:
@@ -469,87 +445,89 @@ def _name(z: int, sigma) -> str:
     return f"{{{z}}}" if sigma[z] == z else f"{{{z}, {sigma[z]}}}"
 
 
-def _what(index) -> str:
-    return "query" if index is None else f"row {index}"
+def _entries(rows: np.ndarray, sigma, what: str):
+    """Per row of a monomial array, its entries {column: [(c, k), ...]} of
+    monomials c*zeta^k, c != 0, and the least column of the orbit block
+    {z, sigma[z]} that holds them, None for a zero row; a row across two
+    blocks raises OrbitBlockViolated, named `what` and its index."""
+    entries = [{} for _ in range(row_count(rows))]
+    blocks = [None] * len(entries)
+    for r, z, c, k in zip(*rows.tolist()):
+        if c:
+            entries[r].setdefault(z, []).append((c, k))
+            b = min(z, sigma[z])
+            if blocks[r] is None:
+                blocks[r] = b
+            elif blocks[r] != b:
+                lo, hi = sorted((blocks[r], b))
+                raise OrbitBlockViolated(f"{what} {r} crosses the blocks {_name(lo, sigma)} "
+                                         f"and {_name(hi, sigma)}")
+    return entries, blocks
 
 
-def _block(row: dict, sigma, index):
-    """The least column of the orbit {z, sigma[z]} that holds every nonzero
-    entry of `row`, or None for a zero row; `index` names the row, None a
-    query."""
-    blocks = {min(z, sigma[z]) for z, x in row.items() if x}
-    if len(blocks) > 1:
-        a, b = sorted(blocks)[:2]
-        raise OrbitBlockViolated(f"{_what(index)} crosses the blocks {_name(a, sigma)} and "
-                                 f"{_name(b, sigma)}")
-    return blocks.pop() if blocks else None
-
-
-def _ratio(row: dict, b: int, sigma, ctx: cyclo.CycloContext, index):
+def _ratio(row: dict, b: int, sigma, m: int, what: str, index: int):
     """The key of a nonzero `row` on the orbit block {b, sigma[b]}, b its
     least column: () on a fixed column, the column of a one-entry row, and
-    for a two-entry row the ratio x_sigma(b) / x_b of its entries, both
-    +-zeta^k, as (sign, k mod m) read off ctx.signed_roots, which gives each
-    +-zeta^k one (sign, k).  Two nonzero rows of one block are proportional
-    exactly when their keys are equal.  A two-entry row with another entry
-    raises InvariantViolated; `index` names the row, None a query."""
+    for a two-entry row, whose entries must be one monomial +-zeta^k each
+    (else InvariantViolated, naming the row as `what` `index`), their ratio
+    x_sigma(b) / x_b as (sign product, exponent difference mod m), where at
+    even m -zeta^k is read as zeta^(k + m/2).  So each +-zeta^k has one key,
+    and two nonzero rows of a block are proportional exactly when their
+    keys are equal."""
     if sigma[b] == b:
         return ()
     x, y = row.get(b), row.get(sigma[b])
     if not (x and y):
         return b if x else sigma[b]
-    keys = [ctx.signed_roots.get(v.coeffs) if v.ctx.m == ctx.m else None for v in (x, y)]
-    if None in keys:
-        raise InvariantViolated(f"{_what(index)} has the entry {(x, y)[keys.index(None)]!r} "
-                                f"in block {_name(b, sigma)}, not +-zeta^k in Q(zeta_{ctx.m})")
-    (s, i), (t, j) = keys
-    return s * t, (j - i) % ctx.m
+    for terms in (x, y):
+        if len(terms) != 1 or terms[0][0] not in (1, -1):
+            raise InvariantViolated(f"{what} {index} has the entry {terms} in block "
+                                    f"{_name(b, sigma)}, not +-zeta^k as one monomial")
+    (s, i), (t, j) = x[0], y[0]
+    if s * t < 0 and m % 2 == 0:
+        return 1, (j - i + m // 2) % m
+    return s * t, (j - i) % m
 
 
 class OrbitSpan:
-    """The span over Q(zeta_m) of sparse rows {column: value}, each with its
-    nonzero entries in one orbit block {z, sigma[z]} of the involution
-    `sigma`, decided exactly per block with no product: a Lie basis vector,
-    a Clifford or kernel row in {g, sigma(g)}, a center candidate in class
-    coordinates in {c, sigma(c)}.  A row that crosses two blocks raises
-    OrbitBlockViolated.
+    """The span over Q(zeta_m) of the rows of a monomial array (4, t), each
+    with its entries in one orbit block {z, sigma[z]} of the involution
+    `sigma` (a row across two raises OrbitBlockViolated), decided exactly
+    per block with no product.  The monomials at one column of a row must
+    not sum to zero; _orbit_rows writes no zero entry.
 
-    `blocks` maps the least column of each block to the indices of its
-    independent rows, the nonzero rows outside the span of the earlier rows
-    of their block: at most two on a moved orbit and one on a fixed column,
-    which then span their block.  A block with one independent row on a
-    moved orbit spans a nonzero row exactly when the two rows' ratio keys
-    (_ratio) agree; a key is read only for such a comparison.
-
-    Spans of one sigma add up to the span of both row lists, the rows of
-    the second numbered after those of the first.
+    `rows` holds each row's entries (_entries), and `blocks` maps the least
+    column of each block to the indices of its independent rows, the
+    nonzero rows outside the span of the earlier rows of their block: at
+    most two on a moved orbit and one on a fixed column, which then span
+    their block.  A block with one independent row on a moved orbit spans a
+    nonzero row exactly when the two rows' ratio keys (_ratio) agree; a key
+    is read only for such a comparison.  Spans of one sigma add up to the
+    span of both row lists, the rows of the second numbered after those of
+    the first.
     """
 
-    __slots__ = ("rows", "sigma", "ctx", "blocks")
+    __slots__ = ("rows", "sigma", "m", "blocks")
 
-    def __init__(self, rows, sigma, ctx: cyclo.CycloContext):
-        self.rows = list(rows)
-        self.sigma = sigma
-        self.ctx = ctx
+    def __init__(self, rows: np.ndarray, sigma, m: int):
+        self.rows, blocks = _entries(rows, sigma, "row")
+        self.sigma, self.m = sigma, m
         self.blocks: dict[int, list[int]] = {}
-        # every row's block first, so a row across two blocks is refused
-        # before any key is read
-        blocks = [_block(row, sigma, r) for r, row in enumerate(self.rows)]
         for r, b in enumerate(blocks):
             if b is not None:
                 self._add(b, r)
 
-    def _outside(self, b: int, row: dict, index) -> bool:
+    def _outside(self, b: int, row: dict, what: str, index: int) -> bool:
         """Whether the nonzero `row` of block b lies outside the span of the
-        block's independent rows; `index` names the row, None a query."""
+        block's independent rows; `what` and `index` name the row."""
         held = self.blocks.get(b, ())
         if len(held) == 1 and self.sigma[b] != b:
-            return (_ratio(self.rows[held[0]], b, self.sigma, self.ctx, held[0])
-                    != _ratio(row, b, self.sigma, self.ctx, index))
+            return (_ratio(self.rows[held[0]], b, self.sigma, self.m, "row", held[0])
+                    != _ratio(row, b, self.sigma, self.m, what, index))
         return not held
 
     def _add(self, b: int, r: int) -> None:
-        if self._outside(b, self.rows[r], r):
+        if self._outside(b, self.rows[r], "row", r):
             self.blocks.setdefault(b, []).append(r)
 
     @property
@@ -563,15 +541,17 @@ class OrbitSpan:
     def rank(self) -> int:
         return sum(map(len, self.blocks.values()))
 
-    def contains(self, row: dict) -> bool:
-        b = _block(row, self.sigma, None)
-        return b is None or not self._outside(b, row, None)
+    def contains(self, rows: np.ndarray) -> list[bool]:
+        """Per row of the monomial array `rows`, whether it lies in the span."""
+        queries, blocks = _entries(rows, self.sigma, "query")
+        return [b is None or not self._outside(b, q, "query", i)
+                for i, (q, b) in enumerate(zip(queries, blocks))]
 
     def __add__(self, other: "OrbitSpan") -> "OrbitSpan":
-        if other.sigma != self.sigma or other.ctx.m != self.ctx.m:
+        if other.sigma != self.sigma or other.m != self.m:
             raise BadParameters("spans of two different involutions or conductors do not add")
-        out = OrbitSpan((), self.sigma, self.ctx)
-        out.rows = self.rows + other.rows
+        out = OrbitSpan.__new__(OrbitSpan)
+        out.rows, out.sigma, out.m = self.rows + other.rows, self.sigma, self.m
         out.blocks = {b: list(held) for b, held in self.blocks.items()}
         n = len(self.rows)
         for b, held in other.blocks.items():
@@ -624,7 +604,7 @@ def _bracket_terms(left: np.ndarray, right: np.ndarray, a: np.ndarray, b: np.nda
             np.concatenate([mult[x, y], mult[y, x]]), np.concatenate([c, -c]), np.tile(k, 2))
 
 
-def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
+def skew_checks(basis: LieBasis, center: np.ndarray, plus: np.ndarray) -> SkewChecks:
     """The closure, centrality and orthogonality checks of one context as one
     exact integer batch:
 
@@ -632,25 +612,21 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     - centrality: [v, u] = 0 for every v in `center` and u in the basis;
     - orthogonality: t(u*s) = 0 for every u in the basis and s in `plus`.
 
-    Every coefficient becomes integer monomials c*zeta^k (`monomials`).  A
+    The basis, `center` and `plus` are monomial rows over the elements.  A
     product of two monomials is a lookup in the multiplication table and a
     sum of exponents; a pair with xy == yx contributes nothing to a bracket.
     A closure term is reduced against the basis row of its sigma-orbit
     block (_pivot_map), so a bracket lies in the span exactly when every
     reduced sum is zero; a basis that is not block-shaped raises
-    OrbitBlockViolated.  The terms are summed per (pair, position, power of
-    zeta), and the nonzero sums are reduced to canonical coordinates with
-    one gather from power_array (see _Batch); a check passes when every sum
-    is zero.  Every sum is bounded below 2^63 before it is formed.
+    OrbitBlockViolated.  A check passes when every sum of its terms is zero
+    (_Batch), and every sum is bounded below 2^63 before it is formed.
     """
     group = basis.context.group
     ctx = cyclo.context(group.exponent)
     mult = group.mult_array()
-    lie = monomials(enumerate(v.terms for v in basis.vectors), ctx)
+    lie, cen, pls = basis.rows, center, plus
     independent = np.array(basis.span.independent, dtype=bool)
-    cen = monomials(enumerate(v.terms for v in center), ctx)
-    pls = monomials(enumerate(v.terms for v in plus), ctx)
-    nv, nc, nplus = len(basis.vectors), len(center), len(plus)
+    nv, nc, nplus = len(independent), row_count(center), row_count(plus)
     batch = _Batch(ctx, group.order, [nv * nv, nc * nv, nv * nplus])
     reach = cyclo.max_abs(batch.powers)
 
@@ -661,21 +637,26 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     center_pairs = np.nonzero(moving[cen[1][:, None], lie[1][None, :]])
     if closure_pairs[0].size:
         start, moves = _pivot_map(lie, independent, basis.context.sigma)
-        spread = int(np.diff(start).max()) * cyclo.max_abs(moves[1])
-        _sum_bound(lie, lie, 2 * reach * spread, "closure sum")
-        for part in _runs(lie[0][closure_pairs[0]], BATCH_SIZE // 2):
+        # a term at column z becomes one term per pivot move of z
+        spans = np.diff(start)
+        _sum_bound(lie, lie, 2 * reach * int(spans.max()) * cyclo.max_abs(moves[1]),
+                   "closure sum")
+        x, y = lie[1, closure_pairs[0]], lie[1, closure_pairs[1]]
+        weight = spans[mult[x, y]] + spans[mult[y, x]]
+        for part in _runs(lie[0][closure_pairs[0]], weight, BATCH_SIZE):
             if batch.failed[0]:
                 break
             i, j, col, c, k = _bracket_terms(lie, lie, closure_pairs[0][part],
                                              closure_pairs[1][part], mult)
-            count = start[col + 1] - start[col]
+            count = spans[col]
             term = np.repeat(np.arange(len(col)), count)
             at = np.arange(len(term)) + np.repeat(start[col] - np.cumsum(count) + count, count)
             batch.add(0, i[term] * nv + j[term], moves[0, at], c[term] * moves[1, at],
                       k[term] + moves[2, at])
     if center_pairs[0].size:
         _sum_bound(cen, lie, 2 * reach, "centrality sum")
-        for part in _runs(cen[0][center_pairs[0]], BATCH_SIZE // 2):
+        for part in _runs(cen[0][center_pairs[0]], np.full(center_pairs[0].size, 2),
+                          BATCH_SIZE):
             if batch.failed[1]:
                 break
             v, u, col, c, k = _bracket_terms(cen, lie, center_pairs[0][part],
@@ -685,7 +666,7 @@ def skew_checks(basis: LieBasis, center, plus) -> SkewChecks:
     a, b = np.nonzero(np.array(group.inverse)[lie[1]][:, None] == pls[1][None, :])
     if a.size:
         _sum_bound(lie, pls, reach, "orthogonality sum")
-        for part in _runs(lie[0][a], BATCH_SIZE):
+        for part in _runs(lie[0][a], np.ones(a.size, dtype=np.int64), BATCH_SIZE):
             if batch.failed[2]:
                 break
             ap, bp = a[part], b[part]

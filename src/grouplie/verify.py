@@ -15,10 +15,10 @@ subalgebra is compared against the character-theoretic prediction:
      |{c : alpha(c) = 1, c* = c}| - |{c : alpha(c) = -1, c* = c}|
        = |{V : V = partner(V)}|.
 
-The brackets of checks 2 and 3, and the trace-form orthogonality of the basis
-to the +1 eigenspace, are one call of liealg.skew_checks per context: an exact
-int64 kernel on the monomials c*zeta^k of the coefficients, every sum bounded
-below 2^63 before it is formed.
+Every row is written once, as liealg's int64 monomials c*zeta^k.  The
+brackets of checks 2 and 3, and the trace-form orthogonality of the basis to
+the +1 eigenspace, are one call of liealg.skew_checks per context: an exact
+int64 kernel, every sum bounded below 2^63 before it is formed.
 
 For each nontrivial linear character alpha of a group (tau = id) the
 Clifford identity L(Ker alpha) = L(G) & L_alpha(G) is checked as well.  With
@@ -62,6 +62,7 @@ from .groups import (
     LinearCharacter,
     alpha_tau_compatible,
     catalog,
+    check_order,
     conjugacy_data,
     identity_automorphism,
     inversion_automorphism,
@@ -78,7 +79,6 @@ from .indicators import (
     weighted_fs_indicator,
 )
 from .liealg import (
-    GroupAlgebraElement,
     LieBasis,
     LieContext,
     OrbitSpan,
@@ -88,6 +88,7 @@ from .liealg import (
     lie_basis,
     make_context,
     plus_fixed_basis,
+    row_count,
     skew_checks,
 )
 
@@ -148,11 +149,11 @@ class LieReport:
 
 
 class CenterData(NamedTuple):
-    """The skew class-sum generators of a context's center, and the exact
-    rank of all its center candidates."""
+    """The skew class-sum generators of a context's center (center_basis),
+    and the exact rank of all its center candidates."""
 
     context: LieContext
-    generators: list[GroupAlgebraElement]
+    generators: np.ndarray
     rank: int
 
 
@@ -164,9 +165,8 @@ def center_data(ctx: LieContext) -> CenterData:
     sigma-orbit block {c, sigma(c)}.  Every eligible candidate counts, in
     both orbit orders.
     """
-    candidates = list(center_candidates(ctx))
-    span = OrbitSpan([row for _, _, row in candidates], ctx.class_sigma,
-                     cyclo.context(ctx.group.exponent))
+    candidates = center_candidates(ctx)
+    span = OrbitSpan(candidates, ctx.class_sigma, ctx.group.exponent)
     return CenterData(ctx, center_basis(ctx.group, candidates), span.rank)
 
 
@@ -198,7 +198,7 @@ def verify_theorem(basis: LieBasis, report: IndicatorReport, center: CenterData)
     dims_ok = dim_rank == report.dim_l_formula == report.dim_m
     gens = center.generators
     checks = skew_checks(basis, gens, plus_fixed_basis(ctx))
-    center_ok = checks.centrality and center.rank == len(gens) == report.center_dim
+    center_ok = checks.centrality and center.rank == row_count(gens) == report.center_dim
     bookkeeping = (group.order - 2 * dim_rank) == (
         report.involutions_plus - report.involutions_minus
     )
@@ -238,19 +238,20 @@ class KernelSpace(NamedTuple):
     """H = L(Ker alpha, trivial), embedded in the group algebra of G."""
 
     order: int  # |Ker alpha|
-    rows: list[dict]  # the Lie basis of H as sparse rows over the elements of G
+    rows: np.ndarray  # the Lie basis of H as monomial rows over the elements of G
     rank: int
 
 
 def kernel_space(group: GroupTable, alpha: LinearCharacter) -> KernelSpace:
     """The KernelSpace of Ker alpha; it depends on alpha only through its
     kernel.  Its rows delta_h - delta_(h^-1) are those _orbit_rows writes on
-    G's inverse map for the orbits {h, h^-1}, h != h^-1, in the kernel."""
-    kernel = set(alpha.kernel_elements())
-    ctx_f = cyclo.context(group.exponent)
-    rows = [row for h, s, row in _orbit_rows(group.inverse, (0,) * group.order, -1, ctx_f)
-            if h < s and h in kernel]
-    return KernelSpace(len(kernel), rows, OrbitSpan(rows, group.inverse, ctx_f).rank)
+    G's inverse map for the orbits {h, h^-1}, h < h^-1, in the kernel.  A
+    character of another order raises GroupMismatch."""
+    check_order(group, alpha)
+    kernel, inverse = alpha.kernel_elements(), group.inverse
+    rows = _orbit_rows(inverse, (0,) * group.order, -1, group.exponent,
+                       (h for h in kernel if h < inverse[h]))
+    return KernelSpace(len(kernel), rows, OrbitSpan(rows, inverse, group.exponent).rank)
 
 
 def verify_clifford(trivial_basis: LieBasis, alpha_basis: LieBasis,
@@ -275,12 +276,12 @@ def verify_clifford(trivial_basis: LieBasis, alpha_basis: LieBasis,
         raise BadParameters(f"bases of {a} and {b} handed to the clifford check, "
                             f"which needs (G, trivial, id) and (G, alpha, id)")
     in_kernel = set(alpha.kernel_elements())
-    if kernel.order != len(in_kernel) or any(row.keys() - in_kernel for row in kernel.rows):
+    if kernel.order != len(in_kernel) or not in_kernel.issuperset(kernel.rows[1].tolist()):
         raise BadParameters(f"kernel space of order {kernel.order} does not fit "
                             f"Ker({alpha.label}) of order {len(in_kernel)} in {group.name}")
     span_a, span_b = trivial_basis.span, alpha_basis.span
     dim_intersection = span_a.rank + span_b.rank - (span_a + span_b).rank
-    contained = all(span.contains(row) for row in kernel.rows for span in (span_a, span_b))
+    contained = all(span_a.contains(kernel.rows)) and all(span_b.contains(kernel.rows))
     return CliffordResult(
         group_name=a.group.name,
         alpha_label=alpha.label,

@@ -1,12 +1,14 @@
 """The sigma-orbit spans (liealg.OrbitSpan) against the RowSpace oracle and
-their refusals, the kernel spaces against the subgroup route, and the counts
-that show RowSpace and CycloScalar arithmetic out of the pipeline, the
-monomial kernel out of the ranks, every block decided once and no subgroup
-built for a kernel space."""
+their refusals, their ratio keys against the power table, the kernel spaces
+against the subgroup route, and the counts that show RowSpace, CycloScalar
+arithmetic and group-algebra elements out of the pipeline, every block
+decided once, no subgroup built for a kernel space and every batch of
+skew_checks held to BATCH_SIZE."""
 
 from itertools import product
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from grouplie.groups import (
 from grouplie.liealg import OrbitSpan, center_candidates, lie_basis, make_context
 from grouplie.linalg import RowSpace
 from grouplie.verify import center_data, curated_taus, default_catalog, kernel_space
+from monomial_rows import decode, encode
 
 # the groups of the benchmark's suite-large workload
 SUITE_LARGE = ("symmetric:5", "alternating:5", "product:alternating:5,cyclic:2",
@@ -64,7 +67,7 @@ def test_every_suite_rank_and_membership_equals_the_row_space_oracle(groups, con
             assert basis.rank == oracle(field, group.order, [v.terms for v in basis.vectors]).rank
             classes = conjugacy_data(group).classes
             rows = [{g: x for c, x in row.items() for g in classes[c]}
-                    for _, _, row in center_candidates(ctx)]
+                    for row in decode(center_candidates(ctx), field)]
             assert center.rank == oracle(field, group.order, rows).rank
             seen += 1
         # dim(A + B), every membership of H in A and in B, and rank H
@@ -79,11 +82,12 @@ def test_every_suite_rank_and_membership_equals_the_row_space_oracle(groups, con
             for v in b.vectors:
                 both.add(v.terms)
             kernel = kernel_space(group, alpha)
-            assert kernel.rank == oracle(field, group.order, kernel.rows).rank
+            rows = decode(kernel.rows, field)
+            assert kernel.rank == oracle(field, group.order, rows).rank
             spans = (trivial.span, b.span, trivial.span + b.span)
             assert [s.rank for s in spans] == [space_a.rank, space_b.rank, both.rank]
-            assert ([s.contains(row) for row in kernel.rows for s in spans[:2]]
-                    == [s.contains(row) for row in kernel.rows for s in (space_a, space_b)])
+            assert ([s.contains(kernel.rows) for s in spans[:2]]
+                    == [[s.contains(row) for row in rows] for s in (space_a, space_b)])
             checked += 1
     assert (seen, checked) == (contexts, cliffords)
 
@@ -101,11 +105,10 @@ def test_every_suite_kernel_space_equals_the_subgroup_route(groups, contexts, cl
             sub, embed = kernel_subgroup(group, alpha)
             rows = [{embed[h]: c.embed(field) for h, c in v.terms.items()}
                     for v in lie_basis(make_context(sub, trivial_character(sub))).vectors]
-            rank = OrbitSpan(rows, group.inverse, field).rank
+            rank = OrbitSpan(encode(rows, field), group.inverse, field.m).rank
             kernel = kernel_space(group, alpha)
-            assert (kernel.order, kernel.rows, kernel.rank) == (sub.order, rows, rank)
-            assert all(type(x) is CycloScalar and x.ctx.m == field.m
-                       for row in kernel.rows for x in row.values())
+            assert (kernel.order, decode(kernel.rows, field), kernel.rank) == (sub.order, rows,
+                                                                               rank)
             checked += 1
     assert checked == cliffords
 
@@ -192,7 +195,7 @@ def block_problems(draw):
 def test_random_blocks_equal_the_row_space_oracle(problem):
     ctx, sigma, spaces, queries = problem
     spaces = list(spaces)
-    spans = [OrbitSpan(rows, sigma, ctx) for rows in spaces]
+    spans = [OrbitSpan(encode(rows, ctx), sigma, ctx.m) for rows in spaces]
     # every sum of two spans, against the span of the concatenated rows
     for i, j in product(range(len(spaces)), repeat=2):
         spans.append(spans[i] + spans[j])
@@ -201,11 +204,11 @@ def test_random_blocks_equal_the_row_space_oracle(problem):
         space = oracle(ctx, len(sigma), [])
         # the blocks hold disjoint columns, so a row is independent of the
         # earlier rows of its block exactly when it enlarges their span
-        assert span.rows == rows
         assert span.independent == [space.add(row) for row in rows]
         assert span.rank == space.rank
-        assert [span.contains(q) for q in queries + [{}]] == [space.contains(q)
-                                                             for q in queries + [{}]]
+        # query 0 is the zero row; the last, nonzero, sets the row count
+        asked = [{}] + queries + [{0: ctx.one}]
+        assert span.contains(encode(asked, ctx)) == [space.contains(q) for q in asked]
 
 
 @pytest.mark.parametrize("m", CONDUCTORS)
@@ -218,19 +221,19 @@ def test_a_proportional_pair_cancels_only_through_phi_m(m):
     u = {0: ctx.zeta(1), 1: -ctx.zeta(3)}
     v = {z: x * ctx.zeta(5) for z, x in u.items()}
     w = {0: ctx.zeta(1), 1: ctx.zeta(3)}
-    span = OrbitSpan([u], (1, 0), ctx)
-    assert OrbitSpan([u, v], (1, 0), ctx).rank == span.rank == 1
-    assert [span.contains(v), span.contains(w)] == [True, False]
+    span = OrbitSpan(encode([u], ctx), (1, 0), ctx.m)
+    assert OrbitSpan(encode([u, v], ctx), (1, 0), ctx.m).rank == span.rank == 1
+    assert span.contains(encode([v, w], ctx)) == [True, False]
 
 
 @pytest.mark.parametrize("m", CONDUCTORS)
 def test_a_two_entry_row_or_query_off_the_roots_of_unity_is_refused(m):
     # u = (2 + zeta, zeta^2) and v = lambda u with lambda = 1 + zeta^3 (or 2
     # at m = 2, where 2 + zeta = 1): v has entries that are not +-zeta^k, so
-    # it has no ratio key, and OrbitSpan names it and its block when it
-    # compares it as a row or as a query; alone in its block, or in a block
-    # that two rows span, it is never compared, and it is counted or
-    # contained
+    # it is not one monomial +-zeta^k at each column, so it has no ratio
+    # key, and OrbitSpan names it and its block when it compares it as a
+    # row or as a query; alone in its block, or in a block that two rows
+    # span, it is never compared, and it is counted or contained
     ctx = context(m)
     lam = ctx.from_fraction(2) if m == 2 else ctx.one + ctx.zeta(3)
     u = {0: ctx.from_fraction(2) + ctx.zeta(1), 1: ctx.zeta(2)}
@@ -239,12 +242,43 @@ def test_a_two_entry_row_or_query_off_the_roots_of_unity_is_refused(m):
     for rows, index in (([unit, v], 1), ([v, unit], 0)):
         with pytest.raises(InvariantViolated,
                            match=rf"row {index} has the entry .* in block \{{0, 1\}}, not \+-zeta"):
-            OrbitSpan(rows, (1, 0), ctx)
-    with pytest.raises(InvariantViolated, match=r"query has the entry .* in block \{0, 1\}"):
-        OrbitSpan([unit], (1, 0), ctx).contains(v)
-    assert OrbitSpan([v], (1, 0), ctx).rank == 1
-    spanned = OrbitSpan([unit, {0: ctx.one}, v], (1, 0), ctx)
-    assert spanned.rank == 2 and spanned.contains(v)
+            OrbitSpan(encode(rows, ctx), (1, 0), ctx.m)
+    with pytest.raises(InvariantViolated, match=r"query 1 has the entry .* in block \{0, 1\}"):
+        OrbitSpan(encode([unit], ctx), (1, 0), ctx.m).contains(encode([unit, v], ctx))
+    assert OrbitSpan(encode([v], ctx), (1, 0), ctx.m).rank == 1
+    spanned = OrbitSpan(encode([unit, {0: ctx.one}, v], ctx), (1, 0), ctx.m)
+    assert spanned.rank == 2 and spanned.contains(encode([v], ctx)) == [True]
+
+
+def test_a_two_entry_row_with_a_coefficient_off_the_units_is_refused():
+    # 2 delta_0 + 2 delta_1 is one monomial at each column, but 2 is not
+    # +-zeta^k, and its ratio is read only off entries that are
+    rows = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 2, 2], [0, 0, 0, 0]])
+    with pytest.raises(InvariantViolated, match=r"row 1 has the entry \[\(2, 0\)\] in block"):
+        OrbitSpan(rows, (1, 0), 4)
+
+
+def _key(first, second, m):
+    """The ratio key of the row with the monomials `first` at column 0 and
+    `second` at column 1, on the block {0, 1}."""
+    return liealg._ratio({0: [first], 1: [second]}, 0, (1, 0), m, "row", 0)
+
+
+def test_ratio_keys_name_each_root_of_unity_once():
+    # the key of the row (1, s*zeta^k) against the canonical coefficients of
+    # s*zeta^k in power_table: one value per key, and one key per value, of
+    # which there are m at even m, where -1 = zeta^(m/2), and 2m at odd m;
+    # a row (s*zeta^i, t*zeta^j) has the key of its ratio st*zeta^(j-i)
+    for m in range(1, 130):
+        table = context(m).power_table
+        values = {}
+        for s, k in product((1, -1), range(m)):
+            values.setdefault(_key((1, 0), (s, k), m), set()).add(
+                tuple(s * a for a in table[k]))
+        assert all(len(v) == 1 for v in values.values())
+        assert len(values) == len(set().union(*values.values())) == (m if m % 2 == 0 else 2 * m)
+        for s, i, t, j in product((1, -1), {0, 1, m - 1}, (1, -1), range(m)):
+            assert _key((s, i), (t, j), m) == _key((1, 0), (s * t, (j - i) % m), m)
 
 
 # --- refusals -----------------------------------------------------------------
@@ -254,28 +288,29 @@ def test_a_row_across_two_blocks_is_refused_with_its_blocks():
     ctx = context(4)
     sigma = (1, 0, 3, 2)
     with pytest.raises(OrbitBlockViolated, match=r"row 1 crosses the blocks \{0, 1\} and \{2, 3\}"):
-        OrbitSpan([{0: ctx.one}, {1: ctx.one, 2: ctx.one}], sigma, ctx)
+        OrbitSpan(encode([{0: ctx.one}, {1: ctx.one, 2: ctx.one}], ctx), sigma, ctx.m)
     # every row's block is found before any key is read, so the crossing row
     # is refused although the row before it has no ratio key
     no_key = {0: ctx.one, 1: ctx.from_fraction(2)}
     with pytest.raises(OrbitBlockViolated, match=r"row 2 crosses"):
-        OrbitSpan([{0: ctx.one}, no_key, {0: ctx.one, 3: ctx.one}], sigma, ctx)
-    span = OrbitSpan([{0: ctx.one}], sigma, ctx)
-    with pytest.raises(OrbitBlockViolated, match=r"query crosses the blocks \{0, 1\} and \{2, 3\}"):
-        span.contains({0: ctx.one, 3: ctx.one})
+        OrbitSpan(encode([{0: ctx.one}, no_key, {0: ctx.one, 3: ctx.one}], ctx), sigma, ctx.m)
+    span = OrbitSpan(encode([{0: ctx.one}], ctx), sigma, ctx.m)
+    with pytest.raises(OrbitBlockViolated,
+                       match=r"query 1 crosses the blocks \{0, 1\} and \{2, 3\}"):
+        span.contains(encode([no_key, {0: ctx.one, 3: ctx.one}], ctx))
 
 
 def test_a_sum_of_blocks_keeps_both_row_lists_and_refuses_another_sigma():
     ctx = context(4)
-    a = OrbitSpan([{0: ctx.one, 1: -ctx.one}], (1, 0, 2), ctx)
-    b = OrbitSpan([{2: ctx.one}, {0: ctx.one, 1: ctx.one}], (1, 0, 2), ctx)
+    a = OrbitSpan(encode([{0: ctx.one, 1: -ctx.one}], ctx), (1, 0, 2), ctx.m)
+    b = OrbitSpan(encode([{2: ctx.one}, {0: ctx.one, 1: ctx.one}], ctx), (1, 0, 2), ctx.m)
     both = a + b
     assert both.rows == a.rows + b.rows and both.blocks == {0: [0, 2], 2: [1]}
     assert both.rank == 3
     with pytest.raises(BadParameters):
-        a + OrbitSpan([], (0, 1, 2), ctx)
+        a + OrbitSpan(encode([], ctx), (0, 1, 2), ctx.m)
     with pytest.raises(BadParameters):
-        a + OrbitSpan([], (1, 0, 2), context(8))
+        a + OrbitSpan(encode([], ctx), (1, 0, 2), 8)
 
 
 def test_one_entry_rows_of_any_size_form_no_product():
@@ -285,7 +320,7 @@ def test_one_entry_rows_of_any_size_form_no_product():
     ctx = context(2)
     for c in (isqrt(2**63 - 1), isqrt(2**63 - 1) + 1):
         rows = [{0: ctx.from_fraction(c)}, {1: ctx.from_fraction(c)}]
-        assert OrbitSpan(rows, (1, 0), ctx).rank == 2
+        assert OrbitSpan(encode(rows, ctx), (1, 0), ctx.m).rank == 2
 
 
 # --- exact counts -------------------------------------------------------------
@@ -322,43 +357,37 @@ def test_the_suite_makes_no_row_space_or_scalar_product_call(monkeypatch):
                       "RowSpace.add": 1, "RowSpace.contains": 1}
 
 
-def test_the_ranks_encode_no_monomials(monkeypatch):
-    # OrbitSpan reads ratio keys, so the monomials and the batch serve
-    # skew_checks alone: the basis, center and +1 vectors are encoded once
-    # each, into one batch per context
-    counts = {"monomials": 0, "_Batch": 0}
-    monomials, batch = liealg.monomials, liealg._Batch
+def test_the_suite_builds_no_group_algebra_element(monkeypatch):
+    # every row is written, ranked and checked as monomials, so a pass over
+    # the order-24 suite builds no group-algebra element (8,797 when the
+    # rows were {g: CycloScalar} elements), and skew_checks gathers the
+    # basis, center and +1 monomials of a context into one batch
+    counts = {"element": 0, "_Batch": 0}
+    element_init, batch = liealg.GroupAlgebraElement.__init__, liealg._Batch
 
-    def counted_monomials(*args):
-        counts["monomials"] += 1
-        return monomials(*args)
+    def counted_element(self, group, terms):
+        counts["element"] += 1
+        element_init(self, group, terms)
 
     class CountedBatch(batch):
         def __init__(self, *args):
             counts["_Batch"] += 1
             super().__init__(*args)
 
-    monkeypatch.setattr(liealg, "monomials", counted_monomials)
+    monkeypatch.setattr(liealg.GroupAlgebraElement, "__init__", counted_element)
     monkeypatch.setattr(liealg, "_Batch", CountedBatch)
     result = verify.run_suite(max_order=24)
     assert result.all_ok and result.contexts == 406
-    assert counts == {"monomials": 3 * 406, "_Batch": 406}
+    assert counts == {"element": 0, "_Batch": 406}
 
 
 def test_the_center_is_built_once_in_class_coordinates(monkeypatch):
-    # center_data builds one group-algebra element per center generator and
-    # reads every rank off class-coordinate rows, and sigma's class map is
-    # built once per context, however many checks read it
-    elements = classes = 0
-    inside = False
-    element_init = liealg.GroupAlgebraElement.__init__
+    # center_data writes one generator row per center dimension and reads
+    # every rank off class-coordinate rows, and sigma's class map is built
+    # once per context, however many checks read it
+    generators = classes = 0
     class_sigma = liealg.LieContext.__dict__["class_sigma"]
     class_map = class_sigma.func
-
-    def counted_element(self, group, terms):
-        nonlocal elements
-        elements += inside
-        element_init(self, group, terms)
 
     def counted_map(ctx):
         nonlocal classes
@@ -366,29 +395,29 @@ def test_the_center_is_built_once_in_class_coordinates(monkeypatch):
         return class_map(ctx)
 
     def counted_center_data(ctx):
-        nonlocal inside
-        inside = True
-        try:
-            return center_data(ctx)
-        finally:
-            inside = False
+        nonlocal generators
+        data = center_data(ctx)
+        generators += liealg.row_count(data.generators)
+        return data
 
-    monkeypatch.setattr(liealg.GroupAlgebraElement, "__init__", counted_element)
     monkeypatch.setattr(class_sigma, "func", counted_map)
     monkeypatch.setattr(verify, "center_data", counted_center_data)
     result = verify.run_suite(max_order=24)
     assert result.all_ok and result.contexts == 406
-    assert sum(r.center_dim_exact for r in result.reports) == elements == 2546
+    assert sum(r.center_dim_exact for r in result.reports) == generators == 2546
     assert classes == 406
 
 
 def test_the_suite_decides_every_block_once(monkeypatch):
-    # each basis, center candidate list and kernel space finds its rows'
-    # blocks and compares them once, and the Clifford check reads dim A and
-    # dim B off the spans the theorem check decided: per pass one span per
-    # context's basis, one sum per Clifford check, and no more _block or
-    # _ratio calls than the batched kernel this replaced (8,019 and 9,664)
-    counts = {"_block": 0, "_ratio": 0, "span": 0, "sum": 0}
+    # each basis, center candidate list and kernel space reads its rows'
+    # entries and blocks once, and the Clifford check reads dim A and dim B
+    # off the spans the theorem check decided: per pass one span per
+    # context's basis, one sum per Clifford check, one _entries call per
+    # row list (406 bases, 406 center candidate lists, 103 kernel spaces
+    # and the kernel rows as queries of 2 * 327 Clifford memberships), and
+    # no more _ratio calls than the batched kernel that OrbitSpan replaced
+    # (9,664)
+    counts = {"_entries": 0, "_ratio": 0, "span": 0, "sum": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -396,7 +425,7 @@ def test_the_suite_decides_every_block_once(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("_block", "_ratio"):
+    for name in ("_entries", "_ratio"):
         monkeypatch.setattr(liealg, name, counted(name, getattr(liealg, name)))
     span = liealg.LieBasis.__dict__["span"]
     monkeypatch.setattr(span, "func", counted("span", span.func))
@@ -404,15 +433,19 @@ def test_the_suite_decides_every_block_once(monkeypatch):
     result = verify.run_suite(max_order=24)
     assert result.all_ok and (result.contexts, len(result.clifford)) == (406, 327)
     assert (counts["span"], counts["sum"]) == (406, 327)
-    assert counts["_block"] <= 8019 and counts["_ratio"] <= 9664
+    assert counts["_entries"] == 406 + 406 + 103 + 2 * 327 and counts["_ratio"] <= 9664
 
 
 def test_the_suite_builds_no_subgroup_and_flushes_few_batches(monkeypatch):
     # the kernel spaces are written on G's inverse map, so a pass over the
     # order-24 suite builds only the 24 Kawanaka extensions as new groups
     # and one Lie basis per context, a pass over suite-large no group at
-    # all, and skew_checks flushes 52 batches of data there (BATCH_SIZE)
+    # all, and skew_checks flushes 70 batches of data there, each of at
+    # most BATCH_SIZE terms unless it is one part, a run of one vector's
+    # terms, which is never split: the largest, 6,120 terms, is the
+    # centrality brackets of one class-sum generator
     counts = {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 0, "flush": 0}
+    sizes = []
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -423,6 +456,8 @@ def test_the_suite_builds_no_subgroup_and_flushes_few_batches(monkeypatch):
     class CountedBatch(liealg._Batch):
         def flush(self):
             counts["flush"] += self.size > 0
+            if self.size:
+                sizes.append((self.size, len(self.keys)))
             super().flush()
 
     small = [g for g in default_catalog() if g.order <= 24]
@@ -436,6 +471,9 @@ def test_the_suite_builds_no_subgroup_and_flushes_few_batches(monkeypatch):
     assert result.all_ok and (result.contexts, len(result.kawanaka)) == (406, 24)
     assert (counts["from_mult_table"], counts["lie_basis"]) == (24, 406)
     counts.update(dict.fromkeys(counts, 0))
+    sizes.clear()
     result = verify.run_suite(large)
     assert result.all_ok and (result.contexts, len(result.clifford)) == (29, 21)
-    assert counts == {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 29, "flush": 52}
+    assert counts == {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 29, "flush": 70}
+    assert all(size <= liealg.BATCH_SIZE or parts == 1 for size, parts in sizes)
+    assert max(sizes) == (6120, 1)

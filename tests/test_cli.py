@@ -302,7 +302,7 @@ def test_analyze_builds_one_indicator_report(capsys, monkeypatch):
 def test_analyze_reports_a_failed_check(capsys, monkeypatch):
     # the skew vectors of L in place of the +1 basis, as in
     # test_orthogonality_check_can_fail
-    monkeypatch.setattr(verify, "plus_fixed_basis", lambda ctx: list(lie_basis(ctx).vectors))
+    monkeypatch.setattr(verify, "plus_fixed_basis", lambda ctx: lie_basis(ctx).rows)
     code, out, _ = run_cli(capsys, "analyze", "--group", "symmetric:3")
     assert code == 2
     assert "checks: FAILED orthogonality_ok" in out

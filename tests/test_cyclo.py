@@ -54,17 +54,6 @@ def test_root_of_unity_identities(m):
         assert ctx.zeta(k).conj() == ctx.zeta((m - k) % m)
 
 
-def test_signed_roots_give_each_root_of_unity_one_key():
-    # liealg reads a ratio of two +-zeta^k as the product of signs and the
-    # difference of exponents, so distinct values need distinct (sign, k):
-    # 2m values at odd m, and at even m, where -1 = zeta^(m/2), m values,
-    # every one with sign 1
-    for m in range(1, 130):
-        roots = context(m).signed_roots
-        assert len(set(roots.values())) == len(roots) == (m if m % 2 == 0 else 2 * m)
-        assert {s for s, _ in roots.values()} == ({1} if m % 2 == 0 else {1, -1})
-
-
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 11])
 def test_prime_conductor_full_sum_vanishes(m):
     ctx = context(m)

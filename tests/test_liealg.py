@@ -20,6 +20,7 @@ from grouplie.groups import (
 )
 from grouplie.liealg import (
     GroupAlgebraElement,
+    as_elements,
     bracket,
     center_basis,
     center_candidates,
@@ -32,7 +33,8 @@ from grouplie.liealg import (
     trace_of_product,
 )
 from grouplie.linalg import RowSpace
-from grouplie.verify import curated_taus, default_catalog, run_suite
+from grouplie.verify import curated_taus, default_catalog, kernel_space, run_suite
+from monomial_rows import decode
 
 
 S3 = catalog("symmetric", 3)
@@ -236,7 +238,7 @@ def test_skew_projector():
         a = random_element(S3, rng)
         p = skew_part(ctx, a)
         assert skew_part(ctx, p) == p
-    for s in plus_fixed_basis(ctx):
+    for s in as_elements(S3, plus_fixed_basis(ctx)):
         assert skew_part(ctx, s).is_zero()
 
 
@@ -289,13 +291,13 @@ def test_center_generators_are_skew():
                         ("dihedral:6", "lin1")]:
         g = parse_group_spec(spec)
         ctx = make_context(g, find_character(g, label))
-        for v in center_basis(ctx.group, center_candidates(ctx)):
+        for v in as_elements(g, center_basis(ctx.group, center_candidates(ctx))):
             assert star(ctx, v) == -v
 
 
 def test_center_bases():
     sign = find_character(S3, "sign")
-    gens = center_basis(S3, center_candidates(make_context(S3, sign)))
+    gens = as_elements(S3, center_basis(S3, center_candidates(make_context(S3, sign))))
     assert len(gens) == 1
     cd = conjugacy_data(S3)
     transp = next(c for c in range(3) if cd.sizes[c] == 3)
@@ -303,13 +305,14 @@ def test_center_bases():
     assert gens[0] == expected
 
     z3 = catalog("cyclic", 3)
-    gens3 = center_basis(z3, center_candidates(make_context(z3, find_character(z3, "trivial"))))
+    gens3 = as_elements(z3, center_basis(
+        z3, center_candidates(make_context(z3, find_character(z3, "trivial")))))
     assert len(gens3) == 1
     d1 = GroupAlgebraElement.delta(z3, 1) - GroupAlgebraElement.delta(z3, 2)
     assert gens3[0] == d1
 
     assert center_basis(
-        Q8, center_candidates(make_context(Q8, find_character(Q8, "trivial")))) == []
+        Q8, center_candidates(make_context(Q8, find_character(Q8, "trivial")))).shape == (4, 0)
 
 
 def test_orthogonality_between_eigenspaces():
@@ -319,7 +322,7 @@ def test_orthogonality_between_eigenspaces():
         ctx = make_context(g, find_character(g, label))
         basis = lie_basis(ctx)
         for u in basis.vectors:
-            for s in plus_fixed_basis(ctx):
+            for s in as_elements(g, plus_fixed_basis(ctx)):
                 assert convolve(u, s).trace().is_zero()
 
 
@@ -372,7 +375,7 @@ def test_the_census_is_computed_once_per_context():
 
 
 # ---------------------------------------------------------------------------
-# vectors written by lookup against the arithmetic construction
+# the monomial rows against the arithmetic construction and the dict writer
 
 
 def oracle_orbit_vectors(ctx, sign):
@@ -407,48 +410,110 @@ def oracle_center_candidates(ctx):
     return out
 
 
-def test_lookup_vectors_equal_the_arithmetic_construction():
-    contexts = 0
+def dict_rows(sigma, exponents, sign, field):
+    """The writer the monomial rows replaced, as their oracle: (z, sigma(z),
+    row) for every point z of the involution `sigma` where
+    delta_z + sign * zeta^e delta_sigma(z), e = exponents[z], is nonzero,
+    the row as {column: CycloScalar}."""
+    for z, s in enumerate(sigma):
+        x = field.zeta(exponents[z]) * sign
+        if s != z:
+            yield z, s, {z: field.one, s: x}
+        elif field.one + x:
+            yield z, z, {z: field.one + x}
+
+
+def points(rows):
+    """The point z of each row of _orbit_rows, its first monomial's column."""
+    first = {}
+    for r, z in zip(*rows[:2].tolist()):
+        first.setdefault(r, z)
+    return list(first.values())
+
+
+def _suite_contexts():
     for group in (g for g in default_catalog() if g.order <= 24):
         for tau in curated_taus(group):
             for alpha in linear_characters(group):
-                if not alpha_tau_compatible(alpha, tau):
-                    continue
-                contexts += 1
-                ctx = make_context(group, alpha, tau)
-                minus = oracle_orbit_vectors(ctx, -1)
-                basis = lie_basis(ctx)
-                assert basis.vectors == tuple(v for _, v in minus)
-                assert [min(v.terms) for v in basis.vectors] == [g for g, _ in minus]
-                assert plus_fixed_basis(ctx) == [v for _, v in oracle_orbit_vectors(ctx, 1)]
-                # each candidate is its oracle's combination read at the class
-                # representatives, and center_basis keeps one per orbit
-                reps = conjugacy_data(group).representatives
-                center = oracle_center_candidates(ctx)
-                assert list(center_candidates(ctx)) == [
-                    (c, sc, {x: v.terms[reps[x]] for x in (c, sc)}) for c, sc, v in center]
-                assert center_basis(group, center_candidates(ctx)) == [
-                    v for c, sc, v in center if c <= sc]
+                if alpha_tau_compatible(alpha, tau):
+                    yield make_context(group, alpha, tau)
+
+
+def test_monomial_rows_equal_the_dict_writer():
+    # the basis, +1, center-candidate and kernel rows of every order-24
+    # suite context, their monomials summed into scalars
+    contexts = kernels = 0
+    for ctx in _suite_contexts():
+        group, field = ctx.group, context(ctx.group.exponent)
+        exponents = ctx.alpha.exponents
+        for sign, rows in ((-1, lie_basis(ctx).rows), (1, plus_fixed_basis(ctx))):
+            expected = [(z, row) for z, s, row in dict_rows(ctx.sigma, exponents, sign, field)
+                        if z <= s]
+            assert decode(rows, field) == [row for _, row in expected]
+            assert points(rows) == [z for z, _ in expected]
+        reps = conjugacy_data(group).representatives
+        expected = list(dict_rows(ctx.class_sigma, [exponents[r] for r in reps], -1, field))
+        candidates = center_candidates(ctx)
+        assert decode(candidates, field) == [row for _, _, row in expected]
+        assert points(candidates) == [z for z, _, _ in expected]
+        contexts += 1
+        if ctx.tau.is_identity():
+            kernel = set(ctx.alpha.kernel_elements())
+            expected = [row for h, s, row in dict_rows(group.inverse, (0,) * group.order, -1, field)
+                        if h < s and h in kernel]
+            assert decode(kernel_space(group, ctx.alpha).rows, field) == expected
+            kernels += 1
+    # a kernel per tau = id context: 327 nontrivial characters and the
+    # trivial one of each of the 41 groups
+    assert (contexts, kernels) == (406, 327 + 41)
+
+
+def test_lookup_vectors_equal_the_arithmetic_construction():
+    contexts = 0
+    for ctx in _suite_contexts():
+        group, field = ctx.group, context(ctx.group.exponent)
+        contexts += 1
+        minus = oracle_orbit_vectors(ctx, -1)
+        basis = lie_basis(ctx)
+        assert basis.vectors == tuple(v for _, v in minus)
+        assert [min(v.terms) for v in basis.vectors] == [g for g, _ in minus]
+        assert as_elements(group, plus_fixed_basis(ctx)) == [
+            v for _, v in oracle_orbit_vectors(ctx, 1)]
+        # each candidate is its oracle's combination read at the class
+        # representatives, and center_basis keeps one per orbit
+        reps = conjugacy_data(group).representatives
+        center = oracle_center_candidates(ctx)
+        candidates = center_candidates(ctx)
+        assert decode(candidates, field) == [
+            {x: v.terms[reps[x]] for x in (c, sc)} for c, sc, v in center]
+        assert points(candidates) == [c for c, _, _ in center]
+        assert as_elements(group, center_basis(group, candidates)) == [
+            v for c, sc, v in center if c <= sc]
     assert contexts == 406
 
 
 def test_lookup_vectors_at_fixed_points_and_fixed_classes():
     z4 = catalog("cyclic", 4)
-    one, two = context(4).one, context(4).from_fraction(2)
+    field = context(4)
+    one, two = field.one, field.from_fraction(2)
     # tau = inv fixes every g under sigma(g) = tau(g)^-1: one vector 1 -+ alpha(g) per g
     ctx = make_context(z4, find_character(z4, "sign"), inversion_automorphism(z4))
     minus_one = [g for g in z4.elements() if ctx.alpha.exponents[g]]
-    # 1 - alpha(g) is 2 where alpha(g) = -1 and 0 (skipped) where alpha(g) = 1
-    assert lie_basis(ctx).vectors == tuple(GroupAlgebraElement(z4, {g: two})
-                                           for g in minus_one)
+    # 1 - alpha(g) is 2 where alpha(g) = -1 and 0 (skipped) where alpha(g) = 1;
+    # the row of 2 is the one monomial 2 * zeta^0 at g
+    basis = lie_basis(ctx)
+    assert basis.vectors == tuple(GroupAlgebraElement(z4, {g: two}) for g in minus_one)
+    assert basis.rows.T.tolist() == [[r, g, 2, 0] for r, g in enumerate(minus_one)]
     # 1 + alpha(g) is 2 where alpha(g) = 1 and 0 (skipped) where alpha(g) = -1
-    assert plus_fixed_basis(ctx) == [GroupAlgebraElement(z4, {g: two})
-                                     for g in z4.elements() if g not in minus_one]
+    assert as_elements(z4, plus_fixed_basis(ctx)) == [GroupAlgebraElement(z4, {g: two})
+                                                      for g in z4.elements() if g not in minus_one]
     # every class is sigma-fixed: alpha(c) = 1 is skipped, alpha(c) = -1 gives 2 T_c
     cd = conjugacy_data(z4)
     fixed = [c for c in range(cd.num_classes) if cd.representatives[c] in minus_one]
-    assert list(center_candidates(ctx)) == [(c, c, {c: two}) for c in fixed]
-    assert center_basis(z4, center_candidates(ctx)) == [
+    candidates = center_candidates(ctx)
+    assert decode(candidates, field) == [{c: two} for c in fixed]
+    assert points(candidates) == fixed
+    assert as_elements(z4, center_basis(z4, candidates)) == [
         GroupAlgebraElement(z4, dict.fromkeys(cd.classes[c], two)) for c in fixed]
 
     # a moved pair (g, g^-1) under tau = id: delta_g - alpha(g) delta_(g^-1)
@@ -457,13 +522,18 @@ def test_lookup_vectors_at_fixed_points_and_fixed_classes():
     g = next(g for g in z4.elements() if z4.inverse[g] != g)
     vec = next(v for v in lie_basis(ctx).vectors if min(v.terms) == g)
     assert vec.terms == {g: one, z4.inverse[g]: -lin1.value(g)}
-    # a sigma-fixed class with alpha(c) != 1: (1 - alpha(c)) T_c
-    c, _, row = next(cand for cand in center_candidates(ctx) if cand[0] == cand[1])
+    # a sigma-fixed class with alpha(c) != 1: (1 - alpha(c)) T_c; alpha(c) is
+    # then -1, as alpha(c)^2 = alpha(c) alpha(sigma c) = 1, and the row is the
+    # one monomial 2 * zeta^0
+    candidates = center_candidates(ctx)
+    i, c = next((i, c) for i, c in enumerate(points(candidates)) if ctx.class_sigma[c] == c)
+    row = decode(candidates, field)[i]
     alpha_c = lin1.value(cd.representatives[c])
     assert alpha_c != 1
     assert row == {c: one - alpha_c}
+    assert candidates[:, candidates[0] == i].T.tolist() == [[i, c, 2, 0]]
     assert GroupAlgebraElement(z4, dict.fromkeys(cd.classes[c], one - alpha_c)) in \
-        center_basis(z4, center_candidates(ctx))
+        as_elements(z4, center_basis(z4, candidates))
 
 
 def test_context_refuses_an_alpha_of_another_conductor():

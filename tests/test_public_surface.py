@@ -2,7 +2,8 @@
 boundaries that perfbench/tracer.py wraps.  The tracer resolves each boundary
 when it is installed, so deleting or renaming one of them breaks every
 traced benchmark run; these tests fail first.  The package's own modules
-import no name that they do not use."""
+import no name that they do not use, and define no function, class or
+method that nothing names."""
 
 import ast
 import importlib.util
@@ -68,3 +69,48 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted((ROOT / "src" / "grouplie").glob("*.py"))}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def defined_names(source: str) -> list[str]:
+    """The top-level functions and classes of `source` and the methods of
+    its classes, dunder methods left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+    return [name for name in out if not (name.startswith("__") and name.endswith("__"))]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name `source` reads: a Name, an Attribute, or an identifier in
+    a string constant, each part of a dotted one too (the tracer names its
+    boundaries that way)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(part for part in node.value.split(".") if part.isidentifier())
+    return out
+
+
+def test_defined_and_referenced_names_read_the_ast():
+    source = ("class A:\n    def f(self): return g\n    def __len__(self): return 0\n"
+              "def g(): pass\nx = 'mod.A.h'\ny.attr\n")
+    assert defined_names(source) == ["A", "f", "g"]
+    assert referenced_names(source) == {"g", "mod", "A", "h", "x", "y", "attr"}
+
+
+def test_every_function_class_and_method_of_src_is_referenced():
+    # a helper that nothing calls any more is dead code: the package, the
+    # tests, the benchmark or the scripts must name it somewhere
+    sources = [path.read_text() for folder in ("src", "tests", "perfbench", "scripts")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    referenced = set().union(*map(referenced_names, sources))
+    defined = {name for path in sorted((ROOT / "src" / "grouplie").glob("*.py"))
+               for name in defined_names(path.read_text())}
+    assert sorted(defined - referenced) == []

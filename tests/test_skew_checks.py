@@ -1,6 +1,5 @@
 """The closure, centrality and orthogonality kernel against its scalar oracles."""
 
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -11,10 +10,17 @@ from hypothesis import strategies as st
 from grouplie import liealg
 from grouplie.cyclo import context
 from grouplie.errors import IntegerBoundExceeded, InvariantViolated, OrbitBlockViolated
-from grouplie.groups import alpha_tau_compatible, catalog, linear_characters, parse_group_spec
+from grouplie.groups import (
+    alpha_tau_compatible,
+    catalog,
+    find_character,
+    linear_characters,
+    parse_group_spec,
+)
 from grouplie.liealg import (
     GroupAlgebraElement,
     LieBasis,
+    as_elements,
     bracket,
     center_basis,
     center_candidates,
@@ -26,6 +32,7 @@ from grouplie.liealg import (
 )
 from grouplie.linalg import RowSpace
 from grouplie.verify import curated_taus, default_catalog
+from monomial_rows import encode, signed_roots
 
 KERNEL_GROUPS = (catalog("symmetric", 3), catalog("quaternion8"), catalog("dihedral", 4),
                  catalog("cyclic", 6), catalog("cyclic", 23))
@@ -109,7 +116,7 @@ def compares_a_non_root(vectors, sigma):
             continue
         rows = held.setdefault(min(z, sigma[z]), [])
         if len(rows) == 1:
-            if any(len(u.terms) == 2 and any(x.coeffs not in x.ctx.signed_roots
+            if any(len(u.terms) == 2 and any(x.coeffs not in signed_roots(x.ctx)
                                              for x in u.terms.values())
                    for u in (rows[0], v)):
                 return True
@@ -127,21 +134,24 @@ def test_kernel_verdicts_equal_the_scalar_products(data):
     ctx = make_context(group, data.draw(st.sampled_from(linear_characters(group))))
     lie = lie_basis(ctx)
     vectors = data.draw(vector_lists(group, lie.vectors, ctx.sigma))
-    center = data.draw(vector_lists(group, center_basis(ctx.group, center_candidates(ctx))))
-    plus = data.draw(vector_lists(group, plus_fixed_basis(ctx)))
-    basis = LieBasis(ctx, tuple(vectors))
+    center = data.draw(vector_lists(group, as_elements(
+        group, center_basis(ctx.group, center_candidates(ctx)))))
+    plus = data.draw(vector_lists(group, as_elements(group, plus_fixed_basis(ctx))))
+    field = context(group.exponent)
+    basis = LieBasis(ctx, encode(vectors, field))
+    arrays = basis, encode(center, field), encode(plus, field)
     # closure reduces against the basis per sigma-orbit block, so a basis
     # that is not block-shaped is refused, and so is one whose span compares
     # a two-entry vector off the roots of unity
     if not fits_blocks(vectors, ctx.sigma):
         with pytest.raises(OrbitBlockViolated):
-            skew_checks(basis, center, plus)
+            skew_checks(*arrays)
         return
     if compares_a_non_root(vectors, ctx.sigma):
         with pytest.raises(InvariantViolated, match=r"not \+-zeta\^k"):
-            skew_checks(basis, center, plus)
+            skew_checks(*arrays)
         return
-    got = skew_checks(basis, center, plus)
+    got = skew_checks(*arrays)
     assert tuple(got) == scalar_checks(vectors, center, plus, _row_space(basis))
 
 
@@ -162,47 +172,36 @@ def test_kernel_verdicts_equal_the_scalar_loops_on_every_suite_context(groups, c
     for ctx in _contexts(groups):
         basis = lie_basis(ctx)
         center, plus = center_basis(ctx.group, center_candidates(ctx)), plus_fixed_basis(ctx)
-        assert tuple(skew_checks(basis, center, plus)) == \
-            scalar_checks(basis.vectors, center, plus, _row_space(basis)) == (True, True, True)
+        assert tuple(skew_checks(basis, center, plus)) == scalar_checks(
+            basis.vectors, as_elements(ctx.group, center), as_elements(ctx.group, plus),
+            _row_space(basis)) == (True, True, True)
         seen += 1
     assert seen == count
 
 
-def encoded(basis):
-    return liealg.monomials(enumerate(v.terms for v in basis.vectors),
-                            context(basis.context.group.exponent))
+def test_the_basis_is_written_as_two_monomials_per_row():
+    # with trivial alpha every row is delta_g - delta_(g^-1): the monomials
+    # (r, g, 1, 0) and (r, g^-1, -1, 0)
+    s4 = catalog("symmetric", 4)
+    basis = lie_basis(make_context(s4, find_character(s4, "trivial")))
+    rows = [(g, s4.inverse[g]) for g in s4.elements() if g < s4.inverse[g]]
+    assert basis.rows.T.tolist() == [m for r, (g, h) in enumerate(rows)
+                                     for m in ([r, g, 1, 0], [r, h, -1, 0])]
 
 
-def test_the_basis_is_encoded_once():
-    basis = lie_basis(make_context(catalog("symmetric", 4), linear_characters(catalog("symmetric", 4))[0]))
-    # one monomial per coefficient: with trivial alpha every coefficient is +-1
-    assert encoded(basis).shape[1] == sum(len(v.terms) for v in basis.vectors)
-
-
-def test_roots_of_unity_are_looked_up_not_expanded():
-    # zeta_23^22 has 22 power-basis terms; the kernel reads it as one monomial
+def test_a_root_of_unity_is_one_monomial():
+    # zeta_23^22 has 22 power-basis terms; the row delta_1 - zeta^22 delta_22
+    # of (Z/23, alpha) with alpha(1) = zeta^22 holds it as one monomial
     z23 = catalog("cyclic", 23)
-    ctx = context(23)
-    assert sum(1 for a in ctx.zeta(22).coeffs if a) == 22
-    basis = LieBasis(make_context(z23, linear_characters(z23)[0]),
-                     (GroupAlgebraElement(z23, {1: ctx.one, 22: -ctx.zeta(22)}),))
-    assert encoded(basis).tolist() == [[0, 0], [1, 22], [1, -1], [0, 22]]
+    assert sum(1 for a in context(23).zeta(22).coeffs if a) == 22
+    alpha = next(a for a in linear_characters(z23) if a.exponents[1] == 22)
+    rows = lie_basis(make_context(z23, alpha)).rows
+    assert rows[:, :2].tolist() == [[0, 0], [1, 22], [1, -1], [0, 22]]
 
 
 def _s3_basis(*vectors):
     s3 = catalog("symmetric", 3)
-    return LieBasis(make_context(s3, linear_characters(s3)[0]), tuple(vectors))
-
-
-def test_a_fraction_coefficient_raises_invariant_violated():
-    s3 = catalog("symmetric", 3)
-    ctx = context(s3.exponent)
-    half = GroupAlgebraElement(s3, {1: ctx.from_fraction(Fraction(1, 2))})
-    whole = GroupAlgebraElement(s3, {3: ctx.one})
-    for basis, center, plus in (((half, whole), [], []), ((whole,), [half], []),
-                                ((whole,), [], [half])):
-        with pytest.raises(InvariantViolated, match="not an algebraic integer"):
-            skew_checks(_s3_basis(*basis), center, plus)
+    return LieBasis(make_context(s3, linear_characters(s3)[0]), encode(vectors, context(6)))
 
 
 def test_an_over_bound_input_raises_integer_bound_exceeded():
@@ -212,14 +211,11 @@ def test_an_over_bound_input_raises_integer_bound_exceeded():
     other = GroupAlgebraElement(s3, {2: ctx.from_fraction(2**40)})
     # each coefficient fits in int64, but a product of two would not
     with pytest.raises(IntegerBoundExceeded):
-        skew_checks(_s3_basis(big, other), [], [])
+        skew_checks(_s3_basis(big, other), encode([], ctx), encode([], ctx))
     with pytest.raises(IntegerBoundExceeded):
-        skew_checks(_s3_basis(big), [other], [])
+        skew_checks(_s3_basis(big), encode([other], ctx), encode([], ctx))
     with pytest.raises(IntegerBoundExceeded):
-        skew_checks(_s3_basis(big), [], [GroupAlgebraElement(s3, {1: ctx.from_fraction(2**40)})])
-    # a coefficient that does not fit in int64 at all
-    with pytest.raises(IntegerBoundExceeded):
-        skew_checks(_s3_basis(GroupAlgebraElement(s3, {1: ctx.from_fraction(2**63)})), [], [])
+        skew_checks(_s3_basis(big), encode([], ctx), encode([big], ctx))
 
 
 def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
@@ -236,9 +232,10 @@ def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
     broken[index] = GroupAlgebraElement(group, terms)
     monkeypatch.setattr(liealg, "BATCH_SIZE", 8)
     assert tuple(skew_checks(basis, center, plus)) == (True, True, True)
-    wrong = LieBasis(ctx, tuple(broken))
+    wrong = LieBasis(ctx, encode(broken, context(12)))
     verdicts = tuple(skew_checks(wrong, center, plus))
-    assert verdicts == scalar_checks(broken, center, plus, _row_space(wrong))
+    assert verdicts == scalar_checks(broken, as_elements(group, center),
+                                     as_elements(group, plus), _row_space(wrong))
     assert not verdicts[0]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from grouplie import verify
 from grouplie.chartable import character_table
-from grouplie.errors import BadParameters, LiftInconsistent, NotHomomorphism
+from grouplie.errors import BadParameters, GroupMismatch, LiftInconsistent, NotHomomorphism
 from grouplie.groups import (
     catalog,
     find_character,
@@ -19,7 +19,7 @@ from grouplie.groups import (
     validate_automorphism,
 )
 from grouplie.indicators import indicator_report
-from grouplie.liealg import GroupAlgebraElement, bracket, lie_basis, make_context
+from grouplie.liealg import GroupAlgebraElement, as_elements, bracket, lie_basis, make_context
 from grouplie.linalg import RowSpace
 from grouplie.verify import (
     center_data,
@@ -30,6 +30,7 @@ from grouplie.verify import (
     verify_theorem,
 )
 from grouplie.cyclo import context
+from monomial_rows import decode, encode
 
 
 def _theorem(group, alpha, tau=None):
@@ -64,8 +65,16 @@ def _row_space(basis):
 
 
 def _with_rows(group, kernel, rows):
-    """`kernel` with its rows replaced by `rows`, and its rank recomputed."""
-    return kernel._replace(rows=rows, rank=RowSpace(context(group.exponent), group.order, rows).rank)
+    """`kernel` with its rows replaced by the dict rows `rows`, and its rank
+    recomputed."""
+    field = context(group.exponent)
+    return kernel._replace(rows=encode(rows, field),
+                           rank=RowSpace(field, group.order, rows).rank)
+
+
+def _kernel_rows(group, kernel):
+    """The rows of `kernel` as dicts."""
+    return decode(kernel.rows, context(group.exponent))
 
 
 def _kawanaka(group, tau, table=None):
@@ -121,7 +130,7 @@ def _s3_report(label):
 def test_orthogonality_check_can_fail(monkeypatch):
     # the skew vector u = t - t^2 (t a 3-cycle) in place of the +1 basis:
     # t(u*u) = -2 != 0
-    monkeypatch.setattr(verify, "plus_fixed_basis", lambda ctx: list(lie_basis(ctx).vectors))
+    monkeypatch.setattr(verify, "plus_fixed_basis", lambda ctx: lie_basis(ctx).rows)
     r = _s3_report("trivial")
     assert not r.orthogonality_ok
     assert r.first_failure() == "orthogonality_ok"
@@ -137,9 +146,10 @@ def test_closure_check_can_fail(monkeypatch):
     original = verify.skew_checks
 
     def outside_l(basis, center, plus):
-        vectors = tuple(GroupAlgebraElement.delta(s3, min(v.terms)) if len(v.terms) == 2 else v
-                        for v in basis.vectors)
-        return original(dataclasses.replace(basis, vectors=vectors), center, plus)
+        vectors = [GroupAlgebraElement.delta(s3, min(v.terms)) if len(v.terms) == 2 else v
+                   for v in basis.vectors]
+        return original(dataclasses.replace(basis, rows=encode(vectors, context(6))),
+                        center, plus)
 
     monkeypatch.setattr(verify, "skew_checks", outside_l)
     r = _s3_report("sign")
@@ -172,7 +182,8 @@ def test_closure_fails_on_one_corrupted_basis_monomial(monkeypatch, spec, label)
     def corrupted(ctx):
         basis = original(ctx)
         index = max(i for i, v in enumerate(basis.vectors) if len(v.terms) == 2)
-        return dataclasses.replace(basis, vectors=tuple(_times_zeta(basis.vectors, index)))
+        field = context(group.exponent)
+        return dataclasses.replace(basis, rows=encode(_times_zeta(basis.vectors, index), field))
 
     monkeypatch.setattr(verify, "lie_basis", corrupted)
     r = _theorem(group, find_character(group, label))
@@ -184,8 +195,9 @@ def test_closure_fails_on_one_corrupted_basis_monomial(monkeypatch, spec, label)
 def test_centrality_fails_on_one_corrupted_generator_monomial(monkeypatch, spec, label):
     group = parse_group_spec(spec)
     original = verify.center_basis
-    monkeypatch.setattr(verify, "center_basis",
-                        lambda group, candidates: _times_zeta(original(group, candidates), 0))
+    monkeypatch.setattr(verify, "center_basis", lambda group, candidates: encode(
+        _times_zeta(as_elements(group, original(group, candidates)), 0),
+        context(group.exponent)))
     r = _theorem(group, find_character(group, label))
     assert r.center_dim_exact == r.center_dim_predicted
     assert not r.centrality_ok
@@ -198,8 +210,9 @@ def test_orthogonality_fails_on_one_corrupted_plus_monomial(monkeypatch, spec, l
     original = verify.plus_fixed_basis
 
     def corrupted(ctx):
-        plus = original(ctx)
-        return _times_zeta(plus, next(i for i, v in enumerate(plus) if len(v.terms) == 2))
+        plus = as_elements(group, original(ctx))
+        return encode(_times_zeta(plus, next(i for i, v in enumerate(plus) if len(v.terms) == 2)),
+                      context(group.exponent))
 
     monkeypatch.setattr(verify, "plus_fixed_basis", corrupted)
     r = _theorem(group, find_character(group, label))
@@ -213,8 +226,8 @@ def test_centrality_check_can_fail(monkeypatch):
     # and only the brackets can find it non-central (S3 trivial has no
     # center generator, so there the count alone would fail)
     s3 = catalog("symmetric", 3)
-    monkeypatch.setattr(verify, "center_basis",
-                        lambda group, candidates: [GroupAlgebraElement.delta(s3, 2)])
+    monkeypatch.setattr(verify, "center_basis", lambda group, candidates: encode(
+        [GroupAlgebraElement.delta(s3, 2)], context(6)))
     r = _s3_report("sign")
     assert r.center_dim_exact == r.center_dim_predicted == 1
     assert not r.centrality_ok
@@ -272,7 +285,7 @@ def test_clifford_fails_when_the_kernel_basis_loses_its_last_vector(monkeypatch)
 
         def truncated(group, alpha, original=original):
             kernel = original(group, alpha)
-            return _with_rows(group, kernel, kernel.rows[:-1])
+            return _with_rows(group, kernel, _kernel_rows(group, kernel)[:-1])
 
         alpha = find_character(group, label)
         assert _clifford(group, alpha).dim_kernel == 1
@@ -305,7 +318,8 @@ def test_clifford_fails_when_h_gains_a_vector_of_a_outside_b(monkeypatch):
     extra = _outside_pair(z6, sign)
     original = verify.kernel_space
     monkeypatch.setattr(verify, "kernel_space",
-                        lambda g, a: _with_rows(g, original(g, a), original(g, a).rows + [extra]))
+                        lambda g, a: _with_rows(g, original(g, a),
+                                                _kernel_rows(g, original(g, a)) + [extra]))
     with pytest.raises(BadParameters, match=r"does not fit Ker\(sign\) of order 3 in Z/6"):
         _clifford(z6, sign)
 
@@ -326,7 +340,8 @@ def test_clifford_fails_when_h_gains_a_vector_outside_a(monkeypatch):
     extra = _symmetric_pair(z6, sign)
     original = verify.kernel_space
     monkeypatch.setattr(verify, "kernel_space",
-                        lambda g, a: _with_rows(g, original(g, a), original(g, a).rows + [extra]))
+                        lambda g, a: _with_rows(g, original(g, a),
+                                                _kernel_rows(g, original(g, a)) + [extra]))
     res = _clifford(z6, sign)
     assert not res.ok and (res.dim_kernel, res.dim_intersection) == (2, 1)
 
@@ -339,7 +354,8 @@ def test_clifford_checks_membership_as_well_as_dimension(monkeypatch):
     extra = _symmetric_pair(z6, sign)
     original = verify.kernel_space
     monkeypatch.setattr(verify, "kernel_space",
-                        lambda g, a: _with_rows(g, original(g, a), original(g, a).rows[:-1] + [extra]))
+                        lambda g, a: _with_rows(g, original(g, a),
+                                                _kernel_rows(g, original(g, a))[:-1] + [extra]))
     res = _clifford(z6, sign)
     assert (res.dim_kernel, res.dim_intersection) == (1, 1)
     assert not res.ok
@@ -685,3 +701,14 @@ def test_clifford_refuses_unmatched_bases_and_kernel_spaces():
         verify_clifford(a, lie_basis(make_context(group, lin4)), verify.kernel_space(group, lin3))
     assert verify_clifford(a, lie_basis(make_context(group, lin4)),
                            verify.kernel_space(group, lin4)).ok
+
+
+def test_kernel_space_refuses_a_character_of_another_order():
+    # Ker alpha would be read off exponents that do not belong to G's
+    # elements: a shorter alpha left out elements, a longer one added some
+    z6 = catalog("cyclic", 6)
+    for n in (4, 8):
+        alpha = find_character(catalog("cyclic", n), "lin1")
+        with pytest.raises(GroupMismatch, match=rf"lin1 is defined on a group of order {n}, "
+                                                r"not on Z/6 of order 6"):
+            verify.kernel_space(z6, alpha)

@@ -13,9 +13,11 @@ construction, the row delta_z + sign * alpha(z) delta_sigma(z) on an orbit
 of an involution: sigma: g -> tau(g)^-1 on elements for the first two, and
 sigma on classes, with sign -1, for the candidate T_c - alpha(c) T_sigma(c),
 kept in class coordinates.  One writer, _orbit_rows, writes each row list
-as one int64 array of monomials c*zeta^k from sigma and alpha's exponents,
-and every reader takes that array; LieBasis.vectors builds elements only
-when asked.
+as one int64 array (4, t) of monomials (row, column, c, k) meaning c*zeta^k,
+from sigma and alpha's exponents.  Its rows are numbered 0, 1, ... in order,
+each with at least one monomial, and every reader counts them with
+row_count, which refuses any other array; LieBasis.vectors builds elements
+only when asked.
 
 Every row whose rank or membership the verifier decides lies in one orbit
 block of sigma: {g, sigma(g)} for a spanning, Clifford or kernel vector and
@@ -252,8 +254,22 @@ class LieBasis:
 
 
 def row_count(rows: np.ndarray) -> int:
-    """The number of rows of a monomial array (4, t), numbered from 0 in order."""
-    return int(rows[0, -1]) + 1 if rows.shape[1] else 0
+    """The number of rows of a monomial array: an int64 array (4, t) whose
+    rows are numbered 0, 1, ... in order, each with at least one monomial,
+    so a zero row is written as one monomial with c = 0.  Every reader
+    counts its rows here, and anything else raises InvariantViolated."""
+    dtype, shape = getattr(rows, "dtype", type(rows).__name__), getattr(rows, "shape", ())
+    if dtype != np.int64 or len(shape) != 2 or shape[0] != 4:
+        raise InvariantViolated(f"a monomial array is int64 of shape (4, t), not {dtype} "
+                                f"of shape {shape}")
+    r = rows[0]
+    # a step from one monomial's row to the next's other than 0 or 1
+    steps = (r[1:] - r[:-1]).view(np.uint64) > 1
+    if r.size and (r[0] or np.count_nonzero(steps)):
+        i = 0 if r[0] else int(np.flatnonzero(steps)[0]) + 1
+        raise InvariantViolated(f"monomial {i} is in row {r[i]}, but rows are numbered "
+                                "0, 1, ... in order, each with at least one monomial")
+    return int(r[-1]) + 1 if r.size else 0
 
 
 def as_elements(group: GroupTable, rows: np.ndarray) -> list[GroupAlgebraElement]:
@@ -304,27 +320,29 @@ def plus_fixed_basis(ctx: LieContext) -> np.ndarray:
     return _orbit_basis(ctx, 1)
 
 
-def center_candidates(ctx: LieContext) -> np.ndarray:
-    """The rows T_c - alpha(c) T_(sigma c) in class coordinates, written by
-    _orbit_rows on classes for every class c where it is nonzero, i.e.
-    unless c is sigma-fixed with alpha(c) = 1.  A sigma-orbit {c, sigma(c)}
-    yields proportional candidates."""
+def _class_rows(ctx: LieContext, points) -> np.ndarray:
+    """The rows T_c - alpha(c) T_(sigma c) of the classes c in `points`,
+    written by _orbit_rows on classes in class coordinates."""
     reps = conjugacy_data(ctx.group).representatives
     exponents = [ctx.alpha.exponents[r] for r in reps]
-    return _orbit_rows(ctx.class_sigma, exponents, -1, ctx.group.exponent, range(len(reps)))
+    return _orbit_rows(ctx.class_sigma, exponents, -1, ctx.group.exponent, points)
 
 
-def center_basis(group: GroupTable, candidates: np.ndarray) -> np.ndarray:
-    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit,
-    as element monomials: the center_candidates rows whose point c, the
-    column of their first monomial, is at most sigma(c), that of their
-    last, each class monomial expanded over the elements of its class."""
-    classes = conjugacy_data(group).classes
-    rows, cols, cs, ks = candidates.tolist()
-    first, last = dict(zip(rows[::-1], cols[::-1])), dict(zip(rows, cols))
-    kept = {r: i for i, r in enumerate(r for r in last if first[r] <= last[r])}
-    out = [x for r, d, c, k in zip(rows, cols, cs, ks) if r in kept
-           for g in classes[d] for x in (kept[r], g, c, k)]
+def center_candidates(ctx: LieContext) -> np.ndarray:
+    """The rows T_c - alpha(c) T_(sigma c) in class coordinates for every
+    class c where it is nonzero, i.e. unless c is sigma-fixed with
+    alpha(c) = 1.  A sigma-orbit {c, sigma(c)} yields proportional
+    candidates."""
+    return _class_rows(ctx, range(len(ctx.class_sigma)))
+
+
+def center_basis(ctx: LieContext) -> np.ndarray:
+    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit:
+    the center_candidates rows of the classes c <= sigma(c), each class
+    monomial expanded over the elements of its class."""
+    classes, sigma = conjugacy_data(ctx.group).classes, ctx.class_sigma
+    rows = _class_rows(ctx, (c for c, s in enumerate(sigma) if c <= s))
+    out = [x for r, d, c, k in zip(*rows.tolist()) for g in classes[d] for x in (r, g, c, k)]
     return np.array(out, dtype=np.int64).reshape(-1, 4).T
 
 

@@ -167,7 +167,7 @@ def center_data(ctx: LieContext) -> CenterData:
     """
     candidates = center_candidates(ctx)
     span = OrbitSpan(candidates, ctx.class_sigma, ctx.group.exponent)
-    return CenterData(ctx, center_basis(ctx.group, candidates), span.rank)
+    return CenterData(ctx, center_basis(ctx), span.rank)
 
 
 def _class_count_ok(ctx: LieContext, report: IndicatorReport) -> bool:

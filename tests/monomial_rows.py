@@ -4,12 +4,13 @@ monomial c*zeta^k.
 
 encode is the encoding the pipeline used before liealg wrote its rows as
 monomials: a value +-zeta^k becomes one monomial (signed_roots), any other
-value its power-basis terms.  decode sums the monomials back into scalars.
+value its power-basis terms.  decode reads them back through
+liealg.as_elements.
 """
 
 import numpy as np
 
-from grouplie.liealg import row_count
+from grouplie.liealg import as_elements
 
 
 def signed_roots(ctx) -> dict:
@@ -24,12 +25,15 @@ def signed_roots(ctx) -> dict:
 
 def encode(rows, ctx) -> np.ndarray:
     """The monomial array of `rows`, each a {column: CycloScalar} dict or a
-    GroupAlgebraElement, numbered in order; every coefficient must be an
-    algebraic integer."""
+    GroupAlgebraElement, numbered in order, a zero row as the one monomial
+    (r, 0, 0, 0); every coefficient must be an algebraic integer."""
     roots = signed_roots(ctx)
     out = []
     for r, row in enumerate(rows):
-        for z, x in getattr(row, "terms", row).items():
+        terms = getattr(row, "terms", row)
+        if not terms:
+            out += (r, 0, 0, 0)
+        for z, x in terms.items():
             hit = roots.get(x.coeffs)
             if hit is not None:
                 out += (r, z, *hit)
@@ -42,10 +46,7 @@ def encode(rows, ctx) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(-1, 4).T
 
 
-def decode(rows: np.ndarray, ctx) -> list[dict]:
-    """Row r of a monomial array as {column: sum of its c*zeta^k}, with the
-    zero entries dropped."""
-    out = [{} for _ in range(row_count(rows))]
-    for r, z, c, k in zip(*rows.tolist()):
-        out[r][z] = out[r].get(z, ctx.zero) + ctx.zeta(k) * c
-    return [{z: x for z, x in row.items() if x} for row in out]
+def decode(rows: np.ndarray, group) -> list[dict]:
+    """Row r of a monomial array over `group`'s conductor as the dict of its
+    nonzero entries."""
+    return [v.terms for v in as_elements(group, rows)]

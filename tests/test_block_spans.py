@@ -18,6 +18,7 @@ from grouplie.cyclo import CycloScalar, context
 from grouplie.errors import BadParameters, InvariantViolated, OrbitBlockViolated
 from grouplie.groups import (
     alpha_tau_compatible,
+    catalog,
     conjugacy_data,
     find_character,
     from_mult_table,
@@ -27,7 +28,7 @@ from grouplie.groups import (
     subgroup_table,
     trivial_character,
 )
-from grouplie.liealg import OrbitSpan, center_candidates, lie_basis, make_context
+from grouplie.liealg import OrbitSpan, as_elements, center_candidates, lie_basis, make_context
 from grouplie.linalg import RowSpace
 from grouplie.verify import center_data, curated_taus, default_catalog, kernel_space
 from monomial_rows import decode, encode
@@ -67,7 +68,7 @@ def test_every_suite_rank_and_membership_equals_the_row_space_oracle(groups, con
             assert basis.rank == oracle(field, group.order, [v.terms for v in basis.vectors]).rank
             classes = conjugacy_data(group).classes
             rows = [{g: x for c, x in row.items() for g in classes[c]}
-                    for row in decode(center_candidates(ctx), field)]
+                    for row in decode(center_candidates(ctx), group)]
             assert center.rank == oracle(field, group.order, rows).rank
             seen += 1
         # dim(A + B), every membership of H in A and in B, and rank H
@@ -82,7 +83,7 @@ def test_every_suite_rank_and_membership_equals_the_row_space_oracle(groups, con
             for v in b.vectors:
                 both.add(v.terms)
             kernel = kernel_space(group, alpha)
-            rows = decode(kernel.rows, field)
+            rows = decode(kernel.rows, group)
             assert kernel.rank == oracle(field, group.order, rows).rank
             spans = (trivial.span, b.span, trivial.span + b.span)
             assert [s.rank for s in spans] == [space_a.rank, space_b.rank, both.rank]
@@ -107,7 +108,7 @@ def test_every_suite_kernel_space_equals_the_subgroup_route(groups, contexts, cl
                     for v in lie_basis(make_context(sub, trivial_character(sub))).vectors]
             rank = OrbitSpan(encode(rows, field), group.inverse, field.m).rank
             kernel = kernel_space(group, alpha)
-            assert (kernel.order, decode(kernel.rows, field), kernel.rank) == (sub.order, rows,
+            assert (kernel.order, decode(kernel.rows, group), kernel.rank) == (sub.order, rows,
                                                                                rank)
             checked += 1
     assert checked == cliffords
@@ -182,8 +183,9 @@ def block_problems(draw):
                 held.append(multiple(draw(st.sampled_from(held)))
                             if held and draw(st.booleans()) else row(block))
             rows += held
-        spaces.append(draw(st.permutations(rows)))
-    every_row = [r for rows in spaces for r in rows]
+        # zero rows anywhere, the last position included
+        spaces.append(draw(st.permutations(rows + [{}] * draw(st.integers(0, 2)))))
+    every_row = [r for rows in spaces for r in rows if r]
     queries = [multiple(draw(st.sampled_from(every_row)))
                if every_row and draw(st.booleans()) else row(draw(st.sampled_from(blocks)))
                for _ in range(draw(st.integers(0, 4)))]
@@ -204,10 +206,10 @@ def test_random_blocks_equal_the_row_space_oracle(problem):
         space = oracle(ctx, len(sigma), [])
         # the blocks hold disjoint columns, so a row is independent of the
         # earlier rows of its block exactly when it enlarges their span
+        assert len(span.rows) == len(rows)
         assert span.independent == [space.add(row) for row in rows]
         assert span.rank == space.rank
-        # query 0 is the zero row; the last, nonzero, sets the row count
-        asked = [{}] + queries + [{0: ctx.one}]
+        asked = queries + [{}]
         assert span.contains(encode(asked, ctx)) == [space.contains(q) for q in asked]
 
 
@@ -248,6 +250,35 @@ def test_a_two_entry_row_or_query_off_the_roots_of_unity_is_refused(m):
     assert OrbitSpan(encode([v], ctx), (1, 0), ctx.m).rank == 1
     spanned = OrbitSpan(encode([unit, {0: ctx.one}, v], ctx), (1, 0), ctx.m)
     assert spanned.rank == 2 and spanned.contains(encode([v], ctx)) == [True]
+
+
+def test_a_zero_row_keeps_its_place_first_between_and_last():
+    # a zero row is the one monomial (r, 0, 0, 0), so a trailing one counts
+    ctx = context(4)
+    rows = encode([{}, {0: ctx.one}, {}, {1: ctx.zeta(1)}, {}], ctx)
+    assert rows[0].tolist() == [0, 1, 2, 3, 4]
+    span = OrbitSpan(rows, (1, 0), ctx.m)
+    assert span.independent == [False, True, False, True, False] and span.rank == 2
+    assert span.contains(encode([{}, {1: ctx.one}, {}], ctx)) == [True, True, True]
+    assert [v.terms for v in as_elements(catalog("cyclic", 4), rows)] == [
+        {}, {0: ctx.one}, {}, {1: ctx.zeta(1)}, {}]
+
+
+def test_an_array_of_other_monomial_rows_is_refused():
+    # rows numbered with a gap, out of order or from 1, and arrays of
+    # another dtype or shape, as the rows of a span and as its queries
+    span = OrbitSpan(np.array([[0], [0], [1], [0]]), (1, 0), 4)
+    for bad, message in ((np.array([[0, 2], [0, 1], [1, 1], [0, 0]]), "monomial 1 is in row 2"),
+                         (np.array([[0, 1, 0], [0, 1, 1], [1, 1, 1], [0, 0, 0]]),
+                          "monomial 2 is in row 0"),
+                         (np.array([[1], [0], [1], [0]]), "monomial 0 is in row 1"),
+                         (np.array([[0], [0], [1.0], [0]]), "not float64 of shape"),
+                         (np.array([[0], [0], [1]]), r"not int64 of shape \(3, 1\)"),
+                         ([[0], [0], [1], [0]], "not list of shape")):
+        with pytest.raises(InvariantViolated, match=message):
+            OrbitSpan(bad, (1, 0), 4)
+        with pytest.raises(InvariantViolated, match=message):
+            span.contains(bad)
 
 
 def test_a_two_entry_row_with_a_coefficient_off_the_units_is_refused():

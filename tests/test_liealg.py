@@ -291,13 +291,13 @@ def test_center_generators_are_skew():
                         ("dihedral:6", "lin1")]:
         g = parse_group_spec(spec)
         ctx = make_context(g, find_character(g, label))
-        for v in as_elements(g, center_basis(ctx.group, center_candidates(ctx))):
+        for v in as_elements(g, center_basis(ctx)):
             assert star(ctx, v) == -v
 
 
 def test_center_bases():
     sign = find_character(S3, "sign")
-    gens = as_elements(S3, center_basis(S3, center_candidates(make_context(S3, sign))))
+    gens = as_elements(S3, center_basis(make_context(S3, sign)))
     assert len(gens) == 1
     cd = conjugacy_data(S3)
     transp = next(c for c in range(3) if cd.sizes[c] == 3)
@@ -305,14 +305,12 @@ def test_center_bases():
     assert gens[0] == expected
 
     z3 = catalog("cyclic", 3)
-    gens3 = as_elements(z3, center_basis(
-        z3, center_candidates(make_context(z3, find_character(z3, "trivial")))))
+    gens3 = as_elements(z3, center_basis(make_context(z3, find_character(z3, "trivial"))))
     assert len(gens3) == 1
     d1 = GroupAlgebraElement.delta(z3, 1) - GroupAlgebraElement.delta(z3, 2)
     assert gens3[0] == d1
 
-    assert center_basis(
-        Q8, center_candidates(make_context(Q8, find_character(Q8, "trivial")))).shape == (4, 0)
+    assert center_basis(make_context(Q8, find_character(Q8, "trivial"))).shape == (4, 0)
 
 
 def test_orthogonality_between_eigenspaces():
@@ -449,19 +447,19 @@ def test_monomial_rows_equal_the_dict_writer():
         for sign, rows in ((-1, lie_basis(ctx).rows), (1, plus_fixed_basis(ctx))):
             expected = [(z, row) for z, s, row in dict_rows(ctx.sigma, exponents, sign, field)
                         if z <= s]
-            assert decode(rows, field) == [row for _, row in expected]
+            assert decode(rows, group) == [row for _, row in expected]
             assert points(rows) == [z for z, _ in expected]
         reps = conjugacy_data(group).representatives
         expected = list(dict_rows(ctx.class_sigma, [exponents[r] for r in reps], -1, field))
         candidates = center_candidates(ctx)
-        assert decode(candidates, field) == [row for _, _, row in expected]
+        assert decode(candidates, group) == [row for _, _, row in expected]
         assert points(candidates) == [z for z, _, _ in expected]
         contexts += 1
         if ctx.tau.is_identity():
             kernel = set(ctx.alpha.kernel_elements())
             expected = [row for h, s, row in dict_rows(group.inverse, (0,) * group.order, -1, field)
                         if h < s and h in kernel]
-            assert decode(kernel_space(group, ctx.alpha).rows, field) == expected
+            assert decode(kernel_space(group, ctx.alpha).rows, group) == expected
             kernels += 1
     # a kernel per tau = id context: 327 nontrivial characters and the
     # trivial one of each of the 41 groups
@@ -484,10 +482,10 @@ def test_lookup_vectors_equal_the_arithmetic_construction():
         reps = conjugacy_data(group).representatives
         center = oracle_center_candidates(ctx)
         candidates = center_candidates(ctx)
-        assert decode(candidates, field) == [
+        assert decode(candidates, group) == [
             {x: v.terms[reps[x]] for x in (c, sc)} for c, sc, v in center]
         assert points(candidates) == [c for c, _, _ in center]
-        assert as_elements(group, center_basis(group, candidates)) == [
+        assert as_elements(group, center_basis(ctx)) == [
             v for c, sc, v in center if c <= sc]
     assert contexts == 406
 
@@ -511,9 +509,9 @@ def test_lookup_vectors_at_fixed_points_and_fixed_classes():
     cd = conjugacy_data(z4)
     fixed = [c for c in range(cd.num_classes) if cd.representatives[c] in minus_one]
     candidates = center_candidates(ctx)
-    assert decode(candidates, field) == [{c: two} for c in fixed]
+    assert decode(candidates, z4) == [{c: two} for c in fixed]
     assert points(candidates) == fixed
-    assert as_elements(z4, center_basis(z4, candidates)) == [
+    assert as_elements(z4, center_basis(ctx)) == [
         GroupAlgebraElement(z4, dict.fromkeys(cd.classes[c], two)) for c in fixed]
 
     # a moved pair (g, g^-1) under tau = id: delta_g - alpha(g) delta_(g^-1)
@@ -527,13 +525,13 @@ def test_lookup_vectors_at_fixed_points_and_fixed_classes():
     # one monomial 2 * zeta^0
     candidates = center_candidates(ctx)
     i, c = next((i, c) for i, c in enumerate(points(candidates)) if ctx.class_sigma[c] == c)
-    row = decode(candidates, field)[i]
+    row = decode(candidates, z4)[i]
     alpha_c = lin1.value(cd.representatives[c])
     assert alpha_c != 1
     assert row == {c: one - alpha_c}
     assert candidates[:, candidates[0] == i].T.tolist() == [[i, c, 2, 0]]
     assert GroupAlgebraElement(z4, dict.fromkeys(cd.classes[c], one - alpha_c)) in \
-        as_elements(z4, center_basis(z4, candidates))
+        as_elements(z4, center_basis(ctx))
 
 
 def test_context_refuses_an_alpha_of_another_conductor():

@@ -23,7 +23,6 @@ from grouplie.liealg import (
     as_elements,
     bracket,
     center_basis,
-    center_candidates,
     lie_basis,
     make_context,
     plus_fixed_basis,
@@ -135,7 +134,7 @@ def test_kernel_verdicts_equal_the_scalar_products(data):
     lie = lie_basis(ctx)
     vectors = data.draw(vector_lists(group, lie.vectors, ctx.sigma))
     center = data.draw(vector_lists(group, as_elements(
-        group, center_basis(ctx.group, center_candidates(ctx)))))
+        group, center_basis(ctx))))
     plus = data.draw(vector_lists(group, as_elements(group, plus_fixed_basis(ctx))))
     field = context(group.exponent)
     basis = LieBasis(ctx, encode(vectors, field))
@@ -171,7 +170,7 @@ def test_kernel_verdicts_equal_the_scalar_loops_on_every_suite_context(groups, c
     seen = 0
     for ctx in _contexts(groups):
         basis = lie_basis(ctx)
-        center, plus = center_basis(ctx.group, center_candidates(ctx)), plus_fixed_basis(ctx)
+        center, plus = center_basis(ctx), plus_fixed_basis(ctx)
         assert tuple(skew_checks(basis, center, plus)) == scalar_checks(
             basis.vectors, as_elements(ctx.group, center), as_elements(ctx.group, plus),
             _row_space(basis)) == (True, True, True)
@@ -216,6 +215,25 @@ def test_an_over_bound_input_raises_integer_bound_exceeded():
         skew_checks(_s3_basis(big), encode([other], ctx), encode([], ctx))
     with pytest.raises(IntegerBoundExceeded):
         skew_checks(_s3_basis(big), encode([], ctx), encode([big], ctx))
+    # a coefficient of magnitude 2^63, which an int64 holds only as -2^63
+    low = LieBasis(_s3_basis().context, np.array([[0, 1], [1, 2], [-2**63, 1], [0, 0]]))
+    with pytest.raises(IntegerBoundExceeded):
+        skew_checks(low, encode([], ctx), encode([], ctx))
+
+
+def test_an_array_of_other_monomial_rows_raises_invariant_violated():
+    # a fraction coefficient as a float, 2^63 as a uint64, a flat array and
+    # a gap in the row numbers, each as the basis, the center and the +1 rows
+    ctx = _s3_basis().context
+    whole, empty = np.array([[0], [3], [1], [0]]), np.zeros((4, 0), dtype=np.int64)
+    for bad, message in ((np.array([[0], [1], [0.5], [0]]), "not float64 of shape"),
+                         (np.array([[0], [1], [2**63], [0]], dtype=np.uint64), "not uint64"),
+                         (np.array([0, 1, 1, 0]), r"not int64 of shape \(4,\)"),
+                         (np.array([[0, 2], [1, 3], [1, 1], [0, 0]]), "monomial 1 is in row 2")):
+        for basis, center, plus in ((bad, empty, empty), (whole, bad, empty),
+                                    (whole, empty, bad)):
+            with pytest.raises(InvariantViolated, match=message):
+                skew_checks(LieBasis(ctx, basis), center, plus)
 
 
 def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
@@ -223,7 +241,7 @@ def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
     group = parse_group_spec("symmetric:4")
     ctx = make_context(group, linear_characters(group)[1])
     basis, plus = lie_basis(ctx), plus_fixed_basis(ctx)
-    center = center_basis(ctx.group, center_candidates(ctx))
+    center = center_basis(ctx)
     # the last two-term basis vector with one coefficient times zeta
     index = max(i for i, v in enumerate(basis.vectors) if len(v.terms) == 2)
     terms = dict(basis.vectors[index].terms)

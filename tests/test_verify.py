@@ -74,7 +74,7 @@ def _with_rows(group, kernel, rows):
 
 def _kernel_rows(group, kernel):
     """The rows of `kernel` as dicts."""
-    return decode(kernel.rows, context(group.exponent))
+    return decode(kernel.rows, group)
 
 
 def _kawanaka(group, tau, table=None):
@@ -195,9 +195,8 @@ def test_closure_fails_on_one_corrupted_basis_monomial(monkeypatch, spec, label)
 def test_centrality_fails_on_one_corrupted_generator_monomial(monkeypatch, spec, label):
     group = parse_group_spec(spec)
     original = verify.center_basis
-    monkeypatch.setattr(verify, "center_basis", lambda group, candidates: encode(
-        _times_zeta(as_elements(group, original(group, candidates)), 0),
-        context(group.exponent)))
+    monkeypatch.setattr(verify, "center_basis", lambda ctx: encode(
+        _times_zeta(as_elements(group, original(ctx)), 0), context(group.exponent)))
     r = _theorem(group, find_character(group, label))
     assert r.center_dim_exact == r.center_dim_predicted
     assert not r.centrality_ok
@@ -226,7 +225,7 @@ def test_centrality_check_can_fail(monkeypatch):
     # and only the brackets can find it non-central (S3 trivial has no
     # center generator, so there the count alone would fail)
     s3 = catalog("symmetric", 3)
-    monkeypatch.setattr(verify, "center_basis", lambda group, candidates: encode(
+    monkeypatch.setattr(verify, "center_basis", lambda ctx: encode(
         [GroupAlgebraElement.delta(s3, 2)], context(6)))
     r = _s3_report("sign")
     assert r.center_dim_exact == r.center_dim_predicted == 1

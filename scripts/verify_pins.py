@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Check `grouplie verify --group G --format json` against its pinned SHA-256.
+"""Check `grouplie verify` and `grouplie table` JSON against pinned SHA-256s.
 
 Usage:
     PYTHONPATH=src python scripts/verify_pins.py [GROUP ...]
 
-The digests live in tests/data/verify_sha256.json; with no group named, every
-pinned group is checked.  Prints one line per group and exits 1 if any
-digest differs; a group with no pin is refused before any run, with one
-line on stderr, and exit 1.
+The digests of `verify --group G --format json` live in
+tests/data/verify_sha256.json, and those of `table --group G --format json`
+in tests/data/table_scale_sha256.json; with no group named, every pin of
+both files is checked, and a named group is checked against each file that
+pins it.  Prints one line per check and exits 1 if any digest differs; a
+group with no pin is refused before any run, with one line on stderr, and
+exit 1.
 """
 
 import contextlib
@@ -19,25 +22,28 @@ from pathlib import Path
 
 from grouplie.cli import main as grouplie_main
 
-PINS = Path(__file__).resolve().parent.parent / "tests" / "data" / "verify_sha256.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+PINS = {"verify": DATA / "verify_sha256.json", "table": DATA / "table_scale_sha256.json"}
 
 
 def main(specs: list[str]) -> int:
-    pins = json.loads(PINS.read_text())
-    unpinned = [spec for spec in specs if spec not in pins]
+    pins = {command: json.loads(path.read_text()) for command, path in PINS.items()}
+    pinned = list(dict.fromkeys(spec for digests in pins.values() for spec in digests))
+    unpinned = [spec for spec in specs if spec not in pinned]
     if unpinned:
         print(f"error: no pin for {' '.join(unpinned)}; the pinned groups are "
-              f"{' '.join(pins)}", file=sys.stderr)
+              f"{' '.join(pinned)}", file=sys.stderr)
         return 1
     failed = 0
-    for spec in specs or list(pins):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = grouplie_main(["verify", "--group", spec, "--format", "json"])
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        ok = code == 0 and digest == pins[spec]
-        failed += not ok
-        print(f"{'ok' if ok else 'FAIL'} {spec} {digest}")
+    for command, digests in pins.items():
+        for spec in [spec for spec in specs or digests if spec in digests]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = grouplie_main([command, "--group", spec, "--format", "json"])
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            ok = code == 0 and digest == digests[spec]
+            failed += not ok
+            print(f"{'ok' if ok else 'FAIL'} {command} {spec} {digest}")
     return 1 if failed else 0
 
 

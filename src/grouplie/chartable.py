@@ -43,8 +43,8 @@ all representatives from one walk of the multiplication table and takes
 one inverse DFT mod p per element order, for every irrep and every class
 of that order at once.  The table is the lifted int64 coefficient array,
 put in order by one np.lexsort; the certification evaluates the row
-relation on it with one cyclo.class_sums call, and CycloScalars are made
-only where output renders the values.
+relation on it with one cyclo.class_sums call, the JSON output is written
+from it, and CycloScalars are made only for the text output.
 """
 
 from __future__ import annotations
@@ -92,12 +92,20 @@ class CharacterTable:
         return cyclo.context(self.group.exponent)
 
     def scalar_rows(self) -> list[list[cyclo.CycloScalar]]:
-        """The values as CycloScalars, one list per irrep, for output."""
+        """The values as CycloScalars, one list per irrep, for the text output."""
         ctx = self.context()
         return [[cyclo.scalar_of(v, ctx) for v in row] for row in self.values]
 
     def to_json_dict(self) -> dict:
-        rows = self.scalar_rows()
+        """The `table --format json` payload: entries of one value share its
+        lists, built once, so it is for serialization and must not be mutated."""
+        k, _, d = self.values.shape
+        distinct, inverse = np.unique(self.values.reshape(-1, d), axis=0, return_inverse=True)
+        text = {c: str(c) for c in np.unique(distinct).tolist()}
+        tail = ["0"] * (self.group.exponent - d)
+        exact = [[text[c] for c in vec] + tail for vec in distinct.tolist()]
+        floats = _float_embedding(distinct, self.context()).tolist()
+        index = inverse.reshape(k, k).tolist()
         return {
             "group": self.group.name,
             "order": self.group.order,
@@ -106,9 +114,19 @@ class CharacterTable:
             "class_sizes": list(self.class_data.sizes),
             "class_representatives": list(self.class_data.representatives),
             "degrees": list(self.degrees),
-            "values": [[v.to_json() for v in row] for row in rows],
-            "values_float": [[[z.real, z.imag] for z in map(complex, row)] for row in rows],
+            "values": [[exact[j] for j in row] for row in index],
+            "values_float": [[floats[j] for j in row] for row in index],
         }
+
+
+def _float_embedding(coeffs: np.ndarray, ctx: cyclo.CycloContext) -> np.ndarray:
+    """The [re, im] pairs of the coefficient vectors coeffs[..., phi(m)], as
+    an array (..., 2): a * zeta^t added one power t at a time, in increasing
+    t, as complex(CycloScalar) does; each sum starts at +0.0, never -0.0."""
+    z = np.zeros((*coeffs.shape[:-1], 2))
+    for t in range(ctx.degree):
+        z += coeffs[..., t, None] * np.array([ctx._roots[t].real, ctx._roots[t].imag])
+    return z
 
 
 def class_constants(group: GroupTable, cd: ConjugacyData) -> np.ndarray:
@@ -469,17 +487,9 @@ def _lift(group: GroupTable, cd: ConjugacyData, rows_mod: np.ndarray, degrees: l
 def _canonical_order(degrees: list[int], coeffs: np.ndarray, ctx: cyclo.CycloContext) -> list[int]:
     """Irrep order by degree, then the float embedding of the row (real and
     imaginary part, class by class), then the exact coefficients, then the
-    index: the same table whatever the seed or prime.  The embedding adds
-    a * zeta^t one power t at a time, in increasing t: the IEEE operations
-    of complex(CycloScalar).  Every entry is finite, and a zero coefficient
-    may leave -0.0, which compares equal to 0.0 here as in a tuple sort."""
+    index: the same table whatever the seed or prime."""
     rows = coeffs.shape[0]
-    re = np.zeros(coeffs.shape[:2])
-    im = np.zeros(coeffs.shape[:2])
-    for t in range(ctx.degree):
-        re += coeffs[:, :, t] * ctx._roots[t].real
-        im += coeffs[:, :, t] * ctx._roots[t].imag
-    embedding = np.stack([re, im], axis=2).reshape(rows, -1)
+    embedding = _float_embedding(coeffs, ctx).reshape(rows, -1)
     # np.lexsort sorts by its last key first, and stably, so ties keep the
     # index order
     keys = (*coeffs.reshape(rows, -1).T[::-1], *embedding.T[::-1], np.asarray(degrees))

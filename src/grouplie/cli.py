@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -103,16 +105,18 @@ def parse_args(argv) -> argparse.Namespace:
     return ns
 
 
-def _emit(payload: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+def _emit(chunks, out: str | None):
+    """Write `chunks` to `out` or stdout, 4096 per write (stdout may be unbuffered)."""
+    chunks = iter(chunks)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        while batch := list(itertools.islice(chunks, 4096)):
+            fh.write("".join(batch))
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _emit_json(obj, out: str | None):
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", written as it is
+    encoded (with an indent, json.dumps takes the same pure-Python encoder)."""
+    _emit(itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj), "\n"), out)
 
 
 def cmd_analyze(cfg: argparse.Namespace) -> int:
@@ -124,10 +128,10 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
     ind = indicator_reports(character_table(group, seed=cfg.seed), [ctx])[0]
     report = verify_theorem(lie_basis(ctx), ind, center_data(ctx))
     if cfg.fmt == "json":
-        _emit(_dump({
+        _emit_json({
             "indicators": ind.to_json_dict(),
             "structure": report.to_json_dict(),
-        }), cfg.out)
+        }, cfg.out)
     else:
         sub = "" if alpha.is_trivial() else f"_{alpha.label}"
         twist = "" if tau.is_identity() else f",{tau.label}"
@@ -138,7 +142,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
             f"predicted = {report.dim_m_predicted}",
             f"  checks: {'all pass' if report.all_ok else 'FAILED ' + str(report.first_failure())}",
         ]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit((line + "\n" for line in lines), cfg.out)
     return EXIT_OK if report.all_ok else EXIT_VERIFY
 
 
@@ -166,32 +170,18 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             "needs a character label of the group with alpha o tau = alpha"
         )
     if cfg.fmt == "json":
-        payload = {
+        _emit_json({
             "contexts": result.contexts,
             "all_ok": result.all_ok,
             "reports": [r.to_json_dict(include_timing=cfg.timings) for r in result.reports],
-            "clifford": [
-                {
-                    "group": c.group_name,
-                    "alpha": c.alpha_label,
-                    "kernel_order": c.kernel_order,
-                    "dim_kernel": c.dim_kernel,
-                    "dim_intersection": c.dim_intersection,
-                    "ok": c.ok,
-                }
-                for c in result.clifford
-            ],
-            "kawanaka": [
-                {
-                    "group": kw.group_name,
-                    "tau": kw.tau_label,
-                    "extension": kw.extension_name,
-                    "ok": kw.ok,
-                }
-                for kw in result.kawanaka
-            ],
-        }
-        _emit(_dump(payload), cfg.out)
+            "clifford": [{"group": c.group_name, "alpha": c.alpha_label,
+                          "kernel_order": c.kernel_order, "dim_kernel": c.dim_kernel,
+                          "dim_intersection": c.dim_intersection, "ok": c.ok}
+                         for c in result.clifford],
+            "kawanaka": [{"group": kw.group_name, "tau": kw.tau_label,
+                          "extension": kw.extension_name, "ok": kw.ok}
+                         for kw in result.kawanaka],
+        }, cfg.out)
     else:
         lines = []
         for r in result.reports:
@@ -216,7 +206,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             f"{len(result.kawanaka)} kawanaka: "
             + ("all pass" if result.all_ok else "FAILURES")
         )
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit((line + "\n" for line in lines), cfg.out)
     return EXIT_OK if result.all_ok else EXIT_VERIFY
 
 
@@ -224,7 +214,7 @@ def cmd_table(cfg: argparse.Namespace) -> int:
     group = parse_group_spec(cfg.group)
     table = character_table(group, seed=cfg.seed, prime=cfg.prime)
     if cfg.fmt == "json":
-        _emit(_dump(table.to_json_dict()), cfg.out)
+        _emit_json(table.to_json_dict(), cfg.out)
         return EXIT_OK
     cd = table.class_data
     lines = [
@@ -237,7 +227,7 @@ def cmd_table(cfg: argparse.Namespace) -> int:
         approx = "  ".join(f"{complex(v):.6g}" for v in values)
         lines.append(f"chi_{i} (deg {table.degrees[i]}): {row}")
         lines.append(f"        ~ {approx}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit((line + "\n" for line in lines), cfg.out)
     return EXIT_OK
 
 
@@ -250,7 +240,7 @@ def cmd_bessel(cfg: argparse.Namespace) -> int:
         payload["oracle"] = [[c.real, c.imag] for c in oracle]
         payload["deviation"] = dev
         payload["within_tol"] = dev <= cfg.tol
-        _emit(_dump(payload), cfg.out)
+        _emit_json(payload, cfg.out)
     else:
         lines = [
             f"exp((z/2)(y - omega/y)) in C[Z/{cfg.n}], omega = exp(2 pi i {cfg.omega_k}/{cfg.n}), z = {cfg.z}",
@@ -258,7 +248,7 @@ def cmd_bessel(cfg: argparse.Namespace) -> int:
             "oracle: " + "  ".join(f"{c:.12g}" for c in oracle),
             f"deviation = {dev:.3e} (tol {cfg.tol:.1e}), tail bound {expansion.error_bound:.3e}",
         ]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit((line + "\n" for line in lines), cfg.out)
     return EXIT_OK if dev <= cfg.tol else EXIT_VERIFY
 
 
@@ -267,12 +257,12 @@ def cmd_catalog_list(cfg: argparse.Namespace) -> int:
     if cfg.max_order is not None:
         groups = [g for g in groups if g.order <= cfg.max_order]
     if cfg.fmt == "json":
-        _emit(_dump([
+        _emit_json([
             {"name": g.name, "order": g.order, "exponent": g.exponent,
              "abelian": g.is_abelian(),
              "characters": len(linear_characters(g))}
             for g in groups
-        ]), cfg.out)
+        ], cfg.out)
     else:
         lines = [
             f"{g.name:>12}  order {g.order:>3}  exponent {g.exponent:>3}  "
@@ -280,7 +270,7 @@ def cmd_catalog_list(cfg: argparse.Namespace) -> int:
             f"{len(linear_characters(g))} characters"
             for g in groups
         ]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit((line + "\n" for line in lines), cfg.out)
     return EXIT_OK
 
 

@@ -471,12 +471,12 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         else:
             taus = TAU_POLICIES[tau_policy](group)
         trivial = trivial_character(group)
-        chars = [c for c in linear_characters(group)
-                 if alpha_labels == "all" or c.label in alpha_labels]
+        linear = linear_characters(group)
+        chars = [c for c in linear if alpha_labels == "all" or c.label in alpha_labels]
         # the tau = id basis of trivial and of every selected character,
         # shared by the theorem checks with tau = id and the Clifford checks
         bases = {c.exponents: lie_basis(make_context(group, c))
-                 for c in linear_characters(group) if c.is_trivial() or c in chars}
+                 for c in linear if c.is_trivial() or c in chars}
         contexts = [bases[alpha.exponents].context if tau.is_identity()
                     else make_context(group, alpha, tau)
                     for tau in taus for alpha in chars if alpha_tau_compatible(alpha, tau)]

@@ -474,8 +474,11 @@ def test_the_suite_builds_no_subgroup_and_flushes_few_batches(monkeypatch):
     # all, and skew_checks flushes 70 batches of data there, each of at
     # most BATCH_SIZE terms unless it is one part, a run of one vector's
     # terms, which is never split: the largest, 6,120 terms, is the
-    # centrality brackets of one class-sum generator
-    counts = {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 0, "flush": 0}
+    # centrality brackets of one class-sum generator; either pass reads the
+    # linear characters once per group, where reading them for the selection
+    # and again for the Lie bases made 82 calls on the order-24 suite
+    counts = {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 0, "flush": 0,
+              "linear_characters": 0}
     sizes = []
 
     def counted(name, original):
@@ -496,15 +499,18 @@ def test_the_suite_builds_no_subgroup_and_flushes_few_batches(monkeypatch):
     for original in (from_mult_table, subgroup_table):
         name = original.__name__
         monkeypatch.setattr(f"grouplie.groups.{name}", counted(name, original))
-    monkeypatch.setattr(verify, "lie_basis", counted("lie_basis", verify.lie_basis))
+    for name in ("lie_basis", "linear_characters"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     monkeypatch.setattr(liealg, "_Batch", CountedBatch)
     result = verify.run_suite(small)
     assert result.all_ok and (result.contexts, len(result.kawanaka)) == (406, 24)
     assert (counts["from_mult_table"], counts["lie_basis"]) == (24, 406)
+    assert counts["linear_characters"] == len(small) == 41
     counts.update(dict.fromkeys(counts, 0))
     sizes.clear()
     result = verify.run_suite(large)
     assert result.all_ok and (result.contexts, len(result.clifford)) == (29, 21)
-    assert counts == {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 29, "flush": 70}
+    assert counts == {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 29, "flush": 70,
+                      "linear_characters": 8}
     assert all(size <= liealg.BATCH_SIZE or parts == 1 for size, parts in sizes)
     assert max(sizes) == (6120, 1)

@@ -37,10 +37,11 @@ from grouplie.groups import (
     identity_automorphism,
     linear_characters,
     parse_group_spec,
+    semidirect_product,
 )
 from grouplie.indicators import indicator_reports
 from grouplie.liealg import make_context
-from grouplie.verify import default_catalog
+from grouplie.verify import curated_taus, default_catalog
 
 
 def brute_force_constant(group, cd, i, j, k):
@@ -616,6 +617,59 @@ def test_canonical_order_equals_the_complex_key_on_shuffled_rows():
         assert perm == complex_order(degrees, coeffs, t.context()), t.group.name
         assert perm == tuple_order(degrees, coeffs, t.context()), t.group.name
         assert np.array_equal(coeffs[perm], t.values), t.group.name
+
+
+def scalar_payload(table):
+    """The table JSON built entry by entry from CycloScalars: the oracle of
+    to_json_dict."""
+    rows = table.scalar_rows()
+    return {
+        "group": table.group.name,
+        "order": table.group.order,
+        "exponent": table.group.exponent,
+        "prime": table.prime,
+        "class_sizes": list(table.class_data.sizes),
+        "class_representatives": list(table.class_data.representatives),
+        "degrees": list(table.degrees),
+        "values": [[v.to_json() for v in row] for row in rows],
+        "values_float": [[[z.real, z.imag] for z in map(complex, row)] for row in rows],
+    }
+
+
+def test_table_json_equals_the_scalar_payload():
+    # the payload from the coefficient array, with one list per distinct
+    # value, encodes to the same text as the CycloScalar one, compact and
+    # indented, on every catalog table, the nine inputs of the tables
+    # workload and the 24 tau-extensions of the full-catalog Kawanaka
+    # checks: values_float is complex(CycloScalar) bit for bit, signed
+    # zeros included
+    extensions = [semidirect_product(g, tau) for g in default_catalog() if 2 * g.order <= 256
+                  for tau in curated_taus(g) if not tau.is_identity()]
+    inputs = [(g, None) for g in default_catalog()]
+    inputs += [(parse_group_spec(spec), prime) for spec, prime in BENCHMARK_TABLES[:9]]
+    inputs += [(g, None) for g in extensions]
+    assert len(inputs) == 43 + 9 + 24
+    for seed in (0, 1, 5):
+        for group, prime in inputs:
+            table = character_table(group, seed=seed, prime=prime)
+            new, old = table.to_json_dict(), scalar_payload(table)
+            for options in ({"separators": (",", ":")}, {"sort_keys": True, "indent": 2}):
+                assert json.dumps(new, **options) == json.dumps(old, **options), group.name
+
+
+def test_table_json_payload_peak_memory():
+    # tracemalloc's peak over to_json_dict() of cyclic:60 (3,600 entries of
+    # 60 coefficients): the strings and [re, im] pairs of each distinct
+    # value are built once, where a CycloScalar per entry, then a Fraction
+    # and a str per power, peaked at 13.5 MiB
+    table = character_table(catalog("cyclic", 60))
+    tracemalloc.start()
+    try:
+        table.to_json_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_catalog_tables_are_byte_identical_across_seeds(monkeypatch):

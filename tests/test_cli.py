@@ -13,7 +13,7 @@ from grouplie.cli import main, parse_args
 from grouplie.errors import UsageError
 from grouplie import verify
 from grouplie.chartable import character_table
-from grouplie.groups import catalog, find_character
+from grouplie.groups import catalog, find_character, parse_group_spec
 from grouplie.indicators import indicator_report
 from grouplie.liealg import lie_basis, make_context
 from grouplie.verify import center_data, verify_theorem
@@ -173,6 +173,21 @@ def test_table_text_and_json(capsys):
 
     v = CycloScalar.from_json(doc["exponent"], doc["values"][2][0])
     assert v == 2
+
+
+def test_table_json_is_written_as_json_dumps(tmp_path, capsys):
+    # written as it is encoded, in batches of chunks, to stdout and to
+    # --out: the bytes of json.dumps with sort_keys and indent=2; cyclic:60
+    # encodes to more chunks than one batch holds
+    for spec in ("dihedral:6", "cyclic:60"):
+        table = character_table(parse_group_spec(spec))
+        expected = json.dumps(table.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        code, out, _ = run_cli(capsys, "table", "--group", spec, "--format", "json")
+        assert code == 0 and out == expected
+        target = tmp_path / "table.json"
+        code, out, _ = run_cli(capsys, "table", "--group", spec, "--format", "json",
+                               "--out", str(target))
+        assert code == 0 and out == "" and target.read_text() == expected
 
 
 def test_table_explicit_prime(capsys):
@@ -454,7 +469,9 @@ def test_table_text_pinned(capsys, spec):
 # takes several rounds with repeated eigenvalues (60 classes each), and for
 # three beyond the catalog with 67 to 128 classes (cyclic:96, dihedral:128,
 # product:cyclic:8,cyclic:16); the JSON runs to megabytes, so only its
-# digest is kept
+# digest is kept.  The digest of dihedral:256 (131 classes, 58 MB of JSON,
+# recorded at seeds 0 and 5) is in table_scale_sha256.json, which CI checks
+# with scripts/verify_pins.py
 TABLE_DIGESTS = json.loads((Path(__file__).parent / "data" / "table_sha256.json").read_text())
 
 
@@ -491,7 +508,8 @@ def test_verify_pins_refuses_an_unpinned_group_before_any_run():
                           "cyclic:128", "cyclic:3"], capture_output=True, text=True, env=env)
     assert out.returncode == 1 and out.stdout == ""
     assert _one_error_line(out.stderr) and "no pin for cyclic:3;" in out.stderr
-    assert all(spec in out.stderr for spec in VERIFY_DIGESTS)
+    table_pins = json.loads((root / "tests" / "data" / "table_scale_sha256.json").read_text())
+    assert all(spec in out.stderr for spec in [*VERIFY_DIGESTS, *table_pins])
 
 
 def test_table_prime_beyond_the_root_search(capsys):

@@ -136,9 +136,8 @@ def class_constants(group: GroupTable, cd: ConjugacyData) -> np.ndarray:
     """
     k = cd.num_classes
     class_of = np.array(cd.class_of)
-    mult = group.mult_array()
     # y[x, r] = x^-1 * z_r lies in class_of[y]; x itself lies in class_of[x]
-    y = mult[np.array(group.inverse)][:, np.array(cd.representatives)]
+    y = group.mult[np.array(group.inverse)][:, np.array(cd.representatives)]
     flat = (class_of[:, None] * k + class_of[y]) * k + np.arange(k)
     return np.bincount(flat.ravel(), minlength=k ** 3).reshape(k, k, k)
 
@@ -442,7 +441,7 @@ def _lift(group: GroupTable, cd: ConjugacyData, rows_mod: np.ndarray, degrees: l
     deg = np.array(degrees)
     # walk[j, s] = rep_j^s: each step appends rep^(L-1) * rep^a for 0 < a < L
     # to a walk of length L, until every rep has returned to e
-    mult, e = group.mult_array(), group.identity
+    mult, e = group.mult, group.identity
     walk = np.stack([np.full(k, e), cd.representatives], axis=1)
     while not (walk[:, 1:] == e).any(axis=1).all():
         walk = np.concatenate([walk, mult[walk[:, -1:], walk[:, 1:]]], axis=1)

@@ -174,13 +174,8 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             "contexts": result.contexts,
             "all_ok": result.all_ok,
             "reports": [r.to_json_dict(include_timing=cfg.timings) for r in result.reports],
-            "clifford": [{"group": c.group_name, "alpha": c.alpha_label,
-                          "kernel_order": c.kernel_order, "dim_kernel": c.dim_kernel,
-                          "dim_intersection": c.dim_intersection, "ok": c.ok}
-                         for c in result.clifford],
-            "kawanaka": [{"group": kw.group_name, "tau": kw.tau_label,
-                          "extension": kw.extension_name, "ok": kw.ok}
-                         for kw in result.kawanaka],
+            "clifford": [c.to_json_dict() for c in result.clifford],
+            "kawanaka": [kw.to_json_dict() for kw in result.kawanaka],
         }, cfg.out)
     else:
         lines = []

@@ -3,9 +3,10 @@
 Elements are indices 0..n-1 with the identity normalized to 0.  The module
 provides validated constructors, a catalog of standard groups, conjugacy
 data, linear characters (as homomorphisms into Z/m, fixed by their values
-on a generating set) and validated involutive automorphisms.  Every catalog
-builder writes its table as one (n, n) int64 array, and from_mult_table,
-the conjugacy classes and the automorphism checks work on that array.
+on a generating set) and validated involutive automorphisms.  A group
+holds its multiplication table once, as the read-only (n, n) int64 array
+that from_mult_table validated; every catalog builder writes its table as
+one such array, and every reader indexes it.
 """
 
 from __future__ import annotations
@@ -36,37 +37,34 @@ from .errors import (
 ORDER_CAP = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupTable:
-    """A finite group: multiplication table plus derived element data."""
+    """A finite group: its multiplication table, the read-only (n, n) int64
+    array from_mult_table validated, plus derived element data.  Two groups
+    are equal when their names, orders and tables are."""
 
     name: str
     order: int
-    mult: tuple[tuple[int, ...], ...]
+    mult: np.ndarray
     inverse: tuple[int, ...]
     exponent: int
     identity: int = 0
 
     def conjugate(self, h: int, g: int) -> int:
         """h g h^-1."""
-        return self.mult[self.mult[h][g]][self.inverse[h]]
+        return int(self.mult[self.mult[h, g], self.inverse[h]])
 
     def elements(self) -> range:
         return range(self.order)
 
     def element_order(self, g: int) -> int:
-        k, x = 1, g
+        column, k, x = self.mult[:, g].tolist(), 1, g
         while x != self.identity:
-            x = self.mult[x][g]
-            k += 1
+            x, k = column[x], k + 1
         return k
 
     def is_abelian(self) -> bool:
-        cached = self.__dict__.get("_abelian")
-        if cached is None:
-            cached = bool(np.array_equal(self.mult_array(), self.mult_array().T))
-            object.__setattr__(self, "_abelian", cached)
-        return cached
+        return bool(np.array_equal(self.mult, self.mult.T))
 
     def generators(self) -> tuple[int, ...]:
         """_greedy_generators of the table: the ones from_mult_table checked
@@ -77,15 +75,14 @@ class GroupTable:
             object.__setattr__(self, "_generators", cached)
         return cached
 
-    def mult_array(self) -> np.ndarray:
-        """The multiplication table as one read-only int64 array: the one
-        from_mult_table validated, or built on first use, and shared."""
-        cached = self.__dict__.get("_mult_array")
-        if cached is None:
-            cached = np.array(self.mult, dtype=np.int64).reshape(self.order, self.order)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_mult_array", cached)
-        return cached
+    def __eq__(self, other):
+        if not isinstance(other, GroupTable):
+            return NotImplemented
+        return self is other or ((self.name, self.order) == (other.name, other.order)
+                                 and np.array_equal(self.mult, other.mult))
+
+    def __hash__(self):
+        return hash((self.name, self.order))
 
     def __repr__(self):
         return f"GroupTable({self.name!r}, order={self.order})"
@@ -202,8 +199,7 @@ def from_mult_table(table, name: str = "G") -> GroupTable:
         perm[[0, found[0]]] = found[0], 0
         arr = perm[arr[np.ix_(perm, perm)]]
 
-    mult = tuple(map(tuple, arr.tolist()))
-    generators = tuple(_greedy_generators(mult))
+    generators = tuple(_greedy_generators(arr))
     for a in generators:
         left = arr[arr[:, a]]           # left[x, y] = (x*a)*y
         right = arr[:, arr[a]]          # right[x, y] = x*(a*y)
@@ -220,37 +216,39 @@ def from_mult_table(table, name: str = "G") -> GroupTable:
     while not (powers == 0).any(axis=0).all():
         powers = np.vstack([powers, arr[powers[-1], powers]])
     orders = set(((powers == 0).argmax(axis=0) + 1).tolist())
-    group = GroupTable(name, n, mult, tuple(both.argmax(axis=1).tolist()), math.lcm(*orders))
     arr.setflags(write=False)
-    object.__setattr__(group, "_mult_array", arr)
+    group = GroupTable(name, n, arr, tuple(both.argmax(axis=1).tolist()), math.lcm(*orders))
     object.__setattr__(group, "_generators", generators)
     return group
 
 
-def _greedy_generators(rows) -> list[int]:
-    """Elements whose left-normed products (((e*a1)*a2)*...) reach every element.
+def _greedy_generators(mult: np.ndarray) -> list[int]:
+    """Elements whose left-normed products (((e*a1)*a2)*...) reach every
+    element of the (n, n) table `mult`.
 
     Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
     1.2): the a with (x*a)*y == x*(a*y) for all x, y are closed under the
     product, so checking a generating set decides associativity exactly.  Each
     new generator lies outside the current closure, which in a group at least
-    doubles it, so a group of order n takes at most log2(n) of them.
+    doubles it, so a group of order n takes at most log2(n) of them.  A
+    closure step reads the column x -> x*a of each generator a off `mult`.
     """
-    n = len(rows)
-    gens: list[int] = []
+    n = len(mult)
+    gens, columns = [], []  # columns[j][x] = x * gens[j]
     reached = [True] + [False] * (n - 1)
     frontier = [0]
     while True:
         while frontier:
             x = frontier.pop()
-            for a in gens:
-                y = rows[x][a]
+            for column in columns:
+                y = column[x]
                 if not reached[y]:
                     reached[y] = True
                     frontier.append(y)
         if all(reached):
             return gens
         gens.append(reached.index(False))
+        columns.append(mult[:, gens[-1]].tolist())
         frontier = [x for x in range(n) if reached[x]]
 
 
@@ -374,7 +372,7 @@ def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     if n1 * n2 > ORDER_CAP:
         raise OrderCapExceeded(f"product order {n1 * n2} exceeds cap {ORDER_CAP}")
     # (a1, a2)(b1, b2) at row a1*n2 + a2, column b1*n2 + b2
-    table = g1.mult_array()[:, None, :, None] * n2 + g2.mult_array()[None, :, None, :]
+    table = g1.mult[:, None, :, None] * n2 + g2.mult[None, :, None, :]
     return from_mult_table(table.reshape(n1 * n2, n1 * n2), f"{g1.name}x{g2.name}")
 
 
@@ -387,7 +385,7 @@ def semidirect_product(g: GroupTable, tau: InvolutiveAutomorphism) -> GroupTable
     n = g.order
     if 2 * n > ORDER_CAP:
         raise OrderCapExceeded(f"extension order {2 * n} exceeds cap {ORDER_CAP}")
-    mult = g.mult_array()
+    mult = g.mult
     twisted = mult[:, tau.mapping]  # twisted[a, b] = a * tau(b)
     table = np.block([[mult, mult + n], [twisted + n, twisted]])
     return from_mult_table(table, f"{g.name}:<{tau.label}>")
@@ -440,7 +438,7 @@ def conjugacy_data(group: GroupTable) -> ConjugacyData:
     cached = group.__dict__.get("_conjugacy")
     if cached is not None:
         return cached
-    mult, inverse = group.mult_array(), np.array(group.inverse)
+    mult, inverse = group.mult, np.array(group.inverse)
     # column g of mult[mult, inverse[:, None]] holds h g h^-1 for every h:
     # the class of g, numbered by its least element and then in that order
     least = mult[mult, inverse[:, None]].min(axis=0)
@@ -469,18 +467,13 @@ def subgroup_table(group: GroupTable, elements, name: str | None = None):
     Returns (subgroup, embed) where embed[i] is the parent index of element i.
     """
     embed = tuple(sorted(elements))
-    pos = {g: i for i, g in enumerate(embed)}
-    table = []
-    for a in embed:
-        row = []
-        for b in embed:
-            c = group.mult[a][b]
-            if c not in pos:
-                raise BadParameters("element set is not closed under multiplication")
-            row.append(pos[c])
-        table.append(row)
-    sub = from_mult_table(table, name or f"{group.name}|{len(embed)}")
-    return sub, embed
+    idx = np.array(embed, dtype=np.int64)
+    pos = np.full(group.order, -1)
+    pos[idx] = np.arange(len(idx))
+    table = pos[group.mult[np.ix_(idx, idx)]]
+    if (table < 0).any():
+        raise BadParameters("element set is not closed under multiplication")
+    return from_mult_table(table, name or f"{group.name}|{len(embed)}"), embed
 
 
 def kernel_subgroup(group: GroupTable, alpha: LinearCharacter):
@@ -516,7 +509,7 @@ def linear_characters(group: GroupTable) -> tuple[LinearCharacter, ...]:
     # element takes the word of any x f it is
     while len(frontier):
         reach = np.flatnonzero(known)
-        products = group.mult_array()[np.ix_(reach, frontier)].ravel()
+        products = group.mult[np.ix_(reach, frontier)].ravel()
         source = np.full(n, -1)
         source[products] = np.arange(len(products))
         fresh = np.flatnonzero((source >= 0) & ~known)
@@ -526,7 +519,7 @@ def linear_characters(group: GroupTable) -> tuple[LinearCharacter, ...]:
         frontier = fresh
     # the relation r of (x, j) is words[x s_j] - words[x] - unit[j], and r . e = 0
     # (mod m); each is checked once its last generator has a value (a zero one never)
-    relations = (words[group.mult_array()[:, gens]] - words[:, None, :] - unit) % m
+    relations = (words[group.mult[:, gens]] - words[:, None, :] - unit) % m
     # distinct rows through a set: np.unique(axis=0) would import numpy.ma
     distinct = set(map(tuple, relations.reshape(n * k, k).tolist()))
     relations = np.array(list(distinct), dtype=np.int64).reshape(len(distinct), k)
@@ -585,7 +578,7 @@ def _involutive(group: GroupTable, mapping: tuple[int, ...], label: str) -> Invo
     """`mapping`, a permutation of the elements, as an InvolutiveAutomorphism;
     NotHomomorphism names the first pair (g, h) in row order where it fails,
     NotInvolutive the first g."""
-    f, mult = np.array(mapping), group.mult_array()
+    f, mult = np.array(mapping), group.mult
     wrong = f[mult] != mult[np.ix_(f, f)]
     if wrong.any():
         raise NotHomomorphism(tuple(np.argwhere(wrong)[0].tolist()), label)
@@ -605,7 +598,8 @@ def inversion_automorphism(group: GroupTable) -> InvolutiveAutomorphism:
 
 
 def conjugation_map(group: GroupTable, h: int) -> tuple[int, ...]:
-    return tuple(group.conjugate(h, g) for g in group.elements())
+    """g -> h g h^-1 for every g."""
+    return tuple(group.mult[group.mult[h], group.inverse[h]].tolist())
 
 
 def check_order(group: GroupTable, *maps: LinearCharacter | InvolutiveAutomorphism) -> None:
@@ -630,7 +624,7 @@ def check_character(group: GroupTable, alpha: LinearCharacter) -> None:
                                 f"{group.exponent}")
     gens = list(group.generators())
     f = np.array(alpha.exponents)
-    wrong = (f[group.mult_array()[:, gens]] - f[:, None] - f[gens]) % group.exponent
+    wrong = (f[group.mult[:, gens]] - f[:, None] - f[gens]) % group.exponent
     if wrong.any():
         x, j = np.argwhere(wrong)[0].tolist()
         raise NotHomomorphism((x, gens[j]), alpha.label)

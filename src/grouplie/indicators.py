@@ -140,11 +140,10 @@ def stacked_weights(group: GroupTable, keys, ctx: cyclo.CycloContext) -> np.ndar
     matmul.  Every alpha and tau must already be validated for `group`."""
     cd = conjugacy_data(group)
     class_of = np.array(cd.class_of)
-    mult = group.mult_array()
     counts = np.zeros((len(keys), cd.num_classes, ctx.m), dtype=np.int64)
     for w, (alpha, tau) in enumerate(keys):
         # the class of g*tau(g) and the exponent of conj(alpha(g)), for every g
-        classes = class_of[mult[group.elements(), tau.mapping]]
+        classes = class_of[group.mult[group.elements(), tau.mapping]]
         e = 0 if alpha is None else -np.array(alpha.exponents) % ctx.m
         np.add.at(counts[w], (classes, e), 1)
     return counts @ ctx.power_array[:ctx.m]

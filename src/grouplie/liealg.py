@@ -123,14 +123,12 @@ class GroupAlgebraElement:
 def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
     """The product a*b, summed over the terms a_x and b_y only."""
     a._check(b)
-    mult = a.group.mult
     zero = cyclo.context(a.group.exponent).zero
     out = {}
-    b_terms = b.terms.items()
-    for x, ax in a.terms.items():
-        row = mult[x]
-        for y, by in b_terms:
-            z = row[y]
+    # the rows x y over the terms y of b, for every term x of a
+    products = a.group.mult[np.ix_(list(a.terms), list(b.terms))].tolist()
+    for ax, row in zip(a.terms.values(), products):
+        for z, by in zip(row, b.terms.values()):
             out[z] = out.get(z, zero) + ax * by
     return GroupAlgebraElement(a.group, out)
 
@@ -139,15 +137,14 @@ def bracket(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraEleme
     """[a, b] = a*b - b*a in one pass: each a_x b_y is formed once, added at
     xy and subtracted at yx; a commuting pair (xy == yx) contributes nothing."""
     a._check(b)
-    mult = a.group.mult
     zero = cyclo.context(a.group.exponent).zero
     out = {}
-    b_terms = b.terms.items()
-    for x, ax in a.terms.items():
-        row = mult[x]
-        for y, by in b_terms:
-            xy = row[y]
-            yx = mult[y][x]
+    xs, ys = list(a.terms), list(b.terms)
+    # the rows x y and y x over the terms y of b, for every term x of a
+    forward = a.group.mult[np.ix_(xs, ys)].tolist()
+    backward = a.group.mult[np.ix_(ys, xs)].T.tolist()
+    for ax, row, back in zip(a.terms.values(), forward, backward):
+        for xy, yx, by in zip(row, back, b.terms.values()):
             if xy != yx:
                 p = ax * by
                 out[xy] = out.get(xy, zero) + p
@@ -320,29 +317,31 @@ def plus_fixed_basis(ctx: LieContext) -> np.ndarray:
     return _orbit_basis(ctx, 1)
 
 
-def _class_rows(ctx: LieContext, points) -> np.ndarray:
-    """The rows T_c - alpha(c) T_(sigma c) of the classes c in `points`,
-    written by _orbit_rows on classes in class coordinates."""
-    reps = conjugacy_data(ctx.group).representatives
-    exponents = [ctx.alpha.exponents[r] for r in reps]
-    return _orbit_rows(ctx.class_sigma, exponents, -1, ctx.group.exponent, points)
-
-
 def center_candidates(ctx: LieContext) -> np.ndarray:
     """The rows T_c - alpha(c) T_(sigma c) in class coordinates for every
     class c where it is nonzero, i.e. unless c is sigma-fixed with
-    alpha(c) = 1.  A sigma-orbit {c, sigma(c)} yields proportional
+    alpha(c) = 1, written by _orbit_rows on classes; a row's first monomial
+    is at its class c.  A sigma-orbit {c, sigma(c)} yields proportional
     candidates."""
-    return _class_rows(ctx, range(len(ctx.class_sigma)))
+    reps = conjugacy_data(ctx.group).representatives
+    exponents = [ctx.alpha.exponents[r] for r in reps]
+    return _orbit_rows(ctx.class_sigma, exponents, -1, ctx.group.exponent,
+                       range(len(reps)))
 
 
-def center_basis(ctx: LieContext) -> np.ndarray:
+def center_basis(ctx: LieContext, candidates: np.ndarray) -> np.ndarray:
     """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit:
-    the center_candidates rows of the classes c <= sigma(c), each class
-    monomial expanded over the elements of its class."""
+    the rows of `candidates`, the center_candidates of `ctx`, of the classes
+    c <= sigma(c), renumbered, with each class monomial repeated over the
+    elements of its class."""
     classes, sigma = conjugacy_data(ctx.group).classes, ctx.class_sigma
-    rows = _class_rows(ctx, (c for c, s in enumerate(sigma) if c <= s))
-    out = [x for r, d, c, k in zip(*rows.tolist()) for g in classes[d] for x in (r, g, c, k)]
+    out, row, r = [], -1, -1
+    for i, d, c, k in zip(*candidates.tolist()):
+        if i != row:  # a row's first monomial is at its class
+            row, keep = i, d <= sigma[d]
+            r += keep
+        if keep:
+            out += [x for g in classes[d] for x in (r, g, c, k)]
     return np.array(out, dtype=np.int64).reshape(-1, 4).T
 
 
@@ -641,7 +640,7 @@ def skew_checks(basis: LieBasis, center: np.ndarray, plus: np.ndarray) -> SkewCh
     """
     group = basis.context.group
     ctx = cyclo.context(group.exponent)
-    mult = group.mult_array()
+    mult = group.mult
     lie, cen, pls = basis.rows, center, plus
     independent = np.array(basis.span.independent, dtype=bool)
     nv, nc, nplus = len(independent), row_count(center), row_count(plus)

@@ -160,14 +160,15 @@ class CenterData(NamedTuple):
 def center_data(ctx: LieContext) -> CenterData:
     """The CenterData of `ctx`.
 
-    A candidate T_c - alpha(c) T_(sigma c) is constant on each class, so it
-    is written and its rank taken in class coordinates, where it lies in the
-    sigma-orbit block {c, sigma(c)}.  Every eligible candidate counts, in
-    both orbit orders.
+    A candidate T_c - alpha(c) T_(sigma c) is constant on each class, so
+    the candidates are written once, in class coordinates, where each lies
+    in the sigma-orbit block {c, sigma(c)}.  Their rank counts every
+    eligible candidate, in both orbit orders, and center_basis expands
+    those of the classes c <= sigma(c) over the elements.
     """
     candidates = center_candidates(ctx)
     span = OrbitSpan(candidates, ctx.class_sigma, ctx.group.exponent)
-    return CenterData(ctx, center_basis(ctx), span.rank)
+    return CenterData(ctx, center_basis(ctx, candidates), span.rank)
 
 
 def _class_count_ok(ctx: LieContext, report: IndicatorReport) -> bool:
@@ -232,6 +233,11 @@ class CliffordResult:
     dim_kernel: int
     dim_intersection: int
     ok: bool
+
+    def to_json_dict(self) -> dict:
+        return {"group": self.group_name, "alpha": self.alpha_label,
+                "kernel_order": self.kernel_order, "dim_kernel": self.dim_kernel,
+                "dim_intersection": self.dim_intersection, "ok": self.ok}
 
 
 class KernelSpace(NamedTuple):
@@ -299,6 +305,10 @@ class KawanakaResult:
     extension_name: str
     rows: tuple[dict, ...]
     ok: bool
+
+    def to_json_dict(self) -> dict:
+        return {"group": self.group_name, "tau": self.tau_label,
+                "extension": self.extension_name, "ok": self.ok}
 
 
 def verify_kawanaka(table: CharacterTable, report: IndicatorReport, *,

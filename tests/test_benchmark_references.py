@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from grouplie.verify import default_catalog, run_suite
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the pass seeds the references were recorded at
 REFERENCE_SEEDS = (0, 1000)
@@ -39,3 +41,14 @@ def test_tiny_pass_verdicts_equal_the_reference(workloads, workload, seed):
     verdicts = result.verdicts()
     assert {key: digest for key, (digest, _) in verdicts.items()} == reference["units"]
     assert all(ok for _, ok in verdicts.values())
+
+
+def test_clifford_and_kawanaka_entries_are_the_verify_json_entries(workloads):
+    # the benchmark writes its own copy of each entry; it must stay the
+    # dict that verify --format json writes
+    result = run_suite([g for g in default_catalog() if g.order <= 24])
+    assert (len(result.clifford), len(result.kawanaka)) == (327, 24)
+    for c in result.clifford:
+        assert workloads._clifford_json(c) == c.to_json_dict()
+    for kw in result.kawanaka:
+        assert workloads._kawanaka_json(kw) == kw.to_json_dict()

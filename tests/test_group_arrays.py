@@ -1,18 +1,21 @@
 """The array-built groups against the list-built oracles.
 
 Every catalog builder writes its multiplication table as one int64 array,
-and from_mult_table validates it in numpy; conjugacy data, automorphism
-checks and commutativity compare arrays.  The oracles below are the
-element-by-element versions of each: list-comprehension builders, a
-list-based from_mult_table, a conjugate() loop for the classes, double loops
-for automorphisms and commutativity, and the depth-first word walk of
-linear_characters.  Both routes must agree on every table, inverse map,
-exponent, class partition, character and refusal witness.
+from_mult_table validates it in numpy, and the group holds it as its only
+table; conjugacy data, automorphism checks and commutativity compare
+arrays.  The oracles below are the element-by-element versions of each,
+on the table as lists: list-comprehension builders, a list-based
+from_mult_table, a conjugation loop for the classes, double loops for
+automorphisms and commutativity, and the depth-first walks of the greedy
+generators and of linear_characters' words.  Both routes must agree on
+every table, inverse map, exponent, generator, class partition, character
+and refusal witness.
 """
 
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from grouplie.groups import (
     catalog,
     conjugacy_data,
     conjugation_map,
+    cyclic_group,
     direct_product,
     from_mult_table,
     identity_automorphism,
@@ -69,7 +73,27 @@ def oracle_table(table, name):
         while x:
             x, k = rows[x][g], k + 1
         exponent = math.lcm(exponent, k)
-    return GroupTable(name, n, tuple(map(tuple, rows)), inverse, exponent)
+    return GroupTable(name, n, np.array(rows, dtype=np.int64), inverse, exponent)
+
+
+def oracle_generators(group):
+    """_greedy_generators on the table as lists: a depth-first walk of the
+    left-normed products, one element at a time."""
+    rows = group.mult.tolist()
+    n = len(rows)
+    gens, reached, frontier = [], [True] + [False] * (n - 1), [0]
+    while True:
+        while frontier:
+            x = frontier.pop()
+            for a in gens:
+                y = rows[x][a]
+                if not reached[y]:
+                    reached[y] = True
+                    frontier.append(y)
+        if all(reached):
+            return tuple(gens)
+        gens.append(reached.index(False))
+        frontier = [x for x in range(n) if reached[x]]
 
 
 def oracle_cyclic(n):
@@ -134,18 +158,19 @@ def oracle_alternating(n):
 
 def oracle_direct(g1, g2):
     n1, n2 = g1.order, g2.order
-    table = [[g1.mult[a1][b1] * n2 + g2.mult[a2][b2] for b1 in range(n1) for b2 in range(n2)]
+    rows1, rows2 = g1.mult.tolist(), g2.mult.tolist()
+    table = [[rows1[a1][b1] * n2 + rows2[a2][b2] for b1 in range(n1) for b2 in range(n2)]
              for a1 in range(n1) for a2 in range(n2)]
     return oracle_table(table, f"{g1.name}x{g2.name}")
 
 
 def oracle_semidirect(g, tau):
-    n = g.order
+    n, rows = g.order, g.mult.tolist()
 
     def mul(x, y):
         a, i = x % n, x // n
         b, j = y % n, y // n
-        return g.mult[a][b if i == 0 else tau.mapping[b]] + n * ((i + j) % 2)
+        return rows[a][b if i == 0 else tau.mapping[b]] + n * ((i + j) % 2)
 
     return oracle_table([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)],
                         f"{g.name}:<{tau.label}>")
@@ -154,10 +179,10 @@ def oracle_semidirect(g, tau):
 def oracle_automorphism(group, mapping, label):
     """The first failing pair (g, h) in row order, then the first g with
     tau(tau(g)) != g."""
-    n = group.order
+    n, rows = group.order, group.mult.tolist()
     for g in range(n):
         for h in range(n):
-            if mapping[group.mult[g][h]] != group.mult[mapping[g]][mapping[h]]:
+            if mapping[rows[g][h]] != rows[mapping[g]][mapping[h]]:
                 raise NotHomomorphism((g, h), label)
     for g in range(n):
         if mapping[mapping[g]] != g:
@@ -166,7 +191,8 @@ def oracle_automorphism(group, mapping, label):
 
 
 def oracle_is_abelian(group):
-    return all(group.mult[a][b] == group.mult[b][a]
+    rows = group.mult.tolist()
+    return all(rows[a][b] == rows[b][a]
                for a in range(group.order) for b in range(a + 1, group.order))
 
 
@@ -196,13 +222,13 @@ def oracle_group(spec):
 
 
 def oracle_conjugacy(group):
-    n = group.order
+    n, rows = group.order, group.mult.tolist()
     class_of = [-1] * n
     classes = []
     for g in range(n):
         if class_of[g] >= 0:
             continue
-        orbit = sorted({group.conjugate(h, g) for h in range(n)})
+        orbit = sorted({rows[rows[h][g]][group.inverse[h]] for h in range(n)})
         for x in orbit:
             class_of[x] = len(classes)
         classes.append(tuple(orbit))
@@ -214,8 +240,8 @@ def oracle_conjugacy(group):
 
 def oracle_linear_characters(group):
     """linear_characters with words found depth first, one element at a time."""
-    m, n = group.exponent, group.order
-    gens = list(group.generators())
+    m, n, rows = group.exponent, group.order, group.mult.tolist()
+    gens = list(oracle_generators(group))
     k = len(gens)
     unit = np.eye(k, dtype=np.int64)
     words = np.zeros((n, k), dtype=np.int64)
@@ -224,12 +250,12 @@ def oracle_linear_characters(group):
     while frontier:
         x = frontier.pop()
         for j, s in enumerate(gens):
-            y = group.mult[x][s]
+            y = rows[x][s]
             if not reached[y]:
                 reached[y] = True
                 words[y] = words[x] + unit[j]
                 frontier.append(y)
-    relations = (words[np.array(group.mult)[:, gens]] - words[:, None, :] - unit) % m
+    relations = (words[group.mult[:, gens]] - words[:, None, :] - unit) % m
     distinct = set(map(tuple, relations.reshape(n * k, k).tolist()))
     relations = np.array(list(distinct), dtype=np.int64).reshape(len(distinct), k)
     last = ((relations != 0) * np.arange(1, k + 1)).max(axis=1, initial=0) - 1
@@ -288,10 +314,10 @@ KAWANAKA_SPECS = _kawanaka_specs()
 
 def assert_same_group(new, old):
     assert (new.name, new.order, new.identity) == (old.name, old.order, old.identity)
-    assert new.mult == old.mult and new.inverse == old.inverse
-    assert new.exponent == old.exponent
-    assert new.mult_array().tolist() == [list(r) for r in old.mult]
-    assert new.generators() == old.generators()
+    assert new.mult.tolist() == old.mult.tolist() and new.inverse == old.inverse
+    assert new == old and new.exponent == old.exponent
+    assert new.mult.dtype == np.int64 and not new.mult.flags.writeable
+    assert new.generators() == oracle_generators(old)
     assert new.is_abelian() == oracle_is_abelian(old)
     assert conjugacy_data(new) == oracle_conjugacy(old)
     assert linear_characters(new) == oracle_linear_characters(old)
@@ -301,7 +327,7 @@ def test_the_listed_specs_are_the_default_catalog_and_its_extensions():
     catalog_groups = default_catalog()
     assert len(catalog_groups) == len(DEFAULT_SPECS) and len(KAWANAKA_SPECS) == 24
     for group, old in zip(catalog_groups, map(oracle_group, DEFAULT_SPECS)):
-        assert (group.name, group.mult) == (old.name, old.mult)
+        assert group == old
 
 
 @pytest.mark.parametrize("spec", sorted(set(DEFAULT_SPECS + SUITE_LARGE + TABLE_SPECS
@@ -415,7 +441,8 @@ def test_an_array_table_is_refused_as_its_rows_are(table):
 def test_an_array_table_is_validated_as_a_list_is():
     array = np.array([[1, 0], [0, 1]], dtype=np.int32)  # Z/2 with its identity at 1
     group = from_mult_table(array, "Z2")
-    assert group.mult == from_mult_table(array.tolist(), "Z2").mult == ((0, 1), (1, 0))
+    assert group == from_mult_table(array.tolist(), "Z2")
+    assert group.mult.tolist() == [[0, 1], [1, 0]]
     assert array.tolist() == [[1, 0], [0, 1]] and array.flags.writeable
     with pytest.raises(BadParameters, match="empty"):
         from_mult_table(np.zeros((0, 0), dtype=np.int64))
@@ -458,3 +485,64 @@ def test_the_tables_inputs_make_no_conjugate_call_and_no_entry_check(monkeypatch
     # a JSON table still has every entry checked
     from_mult_table([[0, 1], [1, 0]])
     assert counts == {"conjugate": 0, "entries": 4}
+
+
+# ---------------------------------------------------------------------------
+# the one table
+
+
+def test_mult_is_the_one_read_only_table():
+    group = catalog("dihedral", 5)
+    conjugacy_data(group), linear_characters(group), group.is_abelian()  # fill the caches
+    table = group.mult
+    assert table.dtype == np.int64 and table.shape == (10, 10)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    # the group's only array is mult, and none of its fields or caches holds rows
+    held = vars(group)
+    assert [k for k, v in held.items() if isinstance(v, np.ndarray)] == ["mult"]
+    assert not any(isinstance(v, (tuple, list)) and v and isinstance(v[0], (tuple, list))
+                   for v in held.values())
+
+
+def test_an_order_1024_group_holds_its_table_once():
+    tracemalloc.start()
+    try:
+        group = cyclic_group(1024)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the int64 table alone is 8 MiB; a second copy as Python ints was 32 MiB more
+    assert group.order == 1024 and retained <= 12 * 2**20
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "quaternion8"])
+def test_conjugation_maps_are_accepted_as_automorphisms(spec):
+    group = parse_group_spec(spec)
+    accepted = 0
+    for h in group.elements():
+        mapping = conjugation_map(group, h)
+        assert all(type(x) is int for x in mapping)
+        # conjugation by h is an involution exactly when h^2 is central
+        if conjugation_map(group, group.mult[h, h]) == tuple(group.elements()):
+            assert validate_automorphism(group, mapping, "conj").mapping == mapping
+            accepted += 1
+        else:
+            with pytest.raises(NotInvolutive):
+                validate_automorphism(group, mapping, "conj")
+        assert all(type(group.conjugate(h, g)) is int for g in group.elements())
+    assert all(type(group.element_order(g)) is int for g in group.elements())
+    assert all(type(g) is int for g in group.generators())
+    assert accepted == {"symmetric:3": 4, "quaternion8": 8}[spec]
+
+
+def test_groups_compare_by_name_order_and_table():
+    d5 = catalog("dihedral", 5)
+    assert d5 == catalog("dihedral", 5) == from_mult_table(d5.mult.tolist(), "D5")
+    assert hash(d5) == hash(catalog("dihedral", 5))
+    z4 = cyclic_group(4)
+    klein = parse_group_spec("product:cyclic:2,cyclic:2")
+    assert z4 != from_mult_table(z4.mult, "Z4")  # another name
+    assert z4 != from_mult_table(klein.mult, "Z/4")  # another table
+    assert z4 != cyclic_group(5) and d5 != catalog("symmetric", 3)
+    assert not z4 == "Z/4"

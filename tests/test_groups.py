@@ -106,7 +106,7 @@ def test_associativity_agrees_with_exhaustive_check(spec):
     n = g.order
     rng = random.Random(spec)
     for _ in range(20):
-        table = [list(row) for row in g.mult]
+        table = g.mult.tolist()
         x, y = rng.randrange(1, n), rng.randrange(1, n)
         table[x][y] = rng.randrange(n)
         associative = all(
@@ -351,7 +351,7 @@ def _assert_homomorphisms(group, chars):
     are equal."""
     exps = np.array([c.exponents for c in chars])
     m = group.exponent
-    assert ((exps[:, group.mult_array()] - exps[:, :, None] - exps[:, None, :]) % m == 0).all()
+    assert ((exps[:, group.mult] - exps[:, :, None] - exps[:, None, :]) % m == 0).all()
     assert len({c.exponents for c in chars}) == len(chars)
 
 

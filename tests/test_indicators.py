@@ -395,7 +395,7 @@ def oracle_joint(table, alpha, tau):
     n = group.order
     ctx = table.context()
     cd = conjugacy_data(group)
-    classes = np.array(cd.class_of)[group.mult_array()[group.elements(), tau.mapping]]
+    classes = np.array(cd.class_of)[group.mult[group.elements(), tau.mapping]]
     counts = np.zeros((cd.num_classes, ctx.m), dtype=np.int64)
     np.add.at(counts, (classes, -np.array(alpha.exponents) % ctx.m), 1)
     weights = counts @ ctx.power_array[:ctx.m]

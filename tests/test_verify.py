@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from grouplie import verify
+from grouplie import liealg, verify
 from grouplie.chartable import character_table
 from grouplie.errors import BadParameters, GroupMismatch, LiftInconsistent, NotHomomorphism
 from grouplie.groups import (
@@ -195,8 +195,8 @@ def test_closure_fails_on_one_corrupted_basis_monomial(monkeypatch, spec, label)
 def test_centrality_fails_on_one_corrupted_generator_monomial(monkeypatch, spec, label):
     group = parse_group_spec(spec)
     original = verify.center_basis
-    monkeypatch.setattr(verify, "center_basis", lambda ctx: encode(
-        _times_zeta(as_elements(group, original(ctx)), 0), context(group.exponent)))
+    monkeypatch.setattr(verify, "center_basis", lambda ctx, candidates: encode(
+        _times_zeta(as_elements(group, original(ctx, candidates)), 0), context(group.exponent)))
     r = _theorem(group, find_character(group, label))
     assert r.center_dim_exact == r.center_dim_predicted
     assert not r.centrality_ok
@@ -225,7 +225,7 @@ def test_centrality_check_can_fail(monkeypatch):
     # and only the brackets can find it non-central (S3 trivial has no
     # center generator, so there the count alone would fail)
     s3 = catalog("symmetric", 3)
-    monkeypatch.setattr(verify, "center_basis", lambda ctx: encode(
+    monkeypatch.setattr(verify, "center_basis", lambda ctx, candidates: encode(
         [GroupAlgebraElement.delta(s3, 2)], context(6)))
     r = _s3_report("sign")
     assert r.center_dim_exact == r.center_dim_predicted == 1
@@ -418,6 +418,28 @@ def test_run_suite_builds_each_kernel_space_once(monkeypatch):
     result = run_suite([parse_group_spec("cyclic:12")])
     assert result.all_ok and len(result.clifford) == 11
     assert len(built) == 5
+
+
+def test_the_center_class_rows_are_written_once_per_context(monkeypatch):
+    # center_data writes the candidates once: its rank is taken from them,
+    # and center_basis expands those of the classes c <= sigma(c) from the
+    # same array; the Lie basis and the +1 rows are the other two writes
+    writes = {"orbit_rows": 0, "center_basis": 0}
+    original_rows, original_basis = liealg._orbit_rows, verify.center_basis
+
+    def rows(*args):
+        writes["orbit_rows"] += 1
+        return original_rows(*args)
+
+    def basis(ctx, candidates):
+        writes["center_basis"] += 1
+        return original_basis(ctx, candidates)
+
+    monkeypatch.setattr(liealg, "_orbit_rows", rows)
+    monkeypatch.setattr(verify, "center_basis", basis)
+    result = run_suite([g for g in default_catalog() if g.order <= 24])
+    assert result.all_ok and result.contexts == 406
+    assert writes == {"orbit_rows": 3 * 406, "center_basis": 406}
 
 
 def test_run_suite_builds_only_the_selected_tau_id_bases(monkeypatch):

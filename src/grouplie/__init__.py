@@ -49,7 +49,6 @@ from .liealg import (
 from .linalg import CycloMatrix, RowSpace, intersect
 from .verify import (
     LieReport,
-    center_data,
     default_catalog,
     run_suite,
     verify_clifford,
@@ -79,7 +78,6 @@ __all__ = [
     "bracket",
     "catalog",
     "center_basis",
-    "center_data",
     "character_table",
     "class_constants",
     "conjugacy_data",

@@ -485,14 +485,14 @@ def _lift(group: GroupTable, cd: ConjugacyData, rows_mod: np.ndarray, degrees: l
 
 def _canonical_order(degrees: list[int], coeffs: np.ndarray, ctx: cyclo.CycloContext) -> list[int]:
     """Irrep order by degree, then the float embedding of the row (real and
-    imaginary part, class by class), then the exact coefficients, then the
-    index: the same table whatever the seed or prime."""
-    rows = coeffs.shape[0]
-    embedding = _float_embedding(coeffs, ctx).reshape(rows, -1)
-    # np.lexsort sorts by its last key first, and stably, so ties keep the
-    # index order
-    keys = (*coeffs.reshape(rows, -1).T[::-1], *embedding.T[::-1], np.asarray(degrees))
-    return np.lexsort(keys).tolist()
+    imaginary part, class by class): the same table whatever the seed or
+    prime.  The embedding separates any two irreducible characters
+    chi != psi: the sum over classes of |c| |chi(c) - psi(c)|^2 is 2|G|, so
+    |chi(c) - psi(c)| >= sqrt(2) at some class c, where the real or the
+    imaginary parts differ by at least 1, far beyond any rounding."""
+    embedding = _float_embedding(coeffs, ctx).reshape(coeffs.shape[0], -1)
+    # np.lexsort sorts by its last key first, and stably
+    return np.lexsort((*embedding.T[::-1], np.asarray(degrees))).tolist()
 
 
 # ---------------------------------------------------------------------------

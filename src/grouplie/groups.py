@@ -50,10 +50,6 @@ class GroupTable:
     exponent: int
     identity: int = 0
 
-    def conjugate(self, h: int, g: int) -> int:
-        """h g h^-1."""
-        return int(self.mult[self.mult[h, g], self.inverse[h]])
-
     def elements(self) -> range:
         return range(self.order)
 

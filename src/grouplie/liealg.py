@@ -2,8 +2,8 @@
 
 The involutive antiautomorphism g -> alpha(g) tau(g)^-1 extends linearly to
 the group algebra; its -1 eigenspace is a Lie subalgebra, spanned by the
-elements g - alpha(g) tau(g)^-1.  This module builds that basis exactly,
-together with the +1 eigenspace and the center generators.
+elements g - alpha(g) tau(g)^-1.  This module alone writes and ranks the
+rows of that basis, the +1 eigenspace, the center and H = L(Ker alpha).
 
 An element is the dict {g: coefficient} of its nonzero coefficients; its
 products (convolve, bracket, trace_of_product) are library API and oracles.
@@ -317,6 +317,26 @@ def plus_fixed_basis(ctx: LieContext) -> np.ndarray:
     return _orbit_basis(ctx, 1)
 
 
+class KernelSpace(NamedTuple):
+    """H = L(Ker alpha, trivial), embedded in the group algebra of G."""
+
+    order: int  # |Ker alpha|
+    rows: np.ndarray  # the Lie basis of H as monomial rows over the elements of G
+    rank: int
+
+
+def kernel_space(group: GroupTable, alpha: LinearCharacter) -> KernelSpace:
+    """The KernelSpace of Ker alpha; it depends on alpha only through its
+    kernel.  Its rows delta_h - delta_(h^-1) are those _orbit_rows writes on
+    G's inverse map for the orbits {h, h^-1}, h < h^-1, in the kernel.  A
+    character of another order raises GroupMismatch."""
+    check_order(group, alpha)
+    kernel, inverse = alpha.kernel_elements(), group.inverse
+    rows = _orbit_rows(inverse, (0,) * group.order, -1, group.exponent,
+                       (h for h in kernel if h < inverse[h]))
+    return KernelSpace(len(kernel), rows, OrbitSpan(rows, inverse, group.exponent).rank)
+
+
 def center_candidates(ctx: LieContext) -> np.ndarray:
     """The rows T_c - alpha(c) T_(sigma c) in class coordinates for every
     class c where it is nonzero, i.e. unless c is sigma-fixed with
@@ -329,11 +349,22 @@ def center_candidates(ctx: LieContext) -> np.ndarray:
                        range(len(reps)))
 
 
-def center_basis(ctx: LieContext, candidates: np.ndarray) -> np.ndarray:
-    """Skew class-sum combinations T_c - alpha(c) T_(sigma c), one per orbit:
-    the rows of `candidates`, the center_candidates of `ctx`, of the classes
-    c <= sigma(c), renumbered, with each class monomial repeated over the
-    elements of its class."""
+class CenterData(NamedTuple):
+    """The skew class-sum generators of a context's center, and the exact
+    rank of all its center candidates (center_basis)."""
+
+    context: LieContext
+    generators: np.ndarray
+    rank: int
+
+
+def center_basis(ctx: LieContext) -> CenterData:
+    """The CenterData of `ctx`: the rank of all its center_candidates,
+    written once in class coordinates, where each lies in the orbit block
+    {c, sigma(c)}, and as generators the candidates of the classes
+    c <= sigma(c), one per orbit, renumbered, each class monomial repeated
+    over the elements of its class."""
+    candidates = center_candidates(ctx)
     classes, sigma = conjugacy_data(ctx.group).classes, ctx.class_sigma
     out, row, r = [], -1, -1
     for i, d, c, k in zip(*candidates.tolist()):
@@ -342,7 +373,8 @@ def center_basis(ctx: LieContext, candidates: np.ndarray) -> np.ndarray:
             r += keep
         if keep:
             out += [x for g in classes[d] for x in (r, g, c, k)]
-    return np.array(out, dtype=np.int64).reshape(-1, 4).T
+    generators = np.array(out, dtype=np.int64).reshape(-1, 4).T
+    return CenterData(ctx, generators, OrbitSpan(candidates, sigma, ctx.group.exponent).rank)
 
 
 # ---------------------------------------------------------------------------

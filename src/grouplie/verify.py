@@ -15,30 +15,27 @@ subalgebra is compared against the character-theoretic prediction:
      |{c : alpha(c) = 1, c* = c}| - |{c : alpha(c) = -1, c* = c}|
        = |{V : V = partner(V)}|.
 
-Every row is written once, as liealg's int64 monomials c*zeta^k.  The
-brackets of checks 2 and 3, and the trace-form orthogonality of the basis to
-the +1 eigenspace, are one call of liealg.skew_checks per context: an exact
-int64 kernel, every sum bounded below 2^63 before it is formed.
+liealg alone writes and ranks the rows, as int64 monomials c*zeta^k, each
+rank and membership decided per sigma-orbit block with no field arithmetic;
+this module reads only their spans, ranks and counts.  The brackets of
+checks 2 and 3, and the trace-form orthogonality of the basis to the +1
+eigenspace, are one call of liealg.skew_checks per context: an exact int64
+kernel, every sum bounded below 2^63 before it is formed.
 
 For each nontrivial linear character alpha of a group (tau = id) the
 Clifford identity L(Ker alpha) = L(G) & L_alpha(G) is checked as well.  With
 H = L(Ker alpha), A = L(G, trivial) and B = L(G, alpha), H = A & B exactly
 when every row of H lies in A and in B and rank H = dim A + dim B - dim(A + B)
-(Grassmann's formula).
-
-Every rank and membership (the dimension of L, the center count, dim A,
-dim B, dim(A + B), H in A and in B, rank H) is answered by a
-liealg.OrbitSpan per sigma-orbit block, with no field arithmetic; a Lie
-basis decides its span once, so the Clifford check reads dim A and dim B
-from the spans the theorem check already decided.
+(Grassmann's formula).  A Lie basis decides its span once, so the Clifford
+check reads dim A and dim B from the spans the theorem check already decided.
 
 The checks take their inputs and return their verdicts; run_suite builds
 the inputs of a suite and shares per-group work between the checks.  It
 builds the tau = id basis of trivial and of each selected character once and
-hands it to the theorem and Clifford checks, writes H = L(Ker alpha) from
-G's inverse map once per distinct kernel, and builds the indicator reports
-of all the group's contexts, and the (trivial, tau) report of each Kawanaka
-check that is not one of them, as one indicator_reports batch.
+hands it to the theorem and Clifford checks, builds one kernel_space per
+distinct kernel, and builds the indicator reports of all the group's
+contexts, and the (trivial, tau) report of each Kawanaka check that is not
+one of them, as one indicator_reports batch.
 
 A failing check is reported as an implementation bug: the underlying
 identities are theorems.
@@ -49,7 +46,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +58,6 @@ from .groups import (
     LinearCharacter,
     alpha_tau_compatible,
     catalog,
-    check_order,
     conjugacy_data,
     identity_automorphism,
     inversion_automorphism,
@@ -79,12 +74,12 @@ from .indicators import (
     weighted_fs_indicator,
 )
 from .liealg import (
+    CenterData,
+    KernelSpace,
     LieBasis,
     LieContext,
-    OrbitSpan,
-    _orbit_rows,
     center_basis,
-    center_candidates,
+    kernel_space,
     lie_basis,
     make_context,
     plus_fixed_basis,
@@ -148,29 +143,6 @@ class LieReport:
         return out
 
 
-class CenterData(NamedTuple):
-    """The skew class-sum generators of a context's center (center_basis),
-    and the exact rank of all its center candidates."""
-
-    context: LieContext
-    generators: np.ndarray
-    rank: int
-
-
-def center_data(ctx: LieContext) -> CenterData:
-    """The CenterData of `ctx`.
-
-    A candidate T_c - alpha(c) T_(sigma c) is constant on each class, so
-    the candidates are written once, in class coordinates, where each lies
-    in the sigma-orbit block {c, sigma(c)}.  Their rank counts every
-    eligible candidate, in both orbit orders, and center_basis expands
-    those of the classes c <= sigma(c) over the elements.
-    """
-    candidates = center_candidates(ctx)
-    span = OrbitSpan(candidates, ctx.class_sigma, ctx.group.exponent)
-    return CenterData(ctx, center_basis(ctx, candidates), span.rank)
-
-
 def _class_count_ok(ctx: LieContext, report: IndicatorReport) -> bool:
     """The signed count of sigma-fixed classes equals the count of
     self-paired irreps."""
@@ -183,7 +155,7 @@ def _class_count_ok(ctx: LieContext, report: IndicatorReport) -> bool:
 
 def verify_theorem(basis: LieBasis, report: IndicatorReport, center: CenterData) -> LieReport:
     """Check the context of `basis`, its lie_basis, against `report`, its
-    indicator report, and `center`, its center_data; a report or center
+    indicator report, and `center`, its center_basis; a report or center
     data of another context raises BadParameters."""
     t0 = time.perf_counter()
     ctx = basis.context
@@ -238,26 +210,6 @@ class CliffordResult:
         return {"group": self.group_name, "alpha": self.alpha_label,
                 "kernel_order": self.kernel_order, "dim_kernel": self.dim_kernel,
                 "dim_intersection": self.dim_intersection, "ok": self.ok}
-
-
-class KernelSpace(NamedTuple):
-    """H = L(Ker alpha, trivial), embedded in the group algebra of G."""
-
-    order: int  # |Ker alpha|
-    rows: np.ndarray  # the Lie basis of H as monomial rows over the elements of G
-    rank: int
-
-
-def kernel_space(group: GroupTable, alpha: LinearCharacter) -> KernelSpace:
-    """The KernelSpace of Ker alpha; it depends on alpha only through its
-    kernel.  Its rows delta_h - delta_(h^-1) are those _orbit_rows writes on
-    G's inverse map for the orbits {h, h^-1}, h < h^-1, in the kernel.  A
-    character of another order raises GroupMismatch."""
-    check_order(group, alpha)
-    kernel, inverse = alpha.kernel_elements(), group.inverse
-    rows = _orbit_rows(inverse, (0,) * group.order, -1, group.exponent,
-                       (h for h in kernel if h < inverse[h]))
-    return KernelSpace(len(kernel), rows, OrbitSpan(rows, inverse, group.exponent).rank)
 
 
 def verify_clifford(trivial_basis: LieBasis, alpha_basis: LieBasis,
@@ -500,7 +452,7 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         for report in reports[:len(contexts)]:
             ctx = report.context
             basis = bases[ctx.alpha.exponents] if ctx.tau.is_identity() else lie_basis(ctx)
-            result.reports.append(verify_theorem(basis, report, center_data(ctx)))
+            result.reports.append(verify_theorem(basis, report, center_basis(ctx)))
         for report in reports:
             if report.context.alpha.is_trivial() and report.context.tau in kawanaka_taus:
                 result.kawanaka.append(verify_kawanaka(table, report, seed=seed))

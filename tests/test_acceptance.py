@@ -30,11 +30,9 @@ from grouplie.indicators import (
     render_factors,
     weighted_fs_indicator,
 )
-from grouplie.liealg import lie_basis, make_context
+from grouplie.liealg import center_basis, kernel_space, lie_basis, make_context
 from grouplie.verify import (
-    center_data,
     default_catalog,
-    kernel_space,
     run_suite,
     verify_clifford,
     verify_kawanaka,
@@ -53,7 +51,7 @@ def _theorem(group, alpha, tau=None, table=None):
     `grouplie analyze` builds them."""
     ctx = make_context(group, alpha, tau)
     report = indicator_report(table or character_table(group), alpha, ctx.tau)
-    return verify_theorem(lie_basis(ctx), report, center_data(ctx))
+    return verify_theorem(lie_basis(ctx), report, center_basis(ctx))
 
 
 @pytest.fixture(scope="module")

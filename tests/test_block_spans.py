@@ -28,9 +28,17 @@ from grouplie.groups import (
     subgroup_table,
     trivial_character,
 )
-from grouplie.liealg import OrbitSpan, as_elements, center_candidates, lie_basis, make_context
+from grouplie.liealg import (
+    OrbitSpan,
+    as_elements,
+    center_basis,
+    center_candidates,
+    kernel_space,
+    lie_basis,
+    make_context,
+)
 from grouplie.linalg import RowSpace
-from grouplie.verify import center_data, curated_taus, default_catalog, kernel_space
+from grouplie.verify import curated_taus, default_catalog
 from monomial_rows import decode, encode
 
 # the groups of the benchmark's suite-large workload
@@ -63,7 +71,7 @@ def test_every_suite_rank_and_membership_equals_the_row_space_oracle(groups, con
         # orbit orders, each class-coordinate row expanded over its classes
         # into the element coordinates where the oracle takes it
         for ctx in _contexts(group):
-            center = center_data(ctx)
+            center = center_basis(ctx)
             basis = lie_basis(ctx)
             assert basis.rank == oracle(field, group.order, [v.terms for v in basis.vectors]).rank
             classes = conjugacy_data(group).classes
@@ -413,7 +421,7 @@ def test_the_suite_builds_no_group_algebra_element(monkeypatch):
 
 
 def test_the_center_is_built_once_in_class_coordinates(monkeypatch):
-    # center_data writes one generator row per center dimension and reads
+    # center_basis writes one generator row per center dimension and reads
     # every rank off class-coordinate rows, and sigma's class map is built
     # once per context, however many checks read it
     generators = classes = 0
@@ -425,14 +433,14 @@ def test_the_center_is_built_once_in_class_coordinates(monkeypatch):
         classes += 1
         return class_map(ctx)
 
-    def counted_center_data(ctx):
+    def counted_center_basis(ctx):
         nonlocal generators
-        data = center_data(ctx)
+        data = center_basis(ctx)
         generators += liealg.row_count(data.generators)
         return data
 
     monkeypatch.setattr(class_sigma, "func", counted_map)
-    monkeypatch.setattr(verify, "center_data", counted_center_data)
+    monkeypatch.setattr(verify, "center_basis", counted_center_basis)
     result = verify.run_suite(max_order=24)
     assert result.all_ok and result.contexts == 406
     assert sum(r.center_dim_exact for r in result.reports) == generators == 2546

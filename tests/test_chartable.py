@@ -685,17 +685,23 @@ def test_catalog_tables_are_byte_identical_across_seeds(monkeypatch):
     assert _canonical_order(list(t.degrees), t.values, t.context()) == list(range(t.num_irreps))
 
 
-def test_canonical_order_breaks_float_ties_by_the_exact_coefficients():
-    # m = 2: a coefficient a embeds as (a, a * 0.0), and 2^53 + 1 rounds to
-    # the float 2^53, so rows 0, 1 and 3 tie on every embedding entry; row 0
-    # then sorts last among them by its exact coefficient, and rows 1 and 3,
-    # equal throughout, by index
-    big = 2**53
-    coeffs = np.array([[[big + 1], [3]], [[big], [3]], [[big + 1], [2]], [[big], [3]],
-                       [[big + 2], [1]]], dtype=np.int64)
-    degrees = [1] * len(coeffs)
-    perm = _canonical_order(degrees, coeffs, context(2))
-    assert perm == tuple_order(degrees, coeffs, context(2)) == [2, 1, 3, 0, 4]
+def test_float_embeddings_separate_every_two_rows_of_a_table():
+    # _canonical_order keys the irreps by degree and float embedding alone:
+    # on every catalog table, the nine inputs of the tables workload and the
+    # 24 tau-extensions of the full-catalog Kawanaka checks, every two rows'
+    # embeddings differ by at least 1 in some real or imaginary part
+    extensions = [semidirect_product(g, tau) for g in default_catalog() if 2 * g.order <= 256
+                  for tau in curated_taus(g) if not tau.is_identity()]
+    inputs = [(g, None) for g in default_catalog()]
+    inputs += [(parse_group_spec(spec), prime) for spec, prime in BENCHMARK_TABLES[:9]]
+    inputs += [(g, None) for g in extensions]
+    assert len(inputs) == 43 + 9 + 24
+    for group, prime in inputs:
+        t = character_table(group, prime=prime)
+        embedding = chartable._float_embedding(t.values, t.context()).reshape(t.num_irreps, -1)
+        gaps = np.abs(embedding[:, None, :] - embedding[None, :, :]).max(axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() >= 1, group.name
 
 
 def test_canonical_order_with_signed_zero_embedding_terms():

@@ -15,8 +15,8 @@ from grouplie import verify
 from grouplie.chartable import character_table
 from grouplie.groups import catalog, find_character, parse_group_spec
 from grouplie.indicators import indicator_report
-from grouplie.liealg import lie_basis, make_context
-from grouplie.verify import center_data, verify_theorem
+from grouplie.liealg import center_basis, lie_basis, make_context
+from grouplie.verify import verify_theorem
 
 
 def run_cli(capsys, *argv):
@@ -99,7 +99,7 @@ def test_analyze_json_round_trip(capsys):
     sign = find_character(s3, "sign")
     report = indicator_report(character_table(s3), sign)
     ctx = make_context(s3, sign)
-    structure = verify_theorem(lie_basis(ctx), report, center_data(ctx)).to_json_dict()
+    structure = verify_theorem(lie_basis(ctx), report, center_basis(ctx)).to_json_dict()
     assert doc["structure"] == structure
     assert doc["indicators"]["dim_M"] == 4
 

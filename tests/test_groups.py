@@ -299,7 +299,7 @@ def test_square_class_well_defined():
     for _ in range(100):
         x = rng.randrange(g.order)
         h = rng.randrange(g.order)
-        y = g.conjugate(h, x)
+        y = conjugation_map(g, h)[x]
         assert cd.class_of[g.mult[x][x]] == cd.class_of[g.mult[y][y]]
 
 

@@ -2,8 +2,8 @@
 boundaries that perfbench/tracer.py wraps.  The tracer resolves each boundary
 when it is installed, so deleting or renaming one of them breaks every
 traced benchmark run; these tests fail first.  The package's own modules
-import no name that they do not use, and define no function, class or
-method that nothing names."""
+import no name that they do not use and no private name of another of
+them, and define no function, class or method that nothing names."""
 
 import ast
 import importlib.util
@@ -69,6 +69,27 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted((ROOT / "src" / "grouplie").glob("*.py"))}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names `source` imports from a grouplie module."""
+    return [a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "grouplie")
+            for a in node.names if a.name.startswith("_")]
+
+
+def test_private_imports_finds_a_private_name_of_the_package():
+    assert private_imports("from __future__ import annotations\nfrom os import _exit\n"
+                           "from .liealg import _rows, lie_basis\nfrom . import cyclo\n"
+                           "from grouplie.groups import _table\n") == ["_rows", "_table"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private helper is its module's own: another module that needs it
+    # calls a public function of that module instead
+    found = {path.name: private_imports(path.read_text())
+             for path in sorted((ROOT / "src" / "grouplie").glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def defined_names(source: str) -> list[str]:

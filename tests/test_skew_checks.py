@@ -22,6 +22,7 @@ from grouplie.liealg import (
     LieBasis,
     as_elements,
     bracket,
+    center_basis,
     lie_basis,
     make_context,
     plus_fixed_basis,
@@ -29,7 +30,7 @@ from grouplie.liealg import (
     trace_of_product,
 )
 from grouplie.linalg import RowSpace
-from grouplie.verify import center_data, curated_taus, default_catalog
+from grouplie.verify import curated_taus, default_catalog
 from monomial_rows import encode, signed_roots
 
 KERNEL_GROUPS = (catalog("symmetric", 3), catalog("quaternion8"), catalog("dihedral", 4),
@@ -133,7 +134,7 @@ def test_kernel_verdicts_equal_the_scalar_products(data):
     lie = lie_basis(ctx)
     vectors = data.draw(vector_lists(group, lie.vectors, ctx.sigma))
     center = data.draw(vector_lists(group, as_elements(
-        group, center_data(ctx).generators)))
+        group, center_basis(ctx).generators)))
     plus = data.draw(vector_lists(group, as_elements(group, plus_fixed_basis(ctx))))
     field = context(group.exponent)
     basis = LieBasis(ctx, encode(vectors, field))
@@ -169,7 +170,7 @@ def test_kernel_verdicts_equal_the_scalar_loops_on_every_suite_context(groups, c
     seen = 0
     for ctx in _contexts(groups):
         basis = lie_basis(ctx)
-        center, plus = center_data(ctx).generators, plus_fixed_basis(ctx)
+        center, plus = center_basis(ctx).generators, plus_fixed_basis(ctx)
         assert tuple(skew_checks(basis, center, plus)) == scalar_checks(
             basis.vectors, as_elements(ctx.group, center), as_elements(ctx.group, plus),
             _row_space(basis)) == (True, True, True)
@@ -240,7 +241,7 @@ def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
     group = parse_group_spec("symmetric:4")
     ctx = make_context(group, linear_characters(group)[1])
     basis, plus = lie_basis(ctx), plus_fixed_basis(ctx)
-    center = center_data(ctx).generators
+    center = center_basis(ctx).generators
     # the last two-term basis vector with one coefficient times zeta
     index = max(i for i, v in enumerate(basis.vectors) if len(v.terms) == 2)
     terms = dict(basis.vectors[index].terms)

@@ -19,10 +19,16 @@ from grouplie.groups import (
     validate_automorphism,
 )
 from grouplie.indicators import indicator_report
-from grouplie.liealg import GroupAlgebraElement, as_elements, bracket, lie_basis, make_context
+from grouplie.liealg import (
+    GroupAlgebraElement,
+    as_elements,
+    bracket,
+    center_basis,
+    lie_basis,
+    make_context,
+)
 from grouplie.linalg import RowSpace
 from grouplie.verify import (
-    center_data,
     default_catalog,
     run_suite,
     verify_clifford,
@@ -44,9 +50,9 @@ def _theorem(group, alpha, tau=None):
 
 def _check(basis, report):
     """verify_theorem of `basis` and `report` with the center data of the
-    basis's context, built through verify.center_data, so a patch of
-    verify.center_basis reaches it."""
-    return verify_theorem(basis, report, verify.center_data(basis.context))
+    basis's context, built through verify.center_basis, so a patch of that
+    name reaches it."""
+    return verify_theorem(basis, report, verify.center_basis(basis.context))
 
 
 def _clifford(group, alpha, alpha_basis=None):
@@ -195,8 +201,13 @@ def test_closure_fails_on_one_corrupted_basis_monomial(monkeypatch, spec, label)
 def test_centrality_fails_on_one_corrupted_generator_monomial(monkeypatch, spec, label):
     group = parse_group_spec(spec)
     original = verify.center_basis
-    monkeypatch.setattr(verify, "center_basis", lambda ctx, candidates: encode(
-        _times_zeta(as_elements(group, original(ctx, candidates)), 0), context(group.exponent)))
+
+    def corrupted(ctx):
+        center = original(ctx)
+        generators = _times_zeta(as_elements(group, center.generators), 0)
+        return center._replace(generators=encode(generators, context(group.exponent)))
+
+    monkeypatch.setattr(verify, "center_basis", corrupted)
     r = _theorem(group, find_character(group, label))
     assert r.center_dim_exact == r.center_dim_predicted
     assert not r.centrality_ok
@@ -225,8 +236,9 @@ def test_centrality_check_can_fail(monkeypatch):
     # and only the brackets can find it non-central (S3 trivial has no
     # center generator, so there the count alone would fail)
     s3 = catalog("symmetric", 3)
-    monkeypatch.setattr(verify, "center_basis", lambda ctx, candidates: encode(
-        [GroupAlgebraElement.delta(s3, 2)], context(6)))
+    original = verify.center_basis
+    monkeypatch.setattr(verify, "center_basis", lambda ctx: original(ctx)._replace(
+        generators=encode([GroupAlgebraElement.delta(s3, 2)], context(6))))
     r = _s3_report("sign")
     assert r.center_dim_exact == r.center_dim_predicted == 1
     assert not r.centrality_ok
@@ -421,25 +433,26 @@ def test_run_suite_builds_each_kernel_space_once(monkeypatch):
 
 
 def test_the_center_class_rows_are_written_once_per_context(monkeypatch):
-    # center_data writes the candidates once: its rank is taken from them,
-    # and center_basis expands those of the classes c <= sigma(c) from the
-    # same array; the Lie basis and the +1 rows are the other two writes
-    writes = {"orbit_rows": 0, "center_basis": 0}
-    original_rows, original_basis = liealg._orbit_rows, verify.center_basis
+    # center_basis writes the candidates once: their rank is taken from
+    # them, and the generators are those of the classes c <= sigma(c),
+    # expanded from the same array; the Lie basis and the +1 rows are the
+    # other two writes of a context, and each of the 103 distinct kernels
+    # is written once more
+    writes = {"_orbit_rows": 0, "center_basis": 0, "kernel_space": 0}
+    originals = {name: getattr(liealg, name) for name in writes}
 
-    def rows(*args):
-        writes["orbit_rows"] += 1
-        return original_rows(*args)
+    def counted(name):
+        def call(*args):
+            writes[name] += 1
+            return originals[name](*args)
+        return call
 
-    def basis(ctx, candidates):
-        writes["center_basis"] += 1
-        return original_basis(ctx, candidates)
-
-    monkeypatch.setattr(liealg, "_orbit_rows", rows)
-    monkeypatch.setattr(verify, "center_basis", basis)
+    monkeypatch.setattr(liealg, "_orbit_rows", counted("_orbit_rows"))
+    for name in ("center_basis", "kernel_space"):
+        monkeypatch.setattr(verify, name, counted(name))
     result = run_suite([g for g in default_catalog() if g.order <= 24])
     assert result.all_ok and result.contexts == 406
-    assert writes == {"orbit_rows": 3 * 406, "center_basis": 406}
+    assert writes == {"_orbit_rows": 3 * 406 + 103, "center_basis": 406, "kernel_space": 103}
 
 
 def test_run_suite_builds_only_the_selected_tau_id_bases(monkeypatch):
@@ -708,8 +721,8 @@ def test_theorem_refuses_center_data_of_another_context():
     report = indicator_report(character_table(z4), sign)
     for other in (make_context(z4, triv), make_context(z4, sign, inversion_automorphism(z4))):
         with pytest.raises(BadParameters, match=r"center data of \(Z/4, .*\) handed to the basis"):
-            verify_theorem(lie_basis(ctx), report, center_data(other))
-    assert verify_theorem(lie_basis(ctx), report, center_data(ctx)).all_ok
+            verify_theorem(lie_basis(ctx), report, center_basis(other))
+    assert verify_theorem(lie_basis(ctx), report, center_basis(ctx)).all_ok
 
 
 def test_clifford_refuses_unmatched_bases_and_kernel_spaces():

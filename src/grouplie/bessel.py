@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, TruncationInsufficient
+from .groups import ORDER_CAP
 
 _MAX_TERMS = 400
 
@@ -116,8 +117,8 @@ def exp_cyclic(n: int, omega: complex, z: complex,
     The result does not depend on which square root phi of omega is used;
     a phi may be passed explicitly to exercise that invariance.
     """
-    if n < 2:
-        raise BadParameters(f"cyclic order must be >= 2, got {n}")
+    if not 2 <= n <= ORDER_CAP:
+        raise BadParameters(f"cyclic order must be in [2, {ORDER_CAP}], got {n}")
     if abs(abs(omega) - 1.0) > 1e-9:
         raise BadParameters(f"omega must have modulus 1, got |omega| = {abs(omega)}")
     if truncation is not None and truncation < n:
@@ -152,8 +153,8 @@ def exp_matrix_oracle(n: int, omega: complex, z: complex) -> np.ndarray:
     (z/2)(C - omega C^-1) and the coefficient vector is the first column of
     its matrix exponential (Pade scaling-and-squaring).
     """
-    if n < 2:
-        raise BadParameters(f"cyclic order must be >= 2, got {n}")
+    if not 2 <= n <= ORDER_CAP:
+        raise BadParameters(f"cyclic order must be in [2, {ORDER_CAP}], got {n}")
     import scipy.linalg  # here, so that importing grouplie does not load scipy
 
     a = np.zeros((n, n), dtype=complex)

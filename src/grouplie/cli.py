@@ -14,7 +14,7 @@ import sys
 from .bessel import deviation, exp_cyclic, exp_matrix_oracle
 from .chartable import character_table
 from .errors import GroupLieError, UsageError
-from .groups import find_character, linear_characters, load_tau, parse_group_spec
+from .groups import ORDER_CAP, find_character, linear_characters, load_tau, parse_group_spec
 from .indicators import indicator_reports, render_factors
 from .liealg import center_basis, lie_basis, make_context
 from .verify import default_catalog, run_suite, verify_theorem
@@ -84,8 +84,8 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError("bad arguments") from None
         raise
     if ns.command == "bessel":
-        if ns.n < 2:
-            raise UsageError(f"--n must be at least 2, got {ns.n}")
+        if not 2 <= ns.n <= ORDER_CAP:
+            raise UsageError(f"--n must be in [2, {ORDER_CAP}], got {ns.n}")
         # omega = exp(2 pi i k / n) from k as given, not reduced mod n
         try:
             ns.omega = cmath.exp(2j * cmath.pi * ns.omega_k / ns.n)

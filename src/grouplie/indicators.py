@@ -134,18 +134,17 @@ def _check_pair(group: GroupTable, alpha: LinearCharacter, tau: InvolutiveAutomo
 
 
 def stacked_weights(group: GroupTable, keys, ctx: cyclo.CycloContext) -> np.ndarray:
-    """Per-class sums of conj(alpha(g)) over g with g*tau(g) in the class
-    (the integer counts when alpha is None), for every (alpha, tau) of
-    `keys`, as canonical coefficients (keys, classes, phi(m)) from one
-    matmul.  Every alpha and tau must already be validated for `group`."""
+    """Per-class sums of conj(alpha(g)) over g with g*tau(g) in the class,
+    for every (alpha, tau) of `keys`, as canonical coefficients
+    (keys, classes, phi(m)) from one matmul.  Every alpha and tau must
+    already be validated for `group`."""
     cd = conjugacy_data(group)
     class_of = np.array(cd.class_of)
     counts = np.zeros((len(keys), cd.num_classes, ctx.m), dtype=np.int64)
     for w, (alpha, tau) in enumerate(keys):
         # the class of g*tau(g) and the exponent of conj(alpha(g)), for every g
         classes = class_of[group.mult[group.elements(), tau.mapping]]
-        e = 0 if alpha is None else -np.array(alpha.exponents) % ctx.m
-        np.add.at(counts[w], (classes, e), 1)
+        np.add.at(counts[w], (classes, -np.array(alpha.exponents) % ctx.m), 1)
     return counts @ ctx.power_array[:ctx.m]
 
 

@@ -29,9 +29,9 @@ exponent); linalg.RowSpace is its test oracle.
 The pair checks (closure, centrality, trace-form orthogonality) run as one
 exact integer kernel, skew_checks, with bracket, trace_of_product and
 RowSpace.contains as its oracles: a product of two monomials is a
-multiplication-table lookup and a sum of exponents, and the products are
-summed in int64 in batches of at most BATCH_SIZE = 4096 terms unless one
-vector's terms alone are more (_Batch), every sum bounded below 2^63.
+multiplication-table lookup and a sum of exponents, and each check sums
+its products in int64 in parts of at most BATCH_SIZE = 4096 terms unless
+one vector's terms alone are more (_sums_vanish), every sum below 2^63.
 """
 
 from __future__ import annotations
@@ -380,7 +380,7 @@ def center_basis(ctx: LieContext) -> CenterData:
 # ---------------------------------------------------------------------------
 # closure, centrality and orthogonality as one exact integer kernel
 
-# terms per batch: the batches bound the kernel's memory on large contexts
+# terms per summed part: the parts bound the kernel's memory on large contexts
 BATCH_SIZE = 4096
 
 
@@ -417,63 +417,32 @@ def _starts(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-class _Batch:
-    """Terms c*zeta^k at (slot, column) gathered over several checks; each
-    check owns a range of slots, and fails when the sum at one of its
-    (slot, column) pairs is not zero in Q(zeta_m); `failed` marks every
-    check that owns such a sum.  A part that would take the batch past
-    BATCH_SIZE terms flushes it first.
+def _sums_vanish(slot, column, c, k, ctx: cyclo.CycloContext, order: int) -> bool:
+    """Whether the terms c*zeta^k sum to zero in Q(zeta_m) at every
+    (slot, column) pair, each column below `order`.
 
     For even m, zeta^(m/2) = -1, so a term is first folded to an exponent
     below m/2 with its sign flipped when it wraps; a sum that cancels only
     through that relation then cancels before the reduction.
     """
-
-    def __init__(self, ctx: cyclo.CycloContext, order: int, slots: list[int]):
-        self.m = ctx.m
-        self.period = ctx.m // 2 if ctx.m % 2 == 0 else ctx.m
-        self.order = order
-        self.powers = ctx.power_array[:self.period]
-        self.offsets = np.cumsum([0] + slots)
-        self.failed = [False] * len(slots)
-        self.keys: list[np.ndarray] = []
-        self.values: list[np.ndarray] = []
-        self.size = 0
-
-    def add(self, check: int, slot, column, c, k) -> None:
-        k = k % self.m
-        if self.period < self.m:
-            c = np.where(k < self.period, c, -c)
-            k = k % self.period
-        key = ((slot + self.offsets[check]) * self.order + column) * self.period + k
-        if self.size + len(key) > BATCH_SIZE:
-            self.flush()
-        self.keys.append(key)
-        self.values.append(c)
-        self.size += len(key)
-
-    def flush(self) -> None:
-        if not self.size:
-            return
-        keys = np.concatenate(self.keys)
-        values = np.concatenate(self.values)
-        self.keys, self.values, self.size = [], [], 0
-        order = np.argsort(keys)
-        keys, values = keys[order], values[order]
-        # the sum per (slot, column, power of zeta), then its nonzero ones
-        # per (slot, column) in canonical coordinates
-        first = _starts(keys)
-        sums = np.add.reduceat(values, first)
-        nonzero = np.flatnonzero(sums)
-        if not nonzero.size:
-            return
-        position, power = np.divmod(keys[first[nonzero]], self.period)
-        coords = sums[nonzero, None] * self.powers[power]
-        first = _starts(position)
-        bad = np.add.reduceat(coords, first, axis=0).any(axis=1)
-        slots = position[first[bad]] // self.order
-        for check in set(np.searchsorted(self.offsets, slots, side="right").tolist()):
-            self.failed[check - 1] = True
+    period = ctx.m // 2 if ctx.m % 2 == 0 else ctx.m
+    k = k % ctx.m
+    if period < ctx.m:
+        c = np.where(k < period, c, -c)
+        k = k % period
+    keys = (slot * order + column) * period + k
+    at = np.argsort(keys)
+    keys, c = keys[at], c[at]
+    # the sum per (slot, column, power of zeta), then its nonzero ones
+    # per (slot, column) in canonical coordinates
+    first = _starts(keys)
+    sums = np.add.reduceat(c, first)
+    nonzero = np.flatnonzero(sums)
+    if not nonzero.size:
+        return True
+    position, power = np.divmod(keys[first[nonzero]], period)
+    coords = sums[nonzero, None] * ctx.power_array[power]
+    return not np.add.reduceat(coords, _starts(position), axis=0).any()
 
 
 def _sum_bound(left: np.ndarray, right: np.ndarray, factor: int, what: str) -> None:
@@ -655,7 +624,7 @@ def _bracket_terms(left: np.ndarray, right: np.ndarray, a: np.ndarray, b: np.nda
 
 def skew_checks(basis: LieBasis, center: np.ndarray, plus: np.ndarray) -> SkewChecks:
     """The closure, centrality and orthogonality checks of one context as one
-    exact integer batch:
+    exact integer kernel:
 
     - closure: every bracket of two basis vectors lies in their span;
     - centrality: [v, u] = 0 for every v in `center` and u in the basis;
@@ -667,17 +636,19 @@ def skew_checks(basis: LieBasis, center: np.ndarray, plus: np.ndarray) -> SkewCh
     A closure term is reduced against the basis row of its sigma-orbit
     block (_pivot_map), so a bracket lies in the span exactly when every
     reduced sum is zero; a basis that is not block-shaped raises
-    OrbitBlockViolated.  A check passes when every sum of its terms is zero
-    (_Batch), and every sum is bounded below 2^63 before it is formed.
+    OrbitBlockViolated.  A check passes when every sum of its terms is zero;
+    it sums them in parts (_runs, _sums_vanish), stops at the first nonzero
+    one, and bounds every sum below 2^63 before it is formed.
     """
     group = basis.context.group
     ctx = cyclo.context(group.exponent)
-    mult = group.mult
+    mult, order = group.mult, group.order
     lie, cen, pls = basis.rows, center, plus
     independent = np.array(basis.span.independent, dtype=bool)
-    nv, nc, nplus = len(independent), row_count(center), row_count(plus)
-    batch = _Batch(ctx, group.order, [nv * nv, nc * nv, nv * nplus])
-    reach = cyclo.max_abs(batch.powers)
+    row_count(center)  # the format check, before any monomial is read
+    nv, nplus = len(independent), row_count(plus)
+    reach = cyclo.max_abs(ctx.power_array)
+    closure = centrality = orthogonality = True
 
     # the monomial pairs to bracket: their elements x, y must not commute
     moving = mult != mult.T
@@ -692,34 +663,40 @@ def skew_checks(basis: LieBasis, center: np.ndarray, plus: np.ndarray) -> SkewCh
                    "closure sum")
         x, y = lie[1, closure_pairs[0]], lie[1, closure_pairs[1]]
         weight = spans[mult[x, y]] + spans[mult[y, x]]
-        for part in _runs(lie[0][closure_pairs[0]], weight, BATCH_SIZE):
-            if batch.failed[0]:
-                break
+
+        def reduced(part):
             i, j, col, c, k = _bracket_terms(lie, lie, closure_pairs[0][part],
                                              closure_pairs[1][part], mult)
             count = spans[col]
             term = np.repeat(np.arange(len(col)), count)
             at = np.arange(len(term)) + np.repeat(start[col] - np.cumsum(count) + count, count)
-            batch.add(0, i[term] * nv + j[term], moves[0, at], c[term] * moves[1, at],
-                      k[term] + moves[2, at])
+            return (i[term] * nv + j[term], moves[0, at], c[term] * moves[1, at],
+                    k[term] + moves[2, at])
+
+        closure = all(_sums_vanish(*reduced(part), ctx, order)
+                      for part in _runs(lie[0][closure_pairs[0]], weight, BATCH_SIZE))
     if center_pairs[0].size:
         _sum_bound(cen, lie, 2 * reach, "centrality sum")
-        for part in _runs(cen[0][center_pairs[0]], np.full(center_pairs[0].size, 2),
-                          BATCH_SIZE):
-            if batch.failed[1]:
-                break
+
+        def brackets(part):
             v, u, col, c, k = _bracket_terms(cen, lie, center_pairs[0][part],
                                              center_pairs[1][part], mult)
-            batch.add(1, v * nv + u, col, c, k)
+            return v * nv + u, col, c, k
+
+        centrality = all(_sums_vanish(*brackets(part), ctx, order)
+                         for part in _runs(cen[0][center_pairs[0]],
+                                           np.full(center_pairs[0].size, 2), BATCH_SIZE))
     # t(u*s) sums the products u_x s_y with y = x^-1
     a, b = np.nonzero(np.array(group.inverse)[lie[1]][:, None] == pls[1][None, :])
     if a.size:
         _sum_bound(lie, pls, reach, "orthogonality sum")
-        for part in _runs(lie[0][a], np.ones(a.size, dtype=np.int64), BATCH_SIZE):
-            if batch.failed[2]:
-                break
+
+        def products(part):
             ap, bp = a[part], b[part]
-            batch.add(2, lie[0, ap] * nplus + pls[0, bp], 0, lie[2, ap] * pls[2, bp],
-                      lie[3, ap] + pls[3, bp])
-    batch.flush()
-    return SkewChecks(*(not f for f in batch.failed))
+            return (lie[0, ap] * nplus + pls[0, bp], 0, lie[2, ap] * pls[2, bp],
+                    lie[3, ap] + pls[3, bp])
+
+        orthogonality = all(_sums_vanish(*products(part), ctx, order)
+                            for part in _runs(lie[0][a], np.ones(a.size, dtype=np.int64),
+                                              BATCH_SIZE))
+    return SkewChecks(closure, centrality, orthogonality)

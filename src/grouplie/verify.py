@@ -295,7 +295,8 @@ def verify_kawanaka(table: CharacterTable, report: IndicatorReport, *,
     res = table_ext.values[:, [cd_ext.class_of[r] for r in cd.representatives]]
     # n * F_1 and n * c_tau of each restriction, kept integral; restrictions
     # are reducible, so these are not read off as indicators
-    weights = stacked_weights(group, [(None, identity_automorphism(group)), (None, tau)], ctx_ext)
+    pairs = [(trivial_character(group), t) for t in (identity_automorphism(group), tau)]
+    weights = stacked_weights(group, pairs, ctx_ext)
     sums = cyclo.class_sums(res, weights, [1] * cd.num_classes, ctx_ext)
     nf1, nctau = sums[:, 0], sums[:, 1]
 

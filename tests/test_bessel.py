@@ -132,6 +132,11 @@ def test_truncation_insufficient():
 def test_bad_parameters():
     with pytest.raises(BadParameters):
         exp_cyclic(1, 1.0, 1.0)
+    # above the order cap, before any series or dense matrix is formed
+    with pytest.raises(BadParameters, match=r"in \[2, 1024\], got 1025"):
+        exp_cyclic(1025, 1.0, 1.0)
+    with pytest.raises(BadParameters, match=r"in \[2, 1024\], got 1025"):
+        exp_matrix_oracle(1025, 1.0, 1.0)
     with pytest.raises(BadParameters):
         exp_cyclic(4, 2.0, 1.0)
     with pytest.raises(BadParameters):

@@ -2,8 +2,8 @@
 their refusals, their ratio keys against the power table, the kernel spaces
 against the subgroup route, and the counts that show RowSpace, CycloScalar
 arithmetic and group-algebra elements out of the pipeline, every block
-decided once, no subgroup built for a kernel space and every batch of
-skew_checks held to BATCH_SIZE."""
+decided once, no subgroup built for a kernel space and every part that
+skew_checks sums held to BATCH_SIZE unless it is one vector's run."""
 
 from itertools import product
 from math import isqrt
@@ -399,25 +399,26 @@ def test_the_suite_makes_no_row_space_or_scalar_product_call(monkeypatch):
 def test_the_suite_builds_no_group_algebra_element(monkeypatch):
     # every row is written, ranked and checked as monomials, so a pass over
     # the order-24 suite builds no group-algebra element (8,797 when the
-    # rows were {g: CycloScalar} elements), and skew_checks gathers the
-    # basis, center and +1 monomials of a context into one batch
-    counts = {"element": 0, "_Batch": 0}
-    element_init, batch = liealg.GroupAlgebraElement.__init__, liealg._Batch
+    # rows were {g: CycloScalar} elements), and skew_checks sums the
+    # products of the basis, center and +1 monomials of the 406 contexts in
+    # 422 parts of 13,624 terms in all
+    counts = {"element": 0, "_sums_vanish": 0, "terms": 0}
+    element_init, sums_vanish = liealg.GroupAlgebraElement.__init__, liealg._sums_vanish
 
     def counted_element(self, group, terms):
         counts["element"] += 1
         element_init(self, group, terms)
 
-    class CountedBatch(batch):
-        def __init__(self, *args):
-            counts["_Batch"] += 1
-            super().__init__(*args)
+    def counted_sums(slot, *args):
+        counts["_sums_vanish"] += 1
+        counts["terms"] += len(slot)
+        return sums_vanish(slot, *args)
 
     monkeypatch.setattr(liealg.GroupAlgebraElement, "__init__", counted_element)
-    monkeypatch.setattr(liealg, "_Batch", CountedBatch)
+    monkeypatch.setattr(liealg, "_sums_vanish", counted_sums)
     result = verify.run_suite(max_order=24)
     assert result.all_ok and result.contexts == 406
-    assert counts == {"element": 0, "_Batch": 406}
+    assert counts == {"element": 0, "_sums_vanish": 422, "terms": 13624}
 
 
 def test_the_center_is_built_once_in_class_coordinates(monkeypatch):
@@ -475,19 +476,20 @@ def test_the_suite_decides_every_block_once(monkeypatch):
     assert counts["_entries"] == 406 + 406 + 103 + 2 * 327 and counts["_ratio"] <= 9664
 
 
-def test_the_suite_builds_no_subgroup_and_flushes_few_batches(monkeypatch):
+def test_the_suite_builds_no_subgroup_and_sums_few_parts(monkeypatch):
     # the kernel spaces are written on G's inverse map, so a pass over the
     # order-24 suite builds only the 24 Kawanaka extensions as new groups
     # and one Lie basis per context, a pass over suite-large no group at
-    # all, and skew_checks flushes 70 batches of data there, each of at
-    # most BATCH_SIZE terms unless it is one part, a run of one vector's
-    # terms, which is never split: the largest, 6,120 terms, is the
-    # centrality brackets of one class-sum generator; either pass reads the
-    # linear characters once per group, where reading them for the selection
-    # and again for the Lie bases made 82 calls on the order-24 suite
-    counts = {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 0, "flush": 0,
+    # all, and skew_checks sums 190,288 terms there in 107 parts, each of
+    # at most BATCH_SIZE terms unless it is a run of one vector's terms,
+    # which is never split: the largest, 6,120 terms, is the centrality
+    # brackets of one class-sum generator; either pass reads the linear
+    # characters once per group, where reading them for the selection and
+    # again for the Lie bases made 82 calls on the order-24 suite
+    counts = {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 0, "_sums_vanish": 0,
               "linear_characters": 0}
-    sizes = []
+    sizes, parts = [], []
+    runs, sums_vanish = liealg._runs, liealg._sums_vanish
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -495,12 +497,15 @@ def test_the_suite_builds_no_subgroup_and_flushes_few_batches(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    class CountedBatch(liealg._Batch):
-        def flush(self):
-            counts["flush"] += self.size > 0
-            if self.size:
-                sizes.append((self.size, len(self.keys)))
-            super().flush()
+    def recorded_runs(owner, weight, size):
+        # (terms, whether one vector owns them all) of every part
+        out = runs(owner, weight, size)
+        parts.extend((int(weight[p].sum()), len(np.unique(owner[p])) == 1) for p in out)
+        return out
+
+    def counted_sums(slot, *args):
+        sizes.append(len(slot))
+        return sums_vanish(slot, *args)
 
     small = [g for g in default_catalog() if g.order <= 24]
     large = [parse_group_spec(spec) for spec in SUITE_LARGE]
@@ -509,16 +514,20 @@ def test_the_suite_builds_no_subgroup_and_flushes_few_batches(monkeypatch):
         monkeypatch.setattr(f"grouplie.groups.{name}", counted(name, original))
     for name in ("lie_basis", "linear_characters"):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
-    monkeypatch.setattr(liealg, "_Batch", CountedBatch)
+    monkeypatch.setattr(liealg, "_runs", recorded_runs)
+    monkeypatch.setattr(liealg, "_sums_vanish", counted("_sums_vanish", counted_sums))
     result = verify.run_suite(small)
     assert result.all_ok and (result.contexts, len(result.kawanaka)) == (406, 24)
     assert (counts["from_mult_table"], counts["lie_basis"]) == (24, 406)
     assert counts["linear_characters"] == len(small) == 41
     counts.update(dict.fromkeys(counts, 0))
     sizes.clear()
+    parts.clear()
     result = verify.run_suite(large)
     assert result.all_ok and (result.contexts, len(result.clifford)) == (29, 21)
-    assert counts == {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 29, "flush": 70,
-                      "linear_characters": 8}
-    assert all(size <= liealg.BATCH_SIZE or parts == 1 for size, parts in sizes)
-    assert max(sizes) == (6120, 1)
+    assert counts == {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 29,
+                      "_sums_vanish": 107, "linear_characters": 8}
+    # every part is summed, in one call of its own
+    assert sum(sizes) == 190288 and sorted(sizes) == sorted(terms for terms, _ in parts)
+    assert all(terms <= liealg.BATCH_SIZE or one for terms, one in parts)
+    assert max(parts) == (6120, True)

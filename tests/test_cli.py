@@ -406,6 +406,7 @@ def test_bad_index_data_is_a_usage_error(tmp_path, capsys, which, content):
 
 @pytest.mark.parametrize("argv", [
     ("--n", "0"),
+    ("--n", "1025"),  # above groups.ORDER_CAP: the oracle's dense n x n matrix
     ("--n", "3", "--z", "nan,0"),
     ("--n", "3", "--z", "1,nan"),
     ("--n", "3", "--z", "inf,0"),
@@ -418,7 +419,7 @@ def test_bad_index_data_is_a_usage_error(tmp_path, capsys, which, content):
     ("--n", "3", "--omega-k", "1" + "0" * 400),
     ("--n", "3", "--omega-k", "1" + "0" * 308),  # a float, but omega is nan
     ("--n", "3", "--omega-k", "-1" + "0" * 308),
-], ids=["n-0", "z-nan-re", "z-nan-im", "z-inf", "z-1e308", "tol-nan", "tol-inf",
+], ids=["n-0", "n-1025", "z-nan-re", "z-nan-im", "z-inf", "z-1e308", "tol-nan", "tol-inf",
         "tol-0", "z-1e5", "z-three-parts", "omega-k-401-digits", "omega-k-1e308",
         "omega-k-minus-1e308"])
 def test_bessel_bad_input_is_a_usage_error(capsys, argv):

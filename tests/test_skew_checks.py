@@ -237,7 +237,9 @@ def test_an_array_of_other_monomial_rows_raises_invariant_violated():
 
 
 def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
-    # a tiny batch size forces many batches, split only between left vectors
+    # a tiny batch size forces many parts, split only between left vectors;
+    # the intact basis sums all 15, and the broken one stops each check at
+    # its first part with a nonzero sum
     group = parse_group_spec("symmetric:4")
     ctx = make_context(group, linear_characters(group)[1])
     basis, plus = lie_basis(ctx), plus_fixed_basis(ctx)
@@ -248,10 +250,22 @@ def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
     terms[max(terms)] = terms[max(terms)] * context(12).zeta(1)
     broken = list(basis.vectors)
     broken[index] = GroupAlgebraElement(group, terms)
+    calls = 0
+    sums_vanish = liealg._sums_vanish
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sums_vanish(*args)
+
     monkeypatch.setattr(liealg, "BATCH_SIZE", 8)
+    monkeypatch.setattr(liealg, "_sums_vanish", counted)
     assert tuple(skew_checks(basis, center, plus)) == (True, True, True)
+    assert calls == 15
+    calls = 0
     wrong = LieBasis(ctx, encode(broken, context(12)))
     verdicts = tuple(skew_checks(wrong, center, plus))
+    assert calls == 5
     assert verdicts == scalar_checks(broken, as_elements(group, center),
                                      as_elements(group, plus), _row_space(wrong))
     assert not verdicts[0]

@@ -8,9 +8,9 @@ The digests of `verify --group G --format json` live in
 tests/data/verify_sha256.json, and those of `table --group G --format json`
 in tests/data/table_scale_sha256.json; with no group named, every pin of
 both files is checked, and a named group is checked against each file that
-pins it.  Prints one line per check and exits 1 if any digest differs; a
-group with no pin is refused before any run, with one line on stderr, and
-exit 1.
+pins it.  Prints one line per check, with its digest and its wall seconds,
+and exits 1 if any digest differs; a group with no pin is refused before any
+run, with one line on stderr, and exit 1.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 from grouplie.cli import main as grouplie_main
@@ -38,12 +39,14 @@ def main(specs: list[str]) -> int:
     for command, digests in pins.items():
         for spec in [spec for spec in specs or digests if spec in digests]:
             out = io.StringIO()
+            start = time.perf_counter()
             with contextlib.redirect_stdout(out):
                 code = grouplie_main([command, "--group", spec, "--format", "json"])
+            seconds = time.perf_counter() - start
             digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
             ok = code == 0 and digest == digests[spec]
             failed += not ok
-            print(f"{'ok' if ok else 'FAIL'} {command} {spec} {digest}")
+            print(f"{'ok' if ok else 'FAIL'} {command} {spec} {digest} {seconds:.2f} s")
     return 1 if failed else 0
 
 

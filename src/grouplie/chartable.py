@@ -101,7 +101,7 @@ class CharacterTable:
         lists, built once, so it is for serialization and must not be mutated."""
         k, _, d = self.values.shape
         distinct, inverse = np.unique(self.values.reshape(-1, d), axis=0, return_inverse=True)
-        text = {c: str(c) for c in np.unique(distinct).tolist()}
+        text = {c: str(c) for c in set(distinct.ravel().tolist())}
         tail = ["0"] * (self.group.exponent - d)
         exact = [[text[c] for c in vec] + tail for vec in distinct.tolist()]
         floats = _float_embedding(distinct, self.context()).tolist()

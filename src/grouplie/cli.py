@@ -168,7 +168,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         raise UsageError(
             f"no theorem context selected (alpha={cfg.alpha}, tau={cfg.tau}); a context "
             "needs a character label of the group with alpha o tau = alpha"
-        )
+            + (", and tau=inv an abelian group" if cfg.tau == "inv" else ""))
     if cfg.fmt == "json":
         _emit_json({
             "contexts": result.contexts,

@@ -30,8 +30,8 @@ The pair checks (closure, centrality, trace-form orthogonality) run as one
 exact integer kernel, skew_checks, with bracket, trace_of_product and
 RowSpace.contains as its oracles: a product of two monomials is a
 multiplication-table lookup and a sum of exponents, and each check sums
-its products in int64 in parts of at most BATCH_SIZE = 4096 terms unless
-one vector's terms alone are more (_sums_vanish), every sum below 2^63.
+its products in int64 in parts of under BATCH_SIZE = 4096 terms plus one
+vector's, never splitting a vector (_runs), every sum below 2^63.
 """
 
 from __future__ import annotations
@@ -380,7 +380,7 @@ def center_basis(ctx: LieContext) -> CenterData:
 # ---------------------------------------------------------------------------
 # closure, centrality and orthogonality as one exact integer kernel
 
-# terms per summed part: the parts bound the kernel's memory on large contexts
+# terms per summed part beyond its first vector's, to bound the kernel's memory
 BATCH_SIZE = 4096
 
 
@@ -392,21 +392,13 @@ class SkewChecks(NamedTuple):
     orthogonality: bool
 
 
-def _runs(owner: np.ndarray, weight: np.ndarray, size: int) -> list[slice]:
-    """Slices of a nondecreasing `owner` whose `weight` sums to at most
-    `size` each, except a single run of one owner that weighs more, which
-    is never split."""
-    n = len(owner)
-    total = np.concatenate([[0], np.cumsum(weight)]).tolist()
-    out, lo, prev = [], 0, 0
-    if total[-1] > size:
-        for cut in (np.flatnonzero(np.diff(owner)) + 1).tolist() + [n]:
-            if total[cut] - total[lo] > size and prev > lo:
-                out.append(slice(lo, prev))
-                lo = prev
-            prev = cut
-    out.append(slice(lo, n))
-    return out
+def _runs(owner: np.ndarray, size: int) -> list[slice]:
+    """Slices of a nondecreasing `owner`, cut once where the run of one owner
+    that holds each multiple of `size` starts: a slice holds fewer than
+    `size` entries plus those of its first run, and no run is split."""
+    bounds = np.append(np.searchsorted(owner, owner[::size]), len(owner))
+    keep = bounds[1:] > bounds[:-1]
+    return list(map(slice, bounds[:-1][keep], bounds[1:][keep]))
 
 
 def _starts(x: np.ndarray) -> np.ndarray:
@@ -579,18 +571,18 @@ class OrbitSpan:
 
 
 def _pivot_map(lie: np.ndarray, independent: np.ndarray, sigma):
-    """What reducing by the basis rows does to one term at each column z,
-    per sigma-orbit block, as the monomials (target column, c, k) in
-    columns start[z]:start[z + 1] of the returned array; `lie` holds the
-    basis monomials and `independent` the flags of its rows (OrbitSpan).
+    """What reducing by the basis rows does to a term c'*zeta^k' at each
+    column z: it becomes c' * c[z] * zeta^(k' + k[z]) at target[z], for the
+    three arrays (target, c, k) returned; `lie` holds the basis monomials and
+    `independent` the flags of its rows (OrbitSpan).
 
     In a block {a, b}, a < b, with one independent row r, a vector w lies in
     the span exactly when the minor r_a w_b - r_b w_a is zero, and that
     minor goes to column b: a term at b is multiplied by r_a, and a term at
-    a by -r_b.  For a Lie basis r_a = 1, so this is the row reduction that
-    clears pivot a.  A block that its rows span (two independent rows, or
-    one on a fixed column) clears its terms, and a term in a block with no
-    row stays, times 1.
+    a by -r_b, each of which must be one monomial (else InvariantViolated).
+    For a Lie basis r_a = 1, so this is the row reduction that clears pivot
+    a.  A block that its rows span (two independent rows, or one on a fixed
+    column) clears its terms (c = 0); a term in a block with no row stays.
     """
     order = len(sigma)
     sig = np.array(sigma, dtype=np.int64)
@@ -599,15 +591,18 @@ def _pivot_map(lie: np.ndarray, independent: np.ndarray, sigma):
     rows = lie[:, independent[lie[0]]]
     # the independent rows of each column's block
     count = np.bincount(low[rows[1, _starts(rows[0])]], minlength=order)[low]
-    kept = cols[count == 0]
-    kept = np.stack([kept, kept, np.ones_like(kept), np.zeros_like(kept)])
     one = rows[:, (count[rows[1]] == 1) & (sig[rows[1]] != rows[1])]
+    repeated = np.flatnonzero(np.bincount(one[1], minlength=order) > 1)
+    if repeated.size:
+        z = int(repeated[0])
+        raise InvariantViolated(f"the basis row of block {_name(int(low[z]), sigma)} has "
+                                f"more than one monomial at column {z}")
+    target, c, k = cols, (count == 0).astype(np.int64), np.zeros(order, dtype=np.int64)
     at, other = one[1], sig[one[1]]
-    moved = np.stack([other, np.maximum(at, other), np.where(at < other, one[2], -one[2]),
-                      one[3]])
-    both = np.concatenate([kept, moved], axis=1)
-    both = both[:, np.argsort(both[0], kind="stable")]
-    return np.searchsorted(both[0], np.arange(order + 1)), both[1:]
+    target[other] = np.maximum(at, other)
+    c[other] = np.where(at < other, one[2], -one[2])
+    k[other] = one[3]
+    return target, c, k
 
 
 def _bracket_terms(left: np.ndarray, right: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -636,9 +631,10 @@ def skew_checks(basis: LieBasis, center: np.ndarray, plus: np.ndarray) -> SkewCh
     A closure term is reduced against the basis row of its sigma-orbit
     block (_pivot_map), so a bracket lies in the span exactly when every
     reduced sum is zero; a basis that is not block-shaped raises
-    OrbitBlockViolated.  A check passes when every sum of its terms is zero;
-    it sums them in parts (_runs, _sums_vanish), stops at the first nonzero
-    one, and bounds every sum below 2^63 before it is formed.
+    OrbitBlockViolated, and one whose reducing row has an entry of two
+    monomials InvariantViolated.  A check passes when every sum of its terms
+    is zero; it sums them in parts (_runs, _sums_vanish), stops at the first
+    nonzero one, and bounds every sum below 2^63 before it is formed.
     """
     group = basis.context.group
     ctx = cyclo.context(group.exponent)
@@ -656,25 +652,19 @@ def skew_checks(basis: LieBasis, center: np.ndarray, plus: np.ndarray) -> SkewCh
                                & moving[lie[1][:, None], lie[1][None, :]])
     center_pairs = np.nonzero(moving[cen[1][:, None], lie[1][None, :]])
     if closure_pairs[0].size:
-        start, moves = _pivot_map(lie, independent, basis.context.sigma)
-        # a term at column z becomes one term per pivot move of z
-        spans = np.diff(start)
-        _sum_bound(lie, lie, 2 * reach * int(spans.max()) * cyclo.max_abs(moves[1]),
-                   "closure sum")
-        x, y = lie[1, closure_pairs[0]], lie[1, closure_pairs[1]]
-        weight = spans[mult[x, y]] + spans[mult[y, x]]
+        target, factor, shift = _pivot_map(lie, independent, basis.context.sigma)
+        _sum_bound(lie, lie, 2 * reach * cyclo.max_abs(factor), "closure sum")
 
         def reduced(part):
             i, j, col, c, k = _bracket_terms(lie, lie, closure_pairs[0][part],
                                              closure_pairs[1][part], mult)
-            count = spans[col]
-            term = np.repeat(np.arange(len(col)), count)
-            at = np.arange(len(term)) + np.repeat(start[col] - np.cumsum(count) + count, count)
-            return (i[term] * nv + j[term], moves[0, at], c[term] * moves[1, at],
-                    k[term] + moves[2, at])
+            kept = np.flatnonzero(factor[col])
+            col = col[kept]
+            return (i[kept] * nv + j[kept], target[col], c[kept] * factor[col],
+                    k[kept] + shift[col])
 
         closure = all(_sums_vanish(*reduced(part), ctx, order)
-                      for part in _runs(lie[0][closure_pairs[0]], weight, BATCH_SIZE))
+                      for part in _runs(lie[0][closure_pairs[0]], BATCH_SIZE // 2))
     if center_pairs[0].size:
         _sum_bound(cen, lie, 2 * reach, "centrality sum")
 
@@ -684,8 +674,7 @@ def skew_checks(basis: LieBasis, center: np.ndarray, plus: np.ndarray) -> SkewCh
             return v * nv + u, col, c, k
 
         centrality = all(_sums_vanish(*brackets(part), ctx, order)
-                         for part in _runs(cen[0][center_pairs[0]],
-                                           np.full(center_pairs[0].size, 2), BATCH_SIZE))
+                         for part in _runs(cen[0][center_pairs[0]], BATCH_SIZE // 2))
     # t(u*s) sums the products u_x s_y with y = x^-1
     a, b = np.nonzero(np.array(group.inverse)[lie[1]][:, None] == pls[1][None, :])
     if a.size:
@@ -697,6 +686,5 @@ def skew_checks(basis: LieBasis, center: np.ndarray, plus: np.ndarray) -> SkewCh
                     lie[3, ap] + pls[3, bp])
 
         orthogonality = all(_sums_vanish(*products(part), ctx, order)
-                            for part in _runs(lie[0][a], np.ones(a.size, dtype=np.int64),
-                                              BATCH_SIZE))
+                            for part in _runs(lie[0][a], BATCH_SIZE))
     return SkewChecks(closure, centrality, orthogonality)

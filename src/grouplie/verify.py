@@ -381,7 +381,7 @@ def curated_taus(group: GroupTable) -> list[InvolutiveAutomorphism]:
 TAU_POLICIES = {
     "all": curated_taus,
     "id": lambda group: [identity_automorphism(group)],
-    "inv": lambda group: [inversion_automorphism(group)],
+    "inv": lambda group: [inversion_automorphism(group)] if group.is_abelian() else [],
 }
 
 
@@ -412,9 +412,9 @@ def run_suite(groups: list[GroupTable] | None = None, *,
     """Verify every selected context; failures are collected, not raised.
 
     alpha_labels: "all" or a list of character labels.  tau_policy: "all"
-    (identity plus inversion where valid), "id", "inv", or an explicit list
-    of automorphisms; each of them is validated against every group, so a
-    map that is no involutive automorphism of one raises NotHomomorphism or
+    (identity plus inversion where valid), "id", "inv" (on abelian groups),
+    or a list of automorphisms, each validated against every group, so a map
+    that is no involutive automorphism of one raises NotHomomorphism or
     NotInvolutive, and one of another order BadParameters.
     """
     if isinstance(alpha_labels, str) and alpha_labels != "all":

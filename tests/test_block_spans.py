@@ -3,7 +3,8 @@ their refusals, their ratio keys against the power table, the kernel spaces
 against the subgroup route, and the counts that show RowSpace, CycloScalar
 arithmetic and group-algebra elements out of the pipeline, every block
 decided once, no subgroup built for a kernel space and every part that
-skew_checks sums held to BATCH_SIZE unless it is one vector's run."""
+skew_checks sums cut between vectors, below its size plus its first
+vector's run."""
 
 from itertools import product
 from math import isqrt
@@ -480,12 +481,14 @@ def test_the_suite_builds_no_subgroup_and_sums_few_parts(monkeypatch):
     # the kernel spaces are written on G's inverse map, so a pass over the
     # order-24 suite builds only the 24 Kawanaka extensions as new groups
     # and one Lie basis per context, a pass over suite-large no group at
-    # all, and skew_checks sums 190,288 terms there in 107 parts, each of
-    # at most BATCH_SIZE terms unless it is a run of one vector's terms,
-    # which is never split: the largest, 6,120 terms, is the centrality
-    # brackets of one class-sum generator; either pass reads the linear
-    # characters once per group, where reading them for the selection and
-    # again for the Lie bases made 82 calls on the order-24 suite
+    # all; skew_checks sums 13,624 terms in 422 parts on the first and
+    # 190,288 terms in 103 parts on the second, each part cut at the start
+    # of a vector's run, so it holds fewer than its size in pairs or
+    # products plus those of its first vector, whose run is never split:
+    # the largest, 6,120 terms, is the centrality brackets of one
+    # class-sum generator; either pass reads the linear characters once
+    # per group, where reading them for the selection and again for the
+    # Lie bases made 82 calls on the order-24 suite
     counts = {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 0, "_sums_vanish": 0,
               "linear_characters": 0}
     sizes, parts = [], []
@@ -497,10 +500,12 @@ def test_the_suite_builds_no_subgroup_and_sums_few_parts(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    def recorded_runs(owner, weight, size):
-        # (terms, whether one vector owns them all) of every part
-        out = runs(owner, weight, size)
-        parts.extend((int(weight[p].sum()), len(np.unique(owner[p])) == 1) for p in out)
+    def recorded_runs(owner, size):
+        # (entries, size, entries of its first vector, whether one vector
+        # owns them all) of every part
+        out = runs(owner, size)
+        parts.extend((p.stop - p.start, size, int(np.count_nonzero(owner == owner[p.start])),
+                      owner[p.start] == owner[p.stop - 1]) for p in out)
         return out
 
     def counted_sums(slot, *args):
@@ -520,14 +525,15 @@ def test_the_suite_builds_no_subgroup_and_sums_few_parts(monkeypatch):
     assert result.all_ok and (result.contexts, len(result.kawanaka)) == (406, 24)
     assert (counts["from_mult_table"], counts["lie_basis"]) == (24, 406)
     assert counts["linear_characters"] == len(small) == 41
+    assert (sum(sizes), counts["_sums_vanish"], len(parts)) == (13624, 422, 422)
     counts.update(dict.fromkeys(counts, 0))
     sizes.clear()
     parts.clear()
     result = verify.run_suite(large)
     assert result.all_ok and (result.contexts, len(result.clifford)) == (29, 21)
     assert counts == {"from_mult_table": 0, "subgroup_table": 0, "lie_basis": 29,
-                      "_sums_vanish": 107, "linear_characters": 8}
+                      "_sums_vanish": 103, "linear_characters": 8}
     # every part is summed, in one call of its own
-    assert sum(sizes) == 190288 and sorted(sizes) == sorted(terms for terms, _ in parts)
-    assert all(terms <= liealg.BATCH_SIZE or one for terms, one in parts)
-    assert max(parts) == (6120, True)
+    assert sum(sizes) == 190288 and len(parts) == 103
+    assert all(entries < size + first for entries, size, first, _ in parts)
+    assert max(zip(sizes, parts)) == (6120, (3060, liealg.BATCH_SIZE // 2, 3060, True))

@@ -336,6 +336,21 @@ def test_verify_without_contexts_is_a_usage_error(capsys, alpha, tau):
     assert _one_error_line(err) and "no theorem context selected" in err
 
 
+def test_verify_tau_inv_selects_the_abelian_groups(capsys):
+    # inversion is an automorphism exactly on the abelian groups, so the
+    # full catalog under --tau inv verifies their contexts and runs every
+    # Clifford and Kawanaka check, and a nonabelian group alone selects none
+    code, out, err = run_cli(capsys, "verify", "--tau", "inv", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and err == "" and payload["all_ok"]
+    assert (payload["contexts"], len(payload["clifford"]), len(payload["kawanaka"])) == (
+        48, 328, 24)
+    code, out, err = run_cli(capsys, "verify", "--group", "symmetric:3", "--tau", "inv")
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "no theorem context selected" in err
+    assert "tau=inv an abelian group" in err
+
+
 def test_analyze_incompatible_pair(capsys):
     code, out, err = run_cli(capsys, "analyze", "--group", "cyclic:4",
                              "--alpha", "lin1", "--tau", "inv")
@@ -488,7 +503,7 @@ def test_large_table_json_pinned(capsys, spec):
 # checks the two that take about a second, and CI runs scripts/verify_pins.py
 # on all six: cyclic:128, dihedral:256 and quaternion8^3 (125 classes, the
 # center path on a nonabelian group) take several seconds each, and
-# quaternion8^3 x Z/2 (order 1024, 250 classes) about a minute
+# quaternion8^3 x Z/2 (order 1024, 250 classes) about half a minute
 VERIFY_DIGESTS = json.loads((Path(__file__).parent / "data" / "verify_sha256.json").read_text())
 
 
@@ -511,6 +526,28 @@ def test_verify_pins_refuses_an_unpinned_group_before_any_run():
     assert _one_error_line(out.stderr) and "no pin for cyclic:3;" in out.stderr
     table_pins = json.loads((root / "tests" / "data" / "table_scale_sha256.json").read_text())
     assert all(spec in out.stderr for spec in [*VERIFY_DIGESTS, *table_pins])
+
+
+def test_commands_leave_numpy_ma_unloaded():
+    # numpy.ma costs about a megabyte of resident memory, and numpy loads it
+    # for np.unique on a flat array; a fresh process that runs verify,
+    # analyze and both table formats never imports it
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                         os.environ.get("PYTHONPATH", "")])}
+    script = """
+import contextlib, io, sys
+from grouplie.cli import main
+for argv in (["verify", "--max-order", "12"], ["analyze", "--group", "symmetric:3"],
+             ["table", "--group", "dihedral:6"],
+             ["table", "--group", "dihedral:6", "--format", "json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False\n", "")
 
 
 def test_table_prime_beyond_the_root_search(capsys):

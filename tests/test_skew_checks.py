@@ -126,6 +126,32 @@ def compares_a_non_root(vectors, sigma):
     return False
 
 
+def reduces_through_a_sum(vectors, rows, group, sigma):
+    """Whether closure brackets two vectors with a non-commuting pair of
+    elements while the one independent vector of a moved orbit, against
+    which it reduces, has two monomials at one column of `rows` (RowSpace
+    decides which vectors are independent)."""
+    mult = group.mult
+    if not any(mult[g, h] != mult[h, g] for i, v in enumerate(vectors)
+               for u in vectors[i + 1:] for g in v.terms for h in u.terms):
+        return False
+    held = {}
+    for r, v in enumerate(vectors):
+        z = min(v.terms, default=None)
+        if z is None:
+            continue
+        rs = held.setdefault(min(z, sigma[z]), [])
+        if not rs or len(rs) == 1 and not RowSpace(
+                context(group.exponent), len(sigma), [vectors[rs[0]].terms]).contains(v.terms):
+            rs.append(r)
+    for b, rs in held.items():
+        if sigma[b] != b and len(rs) == 1:
+            columns = rows[1, rows[0] == rs[0]].tolist()
+            if len(columns) != len(set(columns)):
+                return True
+    return False
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_kernel_verdicts_equal_the_scalar_products(data):
@@ -141,13 +167,18 @@ def test_kernel_verdicts_equal_the_scalar_products(data):
     arrays = basis, encode(center, field), encode(plus, field)
     # closure reduces against the basis per sigma-orbit block, so a basis
     # that is not block-shaped is refused, and so is one whose span compares
-    # a two-entry vector off the roots of unity
+    # a two-entry vector off the roots of unity, or one whose reducing row
+    # has an entry of more than one monomial
     if not fits_blocks(vectors, ctx.sigma):
         with pytest.raises(OrbitBlockViolated):
             skew_checks(*arrays)
         return
     if compares_a_non_root(vectors, ctx.sigma):
         with pytest.raises(InvariantViolated, match=r"not \+-zeta\^k"):
+            skew_checks(*arrays)
+        return
+    if reduces_through_a_sum(vectors, basis.rows, group, ctx.sigma):
+        with pytest.raises(InvariantViolated, match="more than one monomial at column"):
             skew_checks(*arrays)
         return
     got = skew_checks(*arrays)
@@ -221,6 +252,22 @@ def test_an_over_bound_input_raises_integer_bound_exceeded():
         skew_checks(low, encode([], ctx), encode([], ctx))
 
 
+def test_a_reducing_row_of_a_sum_raises_invariant_violated():
+    # the S3 basis with sign alpha and its row delta_3 - delta_4 times
+    # 1 + zeta, two monomials at each column, which closure would reduce
+    # through: the refusal names the block and the first such column
+    s3 = catalog("symmetric", 3)
+    ctx = make_context(s3, find_character(s3, "sign"))
+    field = context(s3.exponent)
+    vectors = list(lie_basis(ctx).vectors)
+    vectors[2] = vectors[2].scaled(field.one + field.zeta(1))
+    basis = LieBasis(ctx, encode(vectors, field))
+    empty = encode([], field)
+    with pytest.raises(InvariantViolated, match=r"block \{3, 4\} has more than one monomial "
+                                                "at column 3"):
+        skew_checks(basis, empty, empty)
+
+
 def test_an_array_of_other_monomial_rows_raises_invariant_violated():
     # a fraction coefficient as a float, 2^63 as a uint64, a flat array and
     # a gap in the row numbers, each as the basis, the center and the +1 rows
@@ -269,3 +316,19 @@ def test_verdicts_do_not_depend_on_the_batch_size(monkeypatch):
     assert verdicts == scalar_checks(broken, as_elements(group, center),
                                      as_elements(group, plus), _row_space(wrong))
     assert not verdicts[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=12), size=st.integers(1, 10))
+def test_parts_cut_between_runs(lengths, size):
+    # the parts cover the owners in order, each starts a run, so none is
+    # split, and each holds fewer than `size` entries plus its first run's
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    parts = liealg._runs(owner, size)
+    starts = [p.start for p in parts]
+    assert starts[0] == 0 and [p.stop for p in parts] == starts[1:] + [len(owner)]
+    for p in parts:
+        assert p.start == 0 or owner[p.start] != owner[p.start - 1]
+        assert p.start < p.stop < p.start + size + lengths[owner[p.start]]
+    if len(owner) <= size:
+        assert parts == [slice(0, len(owner))]

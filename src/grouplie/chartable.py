@@ -11,23 +11,27 @@ DFT over its power classes, evaluated mod p and lifted).  The finished
 table is certified exactly by its shape, its degree column and the row
 orthogonality relation, which for a square table implies the column one.
 
-The common eigenspaces are split by random linear combinations of the class
-matrices.  On each space, the combination M has the roots l_1..l_r of its
-characteristic polynomial as eigenvalues, and q_i = prod_(j != i) (x - l_j)
-maps the space onto the l_i eigenspace: all q_i come from one synthetic
-division of mu = prod_j (x - l_j), and all images W_i = q_i(M) V of one
-random block V, with as many columns as the largest root multiplicity, from
-its Krylov sequence M^t V with one product.  A W_i is kept only when
-M W_i = l_i W_i holds exactly and its rank is the multiplicity of l_i, read
-off by deflating the characteristic polynomial; no eigenspace is larger
-than that, so W_i then spans the whole l_i eigenspace.  For a simple root a
-nonzero eigenvector suffices, and all of those lines are mapped and
-normalized at once, with no elimination.  Any other root takes the null
-space of M - l_i.  The split succeeds because p = 1 (mod m) exceeds every
-prime divisor of #G, so the class algebra over F_p is semisimple and every
-combination is diagonalizable on every common eigenspace.  If that ever
-fails, the null spaces lose dimensions (as the roots do when they do not
-split the characteristic polynomial) and the split raises LiftInconsistent.
+The split starts from what the linear characters lambda give exactly: the
+lines omega(c) = |c| lambda(c), and the null space of the values
+lambda(c)^-1, by row orthogonality the span of the other central characters,
+so an abelian group takes no split round and no class constants.  That
+complement is split by random linear combinations M of the class matrices.
+On each space, M has the roots l_1..l_r of its characteristic polynomial as
+eigenvalues, and q_i = prod_(j != i) (x - l_j) maps the space onto the l_i
+eigenspace: all q_i come from one synthetic division of
+mu = prod_j (x - l_j), and all images W_i = q_i(M) V of one random block V,
+with as many columns as the largest root multiplicity, from its Krylov
+sequence M^t V with one product.  A W_i is kept only when M W_i = l_i W_i
+holds exactly and its rank is the multiplicity of l_i, read off by deflating
+the characteristic polynomial; no eigenspace is larger than that, so W_i
+then spans the whole l_i eigenspace.  For a simple root a nonzero
+eigenvector suffices, and all of those lines are mapped and normalized at
+once, with no elimination.  Any other root takes the null space of M - l_i.
+The split succeeds because p = 1 (mod m) exceeds every prime divisor of #G,
+so the class algebra over F_p is semisimple and every combination is
+diagonalizable on every common eigenspace.  If that ever fails, the null
+spaces lose dimensions (as the roots do when they do not split the
+characteristic polynomial) and the split raises LiftInconsistent.
 
 The modular steps run on arrays of residues.  Every sum of products of
 residues (restriction to an eigenspace, the Krylov blocks and their images,
@@ -56,7 +60,7 @@ import numpy as np
 
 from . import cyclo
 from .errors import InvariantViolated, LiftInconsistent, PrimeSearchFailed
-from .groups import ConjugacyData, GroupTable, conjugacy_data
+from .groups import ConjugacyData, GroupTable, conjugacy_data, linear_characters
 
 _PRIME_BOUND = 1_000_000
 _LIFT_BLOCK = 1 << 16  # irrep x class x power entries gathered at once by the lift
@@ -188,6 +192,12 @@ def _primitive_root(p: int) -> int:
     raise PrimeSearchFailed(f"no primitive root mod {p}")  # unreachable for prime p
 
 
+def _root_powers(p: int, m: int) -> np.ndarray:
+    """z^t mod p for t < m, z the primitive m-th root of unity that the lift reads as zeta."""
+    z = pow(_primitive_root(p), (p - 1) // m, p)
+    return np.array([pow(z, t, p) for t in range(m)])
+
+
 def _check_mod_bound(terms: int, p: int, check=cyclo.check_int64_bound) -> None:
     """Sums of `terms` products of two residues mod p must stay exact: in
     int64, or in float64 with check=cyclo.check_float64_bound."""
@@ -285,8 +295,17 @@ def _poly_roots_mod(poly: list[int], p: int) -> list[int]:
     return np.flatnonzero(acc == 0).tolist()
 
 
+def _null_space(red: np.ndarray, pivots: list[int], d: int, p: int) -> tuple:
+    """Null space mod p of the RREF `red` on d columns: the identity at the free columns."""
+    free = sorted(set(range(d)) - set(pivots))
+    null = np.zeros((len(free), d), dtype=np.int64)
+    null[np.arange(len(free)), free] = 1
+    null[:, pivots] = -red[:, free].T % p
+    return null, free
+
+
 def _restrict_mod(mat: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Matrix of `mat` acting on span(basis); basis rows are in RREF.
+    """Matrix of `mat` acting on span(basis), whose rows hold the identity at `pivots`.
 
     A vector of the span is the combination of the basis rows with its own
     entries at the pivot columns as coefficients, so the coordinates of the
@@ -322,9 +341,9 @@ def _root_multiplicities(poly: list[int], roots: list[int], p: int) -> list[int]
 def _eigenspaces(mat: np.ndarray, basis: np.ndarray, pivots: list[int], p: int,
                  rng: random.Random) -> list:
     """The eigenspaces of `mat` (acting on coordinate columns over the rows
-    of `basis`, an RREF basis with pivot columns `pivots`), one per root of
-    its characteristic polynomial in increasing order, each as (RREF basis,
-    pivot columns) of the full space.
+    of `basis`, with the identity at its pivot columns `pivots`), one per
+    root of its characteristic polynomial in increasing order, each as (RREF
+    basis, pivot columns) of the full space.
 
     With distinct roots l_1..l_r and mu = prod_j (x - l_j), q_i = mu / (x -
     l_i) maps onto the l_i eigenspace when `mat` is diagonalizable, so the
@@ -384,23 +403,35 @@ def _eigenspaces(mat: np.ndarray, basis: np.ndarray, pivots: list[int], p: int,
             if len(space[0]) == mults[i]:
                 spaces[i] = space
                 continue
-        # the null space of mat - l_i: one vector per free column
-        red, piv = _rref_mod(mat - roots[i] * np.eye(d, dtype=np.int64), p)
-        free = [c for c in range(d) if c not in piv]
-        null = np.zeros((len(free), d), dtype=np.int64)
-        null[np.arange(len(free)), free] = 1
-        null[:, piv] = -red[:, free].T % p
+        null, _ = _null_space(*_rref_mod(mat - roots[i] * np.eye(d, dtype=np.int64), p), d, p)
         spaces[i] = _rref_mod(_matmul_mod(null, basis, p), p)
     return spaces
 
 
-def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
+def _seeded_start(group: GroupTable, cd: ConjugacyData, p: int) -> list:
+    """The split's start, as (basis, pivot columns): the line omega(c) = |c| lambda(c)
+    of each linear character lambda, then, unless it is 0, the space of the v with
+    sum_c v_c lambda(c)^-1 = 0 for every lambda, the span of the other central characters."""
+    zpow = _root_powers(p, group.exponent)
+    exps = np.array([c.exponents for c in linear_characters(group)])[:, list(cd.representatives)]
+    inverses, omegas = zpow[-exps % group.exponent], zpow[exps] * np.array(cd.sizes) % p
+    # row orthogonality, sum_c lambda(c)^-1 omega_mu(c) = #G [lambda = mu], makes the rank l
+    l, gram = len(exps), _matmul_mod(inverses, omegas.T, p)
+    if not np.array_equal(gram, group.order % p * np.eye(l, dtype=np.int64)):
+        rank = len(_rref_mod(inverses, p)[1])
+        raise LiftInconsistent(f"{l} linear characters of rank {rank} mod {p} are not orthogonal")
+    spaces = [(omega[None], [cd.class_of[group.identity]]) for omega in omegas]
+    if l < cd.num_classes:
+        spaces.append(_null_space(*_rref_mod(inverses, p), cd.num_classes, p))
+    return spaces
+
+
+def _split_eigenspaces(consts: np.ndarray, spaces: list, p: int, rng: random.Random) -> list:
     """Common eigenspaces mod p of the class matrices consts[i], each as
-    (RREF basis, pivot columns): split with random linear combinations
-    until every space is a line."""
+    (basis, pivot columns): split from `spaces`, invariant subspaces that
+    sum to F_p^k, by random linear combinations until every space is a line."""
     k = len(consts)
     _check_mod_bound(2, p)  # before any product
-    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
     # the one working copy: int64 residues cast to float64 as they are
     # written, the operands of every combination
     consts = np.remainder(consts, p, out=np.empty(consts.shape)).reshape(k, k * k)
@@ -410,12 +441,9 @@ def _split_eigenspaces(consts: np.ndarray, p: int, rng: random.Random) -> list:
         coeffs = np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
         combo = _matmul_mod(coeffs, consts, p).reshape(k, k)
         new_spaces = []
-        for basis, pivots in spaces:
-            if len(basis) == 1:
-                new_spaces.append((basis, pivots))
-            else:
-                new_spaces += _eigenspaces(_restrict_mod(combo, basis, pivots, p),
-                                           basis, pivots, p, rng)
+        for basis, pivots in spaces:  # a line stays as it is
+            new_spaces += [(basis, pivots)] if len(basis) == 1 else _eigenspaces(
+                _restrict_mod(combo, basis, pivots, p), basis, pivots, p, rng)
         if sum(len(b) for b, _ in new_spaces) != k:
             raise LiftInconsistent("eigenspace splitting lost or gained dimensions")
         spaces = new_spaces
@@ -447,9 +475,7 @@ def _lift(group: GroupTable, cd: ConjugacyData, rows_mod: np.ndarray, degrees: l
         walk = np.concatenate([walk, mult[walk[:, -1:], walk[:, 1:]]], axis=1)
     orders = (walk[:, 1:] == e).argmax(axis=1) + 1
     power_classes = np.array(cd.class_of)[walk]
-    # zpow[t] = z^t for a primitive m-th root of unity z mod p
-    z = pow(_primitive_root(p), (p - 1) // m, p)
-    zpow = np.array([pow(z, t, p) for t in range(m)])
+    zpow = _root_powers(p, m)
     values = rows_mod.astype(np.float64)  # gathered as float64 operands
     coeffs = np.empty((k, k, ctx.degree), dtype=np.int64)
     failure = None
@@ -514,8 +540,10 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
     if not _is_prime(p):  # trial division, so only once p is below the bound
         raise PrimeSearchFailed(f"{p} is not a prime")
 
-    spaces = _split_eigenspaces(class_constants(group, cd), p,
-                                random.Random((seed << 16) ^ p))
+    spaces = _seeded_start(group, cd, p)
+    if any(len(basis) > 1 for basis, _ in spaces):
+        spaces = _split_eigenspaces(class_constants(group, cd), spaces, p,
+                                    random.Random((seed << 16) ^ p))
 
     # every space is now a line; normalize at the identity class (omega_e = 1)
     e_class = cd.class_of[group.identity]

@@ -436,11 +436,12 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         trivial = trivial_character(group)
         linear = linear_characters(group)
         chars = [c for c in linear if alpha_labels == "all" or c.label in alpha_labels]
-        # the tau = id basis of trivial and of every selected character,
-        # shared by the theorem checks with tau = id and the Clifford checks
-        bases = {c.exponents: lie_basis(make_context(group, c))
+        # the tau = id basis of trivial and of every selected character, for the
+        # Clifford checks and its own context's (not inv's on exponent 2)
+        ident = identity_automorphism(group)
+        bases = {c.exponents: lie_basis(make_context(group, c, ident))
                  for c in linear if c.is_trivial() or c in chars}
-        contexts = [bases[alpha.exponents].context if tau.is_identity()
+        contexts = [bases[alpha.exponents].context if tau == ident
                     else make_context(group, alpha, tau)
                     for tau in taus for alpha in chars if alpha_tau_compatible(alpha, tau)]
         kawanaka_taus = [tau for tau in taus
@@ -452,7 +453,7 @@ def run_suite(groups: list[GroupTable] | None = None, *,
         reports = indicator_reports(table, contexts + extra)
         for report in reports[:len(contexts)]:
             ctx = report.context
-            basis = bases[ctx.alpha.exponents] if ctx.tau.is_identity() else lie_basis(ctx)
+            basis = bases[ctx.alpha.exponents] if ctx.tau == ident else lie_basis(ctx)
             result.reports.append(verify_theorem(basis, report, center_basis(ctx)))
         for report in reports:
             if report.context.alpha.is_trivial() and report.context.tau in kawanaka_taus:

@@ -19,12 +19,14 @@ from grouplie.chartable import (
     _find_prime,
     _poly_roots_mod,
     _root_multiplicities,
+    _seeded_start,
     _split_eigenspaces,
     character_table,
     class_constants,
 )
 from grouplie.cyclo import context
 from grouplie.errors import (
+    GroupLieError,
     IndicatorOutOfRange,
     IntegerBoundExceeded,
     InvariantViolated,
@@ -42,6 +44,11 @@ from grouplie.groups import (
 from grouplie.indicators import indicator_reports
 from grouplie.liealg import make_context
 from grouplie.verify import curated_taus, default_catalog
+
+
+def whole_space(k):
+    """The split's start at the whole space F_p^k, as (RREF basis, pivots)."""
+    return [(np.eye(k, dtype=np.int64), list(range(k)))]
 
 
 def brute_force_constant(group, cd, i, j, k):
@@ -430,27 +437,118 @@ def test_modular_bound_guard(prime):
         character_table(catalog("cyclic", 4), prime=prime)
 
 
+def split_lines(consts, start, p, seed):
+    """The lines of the split from `start`, each checked to be a common
+    eigenvector v of every class matrix a_i (a_i v = lambda_i v mod p, with
+    v 1 at its pivot), and their eigenvalue vectors."""
+    spaces = start
+    if any(len(basis) > 1 for basis, _ in start):
+        spaces = _split_eigenspaces(consts, start, p, random.Random(seed))
+    assert [len(basis) for basis, _ in spaces] == [1] * len(consts)
+    lines, signatures = set(), set()
+    for basis, pivots in spaces:
+        v = basis[0]
+        assert v[pivots[0]] == 1
+        images = consts @ v % p  # images[i] = a_i v
+        lams = images[:, pivots[0]]
+        assert np.array_equal(images, np.outer(lams, v) % p)
+        signatures.add(tuple(lams.tolist()))
+        # v normalized at its first nonzero entry, as the whole-space lines are
+        lines.add(tuple((v * pow(int(v[v != 0][0]), p - 2, p) % p).tolist()))
+    return lines, signatures
+
+
 @pytest.mark.parametrize("seed", [0, 11])
 def test_split_lines_are_common_eigenvectors(seed):
-    # every line v of the split satisfies a_i v = lambda_i v mod p for every
-    # class matrix a_i, and the k lines have pairwise distinct eigenvalue
-    # vectors, so they are independent and span F_p^k
+    # every line, from the whole space or from the seeded start (the linear
+    # characters' lines, kept as they are, and their complement, split),
+    # satisfies a_i v = lambda_i v mod p for every class matrix a_i; the k
+    # lines have pairwise distinct eigenvalue vectors, so they are
+    # independent and span F_p^k, and both starts give the same lines
     for group in default_catalog():
         cd = conjugacy_data(group)
         consts = class_constants(group, cd)
         k = cd.num_classes
         p = _find_prime(group.exponent, group.order)
-        spaces = _split_eigenspaces(consts, p, random.Random(seed))
-        assert [len(basis) for basis, _ in spaces] == [1] * k
-        signatures = set()
-        for basis, pivots in spaces:
-            v = basis[0]
-            assert v[pivots[0]] == 1
-            images = consts @ v % p  # images[i] = a_i v
-            lams = images[:, pivots[0]]
-            assert np.array_equal(images, np.outer(lams, v) % p), group.name
-            signatures.add(tuple(lams.tolist()))
-        assert len(signatures) == k, group.name
+        whole, whole_signatures = split_lines(consts, whole_space(k), p, seed)
+        seeded, seeded_signatures = split_lines(consts, _seeded_start(group, cd, p), p, seed)
+        assert len(whole_signatures) == len(seeded_signatures) == k, group.name
+        assert seeded == whole, group.name
+
+
+def test_the_seeded_start_skips_the_split_where_the_linear_characters_suffice(monkeypatch):
+    # abelian groups take no split round and build no class constants; a
+    # group with l linear characters splits only the (k - l)-dimensional
+    # complement; the nine inputs of the tables workload at seed 1 make 11
+    # calls of _eigenspaces (74 from the whole space)
+    calls = []
+    real_eigenspaces, real_constants = chartable._eigenspaces, chartable.class_constants
+
+    def counted_eigenspaces(mat, *args):
+        calls.append(("eigenspaces", len(mat)))
+        return real_eigenspaces(mat, *args)
+
+    def counted_constants(*args):
+        calls.append(("class_constants", None))
+        return real_constants(*args)
+
+    monkeypatch.setattr(chartable, "_eigenspaces", counted_eigenspaces)
+    monkeypatch.setattr(chartable, "class_constants", counted_constants)
+    for spec in ("cyclic:12", "product:cyclic:4,cyclic:12"):
+        character_table(parse_group_spec(spec))
+        assert calls == [], spec
+    character_table(parse_group_spec("product:dihedral:4,cyclic:6"))
+    assert calls[:2] == [("class_constants", None), ("eigenspaces", 6)]
+    calls.clear()
+    for spec, prime in BENCHMARK_TABLES[:9]:
+        character_table(parse_group_spec(spec), seed=1, prime=prime)
+    assert [name for name, _ in calls].count("eigenspaces") == 11
+
+
+def swapped_characters(change):
+    """A stand-in for linear_characters that edits the list with `change`."""
+    return lambda group: change(list(linear_characters(group)))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "symmetric:3", "product:dihedral:4,cyclic:6",
+                                  "product:quaternion8,cyclic:6"])
+def test_a_dropped_linear_character_is_found_in_the_complement(monkeypatch, spec):
+    group = parse_group_spec(spec)
+    expected = character_table(group).to_json_dict()
+    for drop in (0, -1):
+        monkeypatch.setattr(chartable, "linear_characters",
+                            swapped_characters(lambda chars: chars[:drop] + chars[drop:][1:]))
+        assert character_table(group).to_json_dict() == expected
+
+
+@pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:12", "symmetric:3",
+                                  "product:dihedral:4,cyclic:6"])
+def test_a_duplicated_linear_character_is_refused(monkeypatch, spec):
+    monkeypatch.setattr(chartable, "linear_characters",
+                        swapped_characters(lambda chars: chars + chars[-1:]))
+    l = len(linear_characters(parse_group_spec(spec)))
+    with pytest.raises(LiftInconsistent, match=f"{l + 1} linear characters of rank {l} mod "):
+        character_table(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:12", "symmetric:3", "dihedral:6",
+                                  "product:cyclic:4,cyclic:12", "product:dihedral:4,cyclic:6",
+                                  "product:quaternion8,cyclic:6"])
+def test_a_linear_character_off_by_one_exponent_never_gives_a_table(monkeypatch, spec):
+    # each linear character in turn, shifted by one at each non-identity
+    # class representative: a map that is no homomorphism
+    group = parse_group_spec(spec)
+    cd = conjugacy_data(group)
+    chars = linear_characters(group)
+    reps = [r for r in cd.representatives if r != group.identity]
+    for i, r in itertools.product(range(len(chars)), reps[:4]):
+        exps = list(chars[i].exponents)
+        exps[r] = (exps[r] + 1) % group.exponent
+        bad = dataclasses.replace(chars[i], exponents=tuple(exps))
+        monkeypatch.setattr(chartable, "linear_characters",
+                            swapped_characters(lambda cs: cs[:i] + [bad] + cs[i + 1:]))
+        with pytest.raises(GroupLieError):
+            character_table(group)
 
 
 @pytest.mark.parametrize("block, message", [
@@ -469,7 +567,7 @@ def test_split_rejects_matrices_that_are_not_diagonalizable(block, message):
     ident = np.eye(len(n), dtype=np.int64)
     consts = np.stack([ident, n] + [ident] * (len(n) - 2))
     with pytest.raises(LiftInconsistent, match=message):
-        _split_eigenspaces(consts, 7, random.Random(1))
+        _split_eigenspaces(consts, whole_space(len(n)), 7, random.Random(1))
 
 
 @pytest.mark.parametrize("value", [1.5, Fraction(1, 2)])
@@ -497,7 +595,7 @@ def test_a_zero_krylov_block_sends_every_root_to_the_null_space(monkeypatch):
     # lines and the tables stay the same
     group = catalog("dihedral", 6)
     consts, p = class_constants(group, conjugacy_data(group)), 13
-    expected = _split_eigenspaces(consts, p, random.Random(0))
+    expected = _split_eigenspaces(consts, whole_space(len(consts)), p, random.Random(0))
     rows, splits = [], []
     real_eigenspaces, real_rref = chartable._eigenspaces, chartable._rref_mod
 
@@ -514,7 +612,7 @@ def test_a_zero_krylov_block_sends_every_root_to_the_null_space(monkeypatch):
 
     monkeypatch.setattr(chartable, "_eigenspaces", zero_block)
     monkeypatch.setattr(chartable, "_rref_mod", counted_rref)
-    got = _split_eigenspaces(consts, p, random.Random(0))
+    got = _split_eigenspaces(consts, whole_space(len(consts)), p, random.Random(0))
     assert splits and all(roots == null_spaces for roots, null_spaces in splits)
     assert sorted(b.tolist() for b, _ in got) == sorted(b.tolist() for b, _ in expected)
     for spec in ("dihedral:6", "quaternion8", "alternating:4", "cyclic:12"):
@@ -898,7 +996,8 @@ def test_character_table_peak_memory_at_128_classes():
     consts = class_constants(group, conjugacy_data(group))
     tracemalloc.start()
     try:
-        _split_eigenspaces(consts, _find_prime(group.exponent, group.order), random.Random(0))
+        _split_eigenspaces(consts, whole_space(len(consts)),
+                           _find_prime(group.exponent, group.order), random.Random(0))
         split_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

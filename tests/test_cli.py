@@ -345,6 +345,10 @@ def test_verify_tau_inv_selects_the_abelian_groups(capsys):
     assert code == 0 and err == "" and payload["all_ok"]
     assert (payload["contexts"], len(payload["clifford"]), len(payload["kawanaka"])) == (
         48, 328, 24)
+    # every report carries the tau that was asked for, also where inversion is
+    # the identity map (Z/2 and Z/2 x Z/2 x Z/2, the exponent-2 groups)
+    assert {r["tau"] for r in payload["reports"]} == {"inv"}
+    assert sum(r["group"] in ("Z/2", "Z/2xZ/2xZ/2") for r in payload["reports"]) == 10
     code, out, err = run_cli(capsys, "verify", "--group", "symmetric:3", "--tau", "inv")
     assert code == 1 and out == ""
     assert _one_error_line(err) and "no theorem context selected" in err
@@ -485,9 +489,10 @@ def test_table_text_pinned(capsys, spec):
 # takes several rounds with repeated eigenvalues (60 classes each), and for
 # three beyond the catalog with 67 to 128 classes (cyclic:96, dihedral:128,
 # product:cyclic:8,cyclic:16); the JSON runs to megabytes, so only its
-# digest is kept.  The digest of dihedral:256 (131 classes, 58 MB of JSON,
-# recorded at seeds 0 and 5) is in table_scale_sha256.json, which CI checks
-# with scripts/verify_pins.py
+# digest is kept.  The digests of dihedral:256 (131 classes, 58 MB of JSON,
+# recorded at seeds 0 and 5) and of product:cyclic:16,cyclic:32 (512
+# classes, all linear, so no split round and no class constants) are in
+# table_scale_sha256.json, which CI checks with scripts/verify_pins.py
 TABLE_DIGESTS = json.loads((Path(__file__).parent / "data" / "table_sha256.json").read_text())
 
 

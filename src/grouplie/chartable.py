@@ -1,54 +1,41 @@
 """Exact character tables via modular diagonalization.
 
 The class-multiplication matrices commute and are simultaneously
-diagonalizable over F_p once p = 1 (mod m) with m the group exponent and
-p > 2*sqrt(#G).  Their common eigenvectors, normalized at the identity
-class, are the central characters omega(c) = |c| chi(c) / chi(1).  Degrees
-come out of the orthogonality relation, character values mod p out of
-omega, and the exact cyclotomic value out of the multiplicities of each
-root of unity among the eigenvalues of a class representative (an inverse
-DFT over its power classes, evaluated mod p and lifted).  The finished
-table is certified exactly by its shape, its degree column and the row
-orthogonality relation, which for a square table implies the column one.
+diagonalizable over F_p for p = 1 (mod m), m the group exponent, and
+p > 2 sqrt(#G); their common eigenvectors, normalized at the identity class,
+are the central characters omega(c) = |c| chi(c) / chi(1).  Degrees come
+out of the orthogonality relation, values mod p out of omega, and exact
+values from the multiplicities of the roots of unity among the eigenvalues
+of each class representative, one inverse DFT mod p per element order.
 
-The split starts from what the linear characters lambda give exactly: the
-lines omega(c) = |c| lambda(c), and the null space of the values
-lambda(c)^-1, by row orthogonality the span of the other central characters,
-so an abelian group takes no split round and no class constants.  That
-complement is split by random linear combinations M of the class matrices.
-On each space, M has the roots l_1..l_r of its characteristic polynomial as
-eigenvalues, and q_i = prod_(j != i) (x - l_j) maps the space onto the l_i
-eigenspace: all q_i come from one synthetic division of
-mu = prod_j (x - l_j), and all images W_i = q_i(M) V of one random block V,
-with as many columns as the largest root multiplicity, from its Krylov
-sequence M^t V with one product.  A W_i is kept only when M W_i = l_i W_i
-holds exactly and its rank is the multiplicity of l_i, read off by deflating
-the characteristic polynomial; no eigenspace is larger than that, so W_i
-then spans the whole l_i eigenspace.  For a simple root a nonzero
-eigenvector suffices, and all of those lines are mapped and normalized at
-once, with no elimination.  Any other root takes the null space of M - l_i.
-The split succeeds because p = 1 (mod m) exceeds every prime divisor of #G,
-so the class algebra over F_p is semisimple and every combination is
-diagonalizable on every common eigenspace.  If that ever fails, the null
-spaces lose dimensions (as the roots do when they do not split the
-characteristic polynomial) and the split raises LiftInconsistent.
+The split starts from the lines omega(c) = |c| lambda(c) of the linear
+characters lambda and the null space of the lambda(c)^-1, the span of the
+other central characters, so an abelian group takes no split round and no
+class constants.  Random combinations of the class matrices split the rest,
+all eigenspaces of one combination from one block Krylov sequence, with
+exact eigenvector and rank checks (_eigenspaces).  As p exceeds every prime
+divisor of #G, the class algebra over F_p is semisimple and the split
+succeeds; else the dimensions do not add up and it raises LiftInconsistent.
+Every sum of products of residues is a float64 (BLAS) product proven below
+2^53 (_matmul_mod), the elementwise steps stay in int64, bounded at 2^63,
+and either bound raises IntegerBoundExceeded when it fails.
 
-The modular steps run on arrays of residues.  Every sum of products of
-residues (restriction to an eigenspace, the Krylov blocks and their images,
-the random combination of class matrices, the Hessenberg steps, the norms
-and the lift) is a float64 (BLAS) product: a sum of t products is at most
-t (p - 1)^2, proven below 2^53 before it is formed (t is at most one more
-than the group order, and p < 10^6), so every product and partial sum is
-an exact float64 integer, whatever order the sum is taken in, and the
-result is cast back to int64 residues.  Elimination and the other
-elementwise steps stay in int64, bounded at 2^63.  Either bound raises
-IntegerBoundExceeded when it fails.  The lift reads the power classes of
-all representatives from one walk of the multiplication table and takes
-one inverse DFT mod p per element order, for every irrep and every class
-of that order at once.  The table is the lifted int64 coefficient array,
-put in order by one np.lexsort; the certification evaluates the row
-relation on it with one cyclo.class_sums call, the JSON output is written
-from it, and CycloScalars are made only for the text output.
+The table is the lifted int64 coefficient array, put in order by one
+np.lexsort.  Its certificate reads the array, with no modular step.  With
+Y[i, c] = |c| chi_i(c) and the class matrix M = sum_a r_a A_a of seeded
+small class weights r, one weighted bincount over the #G x k products
+x^-1 z_c, it checks exactly:
+1. one row per class, each with a positive degree at the identity class e;
+2. chi_i(1) M Y_i = mu_i Y_i, where mu_i = (M Y_i)_e = sum_a r_a Y[i, a];
+3. each two rows differ in their eigenvalues mu_i / chi_i(1) of some draw
+   (it draws r again until they do, and refuses after _CERTIFY_DRAWS);
+4. sum_c |c| chi_i(c) chi_i(c^-1) = #G, read at the inverse classes.
+By 2 and 3 the rows, normalized at e, are k distinct central characters, so
+all of them, and 4 gives each its true degree: the table is right up to row
+order, which the canonical order fixes.  That is k^3 phi(m) + k^2 phi(m)^2
+work, in blocks of irreps and in cyclo.exact_dtype of proven bounds.  The
+row relation X D X^H = #G I alone would accept any swap of two equal-size
+columns.  CycloScalars are made only for the text output.
 """
 
 from __future__ import annotations
@@ -64,6 +51,8 @@ from .groups import ConjugacyData, GroupTable, conjugacy_data, linear_characters
 
 _PRIME_BOUND = 1_000_000
 _LIFT_BLOCK = 1 << 16  # irrep x class x power entries gathered at once by the lift
+_CERTIFY_BLOCK = 1 << 18  # per-irrep entries (k phi(m) + phi(m)^2 each) of one certificate block
+_CERTIFY_DRAWS = 8  # class matrices drawn before the rows count as not separated
 
 
 @dataclass(frozen=True, eq=False)
@@ -579,30 +568,60 @@ def character_table(group: GroupTable, *, seed: int = 0, prime: int | None = Non
     return table
 
 
-def _certify(table: CharacterTable) -> None:
-    """One row per class, the degree at the identity class and the row
-    relation X D X^H = n I (D the class sizes), exactly on the coefficient
-    array; for a square X the latter gives X^H X = n D^-1, the column
-    relation.  A failure means the modular path is buggy, and the error
-    names the first failing irrep or irrep pair."""
-    cd = table.class_data
-    k = cd.num_classes
-    n = table.group.order
-    ctx = table.context()
-    x = table.values
+def _certify(table: CharacterTable, draws=None) -> None:
+    """Certify exactly, by checks 1-4 of the module docstring with the class
+    weights in `draws` (by default seeded random bytes), that the rows are the
+    irreducible characters; a failure (a bug) names its irrep."""
+    cd, group, ctx = table.class_data, table.group, table.context()
+    k, n, d, x = cd.num_classes, group.order, ctx.degree, table.values
     if x.shape[:2] != (k, k) or len(table.degrees) != k:
         raise LiftInconsistent(f"{len(table.degrees)} degrees and values of shape "
                                f"{x.shape[:2]} for {k} classes")
-    e = cd.class_of[table.group.identity]
-    for i, d in enumerate(table.degrees):
-        if x[i, e, 0] != d or x[i, e, 1:].any():
-            raise LiftInconsistent(f"irrep {i} takes {cyclo.scalar_of(x[i, e], ctx)!r} "
-                                   f"at the identity class, not its degree {d}")
-    sums = cyclo.class_sums(x, cyclo.galois_array(x, -1, ctx), cd.sizes, ctx)
-    off = sums[:, :, 1:].any(axis=2) | (sums[:, :, 0] != n * np.eye(k, dtype=np.int64))
-    bad = np.argwhere(np.triu(off))
+    e, degrees = cd.class_of[group.identity], np.array(table.degrees)
+    bad = np.flatnonzero((degrees < 1) | (x[:, e, 0] != degrees) | x[:, e, 1:].any(axis=1))
     if len(bad):
-        i, j = map(int, bad[0])
-        raise LiftInconsistent(
-            f"row orthogonality fails at irreps ({i}, {j}): expected {n if i == j else 0}, "
-            f"got {cyclo.scalar_of(sums[i, j], ctx)!r}")
+        raise LiftInconsistent(f"irrep {bad[0]} takes {cyclo.scalar_of(x[bad[0], e], ctx)!r} "
+                               f"at the identity class, not its degree {degrees[bad[0]]}")
+    # bounds on |chi| and |Y|, and class(x^-1 z_c) * k + c for every x and class c
+    sizes, class_of, max_x = np.array(cd.sizes), np.array(cd.class_of), cyclo.max_abs(x)
+    max_y, inverse = max(cd.sizes) * max_x, np.array(cd.inverse_class)
+    cells = class_of[group.mult[np.array(group.inverse)[:, None], cd.representatives]] * k
+    cells, step = (cells + np.arange(k)).ravel(), max(1, _CERTIFY_BLOCK // (k * d + d * d))
+    rng, fold, sig = random.Random(k), ctx.product_array, np.zeros((k, 0), int)
+    for r in draws or (np.frombuffer(rng.randbytes(k), np.uint8) for _ in range(_CERTIFY_DRAWS)):
+        r = np.asarray(r, dtype=np.int64)
+        cyclo.check_float64_bound(n * cyclo.max_abs(r), "class matrix")  # the bincount's sums
+        m_r = np.bincount(cells, np.repeat(r[class_of], k), minlength=k * k).reshape(k, k)
+        # a bound on every partial sum of M Y, of mu Y_i through the fold and of the norms
+        bound = k * max_y * max(int(np.abs(m_r).max()) * max_y, max_x) * ctx.product_norm
+        dtype = cyclo.exact_dtype(bound, "certificate")
+        m_r, fold, mu = m_r.astype(dtype), fold.astype(dtype, copy=False), np.empty((k, d), int)
+        for i in range(0, k, step):
+            y = x[i:i + step] * sizes[:, None].astype(dtype)
+            my = (m_r @ y.transpose(1, 0, 2).reshape(k, -1)).reshape(k, -1, d).transpose(1, 0, 2)
+            # chi(1) M Y_i against mu_i Y_i, Y_i times the matrix of multiplication by mu_i
+            lhs = degrees[i:i + step, None, None] * my
+            rhs = y @ (my[:, e] @ fold.reshape(d, -1)).reshape(-1, d, d)
+            if (lhs != rhs).any():
+                j, c, _ = np.argwhere(lhs != rhs)[0]
+                raise LiftInconsistent(
+                    f"irrep {i + j} is no central character at class {c}: chi(1) (M Y)_c = "
+                    f"{cyclo.scalar_of(lhs[j, c].astype(np.int64), ctx)!r}, mu Y_c = "
+                    f"{cyclo.scalar_of(rhs[j, c].astype(np.int64), ctx)!r}")
+            # the plane products of Y_i and chi_i(c^-1), summed over classes, then reduced
+            norms = (y.transpose(0, 2, 1) @ x[i:i + step, inverse]).reshape(-1, d * d) @ fold
+            norms = norms.astype(np.int64)
+            bad = np.flatnonzero(norms[:, 1:].any(axis=1) | (norms[:, 0] != n))
+            if len(bad):
+                raise LiftInconsistent(f"irrep {i + bad[0]} has sum_c |c| chi(c) chi(c^-1) = "
+                                       f"{cyclo.scalar_of(norms[bad[0]], ctx)!r}, not #G = {n}")
+            mu[i:i + step] = my[:, e]
+        # mu_i / chi_i(1), an eigenvalue of the integer M, lies in Z[zeta]: its
+        # exact coefficients join the eigenvalues of row i in the earlier draws
+        sig = np.hstack([sig, mu // degrees[:, None]])
+        order = np.lexsort(sig.T)
+        same = (sig[order[1:]] == sig[order[:-1]]).all(axis=1)
+        if not same.any():
+            return
+    i, j = sorted(order[np.argmax(same):][:2])
+    raise LiftInconsistent(f"no drawn class matrix separates irreps ({i}, {j})")

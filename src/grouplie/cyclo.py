@@ -19,21 +19,20 @@ canonicity is unaffected.
 Class functions with algebraic-integer values (character tables, indicator
 weights) are also held as int64 arrays of canonical coefficients, shape
 (rows, classes, phi(m)); the power basis is an integral basis of Z[zeta_m],
-so these arrays are exact.  `class_sums` is the one kernel on them, and a
-Galois map acts on them as an integer phi(m) x phi(M) matrix whose rows are
-power-table rows (`galois_array`).  Every array product is bounded first
-from the operands' actual max-abs values and raises IntegerBoundExceeded if
-the bound reaches 2^63; nothing wraps silently.  `class_sums` runs its
-products in float64 (BLAS) when that bound is below 2^53, where every
-product and partial sum is an exactly representable integer, and in int64
-from 2^53 on.
+so these arrays are exact.  `class_sums` is their kernel, and a Galois map
+acts on them as an integer phi(m) x phi(M) matrix of power-table rows
+(`galois_array`).  Every array product is bounded first from the operands'
+actual max-abs values, and raises IntegerBoundExceeded if the bound reaches
+2^63: nothing wraps silently.  `class_sums` runs in `exact_dtype`, float64
+(BLAS) below 2^53, where every product and partial sum is an exact integer,
+and reduces its plane products through the zeta^(t+s) table `product_array`.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import cycle
 from math import gcd
 
@@ -121,12 +120,24 @@ class CycloContext:
             tuple([(i, r) for i, r in enumerate(row) if r]) for row in table
         )
         self.power_array = np.array(table, dtype=np.int64)
+        # at least every absolute column sum of product_array: reduced through
+        # it, a sum of plane products bounded by B is bounded by B times this
+        self.product_norm = d * int(np.abs(self.power_array[: 2 * d - 1]).sum(axis=0).max())
         self._galois_powers: dict[tuple[int, int], tuple[int, ...]] = {}
         self.conjugate_exponents = tuple(k for k in range(2, m) if gcd(k, m) == 1)
         self._roots = tuple(cmath.exp(2j * cmath.pi * k / m) for k in range(m))
         self.zero = CycloScalar(self, (0,) * d)
         self._zeta_cache: dict[int, CycloScalar] = {}
         self.one = self.zeta(0)
+
+    @cached_property
+    def product_array(self) -> np.ndarray:
+        """Row t * d + s (t, s < d) is the canonical form of zeta^(t + s), as
+        read-only float64 operands (small integers), built on first use."""
+        d = self.degree
+        out = self.power_array.astype(np.float64)[np.add.outer(np.arange(d), np.arange(d)).ravel()]
+        out.setflags(write=False)
+        return out
 
     def from_fraction(self, q) -> "CycloScalar":
         q = _norm(Fraction(q))
@@ -376,6 +387,13 @@ def check_float64_bound(bound: int, what: str) -> None:
         raise IntegerBoundExceeded(f"{what}: |entries| could reach {bound} >= 2^53")
 
 
+def exact_dtype(bound: int, what: str) -> type:
+    """The dtype in which integer sums bounded by `bound` are exact: float64
+    (BLAS) below 2^53, int64 from there, IntegerBoundExceeded from 2^63."""
+    check_int64_bound(bound, what)
+    return np.float64 if bound < FLOAT64_EXACT_LIMIT else np.int64
+
+
 def max_abs(x: np.ndarray) -> int:
     """The largest |entry| of an int64 array, as a Python int (0 if empty)."""
     return max(int(x.max()), -int(x.min())) if x.size else 0
@@ -415,25 +433,18 @@ def class_sums(a: np.ndarray, b: np.ndarray, w, ctx: CycloContext) -> np.ndarray
     `b` forms the product of every coefficient plane t of `a` with every
     plane s of `b`, and one matmul with the power-table rows of zeta^(t+s)
     reduces them to (ra, rb, d); rows of `a` go through in blocks of at most
-    _SUMS_BLOCK plane products.  The products run in float64 (BLAS) when the
-    proven bound on every absolute sum is below 2^53, where every product and
-    partial sum is an exactly representable integer, and in int64 otherwise.
+    _SUMS_BLOCK plane products.  The products run in exact_dtype of the
+    proven bound on every absolute sum.
     """
     d = ctx.degree
     w = [int(v) for v in w]
     max_b = max_abs(b)
-    prod_bound = sum(map(abs, w)) * d * max_abs(a) * max_b
-    weighted_bound = max(map(abs, w), default=0) * max_b
-    check_int64_bound(max(prod_bound, weighted_bound), "class sum")
-    fold = ctx.power_array[: 2 * d - 1]
-    fold_bound = prod_bound * int(np.abs(fold).sum(axis=0).max())
-    check_int64_bound(fold_bound, "class sum reduction")
-    dtype = np.float64 if max(fold_bound, weighted_bound) < FLOAT64_EXACT_LIMIT else np.int64
+    bound = max(max(map(abs, w), default=0), sum(map(abs, w)) * max_abs(a) * ctx.product_norm)
+    dtype = exact_dtype(bound * max_b, "class sum")
     ra, k, rb = a.shape[0], a.shape[1], b.shape[0]
     # (k, rb * d): row c holds w[c] * b[j, c, :] for every j
     bw = (b * np.array(w, dtype=dtype)[None, :, None]).transpose(1, 0, 2).reshape(k, rb * d)
-    # row t * d + s: the canonical form of zeta^(t + s)
-    shift = fold[np.add.outer(np.arange(d), np.arange(d)).ravel()].astype(dtype)
+    shift = ctx.product_array.astype(dtype, copy=False)
     out = np.empty((ra, rb, d), dtype=np.int64)
     step = max(1, _SUMS_BLOCK // max(1, rb * d * d))
     for i in range(0, ra, step):

@@ -307,7 +307,7 @@ def _permutation_group(perms, name: str) -> GroupTable:
 
 def cyclic_group(n: int) -> GroupTable:
     if not 1 <= n <= ORDER_CAP:
-        raise BadParameters(f"cyclic order {n} out of range")
+        raise BadParameters(f"cyclic order {n} out of range (need 1 <= n <= {ORDER_CAP})")
     x = np.arange(n)
     return from_mult_table((x[:, None] + x) % n, f"Z/{n}")
 
@@ -315,7 +315,7 @@ def cyclic_group(n: int) -> GroupTable:
 def dihedral_group(n: int) -> GroupTable:
     """Symmetries of the regular n-gon, order 2n; element i + n*j is r^i s^j."""
     if n < 3 or 2 * n > ORDER_CAP:
-        raise BadParameters(f"dihedral parameter {n} out of range (need 3 <= n)")
+        raise BadParameters(f"dihedral parameter {n} out of range (need 3 <= n <= {ORDER_CAP // 2})")
     x = np.arange(2 * n)
     i, j = x % n, x // n
     # r^i1 s^j1 r^i2 s^j2 = r^(i1 +- i2) s^(j1 + j2), with - when j1 = 1
@@ -325,14 +325,14 @@ def dihedral_group(n: int) -> GroupTable:
 
 def symmetric_group(n: int) -> GroupTable:
     if not 1 <= n <= 5:
-        raise BadParameters("symmetric groups supported for n <= 5")
+        raise BadParameters(f"symmetric parameter {n} out of range (need 1 <= n <= 5)")
     perms = sorted(itertools.permutations(range(n)))
     return _permutation_group(perms, f"S{n}")
 
 
 def alternating_group(n: int) -> GroupTable:
     if not 3 <= n <= 5:
-        raise BadParameters("alternating groups supported for 3 <= n <= 5")
+        raise BadParameters(f"alternating parameter {n} out of range (need 3 <= n <= 5)")
 
     def sign(p):
         s = 1

@@ -38,6 +38,7 @@ from grouplie.verify import (
     verify_kawanaka,
     verify_theorem,
 )
+from row_relation import row_relation_failure
 
 
 def _line(num: int, ok: bool, detail: str):
@@ -201,9 +202,15 @@ def test_criterion_8_character_table_gates():
     ok = True
     detail = ""
     for group in groups:
-        # construction already certifies both orthogonality relations and
-        # sum d^2 = #G exactly; a second valid prime must reproduce the table
+        # construction certifies the table by its central characters; the
+        # row relation, which for a square table gives the column relation,
+        # and sum d^2 = #G are evaluated here exactly, and a second valid
+        # prime must reproduce the table
         t1 = character_table(group)
+        failure = row_relation_failure(t1)
+        if failure is not None:
+            ok, detail = False, f"row orthogonality fails at irreps {failure[0]} on {group.name}"
+            break
         p2 = _find_prime(group.exponent, group.order, skip=1)
         t2 = character_table(group, prime=p2)
         if not (t1.degrees == t2.degrees and np.array_equal(t1.values, t2.values)):

@@ -44,6 +44,7 @@ from grouplie.groups import (
 from grouplie.indicators import indicator_reports
 from grouplie.liealg import make_context
 from grouplie.verify import curated_taus, default_catalog
+from row_relation import row_relation_failure
 
 
 def whole_space(k):
@@ -304,26 +305,47 @@ def column_relation_failure(table):
     return None
 
 
+def rows_are_the_characters(table, true):
+    """Whether the rows of `table` are those of the true table `true` in some
+    order, each with its own degree in `table.degrees`."""
+    e = true.class_data.class_of[true.group.identity]
+    return (sorted(row.tobytes() for row in table.values)
+            == sorted(row.tobytes() for row in true.values)
+            and table.values[:, e, 0].tolist() == list(table.degrees))
+
+
+def certify_refusal(table, draws=None):
+    """The message with which _certify refuses `table`, or None."""
+    try:
+        _certify(table, draws)
+    except LiftInconsistent as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("spec, irrep, cls, zeta_power", [
     ("symmetric:4", 2, 3, 0),
     ("cyclic:6", 4, 1, 1),
     ("frobenius21", 3, 2, 7),
 ])
 def test_certify_names_row_and_column_pair(spec, irrep, cls, zeta_power):
-    # one corrupted entry breaks both relations; the error names the first
-    # failing irrep pair (the trivial row against the corrupted one), and the
-    # column relation, which _certify no longer evaluates, fails at the
-    # identity class against the corrupted one
+    # one corrupted entry: the corrupted row is no eigenvector of the class
+    # matrix, and the error names it and the first class where the two sides
+    # differ, class 1 here (at the identity class both sides are chi(1) mu);
+    # the row relation fails at the trivial row against the corrupted one,
+    # and the column relation at the identity class against the corrupted one
     t = character_table(parse_group_spec(spec))
     ctx = t.context()
     x = t.values.copy()
     x[irrep, cls] += ctx.zeta(zeta_power).coeffs
     bad = dataclasses.replace(t, values=x)
     assert bad.scalar_rows()[irrep][cls] == t.scalar_rows()[irrep][cls] + ctx.zeta(zeta_power)
-    with pytest.raises(LiftInconsistent, match=rf"row orthogonality fails at irreps \(0, {irrep}\)"):
+    with pytest.raises(LiftInconsistent, match=rf"irrep {irrep} is no central character at class 1: "
+                                               r"chi\(1\) \(M Y\)_c = "):
         _certify(bad)
+    assert row_relation_failure(bad)[0] == (0, irrep)
     assert column_relation_failure(bad) == (0, cls)
-    assert column_relation_failure(t) is None
+    assert column_relation_failure(t) is None and row_relation_failure(t) is None
     _certify(t)
 
 
@@ -364,6 +386,23 @@ def test_certify_refuses_a_dropped_row():
         _certify(bad)
 
 
+def test_certify_refuses_a_negated_row_and_a_scaled_one():
+    # -chi and 2 chi are eigenvectors of every class matrix: the degree
+    # column refuses the first, the norm sum_c |c| chi(c) chi(c^-1) = #G the
+    # second, whose degree column is doubled with it
+    t = character_table(catalog("symmetric", 4))
+    x = t.values.copy()
+    x[-1] *= -1
+    with pytest.raises(LiftInconsistent, match="irrep 4 takes -3 at the identity class, not its degree 3"):
+        _certify(dataclasses.replace(t, values=x))
+    with pytest.raises(LiftInconsistent, match=r"irrep 4 has sum_c \|c\| chi\(c\) chi\(c\^-1\) = 96, "
+                                               r"not #G = 24"):
+        _certify(dataclasses.replace(t, values=np.concatenate([t.values[:-1], 2 * t.values[-1:]]),
+                                     degrees=t.degrees[:-1] + (6,)))
+    assert certify_refusal(dataclasses.replace(t, values=x, degrees=t.degrees[:-1] + (-3,))) == \
+        "irrep 4 takes -3 at the identity class, not its degree -3"
+
+
 def test_a_table_replaced_with_nested_rows_is_the_swapped_array():
     # a table built with dataclasses.replace from nested rows of coefficient
     # vectors, with two entries of the last irrep exchanged (the degree and the
@@ -393,10 +432,11 @@ def test_a_table_replaced_with_nested_rows_is_the_swapped_array():
 
 @pytest.mark.parametrize("spec", ["symmetric:4", "cyclic:6", "frobenius21", "quaternion8"])
 def test_certify_fails_exactly_when_the_column_relation_fails(spec):
-    # for a square table the row relation implies the column relation, and
-    # back: _certify refuses every seeded corruption that breaks the column
-    # relation, and of those that keep it only ones whose degree column is
-    # wrong (as when Q8's 2 and -2 of one row trade places)
+    # _certify refuses a seeded corruption exactly when its rows are not the
+    # true characters in some order, each with its degree: so it refuses
+    # every corruption that breaks the column relation, and of those that
+    # keep it the ones whose degree column is wrong (as when Q8's 2 and -2 of
+    # one row trade places)
     t = character_table(parse_group_spec(spec))
     ctx, k = t.context(), t.num_irreps
     rng = random.Random(spec)
@@ -414,18 +454,161 @@ def test_certify_fails_exactly_when_the_column_relation_fails(spec):
             i, j = rng.sample(range(k), 2)
             x[j] = x[i]
         bad = dataclasses.replace(t, values=x)
-        column = column_relation_failure(bad)
-        try:
-            _certify(bad)
-            refused = None
-        except LiftInconsistent as exc:
-            refused = str(exc)
+        column, refused = column_relation_failure(bad), certify_refusal(bad)
+        assert (refused is None) == rows_are_the_characters(bad, t)
         if column is not None:
             assert refused is not None
         else:
             assert refused is None or "at the identity class" in refused
         outcomes.add((column is None, refused is None))
     assert (False, False) in outcomes and (True, True) in outcomes
+
+
+SWAP_GROUPS = ("cyclic:8", "cyclic:12", "dihedral:5", "dihedral:8", "quaternion8", "symmetric:4",
+               "alternating:4", "frobenius21", "product:cyclic:2,cyclic:4",
+               "product:cyclic:3,cyclic:3")
+
+
+def test_the_certificate_refuses_exactly_the_column_swaps_that_change_the_rows():
+    # every pair of equal-size non-identity classes of ten groups, swapped in
+    # every row: 137 tables, and the row relation holds on each.  The
+    # certificate accepts exactly the 10 whose rows are the true characters
+    # in another order (A4's swap of its two classes of 3-cycles, each the
+    # other's inverse, among them), and refuses the 127 others, Z/8's swap of
+    # classes 1 and 5 among them, naming an irrep and a class
+    swaps = accepted = 0
+    for spec in SWAP_GROUPS:
+        t = character_table(parse_group_spec(spec))
+        cd, k = t.class_data, t.num_irreps
+        e = cd.class_of[t.group.identity]
+        for a, b in itertools.combinations(range(k), 2):
+            if e in (a, b) or cd.sizes[a] != cd.sizes[b]:
+                continue
+            perm = list(range(k))
+            perm[a], perm[b] = b, a
+            bad = dataclasses.replace(t, values=t.values[:, perm])
+            assert row_relation_failure(bad) is None
+            refused = certify_refusal(bad)
+            assert (refused is None) == rows_are_the_characters(bad, t), (spec, a, b)
+            if (spec, a, b) == ("cyclic:8", 1, 5):
+                assert re.match(r"irrep \d+ is no central character at class \d+: ", refused)
+            swaps, accepted = swaps + 1, accepted + (refused is None)
+    assert (swaps, accepted) == (137, 10)
+
+
+def test_a_non_separating_draw_takes_the_next_one():
+    # equal weights make M the class sum of all of G, which acts as #G on
+    # the trivial character (S4's irrep 1) and as 0 on the others: its four
+    # other rows share one eigenvalue, so the certificate takes the next draw
+    t = character_table(catalog("symmetric", 4))
+    k = t.num_irreps
+    taken = []
+
+    def draws():
+        for r in (np.ones(k, dtype=np.int64), np.arange(1, k + 1), np.ones(k, dtype=np.int64)):
+            taken.append(r)
+            yield r
+
+    _certify(t, draws())
+    assert len(taken) == 2
+    # a sequence that never separates is refused after its last draw
+    with pytest.raises(LiftInconsistent, match=r"no drawn class matrix separates irreps \(0, 2\)"):
+        _certify(t, [np.ones(k, dtype=np.int64)] * chartable._CERTIFY_DRAWS)
+    # a copied row of the same degree is a true central character twice: no
+    # draw separates it from its copy
+    x = t.values.copy()
+    x[4] = x[3]
+    assert t.degrees[3] == t.degrees[4] and column_relation_failure(dataclasses.replace(t, values=x))
+    with pytest.raises(LiftInconsistent, match=r"no drawn class matrix separates irreps \(3, 4\)"):
+        _certify(dataclasses.replace(t, values=x))
+
+
+def table_inputs():
+    """(group, prime) of every catalog table, the nine inputs of the tables
+    workload and the 24 tau-extensions of the full-catalog Kawanaka checks."""
+    extensions = [semidirect_product(g, tau) for g in default_catalog() if 2 * g.order <= 256
+                  for tau in curated_taus(g) if not tau.is_identity()]
+    inputs = [(g, None) for g in default_catalog()]
+    inputs += [(parse_group_spec(spec), prime) for spec, prime in BENCHMARK_TABLES[:9]]
+    inputs += [(g, None) for g in extensions]
+    assert len(inputs) == 43 + 9 + 24
+    return inputs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_the_certificate_and_the_row_relation_accept_every_table(monkeypatch, seed):
+    tables = [character_table(group, seed=seed, prime=prime) for group, prime in table_inputs()]
+
+    def refused(*args):
+        raise AssertionError("the certificate built the class constants")
+
+    # the certificate's class matrices come from the multiplication table
+    monkeypatch.setattr(chartable, "class_constants", refused)
+    for t in tables:
+        assert certify_refusal(t) is None and row_relation_failure(t) is None, t.group.name
+
+
+def spied_dtypes(monkeypatch):
+    """The (what, dtype) of every cyclo.exact_dtype call, as they are made."""
+    calls, real = [], cyclo.exact_dtype
+
+    def spy(bound, what):
+        calls.append((what, real(bound, what)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cyclo, "exact_dtype", spy)
+    return calls
+
+
+def test_the_certificate_is_exact_across_the_float64_limit(monkeypatch):
+    # weights w r for a separating draw r of S5: the certificate's bound,
+    # k max|M| max|Y|^2 times the reduction's norm (max|Y| bounded by the
+    # largest class size times the largest coefficient), is w times its
+    # bound at r.  Below 2^53 its products run in float64, from 2^53 on in
+    # int64, and both accept the true table and refuse it with its two
+    # classes of size 20 swapped
+    t = character_table(catalog("symmetric", 5))
+    cd, k = t.class_data, t.num_irreps
+    assert [c for c in range(k) if cd.sizes[c] == 20] == [2, 5]
+    swapped = dataclasses.replace(t, values=t.values[:, [0, 1, 5, 3, 4, 2, 6]])
+    r = np.array([3, 1, 4, 1, 5, 9, 2])
+    class_of = np.array(cd.class_of)
+    m_r = np.zeros((k, k), dtype=np.int64)  # M[j, c]: r summed over x with x^-1 z_c in class j
+    np.add.at(m_r, (class_of[t.group.mult[np.array(t.group.inverse)[:, None], cd.representatives]],
+                    np.arange(k)), r[class_of][:, None])
+    max_y = max(cd.sizes) * cyclo.max_abs(t.values)
+    bound = k * cyclo.max_abs(m_r) * max_y ** 2 * t.context().product_norm
+    calls = spied_dtypes(monkeypatch)
+    below = (2**53 - 1) // bound
+    for w, dtype in ((1, np.float64), (below, np.float64), (below + 1, np.int64)):
+        calls.clear()
+        _certify(t, [w * r])
+        assert calls == [("certificate", dtype)], w
+        assert "is no central character" in certify_refusal(swapped, [w * r])
+    # from 2^63 on the guard raises before any product
+    top = (2**63 - 1) // bound
+    _certify(t, [top * r])
+    with pytest.raises(IntegerBoundExceeded, match=r"^certificate: .* >= 2\^63"):
+        _certify(t, [(top + 1) * r])
+
+
+def test_the_certificate_bound_guard():
+    # Z/4 with one entry v: |Y| is at most v, and the eigenvector check's
+    # bound is k max|M| v^2 |fold| = 4 * 4 * v^2 * 4 for weights 1..4
+    # (|fold| = phi(4) * 2 through Phi_4 = x^2 + 1).  At v = 2^28 that is
+    # 2^62: the products run in int64 and refuse the entry exactly; at 2^29
+    # it is 2^64, and the guard raises before any product
+    t = character_table(catalog("cyclic", 4))
+    assert t.context().product_norm == 4
+    for v, refusal in ((2**28, "irrep 1 is no central character"), (2**29, None)):
+        x = t.values.copy()
+        x[1, 1] = [v, 0]
+        bad = dataclasses.replace(t, values=x)
+        if refusal:
+            assert certify_refusal(bad, [np.arange(1, 5)]).startswith(refusal)
+        else:
+            with pytest.raises(IntegerBoundExceeded, match=r"^certificate: .* >= 2\^63"):
+                _certify(bad, [np.arange(1, 5)])
 
 
 @pytest.mark.parametrize("prime", [2**62 + 1, 2**70 + 1])
@@ -978,9 +1161,9 @@ def test_a_corrupted_lift_fails_where_the_per_class_lift_fails(monkeypatch, bloc
 
 def test_character_table_peak_memory_at_128_classes():
     # tracemalloc's peak over character_table(cyclic:128), whose high point
-    # is the certification; the bound is the peak of the int64 products
-    # this implementation replaced, measured the same way: the float64
-    # products add no second copy of the (k, k, k) class constants
+    # is the certificate, formed in blocks of irreps; the bound is the peak
+    # of an earlier implementation, measured the same way, whose certificate
+    # formed the int64 products of the row relation
     int64_peak = 53_747_856
     character_table(catalog("cyclic", 4))  # lazy imports and caches first
     group = parse_group_spec("cyclic:128")

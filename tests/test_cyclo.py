@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from grouplie import cyclo
+from grouplie.chartable import character_table
 from grouplie.cyclo import (
     CycloScalar,
     class_sums,
@@ -21,6 +24,7 @@ from grouplie.errors import (
     DivisionByZero,
     IntegerBoundExceeded,
 )
+from grouplie.groups import catalog
 
 
 def euler_phi(m):
@@ -323,3 +327,29 @@ def test_class_sums_blocks_match_row_by_row():
     for i in range(len(a)):
         assert np.array_equal(whole[i], class_sums(a[i:i + 1], b, w, ctx)[0])
     assert class_sums(a, b[:0], w, ctx).shape == (70, 0, ctx.degree)
+
+
+def test_the_zeta_product_table_is_built_once_per_context(monkeypatch):
+    # row t * d + s of product_array is the canonical form of zeta^(t + s),
+    # read-only; class_sums and the character-table certificate both read
+    # the context's one copy, built on first use
+    built = []
+    real = cyclo.CycloContext.product_array.func
+
+    def counted(self):
+        built.append(self.m)
+        return real(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cyclo.CycloContext, "product_array")
+    monkeypatch.setattr(cyclo.CycloContext, "product_array", prop)
+    ctx = context(12)
+    ctx.__dict__.pop("product_array", None)
+    a = np.arange(2 * 3 * ctx.degree).reshape(2, 3, ctx.degree) - 10
+    class_sums(a, a, [1, 2, 3], ctx)
+    character_table(catalog("cyclic", 12))
+    class_sums(a, a, [1, 2, 3], ctx)
+    assert built == [12]
+    table, d = ctx.product_array, ctx.degree
+    assert table.dtype == np.float64 and not table.flags.writeable
+    assert table.tolist() == [list(ctx.power_table[t + s]) for t in range(d) for s in range(d)]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -246,10 +247,14 @@ def test_semidirect_with_identity_is_direct_product():
 def test_catalog_errors():
     with pytest.raises(UnknownName):
         catalog("nonsense")
-    with pytest.raises(BadParameters):
-        catalog("symmetric", 6)
-    with pytest.raises(BadParameters):
-        catalog("dihedral", 2)
+    # a parameter out of range is named with the range it must lie in
+    for name, n, need in (("symmetric", 6, "1 <= n <= 5"), ("symmetric", 0, "1 <= n <= 5"),
+                          ("symmetric", -1, "1 <= n <= 5"), ("alternating", 2, "3 <= n <= 5"),
+                          ("dihedral", 2, "3 <= n <= 512"), ("dihedral", 513, "3 <= n <= 512"),
+                          ("cyclic", 0, "1 <= n <= 1024"), ("cyclic", 1025, "1 <= n <= 1024")):
+        message = f"{name} {'order' if name == 'cyclic' else 'parameter'} {n} out of range (need {need})"
+        with pytest.raises(BadParameters, match=f"^{re.escape(message)}$"):
+            catalog(name, n)
     with pytest.raises(BadParameters):
         catalog("cyclic", "x")
     with pytest.raises(BadParameters):
